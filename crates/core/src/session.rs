@@ -66,6 +66,7 @@ use rand::SeedableRng;
 use sb_httpsim::transport::{PipelinedTransport, Request, RequestId, Transport};
 use sb_httpsim::{Fetched, HttpServer, Politeness};
 use sb_scale::VisitedSet;
+use sb_webgraph::fnv64;
 use sb_webgraph::interner::UrlId;
 use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::url::{Url, UrlError};
@@ -389,9 +390,9 @@ pub struct RefreshedPage {
     pub mime: Option<String>,
     /// Shared body bytes; empty on failed refreshes.
     pub body: sb_httpsim::Body,
-    /// FNV-1a hash of the body — the change-detection currency, computed
-    /// with the same constants as `sb_revisit::fnv64` so hashes from the
-    /// recrawl harness and from sessions are interchangeable.
+    /// FNV-1a hash of the body — the change-detection currency, the same
+    /// [`sb_webgraph::fnv64`] that `sb_revisit` re-exports, so hashes from
+    /// the recrawl harness and from sessions are interchangeable.
     pub body_hash: u64,
     /// True for an explicit [`CrawlSession::queue_refresh`] fetch; false
     /// for a discovery fetch buffered because `serve_feed` is on.
@@ -402,17 +403,6 @@ pub struct RefreshedPage {
     pub changed: bool,
 }
 
-/// FNV-1a (64-bit). Same constants as `sb_revisit::fnv64`, duplicated
-/// here so `sb-crawler` does not depend on the revisit crate; the
-/// `fnv64_matches_revisit` test in `crates/serve` pins the two equal.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Everything a finished crawl reports.
 pub struct CrawlOutcome {
@@ -607,8 +597,9 @@ pub struct CrawlSession<'a> {
 
 impl<'a> CrawlSession<'a> {
     /// Validates the root and builds a session over a fresh
-    /// [`PipelinedTransport`] for `server` (window and politeness from
-    /// `cfg`). No request is spent until the first [`CrawlSession::step`].
+    /// [`PipelinedTransport`] for `server` — the sole handle of a private
+    /// in-flight pool, window and politeness from `cfg`. No request is
+    /// spent until the first [`CrawlSession::step`].
     pub fn new(
         server: &'a dyn HttpServer,
         oracle: Option<&'a dyn Oracle>,
@@ -623,10 +614,11 @@ impl<'a> CrawlSession<'a> {
         Self::with_transport(transport, oracle, root_url, strategy, cfg)
     }
 
-    /// As [`CrawlSession::new`] over a caller-built [`Transport`] — custom
-    /// retry policies, robots `Crawl-delay` gates, shared per-site
-    /// transports ([`crate::fleet::Fleet`] uses this). The transport's own
-    /// window wins over [`CrawlConfig::max_in_flight`].
+    /// As [`CrawlSession::new`] over a caller-built [`Transport`] — a
+    /// [`PipelinedTransport`] with custom retry or hazard policies, or a
+    /// [`sb_httpsim::PoolHandle`] on a pool shared with other sessions
+    /// ([`crate::fleet::Fleet`] uses this). Both are the same backend; the
+    /// transport's own window wins over [`CrawlConfig::max_in_flight`].
     pub fn with_transport(
         transport: Box<dyn Transport + 'a>,
         oracle: Option<&'a dyn Oracle>,

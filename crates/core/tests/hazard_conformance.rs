@@ -1,8 +1,11 @@
 //! The hostile-web conformance suite (PR 6), mirroring the `Transport`
 //! conformance suite's shape: every bounded-waste invariant is written
-//! once against (strategy kind × hazard profile × transport backend) and
+//! once against (strategy kind × hazard profile × transport builder) and
 //! macro-instantiated over the full cross product, so a new strategy or
-//! backend inherits the whole hostile scenario pack for free.
+//! backend inherits the whole hostile scenario pack for free. The two
+//! builders are the two tenancy shapes of the one pool backend: the sole
+//! tenant of a private pool (`_pipelined`) and a handle beside a
+//! registered-but-idle sibling (`_pool`).
 //!
 //! For every combination the scenario run asserts:
 //!
@@ -142,6 +145,10 @@ fn build_pipelined<'a>(
     )
 }
 
+/// `build_pipelined` is already the sole-tenant pool handle, so the `_pool`
+/// column covers the other tenancy shape: a second handle is registered
+/// beside the one under test and never submits anything. Hazard dispatch,
+/// retries and the breaker must not depend on being the pool's only tenant.
 fn build_pool_handle<'a>(
     server: &'a (dyn HttpServer + 'a),
     politeness: Politeness,
@@ -150,6 +157,7 @@ fn build_pool_handle<'a>(
     hazards: HazardPolicy,
 ) -> Box<dyn Transport + 'a> {
     let pool = SharedTransportPool::new(window);
+    let _idle_sibling = pool.handle(server, MimePolicy::default(), Politeness::default());
     Box::new(
         pool.handle(server, MimePolicy::default(), politeness)
             .with_retry_policy(retry)

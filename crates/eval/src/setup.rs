@@ -70,11 +70,9 @@ impl EvalConfig {
     /// The generation seed for a site (fixed: all crawlers see the same
     /// site, as in the paper's replay methodology).
     pub fn site_seed(&self, code: &str) -> u64 {
-        let mut h = 0x811c_9dc5u64;
-        for b in code.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        h
+        // The 32-bit offset basis under the 64-bit prime: not a standard
+        // FNV, but every recorded site was generated from it.
+        sb_webgraph::fnv1a(0x811c_9dc5, code.as_bytes())
     }
 }
 

@@ -61,17 +61,8 @@ impl<S: HttpServer> FlakyServer<S> {
     }
 
     fn unlucky(&self, url: &str) -> bool {
-        // splitmix64 over the FNV of the URL: uniform in [0, 1), stable.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed;
-        for &b in url.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z as f64 / u64::MAX as f64) < self.fail_prob
+        // Uniform in [0, 1], stable per (seed, URL).
+        (crate::hazard::mix(self.seed, url) as f64 / u64::MAX as f64) < self.fail_prob
     }
 
     fn inject(&self, url: &str, first_attempt: bool) -> bool {

@@ -5,12 +5,10 @@
 //! per-host circuit breaker that quarantines hosts after K consecutive
 //! hard failures.
 //!
-//! Both transport backends — [`crate::PipelinedTransport`] and
-//! [`crate::PoolHandle`] — execute every GET through the single
-//! [`dispatch_hazard_get`] loop in this module, so hazard semantics,
-//! retry/backoff arithmetic and breaker bookkeeping cannot drift between
-//! them (the same reasoning that keeps the politeness
-//! [`GateTable`](crate::transport) shared).
+//! [`crate::PoolHandle`] executes every GET through the
+//! [`dispatch_hazard_get`] loop in this module: hazard semantics,
+//! retry/backoff arithmetic and breaker bookkeeping live here, the
+//! politeness arithmetic in [`GateTable`](crate::transport).
 //!
 //! ## Simulated-time semantics
 //!
@@ -41,10 +39,11 @@
 //! the window-1 blocking-client replay and the frozen
 //! `sb_bench::reference` traces intact.
 
-use crate::client::{Fetched, Politeness};
+use crate::client::{settle_get, Fetched, Politeness};
+use crate::pool::SiteState;
 use crate::response::Body;
-use crate::transport::host_of;
-use sb_webgraph::FxHashMap;
+use crate::transport::{host_entry, host_key, host_of};
+use sb_webgraph::{fnv1a, FxHashMap, FNV1A_BASIS};
 
 /// Synthetic status of an attempt aborted by the transport read timeout
 /// (the de-facto "network read timeout" code).
@@ -82,8 +81,7 @@ pub struct RateLimit {
 }
 
 /// Composable transport-level hazard model. Inert by default; every knob
-/// is independent. Honored by both transport backends through
-/// [`dispatch_hazard_get`].
+/// is independent. Honored through [`dispatch_hazard_get`].
 #[derive(Debug, Clone, Default)]
 pub struct HazardPolicy {
     /// Seed for the deterministic latency draws (xor-folded with URL and
@@ -127,7 +125,7 @@ impl HazardPolicy {
 
     /// Caps `host`'s simulated bandwidth at `bytes_per_sec`.
     pub fn cap_host_bandwidth(mut self, host: &str, bytes_per_sec: f64) -> Self {
-        self.caps.insert(host.to_ascii_lowercase(), bytes_per_sec.max(1.0));
+        self.caps.insert(host_key(host).into_owned(), bytes_per_sec.max(1.0));
         self
     }
 
@@ -137,12 +135,7 @@ impl HazardPolicy {
         if self.caps.is_empty() {
             return *politeness;
         }
-        let key: std::borrow::Cow<'_, str> = if host.bytes().any(|b| b.is_ascii_uppercase()) {
-            std::borrow::Cow::Owned(host.to_ascii_lowercase())
-        } else {
-            std::borrow::Cow::Borrowed(host)
-        };
-        match self.caps.get(key.as_ref()) {
+        match self.caps.get(host_key(host).as_ref()) {
             Some(&cap) => Politeness {
                 delay_secs: politeness.delay_secs,
                 bytes_per_sec: politeness.bytes_per_sec.min(cap),
@@ -258,9 +251,9 @@ struct HostHealth {
     quarantined: bool,
 }
 
-/// Per-transport mutable hazard state: rate-limit attempt counters and the
-/// circuit breaker. One per transport backend (per handle in the shared
-/// pool — quarantine is an origin property, sharded like the gates).
+/// Per-site mutable hazard state: rate-limit attempt counters and the
+/// circuit breaker. One per pool handle — quarantine is an origin
+/// property, sharded like the gates.
 #[derive(Debug, Default)]
 pub struct HazardState {
     /// Attempts per host (rate-limit counter), case-folded keys.
@@ -271,16 +264,7 @@ pub struct HazardState {
 impl HazardState {
     /// Is `host` currently quarantined?
     pub fn is_quarantined(&self, host: &str) -> bool {
-        match self.health.get(host) {
-            Some(h) => h.quarantined,
-            None => {
-                host.bytes().any(|b| b.is_ascii_uppercase())
-                    && self
-                        .health
-                        .get(host.to_ascii_lowercase().as_str())
-                        .is_some_and(|h| h.quarantined)
-            }
-        }
+        self.health.get(host_key(host).as_ref()).is_some_and(|h| h.quarantined)
     }
 
     /// Number of quarantined hosts.
@@ -288,16 +272,13 @@ impl HazardState {
         self.health.values().filter(|h| h.quarantined).count()
     }
 
-    fn folded(host: &str) -> String {
-        host.to_ascii_lowercase()
-    }
-
     /// Counts one attempt on `host`; true when the rate limiter fires.
     fn rate_limited(&mut self, limit: Option<RateLimit>, host: &str) -> bool {
         let Some(limit) = limit else { return false };
-        let n = self.attempts.entry(Self::folded(host)).or_insert(0);
+        let n = host_entry(&mut self.attempts, host);
         *n += 1;
-        *n % limit.period == 0
+        // `period` is a public field, so the builder's clamp can be bypassed.
+        n.is_multiple_of(limit.period.max(2))
     }
 
     /// Records the delivered outcome for the breaker; returns true when
@@ -306,7 +287,7 @@ impl HazardState {
         if threshold == 0 {
             return false;
         }
-        let h = self.health.entry(Self::folded(host)).or_default();
+        let h = host_entry(&mut self.health, host);
         if hard_failure {
             h.fails += 1;
             if !h.quarantined && h.fails >= threshold {
@@ -333,27 +314,18 @@ pub(crate) struct DispatchOutcome {
     pub arrival: f64,
 }
 
-/// Everything [`dispatch_hazard_get`] needs from a transport backend. Both
-/// backends pass their own gate shard; the loop stays the single place
-/// where retry, backoff, hazard and breaker semantics live.
-pub(crate) struct DispatchCtx<'c, 'a> {
-    pub server: &'a (dyn crate::server::HttpServer + 'a),
-    pub policy: &'c sb_webgraph::mime::MimePolicy,
-    pub politeness: &'c Politeness,
-    pub gates: &'c mut crate::transport::GateTable,
-    pub hazards: &'c HazardPolicy,
-    pub retry: &'c RetryPolicy,
-    pub state: &'c mut HazardState,
-}
-
 /// Executes one GET under the hazard and retry policies: dispatches
 /// through the politeness gate starting no earlier than `ready_at`,
 /// retries retryable answers (5xx, 429, timeout) with capped jittered
 /// backoff *behind* the gate, and maintains the circuit breaker. See the
 /// module docs for the simulated-time semantics.
-pub(crate) fn dispatch_hazard_get(ctx: &mut DispatchCtx<'_, '_>, url: &str, ready_at: f64) -> DispatchOutcome {
+pub(crate) fn dispatch_hazard_get(
+    site: &mut SiteState<'_>,
+    url: &str,
+    ready_at: f64,
+) -> DispatchOutcome {
     let host = host_of(url);
-    if ctx.state.is_quarantined(host) {
+    if site.hazard_state.is_quarantined(host) {
         return DispatchOutcome {
             answer: synthetic(url, STATUS_QUARANTINED, 0),
             gets: 0,
@@ -366,20 +338,20 @@ pub(crate) fn dispatch_hazard_get(ctx: &mut DispatchCtx<'_, '_>, url: &str, read
     let mut ready_at = ready_at;
     loop {
         gets += 1;
-        let rate_limited = ctx.state.rate_limited(ctx.hazards.rate_limit, host);
+        let rate_limited = site.hazard_state.rate_limited(site.hazards.rate_limit, host);
         let mut f = if rate_limited {
             synthetic(url, 429, RATE_LIMIT_WIRE)
         } else {
-            crate::client::settle_get(ctx.server.get(url), ctx.policy)
+            settle_get(site.server.get(url), &site.policy)
         };
-        let eff = ctx.hazards.effective_politeness(ctx.politeness, host);
-        let (start, base_arrival) = ctx.gates.dispatch(&eff, url, ready_at, f.wire_bytes);
-        let tail = ctx.hazards.tail_latency(url, gets);
+        let eff = site.hazards.effective_politeness(&site.politeness, host);
+        let (start, base_arrival) = site.gates.dispatch(&eff, url, ready_at, f.wire_bytes);
+        let tail = site.hazards.tail_latency(url, gets);
         let mut arrival = base_arrival + tail;
         // Timeout: service time is transfer + tail (the gate delay is
         // spacing, not connection time). Truncate the attempt at the
         // abort instant and charge only the bytes that fit.
-        if let Some(to) = ctx.hazards.timeout_secs {
+        if let Some(to) = site.hazards.timeout_secs {
             let service = arrival - start - eff.delay_secs;
             if service > to {
                 let got = ((to - tail).max(0.0) * eff.bytes_per_sec) as u64;
@@ -390,16 +362,16 @@ pub(crate) fn dispatch_hazard_get(ctx: &mut DispatchCtx<'_, '_>, url: &str, read
         }
         wire += f.wire_bytes;
         let retryable = (500..600).contains(&f.status) || f.status == 429;
-        if retryable && gets <= u64::from(ctx.retry.max_retries) {
+        if retryable && gets <= u64::from(site.retry.max_retries) {
             // The failure is observed at its arrival; the retry queues
             // behind the gate no earlier than arrival + backoff.
             let retry_after = (f.status == 429)
-                .then(|| ctx.hazards.rate_limit.map(|l| l.retry_after_secs))
+                .then(|| site.hazards.rate_limit.map(|l| l.retry_after_secs))
                 .flatten();
-            ready_at = arrival + ctx.retry.backoff(url, gets, retry_after);
+            ready_at = arrival + site.retry.backoff(url, gets, retry_after);
             continue;
         }
-        ctx.state.record(host, retryable, ctx.retry.quarantine_after);
+        site.hazard_state.record(host, retryable, site.retry.quarantine_after);
         f.attempts = gets as u32;
         return DispatchOutcome { answer: f, gets, wire, arrival };
     }
@@ -419,13 +391,9 @@ fn synthetic(_url: &str, status: u16, wire: u64) -> Fetched {
     }
 }
 
-/// FNV-1a over `text`, folded into `seed` and finished with splitmix64.
-fn mix(seed: u64, text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// Seeded FNV-1a over `text`, finished with splitmix64.
+pub(crate) fn mix(seed: u64, text: &str) -> u64 {
+    let h = fnv1a(FNV1A_BASIS ^ seed, text.as_bytes());
     let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -6,17 +6,20 @@
 //! crawler-side [`client`] with request/volume cost accounting,
 //! politeness-based time estimation and mid-flight interruption of
 //! block-listed downloads. The [`transport`] module is the nonblocking
-//! fetch boundary (PR 4): a politeness-gated in-flight request pool with
-//! deterministic completion ordering, which the crawl engine pipelines on.
-//! The [`pool`] module (PR 5) multiplexes one bounded in-flight window
-//! across every host of a multi-site fleet with per-host politeness
-//! sharding. Production-crawler substrates live alongside:
+//! fetch boundary (PR 4): the [`Transport`] trait — a politeness-gated
+//! in-flight request pool with deterministic completion ordering, which
+//! the crawl engine pipelines on — and the per-host politeness gate. The
+//! [`pool`] module (PR 5) is its one implementation: a bounded in-flight
+//! window multiplexed across the sites registered with it, politeness
+//! sharded per site. A fleet shares one [`SharedTransportPool`]; a
+//! single-site [`PipelinedTransport`] is the lone [`PoolHandle`] of a
+//! private one. Production-crawler substrates live alongside:
 //! [`robots`] (RFC 9309 Robots Exclusion Protocol), [`flaky`]
 //! (failure-injection and robot-trap servers for robustness testing) and
 //! [`hazard`] (PR 6: composable transport-level hazards — timeouts,
 //! heavy-tailed latency, bandwidth caps, 429 rate limiting — plus the
-//! retry/backoff policy and per-host circuit breaker both transport
-//! backends dispatch through).
+//! retry/backoff policy and per-host circuit breaker every GET is
+//! dispatched through).
 
 pub mod archive;
 pub mod client;

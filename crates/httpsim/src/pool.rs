@@ -1,26 +1,26 @@
-//! The shared fleet transport pool: one bounded in-flight window
-//! multiplexed across every host of a multi-site crawl (PR 5).
+//! The in-flight pool behind every [`Transport`]: one bounded window
+//! multiplexed across every site registered with it (PR 5). A single-site
+//! crawl is the one-tenant case —
+//! [`PipelinedTransport`](crate::transport::PipelinedTransport) is a
+//! [`PoolHandle`] on a private pool ([`PoolHandle::new`]).
 //!
-//! PR 4's [`PipelinedTransport`](crate::transport::PipelinedTransport)
-//! pipelines *within* one site, but a fleet built on it holds N isolated
-//! windows: a site stalled behind its politeness gate cannot lend its
-//! idle connection slots to anyone else. Production frontiers (BUbiNG's
-//! massive-scale design, and every host-sharded multi-queue crawler
-//! since) share one global fetch pool and shard only the *politeness*
-//! state per host. [`SharedTransportPool`] reproduces that shape over the
-//! simulation:
+//! A fleet of isolated per-site windows cannot lend a site's idle
+//! connection slots — stalled behind its politeness gate — to anyone
+//! else. Production frontiers (BUbiNG's massive-scale design, and every
+//! host-sharded multi-queue crawler since) share one global fetch pool
+//! and shard only the *politeness* state per host. [`SharedTransportPool`]
+//! reproduces that shape over the simulation:
 //!
 //! * the pool owns the **global window** ([`SharedTransportPool::new`]'s
 //!   `max_in_flight`) and the **shared simulated clock**; politeness
 //!   state is **sharded per handle** — each site's `GateTable` (its
 //!   hosts' gates plus any robots `Crawl-delay` override) is private to
-//!   its handle, exactly as it is under per-site transports. Two sites
-//!   therefore dispatch concurrently while each site's own dispatches
-//!   stay politeness-spaced. (Sharding by handle rather than by raw
-//!   hostname string is deliberate: generated sites reuse synthetic
-//!   hostnames, and each fleet job is a distinct origin regardless of
-//!   what its URL strings say — string-matching hosts across handles
-//!   would falsely couple unrelated sites.);
+//!   its handle. Two sites therefore dispatch concurrently while each
+//!   site's own dispatches stay politeness-spaced. (Sharding by handle
+//!   rather than by raw hostname string is deliberate: generated sites
+//!   reuse synthetic hostnames, and each fleet job is a distinct origin
+//!   regardless of what its URL strings say — string-matching hosts
+//!   across handles would falsely couple unrelated sites.);
 //! * each site gets a [`PoolHandle`] ([`SharedTransportPool::handle`]) —
 //!   a full [`Transport`] a [`CrawlSession`] can own without owning the
 //!   pool. The handle carries the site's server, MIME policy, politeness
@@ -46,9 +46,9 @@
 //! window ≥ the host count lets every politeness gate tick concurrently
 //! and the makespan approaches the slowest single host.
 //!
-//! With one handle and any window, a `PoolHandle` is behaviour-identical
-//! to a `PipelinedTransport` of the same window — both backends are
-//! pinned by the conformance suite (`tests/transport_conformance.rs`).
+//! A handle's single-site behaviour does not depend on being the pool's
+//! only tenant; the conformance suite (`tests/transport_conformance.rs`)
+//! pins both constructors and both tenancy shapes.
 //!
 //! ## Threading model (PR 8)
 //!
@@ -66,7 +66,7 @@
 //! [`CrawlSession`]: ../../sb_crawler/session/struct.CrawlSession.html
 
 use crate::client::{settle_get, Fetched, Politeness, Traffic};
-use crate::hazard::{dispatch_hazard_get, DispatchCtx, HazardPolicy, HazardState, RetryPolicy};
+use crate::hazard::{dispatch_hazard_get, DispatchOutcome, HazardPolicy, HazardState, RetryPolicy};
 use crate::response::HeadResponse;
 use crate::server::HttpServer;
 use crate::transport::{GateTable, Request, RequestId, Transport};
@@ -74,18 +74,14 @@ use parking_lot::Mutex;
 use sb_webgraph::mime::MimePolicy;
 use std::sync::Arc;
 
-/// One fleet-wide in-flight request. As in the single-site transport, the
-/// answer is computed eagerly at dispatch (the simulated origin is
-/// synchronous); only the delivery is deferred to its simulated arrival.
+/// One in-flight request. The answer is computed eagerly at dispatch (the
+/// simulated origin is synchronous); only the delivery is deferred to its
+/// simulated arrival.
 struct PoolEntry {
     id: RequestId,
     site: usize,
-    arrival: f64,
-    answer: Fetched,
-    /// GET attempts this request consumed (retries included).
-    gets: u64,
-    /// Total wire bytes across all attempts.
-    wire: u64,
+    /// The final answer, its arrival instant and what it cost.
+    done: DispatchOutcome,
 }
 
 /// The shared state behind every handle of one pool.
@@ -104,26 +100,16 @@ struct PoolCore {
 impl PoolEntry {
     /// The fleet-wide completion order: arrival, cross-site ties by site
     /// index, ties within a site by submission id. The single comparator
-    /// behind both the poll sort and [`PoolCore::next_completion`] — the
-    /// two must agree or the driver would drain a different site than
-    /// delivery order promises.
+    /// behind both the poll sort and
+    /// [`SharedTransportPool::next_completion_site`] — the two must agree
+    /// or the driver would drain a different site than delivery order
+    /// promises.
     fn completion_order(&self, other: &PoolEntry) -> std::cmp::Ordering {
-        self.arrival
-            .total_cmp(&other.arrival)
+        self.done
+            .arrival
+            .total_cmp(&other.done.arrival)
             .then(self.site.cmp(&other.site))
             .then(self.id.cmp(&other.id))
-    }
-}
-
-impl PoolCore {
-    /// Sorts the pool into global completion order.
-    fn sort_completion_order(&mut self) {
-        self.inflight.sort_by(PoolEntry::completion_order);
-    }
-
-    /// The globally next completion, by the same order.
-    fn next_completion(&self) -> Option<&PoolEntry> {
-        self.inflight.iter().min_by(|a, b| a.completion_order(b))
     }
 }
 
@@ -166,14 +152,18 @@ impl SharedTransportPool {
         PoolHandle {
             core: Arc::clone(&self.core),
             site,
-            server,
-            policy,
-            politeness,
-            retry: RetryPolicy::retries(0),
-            hazards: HazardPolicy::default(),
-            hazard_state: HazardState::default(),
-            gates: GateTable::default(),
+            state: SiteState {
+                server,
+                policy,
+                politeness,
+                retry: RetryPolicy::retries(0),
+                hazards: HazardPolicy::default(),
+                hazard_state: HazardState::default(),
+                gates: GateTable::default(),
+            },
             traffic: Traffic::default(),
+            pending: 0,
+            pending_bytes: 0,
         }
     }
 
@@ -204,7 +194,7 @@ impl SharedTransportPool {
     /// *that* site's handle next, so deliveries advance the shared clock
     /// in true arrival order.
     pub fn next_completion_site(&self) -> Option<usize> {
-        self.core.lock().next_completion().map(|e| e.site)
+        self.core.lock().inflight.iter().min_by(|a, b| a.completion_order(b)).map(|e| e.site)
     }
 
     /// Shared-clock instant of `site`'s last delivery (0 before the
@@ -214,56 +204,97 @@ impl SharedTransportPool {
     }
 }
 
+/// What one site's dispatches run on that no other tenant of the pool
+/// shares: the origin, the MIME and politeness models, the retry and hazard
+/// policies, and the per-host tables — politeness gates plus robots
+/// `Crawl-delay` overrides, rate-limit counters and the circuit breaker
+/// (quarantine is an origin property). [`dispatch_hazard_get`] runs on it.
+pub(crate) struct SiteState<'a> {
+    pub(crate) server: &'a (dyn HttpServer + 'a),
+    pub(crate) policy: MimePolicy,
+    pub(crate) politeness: Politeness,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) hazards: HazardPolicy,
+    pub(crate) hazard_state: HazardState,
+    pub(crate) gates: GateTable,
+}
+
 /// One site's view of a [`SharedTransportPool`]: a [`Transport`] whose
-/// window, clock and politeness gates live in the shared core, while the
-/// origin server, MIME policy, politeness model, retry policy and cost
-/// counters are per-site. [`Transport::in_flight`] and
-/// [`Transport::traffic`] report this site only;
-/// [`Transport::has_capacity`] reports the **global** window (a handle
-/// may be unable to submit because other sites hold every slot).
+/// window and clock live in the shared core, while the origin server, MIME
+/// policy, politeness model and gates, retry policy and cost counters are
+/// per-site. [`Transport::in_flight`] and [`Transport::traffic`] report
+/// this site only; [`Transport::has_capacity`] reports the **global**
+/// window (a handle may be unable to submit because other sites hold every
+/// slot).
 pub struct PoolHandle<'a> {
     core: Arc<Mutex<PoolCore>>,
     site: usize,
-    server: &'a (dyn HttpServer + 'a),
-    policy: MimePolicy,
-    politeness: Politeness,
-    retry: RetryPolicy,
-    hazards: HazardPolicy,
-    /// Rate-limit counters and circuit breaker, sharded per handle like
-    /// the gates (quarantine is an origin property).
-    hazard_state: HazardState,
-    /// This site's politeness shard: gates for its hosts plus robots
-    /// `Crawl-delay` overrides, private to the handle (see module docs).
-    gates: GateTable,
+    state: SiteState<'a>,
     traffic: Traffic,
+    /// This site's undelivered requests and their wire bytes, counted here
+    /// (up at `submit`, down at `poll_into`) so the per-step reads of
+    /// [`Transport::in_flight`]/[`Transport::in_flight_bytes`] neither
+    /// lock the core nor scan its window.
+    pending: usize,
+    pending_bytes: u64,
 }
 
 impl<'a> PoolHandle<'a> {
+    /// A single-site transport over `server` with a window of 1 and no
+    /// retries — the drop-in equivalent of the blocking [`crate::Client`]:
+    /// the only handle of a private pool.
+    pub fn new(
+        server: &'a (dyn HttpServer + 'a),
+        policy: MimePolicy,
+        politeness: Politeness,
+    ) -> Self {
+        SharedTransportPool::new(1).handle(server, policy, politeness)
+    }
+
+    /// Sets the in-flight window (clamped to ≥ 1). The window belongs to
+    /// the pool, so this resizes it for every tenant: meant for a handle
+    /// built by [`PoolHandle::new`], and checked in debug builds to be its
+    /// pool's only one. A shared pool's window is set once, by
+    /// [`SharedTransportPool::new`].
+    pub fn with_window(self, window: usize) -> Self {
+        let mut core = self.core.lock();
+        debug_assert!(
+            core.site_elapsed.len() == 1,
+            "with_window resizes the whole pool, which has {} tenants",
+            core.site_elapsed.len()
+        );
+        core.window = window.max(1);
+        drop(core);
+        self
+    }
+
     /// Re-dispatches 5xx answers up to `retries` extra attempts through
-    /// the shared gate; every attempt is charged at delivery (same
-    /// contract as `PipelinedTransport::with_retries`).
+    /// the gate. Every attempt is charged at delivery, so a
+    /// `Budget::Requests` session over a retrying transport may finish up
+    /// to one attempt per retried in-flight request past its budget (the
+    /// check sees one request per submission; the sequential engine has
+    /// the same one-request check-to-charge gap).
     pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retry.max_retries = retries;
+        self.state.retry.max_retries = retries;
         self
     }
 
-    /// Installs a full [`RetryPolicy`] (backoff, jitter, circuit breaker);
-    /// same contract as `PipelinedTransport::with_retry_policy`.
+    /// Installs a full [`RetryPolicy`] (backoff, jitter, circuit breaker).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.state.retry = retry;
         self
     }
 
-    /// Installs a [`HazardPolicy`] on this handle's GET path; same
-    /// contract as `PipelinedTransport::with_hazards`.
+    /// Installs a [`HazardPolicy`] (timeouts, tail latency, bandwidth
+    /// caps, 429 rate limiting) on this handle's GET path.
     pub fn with_hazards(mut self, hazards: HazardPolicy) -> Self {
-        self.hazards = hazards;
+        self.state.hazards = hazards;
         self
     }
 
     /// Hosts of this handle quarantined by the circuit breaker so far.
     pub fn quarantined_hosts(&self) -> usize {
-        self.hazard_state.quarantined_hosts()
+        self.state.hazard_state.quarantined_hosts()
     }
 
     /// The pool site index this handle was registered as.
@@ -271,112 +302,93 @@ impl<'a> PoolHandle<'a> {
         self.site
     }
 
-    /// Executes a GET through the shared hazard-aware dispatch loop
-    /// (this site's gate shard, dispatching no earlier than the shared
-    /// clock) and returns the final answer with its cumulative accounting
-    /// and arrival.
-    fn dispatch_get(&mut self, clock: f64, url: &str) -> (Fetched, u64, u64, f64) {
-        let mut ctx = DispatchCtx {
-            server: self.server,
-            policy: &self.policy,
-            politeness: &self.politeness,
-            gates: &mut self.gates,
-            hazards: &self.hazards,
-            retry: &self.retry,
-            state: &mut self.hazard_state,
-        };
-        let out = dispatch_hazard_get(&mut ctx, url, clock);
-        (out.answer, out.gets, out.wire, out.arrival)
+    /// The pool's simulated clock (arrival of the last delivered
+    /// completion of any tenant).
+    pub fn clock_secs(&self) -> f64 {
+        self.core.lock().clock
     }
 
-    /// Charges one synchronous request and advances the shared clock.
-    fn charge_sync(&mut self, core: &mut PoolCore, arrival: f64) {
+    /// Charges one synchronous request of `wire` bytes, dispatched through
+    /// this site's gate no earlier than the shared clock, and advances the
+    /// clock to its arrival.
+    fn charge_sync(&mut self, url: &str, wire: u64) {
+        let mut core = self.core.lock();
+        let (_, arrival) = self.state.gates.dispatch(&self.state.politeness, url, core.clock, wire);
         core.clock = core.clock.max(arrival);
         core.site_elapsed[self.site] = core.clock;
+        self.traffic.non_target_bytes += wire;
         self.traffic.elapsed_secs = core.clock;
     }
 }
 
 impl Transport for PoolHandle<'_> {
     fn submit(&mut self, req: Request<'_>) -> RequestId {
-        let core = Arc::clone(&self.core);
-        let mut core = core.lock();
+        let mut core = self.core.lock();
         debug_assert!(
             core.inflight.len() < core.window,
-            "submit beyond the shared window (window {})",
+            "submit beyond the in-flight window (window {})",
             core.window
         );
         let id = core.next_id;
         core.next_id += 1;
-        let (answer, gets, wire, arrival) = self.dispatch_get(core.clock, req.url);
-        core.inflight.push(PoolEntry { id, site: self.site, arrival, answer, gets, wire });
+        let done = dispatch_hazard_get(&mut self.state, req.url, core.clock);
+        self.pending += 1;
+        self.pending_bytes += done.wire;
+        core.inflight.push(PoolEntry { id, site: self.site, done });
         id
     }
 
     fn poll_into(&mut self, out: &mut Vec<(RequestId, Fetched)>) {
         out.clear();
-        let core = Arc::clone(&self.core);
-        let mut core = core.lock();
-        core.sort_completion_order();
+        let mut core = self.core.lock();
+        let core = &mut *core;
+        core.inflight.sort_by(PoolEntry::completion_order);
         // The horizon is this site's next completion instant (never
-        // backwards). Another site may own an earlier arrival: its entries
-        // stay pooled — they are delivered with their own arrival when its
-        // handle polls, so nothing is lost if this site drains first (the
-        // shared clock then just jumps past them, as on a machine that was
-        // busy elsewhere). Drivers that poll sites in
+        // backwards: a synchronous HEAD may already have pushed the clock
+        // past several arrivals). Another site may own an earlier arrival:
+        // its entries stay pooled — they are delivered with their own
+        // arrival when its handle polls, so nothing is lost if this site
+        // drains first (the shared clock then just jumps past them, as on
+        // a machine that was busy elsewhere). Drivers that poll sites in
         // [`SharedTransportPool::next_completion_site`] order never hit
         // that case and advance the clock in true arrival order.
-        let Some(first) = core.inflight.iter().find(|e| e.site == self.site).map(|e| e.arrival)
-        else {
+        let site = self.site;
+        let Some(first) = core.inflight.iter().find(|e| e.site == site) else {
             return;
         };
-        let horizon = core.clock.max(first);
-        let mut i = 0;
-        while i < core.inflight.len() {
-            let e = &core.inflight[i];
-            if e.site != self.site || e.arrival > horizon {
-                i += 1;
-                continue;
-            }
-            let e = core.inflight.remove(i);
-            core.clock = core.clock.max(e.arrival);
-            self.traffic.get_requests += e.gets;
-            self.traffic.non_target_bytes += e.wire;
-            out.push((e.id, e.answer));
+        let horizon = core.clock.max(first.done.arrival);
+        for e in core.inflight.extract_if(.., |e| e.site == site && e.done.arrival <= horizon) {
+            core.clock = core.clock.max(e.done.arrival);
+            self.traffic.get_requests += e.done.gets;
+            self.traffic.non_target_bytes += e.done.wire;
+            self.pending -= 1;
+            self.pending_bytes -= e.done.wire;
+            out.push((e.id, e.done.answer));
         }
         core.site_elapsed[self.site] = core.clock;
         self.traffic.elapsed_secs = core.clock;
     }
 
     fn head(&mut self, url: &str) -> HeadResponse {
-        let r = self.server.head(url);
-        let wire = r.wire_size();
-        let core = Arc::clone(&self.core);
-        let mut core = core.lock();
-        let (_, arrival) = self.gates.dispatch(&self.politeness, url, core.clock, wire);
+        let r = self.state.server.head(url);
         self.traffic.head_requests += 1;
-        self.traffic.non_target_bytes += wire;
-        self.charge_sync(&mut core, arrival);
+        self.charge_sync(url, r.wire_size());
         r
     }
 
     fn fetch_now(&mut self, url: &str) -> Fetched {
-        let f = settle_get(self.server.get(url), &self.policy);
-        let core = Arc::clone(&self.core);
-        let mut core = core.lock();
-        let (_, arrival) = self.gates.dispatch(&self.politeness, url, core.clock, f.wire_bytes);
+        let f = settle_get(self.state.server.get(url), &self.state.policy);
         self.traffic.get_requests += 1;
-        self.traffic.non_target_bytes += f.wire_bytes;
-        self.charge_sync(&mut core, arrival);
+        self.charge_sync(url, f.wire_bytes);
         f
     }
 
     fn in_flight(&self) -> usize {
-        self.core.lock().inflight.iter().filter(|e| e.site == self.site).count()
+        self.pending
     }
 
     fn in_flight_bytes(&self) -> u64 {
-        self.core.lock().inflight.iter().filter(|e| e.site == self.site).map(|e| e.wire).sum()
+        self.pending_bytes
     }
 
     fn max_in_flight(&self) -> usize {
@@ -400,11 +412,11 @@ impl Transport for PoolHandle<'_> {
     }
 
     fn policy(&self) -> &MimePolicy {
-        &self.policy
+        &self.state.policy
     }
 
     fn set_host_min_delay(&mut self, host: &str, delay_secs: f64) {
-        self.gates.set_host_min_delay(host, delay_secs);
+        self.state.gates.set_host_min_delay(host, delay_secs);
     }
 }
 

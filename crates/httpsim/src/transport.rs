@@ -47,7 +47,7 @@
 //!
 //! ## Retries
 //!
-//! [`PipelinedTransport::with_retries`] re-dispatches 5xx answers through
+//! [`PoolHandle::with_retries`] re-dispatches 5xx answers through
 //! the gate up to `n` extra attempts before delivering the final answer;
 //! every attempt is charged (requests and wire bytes). Off by default so
 //! the window-1 replay stays byte-identical; with a recoverable
@@ -58,16 +58,22 @@
 //! seeded jitter ([`crate::hazard::RetryPolicy`]), timeouts, heavy-tailed
 //! latency, bandwidth caps and 429 rate limiting
 //! ([`crate::hazard::HazardPolicy`]), and the per-host circuit breaker —
-//! lives in [`crate::hazard`] and is shared with the fleet pool, so the
-//! two backends cannot drift (PR 6).
+//! lives in [`crate::hazard`] (PR 6).
+//!
+//! ## One backend
+//!
+//! This module holds the boundary — the [`Transport`] trait and the
+//! per-host politeness gate. Its one implementation is
+//! [`crate::pool::PoolHandle`]; [`PipelinedTransport`] is that handle as
+//! the sole tenant of a private pool.
 
-use crate::client::{settle_get, Fetched, Politeness, Traffic};
-use crate::hazard::{dispatch_hazard_get, DispatchCtx, HazardPolicy, HazardState, RetryPolicy};
+use crate::client::{Fetched, Politeness, Traffic};
+use crate::pool::PoolHandle;
 use crate::response::HeadResponse;
 use crate::robots::RobotsTxt;
-use crate::server::HttpServer;
 use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::FxHashMap;
+use std::borrow::Cow;
 
 /// Identifies one submitted request; ascending in submission order, unique
 /// per transport instance.
@@ -88,8 +94,9 @@ impl<'u> Request<'u> {
 }
 
 /// The nonblocking fetch boundary. See the module docs; the simulated
-/// single-site implementation is [`PipelinedTransport`] and the fleet-wide
-/// one is [`crate::pool::SharedTransportPool`]. Every implementation must
+/// implementation is [`crate::pool::PoolHandle`], fleet-wide through a
+/// [`crate::pool::SharedTransportPool`] or single-site as a
+/// [`PipelinedTransport`]. Every implementation must
 /// uphold the invariants of the conformance suite
 /// (`tests/transport_conformance.rs`): politeness gate spacing,
 /// deterministic completion order, window-1 equivalence with the blocking
@@ -167,19 +174,6 @@ pub trait Transport {
     }
 }
 
-/// One request in the pool: the answer is computed eagerly at dispatch
-/// (the simulated origin is synchronous); only the *delivery* is deferred
-/// to its simulated arrival instant.
-struct InFlightReq {
-    id: RequestId,
-    arrival: f64,
-    answer: Fetched,
-    /// GET attempts this request consumed (retries included).
-    gets: u64,
-    /// Total wire bytes across all attempts.
-    wire: u64,
-}
-
 /// Per-host politeness state.
 #[derive(Default)]
 struct HostGate {
@@ -190,10 +184,8 @@ struct HostGate {
     min_delay: Option<f64>,
 }
 
-/// The per-host politeness gates, shared by [`PipelinedTransport`] and
-/// [`crate::pool::SharedTransportPool`] so the two backends cannot drift:
-/// same key folding, same `Crawl-delay` override rule, same
-/// `start/gate/arrival` arithmetic.
+/// One site's per-host politeness gates: the key folding, the
+/// `Crawl-delay` override rule and the `start/gate/arrival` arithmetic.
 #[derive(Default)]
 pub(crate) struct GateTable {
     gates: FxHashMap<String, HostGate>,
@@ -201,15 +193,12 @@ pub(crate) struct GateTable {
 
 impl GateTable {
     pub(crate) fn set_host_min_delay(&mut self, host: &str, delay_secs: f64) {
-        self.gates.entry(host_key(host)).or_default().min_delay = Some(delay_secs.max(0.0));
+        host_entry(&mut self.gates, host).min_delay = Some(delay_secs.max(0.0));
     }
 
     /// Passes one dispatch through the host's politeness gate starting no
     /// earlier than `ready_at`, returning its `(start, arrival)` for a
-    /// transfer of `wire` bytes. Gate keys are case-folded — canonical
-    /// (interned) URLs carry lowercase hosts and hit the map borrowed; a
-    /// mixed-case host folds once so it shares the gate (and any
-    /// `Crawl-delay` override) of its lowercase form.
+    /// transfer of `wire` bytes.
     pub(crate) fn dispatch(
         &mut self,
         politeness: &Politeness,
@@ -217,21 +206,9 @@ impl GateTable {
         ready_at: f64,
         wire: u64,
     ) -> (f64, f64) {
-        let host = host_of(url);
-        let key: std::borrow::Cow<'_, str> = if host.bytes().any(|b| b.is_ascii_uppercase()) {
-            std::borrow::Cow::Owned(host_key(host))
-        } else {
-            std::borrow::Cow::Borrowed(host)
-        };
+        let gate = host_entry(&mut self.gates, host_of(url));
         let base = politeness.delay_secs;
-        let delay = match self.gates.get(key.as_ref()).and_then(|g| g.min_delay) {
-            Some(d) => d.max(base),
-            None => base,
-        };
-        let gate = match self.gates.get_mut(key.as_ref()) {
-            Some(g) => g,
-            None => self.gates.entry(key.into_owned()).or_default(),
-        };
+        let delay = gate.min_delay.map_or(base, |d| d.max(base));
         let start = ready_at.max(gate.next_start);
         gate.next_start = start + delay;
         let arrival = start + delay + wire as f64 / politeness.bytes_per_sec;
@@ -239,210 +216,14 @@ impl GateTable {
     }
 }
 
-/// The simulated [`Transport`]: a bounded in-flight pool over any
-/// [`HttpServer`] with per-host politeness gating and deterministic
-/// completion ordering.
-pub struct PipelinedTransport<'a> {
-    server: &'a (dyn HttpServer + 'a),
-    policy: MimePolicy,
-    politeness: Politeness,
-    window: usize,
-    retry: RetryPolicy,
-    hazards: HazardPolicy,
-    hazard_state: HazardState,
-    /// Simulated now: the arrival of the last delivered completion (or the
-    /// last synchronous request).
-    clock: f64,
-    traffic: Traffic,
-    next_id: RequestId,
-    inflight: Vec<InFlightReq>,
-    gates: GateTable,
-}
-
-impl<'a> PipelinedTransport<'a> {
-    /// A transport over `server` with a window of 1 and no retries — the
-    /// drop-in equivalent of the blocking [`crate::Client`].
-    pub fn new(
-        server: &'a (dyn HttpServer + 'a),
-        policy: MimePolicy,
-        politeness: Politeness,
-    ) -> Self {
-        PipelinedTransport {
-            server,
-            policy,
-            politeness,
-            window: 1,
-            retry: RetryPolicy::retries(0),
-            hazards: HazardPolicy::default(),
-            hazard_state: HazardState::default(),
-            clock: 0.0,
-            traffic: Traffic::default(),
-            next_id: 0,
-            inflight: Vec::new(),
-            gates: GateTable::default(),
-        }
-    }
-
-    /// Sets the in-flight window (clamped to ≥ 1).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
-    }
-
-    /// Re-dispatches 5xx answers up to `retries` extra attempts. Every
-    /// attempt is charged at delivery, so a `Budget::Requests` session
-    /// over a retrying transport may finish up to one attempt per
-    /// retried in-flight request past its budget (the check sees one
-    /// request per submission; the sequential engine has the same
-    /// one-request check-to-charge gap).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retry.max_retries = retries;
-        self
-    }
-
-    /// Installs a full [`RetryPolicy`] (backoff, jitter, circuit breaker).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Installs a [`HazardPolicy`] (timeouts, tail latency, bandwidth
-    /// caps, 429 rate limiting) on the GET path.
-    pub fn with_hazards(mut self, hazards: HazardPolicy) -> Self {
-        self.hazards = hazards;
-        self
-    }
-
-    /// Hosts quarantined by the circuit breaker so far.
-    pub fn quarantined_hosts(&self) -> usize {
-        self.hazard_state.quarantined_hosts()
-    }
-
-    /// The simulated clock (arrival of the last delivered completion).
-    pub fn clock_secs(&self) -> f64 {
-        self.clock
-    }
-
-    /// One dispatch through the shared [`GateTable`].
-    fn gate_dispatch(&mut self, url: &str, ready_at: f64, wire: u64) -> (f64, f64) {
-        self.gates.dispatch(&self.politeness, url, ready_at, wire)
-    }
-
-    /// Executes a GET through the shared hazard-aware dispatch loop
-    /// ([`crate::hazard::dispatch_hazard_get`]) and returns the final
-    /// answer with its cumulative accounting and arrival instant.
-    fn dispatch_get(&mut self, url: &str) -> (Fetched, u64, u64, f64) {
-        let mut ctx = DispatchCtx {
-            server: self.server,
-            policy: &self.policy,
-            politeness: &self.politeness,
-            gates: &mut self.gates,
-            hazards: &self.hazards,
-            retry: &self.retry,
-            state: &mut self.hazard_state,
-        };
-        let out = dispatch_hazard_get(&mut ctx, url, self.clock);
-        (out.answer, out.gets, out.wire, out.arrival)
-    }
-
-    fn charge_delivery(&mut self, gets: u64, wire: u64, arrival: f64) {
-        self.clock = self.clock.max(arrival);
-        self.traffic.get_requests += gets;
-        self.traffic.non_target_bytes += wire;
-        self.traffic.elapsed_secs = self.clock;
-    }
-}
-
-impl Transport for PipelinedTransport<'_> {
-    fn submit(&mut self, req: Request<'_>) -> RequestId {
-        debug_assert!(
-            self.inflight.len() < self.window,
-            "submit beyond the in-flight window (window {})",
-            self.window
-        );
-        let id = self.next_id;
-        self.next_id += 1;
-        let (answer, gets, wire, arrival) = self.dispatch_get(req.url);
-        self.inflight.push(InFlightReq { id, arrival, answer, gets, wire });
-        id
-    }
-
-    fn poll_into(&mut self, out: &mut Vec<(RequestId, Fetched)>) {
-        out.clear();
-        if self.inflight.is_empty() {
-            return;
-        }
-        // Deterministic completion order: arrival, ties by submission id.
-        // Sorting the pool in place keeps the due requests a drainable
-        // prefix — no temporary buffer, no shifting removals (this runs
-        // once per engine pump; the caller already reuses `out`).
-        self.inflight.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
-        // Advance to the next completion instant (never backwards: a
-        // synchronous HEAD may already have pushed the clock past several
-        // arrivals) and deliver everything due by then.
-        let horizon = self.clock.max(self.inflight[0].arrival);
-        let due = self.inflight.partition_point(|r| r.arrival <= horizon);
-        for r in &self.inflight[..due] {
-            self.clock = self.clock.max(r.arrival);
-            self.traffic.get_requests += r.gets;
-            self.traffic.non_target_bytes += r.wire;
-        }
-        self.traffic.elapsed_secs = self.clock;
-        out.extend(self.inflight.drain(..due).map(|r| (r.id, r.answer)));
-    }
-
-    fn head(&mut self, url: &str) -> HeadResponse {
-        let r = self.server.head(url);
-        let wire = r.wire_size();
-        let (_, arrival) = self.gate_dispatch(url, self.clock, wire);
-        self.clock = arrival;
-        self.traffic.head_requests += 1;
-        self.traffic.non_target_bytes += wire;
-        self.traffic.elapsed_secs = self.clock;
-        r
-    }
-
-    fn fetch_now(&mut self, url: &str) -> Fetched {
-        let f = settle_get(self.server.get(url), &self.policy);
-        let (_, arrival) = self.gate_dispatch(url, self.clock, f.wire_bytes);
-        self.charge_delivery(1, f.wire_bytes, arrival);
-        f
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    fn in_flight_bytes(&self) -> u64 {
-        self.inflight.iter().map(|r| r.wire).sum()
-    }
-
-    fn max_in_flight(&self) -> usize {
-        self.window
-    }
-
-    fn traffic(&self) -> Traffic {
-        self.traffic
-    }
-
-    fn tag_target(&mut self, bytes: u64) {
-        let moved = bytes.min(self.traffic.non_target_bytes);
-        self.traffic.non_target_bytes -= moved;
-        self.traffic.target_bytes += moved;
-    }
-
-    fn policy(&self) -> &MimePolicy {
-        &self.policy
-    }
-
-    fn set_host_min_delay(&mut self, host: &str, delay_secs: f64) {
-        self.gates.set_host_min_delay(host, delay_secs);
-    }
-}
+/// The single-site [`Transport`]: the lone [`PoolHandle`] of a private
+/// [`SharedTransportPool`](crate::pool::SharedTransportPool), built by
+/// [`PoolHandle::new`] (window 1, no retries — the drop-in equivalent of
+/// the blocking [`crate::Client`]) and widened by
+/// [`PoolHandle::with_window`].
+pub type PipelinedTransport<'a> = PoolHandle<'a>;
 
 /// The host component of an absolute http(s) URL, without allocating.
-/// Interned URLs are already canonical (lowercased host), so the slice is
-/// usable as a gate key directly.
 pub(crate) fn host_of(url: &str) -> &str {
     let rest = url.find("://").map(|i| &url[i + 3..]).unwrap_or(url);
     let end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
@@ -451,9 +232,29 @@ pub(crate) fn host_of(url: &str) -> &str {
     authority.rsplit('@').next().unwrap_or(authority)
 }
 
-/// Owned, case-folded gate key (allocated once per distinct host).
-fn host_key(host: &str) -> String {
-    host.to_ascii_lowercase()
+/// The case-folded key every per-host table (gates, bandwidth caps,
+/// rate-limit counters, breaker) files `host` under, so any casing of a
+/// host shares one entry. Canonical (interned) URLs carry lowercase hosts
+/// and come back borrowed; only a mixed-case host allocates.
+pub(crate) fn host_key(host: &str) -> Cow<'_, str> {
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(host.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(host)
+    }
+}
+
+/// `host`'s entry in a per-host table, defaulted on first sight — the one
+/// point where a host key is allocated.
+pub(crate) fn host_entry<'m, V: Default>(
+    map: &'m mut FxHashMap<String, V>,
+    host: &str,
+) -> &'m mut V {
+    let key = host_key(host);
+    if !map.contains_key(key.as_ref()) {
+        map.insert(key.as_ref().to_owned(), V::default());
+    }
+    map.get_mut(key.as_ref()).expect("present or just inserted")
 }
 
 #[cfg(test)]

@@ -26,13 +26,15 @@
 //!   through a fill/drain cycle, and `tag_target` moves volume between
 //!   buckets without changing the total.
 //!
-//! Instantiated for [`PipelinedTransport`] (PR 4), for a single
-//! [`SharedTransportPool`] handle (PR 5), for a pool handle contending
-//! with a registered-but-idle sibling site — a handle's single-site
-//! behaviour must not depend on being the pool's only tenant — and (PR 8)
-//! for both pool-handle shapes round-tripped through a spawned thread
-//! before use: the pool backend is `Send`, and crossing a real thread
-//! boundary must not perturb a single invariant.
+//! There is one backend today — the pool handle — and five ways to come
+//! by one, each pinned: `PipelinedTransport::new(..).with_window(w)` (a
+//! private pool resized by its sole tenant), `SharedTransportPool::new(w)
+//! .handle(..)`, a pool handle contending with a registered-but-idle
+//! sibling site — a handle's single-site behaviour must not depend on
+//! being the pool's only tenant — and (PR 8) both pool-handle shapes
+//! round-tripped through a spawned thread before use: the handle is
+//! `Send`, and crossing a real thread boundary must not perturb a single
+//! invariant.
 
 use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{

@@ -12,17 +12,9 @@ use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::url::Url;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// 64-bit FNV-1a. Used for body hashing because it is deterministic across
-/// processes and platforms (unlike `DefaultHasher`'s per-process keys),
-/// which keeps whole recrawl runs reproducible.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// 64-bit FNV-1a, the body hash: deterministic across processes and
+/// platforms, which keeps whole recrawl runs reproducible.
+pub use sb_webgraph::fnv64;
 
 /// Everything the incremental crawler remembers about one HTML page.
 #[derive(Debug, Clone)]

@@ -21,13 +21,11 @@ use sb_webgraph::gen::{
     build_with_store, render, PageStore, SiteSource, SiteSpec,
 };
 use sb_webgraph::interner::FxHashMap;
-use sb_webgraph::{Csr, PageId, PageKind};
+use sb_webgraph::{fnv64, Csr, PageId, PageKind};
 use sb_webgraph::gen::{OutLink, SectionStyle, Slot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::visited::fnv1a;
 
 /// Default render-body cache budget for streaming sites: 16 MiB — a few
 /// thousand typical pages, far below `O(site)`.
@@ -86,7 +84,7 @@ impl UrlIndex {
     }
 
     fn lookup(&self, url: &str, urls: &StrArena) -> Option<PageId> {
-        let fp = fnv1a(url.as_bytes());
+        let fp = fnv64(url.as_bytes());
         if let Some(&id) = self.map.get(&fp) {
             if urls.get(id as usize) == url {
                 return Some(id);
@@ -138,7 +136,7 @@ impl PageStore for PackedStore {
 
     fn insert(&mut self, url: String, kind: PageKind, title: String) -> PageId {
         let id = self.kinds.len() as PageId;
-        self.index.insert(fnv1a(url.as_bytes()), id);
+        self.index.insert(fnv64(url.as_bytes()), id);
         self.urls.push(&url);
         self.titles.push(&title);
         self.kinds.push(kind);

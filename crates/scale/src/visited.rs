@@ -21,51 +21,23 @@
 
 use sb_webgraph::interner::FxHashMap;
 use sb_webgraph::url::Url;
-use sb_webgraph::{UrlId, UrlInterner};
+use sb_webgraph::{fnv1a, UrlId, UrlInterner, FNV1A_BASIS};
 use std::sync::Arc;
 
-/// Streaming FNV-1a over the canonical byte sequence of a URL. Chunk-split
-/// insensitive, so hashing components in place equals hashing the
-/// materialised string — the property the allocation-free `get` rests on.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a of a byte string (one-shot form; equals the streaming form).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
-}
-
 /// Fingerprint of a URL's canonical form, computed component-wise without
-/// materialising the string. Must mirror `Url::as_string` byte-for-byte.
+/// materialising the string ([`fnv1a`] is chunk-split insensitive — the
+/// property the allocation-free `get` rests on). Must mirror
+/// `Url::as_string` byte-for-byte.
 fn fp_of_url(u: &Url) -> u64 {
-    let mut h = Fnv::new();
-    h.update(u.scheme.as_bytes());
-    h.update(b"://");
-    h.update(u.host.as_bytes());
-    h.update(u.path.as_bytes());
+    let mut h = fnv1a(FNV1A_BASIS, u.scheme.as_bytes());
+    h = fnv1a(h, b"://");
+    h = fnv1a(h, u.host.as_bytes());
+    h = fnv1a(h, u.path.as_bytes());
     if !u.query.is_empty() {
-        h.update(b"?");
-        h.update(u.query.as_bytes());
+        h = fnv1a(h, b"?");
+        h = fnv1a(h, u.query.as_bytes());
     }
-    h.finish()
+    h
 }
 
 /// Allocation-free `u.as_string() == s`, mirroring `Url::as_string`.
@@ -263,7 +235,7 @@ mod tests {
             "https://h.example/",
         ] {
             let url = u(s);
-            assert_eq!(fp_of_url(&url), fnv1a(url.as_string().as_bytes()), "{s}");
+            assert_eq!(fp_of_url(&url), sb_webgraph::fnv64(url.as_string().as_bytes()), "{s}");
         }
     }
 

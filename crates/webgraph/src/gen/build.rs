@@ -139,10 +139,7 @@ struct Builder<S: PageStore> {
 
 impl<S: PageStore> Builder<S> {
     fn new(spec: SiteSpec, seed: u64, store: S) -> Self {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in spec.code.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        let h = crate::fnv64(spec.code.as_bytes());
         let base = spec.start_url.trim_end_matches('/').to_owned();
         Builder {
             spec,

@@ -90,6 +90,27 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// `HashSet` with FxHash.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
+/// The 64-bit FNV-1a offset basis: the state an unseeded [`fnv1a`] stream
+/// starts from. Xor a seed into it for a keyed stream.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a: folds `bytes` into `state` and returns the new state.
+/// Deterministic across processes and platforms (unlike `DefaultHasher`'s
+/// per-process keys), so everything a run must reproduce hashes through
+/// here: body hashes, site seeds, hazard draws, visited fingerprints.
+/// Feeding the result back in continues the stream, so hashing chunks in
+/// turn equals hashing their concatenation.
+#[inline]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Unseeded one-shot [`fnv1a`].
+#[inline]
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    fnv1a(FNV1A_BASIS, bytes)
+}
+
 /// Bidirectional `Url ↔ UrlId` table.
 ///
 /// Lookups key on the **parsed** [`Url`] (hashing its components in place),

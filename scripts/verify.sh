@@ -66,4 +66,14 @@ test -s target/verify-smoke/serve.csv
 cargo run --release --offline -p sb-eval --bin xp -- \
     quality --scale 0.003 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/quality.csv
+# The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
+# workspace build and test lines above never compile it: a PR that narrows a
+# public API it uses would break it unnoticed. Build it, run its tests, and
+# smoke one workload end to end — the last stdout line is the JSON result
+# and must report a correct crawl. cargo and run.sh both honour
+# CARGO_TARGET_DIR and both default to benchmark/target.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --workload value_window16 --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | grep -q '"correct":true'
 echo "verify: OK"
