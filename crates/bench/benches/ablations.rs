@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sb_ann::{brute_force_nearest, Hnsw, HnswParams};
 use sb_bandit::{policies::ArmView, ArmStats, Auer, EpsilonGreedy, Policy, ThompsonSampling, Ucb1};
-use sb_crawler::engine::{crawl, Budget, CrawlConfig};
+use sb_crawler::{crawl, Budget, CrawlConfig};
 use sb_crawler::strategies::{QueueStrategy, SbConfig, SbStrategy};
 use sb_httpsim::SiteServer;
 use sb_webgraph::gen::{build_site, SiteSpec};

@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_bench::reference::{reference_queue_crawl, UncachedSiteServer};
-use sb_crawler::engine::{crawl, Budget, CrawlConfig};
+use sb_crawler::{crawl, Budget, CrawlConfig};
 use sb_crawler::fleet::{Fleet, FleetJob, FleetMode, SharedServer};
 use sb_crawler::strategies::{Discipline, QueueStrategy, SbStrategy};
 use sb_httpsim::SiteServer;
@@ -120,7 +120,7 @@ fn bench_head(c: &mut Criterion) {
 }
 
 /// The multi-site fleet: 8 independent BFS sessions over 8 generated
-/// 500-page sites, politeness-aware round-robin on 1 vs 4 worker threads.
+/// 500-page sites, one private-pool site at a time on 1 vs 4 worker threads.
 /// `workers_1` is the serial baseline; the ratio is the fleet's parallel
 /// speedup (bounded by the machine's core count — on a single-core runner
 /// it only measures scheduling overhead), and 8 sites / `workers_4` time

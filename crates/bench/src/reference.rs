@@ -12,7 +12,7 @@
 //! * `tests/determinism.rs` — property tests assert the interned engine
 //!   produces byte-identical `CrawlTrace`s and target lists.
 
-use sb_crawler::engine::Budget;
+use sb_crawler::Budget;
 use sb_crawler::strategies::Discipline;
 use sb_crawler::{CrawlTrace, TracePoint};
 use sb_httpsim::{Client, HeadResponse, Headers, HttpServer, Response};

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use sb_bench::reference::{collapse_target_amends, reference_queue_crawl, UncachedSiteServer};
-use sb_crawler::engine::{crawl, Budget, CrawlConfig, CrawlSession};
+use sb_crawler::{crawl, Budget, CrawlConfig, CrawlSession};
 use sb_crawler::strategies::{Discipline, QueueStrategy, SbConfig, SbStrategy};
 use sb_httpsim::SiteServer;
 use sb_webgraph::gen::{build_site, SiteSpec};

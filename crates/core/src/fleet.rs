@@ -1,75 +1,70 @@
 //! Multi-site crawl scheduling: N independent [`CrawlSession`]s driven
-//! concurrently on worker threads.
+//! concurrently by **one loop**.
 //!
 //! The paper crawls one website at a time; production acquisition runs
 //! thousands of per-site crawls side by side (BUbiNG-style massive
-//! crawling). The session API makes that a scheduling problem rather than
-//! an engine rewrite: a [`Fleet`] owns a set of [`FleetJob`]s (server +
-//! root + strategy factory + config per site), deals them round-robin onto
-//! worker threads, and each worker interleaves its sessions
-//! **politeness-aware** — it always steps the session with the smallest
-//! simulated elapsed time, so a site throttled by a long politeness delay
-//! yields its worker to faster sites instead of blocking them, exactly as
-//! a wall-clock scheduler would.
+//! crawling: one uniform fetch loop, scaled by thread count). A [`Fleet`]
+//! owns a set of [`FleetJob`]s (server + root + strategy factory + config
+//! per site); [`Fleet::run`] deals them onto a ledger of per-shard
+//! backlogs and spawns one driver thread per shard. Every thread, in every
+//! [`FleetMode`], runs the same loop until the ledger is empty:
 //!
-//! Per-site results are **worker-count invariant**: sessions share nothing
-//! (each has its own RNG, interner, transport and strategy), so the fleet
-//! produces byte-identical per-site outcomes whether it runs on 1 worker
-//! or 16 — the property the fleet determinism tests pin down. Scheduling
-//! itself is deterministic too: equal simulated-elapsed times are broken
-//! by submission (site) index, so the interleaving does not depend on
-//! float coincidences or bucket layout.
+//! 1. **take a wave** of pending sites — the front of its own backlog, or,
+//!    once that is empty, up to half of the most-loaded shard's backlog,
+//!    from the back. Only whole *pending* sites move: a pending job has no
+//!    session and nothing in flight, so a steal can never split a crawl
+//!    across pools, and the wave boundary is the only place a steal
+//!    happens;
+//! 2. **build one session per site**, each on its own handle of the
+//!    wave's [`SharedTransportPool`];
+//! 3. **drive the wave to completion** under the two-move schedule:
+//!    * *refill, least-elapsed-host first* — while the pool has a free
+//!      slot, the unfinished session whose host has waited longest for a
+//!      delivery ([`SharedTransportPool::site_elapsed`], ties by site
+//!      index) is offered one submission ([`CrawlSession::refill_one`]),
+//!      so no site starves and a politeness-stalled site lends its
+//!      capacity onward;
+//!    * *drain, in pool completion order* — the site owning the globally
+//!      next completion ([`SharedTransportPool::next_completion_site`]:
+//!      ascending arrival, cross-site ties by site index) drains one batch
+//!      ([`CrawlSession::drain_completions`]), so the pool's clock
+//!      advances in true arrival order;
+//! 4. **refresh** (crawl-and-serve only): re-queue known pages on the same
+//!    sessions and run the schedule again, once per epoch;
+//! 5. **collect** the wave's [`SiteReport`]s into the thread's
+//!    [`ShardReport`].
 //!
-//! In [`FleetMode::PerSite`] (the default) each site gets **one pipelined
-//! transport** (PR 4), built once on the worker from the job's config —
-//! the politeness gate and in-flight pool live for the site's whole
-//! crawl, and a job's `max_in_flight` turns on intra-site pipelining
-//! inside its fleet slot. Custom transports (retry policies, robots
-//! `Crawl-delay` gates) plug in through [`CrawlSession::with_transport`].
+//! A mode is that loop with four numbers plugged in:
 //!
-//! In [`FleetMode::SharedPool`] (PR 5) the fleet instead multiplexes
-//! every session through **one**
-//! [`SharedTransportPool`](sb_httpsim::SharedTransportPool): a single
-//! global in-flight window shared across all sites, with politeness
-//! sharded per host. The driver runs on one thread (the global window is
-//! one serially-ordered resource; determinism requires a single ration
-//! point) and alternates two moves:
+//! | mode | shards (threads) | initial placement | wave | pool | refresh |
+//! |---|---|---|---|---|---|
+//! | [`PerSite`](FleetMode::PerSite) | `workers`, at most one per site | round-robin | 1 site | a fresh private pool per site, window = the job's `max_in_flight` | – |
+//! | [`SharedPool`](FleetMode::SharedPool) | 1 | shard 0 | every site | one pool, window `max_in_flight` | – |
+//! | [`Sharded`](FleetMode::Sharded) | `shards` | hash of (name, index), or [`Fleet::shard_assignment`] | `max_in_flight` sites | one pool per shard, window `max_in_flight`, kept across waves | – |
+//! | [`Continuous`](FleetMode::Continuous) | 1 | shard 0 | every site | one pool, window `max_in_flight` | `refresh_epochs` × `refresh_per_epoch` |
 //!
-//! * **refill, least-elapsed-host first** — while the pool has a free
-//!   slot, the unfinished session whose host has waited longest for a
-//!   delivery ([`SharedTransportPool::site_elapsed`], ties by site index)
-//!   is offered one submission ([`CrawlSession::refill_one`]), so no site
-//!   starves and a politeness-stalled site lends its capacity onward;
-//! * **drain, in pool completion order** — the site owning the globally
-//!   next completion ([`SharedTransportPool::next_completion_site`]:
-//!   ascending arrival, cross-site ties by site index) drains one batch
-//!   ([`CrawlSession::drain_completions`]), so the shared clock advances
-//!   in true arrival order.
+//! A **private pool** makes the session exactly what
+//! [`CrawlSession::new`] builds standalone — its own window (a job's
+//! `max_in_flight` pipelines *within* the site) and a site-local clock —
+//! so fleet and solo runs cannot diverge. (Jobs needing a custom
+//! transport — retry policies, robots `Crawl-delay` gates — run their own
+//! session through [`CrawlSession::with_transport`].) A pool **shared by
+//! several sites** is one in-flight window, politeness still sharded per
+//! host; one window is one serially-ordered resource, so its single
+//! ration point is the thread that owns it. Per-site `elapsed_secs` then
+//! reads on the **shared clock**: [`FleetOutcome::sim_makespan_secs`] is
+//! the pool's makespan, and [`FleetOutcome::traffic`]'s `elapsed_secs`
+//! sum is not a serial-visit estimate. **Several shards** buy real
+//! wall-clock parallelism.
 //!
-//! Per-site coverage is transport-invariant (pinned by the fleet tests:
-//! shared-pool targets match per-site-transport targets site for site,
-//! and at global window 1 the pool replays the sequential engine per site
-//! exactly), while per-site `elapsed_secs` reads on the **shared clock**:
-//! [`FleetOutcome::sim_makespan_secs`] is the pool's makespan, and
-//! [`FleetOutcome::traffic`]'s `elapsed_secs` sum is not a serial-visit
-//! estimate in this mode.
-//!
-//! In [`FleetMode::Sharded`] (PR 8) the fleet finally buys **real
-//! wall-clock parallelism**: sites are hashed onto P shards, each shard
-//! thread owns an independent `SharedTransportPool` (the backend is
-//! `Send` since PR 8) and runs the same two-move schedule over its own
-//! sites in **waves** of at most `max_in_flight` sites — a fuller wave
-//! could never add in-flight concurrency, and the wave boundary is the
-//! *safe* boundary for work stealing: when a shard's sites all drain
-//! (frontiers exhausted or budgets spent, own backlog empty), it steals
-//! whole pending sites — sites with no session and no in-flight requests —
-//! from the most-loaded shard's backlog. Every site is still driven start
-//! to finish by exactly one pool under the deterministic single-pool
-//! schedule, so per-site results are **shard-count invariant** (and at
-//! per-shard window 1, byte-identical to the shared pool minus the shared
-//! clock — each site replays the sequential engine regardless of
-//! tenancy). Steal timing is the one wall-clock-dependent input, and it
-//! only decides *which shard's clock* a pending site later joins.
+//! Every site is driven start to finish by exactly one pool under one
+//! deterministic schedule, and sessions share nothing else (each has its
+//! own RNG, interner, strategy and gates). So per-site coverage is
+//! **invariant** under worker count, shard count, placement and stealing,
+//! and at window 1 every site replays the sequential engine byte for byte
+//! whatever its tenancy (the shared clock aside) — the properties the
+//! fleet tests pin. Steal timing is the one wall-clock-dependent input,
+//! and it only decides *which thread's pool* a pending site later joins.
 //!
 //! [`SharedTransportPool`]: sb_httpsim::SharedTransportPool
 
@@ -180,20 +175,24 @@ pub struct FleetOutcome {
     /// staleness percentiles any site reported. All-zero outside
     /// [`FleetMode::Continuous`] unless a job queued refreshes itself.
     pub refresh: RefreshStats,
-    /// Per-shard ledgers (PR 8): one entry per shard thread in
-    /// [`FleetMode::Sharded`], empty in the other modes.
+    /// One ledger per driver thread, in every mode (thread counts: the
+    /// module docs' table). Their `sites` sum to `sites.len()`; their
+    /// `mem`/`abandoned`/`refresh` merge to the fleet-wide fields above.
     pub shards: Vec<ShardReport>,
 }
 
-/// One shard thread's ledger in a [`FleetMode::Sharded`] run (PR 8).
+/// One driver thread's ledger: what the sites it took off the fleet's
+/// backlogs added up to. See the module docs for the loop it ran.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardReport {
     /// Sites this shard drove to completion, steals included.
     pub sites: usize,
     /// Sites this shard stole from other shards' pending backlogs.
     pub stolen: u64,
-    /// The shard pool's simulated clock when its last wave drained — the
-    /// shard's own makespan on its own clock.
+    /// The shard's own makespan on its own clock: its pool's simulated
+    /// clock when its last wave drained. In [`FleetMode::PerSite`], where
+    /// every site has a private pool, the sum of those pools' clocks —
+    /// what this worker visiting its sites back to back would have waited.
     pub sim_makespan_secs: f64,
     /// Final memory gauges summed over the shard's sites.
     pub mem: MemGauges,
@@ -223,34 +222,35 @@ impl FleetOutcome {
             .fold(0.0, f64::max)
     }
 
-    /// Total sites stolen across shards (0 outside
-    /// [`FleetMode::Sharded`]) — the work-stealing activity of the run.
+    /// Total sites stolen across shards (0 when one thread drives the
+    /// whole fleet) — the work-stealing activity of the run.
     pub fn stolen_sites(&self) -> u64 {
         self.shards.iter().map(|s| s.stolen).sum()
     }
 }
 
-/// How a fleet's sessions reach the wire. See the module docs.
+/// How many threads, pools and sites per wave the fleet's one driver loop
+/// runs with. See the table in the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetMode {
-    /// One isolated `PipelinedTransport` per site, sessions dealt over
-    /// worker threads (PR 4). Sites never share in-flight capacity.
+    /// One site at a time per worker thread, each on a private pool sized
+    /// by its own [`CrawlConfig::max_in_flight`] — the session
+    /// [`CrawlSession::new`] builds standalone, site-local clock included.
+    /// Sites never share in-flight capacity; a worker that runs out of
+    /// sites steals pending ones from the fullest backlog.
     PerSite,
-    /// One `SharedTransportPool` multiplexing a global window of
-    /// `max_in_flight` requests across every site, driven on a single
-    /// thread ([`Fleet::new`]'s `workers` is ignored): refills go to the
-    /// least-elapsed host first, drains follow the pool's deterministic
-    /// completion order. `max_in_flight` is clamped to ≥ 1.
+    /// Every site in one wave through one pool: a global window of
+    /// `max_in_flight` requests (clamped to ≥ 1) multiplexed across the
+    /// whole fleet on a single thread ([`Fleet::new`]'s `workers` is
+    /// ignored).
     SharedPool { max_in_flight: usize },
-    /// `shards` independent `SharedTransportPool`s, one per driver thread
-    /// ([`Fleet::new`]'s `workers` is ignored — `shards` is the thread
-    /// count; both values clamped to ≥ 1), each running the shared-pool
-    /// schedule over its own hashed share of the sites in waves of at
-    /// most `max_in_flight` sites, with whole-site work stealing from the
-    /// most-loaded backlog once a shard's own sites all drain (PR 8). See
-    /// the module docs.
+    /// `shards` driver threads ([`Fleet::new`]'s `workers` is ignored;
+    /// both values clamped to ≥ 1), each keeping its own pool of window
+    /// `max_in_flight` and taking waves of at most `max_in_flight` sites
+    /// from its hashed share of the fleet, then stealing whole pending
+    /// sites from the most-loaded backlog (PR 8).
     Sharded { shards: usize, max_in_flight: usize },
-    /// Crawl-and-serve (PR 9): the shared-pool schedule runs a full
+    /// Crawl-and-serve (PR 9): [`FleetMode::SharedPool`] runs a full
     /// discovery crawl first (with [`CrawlConfig::serve_feed`] forced on,
     /// so every fetched page is buffered for the serving layer), then
     /// `refresh_epochs` rounds each re-queueing `refresh_per_epoch`
@@ -277,9 +277,9 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// A fleet driving its sites on up to `workers` threads (clamped to
-    /// the number of jobs at run time; 0 means one worker), in
-    /// [`FleetMode::PerSite`] unless [`Fleet::mode`] says otherwise.
+    /// A fleet in [`FleetMode::PerSite`] — the one mode that reads
+    /// `workers`: up to that many driver threads (clamped to the number
+    /// of jobs at run time; 0 means one). [`Fleet::mode`] selects another.
     pub fn new(workers: usize) -> Self {
         Fleet { jobs: Vec::new(), workers: workers.max(1), mode: FleetMode::PerSite, assignment: None }
     }
@@ -344,50 +344,65 @@ impl Fleet {
         self.jobs.is_empty()
     }
 
-    /// Crawls every site to completion and reports. In
-    /// [`FleetMode::PerSite`] jobs are dealt round-robin onto workers and
-    /// each worker interleaves its sessions by smallest simulated elapsed
-    /// time (politeness-aware fairness); in [`FleetMode::SharedPool`] one
-    /// driver thread rations the pool's global window across every
-    /// session.
+    /// Crawls every site to completion and reports: lowers the mode to its
+    /// row of the module docs' table, deals the jobs onto one backlog per
+    /// shard and runs the driver loop on one thread per shard.
     pub fn run(self) -> FleetOutcome {
         let started = std::time::Instant::now();
-        let (sites, shards) = match self.mode {
-            FleetMode::PerSite => {
-                let n = self.jobs.len();
-                let workers = self.workers.clamp(1, n.max(1));
-
-                // Deal jobs round-robin, remembering submission order.
-                let mut buckets: Vec<Vec<(usize, FleetJob)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, job) in self.jobs.into_iter().enumerate() {
-                    buckets[i % workers].push((i, job));
-                }
-
-                let mut indexed: Vec<(usize, SiteReport)> = Vec::with_capacity(n);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = buckets
-                        .into_iter()
-                        .map(|bucket| scope.spawn(|| drive_bucket(bucket)))
-                        .collect();
-                    for h in handles {
-                        indexed.extend(h.join().expect("fleet worker panicked"));
-                    }
-                });
-                indexed.sort_by_key(|(i, _)| *i);
-                (indexed.into_iter().map(|(_, r)| r).collect(), Vec::new())
-            }
+        let n = self.jobs.len();
+        let plan = match self.mode {
+            FleetMode::PerSite => Plan {
+                shards: self.workers.clamp(1, n.max(1)),
+                wave: 1,
+                window: None,
+                refresh: None,
+            },
             FleetMode::SharedPool { max_in_flight } => {
-                (drive_shared(self.jobs, max_in_flight), Vec::new())
+                Plan { shards: 1, wave: n, window: Some(max_in_flight), refresh: None }
             }
-            FleetMode::Sharded { shards, max_in_flight } => {
-                run_sharded(self.jobs, shards, max_in_flight, self.assignment)
-            }
-            FleetMode::Continuous { max_in_flight, refresh_epochs, refresh_per_epoch } => (
-                drive_continuous(self.jobs, max_in_flight, refresh_epochs, refresh_per_epoch),
-                Vec::new(),
-            ),
+            FleetMode::Sharded { shards, max_in_flight } => Plan {
+                shards: shards.max(1),
+                // A wave wider than the in-flight window could never add
+                // concurrency, so cap it there: smaller waves mean more
+                // (steal-safe) boundaries.
+                wave: max_in_flight.max(1),
+                window: Some(max_in_flight),
+                refresh: None,
+            },
+            FleetMode::Continuous { max_in_flight, refresh_epochs, refresh_per_epoch } => Plan {
+                shards: 1,
+                wave: n,
+                window: Some(max_in_flight),
+                refresh: Some((refresh_epochs, refresh_per_epoch)),
+            },
         };
+
+        let mut backlogs: Vec<VecDeque<(usize, FleetJob)>> =
+            (0..plan.shards).map(|_| VecDeque::new()).collect();
+        for (i, job) in self.jobs.into_iter().enumerate() {
+            let s = match (self.mode, &self.assignment) {
+                (FleetMode::PerSite, _) => i % plan.shards,
+                (_, Some(a)) => a.get(i).copied().unwrap_or(0) % plan.shards,
+                (_, None) => shard_of(i, &job.name, plan.shards),
+            };
+            backlogs[s].push_back((i, job));
+        }
+        let ledger = &Mutex::new(backlogs);
+
+        let mut indexed: Vec<(usize, SiteReport)> = Vec::with_capacity(n);
+        let mut shards: Vec<ShardReport> = Vec::with_capacity(plan.shards);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..plan.shards)
+                .map(|shard| scope.spawn(move || drive_shard(shard, ledger, plan)))
+                .collect();
+            for h in handles {
+                let (reports, shard_report) = h.join().expect("fleet shard panicked");
+                indexed.extend(reports);
+                shards.push(shard_report);
+            }
+        });
+        indexed.sort_by_key(|(i, _)| *i);
+        let sites: Vec<SiteReport> = indexed.into_iter().map(|(_, r)| r).collect();
 
         let mut traffic = Traffic::default();
         let mut targets = 0u64;
@@ -428,99 +443,9 @@ struct Prepared {
     cfg: CrawlConfig,
 }
 
-impl Prepared {
-    fn from_job(index: usize, job: FleetJob) -> Prepared {
-        Prepared {
-            index,
-            name: job.name,
-            root: job.root,
-            server: job.server,
-            oracle: job.oracle,
-            strategy: (job.strategy)(),
-            cfg: job.cfg,
-        }
-    }
-}
-
-/// Assembles the per-site reports once every session ended.
-fn collect_reports<'a>(
-    sessions: Vec<Result<CrawlSession<'a>, ConfigError>>,
-    names: Vec<(usize, String)>,
-) -> Vec<(usize, SiteReport)> {
-    sessions
-        .into_iter()
-        .zip(names)
-        .map(|(s, (index, name))| {
-            let outcome = s.map(|session| {
-                debug_assert!(
-                    session.finish_reason() != Some(FinishReason::Cancelled),
-                    "fleet sessions run to natural completion"
-                );
-                session.finish()
-            });
-            (index, SiteReport { name, outcome })
-        })
-        .collect()
-}
-
-/// Drives one worker's share of the fleet: builds every session, then
-/// repeatedly steps the unfinished session with the smallest simulated
-/// elapsed time until all are done.
-fn drive_bucket(bucket: Vec<(usize, FleetJob)>) -> Vec<(usize, SiteReport)> {
-    let mut prepared: Vec<Prepared> =
-        bucket.into_iter().map(|(index, job)| Prepared::from_job(index, job)).collect();
-    let names: Vec<(usize, String)> = prepared.iter().map(|p| (p.index, p.name.clone())).collect();
-
-    let mut sessions: Vec<Result<CrawlSession<'_>, ConfigError>> = prepared
-        .iter_mut()
-        .map(|p| {
-            // One transport per site for the whole crawl: `new` builds the
-            // job's `PipelinedTransport` (window and politeness from its
-            // config) exactly as a standalone session would, so fleet and
-            // solo runs cannot diverge. Jobs needing a custom transport
-            // (retries, robots gates) go through
-            // `CrawlSession::with_transport` instead.
-            CrawlSession::new(
-                p.server.as_ref(),
-                p.oracle.as_ref().map(|o| o.as_ref() as &dyn Oracle),
-                &p.root,
-                p.strategy.as_mut(),
-                &p.cfg,
-            )
-        })
-        .collect();
-
-    // Politeness-aware interleaving: always advance the session whose
-    // simulated clock is furthest behind. Ties are broken by site
-    // (submission) index — an explicit, stable order, so scheduling stays
-    // deterministic even when several sites share one transport clock
-    // value (common right after start, when every clock is 0).
-    loop {
-        let mut pick: Option<(usize, (f64, usize))> = None;
-        for (k, s) in sessions.iter().enumerate() {
-            let Ok(session) = s else { continue };
-            if session.is_finished() {
-                continue;
-            }
-            let key = (session.traffic().elapsed_secs, names[k].0);
-            if pick.is_none_or(|(_, best)| key < best) {
-                pick = Some((k, key));
-            }
-        }
-        let Some((k, _)) = pick else { break };
-        if let Ok(session) = &mut sessions[k] {
-            session.step();
-        }
-    }
-
-    collect_reports(sessions, names)
-}
-
-/// Builds one pool-handle session per prepared site. Pool site indexes
-/// run `base..base + prepared.len()` — `base` is the number of handles
-/// the pool has already issued (0 for the shared-pool mode's one-shot
-/// pool; the running handle count for a sharded wave reusing its shard's
-/// pool).
+/// Builds one pool-handle session per prepared site. The pool numbers
+/// its handles in issue order, so a wave's pool site indexes run on from
+/// the number of handles the pool had issued before it.
 fn pool_sessions<'a>(
     pool: &'a SharedTransportPool,
     prepared: &'a mut [Prepared],
@@ -545,9 +470,9 @@ fn pool_sessions<'a>(
         .collect()
 }
 
-/// The two-move shared-pool schedule (see the module docs), over sessions
-/// whose pool site indexes are `base + k` for session `k`. Runs every
-/// session to completion.
+/// The two-move pool schedule (see the module docs), over sessions whose
+/// pool site indexes are `base + k` for session `k`. Runs every session
+/// to completion.
 fn drive_pool_schedule(
     pool: &SharedTransportPool,
     sessions: &mut [Result<CrawlSession<'_>, ConfigError>],
@@ -562,21 +487,20 @@ fn drive_pool_schedule(
         // Refill: one slot at a time to the least-elapsed host (ties by
         // site index), so the site that has waited longest for a delivery
         // gets capacity first and no session can swallow the whole window.
+        // Each candidate's key is read once — `site_elapsed` locks the
+        // pool.
         while pool.has_capacity() {
             let pick = sessions
-                .iter()
+                .iter_mut()
                 .enumerate()
-                .filter(|(k, s)| {
-                    !declined[*k] && s.as_ref().is_ok_and(|sess| !sess.is_finished())
+                .filter_map(|(k, s)| match s {
+                    Ok(session) if !declined[k] && !session.is_finished() => {
+                        Some(((pool.site_elapsed(base + k), k), session))
+                    }
+                    _ => None,
                 })
-                .min_by(|(a, _), (b, _)| {
-                    pool.site_elapsed(base + *a)
-                        .total_cmp(&pool.site_elapsed(base + *b))
-                        .then(a.cmp(b))
-                })
-                .map(|(k, _)| k);
-            let Some(k) = pick else { break };
-            let Ok(session) = &mut sessions[k] else { unreachable!("filtered above") };
+                .min_by(|((a, i), _), ((b, j), _)| a.total_cmp(b).then(i.cmp(j)));
+            let Some(((_, k), session)) = pick else { break };
             if !session.refill_one() && !session.is_finished() {
                 declined[k] = true;
             }
@@ -599,109 +523,63 @@ fn drive_pool_schedule(
     }
     debug_assert!(
         sessions.iter().all(|s| s.as_ref().map_or(true, |sess| sess.is_finished())),
-        "shared-pool driver exited with live sessions"
+        "pool schedule exited with live sessions"
     );
 }
 
-/// Drives the whole fleet through one [`SharedTransportPool`] on the
-/// calling thread. See the module docs for the two-move schedule.
-fn drive_shared(jobs: Vec<FleetJob>, max_in_flight: usize) -> Vec<SiteReport> {
-    let pool = SharedTransportPool::new(max_in_flight);
-    let mut prepared: Vec<Prepared> =
-        jobs.into_iter().enumerate().map(|(index, job)| Prepared::from_job(index, job)).collect();
-    let names: Vec<(usize, String)> = prepared.iter().map(|p| (p.index, p.name.clone())).collect();
-
-    let mut sessions = pool_sessions(&pool, &mut prepared);
-    drive_pool_schedule(&pool, &mut sessions, 0);
-
-    collect_reports(sessions, names).into_iter().map(|(_, r)| r).collect()
+/// One site's refresh ring: its pages in first-fetch order (the order the
+/// serve feed buffered them), each holding the latest known body hash so a
+/// refreshed page's changed/unchanged verdict compares against what the
+/// store would actually be serving.
+#[derive(Default)]
+struct RefreshRing {
+    pages: Vec<(String, u64)>,
+    slot: HashMap<String, usize>,
+    cursor: usize,
 }
 
-/// [`FleetMode::Continuous`]: one shared pool, a full discovery pass,
-/// then `refresh_epochs` rounds of `refresh_per_epoch` refreshes per
-/// site. The refresh ring is each site's pages in first-fetch order (the
-/// order the serve feed buffered them), holding the latest known body
-/// hash so a refreshed page's changed/unchanged verdict compares against
-/// what the store would actually be serving. Round-robin admission —
-/// policy-driven selection lives in `sb-serve`, not here.
-fn drive_continuous(
-    jobs: Vec<FleetJob>,
-    max_in_flight: usize,
-    refresh_epochs: usize,
-    refresh_per_epoch: usize,
-) -> Vec<SiteReport> {
-    let pool = SharedTransportPool::new(max_in_flight);
-    let mut prepared: Vec<Prepared> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(index, mut job)| {
-            // The serving layer needs every fetched page buffered.
-            job.cfg.serve_feed = true;
-            Prepared::from_job(index, job)
-        })
-        .collect();
-    let names: Vec<(usize, String)> = prepared.iter().map(|p| (p.index, p.name.clone())).collect();
-
-    let mut sessions = pool_sessions(&pool, &mut prepared);
-    drive_pool_schedule(&pool, &mut sessions, 0);
-
-    // Per-site refresh rings: (url, latest body hash), first-fetch order.
-    let mut rings: Vec<Vec<(String, u64)>> = Vec::with_capacity(sessions.len());
-    let mut slots: Vec<HashMap<String, usize>> = Vec::with_capacity(sessions.len());
-    for s in sessions.iter_mut() {
-        let mut ring: Vec<(String, u64)> = Vec::new();
-        let mut slot: HashMap<String, usize> = HashMap::new();
-        if let Ok(session) = s {
+/// The crawl-and-serve tail of a wave whose discovery pass just drained:
+/// `epochs` rounds, each re-queueing `per_epoch` refreshes per site and
+/// running the schedule again through the same pool. Admission is
+/// round-robin over each site's [`RefreshRing`].
+fn refresh_rounds(
+    pool: &SharedTransportPool,
+    sessions: &mut [Result<CrawlSession<'_>, ConfigError>],
+    base: usize,
+    epochs: usize,
+    per_epoch: usize,
+) {
+    let mut rings: Vec<RefreshRing> = sessions.iter().map(|_| RefreshRing::default()).collect();
+    for _ in 0..epochs {
+        for (ring, s) in rings.iter_mut().zip(sessions.iter_mut()) {
+            let Ok(session) = s else { continue };
+            // What the previous pass fetched: discovery first, then each
+            // round's refresh answers.
             for page in session.take_refreshed() {
-                match slot.get(&page.url) {
-                    Some(&i) => ring[i].1 = page.body_hash,
+                match ring.slot.get(&page.url) {
+                    Some(&i) => ring.pages[i].1 = page.body_hash,
+                    // First sight — at discovery, or a refresh that
+                    // harvested a brand-new URL (evolved origin): it joins
+                    // the ring.
                     None => {
-                        slot.insert(page.url.clone(), ring.len());
-                        ring.push((page.url, page.body_hash));
+                        ring.slot.insert(page.url.clone(), ring.pages.len());
+                        ring.pages.push((page.url, page.body_hash));
                     }
                 }
             }
-        }
-        rings.push(ring);
-        slots.push(slot);
-    }
-    let mut cursors = vec![0usize; rings.len()];
-
-    for _ in 0..refresh_epochs {
-        for (k, s) in sessions.iter_mut().enumerate() {
-            let Ok(session) = s else { continue };
-            if rings[k].is_empty() {
+            if ring.pages.is_empty() {
                 continue;
             }
-            // `queue_refresh` reopens the finished session; the next
-            // schedule pass drives it back to completion.
-            for _ in 0..refresh_per_epoch {
-                let (url, hash) = &rings[k][cursors[k] % rings[k].len()];
+            // `queue_refresh` reopens the finished session; the schedule
+            // pass below drives it back to completion.
+            for _ in 0..per_epoch {
+                let (url, hash) = &ring.pages[ring.cursor % ring.pages.len()];
                 session.queue_refresh(url, *hash);
-                cursors[k] += 1;
+                ring.cursor += 1;
             }
         }
-        drive_pool_schedule(&pool, &mut sessions, 0);
-        for (k, s) in sessions.iter_mut().enumerate() {
-            let Ok(session) = s else { continue };
-            for page in session.take_refreshed() {
-                match slots[k].get(&page.url) {
-                    Some(&i) => rings[k][i].1 = page.body_hash,
-                    None => {
-                        // A refresh harvested a brand-new URL (evolved
-                        // origin): it joins the ring.
-                        slots[k].insert(page.url.clone(), rings[k].len());
-                        rings[k].push((page.url, page.body_hash));
-                    }
-                }
-            }
-        }
+        drive_pool_schedule(pool, sessions, base);
     }
-
-    collect_reports(sessions, names)
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
 }
 
 /// Stable site → shard hash (FxHash over name then submission index):
@@ -715,29 +593,41 @@ fn shard_of(index: usize, name: &str, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// The sharded fleet's shared work ledger: one backlog of pending
-/// (submission index, job) pairs per shard. Shards pop their own backlog
-/// from the front and steal from the *back* of the most-loaded backlog,
-/// so a victim's imminent work is disturbed last.
+/// The fleet's shared work ledger: one backlog of pending (submission
+/// index, job) pairs per shard. Shards pop their own backlog from the
+/// front and steal from the *back* of the most-loaded backlog, so a
+/// victim's imminent work is disturbed last.
 type Ledger = Mutex<Vec<VecDeque<(usize, FleetJob)>>>;
 
-/// Drives one shard: waves of at most `max_in_flight` sites through a
-/// persistent per-shard [`SharedTransportPool`], stealing whole pending
-/// sites from the most-loaded backlog when its own runs dry.
+/// What a [`FleetMode`] lowers to: the four numbers the driver loop reads.
+/// See the table in the module docs.
+#[derive(Clone, Copy)]
+struct Plan {
+    /// Driver threads, one backlog each.
+    shards: usize,
+    /// Most sites a thread takes off the ledger at once.
+    wave: usize,
+    /// `Some(w)`: one pool of window `w` per thread, kept across its
+    /// waves. `None`: a fresh private pool per site, sized by the job's
+    /// own `max_in_flight` (waves are single sites).
+    window: Option<usize>,
+    /// `Some((epochs, per_epoch))`: every wave ends in
+    /// [`refresh_rounds`], with `serve_feed` forced on to feed them.
+    refresh: Option<(usize, usize)>,
+}
+
+/// The fleet driver, one call per shard thread: waves of at most
+/// `plan.wave` sites through a pool under the two-move schedule, stealing
+/// whole pending sites from the most-loaded backlog when its own runs
+/// dry. See the module docs.
 fn drive_shard(
     shard: usize,
     ledger: &Ledger,
-    max_in_flight: usize,
+    plan: Plan,
 ) -> (Vec<(usize, SiteReport)>, ShardReport) {
-    let pool = SharedTransportPool::new(max_in_flight);
-    // A wave wider than the in-flight window could never add concurrency,
-    // so cap it there: smaller waves mean more (steal-safe) boundaries.
-    let cap = max_in_flight.max(1);
+    let shard_pool = plan.window.map(SharedTransportPool::new);
     let mut reports: Vec<(usize, SiteReport)> = Vec::new();
-    let mut shard_report = ShardReport { sites: 0, stolen: 0, ..ShardReport::default() };
-    // Pool site indexes keep counting across waves (one handle per driven
-    // site); each wave's sessions start at the running total.
-    let mut base = 0usize;
+    let mut shard_report = ShardReport::default();
 
     loop {
         // Take the next wave under the ledger lock: own backlog first,
@@ -747,82 +637,84 @@ fn drive_shard(
         let wave: Vec<(usize, FleetJob)> = {
             let mut backlogs = ledger.lock();
             if !backlogs[shard].is_empty() {
-                let take = cap.min(backlogs[shard].len());
+                let take = plan.wave.min(backlogs[shard].len());
                 backlogs[shard].drain(..take).collect()
             } else {
-                let victim = (0..backlogs.len())
-                    .filter(|&s| s != shard && !backlogs[s].is_empty())
-                    .max_by_key(|&s| (backlogs[s].len(), std::cmp::Reverse(s)));
-                match victim {
-                    None => break,
-                    Some(v) => {
-                        let take = cap.min(backlogs[v].len().div_ceil(2));
-                        let at = backlogs[v].len() - take;
-                        shard_report.stolen += take as u64;
-                        backlogs[v].split_off(at).into()
-                    }
-                }
+                let Some(v) = (0..backlogs.len())
+                    .filter(|&s| !backlogs[s].is_empty())
+                    .max_by_key(|&s| (backlogs[s].len(), std::cmp::Reverse(s)))
+                else {
+                    break;
+                };
+                let take = plan.wave.min(backlogs[v].len().div_ceil(2));
+                let at = backlogs[v].len() - take;
+                shard_report.stolen += take as u64;
+                backlogs[v].split_off(at).into()
             }
         };
 
-        let mut prepared: Vec<Prepared> =
-            wave.into_iter().map(|(index, job)| Prepared::from_job(index, job)).collect();
-        let names: Vec<(usize, String)> =
-            prepared.iter().map(|p| (p.index, p.name.clone())).collect();
-        let wave_len = prepared.len();
+        let mut prepared: Vec<Prepared> = wave
+            .into_iter()
+            .map(|(index, job)| Prepared {
+                index,
+                name: job.name,
+                root: job.root,
+                server: job.server,
+                oracle: job.oracle,
+                strategy: (job.strategy)(),
+                // The refresh rounds need every fetched page buffered.
+                cfg: CrawlConfig {
+                    serve_feed: job.cfg.serve_feed || plan.refresh.is_some(),
+                    ..job.cfg
+                },
+            })
+            .collect();
 
-        let mut sessions = pool_sessions(&pool, &mut prepared);
-        drive_pool_schedule(&pool, &mut sessions, base);
-        base += wave_len;
-        shard_report.sites += wave_len;
+        // A kept pool numbers its handles across waves (one per driven
+        // site) and its clock runs on through them, so this wave's
+        // sessions start at the running site total and the clock started
+        // at 0. A private pool — a single site being the whole wave, it
+        // takes that site's own window — starts both over, so the clocks
+        // of a shard's private pools add up back to back.
+        let private;
+        let (pool, base, clock_before) = match &shard_pool {
+            Some(pool) => (pool, shard_report.sites, 0.0),
+            None => {
+                debug_assert_eq!(prepared.len(), 1, "a private pool serves one site");
+                private = SharedTransportPool::new(prepared[0].cfg.max_in_flight);
+                (&private, 0, shard_report.sim_makespan_secs)
+            }
+        };
+        let mut sessions = pool_sessions(pool, &mut prepared);
+        drive_pool_schedule(pool, &mut sessions, base);
+        if let Some((epochs, per_epoch)) = plan.refresh {
+            refresh_rounds(pool, &mut sessions, base, epochs, per_epoch);
+        }
+        shard_report.sim_makespan_secs = clock_before + pool.clock_secs();
 
-        for (index, report) in collect_reports(sessions, names) {
-            if let Ok(o) = &report.outcome {
+        // Finishing the sessions releases their borrows of `prepared`.
+        let outcomes: Vec<Result<CrawlOutcome, ConfigError>> = sessions
+            .into_iter()
+            .map(|s| {
+                s.map(|session| {
+                    debug_assert!(
+                        session.finish_reason() != Some(FinishReason::Cancelled),
+                        "fleet sessions run to natural completion"
+                    );
+                    session.finish()
+                })
+            })
+            .collect();
+        shard_report.sites += outcomes.len();
+        for (p, outcome) in prepared.into_iter().zip(outcomes) {
+            if let Ok(o) = &outcome {
                 shard_report.mem.merge(&o.mem);
                 shard_report.abandoned.merge(&o.abandoned);
                 shard_report.refresh.merge(&o.refresh);
             }
-            reports.push((index, report));
+            reports.push((p.index, SiteReport { name: p.name, outcome }));
         }
     }
 
-    shard_report.sim_makespan_secs = pool.clock_secs();
     (reports, shard_report)
-}
-
-/// [`FleetMode::Sharded`]: hash sites onto `shards` backlogs, drive one
-/// shard per thread, steal whole pending sites at wave boundaries. See
-/// the module docs for why per-site results stay shard-count invariant.
-fn run_sharded(
-    jobs: Vec<FleetJob>,
-    shards: usize,
-    max_in_flight: usize,
-    assignment: Option<Vec<usize>>,
-) -> (Vec<SiteReport>, Vec<ShardReport>) {
-    let shards = shards.max(1);
-    let mut backlogs: Vec<VecDeque<(usize, FleetJob)>> = (0..shards).map(|_| VecDeque::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        let s = match &assignment {
-            Some(a) => a.get(i).copied().unwrap_or(0) % shards,
-            None => shard_of(i, &job.name, shards),
-        };
-        backlogs[s].push_back((i, job));
-    }
-    let ledger: Ledger = Mutex::new(backlogs);
-    let ledger = &ledger;
-
-    let mut indexed: Vec<(usize, SiteReport)> = Vec::new();
-    let mut shard_reports: Vec<ShardReport> = Vec::with_capacity(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| scope.spawn(move || drive_shard(shard, ledger, max_in_flight)))
-            .collect();
-        for h in handles {
-            let (reports, shard_report) = h.join().expect("fleet shard panicked");
-            indexed.extend(reports);
-            shard_reports.push(shard_report);
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    (indexed.into_iter().map(|(_, r)| r).collect(), shard_reports)
 }

@@ -15,18 +15,17 @@
 //!   the politeness gate enforced at the transport),
 //! * [`events`] — the [`CrawlObserver`] interface ([`CrawlTrace`] is just
 //!   one observer),
-//! * [`fleet`] — the multi-site [`Fleet`] scheduler: per-site transports
-//!   over worker threads, or one shared transport pool multiplexing a
-//!   global in-flight window across every site
-//!   ([`FleetMode::SharedPool`]),
-//! * [`engine`] — the pre-session compatibility surface ([`crawl`]),
+//! * [`fleet`] — the multi-site [`Fleet`] scheduler: one driver loop
+//!   taking waves of sites through in-flight pools, with the
+//!   [`FleetMode`] choosing how many threads, how many sites per wave and
+//!   whether sites share a pool's window,
 //! * [`early_stop`] — the Sec 4.8 stopping rule,
 //! * [`trace`] — per-request series and the Table 2/3 metrics.
 //!
-//! One-shot crawl (the classic API):
+//! One-shot crawl ([`crawl`]):
 //!
 //! ```no_run
-//! use sb_crawler::engine::{crawl, CrawlConfig};
+//! use sb_crawler::{crawl, CrawlConfig};
 //! use sb_crawler::strategies::SbStrategy;
 //! use sb_httpsim::SiteServer;
 //! use sb_webgraph::{build_site, SiteSpec};
@@ -64,7 +63,6 @@
 
 pub mod action;
 pub mod early_stop;
-pub mod engine;
 pub mod events;
 pub mod fleet;
 pub mod session;
@@ -74,7 +72,6 @@ pub mod trace;
 
 pub use action::{ActionId, ActionSpace, ActionSpaceConfig, ActionSpaceFull};
 pub use early_stop::{EarlyStop, EarlyStopConfig};
-pub use engine::crawl;
 pub use events::{
     AbandonCounts, AbandonReason, CrawlEvent, CrawlObserver, CrawlSnapshot, EventLog, FinishReason,
     MemGauges, OwnedEvent, RefreshStats, TraceObserver,
@@ -83,7 +80,7 @@ pub use fleet::{
     Fleet, FleetJob, FleetMode, FleetOutcome, ShardReport, SharedOracle, SharedServer, SiteReport,
 };
 pub use session::{
-    robots_filter, Budget, ConfigError, CrawlConfig, CrawlConfigBuilder, CrawlOutcome,
+    crawl, robots_filter, Budget, ConfigError, CrawlConfig, CrawlConfigBuilder, CrawlOutcome,
     CrawlSession, Oracle, RefreshedPage, RetrievedTarget, StepReport, UrlFilter,
 };
 pub use strategies::{Batched, ValueSpec, ValueStrategy};

@@ -171,7 +171,7 @@ pub type UrlFilter = Box<dyn Fn(&Url) -> bool + Send + Sync>;
 /// for the given user agent.
 ///
 /// ```
-/// use sb_crawler::engine::{robots_filter, CrawlConfig};
+/// use sb_crawler::{robots_filter, CrawlConfig};
 /// use sb_httpsim::RobotsTxt;
 ///
 /// let robots = RobotsTxt::parse("User-agent: *\nDisallow: /private/");
@@ -1668,6 +1668,23 @@ impl<'a> CrawlSession<'a> {
         );
         reward
     }
+}
+
+/// Crawls `root_url` on `server` driving `strategy` to completion — the
+/// one-shot convenience over [`CrawlSession`].
+///
+/// Panics on an unparseable root; callers that want the error instead use
+/// [`CrawlSession::new`].
+pub fn crawl(
+    server: &dyn HttpServer,
+    oracle: Option<&dyn Oracle>,
+    root_url: &str,
+    strategy: &mut dyn Strategy,
+    cfg: &CrawlConfig,
+) -> CrawlOutcome {
+    CrawlSession::new(server, oracle, root_url, strategy, cfg)
+        .expect("crawl root must be an absolute http(s) URL")
+        .run()
 }
 
 trait StatusExt {

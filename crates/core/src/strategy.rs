@@ -5,7 +5,7 @@
 //! *per-link routing* ([`Strategy::decide`] — enqueue, fetch immediately as
 //! a predicted target, or drop), and *learning* (the feedback hooks).
 
-use crate::engine::Oracle;
+use crate::session::Oracle;
 use rand::rngs::StdRng;
 use sb_httpsim::Transport;
 use sb_webgraph::mime::MimePolicy;

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 use rand::rngs::StdRng;
 use sb_bench::reference::{collapse_target_amends, reference_queue_crawl};
-use sb_crawler::engine::{Budget, CrawlConfig, CrawlSession};
+use sb_crawler::{Budget, CrawlConfig, CrawlSession};
 use sb_crawler::events::OwnedEvent;
 use sb_crawler::strategies::{Batched, Discipline, QueueStrategy, ValueStrategy};
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};

@@ -1,7 +1,7 @@
 //! End-to-end engine tests: every strategy crawls a generated website
 //! through the full stack (render → parse → classify → cluster → select).
 
-use sb_crawler::engine::{crawl, Budget, CrawlConfig, CrawlOutcome};
+use sb_crawler::{crawl, Budget, CrawlConfig, CrawlOutcome};
 use sb_crawler::strategies::{
     FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
     TresStrategy,

@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use sb_bench::reference::{collapse_target_amends, reference_queue_crawl};
-use sb_crawler::engine::{crawl, Budget, CrawlConfig, CrawlSession};
+use sb_crawler::{crawl, Budget, CrawlConfig, CrawlSession};
 use sb_crawler::events::OwnedEvent;
 use sb_crawler::fleet::{Fleet, FleetJob, FleetMode, SharedServer};
 use sb_crawler::strategies::{Discipline, QueueStrategy, SbConfig, SbStrategy};
@@ -252,6 +252,94 @@ fn aggregate_traffic_sums_per_site_traffic() {
     assert_eq!(out.targets, sum_targets);
     assert!(out.sim_makespan_secs() <= out.traffic.elapsed_secs);
     assert!(out.wall_secs > 0.0);
+}
+
+/// [`FleetMode::PerSite`] lowers onto the same wave loop as every other
+/// mode, but each site must still get what a standalone session gets: a
+/// private pool with the job's **own window** and a **site-local clock**.
+/// Jobs alternate `max_in_flight` 1 and 4 on 3 workers, so a pool kept per
+/// worker (one window, one running clock) could not pass: every site must
+/// equal `CrawlSession::new(..).run()` on targets, pages, the full
+/// `Traffic` (`elapsed_secs` included) and the unmasked trace.
+#[test]
+fn per_site_mode_keeps_each_sites_own_clock_and_window() {
+    let sites = fleet_sites();
+    let cfg_of = |i: usize| CrawlConfig {
+        seed: i as u64,
+        max_in_flight: [1, 4][i % 2],
+        ..Default::default()
+    };
+    let mut fleet = Fleet::new(3);
+    for (i, site) in sites.iter().enumerate() {
+        let server: SharedServer = Arc::new(SiteServer::shared(Arc::clone(site)));
+        fleet.push(
+            FleetJob::new(format!("site{i}"), server, root_of(site), || {
+                Box::new(QueueStrategy::bfs())
+            })
+            .config(cfg_of(i)),
+        );
+    }
+    let out = fleet.run();
+    assert_eq!(out.sites.len(), sites.len());
+
+    for (i, (site, report)) in sites.iter().zip(&out.sites).enumerate() {
+        let server = SiteServer::shared(Arc::clone(site));
+        let mut bfs = QueueStrategy::bfs();
+        let cfg = cfg_of(i);
+        let solo = CrawlSession::new(&server, None, &root_of(site), &mut bfs, &cfg)
+            .expect("generated roots are valid")
+            .run();
+        let fleet = report.expect_outcome();
+        let urls = |o: &sb_crawler::CrawlOutcome| -> Vec<String> {
+            o.targets.iter().map(|t| t.url.clone()).collect()
+        };
+        assert_eq!(urls(fleet), urls(&solo), "site{i} targets");
+        assert_eq!(fleet.pages_crawled, solo.pages_crawled, "site{i}");
+        assert_eq!(fleet.traffic, solo.traffic, "site{i}: traffic, site-local clock included");
+        assert_eq!(fleet.trace.points(), solo.trace.points(), "site{i}: unmasked trace");
+    }
+}
+
+/// Every mode runs on the one driver loop, so every mode reports one
+/// [`sb_crawler::ShardReport`] per driver thread, and the shard ledgers
+/// partition the fleet: their site counts sum to the fleet's and their
+/// gauges, abandon tallies and refresh ledgers merge to the fleet-wide
+/// ones.
+#[test]
+fn every_mode_reports_one_ledger_per_driver_thread() {
+    let sites = fleet_sites();
+    let cases = [
+        (1, FleetMode::PerSite, 1),
+        (4, FleetMode::PerSite, 4),
+        (4, FleetMode::SharedPool { max_in_flight: 4 }, 1),
+        (4, FleetMode::Sharded { shards: 2, max_in_flight: 4 }, 2),
+        (
+            4,
+            FleetMode::Continuous { max_in_flight: 4, refresh_epochs: 2, refresh_per_epoch: 3 },
+            1,
+        ),
+    ];
+    for (workers, mode, threads) in cases {
+        let out = build_fleet(&sites, workers, Budget::Unlimited, mode, None).run();
+        assert_eq!(out.shards.len(), threads, "{mode:?} on {workers} workers");
+        assert_eq!(
+            out.shards.iter().map(|s| s.sites).sum::<usize>(),
+            sites.len(),
+            "{mode:?}: every site is driven by exactly one shard"
+        );
+        let mut mem = sb_crawler::MemGauges::default();
+        let mut abandoned = sb_crawler::AbandonCounts::default();
+        let mut refresh = sb_crawler::RefreshStats::default();
+        for shard in &out.shards {
+            mem.merge(&shard.mem);
+            abandoned.merge(&shard.abandoned);
+            refresh.merge(&shard.refresh);
+        }
+        assert!(mem.visited_urls > 0, "{mode:?}: exhaustive crawls visit URLs");
+        assert_eq!(mem, out.mem, "{mode:?}: shard gauges merge to the fleet's");
+        assert_eq!(abandoned, out.abandoned, "{mode:?}: shard abandon tallies merge to the fleet's");
+        assert_eq!(refresh, out.refresh, "{mode:?}: shard refresh ledgers merge to the fleet's");
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -29,7 +29,7 @@
 //! near-duplicate clusters are detectable with the `sb-ann` n-gram
 //! sketches.
 
-use sb_crawler::engine::{Budget, CrawlConfig, CrawlOutcome, CrawlSession, Oracle};
+use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession, Oracle};
 use sb_crawler::strategies::{QueueStrategy, SbConfig, SbStrategy, TresStrategy};
 use sb_crawler::{EventLog, OwnedEvent, Strategy};
 use sb_httpsim::transport::Transport;

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
-use sb_crawler::engine::{Budget, CrawlConfig, CrawlSession};
+use sb_crawler::{Budget, CrawlConfig, CrawlSession};
 use sb_crawler::events::OwnedEvent;
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};

@@ -6,7 +6,7 @@
 //! tests drive the shared engine (Algorithms 3–4) through the
 //! `sb-httpsim` failure-injection servers.
 
-use sb_crawler::engine::{crawl, robots_filter, Budget, CrawlConfig};
+use sb_crawler::{crawl, robots_filter, Budget, CrawlConfig};
 use sb_crawler::strategies::{QueueStrategy, SbStrategy};
 use sb_httpsim::{EnforcedRobots, FlakyServer, RobotsTxt, SiteServer, TrapServer, WithRobots};
 use sb_webgraph::url::Url;

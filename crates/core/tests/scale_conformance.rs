@@ -5,7 +5,7 @@
 //! the crawl does.
 
 use proptest::prelude::*;
-use sb_crawler::engine::{crawl, CrawlConfig, CrawlOutcome};
+use sb_crawler::{crawl, CrawlConfig, CrawlOutcome};
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::strategy::Strategy;
 use sb_httpsim::SiteServer;

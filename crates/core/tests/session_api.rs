@@ -4,7 +4,7 @@
 //! selections (dead redirects, errors) that the pre-session engine left as
 //! silent bandit pulls.
 
-use sb_crawler::engine::{crawl, Budget, ConfigError, CrawlConfig, CrawlSession};
+use sb_crawler::{crawl, Budget, ConfigError, CrawlConfig, CrawlSession};
 use sb_crawler::events::{AbandonReason, FinishReason, OwnedEvent, TraceObserver};
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};

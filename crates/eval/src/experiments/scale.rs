@@ -128,7 +128,7 @@ fn verify_identical(pages: usize) -> String {
         "bounded engine diverged from the unbounded reference at {pages} pages"
     );
     assert_eq!(reference.traffic, bounded.traffic, "traffic diverged");
-    let urls = |o: &sb_crawler::engine::CrawlOutcome| {
+    let urls = |o: &sb_crawler::CrawlOutcome| {
         o.targets.iter().map(|t| t.url.clone()).collect::<Vec<_>>()
     };
     assert_eq!(urls(&reference), urls(&bounded), "target sets diverged");

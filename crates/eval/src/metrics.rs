@@ -1,7 +1,7 @@
 //! The paper's two efficiency metrics (Tables 2 and 3).
 
 use crate::setup::SiteRef;
-use sb_crawler::engine::CrawlOutcome;
+use sb_crawler::CrawlOutcome;
 
 /// Table 2: percentage of requests (relative to an exhaustive crawl's
 /// request count) needed to retrieve 90 % of the site's targets.

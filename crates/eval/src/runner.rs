@@ -1,6 +1,6 @@
 //! Parallel execution of experiment run matrices.
 
-use sb_crawler::engine::Budget;
+use sb_crawler::Budget;
 use sb_crawler::EarlyStopConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -2,7 +2,7 @@
 //! reference statistics.
 
 use parking_lot::Mutex;
-use sb_crawler::engine::{Budget, CrawlConfig, CrawlOutcome, CrawlSession};
+use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession};
 use sb_crawler::strategies::{
     FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
     TresStrategy,

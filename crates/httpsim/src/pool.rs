@@ -59,8 +59,8 @@
 //! single-pool semantics pinned by the conformance suite. One *window* is
 //! still one serially-ordered resource: determinism within a pool requires
 //! a single ration point, so a driver thread owns its pool's schedule
-//! (`sb_crawler::fleet::FleetMode::SharedPool` drives one pool on one
-//! thread; `FleetMode::Sharded` drives P pools on P threads), refilling
+//! (`sb_crawler::fleet` runs one driver loop in every `FleetMode`: each
+//! of its threads drives only pools it built itself), refilling
 //! least-elapsed-host first and draining in pool completion order.
 //!
 //! [`CrawlSession`]: ../../sb_crawler/session/struct.CrawlSession.html

@@ -5,7 +5,7 @@
 //! cargo run --release --example compare_crawlers
 //! ```
 
-use sbcrawl::crawler::engine::{crawl, Budget, CrawlConfig, Oracle};
+use sbcrawl::crawler::{crawl, Budget, CrawlConfig, Oracle};
 use sbcrawl::crawler::strategies::{
     FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
 };

@@ -6,7 +6,7 @@
 //! cargo run --release --example custom_targets
 //! ```
 
-use sbcrawl::crawler::engine::{crawl, CrawlConfig};
+use sbcrawl::crawler::{crawl, CrawlConfig};
 use sbcrawl::crawler::strategies::SbStrategy;
 use sbcrawl::httpsim::SiteServer;
 use sbcrawl::webgraph::{build_site, MimePolicy, PageKind, SiteSpec};

@@ -6,7 +6,7 @@
 //! cargo run --release --example ministry_portal
 //! ```
 
-use sbcrawl::crawler::engine::{crawl, CrawlConfig};
+use sbcrawl::crawler::{crawl, CrawlConfig};
 use sbcrawl::crawler::strategies::{QueueStrategy, SbStrategy};
 use sbcrawl::crawler::EarlyStopConfig;
 use sbcrawl::httpsim::SiteServer;

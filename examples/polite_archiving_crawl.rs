@@ -11,7 +11,7 @@
 //! cargo run --release --example polite_archiving_crawl
 //! ```
 
-use sbcrawl::crawler::engine::{crawl, robots_filter, Budget, CrawlConfig};
+use sbcrawl::crawler::{crawl, robots_filter, Budget, CrawlConfig};
 use sbcrawl::crawler::strategies::SbStrategy;
 use sbcrawl::httpsim::{
     FlakyServer, Mode, Politeness, ReplayStore, RobotsTxt, SiteServer, WithRobots,

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sbcrawl::crawler::engine::{crawl, Budget, CrawlConfig};
+use sbcrawl::crawler::{crawl, Budget, CrawlConfig};
 use sbcrawl::crawler::strategies::SbStrategy;
 use sbcrawl::httpsim::SiteServer;
 use sbcrawl::webgraph::{build_site, SiteSpec};

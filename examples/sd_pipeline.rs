@@ -7,7 +7,7 @@
 //! cargo run --release --example sd_pipeline
 //! ```
 
-use sbcrawl::crawler::engine::{crawl, CrawlConfig};
+use sbcrawl::crawler::{crawl, CrawlConfig};
 use sbcrawl::crawler::strategies::SbStrategy;
 use sbcrawl::httpsim::SiteServer;
 use sbcrawl::sdetect::detect_tables;

@@ -32,7 +32,14 @@ cargo run --release --offline -p sb-eval --bin xp -- \
 cargo run --release --offline -p sb-eval --bin xp -- \
     fleet --scale 0.003 --sites cl,nc,ab,ce --jobs 2 --shared-pool --shards 1,2,4 \
     --out target/verify-smoke
+test -s target/verify-smoke/fleet_pool.csv
 test -s target/verify-smoke/fleet_shards.csv
+# The fleet examples drive every FleetMode through the public API from
+# outside the crate; shared_pool_fleet and sharded_fleet assert cross-mode
+# coverage parity, so they are run (~1 s together), not just compiled.
+for example in fleet_crawl shared_pool_fleet sharded_fleet; do
+    cargo run --release --offline --example "$example" > /dev/null
+done
 # Pipeline smoke: the nonblocking transport at in-flight 1/4/16 — coverage
 # must be window-invariant and the makespan ladder monotone (PR 4).
 cargo run --release --offline -p sb-eval --bin xp -- \

@@ -26,7 +26,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use sbcrawl::crawler::engine::{crawl, Budget, CrawlConfig};
+//! use sbcrawl::crawler::{crawl, Budget, CrawlConfig};
 //! use sbcrawl::crawler::strategies::SbStrategy;
 //! use sbcrawl::httpsim::SiteServer;
 //! use sbcrawl::webgraph::{build_site, SiteSpec};

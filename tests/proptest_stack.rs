@@ -2,7 +2,7 @@
 //! never break crawl invariants.
 
 use proptest::prelude::*;
-use sbcrawl::crawler::engine::{crawl, Budget, CrawlConfig};
+use sbcrawl::crawler::{crawl, Budget, CrawlConfig};
 use sbcrawl::crawler::strategies::{QueueStrategy, SbStrategy};
 use sbcrawl::httpsim::SiteServer;
 use sbcrawl::webgraph::{build_site, SiteSpec};

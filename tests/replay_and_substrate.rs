@@ -2,7 +2,7 @@
 //! policy plumbing, and the NP-hardness module working over the same graph
 //! types the crawler uses.
 
-use sbcrawl::crawler::engine::{crawl, CrawlConfig};
+use sbcrawl::crawler::{crawl, CrawlConfig};
 use sbcrawl::crawler::strategies::QueueStrategy;
 use sbcrawl::httpsim::{Mode, ReplayStore, SiteServer};
 use sbcrawl::webgraph::complexity::{

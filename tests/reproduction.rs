@@ -1,7 +1,7 @@
 //! Cross-crate reproduction tests: the paper's headline qualitative claims
 //! must hold on the synthetic profiles at test scale.
 
-use sbcrawl::crawler::engine::{crawl, Budget, CrawlConfig, Oracle};
+use sbcrawl::crawler::{crawl, Budget, CrawlConfig, Oracle};
 use sbcrawl::crawler::strategies::{QueueStrategy, SbConfig, SbStrategy};
 use sbcrawl::crawler::strategy::Strategy;
 use sbcrawl::httpsim::SiteServer;
