@@ -4,13 +4,14 @@
 //! nearest centroid for every new projected tag path; centroids *move* as tag
 //! paths join their action, so the index supports in-place updates with
 //! re-linking. Distances are cosine (the paper thresholds on cosine
-//! similarity θ).
+//! similarity θ), over [`SparseVec`]s — the only vector representation the
+//! index has.
 //!
 //! The structure follows Malkov & Yashunin: geometric level assignment with
 //! multiplier `1/ln(M)`, greedy descent through the upper layers, and a
 //! beam search (`ef`) at each construction/search layer.
 
-use crate::vector::{cosine, cosine_distance};
+use crate::vector::{cosine_sparse, SparseVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -35,9 +36,14 @@ impl Default for HnswParams {
     }
 }
 
+/// Cosine *distance* (`1 − similarity`), the metric the graph orders by.
+fn cosine_distance(a: &SparseVec, b: &SparseVec) -> f32 {
+    1.0 - cosine_sparse(a, b)
+}
+
 #[derive(Debug, Clone)]
 struct Node {
-    vector: Vec<f32>,
+    vector: SparseVec,
     /// `links[l]` = neighbour ids at layer `l`; `links.len()` = node level + 1.
     links: Vec<Vec<u32>>,
 }
@@ -99,7 +105,7 @@ impl Hnsw {
     }
 
     /// The stored vector for `id`.
-    pub fn vector(&self, id: u32) -> &[f32] {
+    pub fn vector(&self, id: u32) -> &SparseVec {
         &self.nodes[id as usize].vector
     }
 
@@ -116,12 +122,18 @@ impl Hnsw {
         (-u.ln() * self.level_mult).floor() as usize
     }
 
+    /// Panics when `v` has a coordinate outside `0..dim`.
+    fn check_dim(&self, v: &SparseVec) {
+        let fits = v.items().last().is_none_or(|&(i, _)| (i as usize) < self.dim);
+        assert!(fits, "dimension mismatch");
+    }
+
     /// Inserts a vector; returns its id.
-    pub fn insert(&mut self, v: &[f32]) -> u32 {
-        assert_eq!(v.len(), self.dim, "dimension mismatch");
+    pub fn insert(&mut self, v: &SparseVec) -> u32 {
+        self.check_dim(v);
         let id = self.nodes.len() as u32;
         let level = self.random_level();
-        self.nodes.push(Node { vector: v.to_vec(), links: vec![Vec::new(); level + 1] });
+        self.nodes.push(Node { vector: v.clone(), links: vec![Vec::new(); level + 1] });
         let Some(entry) = self.entry else {
             self.entry = Some(id);
             return id;
@@ -178,7 +190,7 @@ impl Hnsw {
     }
 
     /// Greedy single-candidate move at `layer`.
-    fn greedy_at(&self, q: &[f32], start: u32, layer: usize) -> u32 {
+    fn greedy_at(&self, q: &SparseVec, start: u32, layer: usize) -> u32 {
         let mut cur = start;
         let mut cur_d = cosine_distance(q, &self.nodes[cur as usize].vector);
         loop {
@@ -199,7 +211,7 @@ impl Hnsw {
 
     /// Beam search at `layer`; returns up to `ef` candidates sorted by
     /// ascending distance.
-    fn search_layer(&self, q: &[f32], start: u32, ef: usize, layer: usize) -> Vec<Cand> {
+    fn search_layer(&self, q: &SparseVec, start: u32, ef: usize, layer: usize) -> Vec<Cand> {
         let mut visited = vec![false; self.nodes.len()];
         visited[start as usize] = true;
         let d0 = cosine_distance(q, &self.nodes[start as usize].vector);
@@ -237,8 +249,8 @@ impl Hnsw {
 
     /// The `k` approximate nearest neighbours of `q`, as
     /// `(id, cosine_similarity)`, most similar first.
-    pub fn search(&self, q: &[f32], k: usize) -> Vec<(u32, f32)> {
-        assert_eq!(q.len(), self.dim, "dimension mismatch");
+    pub fn search(&self, q: &SparseVec, k: usize) -> Vec<(u32, f32)> {
+        self.check_dim(q);
         let Some(entry) = self.entry else { return Vec::new() };
         let entry_level = self.nodes[entry as usize].links.len() - 1;
         let mut cur = entry;
@@ -249,21 +261,21 @@ impl Hnsw {
         self.search_layer(q, cur, ef, 0)
             .into_iter()
             .take(k)
-            .map(|c| (c.id, cosine(q, &self.nodes[c.id as usize].vector)))
+            .map(|c| (c.id, cosine_sparse(q, &self.nodes[c.id as usize].vector)))
             .collect()
     }
 
     /// The single nearest neighbour, if any.
-    pub fn nearest(&self, q: &[f32]) -> Option<(u32, f32)> {
+    pub fn nearest(&self, q: &SparseVec) -> Option<(u32, f32)> {
         self.search(q, 1).into_iter().next()
     }
 
     /// Moves `id`'s vector (a centroid update) and re-links the node so
     /// future queries see it at its new position.
-    pub fn update(&mut self, id: u32, v: &[f32]) {
-        assert_eq!(v.len(), self.dim, "dimension mismatch");
+    pub fn update(&mut self, id: u32, v: &SparseVec) {
+        self.check_dim(v);
         let idx = id as usize;
-        self.nodes[idx].vector = v.to_vec();
+        self.nodes[idx].vector = v.clone();
         let Some(entry) = self.entry else { return };
         if self.nodes.len() == 1 {
             return;
@@ -290,11 +302,11 @@ impl Hnsw {
 }
 
 /// Exact nearest neighbour by linear scan — the test/bench oracle.
-pub fn brute_force_nearest(vectors: &[Vec<f32>], q: &[f32]) -> Option<(usize, f32)> {
+pub fn brute_force_nearest(vectors: &[SparseVec], q: &SparseVec) -> Option<(usize, f32)> {
     vectors
         .iter()
         .enumerate()
-        .map(|(i, v)| (i, cosine(q, v)))
+        .map(|(i, v)| (i, cosine_sparse(q, v)))
         .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
@@ -303,23 +315,30 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn random_unit(rng: &mut StdRng, dim: usize) -> Vec<f32> {
-        let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        v
+    fn sv(dense: &[f32]) -> SparseVec {
+        SparseVec::from_dense(dense)
+    }
+
+    fn random_dense(rng: &mut StdRng, dim: usize) -> Vec<f32> {
+        (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    fn random_unit(rng: &mut StdRng, dim: usize) -> SparseVec {
+        sv(&random_dense(rng, dim))
     }
 
     #[test]
     fn empty_index() {
         let h = Hnsw::new(8, HnswParams::default());
         assert!(h.is_empty());
-        assert_eq!(h.nearest(&[0.0; 8]), None);
+        assert_eq!(h.nearest(&sv(&[0.0; 8])), None);
     }
 
     #[test]
     fn single_point() {
         let mut h = Hnsw::new(4, HnswParams::default());
-        let id = h.insert(&[1.0, 0.0, 0.0, 0.0]);
-        let (got, sim) = h.nearest(&[1.0, 0.1, 0.0, 0.0]).unwrap();
+        let id = h.insert(&sv(&[1.0, 0.0, 0.0, 0.0]));
+        let (got, sim) = h.nearest(&sv(&[1.0, 0.1, 0.0, 0.0])).unwrap();
         assert_eq!(got, id);
         assert!(sim > 0.9);
     }
@@ -367,16 +386,16 @@ mod tests {
     #[test]
     fn update_moves_centroid() {
         let mut h = Hnsw::new(4, HnswParams::default());
-        let a = h.insert(&[1.0, 0.1, 0.0, 0.0]);
-        let b = h.insert(&[0.0, 1.0, 0.0, 0.0]);
-        let _c = h.insert(&[0.0, 0.0, 1.0, 0.0]);
-        let x_axis = h.insert(&[1.0, 0.0, 0.05, 0.0]);
+        let a = h.insert(&sv(&[1.0, 0.1, 0.0, 0.0]));
+        let b = h.insert(&sv(&[0.0, 1.0, 0.0, 0.0]));
+        let _c = h.insert(&sv(&[0.0, 0.0, 1.0, 0.0]));
+        let x_axis = h.insert(&sv(&[1.0, 0.0, 0.05, 0.0]));
         // Move `a` close to the z axis; a z-query must now find it or `c`.
-        h.update(a, &[0.05, 0.0, 1.0, 0.0]);
-        let (got, _) = h.nearest(&[0.0, 0.0, 1.0, 0.05]).unwrap();
+        h.update(a, &sv(&[0.05, 0.0, 1.0, 0.0]));
+        let (got, _) = h.nearest(&sv(&[0.0, 0.0, 1.0, 0.05])).unwrap();
         assert!(got == a || got == 2, "got {got}");
         // And an x-query must now prefer the pure x-axis point over `a`.
-        let (got_x, _) = h.nearest(&[1.0, 0.0, 0.0, 0.0]).unwrap();
+        let (got_x, _) = h.nearest(&sv(&[1.0, 0.0, 0.0, 0.0])).unwrap();
         assert_eq!(got_x, x_axis);
         let _ = b;
     }
@@ -400,7 +419,15 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn rejects_wrong_dimension() {
         let mut h = Hnsw::new(4, HnswParams::default());
-        h.insert(&[1.0, 0.0]);
+        // Index 4 is the first coordinate a 4-dimensional index cannot hold.
+        h.insert(&sv(&[1.0, 0.0, 0.0, 0.0, 1.0]));
+    }
+
+    #[test]
+    fn accepts_every_coordinate_below_dim() {
+        let mut h = Hnsw::new(4, HnswParams::default());
+        let id = h.insert(&sv(&[0.0, 0.0, 0.0, 1.0]));
+        assert_eq!(h.nearest(&sv(&[0.0, 0.0, 0.0, 2.0])).map(|(got, _)| got), Some(id));
     }
 
     #[test]
@@ -410,8 +437,8 @@ mod tests {
         let mut h = Hnsw::new(dim, HnswParams::default());
         let mut vecs: Vec<Vec<f32>> = Vec::new();
         for _ in 0..60 {
-            let v = random_unit(&mut rng, dim);
-            h.insert(&v);
+            let v = random_dense(&mut rng, dim);
+            h.insert(&sv(&v));
             vecs.push(v);
         }
         // Drift every vector a little many times (centroid updates).
@@ -420,13 +447,12 @@ mod tests {
                 for x in vec.iter_mut() {
                     *x += 0.01 * ((round + id) % 3) as f32;
                 }
-                let v = vec.clone();
-                h.update(id as u32, &v);
+                h.update(id as u32, &sv(vec));
             }
         }
         // Index still answers and finds exact matches.
         for (i, v) in vecs.iter().enumerate().step_by(7) {
-            let got = h.search(v, 5);
+            let got = h.search(&sv(v), 5);
             assert!(!got.is_empty());
             assert!(got.iter().any(|&(id, sim)| id as usize == i && sim > 0.999),
                 "vector {i} lost after updates: {got:?}");

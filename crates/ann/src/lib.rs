@@ -4,6 +4,11 @@
 //! token [`ngram`] vocabularies → sparse BoW vectors → the fixed-dimension
 //! hash [`project`]ion with collision-mean semantics → cosine [`vector`]
 //! geometry → the [`hnsw`] index that Algorithm 1 keeps action centroids in.
+//! The vectors stay sparse the whole way: a [`Sketcher`] turns tokens into a
+//! [`SparseVec`] (~10 non-zeros out of `D = 4096`), and [`Hnsw`] stores and
+//! compares `SparseVec`s with [`cosine_sparse`]. The dense
+//! [`Projector::project`] and [`cosine`] are the bit-identical reference the
+//! differential proptests pin the sparse kernels against.
 
 pub mod hnsw;
 pub mod ngram;
@@ -12,5 +17,5 @@ pub mod vector;
 
 pub use hnsw::{brute_force_nearest, Hnsw, HnswParams};
 pub use ngram::{NgramVocab, SparseBow, BOS, EOS};
-pub use project::{Projector, DEFAULT_PRIME};
-pub use vector::{cosine, cosine_distance, Centroid};
+pub use project::{Projector, Sketcher, DEFAULT_PRIME};
+pub use vector::{cosine, cosine_sparse, SparseVec};

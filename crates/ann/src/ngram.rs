@@ -7,6 +7,7 @@
 //! tokens mark stream boundaries exactly as in Figure 3, and n-grams keep
 //! token order — the paper shows order matters (n = 2, 3 beat n = 1).
 
+use crate::vector::add_sorted;
 use std::collections::HashMap;
 
 /// Sentinel tokens.
@@ -59,29 +60,35 @@ impl NgramVocab {
     /// Vectorises `tokens`, **growing** the vocabulary with unseen n-grams.
     /// Returns a sparse BoW: `(index, count)` pairs sorted by index.
     pub fn vectorize_mut(&mut self, tokens: &[String]) -> SparseBow {
-        let mut counts: HashMap<usize, f32> = HashMap::new();
-        for g in self.grams(tokens) {
-            let next = self.index.len();
-            let id = *self.index.entry(g).or_insert(next);
-            *counts.entry(id).or_insert(0.0) += 1.0;
-        }
-        let mut items: Vec<(usize, f32)> = counts.into_iter().collect();
-        items.sort_unstable_by_key(|&(i, _)| i);
+        let grams = self.grams(tokens);
+        let index = &mut self.index;
+        let items = count_grams(grams, |g| {
+            let next = index.len();
+            Some(*index.entry(g).or_insert(next))
+        });
         SparseBow { dim: self.index.len(), items }
     }
 
     /// Vectorises without growing: unseen n-grams are dropped.
     pub fn vectorize(&self, tokens: &[String]) -> SparseBow {
-        let mut counts: HashMap<usize, f32> = HashMap::new();
-        for g in self.grams(tokens) {
-            if let Some(&id) = self.index.get(&g) {
-                *counts.entry(id).or_insert(0.0) += 1.0;
-            }
-        }
-        let mut items: Vec<(usize, f32)> = counts.into_iter().collect();
-        items.sort_unstable_by_key(|&(i, _)| i);
+        let items = count_grams(self.grams(tokens), |g| self.index.get(&g).copied());
         SparseBow { dim: self.index.len(), items }
     }
+}
+
+/// Counts each gram `id_of` resolves into `(index, count)` items sorted by
+/// index.
+fn count_grams(
+    grams: Vec<String>,
+    mut id_of: impl FnMut(String) -> Option<usize>,
+) -> Vec<(usize, f32)> {
+    let mut items: Vec<(usize, f32)> = Vec::with_capacity(grams.len());
+    for g in grams {
+        if let Some(id) = id_of(g) {
+            add_sorted(&mut items, id, 1.0);
+        }
+    }
+    items
 }
 
 /// A sparse bag-of-words vector of (current) dimension `dim`.

@@ -8,8 +8,14 @@
 //! output positions hit by no input stay 0. The unit tests reproduce the
 //! paper's worked example (`D = 4`, `w = 11`, `Π = 766 245 317`) digit for
 //! digit.
+//!
+//! [`Projector::project`] is that definition written out densely — the
+//! stateless reference. The crawl sketches through [`Sketcher`], which owns
+//! the vocabulary and the projector together and produces the same vector
+//! sparsely in O(nnz).
 
-use crate::ngram::SparseBow;
+use crate::ngram::{NgramVocab, SparseBow};
+use crate::vector::{add_sorted, SparseVec};
 
 /// The paper's default Π.
 pub const DEFAULT_PRIME: u64 = 766_245_317;
@@ -52,6 +58,9 @@ impl Projector {
     /// the sparse items contribute 0 to their bucket's mean (this matches the
     /// worked example, where bucket 3 averages `p[4] = 0`, `p[8] = 1`,
     /// `p[9] = 1` into ≈ 0.67).
+    ///
+    /// Reference only (O(`D` + `bow.dim`) per call) — production code
+    /// sketches through [`Sketcher`].
     pub fn project(&self, bow: &SparseBow) -> Vec<f32> {
         let d = self.dim();
         let mut sums = vec![0.0f32; d];
@@ -73,6 +82,69 @@ impl Projector {
             }
         }
         sums
+    }
+}
+
+/// The one owner of the vocabulary→projection pair: token n-grams in, the
+/// projected [`SparseVec`] out, equal coordinate for coordinate to
+/// [`Projector::project`] over the same [`NgramVocab`] history.
+///
+/// The collision mean divides each bucket's sum by the number of vocabulary
+/// positions hashing there. That count only changes when the vocabulary
+/// grows, so it is kept in a per-bucket hit table extended by exactly the
+/// new positions on every growth — the table always covers `0..vocab_len()`
+/// — and a sketch costs O(nnz), with no `D`- or vocabulary-sized work.
+#[derive(Debug, Clone)]
+pub struct Sketcher {
+    vocab: NgramVocab,
+    projector: Projector,
+    /// `hits[j]` = how many `i < vocab.len()` have `h(i) = j`.
+    hits: Vec<u32>,
+}
+
+impl Sketcher {
+    /// A sketcher over an empty `ngram`-order vocabulary.
+    pub fn new(ngram: usize, projector: Projector) -> Self {
+        Sketcher { vocab: NgramVocab::new(ngram), hits: vec![0; projector.dim()], projector }
+    }
+
+    /// Output dimension `D`.
+    pub fn dim(&self) -> usize {
+        self.projector.dim()
+    }
+
+    /// Vocabulary size `d` (grows with [`Sketcher::sketch_mut`]).
+    pub fn vocab_len(&self) -> usize {
+        self.vocab.len()
+    }
+
+    /// Sketches `tokens`, **growing** the vocabulary with unseen n-grams.
+    pub fn sketch_mut(&mut self, tokens: &[String]) -> SparseVec {
+        let before = self.vocab.len();
+        let bow = self.vocab.vectorize_mut(tokens);
+        for i in before..bow.dim {
+            self.hits[self.projector.hash(i as u64)] += 1;
+        }
+        self.project(&bow)
+    }
+
+    /// Sketches without growing: unseen n-grams are dropped.
+    pub fn sketch(&self, tokens: &[String]) -> SparseVec {
+        self.project(&self.vocab.vectorize(tokens))
+    }
+
+    /// Bucket sums in ascending input-index order (the order the dense loop
+    /// adds them in), then the collision mean from the hit table.
+    fn project(&self, bow: &SparseBow) -> SparseVec {
+        debug_assert_eq!(bow.dim, self.vocab.len(), "hit table covers the whole vocabulary");
+        let mut out: Vec<(u32, f32)> = Vec::with_capacity(bow.items.len());
+        for &(i, val) in &bow.items {
+            add_sorted(&mut out, self.projector.hash(i as u64) as u32, val);
+        }
+        for (j, sum) in &mut out {
+            *sum /= self.hits[*j as usize] as f32;
+        }
+        SparseVec::new(out)
     }
 }
 
@@ -116,6 +188,28 @@ mod tests {
         assert!((out[1] - 1.5).abs() < 1e-6, "{out:?}");
         assert!((out[2] - 0.5).abs() < 1e-6, "{out:?}");
         assert!((out[3] - 2.0 / 3.0).abs() < 1e-6, "{out:?}");
+    }
+
+    /// The same Figure 3 walk through the [`Sketcher`]: identical output,
+    /// with the hit table grown from 5 to 11 positions between the calls.
+    #[test]
+    fn sketcher_reproduces_paper_example() {
+        let proj = Projector::new(2, 11, DEFAULT_PRIME);
+        let mut sketcher = Sketcher::new(2, proj);
+        let mut vocab = NgramVocab::new(2);
+        for path in [
+            "html body div#container a.info",
+            "html body div#container div div div ul li.datasets a.dataset",
+        ] {
+            let sparse = sketcher.sketch_mut(&toks(path));
+            assert_eq!(sparse.to_dense(4), proj.project(&vocab.vectorize_mut(&toks(path))));
+        }
+        assert_eq!(sketcher.vocab_len(), 11);
+        assert_eq!(sketcher.hits.iter().sum::<u32>(), 11);
+        // Frozen sketches drop unseen n-grams and leave the table alone.
+        let frozen = sketcher.sketch(&toks("html body nav a.info"));
+        assert_eq!(frozen.to_dense(4), proj.project(&vocab.vectorize(&toks("html body nav a.info"))));
+        assert_eq!(sketcher.vocab_len(), 11);
     }
 
     #[test]

@@ -1,6 +1,120 @@
-//! Dense vector primitives: cosine similarity and running centroids.
+//! Vector primitives: the sparse sketch vectors the crawl runs on, and the
+//! dense cosine reference they are pinned against.
+//!
+//! A projected tag path has ~10 non-zeros out of `D = 4096`, so production
+//! code ([`crate::Sketcher`], [`crate::Hnsw`], `ActionSpace`) only ever
+//! holds [`SparseVec`]s. The sparse kernels are **bit-identical** to the
+//! dense ones by construction: a skipped coordinate would only have added
+//! an exact-zero product to an f64 accumulator, and every surviving term is
+//! added in the same ascending-index order as the dense loop. The dense
+//! [`cosine`] stays as the small stateless reference and test oracle.
 
-/// Cosine similarity between two equal-length vectors; 0 if either is zero.
+use std::cmp::Ordering;
+
+/// A sparse f32 vector: `(index, value)` items in strictly ascending index
+/// order, plus the squared norm cached at construction (the same ordered
+/// f64 sum the dense [`cosine`] loop accumulates). Immutable once built, so
+/// the cache can never go stale.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseVec {
+    items: Vec<(u32, f32)>,
+    norm_sq: f64,
+}
+
+impl SparseVec {
+    /// Panics unless indices are strictly ascending.
+    pub fn new(items: Vec<(u32, f32)>) -> Self {
+        assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "indices must be strictly ascending");
+        let norm_sq = items.iter().fold(0.0f64, |acc, &(_, v)| acc + f64::from(v) * f64::from(v));
+        SparseVec { items, norm_sq }
+    }
+
+    /// The non-zero coordinates of a dense vector.
+    pub fn from_dense(v: &[f32]) -> Self {
+        SparseVec::new(
+            v.iter().enumerate().filter(|&(_, &x)| x != 0.0).map(|(i, &x)| (i as u32, x)).collect(),
+        )
+    }
+
+    /// Materialises the dense `dim`-dimensional vector.
+    pub fn to_dense(&self, dim: usize) -> Vec<f32> {
+        let mut v = vec![0.0; dim];
+        for &(i, x) in &self.items {
+            v[i as usize] = x;
+        }
+        v
+    }
+
+    /// `(index, value)` in ascending index order.
+    pub fn items(&self) -> &[(u32, f32)] {
+        &self.items
+    }
+
+    /// The running-mean step of Algorithm 1: this centroid of `members`
+    /// tag paths absorbs `x`, coordinate-wise `c + (x − c) / (members + 1)`
+    /// over the sorted union of both supports (a coordinate absent from
+    /// both stays absent: the dense map sends 0 to 0).
+    pub fn moved_toward(&self, x: &SparseVec, members: f32) -> SparseVec {
+        let step = |c: f32, x: f32| c + (x - c) / (members + 1.0);
+        let (a, b) = (&self.items, &x.items);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let order = match (a.get(i), b.get(j)) {
+                (Some(l), Some(r)) => l.0.cmp(&r.0),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let (idx, v) = match order {
+                Ordering::Less => (a[i].0, step(a[i].1, 0.0)),
+                Ordering::Greater => (b[j].0, step(0.0, b[j].1)),
+                Ordering::Equal => (a[i].0, step(a[i].1, b[j].1)),
+            };
+            i += usize::from(order != Ordering::Greater);
+            j += usize::from(order != Ordering::Less);
+            if v != 0.0 {
+                out.push((idx, v));
+            }
+        }
+        SparseVec::new(out)
+    }
+}
+
+/// Adds `val` at `key` in a small `(key, value)` list kept sorted by key —
+/// how the ≤ ~15 n-gram counts and bucket sums of one sketch are
+/// accumulated without a per-call map.
+pub(crate) fn add_sorted<K: Ord + Copy>(items: &mut Vec<(K, f32)>, key: K, val: f32) {
+    match items.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(at) => items[at].1 += val,
+        Err(at) => items.insert(at, (key, val)),
+    }
+}
+
+/// Cosine similarity of two sparse vectors by merge-join; 0 if either is
+/// zero. Equal, bit for bit, to [`cosine`] over the densified inputs.
+pub fn cosine_sparse(a: &SparseVec, b: &SparseVec) -> f32 {
+    if a.norm_sq == 0.0 || b.norm_sq == 0.0 {
+        return 0.0;
+    }
+    let (x, y) = (&a.items, &b.items);
+    let mut dot = 0.0f64;
+    let (mut i, mut j) = (0, 0);
+    while i < x.len() && j < y.len() {
+        match x[i].0.cmp(&y[j].0) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                dot += f64::from(x[i].1) * f64::from(y[j].1);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (dot / (a.norm_sq.sqrt() * b.norm_sq.sqrt())) as f32
+}
+
+/// Cosine similarity between two equal-length dense vectors; 0 if either is
+/// zero. Reference only — no production call site.
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut dot = 0.0f64;
@@ -15,44 +129,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
         return 0.0;
     }
     (dot / (na.sqrt() * nb.sqrt())) as f32
-}
-
-/// Cosine *distance* (`1 − similarity`), the metric HNSW orders by.
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    1.0 - cosine(a, b)
-}
-
-/// A running mean of vectors — an action's centroid (Algorithm 1 keeps only
-/// the centroid of the tag paths assigned to each action).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Centroid {
-    mean: Vec<f32>,
-    n: u64,
-}
-
-impl Centroid {
-    /// Starts a centroid at its first member.
-    pub fn of(first: &[f32]) -> Self {
-        Centroid { mean: first.to_vec(), n: 1 }
-    }
-
-    /// Incorporates one more member: `mean += (x − mean) / n`.
-    pub fn add(&mut self, x: &[f32]) {
-        debug_assert_eq!(x.len(), self.mean.len());
-        self.n += 1;
-        let inv = 1.0 / self.n as f32;
-        for (m, &v) in self.mean.iter_mut().zip(x) {
-            *m += (v - *m) * inv;
-        }
-    }
-
-    pub fn mean(&self) -> &[f32] {
-        &self.mean
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
 }
 
 #[cfg(test)]
@@ -80,12 +156,33 @@ mod tests {
     }
 
     #[test]
-    fn centroid_is_arithmetic_mean() {
-        let mut c = Centroid::of(&[0.0, 0.0]);
-        c.add(&[2.0, 4.0]);
-        c.add(&[4.0, 8.0]);
-        assert_eq!(c.count(), 3);
-        assert!((c.mean()[0] - 2.0).abs() < 1e-6);
-        assert!((c.mean()[1] - 4.0).abs() < 1e-6);
+    fn sparse_round_trips_dense_and_drops_zeros() {
+        let dense = [0.0, 1.5, 0.0, -2.0];
+        let v = SparseVec::from_dense(&dense);
+        assert_eq!(v.items(), &[(1, 1.5), (3, -2.0)]);
+        assert_eq!(v.to_dense(4), dense);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn sparse_rejects_unsorted_items() {
+        SparseVec::new(vec![(3, 1.0), (1, 1.0)]);
+    }
+
+    #[test]
+    fn cosine_sparse_matches_dense_bits() {
+        let a = [0.3, 0.0, -0.7, 0.0, 0.1];
+        let b = [0.0, 0.9, 0.2, 0.0, 0.4];
+        let (sa, sb) = (SparseVec::from_dense(&a), SparseVec::from_dense(&b));
+        assert_eq!(cosine_sparse(&sa, &sb).to_bits(), cosine(&a, &b).to_bits());
+        assert_eq!(cosine_sparse(&sa, &SparseVec::new(Vec::new())), 0.0);
+    }
+
+    #[test]
+    fn moved_toward_is_the_running_mean_over_the_union() {
+        // One member at [2, 0, 4] absorbs [0, 6, 4]: the mean of the two.
+        let c = SparseVec::from_dense(&[2.0, 0.0, 4.0]);
+        let x = SparseVec::from_dense(&[0.0, 6.0, 4.0]);
+        assert_eq!(c.moved_toward(&x, 1.0).to_dense(3), vec![1.0, 3.0, 4.0]);
     }
 }

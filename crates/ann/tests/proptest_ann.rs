@@ -3,7 +3,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_ann::{brute_force_nearest, cosine, Hnsw, HnswParams, NgramVocab, Projector};
+use sb_ann::{brute_force_nearest, cosine, Hnsw, HnswParams, NgramVocab, Projector, SparseVec};
+
+/// A random dense vector, handed to the index the only way it takes one.
+fn random_vec(rng: &mut StdRng, dim: usize) -> SparseVec {
+    let dense: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+    SparseVec::from_dense(&dense)
+}
 
 fn arb_tokens() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z]{1,6}(#[a-z]{1,4})?(\\.[a-z]{1,4})?", 1..12)
@@ -63,7 +69,7 @@ proptest! {
         let mut index = Hnsw::new(dim, HnswParams::default());
         let mut vecs = Vec::new();
         for _ in 0..n {
-            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+            let v = random_vec(&mut rng, dim);
             index.insert(&v);
             vecs.push(v);
         }
@@ -85,13 +91,13 @@ proptest! {
         let mut index = Hnsw::new(dim, HnswParams::default());
         let mut vecs = Vec::new();
         for _ in 0..120 {
-            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+            let v = random_vec(&mut rng, dim);
             index.insert(&v);
             vecs.push(v);
         }
         let mut agree = 0;
         for _ in 0..20 {
-            let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+            let q = random_vec(&mut rng, dim);
             let (bf, _) = brute_force_nearest(&vecs, &q).expect("nonempty");
             let approx = index.search(&q, 5);
             if approx.iter().any(|&(id, _)| id as usize == bf) {

@@ -1,0 +1,96 @@
+//! Differential property tests: the sparse sketch kernels against the dense
+//! reference they replaced (PR 14).
+//!
+//! Every comparison is `==` on the f32 **bit patterns**, never an epsilon:
+//! the sparse path is meant to be the dense path minus the exact-zero terms,
+//! so any drift at all — a reordered sum, a norm computed differently, a
+//! stale hit count — is a bug that would silently change crawl traces.
+
+use proptest::prelude::*;
+use sb_ann::{cosine, cosine_sparse, NgramVocab, Projector, Sketcher, SparseVec, DEFAULT_PRIME};
+
+const DIM: usize = 48;
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Sparse vectors of every density from empty to full, negatives included,
+/// magnitudes from 1e-12 to 1e12, and the occasional *stored* zero (which
+/// `SparseVec::new` keeps and `from_dense` would drop).
+fn arb_sparse() -> impl Strategy<Value = SparseVec> {
+    let coord = (0u8..5, -4.0f32..4.0f32);
+    (
+        0u8..5,
+        -12i32..13,
+        proptest::collection::vec(coord, DIM..DIM + 1),
+    )
+        .prop_map(|(density, exp, coords)| {
+            let scale = 10f32.powi(exp);
+            let items = coords
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, (tag, _))| tag <= density)
+                .map(|(i, (tag, x))| (i as u32, if tag == density { 0.0 } else { x * scale }))
+                .collect();
+            SparseVec::new(items)
+        })
+}
+
+fn arb_tokens() -> impl Strategy<Value = Vec<String>> {
+    // A small alphabet, so sequences share n-grams and buckets collide.
+    proptest::collection::vec("(html|body|div|ul|li|a|nav)(\\.[ab])?", 1..10)
+}
+
+proptest! {
+    /// (a) Merge-join cosine over cached norms ≡ the dense three-accumulator
+    /// loop, including empty and zero-norm inputs.
+    #[test]
+    fn cosine_sparse_equals_dense(a in arb_sparse(), b in arb_sparse()) {
+        let dense = cosine(&a.to_dense(DIM), &b.to_dense(DIM));
+        prop_assert_eq!(cosine_sparse(&a, &b).to_bits(), dense.to_bits());
+        prop_assert_eq!(cosine_sparse(&a, &a).to_bits(), cosine(&a.to_dense(DIM), &a.to_dense(DIM)).to_bits());
+    }
+
+    /// (b) The incremental hit table: after any interleaving of growing and
+    /// frozen sketches, every sketch densifies to exactly
+    /// `Projector::project` of the same vocabulary history. `m = 3` (D = 8)
+    /// forces heavy bucket collisions; the paper default exercises the
+    /// realistic sparse case.
+    #[test]
+    fn sketcher_equals_dense_projection(
+        ops in proptest::collection::vec((proptest::bool::ANY, arb_tokens()), 1..24),
+        paper_dim in proptest::bool::ANY,
+    ) {
+        let proj = if paper_dim { Projector::paper_default() } else { Projector::new(3, 11, DEFAULT_PRIME) };
+        let mut sketcher = Sketcher::new(2, proj);
+        let mut vocab = NgramVocab::new(2);
+        for (grow, tokens) in &ops {
+            let (sparse, bow) = if *grow {
+                (sketcher.sketch_mut(tokens), vocab.vectorize_mut(tokens))
+            } else {
+                (sketcher.sketch(tokens), vocab.vectorize(tokens))
+            };
+            prop_assert_eq!(sketcher.vocab_len(), vocab.len());
+            prop_assert_eq!(bits(&sparse.to_dense(proj.dim())), bits(&proj.project(&bow)));
+        }
+    }
+
+    /// (c) The sorted-union centroid move ≡ the dense coordinate-wise map
+    /// `c + (x − c) / (m + 1)`.
+    #[test]
+    fn centroid_move_equals_dense_map(c in arb_sparse(), x in arb_sparse(), members in 1u32..100_000) {
+        let m = members as f32;
+        let dense: Vec<f32> = c
+            .to_dense(DIM)
+            .iter()
+            .zip(&x.to_dense(DIM))
+            .map(|(&c, &x)| c + (x - c) / (m + 1.0))
+            .collect();
+        let moved = c.moved_toward(&x, m);
+        prop_assert_eq!(bits(&moved.to_dense(DIM)), bits(&dense));
+        // And the moved centroid's cached norm is the dense one: cosines
+        // against it keep matching.
+        prop_assert_eq!(cosine_sparse(&moved, &x).to_bits(), cosine(&dense, &x.to_dense(DIM)).to_bits());
+    }
+}

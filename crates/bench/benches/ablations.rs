@@ -15,7 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_ann::{brute_force_nearest, Hnsw, HnswParams};
+use sb_ann::{brute_force_nearest, Hnsw, HnswParams, SparseVec};
 use sb_bandit::{policies::ArmView, ArmStats, Auer, EpsilonGreedy, Policy, ThompsonSampling, Ucb1};
 use sb_crawler::{crawl, Budget, CrawlConfig};
 use sb_crawler::strategies::{QueueStrategy, SbConfig, SbStrategy};
@@ -62,9 +62,9 @@ fn bench_ann_vs_bruteforce(c: &mut Criterion) {
         for _ in 0..24 {
             v[rng.gen_range(0..dim)] = rng.gen_range(0.1..2.0);
         }
-        v
+        SparseVec::from_dense(&v)
     };
-    let vectors: Vec<Vec<f32>> = (0..300).map(|_| mk(&mut rng)).collect();
+    let vectors: Vec<SparseVec> = (0..300).map(|_| mk(&mut rng)).collect();
     let mut index = Hnsw::new(dim, HnswParams::default());
     for v in &vectors {
         index.insert(v);

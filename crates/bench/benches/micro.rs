@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_ann::{Hnsw, HnswParams, NgramVocab, Projector};
+use sb_ann::{Hnsw, HnswParams, Projector, Sketcher, SparseVec};
 use sb_bandit::{policies::ArmView, ArmStats, Auer, Policy};
 use sb_crawler::{ActionSpace, ActionSpaceConfig};
 use sb_html::{extract_links, parse, TagPath};
@@ -32,29 +32,32 @@ fn bench_html(c: &mut Criterion) {
     c.bench_function("html/extract_links", |b| b.iter(|| extract_links(black_box(&html))));
 }
 
-fn bench_projection(c: &mut Criterion) {
-    let mut vocab = NgramVocab::new(2);
-    let proj = Projector::paper_default();
-    let paths: Vec<TagPath> = (0..64)
+/// The 64 tag paths (7 distinct content classes) the ann benches sketch.
+fn bench_tag_paths() -> Vec<TagPath> {
+    (0..64)
         .map(|i| {
             TagPath::parse(&format!(
                 "html body div#layout div.wrap main div.content--s{} ul.datasets li a.download",
                 i % 7
             ))
         })
-        .collect();
+        .collect()
+}
+
+fn bench_projection(c: &mut Criterion) {
+    let mut sketcher = Sketcher::new(2, Projector::paper_default());
+    let paths = bench_tag_paths();
     // Warm the vocabulary.
     for p in &paths {
         let toks: Vec<String> = p.tokens().collect();
-        vocab.vectorize_mut(&toks);
+        sketcher.sketch_mut(&toks);
     }
     c.bench_function("ann/vectorize+project", |b| {
         let mut i = 0;
         b.iter(|| {
             let toks: Vec<String> = paths[i % paths.len()].tokens().collect();
-            let bow = vocab.vectorize(&toks);
             i += 1;
-            black_box(proj.project(&bow))
+            black_box(sketcher.sketch(&toks))
         })
     });
 }
@@ -68,7 +71,7 @@ fn bench_hnsw(c: &mut Criterion) {
         for _ in 0..24 {
             v[rng.gen_range(0..dim)] = rng.gen_range(0.1..2.0);
         }
-        v
+        SparseVec::from_dense(&v)
     };
     for _ in 0..200 {
         let v = sparse_vec(&mut rng);
@@ -78,6 +81,24 @@ fn bench_hnsw(c: &mut Criterion) {
     c.bench_function("ann/hnsw_nearest_200c", |b| b.iter(|| index.nearest(black_box(&q))));
     c.bench_function("ann/hnsw_insert", |b| {
         b.iter_with_setup(|| sparse_vec(&mut rng), |v| index.insert(black_box(&v)))
+    });
+}
+
+/// `ActionSpace::assign` at steady state: every path joins an existing
+/// action (sketch, nearest centroid, centroid move, HNSW relink).
+fn bench_assign_warm(c: &mut Criterion) {
+    let mut space = ActionSpace::new(ActionSpaceConfig::default());
+    let paths = bench_tag_paths();
+    for p in &paths {
+        space.assign(p).expect("no cap");
+    }
+    c.bench_function("ann/assign_warm", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let p = &paths[i % paths.len()];
+            i += 1;
+            black_box(space.assign(black_box(p)).expect("no cap"))
+        })
     });
 }
 
@@ -141,6 +162,6 @@ fn bench_bandit(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(30).warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2));
-    targets = bench_html, bench_projection, bench_hnsw, bench_action_space, bench_classifier, bench_bandit
+    targets = bench_html, bench_projection, bench_hnsw, bench_assign_warm, bench_action_space, bench_classifier, bench_bandit
 );
 criterion_main!(micro);

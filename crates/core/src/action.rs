@@ -3,8 +3,9 @@
 //! An *action* is an evolving cluster of similar tag paths, represented only
 //! by its centroid (stored in an HNSW index for fast nearest-centroid
 //! queries and cheap centroid updates). For each new hyperlink, its tag path
-//! is vectorised (token n-grams over a dynamic vocabulary), projected to a
-//! fixed dimension, and matched against the nearest centroid: cosine
+//! is sketched (token n-grams over a dynamic vocabulary, projected to a
+//! fixed dimension — a [`Sketcher`], sparse end to end: ~10 non-zeros out of
+//! `D = 4096`) and matched against the nearest centroid: cosine
 //! similarity ≥ θ joins the action and moves its centroid; anything less
 //! founds a new action.
 //!
@@ -13,7 +14,7 @@
 //! `max_actions` guard); θ = 0 collapses everything into one action (pure
 //! random selection).
 
-use sb_ann::{Hnsw, HnswParams, NgramVocab, Projector};
+use sb_ann::{Hnsw, HnswParams, Projector, Sketcher};
 use sb_html::TagPath;
 
 /// Identifier of an action (dense, in creation order).
@@ -78,19 +79,17 @@ struct ActionMeta {
 /// The online tag-path clustering of Algorithm 1.
 pub struct ActionSpace {
     cfg: ActionSpaceConfig,
-    vocab: NgramVocab,
-    projector: Projector,
+    sketcher: Sketcher,
     index: Hnsw,
     metas: Vec<ActionMeta>,
 }
 
 impl ActionSpace {
     pub fn new(cfg: ActionSpaceConfig) -> Self {
-        let projector = Projector::new(cfg.m, cfg.w, cfg.prime);
+        let sketcher = Sketcher::new(cfg.ngram, Projector::new(cfg.m, cfg.w, cfg.prime));
         ActionSpace {
-            vocab: NgramVocab::new(cfg.ngram),
-            index: Hnsw::new(projector.dim(), HnswParams::default()),
-            projector,
+            index: Hnsw::new(sketcher.dim(), HnswParams::default()),
+            sketcher,
             cfg,
             metas: Vec::new(),
         }
@@ -111,7 +110,7 @@ impl ActionSpace {
 
     /// Vocabulary size `d` (grows during the crawl).
     pub fn vocab_len(&self) -> usize {
-        self.vocab.len()
+        self.sketcher.vocab_len()
     }
 
     /// A representative tag path of an action.
@@ -130,8 +129,7 @@ impl ActionSpace {
     /// learning stopped with phase 1.
     pub fn match_only(&self, path: &TagPath) -> Option<ActionId> {
         let tokens: Vec<String> = path.tokens().collect();
-        let bow = self.vocab.vectorize(&tokens);
-        let projected = self.projector.project(&bow);
+        let projected = self.sketcher.sketch(&tokens);
         match self.index.nearest(&projected) {
             Some((id, sim)) if sim >= self.cfg.theta => Some(id as usize),
             _ => None,
@@ -143,20 +141,14 @@ impl ActionSpace {
     /// trips.
     pub fn assign(&mut self, path: &TagPath) -> Result<ActionId, ActionSpaceFull> {
         let tokens: Vec<String> = path.tokens().collect();
-        let bow = self.vocab.vectorize_mut(&tokens);
-        let projected = self.projector.project(&bow);
+        let projected = self.sketcher.sketch_mut(&tokens);
 
         if let Some((nearest, sim)) = self.index.nearest(&projected) {
             if sim >= self.cfg.theta {
                 // Join: move the centroid toward the newcomer.
                 let a = nearest as usize;
                 let m = self.metas[a].members as f32;
-                let old = self.index.vector(nearest).to_vec();
-                let updated: Vec<f32> = old
-                    .iter()
-                    .zip(&projected)
-                    .map(|(&c, &x)| c + (x - c) / (m + 1.0))
-                    .collect();
+                let updated = self.index.vector(nearest).moved_toward(&projected, m);
                 self.index.update(nearest, &updated);
                 self.metas[a].members += 1;
                 return Ok(a);

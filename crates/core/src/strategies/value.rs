@@ -32,7 +32,7 @@
 
 use crate::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
 use rand::rngs::StdRng;
-use sb_ann::{NgramVocab, Projector};
+use sb_ann::{cosine_sparse, Projector, Sketcher, SparseVec};
 use sb_ml::{Class2, FeatureInput, UrlClassifier};
 use sb_webgraph::{UrlClass, UrlId};
 use std::collections::HashMap;
@@ -172,39 +172,35 @@ const NEARDUP_RING: usize = 32;
 const NEARDUP_THRESHOLD: f32 = 0.7;
 
 /// sb-ann near-dup penalty: sketches the token bigrams of every *fetched*
-/// URL into a fixed dimension ([`Projector`]) and charges −1 to any
+/// URL into a fixed dimension ([`Sketcher`]) and charges −1 to any
 /// candidate whose sketch is ≥ [`NEARDUP_THRESHOLD`] cosine-similar to a
 /// recent fetch. Calendar traps, session-id farms and `?page=N` mills all
 /// share their URL shape with what was just crawled; this scorer makes
 /// them pay for it before a request is spent.
 pub struct NearDupScorer {
-    vocab: NgramVocab,
-    projector: Projector,
-    ring: Vec<Vec<f32>>,
+    sketcher: Sketcher,
+    ring: Vec<SparseVec>,
     next_slot: usize,
 }
 
 impl NearDupScorer {
     pub fn new() -> Self {
         NearDupScorer {
-            vocab: NgramVocab::new(2),
             // D = 1024: large enough that bucket collisions stay rare for
-            // URL-token vocabularies, small enough that a ring scan per
-            // candidate stays cheap.
-            projector: Projector::new(10, 15, sb_ann::DEFAULT_PRIME),
+            // URL-token vocabularies.
+            sketcher: Sketcher::new(2, Projector::new(10, 15, sb_ann::DEFAULT_PRIME)),
             ring: Vec::with_capacity(NEARDUP_RING),
             next_slot: 0,
         }
     }
 
-    fn sketch(&mut self, url: &str) -> Vec<f32> {
+    fn sketch(&mut self, url: &str) -> SparseVec {
         let tokens: Vec<String> = url
             .split(|c: char| !c.is_ascii_alphanumeric())
             .filter(|t| !t.is_empty())
             .map(str::to_lowercase)
             .collect();
-        let bow = self.vocab.vectorize_mut(&tokens);
-        self.projector.project(&bow)
+        self.sketcher.sketch_mut(&tokens)
     }
 }
 
@@ -220,12 +216,8 @@ impl Scorer for NearDupScorer {
     }
 
     fn score(&mut self, cand: &Candidate) -> f64 {
-        let url = cand.url.clone();
-        let sketch = self.sketch(&url);
-        let near = self
-            .ring
-            .iter()
-            .any(|seen| sb_ann::cosine(&sketch, seen) >= NEARDUP_THRESHOLD);
+        let sketch = self.sketch(&cand.url);
+        let near = self.ring.iter().any(|seen| cosine_sparse(&sketch, seen) >= NEARDUP_THRESHOLD);
         if near {
             -1.0
         } else {

@@ -14,6 +14,15 @@ cargo test -q --offline --workspace
 # executes it; this names the guard so a regression fails loudly on its
 # own line (and keeps failing even if the test is ever filtered there).
 cargo test -q --offline -p sb-html --test alloc_guard
+# The sparse sketch kernel (PR 14) is only allowed to be the dense pipeline
+# minus its exact-zero terms: the differential proptests compare cosine,
+# projection and centroid move against the dense reference bit for bit, the
+# ActionSpace-level one replays a dense transcription of `assign`, and the
+# counting-allocator guard keeps any D-sized temporary out of a joining
+# `assign`. Named like the html guard above, for the same reason.
+cargo test -q --offline -p sb-ann --test proptest_sparse
+cargo test -q --offline -p sb-crawler --test proptest_action
+cargo test -q --offline -p sb-crawler --test alloc_guard_action
 # Benches must stay compilable even when nobody runs them — the html
 # microbench (seed pipeline vs zero-copy) named explicitly; its compile is
 # cached from the package-wide line, so the extra check is free.
