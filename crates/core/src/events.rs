@@ -272,13 +272,13 @@ impl MemGauges {
 
 /// Refresh ledger of a continuous crawl-and-serve session (PR 9): how
 /// many already-fetched URLs were re-admitted through the window
-/// ([`crate::session::CrawlSession::queue_refresh`]), what came back, and
-/// the staleness the serving layer measured while the crawl ran. Rides
-/// [`crate::session::StepReport`]/[`crate::session::CrawlOutcome`]/
-/// [`crate::fleet::FleetOutcome`] and merges per shard like
-/// [`MemGauges`]. All zero when no refresh was ever queued, so one-shot
-/// crawls report exactly what they did before.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// ([`crate::session::CrawlSession::queue_refresh`]) and what came back.
+/// Five additive counters, riding [`crate::session::StepReport`] and
+/// [`crate::session::CrawlOutcome`]; all zero when no refresh was ever
+/// queued, so one-shot crawls report exactly what they did before. The
+/// staleness readers saw while the crawl ran is not a session quantity —
+/// the layer serving the reads measures it (`sb_serve::ServeOutcome`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefreshStats {
     /// Refresh selections queued (whether or not they dispatched — a
     /// budget-exhausted session drops queued refreshes, and the gap
@@ -295,42 +295,9 @@ pub struct RefreshStats {
     /// died, or the host misbehaved), dead redirect chains, interrupted
     /// transfers, session shutdown.
     pub failed: u64,
-    /// Median age-at-read observed by the serving layer, in origin
-    /// epochs (0.0 when no read load ran). Stamped by the serve runtime
-    /// via [`crate::session::CrawlSession::set_staleness`].
-    ///
-    /// **Merge semantics (pinned):** after [`RefreshStats::merge`] this is
-    /// the *worst per-shard* median — an upper bound on the fleet's true
-    /// p50, **not** a merged percentile (percentiles do not compose from
-    /// summaries; merging the underlying age samples would be required).
-    /// Consumers comparing against an SLA get the conservative answer;
-    /// consumers wanting a true fleet percentile must aggregate samples
-    /// themselves.
-    pub staleness_p50: f64,
-    /// 99th-percentile age-at-read, in origin epochs — the freshness-SLA
-    /// headline number. Same merge semantics as
-    /// [`RefreshStats::staleness_p50`]: worst shard, upper bound.
-    pub staleness_p99: f64,
 }
 
 impl RefreshStats {
-    /// Folds another session's ledger into this one: counters add;
-    /// staleness percentiles take the *worst* (maximum) of the two — a
-    /// fleet meets an SLA only if every member does, so the conservative
-    /// merge is the honest aggregate. The result is an **upper bound** on
-    /// the fleet percentile, not the percentile of the pooled samples
-    /// (see [`RefreshStats::staleness_p50`]); the merge test below pins
-    /// this so a refactor cannot silently reinterpret the fields.
-    pub fn merge(&mut self, other: &RefreshStats) {
-        self.scheduled += other.scheduled;
-        self.completed += other.completed;
-        self.unchanged += other.unchanged;
-        self.changed += other.changed;
-        self.failed += other.failed;
-        self.staleness_p50 = self.staleness_p50.max(other.staleness_p50);
-        self.staleness_p99 = self.staleness_p99.max(other.staleness_p99);
-    }
-
     /// Refreshes that went through the window, successful or not.
     pub fn attempted(&self) -> u64 {
         self.completed + self.failed
@@ -489,65 +456,5 @@ impl EventLog {
 impl CrawlObserver for EventLog {
     fn on_event(&mut self, event: &CrawlEvent<'_>, _snap: &CrawlSnapshot) {
         self.events.push(OwnedEvent::from(event));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Pins [`RefreshStats::merge`]: counters add, percentiles take the
-    /// worst shard (an SLA upper bound) — NOT a merged percentile. If a
-    /// refactor changes either half, this test is the tripwire.
-    #[test]
-    fn refresh_merge_adds_counters_and_takes_worst_shard_percentiles() {
-        let mut a = RefreshStats {
-            scheduled: 10,
-            completed: 7,
-            unchanged: 4,
-            changed: 3,
-            failed: 2,
-            staleness_p50: 1.5,
-            staleness_p99: 6.0,
-        };
-        let b = RefreshStats {
-            scheduled: 5,
-            completed: 4,
-            unchanged: 1,
-            changed: 3,
-            failed: 1,
-            staleness_p50: 2.5,
-            staleness_p99: 4.0,
-        };
-        a.merge(&b);
-        assert_eq!(a.scheduled, 15);
-        assert_eq!(a.completed, 11);
-        assert_eq!(a.unchanged, 5);
-        assert_eq!(a.changed, 6);
-        assert_eq!(a.failed, 3);
-        // Worst shard per percentile — p50 from `b`, p99 from `a`. A true
-        // pooled p50 over (say) equal read volumes would land between the
-        // two; the documented contract is the max.
-        assert_eq!(a.staleness_p50, 2.5);
-        assert_eq!(a.staleness_p99, 6.0);
-        assert_eq!(a.attempted(), 14);
-    }
-
-    /// Merging a zero ledger (a session that never refreshed) is the
-    /// identity — one-shot crawls cannot perturb a fleet aggregate.
-    #[test]
-    fn refresh_merge_with_default_is_identity() {
-        let mut a = RefreshStats {
-            scheduled: 3,
-            completed: 2,
-            unchanged: 1,
-            changed: 1,
-            failed: 1,
-            staleness_p50: 0.5,
-            staleness_p99: 2.0,
-        };
-        let before = a;
-        a.merge(&RefreshStats::default());
-        assert_eq!(a, before);
     }
 }

@@ -29,19 +29,16 @@
 //!      ascending arrival, cross-site ties by site index) drains one batch
 //!      ([`CrawlSession::drain_completions`]), so the pool's clock
 //!      advances in true arrival order;
-//! 4. **refresh** (crawl-and-serve only): re-queue known pages on the same
-//!    sessions and run the schedule again, once per epoch;
-//! 5. **collect** the wave's [`SiteReport`]s into the thread's
+//! 4. **collect** the wave's [`SiteReport`]s into the thread's
 //!    [`ShardReport`].
 //!
-//! A mode is that loop with four numbers plugged in:
+//! A mode is that loop with three numbers plugged in:
 //!
-//! | mode | shards (threads) | initial placement | wave | pool | refresh |
-//! |---|---|---|---|---|---|
-//! | [`PerSite`](FleetMode::PerSite) | `workers`, at most one per site | round-robin | 1 site | a fresh private pool per site, window = the job's `max_in_flight` | – |
-//! | [`SharedPool`](FleetMode::SharedPool) | 1 | shard 0 | every site | one pool, window `max_in_flight` | – |
-//! | [`Sharded`](FleetMode::Sharded) | `shards` | hash of (name, index), or [`Fleet::shard_assignment`] | `max_in_flight` sites | one pool per shard, window `max_in_flight`, kept across waves | – |
-//! | [`Continuous`](FleetMode::Continuous) | 1 | shard 0 | every site | one pool, window `max_in_flight` | `refresh_epochs` × `refresh_per_epoch` |
+//! | mode | shards (threads) | initial placement | wave | pool |
+//! |---|---|---|---|---|
+//! | [`PerSite`](FleetMode::PerSite) | `workers`, at most one per site | round-robin | 1 site | a fresh private pool per site, window = the job's `max_in_flight` |
+//! | [`SharedPool`](FleetMode::SharedPool) | 1 | shard 0 | every site | one pool, window `max_in_flight` |
+//! | [`Sharded`](FleetMode::Sharded) | `shards` | hash of (name, index), or [`Fleet::shard_assignment`] | `max_in_flight` sites | one pool per shard, window `max_in_flight`, kept across waves |
 //!
 //! A **private pool** makes the session exactly what
 //! [`CrawlSession::new`] builds standalone — its own window (a job's
@@ -68,12 +65,12 @@
 //!
 //! [`SharedTransportPool`]: sb_httpsim::SharedTransportPool
 
-use crate::events::{AbandonCounts, FinishReason, MemGauges, RefreshStats};
+use crate::events::{AbandonCounts, FinishReason, MemGauges};
 use crate::session::{ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, Oracle};
 use crate::strategy::Strategy;
 use parking_lot::Mutex;
 use sb_httpsim::{HttpServer, SharedTransportPool, Traffic};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Shareable server handle: fleets move jobs across threads.
@@ -169,15 +166,9 @@ pub struct FleetOutcome {
     /// [`CrawlOutcome::mem`], i.e. the combined visited-set + frontier
     /// footprint the fleet held at the instant each site finished.
     pub mem: MemGauges,
-    /// Fleet-wide refresh ledger (PR 9) — the merged
-    /// [`CrawlOutcome::refresh`] of every site: refreshes
-    /// scheduled/completed/changed/unchanged/failed, plus the worst
-    /// staleness percentiles any site reported. All-zero outside
-    /// [`FleetMode::Continuous`] unless a job queued refreshes itself.
-    pub refresh: RefreshStats,
     /// One ledger per driver thread, in every mode (thread counts: the
     /// module docs' table). Their `sites` sum to `sites.len()`; their
-    /// `mem`/`abandoned`/`refresh` merge to the fleet-wide fields above.
+    /// `mem`/`abandoned` merge to the fleet-wide fields above.
     pub shards: Vec<ShardReport>,
 }
 
@@ -198,8 +189,6 @@ pub struct ShardReport {
     pub mem: MemGauges,
     /// Abandonment tally summed over the shard's sites.
     pub abandoned: AbandonCounts,
-    /// Refresh ledger merged over the shard's sites (PR 9).
-    pub refresh: RefreshStats,
 }
 
 impl FleetOutcome {
@@ -250,22 +239,6 @@ pub enum FleetMode {
     /// from its hashed share of the fleet, then stealing whole pending
     /// sites from the most-loaded backlog (PR 8).
     Sharded { shards: usize, max_in_flight: usize },
-    /// Crawl-and-serve (PR 9): [`FleetMode::SharedPool`] runs a full
-    /// discovery crawl first (with [`CrawlConfig::serve_feed`] forced on,
-    /// so every fetched page is buffered for the serving layer), then
-    /// `refresh_epochs` rounds each re-queueing `refresh_per_epoch`
-    /// refreshes per site — round-robin over that site's known pages in
-    /// first-fetch order — through the *same* pool window, so refresh
-    /// traffic competes with nothing but itself under the same politeness
-    /// gates and budgets as discovery. Refresh outcomes accumulate in
-    /// [`FleetOutcome::refresh`]. The `sb-serve` runtime layers
-    /// policy-driven selection and an evolving origin on top of the same
-    /// session primitives; this mode is the fleet-shaped building block.
-    Continuous {
-        max_in_flight: usize,
-        refresh_epochs: usize,
-        refresh_per_epoch: usize,
-    },
 }
 
 /// The multi-site scheduler. See the module docs.
@@ -299,20 +272,6 @@ impl Fleet {
     /// Shorthand for [`FleetMode::Sharded`].
     pub fn sharded(self, shards: usize, max_in_flight: usize) -> Self {
         self.mode(FleetMode::Sharded { shards, max_in_flight })
-    }
-
-    /// Shorthand for [`FleetMode::Continuous`].
-    pub fn continuous(
-        self,
-        max_in_flight: usize,
-        refresh_epochs: usize,
-        refresh_per_epoch: usize,
-    ) -> Self {
-        self.mode(FleetMode::Continuous {
-            max_in_flight,
-            refresh_epochs,
-            refresh_per_epoch,
-        })
     }
 
     /// Overrides the hash-based site→shard assignment of
@@ -355,10 +314,9 @@ impl Fleet {
                 shards: self.workers.clamp(1, n.max(1)),
                 wave: 1,
                 window: None,
-                refresh: None,
             },
             FleetMode::SharedPool { max_in_flight } => {
-                Plan { shards: 1, wave: n, window: Some(max_in_flight), refresh: None }
+                Plan { shards: 1, wave: n, window: Some(max_in_flight) }
             }
             FleetMode::Sharded { shards, max_in_flight } => Plan {
                 shards: shards.max(1),
@@ -367,13 +325,6 @@ impl Fleet {
                 // (steal-safe) boundaries.
                 wave: max_in_flight.max(1),
                 window: Some(max_in_flight),
-                refresh: None,
-            },
-            FleetMode::Continuous { max_in_flight, refresh_epochs, refresh_per_epoch } => Plan {
-                shards: 1,
-                wave: n,
-                window: Some(max_in_flight),
-                refresh: Some((refresh_epochs, refresh_per_epoch)),
             },
         };
 
@@ -408,14 +359,12 @@ impl Fleet {
         let mut targets = 0u64;
         let mut abandoned = AbandonCounts::default();
         let mut mem = MemGauges::default();
-        let mut refresh = RefreshStats::default();
         for report in &sites {
             if let Ok(o) = &report.outcome {
                 traffic.absorb(&o.traffic);
                 targets += o.targets_found();
                 abandoned.merge(&o.abandoned);
                 mem.merge(&o.mem);
-                refresh.merge(&o.refresh);
             }
         }
         FleetOutcome {
@@ -425,7 +374,6 @@ impl Fleet {
             wall_secs: started.elapsed().as_secs_f64(),
             abandoned,
             mem,
-            refresh,
             shards,
         }
     }
@@ -527,61 +475,6 @@ fn drive_pool_schedule(
     );
 }
 
-/// One site's refresh ring: its pages in first-fetch order (the order the
-/// serve feed buffered them), each holding the latest known body hash so a
-/// refreshed page's changed/unchanged verdict compares against what the
-/// store would actually be serving.
-#[derive(Default)]
-struct RefreshRing {
-    pages: Vec<(String, u64)>,
-    slot: HashMap<String, usize>,
-    cursor: usize,
-}
-
-/// The crawl-and-serve tail of a wave whose discovery pass just drained:
-/// `epochs` rounds, each re-queueing `per_epoch` refreshes per site and
-/// running the schedule again through the same pool. Admission is
-/// round-robin over each site's [`RefreshRing`].
-fn refresh_rounds(
-    pool: &SharedTransportPool,
-    sessions: &mut [Result<CrawlSession<'_>, ConfigError>],
-    base: usize,
-    epochs: usize,
-    per_epoch: usize,
-) {
-    let mut rings: Vec<RefreshRing> = sessions.iter().map(|_| RefreshRing::default()).collect();
-    for _ in 0..epochs {
-        for (ring, s) in rings.iter_mut().zip(sessions.iter_mut()) {
-            let Ok(session) = s else { continue };
-            // What the previous pass fetched: discovery first, then each
-            // round's refresh answers.
-            for page in session.take_refreshed() {
-                match ring.slot.get(&page.url) {
-                    Some(&i) => ring.pages[i].1 = page.body_hash,
-                    // First sight — at discovery, or a refresh that
-                    // harvested a brand-new URL (evolved origin): it joins
-                    // the ring.
-                    None => {
-                        ring.slot.insert(page.url.clone(), ring.pages.len());
-                        ring.pages.push((page.url, page.body_hash));
-                    }
-                }
-            }
-            if ring.pages.is_empty() {
-                continue;
-            }
-            // `queue_refresh` reopens the finished session; the schedule
-            // pass below drives it back to completion.
-            for _ in 0..per_epoch {
-                let (url, hash) = &ring.pages[ring.cursor % ring.pages.len()];
-                session.queue_refresh(url, *hash);
-                ring.cursor += 1;
-            }
-        }
-        drive_pool_schedule(pool, sessions, base);
-    }
-}
-
 /// Stable site → shard hash (FxHash over name then submission index):
 /// deterministic across runs and shard counts, so drills and benches see
 /// the same placement every time.
@@ -599,7 +492,7 @@ fn shard_of(index: usize, name: &str, shards: usize) -> usize {
 /// victim's imminent work is disturbed last.
 type Ledger = Mutex<Vec<VecDeque<(usize, FleetJob)>>>;
 
-/// What a [`FleetMode`] lowers to: the four numbers the driver loop reads.
+/// What a [`FleetMode`] lowers to: the three numbers the driver loop reads.
 /// See the table in the module docs.
 #[derive(Clone, Copy)]
 struct Plan {
@@ -611,9 +504,6 @@ struct Plan {
     /// waves. `None`: a fresh private pool per site, sized by the job's
     /// own `max_in_flight` (waves are single sites).
     window: Option<usize>,
-    /// `Some((epochs, per_epoch))`: every wave ends in
-    /// [`refresh_rounds`], with `serve_feed` forced on to feed them.
-    refresh: Option<(usize, usize)>,
 }
 
 /// The fleet driver, one call per shard thread: waves of at most
@@ -662,11 +552,7 @@ fn drive_shard(
                 server: job.server,
                 oracle: job.oracle,
                 strategy: (job.strategy)(),
-                // The refresh rounds need every fetched page buffered.
-                cfg: CrawlConfig {
-                    serve_feed: job.cfg.serve_feed || plan.refresh.is_some(),
-                    ..job.cfg
-                },
+                cfg: job.cfg,
             })
             .collect();
 
@@ -687,9 +573,6 @@ fn drive_shard(
         };
         let mut sessions = pool_sessions(pool, &mut prepared);
         drive_pool_schedule(pool, &mut sessions, base);
-        if let Some((epochs, per_epoch)) = plan.refresh {
-            refresh_rounds(pool, &mut sessions, base, epochs, per_epoch);
-        }
         shard_report.sim_makespan_secs = clock_before + pool.clock_secs();
 
         // Finishing the sessions releases their borrows of `prepared`.
@@ -710,7 +593,6 @@ fn drive_shard(
             if let Ok(o) = &outcome {
                 shard_report.mem.merge(&o.mem);
                 shard_report.abandoned.merge(&o.abandoned);
-                shard_report.refresh.merge(&o.refresh);
             }
             reports.push((p.index, SiteReport { name: p.name, outcome }));
         }

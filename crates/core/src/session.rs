@@ -53,6 +53,14 @@
 //! Construction is validated ([`CrawlConfig::builder`], [`ConfigError`])
 //! — an unparseable root or a zero budget is rejected before any request
 //! is spent.
+//!
+//! A session also re-fetches what it already knows (PR 9):
+//! [`CrawlSession::queue_refresh`] admits a refresh through the same
+//! window, gates and budget as discovery, and
+//! [`CrawlSession::take_refreshed`] hands the answers to a serving layer.
+//! The session never decides *what* to refresh — `sb_serve::serve_site`
+//! is the one refresh driver, planning each epoch from a revisit policy
+//! and read popularity.
 
 use crate::early_stop::{EarlyStop, EarlyStopConfig};
 use crate::events::{
@@ -158,9 +166,11 @@ pub struct CrawlConfig {
     /// Feed a serving layer (PR 9): buffer every successfully fetched
     /// HTML page and target as a [`RefreshedPage`] (body shared, FNV-1a
     /// body hash precomputed) for [`CrawlSession::take_refreshed`] to
-    /// drain into a snapshot store. The driver must drain periodically or
-    /// the buffer grows with the crawl. Off (the default) buffers only
-    /// explicit refresh fetches and changes nothing else.
+    /// drain into a snapshot store — `sb_serve::serve_site`, the refresh
+    /// driver, turns it on and queues every refresh from what it drains.
+    /// The driver must drain periodically or the buffer grows with the
+    /// crawl. Off (the default) buffers only explicit refresh fetches and
+    /// changes nothing else.
     pub serve_feed: bool,
 }
 
@@ -504,19 +514,6 @@ impl Job {
 
 pub(crate) const MAX_REDIRECTS: usize = 5;
 
-/// What one [`CrawlSession::pull_selection`] did.
-enum Pull {
-    /// A fetch was dispatched (into the window, or synchronously for an
-    /// unparseable selection — either way budget was consumed).
-    Dispatched,
-    /// The pull consumed nothing fetchable (degenerate strategy answer);
-    /// keep refilling.
-    Skipped,
-    /// Refilling must stop: the session finished, or the frontier is dry
-    /// while completions are still outstanding.
-    Stalled,
-}
-
 /// Fans one event out to the built-in trace observer plus every registered
 /// observer. Lives outside `CrawlSession` so emission can borrow the
 /// session's interner strings immutably while the observers are mutated.
@@ -567,10 +564,10 @@ pub struct CrawlSession<'a> {
     /// Algorithm 4's FIFO order). Redirect continuations never queue here —
     /// they re-submit immediately, keeping their freed window slot.
     pending: VecDeque<Job>,
-    /// Selections a batching strategy handed back that have not yet been
-    /// submitted (PR 10): one ranking pass can fill the whole window, but
-    /// each member still goes through the per-submission budget gates, so
-    /// the tail of a batch waits here. Drained ahead of new pulls; members
+    /// Selections pulled from the strategy and not yet submitted: a
+    /// batching strategy's ranking pass (PR 10) can fill the whole window,
+    /// but each member still goes through the per-submission budget gates,
+    /// so the tail of a batch waits here. Drained ahead of new pulls; members
     /// still buffered at shutdown drain as `feedback_error` — a pulled
     /// selection is owed exactly one observation whether or not it ever
     /// reached the wire.
@@ -806,16 +803,6 @@ impl<'a> CrawlSession<'a> {
         self.refresh_stats
     }
 
-    /// Stamps the staleness percentiles measured by the serving layer
-    /// (age-at-read in origin epochs) into the session's
-    /// [`RefreshStats`], so they ride [`StepReport`]/[`CrawlOutcome`]
-    /// like every other refresh number. Sessions never measure staleness
-    /// themselves — only the layer serving reads can.
-    pub fn set_staleness(&mut self, p50: f64, p99: f64) {
-        self.refresh_stats.staleness_p50 = p50;
-        self.refresh_stats.staleness_p99 = p99;
-    }
-
     fn pump(&mut self) {
         self.refill();
         if self.is_finished() {
@@ -968,14 +955,12 @@ impl<'a> CrawlSession<'a> {
                 continue;
             }
             if let Some(sel) = self.batch_buf.pop_front() {
-                // Tail of a previously ranked batch: already pulled from
-                // the strategy, submitted here one per iteration so the
-                // budget gates above run between members exactly as they
-                // do between single pulls.
-                match self.resolve_selection(sel) {
-                    Pull::Dispatched => dispatched += 1,
-                    Pull::Skipped => {}
-                    Pull::Stalled => return dispatched,
+                // Already pulled from the strategy: submitted here one per
+                // iteration so the budget gates above run between the
+                // members of a batch exactly as they do between single
+                // pulls.
+                if self.resolve_selection(sel) {
+                    dispatched += 1;
                 }
                 continue;
             }
@@ -993,15 +978,8 @@ impl<'a> CrawlSession<'a> {
                     }
                 },
                 Phase::Steady => {
-                    let pull = if self.strategy.batch_selection() {
-                        self.pull_selection_batch()
-                    } else {
-                        self.pull_selection()
-                    };
-                    match pull {
-                        Pull::Dispatched => dispatched += 1,
-                        Pull::Skipped => {}
-                        Pull::Stalled => return dispatched,
+                    if !self.pull_selections() {
+                        return dispatched;
                     }
                 }
                 Phase::Done(_) => return dispatched,
@@ -1040,15 +1018,47 @@ impl<'a> CrawlSession<'a> {
         }
     }
 
-    /// One strategy pull: stop checks, then `next()`, then submission.
-    /// [`Pull::Stalled`] means refilling must stop (finished, or the
+    /// One strategy pull: stop checks, then the strategy is asked once and
+    /// whatever it hands back lands in [`CrawlSession::batch_buf`]; the
+    /// refill loop submits from there one member per iteration, re-checking
+    /// the budget gates between members. [`Strategy::batch_selection`] only
+    /// picks the trait method that supplies the selections: one
+    /// [`Strategy::select_batch`] ranking pass (PR 10) sized to the
+    /// window's free slots — capped by the remaining request budget, so a
+    /// batch never pulls selections a [`Budget::Requests`] crawl could not
+    /// submit — or a single [`Strategy::next`]. Never dispatches itself;
+    /// `false` means refilling must stop (the session finished, or the
     /// frontier is dry while completions are still outstanding).
-    fn pull_selection(&mut self) -> Pull {
+    fn pull_selections(&mut self) -> bool {
         if let Some(reason) = self.stop_check() {
             self.finish_with(reason);
-            return Pull::Stalled;
+            return false;
         }
-        let Some(sel) = self.strategy.next(&mut self.rng) else {
+        if self.strategy.batch_selection() {
+            let free = self
+                .transport
+                .max_in_flight()
+                .saturating_sub(self.transport.in_flight())
+                .max(1);
+            let k = match self.cfg.budget {
+                Budget::Requests(b) => {
+                    let headroom = b
+                        .saturating_sub(self.transport.traffic().requests())
+                        .saturating_sub(self.transport.in_flight() as u64);
+                    // `budget_blocked()` was false, so headroom ≥ 1.
+                    free.min(headroom.max(1).min(usize::MAX as u64) as usize)
+                }
+                _ => free,
+            };
+            let batch = self.strategy.select_batch(k, &mut self.rng);
+            let snap = self.snapshot();
+            self.hub
+                .emit(&snap, &CrawlEvent::BatchSelected { requested: k, selected: batch.len() });
+            self.batch_buf.extend(batch);
+        } else {
+            self.batch_buf.extend(self.strategy.next(&mut self.rng));
+        }
+        if self.batch_buf.is_empty() {
             if self.transport.in_flight() == 0 {
                 let snap = self.snapshot();
                 self.hub.emit(&snap, &CrawlEvent::FrontierExhausted);
@@ -1056,62 +1066,17 @@ impl<'a> CrawlSession<'a> {
             }
             // Otherwise in-flight pages may still discover links: the
             // strategy is asked again after the next drain.
-            return Pull::Stalled;
-        };
-        self.resolve_selection(sel)
-    }
-
-    /// One batched strategy pull (PR 10): stop checks once, then one
-    /// [`Strategy::select_batch`] sized to the window's free slots (capped
-    /// by the remaining request budget, so a batch never pulls selections
-    /// a [`Budget::Requests`] crawl could not submit). The members land in
-    /// [`CrawlSession::batch_buf`]; the refill loop submits them one per
-    /// iteration, re-checking the budget gates between members. At
-    /// `max_in_flight = 1` the batch is a single selection and the
-    /// behaviour — one stop check, one pull, one submission — matches
-    /// [`CrawlSession::pull_selection`] exactly.
-    fn pull_selection_batch(&mut self) -> Pull {
-        if let Some(reason) = self.stop_check() {
-            self.finish_with(reason);
-            return Pull::Stalled;
+            return false;
         }
-        let free = self
-            .transport
-            .max_in_flight()
-            .saturating_sub(self.transport.in_flight())
-            .max(1);
-        let k = match self.cfg.budget {
-            Budget::Requests(b) => {
-                let headroom = b
-                    .saturating_sub(self.transport.traffic().requests())
-                    .saturating_sub(self.transport.in_flight() as u64);
-                // `budget_blocked()` was false, so headroom ≥ 1.
-                free.min(headroom.max(1).min(usize::MAX as u64) as usize)
-            }
-            _ => free,
-        };
-        let batch = self.strategy.select_batch(k, &mut self.rng);
-        let snap = self.snapshot();
-        self.hub
-            .emit(&snap, &CrawlEvent::BatchSelected { requested: k, selected: batch.len() });
-        if batch.is_empty() {
-            if self.transport.in_flight() == 0 {
-                let snap = self.snapshot();
-                self.hub.emit(&snap, &CrawlEvent::FrontierExhausted);
-                self.finish_with(FinishReason::FrontierExhausted);
-            }
-            return Pull::Stalled;
-        }
-        self.batch_buf.extend(batch);
-        // Nothing submitted yet: the loop's next iterations drain the
-        // buffer through the budget gates.
-        Pull::Skipped
+        true
     }
 
     /// Submits one already-pulled selection, delivering the error
-    /// observation itself when the selection cannot be fetched. Shared by
-    /// the single-pull and batch paths; never returns [`Pull::Stalled`].
-    fn resolve_selection(&mut self, Selection { url, token }: Selection) -> Pull {
+    /// observation itself when the selection cannot be fetched. Returns
+    /// whether a fetch was dispatched (into the window, or synchronously
+    /// for an unparseable selection — either way budget was consumed); a
+    /// degenerate strategy answer dispatches nothing.
+    fn resolve_selection(&mut self, Selection { url, token }: Selection) -> bool {
         self.steps += 1;
         let id = match url {
             // Hot path: the id resolves without parsing or hashing.
@@ -1121,7 +1086,7 @@ impl<'a> CrawlSession<'a> {
                 // Degrade like an error answer instead of panicking.
                 debug_assert!(false, "strategy returned an unknown UrlId");
                 self.strategy.feedback_error(token);
-                return Pull::Skipped;
+                return false;
             }
             // Boundary path (oracle answer keys): parse + intern once.
             SelUrl::Text(s) => {
@@ -1158,14 +1123,14 @@ impl<'a> CrawlSession<'a> {
                     );
                     // A synchronous charged fetch: counts as a dispatch for
                     // the refill limit even though no window slot is held.
-                    return Pull::Dispatched;
+                    return true;
                 };
                 self.intern_at_depth(&u, 0)
             }
         };
         let depth = self.depths[id as usize];
         self.submit(Job::fresh(id, depth, Some(token)));
-        Pull::Dispatched
+        true
     }
 
     /// Hands one job to the transport and records it as in flight.
@@ -1258,21 +1223,21 @@ impl<'a> CrawlSession<'a> {
         // Batch members pulled but never submitted (PR 10): same contract
         // as in-flight work — one error observation per pulled selection,
         // one terminal `Abandoned` each, never a silent pull.
-        let buffered = std::mem::take(&mut self.batch_buf);
-        for sel in &buffered {
+        while let Some(sel) = self.batch_buf.pop_front() {
             self.strategy.feedback_error(sel.token);
-            self.abandoned.record(AbandonReason::SessionClosed);
             let url = match &sel.url {
-                SelUrl::Id(id) if (*id as usize) < self.depths.len() => {
-                    self.visited.text(*id).to_owned()
-                }
-                SelUrl::Id(_) => continue, // bogus id: nothing to name
-                SelUrl::Text(s) => s.clone(),
+                SelUrl::Id(id) if (*id as usize) < self.depths.len() => self.visited.text(*id),
+                // An id the session never issued: feedback only, as in
+                // `resolve_selection` — no URL to name, so no event, so no
+                // count (the tally moves only with an `Abandoned`).
+                SelUrl::Id(_) => continue,
+                SelUrl::Text(s) => s,
             };
+            self.abandoned.record(AbandonReason::SessionClosed);
             let snap = self.snapshot();
             self.hub.emit(
                 &snap,
-                &CrawlEvent::Abandoned { url: &url, reason: AbandonReason::SessionClosed },
+                &CrawlEvent::Abandoned { url, reason: AbandonReason::SessionClosed },
             );
         }
         self.pending.clear();

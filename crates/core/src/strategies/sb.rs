@@ -18,7 +18,7 @@ use crate::strategy::{
 use rand::rngs::StdRng;
 use rand::Rng;
 use sb_bandit::{ArmStats, Auer, Policy, ALPHA_DEFAULT};
-use sb_ml::{Class2, FeatureInput, FeatureSet, ModelKind, UrlClassifier};
+use sb_ml::{Class2, FeatureInput, FeatureSet, UrlClassifier};
 use sb_webgraph::{FxHashMap, UrlClass, UrlId};
 
 /// How the strategy estimates a link's class.
@@ -151,11 +151,6 @@ impl SbStrategy {
             link_ctx: track_ctx.then(FxHashMap::default),
             recorded: None,
         }
-    }
-
-    /// Convenience constructor for a classifier variant.
-    pub fn with_variant(cfg: SbConfig, model: ModelKind, features: FeatureSet, batch: usize) -> Self {
-        Self::with_classifier(cfg, UrlClassifier::new(model, features, batch))
     }
 
     /// SB-ORACLE.

@@ -11,14 +11,16 @@ use proptest::strategy::Strategy as PropStrategy;
 use rand::rngs::StdRng;
 use sb_bench::reference::{collapse_target_amends, reference_queue_crawl};
 use sb_crawler::{Budget, CrawlConfig, CrawlSession};
-use sb_crawler::events::OwnedEvent;
+use sb_crawler::events::{AbandonReason, OwnedEvent};
 use sb_crawler::strategies::{Batched, Discipline, QueueStrategy, ValueStrategy};
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};
 use sb_crawler::{CrawlTrace, EventLog};
 use sb_httpsim::SiteServer;
 use sb_webgraph::gen::{build_site, SiteSpec};
 use sb_webgraph::{UrlId, Website};
+use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn arb_spec() -> impl PropStrategy<Value = SiteSpec> {
@@ -251,8 +253,12 @@ fn one_feedback_per_batch_member_survives_shutdown() {
     for budget in [Budget::Unlimited, Budget::Requests(37), Budget::VolumeBytes(200_000)] {
         let server = SiteServer::shared(Arc::clone(&site));
         let mut rec = Recorder::default();
+        let mut log = EventLog::new();
         let cfg = CrawlConfig { max_in_flight: 8, budget, ..CrawlConfig::default() };
-        let _ = CrawlSession::new(&server, None, &root, &mut rec, &cfg).unwrap().run();
+        let out = CrawlSession::new(&server, None, &root, &mut rec, &cfg)
+            .unwrap()
+            .observe(&mut log)
+            .run();
         let mut selected = rec.selected.clone();
         let mut observed = rec.observations.clone();
         selected.sort_unstable();
@@ -261,7 +267,104 @@ fn one_feedback_per_batch_member_survives_shutdown() {
             selected, observed,
             "every batch member must produce exactly one observation under {budget:?}"
         );
+        // The waste ledger moves only with an `Abandoned` emission.
+        let abandoned_events =
+            log.events().iter().filter(|e| matches!(e, OwnedEvent::Abandoned { .. })).count();
+        assert_eq!(
+            out.abandoned.total(),
+            abandoned_events as u64,
+            "abandon tally out of lockstep with its events under {budget:?}"
+        );
     }
+}
+
+/// A buffered batch member carrying an id the session never issued is
+/// feedback-only at shutdown, exactly as `resolve_selection` treats it
+/// mid-crawl: one `feedback_error`, no `Abandoned` event (there is no URL
+/// to name) and therefore no count — the tally stays in lockstep with the
+/// events.
+#[test]
+fn bogus_buffered_member_keeps_abandon_tally_in_lockstep_with_events() {
+    const BOGUS_TOKEN: u64 = u64::MAX;
+
+    /// Over-returns its first full batch by one bogus id: the real members
+    /// fill the window's free slots, so the bogus one stays buffered.
+    #[derive(Default)]
+    struct OverReturner {
+        inner: Recorder,
+        planted: Rc<Cell<bool>>,
+    }
+    impl Strategy for OverReturner {
+        fn name(&self) -> String {
+            "OVER-RETURNER".to_owned()
+        }
+        fn next(&mut self, rng: &mut StdRng) -> Option<Selection> {
+            self.inner.next(rng)
+        }
+        fn select_batch(&mut self, k: usize, rng: &mut StdRng) -> Vec<Selection> {
+            let mut batch: Vec<Selection> = (0..k).filter_map(|_| self.inner.next(rng)).collect();
+            if batch.len() == k && !self.planted.replace(true) {
+                batch.push(Selection { url: SelUrl::Id(UrlId::MAX), token: BOGUS_TOKEN });
+            }
+            batch
+        }
+        fn batch_selection(&self) -> bool {
+            true
+        }
+        fn decide(&mut self, link: &NewLink<'_>, services: &mut Services<'_, '_>) -> LinkDecision {
+            self.inner.decide(link, services)
+        }
+        fn feedback(&mut self, token: u64, reward: f64) {
+            self.inner.feedback(token, reward);
+        }
+        fn feedback_target(&mut self, token: u64) {
+            self.inner.feedback_target(token);
+        }
+        fn feedback_error(&mut self, token: u64) {
+            self.inner.feedback_error(token);
+        }
+        fn frontier_len(&self) -> usize {
+            self.inner.frontier_len()
+        }
+    }
+
+    let site = Arc::new(build_site(&SiteSpec::demo(300), 9));
+    let root = root_of(&site);
+    let server = SiteServer::shared(Arc::clone(&site));
+    let mut strat = OverReturner::default();
+    let planted = Rc::clone(&strat.planted);
+    let mut log = EventLog::new();
+    let cfg = CrawlConfig { max_in_flight: 2, ..CrawlConfig::default() };
+    let mut session =
+        CrawlSession::new(&server, None, &root, &mut strat, &cfg).unwrap().observe(&mut log);
+    // Fill the window, drain, repeat — until the refill that pulled the
+    // over-returned batch: its real members are in flight, the bogus id is
+    // buffered behind a full window. Cancel right there.
+    loop {
+        while session.refill_one() {}
+        if planted.get() {
+            break;
+        }
+        assert!(session.drain_completions() > 0, "the crawl ended before a full batch");
+    }
+    let in_flight = session.in_flight();
+    assert!(in_flight > 0);
+    let out = session.finish();
+
+    let closed_events = log
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(e, OwnedEvent::Abandoned { reason: AbandonReason::SessionClosed, .. })
+        })
+        .count();
+    assert_eq!(closed_events, in_flight, "in-flight members are named; the bogus id cannot be");
+    assert_eq!(out.abandoned.session_closed, closed_events as u64);
+    assert_eq!(
+        strat.inner.errors.iter().filter(|&&t| t == BOGUS_TOKEN).count(),
+        1,
+        "the bogus member is still owed exactly one error observation"
+    );
 }
 
 /// Cancelling a session mid-batch (the external-shutdown path) drains

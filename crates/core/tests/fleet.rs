@@ -303,8 +303,7 @@ fn per_site_mode_keeps_each_sites_own_clock_and_window() {
 /// Every mode runs on the one driver loop, so every mode reports one
 /// [`sb_crawler::ShardReport`] per driver thread, and the shard ledgers
 /// partition the fleet: their site counts sum to the fleet's and their
-/// gauges, abandon tallies and refresh ledgers merge to the fleet-wide
-/// ones.
+/// gauges and abandon tallies merge to the fleet-wide ones.
 #[test]
 fn every_mode_reports_one_ledger_per_driver_thread() {
     let sites = fleet_sites();
@@ -313,11 +312,6 @@ fn every_mode_reports_one_ledger_per_driver_thread() {
         (4, FleetMode::PerSite, 4),
         (4, FleetMode::SharedPool { max_in_flight: 4 }, 1),
         (4, FleetMode::Sharded { shards: 2, max_in_flight: 4 }, 2),
-        (
-            4,
-            FleetMode::Continuous { max_in_flight: 4, refresh_epochs: 2, refresh_per_epoch: 3 },
-            1,
-        ),
     ];
     for (workers, mode, threads) in cases {
         let out = build_fleet(&sites, workers, Budget::Unlimited, mode, None).run();
@@ -329,16 +323,13 @@ fn every_mode_reports_one_ledger_per_driver_thread() {
         );
         let mut mem = sb_crawler::MemGauges::default();
         let mut abandoned = sb_crawler::AbandonCounts::default();
-        let mut refresh = sb_crawler::RefreshStats::default();
         for shard in &out.shards {
             mem.merge(&shard.mem);
             abandoned.merge(&shard.abandoned);
-            refresh.merge(&shard.refresh);
         }
         assert!(mem.visited_urls > 0, "{mode:?}: exhaustive crawls visit URLs");
         assert_eq!(mem, out.mem, "{mode:?}: shard gauges merge to the fleet's");
         assert_eq!(abandoned, out.abandoned, "{mode:?}: shard abandon tallies merge to the fleet's");
-        assert_eq!(refresh, out.refresh, "{mode:?}: shard refresh ledgers merge to the fleet's");
     }
 }
 
@@ -1011,62 +1002,5 @@ fn multi_shard_shutdown_drains_in_flight_selections_per_shard() {
                 "shard{shard}/site{i}: each in-flight job ends as Abandoned(SessionClosed)"
             );
         }
-    }
-}
-
-/// PR 9: [`FleetMode::Continuous`] — the crawl-and-serve building block.
-/// Discovery coverage must match the plain shared-pool fleet at the same
-/// window (the serve feed is a buffer, not a behaviour change), the
-/// fleet-wide refresh ledger must be exactly the merge of the per-site
-/// ledgers, a static origin must report every refresh `unchanged`, and
-/// the whole thing must be run-to-run deterministic.
-#[test]
-fn continuous_mode_refreshes_and_merges_ledgers() {
-    let sites: Vec<Arc<Website>> = fleet_sites().into_iter().take(3).collect();
-    let (epochs, per_epoch) = (3usize, 5usize);
-    let mode = FleetMode::Continuous {
-        max_in_flight: 4,
-        refresh_epochs: epochs,
-        refresh_per_epoch: per_epoch,
-    };
-    let run = || build_fleet(&sites, 2, Budget::Unlimited, mode, None).run();
-    let out = run();
-    assert_eq!(out.sites.len(), sites.len());
-
-    // Discovery is untouched by the serve feed and the refresh rounds:
-    // targets and page coverage match the plain shared-pool fleet.
-    let base = run_fleet_mode(&sites, 2, Budget::Unlimited, FleetMode::SharedPool {
-        max_in_flight: 4,
-    });
-    for (r, b) in site_outcomes(&out).iter().zip(&base) {
-        assert_eq!(r.summary.targets, b.summary.targets, "{}: same targets", r.summary.name);
-        // Refresh traffic rides the same sessions, on top of discovery:
-        // each completed refresh is one more fetched page and request.
-        let refreshes = (epochs * per_epoch) as u64;
-        assert_eq!(r.summary.pages_crawled, b.summary.pages_crawled + refreshes);
-        assert!(r.summary.requests >= b.summary.requests + refreshes, "refreshes cost requests");
-    }
-
-    // The ledger adds up: every queued refresh dispatched (unlimited
-    // budget), and a static origin never reports a change.
-    let want = (sites.len() * epochs * per_epoch) as u64;
-    assert_eq!(out.refresh.scheduled, want);
-    assert_eq!(out.refresh.completed, want);
-    assert_eq!(out.refresh.unchanged, want);
-    assert_eq!(out.refresh.changed, 0);
-    assert_eq!(out.refresh.failed, 0);
-
-    // Fleet-wide ledger == merge of the per-site ledgers.
-    let mut merged = sb_crawler::RefreshStats::default();
-    for r in &out.sites {
-        merged.merge(&r.expect_outcome().refresh);
-    }
-    assert_eq!(out.refresh, merged);
-
-    // Deterministic across runs.
-    let again = run();
-    assert_eq!(out.refresh, again.refresh);
-    for (a, b) in site_outcomes(&out).iter().zip(site_outcomes(&again).iter()) {
-        assert_eq!(a.summary, b.summary);
     }
 }

@@ -2,9 +2,13 @@
 //! execution equivalent to `run()`, typed event streams in order, and the
 //! one-feedback-per-selection invariant — including the abandoned
 //! selections (dead redirects, errors) that the pre-session engine left as
-//! silent bandit pulls.
+//! silent bandit pulls. The last section pins the refresh path
+//! (`queue_refresh` / `take_refreshed` / `serve_feed`) at the session
+//! level, where `sb_serve::serve_site` drives it.
 
-use sb_crawler::{crawl, Budget, ConfigError, CrawlConfig, CrawlSession};
+use sb_crawler::{
+    crawl, Budget, ConfigError, CrawlConfig, CrawlSession, RefreshStats, RefreshedPage,
+};
 use sb_crawler::events::{AbandonReason, FinishReason, OwnedEvent, TraceObserver};
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};
@@ -12,9 +16,10 @@ use sb_crawler::EventLog;
 use sb_httpsim::response::error_response;
 use sb_httpsim::{Headers, HeadResponse, HttpServer, Politeness, Response, SiteServer};
 use sb_webgraph::gen::{build_site, SiteSpec};
-use sb_webgraph::UrlId;
+use sb_webgraph::{UrlClass, UrlId, Website};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // A small deterministic hand-built site exercising every abandon path.
@@ -105,6 +110,8 @@ struct Recorder {
     rewards: Vec<u64>,
     targets: Vec<u64>,
     errors: Vec<u64>,
+    /// Every `on_fetched` class observation, in order.
+    observed: Vec<String>,
 }
 
 impl Strategy for Recorder {
@@ -135,6 +142,10 @@ impl Strategy for Recorder {
 
     fn feedback_error(&mut self, token: u64) {
         self.errors.push(token);
+    }
+
+    fn on_fetched(&mut self, _id: UrlId, url: &str, _class: UrlClass) {
+        self.observed.push(url.to_owned());
     }
 
     fn frontier_len(&self) -> usize {
@@ -579,4 +590,234 @@ fn link_decisions_are_visible_to_observers() {
         })
         .count();
     assert_eq!(enqueued, 6, "the root page links six URLs, all enqueued by BFS");
+}
+
+// ---------------------------------------------------------------------
+// Refresh (PR 9): `queue_refresh` re-admits known URLs through the same
+// window, `take_refreshed` hands the answers to a serving layer, and
+// `serve_feed` buffers discovery fetches for it.
+// ---------------------------------------------------------------------
+
+fn refresh_site() -> Arc<Website> {
+    Arc::new(build_site(&SiteSpec::demo(200), 23))
+}
+
+fn site_root(site: &Website) -> String {
+    site.page(site.root()).url.clone()
+}
+
+/// Steps until the session finishes (again) and returns the reason.
+fn drive(session: &mut CrawlSession<'_>) -> FinishReason {
+    loop {
+        if let Some(reason) = session.step().finished {
+            return reason;
+        }
+    }
+}
+
+/// What `refresh_every_page_once` saw.
+struct RefreshRun {
+    /// Pages the serve feed buffered during discovery.
+    fed: usize,
+    /// (pages_crawled, requests, targets) when discovery finished.
+    discovery: (u64, u64, u64),
+    /// The same three after the refresh round.
+    after: (u64, u64, u64),
+    ledger: RefreshStats,
+    refreshed: Vec<RefreshedPage>,
+    session_finished_events: usize,
+    reasons: (FinishReason, FinishReason),
+}
+
+/// BFS to exhaustion over a static site with the serve feed on, then one
+/// refresh of every fed page — HTML and targets — on the finished
+/// session, each against the hash the feed reported.
+fn refresh_every_page_once(window: usize) -> RefreshRun {
+    let site = refresh_site();
+    let root = site_root(&site);
+    let server = SiteServer::shared(site);
+    let cfg = CrawlConfig { serve_feed: true, max_in_flight: window, ..Default::default() };
+    let mut bfs = QueueStrategy::bfs();
+    let mut log = EventLog::new();
+    let mut session =
+        CrawlSession::new(&server, None, &root, &mut bfs, &cfg).unwrap().observe(&mut log);
+    let first = drive(&mut session);
+    let discovery =
+        (session.pages_crawled(), session.traffic().requests(), session.targets_found());
+    let fed = session.take_refreshed();
+    assert!(fed.iter().all(|p| !p.refresh && p.changed), "discovery fetches are first versions");
+    for page in &fed {
+        session.queue_refresh(&page.url, page.body_hash);
+    }
+    assert!(!session.is_finished(), "queue_refresh reopens a drained session");
+    let second = drive(&mut session);
+    let after = (session.pages_crawled(), session.traffic().requests(), session.targets_found());
+    let ledger = session.refresh_stats();
+    let refreshed = session.take_refreshed();
+    let out = session.finish();
+    assert_eq!(out.refresh, ledger, "the outcome carries the session's ledger");
+    let session_finished_events = log
+        .events()
+        .iter()
+        .filter(|e| matches!(e, OwnedEvent::SessionFinished { .. }))
+        .count();
+    RefreshRun {
+        fed: fed.len(),
+        discovery,
+        after,
+        ledger,
+        refreshed,
+        session_finished_events,
+        reasons: (first, second),
+    }
+}
+
+#[test]
+fn refreshing_a_static_site_reopens_the_session_and_reports_unchanged() {
+    for window in [1usize, 4] {
+        let run = refresh_every_page_once(window);
+        let n = run.fed as u64;
+        assert!(n > 20, "the feed buffered the discovered corpus");
+        assert_eq!(run.reasons, (FinishReason::FrontierExhausted, FinishReason::FrontierExhausted));
+        assert_eq!(run.session_finished_events, 2, "a reopened session finishes a second time");
+        // Every queued refresh dispatched (unlimited budget), and a
+        // static origin never reports a change.
+        let want = RefreshStats { scheduled: n, completed: n, unchanged: n, changed: 0, failed: 0 };
+        assert_eq!(run.ledger, want, "window {window}");
+        assert_eq!(run.ledger.attempted(), n);
+        // Each refresh is exactly one more fetched page and one more
+        // request; refreshed targets are not re-counted.
+        assert_eq!(run.after.0, run.discovery.0 + n, "pages_crawled");
+        assert_eq!(run.after.1, run.discovery.1 + n, "requests");
+        assert_eq!(run.after.2, run.discovery.2, "targets_found");
+        assert!(run.discovery.2 > 0, "the refreshed set included targets");
+        assert_eq!(run.refreshed.len(), run.fed);
+        assert!(run.refreshed.iter().all(|p| p.refresh && !p.changed && p.status == 200));
+    }
+}
+
+#[test]
+fn refresh_ledger_is_deterministic_across_runs() {
+    let (a, b) = (refresh_every_page_once(4), refresh_every_page_once(4));
+    assert_eq!(a.ledger, b.ledger);
+    assert_eq!((a.discovery, a.after), (b.discovery, b.after));
+    let answers = |run: &RefreshRun| -> Vec<(String, u64)> {
+        run.refreshed.iter().map(|p| (p.url.clone(), p.body_hash)).collect()
+    };
+    assert_eq!(answers(&a), answers(&b), "refresh answers arrive in the same order");
+}
+
+#[test]
+fn serve_feed_is_a_buffer_not_a_behaviour_change() {
+    let site = refresh_site();
+    let root = site_root(&site);
+    for budget in [Budget::Unlimited, Budget::Requests(60)] {
+        let run = |serve_feed: bool| {
+            let server = SiteServer::shared(Arc::clone(&site));
+            let cfg = CrawlConfig { serve_feed, budget, ..Default::default() };
+            let mut bfs = QueueStrategy::bfs();
+            crawl(&server, None, &root, &mut bfs, &cfg)
+        };
+        let (off, on) = (run(false), run(true));
+        let urls = |out: &sb_crawler::CrawlOutcome| -> Vec<String> {
+            out.targets.iter().map(|t| t.url.clone()).collect()
+        };
+        assert_eq!(urls(&on), urls(&off), "targets, in retrieval order, under {budget:?}");
+        assert_eq!(on.pages_crawled, off.pages_crawled, "{budget:?}");
+        assert_eq!(on.traffic, off.traffic, "{budget:?}");
+        assert_eq!(on.trace.points(), off.trace.points(), "{budget:?}");
+        assert_eq!(on.refresh, RefreshStats::default(), "feeding is not refreshing");
+    }
+}
+
+#[test]
+fn wrong_prior_hash_reports_a_changed_refresh() {
+    let site = refresh_site();
+    let root = site_root(&site);
+    let server = SiteServer::shared(site);
+    let cfg = CrawlConfig { serve_feed: true, ..Default::default() };
+    let mut bfs = QueueStrategy::bfs();
+    let mut session = CrawlSession::new(&server, None, &root, &mut bfs, &cfg).unwrap();
+    drive(&mut session);
+    let page = session.take_refreshed().swap_remove(0);
+    session.queue_refresh(&page.url, page.body_hash ^ 1);
+    drive(&mut session);
+    let want = RefreshStats { scheduled: 1, completed: 1, unchanged: 0, changed: 1, failed: 0 };
+    assert_eq!(session.refresh_stats(), want);
+    let answers = session.take_refreshed();
+    assert_eq!(answers.len(), 1);
+    assert!(answers[0].refresh && answers[0].changed);
+    assert_eq!(answers[0].url, page.url);
+    assert_eq!(answers[0].body_hash, page.body_hash, "the origin did not move, the prior was wrong");
+}
+
+#[test]
+fn unparseable_refresh_url_fails_without_spending_a_request() {
+    let server = TrickServer;
+    let cfg = CrawlConfig::default();
+    let mut bfs = QueueStrategy::bfs();
+    let mut session = CrawlSession::new(&server, None, TRICK_ROOT, &mut bfs, &cfg).unwrap();
+    drive(&mut session);
+    let before = (session.pages_crawled(), session.traffic().requests());
+    session.queue_refresh("::junk::", 0);
+    assert_eq!(drive(&mut session), FinishReason::FrontierExhausted);
+    let want = RefreshStats { scheduled: 1, completed: 0, unchanged: 0, changed: 0, failed: 1 };
+    assert_eq!(session.refresh_stats(), want);
+    assert_eq!((session.pages_crawled(), session.traffic().requests()), before);
+    assert!(session.take_refreshed().is_empty(), "nothing was fetched, nothing is served");
+}
+
+#[test]
+fn budget_exhausted_session_refinishes_and_drops_the_refresh() {
+    let site = refresh_site();
+    let root = site_root(&site);
+    let server = SiteServer::shared(site);
+    let cfg = CrawlConfig { budget: Budget::Requests(20), ..Default::default() };
+    let mut bfs = QueueStrategy::bfs();
+    let mut session = CrawlSession::new(&server, None, &root, &mut bfs, &cfg).unwrap();
+    assert_eq!(drive(&mut session), FinishReason::BudgetExhausted);
+    let requests = session.traffic().requests();
+    session.queue_refresh(&root, 0);
+    assert!(!session.is_finished());
+    let report = session.step();
+    assert_eq!(report.finished, Some(FinishReason::BudgetExhausted), "re-finishes immediately");
+    assert_eq!(report.fetched, 0);
+    assert_eq!(report.refresh.scheduled, 1);
+    assert_eq!(report.refresh.attempted(), 0, "scheduled > attempted: the refresh was dropped");
+    assert_eq!(session.traffic().requests(), requests);
+}
+
+/// A refresh fetch is not a selection and not a first sight: the strategy
+/// gets no `on_fetched` and no `feedback*` call for it — live page, target
+/// or dead page alike — so one-feedback-per-selection stays intact.
+#[test]
+fn refresh_fetches_are_invisible_to_the_strategy() {
+    let cfg = CrawlConfig::default();
+    let mut plain = Recorder::default();
+    let plain_out = crawl(&TrickServer, None, TRICK_ROOT, &mut plain, &cfg);
+
+    let server = TrickServer;
+    let mut rec = Recorder::default();
+    let mut session = CrawlSession::new(&server, None, TRICK_ROOT, &mut rec, &cfg).unwrap();
+    drive(&mut session);
+    for path in ["page2", "data.csv", "gone"] {
+        session.queue_refresh(&format!("{TRICK_ROOT}{path}"), 0);
+    }
+    drive(&mut session);
+    let answers = session.take_refreshed();
+    let out = session.finish();
+
+    let want = RefreshStats { scheduled: 3, completed: 2, unchanged: 0, changed: 2, failed: 1 };
+    assert_eq!(out.refresh, want);
+    assert_eq!(out.pages_crawled, plain_out.pages_crawled + 3);
+    assert_eq!(out.targets_found(), plain_out.targets_found(), "a refreshed target is not re-counted");
+    // The dead page's death certificate reaches the serving layer too.
+    let statuses: Vec<(bool, u16)> = answers.iter().map(|p| (p.refresh, p.status)).collect();
+    assert_eq!(statuses, vec![(true, 200), (true, 200), (true, 404)]);
+
+    assert_eq!(rec.selected, plain.selected);
+    assert_eq!(rec.observed, plain.observed, "no on_fetched for a refresh");
+    assert_eq!(rec.rewards, plain.rewards, "no feedback for a refresh");
+    assert_eq!(rec.targets, plain.targets, "no feedback_target for a refresh");
+    assert_eq!(rec.errors, plain.errors, "no feedback_error for a failed refresh");
 }

@@ -2,7 +2,7 @@
 //! reference statistics.
 
 use parking_lot::Mutex;
-use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession};
+use sb_crawler::{CrawlConfig, CrawlOutcome, CrawlSession};
 use sb_crawler::strategies::{
     FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
     TresStrategy,
@@ -311,9 +311,4 @@ pub fn run_with_strategy(
     CrawlSession::new(&server, oracle, &root, strategy, &cfg)
         .expect("generated site roots are valid")
         .run()
-}
-
-/// Sanity guard used by experiments that print `+∞`.
-pub fn budget_unlimited() -> Budget {
-    Budget::Unlimited
 }

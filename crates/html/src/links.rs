@@ -27,16 +27,6 @@ pub enum LinkKind {
     Iframe,
 }
 
-impl LinkKind {
-    pub fn tag_name(self) -> &'static str {
-        match self {
-            LinkKind::Anchor => "a",
-            LinkKind::Area => "area",
-            LinkKind::Iframe => "iframe",
-        }
-    }
-}
-
 /// A hyperlink found in a page, with everything the crawler needs to decide
 /// whether and how to follow it. Text features borrow the page's buffer
 /// whenever extraction did not have to rewrite them.

@@ -53,13 +53,6 @@ impl SiteServer {
         &self.source
     }
 
-    /// The shared site handle (the render cache lives on the `Website`, so
-    /// servers constructed from clones of this handle share rendered pages).
-    /// Panics for streaming-backed servers, like [`SiteServer::site`].
-    pub fn site_arc(&self) -> Arc<Website> {
-        Arc::clone(self.eager.as_ref().expect("server has no eager Website; use source()"))
-    }
-
     /// String-keyed boundary: resolves the URL (one FxHash lookup) and
     /// serves by page id.
     fn respond(&self, url: &str, with_body: bool) -> Response {

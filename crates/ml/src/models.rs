@@ -81,11 +81,6 @@ impl LogReg {
     pub fn new(dim: usize) -> Self {
         LogReg { w: vec![0.0; dim], bias: 0.0, lr: 0.5, l2: 1e-6, epochs: 2, batches: 0 }
     }
-
-    pub fn with_learning_rate(mut self, lr: f32) -> Self {
-        self.lr = lr;
-        self
-    }
 }
 
 fn sigmoid(z: f32) -> f32 {

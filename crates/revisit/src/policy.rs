@@ -440,11 +440,6 @@ impl Default for SleepingBanditRevisit {
 }
 
 impl SleepingBanditRevisit {
-    /// Overrides the exploration coefficient α (default 2√2).
-    pub fn with_alpha(alpha: f64) -> Self {
-        SleepingBanditRevisit { auer: Auer::new(alpha), ..Self::default() }
-    }
-
     /// Tag-path exemplar and statistics of each arm, for reporting.
     pub fn arm_summary(&self) -> Vec<(String, u64, f64)> {
         (0..self.arms.len())

@@ -22,8 +22,8 @@
 //! * [`read`] — the simulated read side: seeded Zipf readers measuring
 //!   achieved QPS and age-at-read percentiles off the [`read::StaleBoard`].
 //! * [`runtime`] — [`runtime::serve_site`] wires all of it into the
-//!   continuous loop and reports `staleness_p50`/`p99` through
-//!   [`sb_crawler::RefreshStats`].
+//!   continuous loop and reports `staleness_p50`/`p99` on its
+//!   [`ServeOutcome`].
 //!
 //! Invariants pinned by this crate's tests: readers only ever observe
 //! complete, previously-committed versions with per-URL monotone

@@ -6,8 +6,7 @@
 //! it, and every read samples the page's **age** — how many origin
 //! epochs the served version lags the evolving site — off the
 //! [`StaleBoard`]. The aggregate age distribution's p50/p99 are the
-//! freshness-SLA metric (`staleness_p50`/`p99` in
-//! [`sb_crawler::RefreshStats`]).
+//! freshness-SLA metric ([`crate::ServeOutcome`]'s `staleness_p50`/`p99`).
 //!
 //! The vendored `rand` has no Zipf distribution, so [`Zipf`] hand-rolls
 //! the standard CDF-inversion sampler: weights `i^-s` over ranks

@@ -13,8 +13,8 @@
 //! instead of competing from a separate harness. Meanwhile an optional
 //! [`ReadLoad`] hammers the store from reader threads, and a truth
 //! oracle marks per-slot divergence on the [`StaleBoard`] so every read
-//! samples its age-at-read; the aggregate p50/p99 land in
-//! [`sb_crawler::RefreshStats`] as the freshness-SLA metric.
+//! samples its age-at-read; the aggregate p50/p99 are the freshness-SLA
+//! metric, reported as [`ServeOutcome::staleness_p50`]/`staleness_p99`.
 //!
 //! Determinism: with readers off and `window == 1` the whole refresh
 //! schedule is a pure function of the seed (pinned by a test). Reader
@@ -73,7 +73,7 @@ impl Default for ServeConfig {
 /// What a crawl-and-serve run produced.
 pub struct ServeOutcome {
     /// The underlying session's outcome; `outcome.refresh` carries the
-    /// refresh counters and the staleness percentiles.
+    /// refresh counters.
     pub outcome: CrawlOutcome,
     /// The store as it stands after the final epoch, still serving.
     pub store: SnapshotStore,
@@ -223,7 +223,6 @@ pub fn serve_site(
             percentile_of(&sweep_hist, 0.99),
         )
     };
-    session.set_staleness(p50, p99);
     let outcome = session.finish();
 
     ServeOutcome {

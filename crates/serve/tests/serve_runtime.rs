@@ -70,8 +70,6 @@ fn serve_loop_refreshes_and_bounds_staleness() {
     );
     assert!(out.store.len() > 20, "store serves the discovered corpus");
     assert!(out.staleness_p99 >= out.staleness_p50);
-    assert_eq!(r.staleness_p50, out.staleness_p50);
-    assert_eq!(r.staleness_p99, out.staleness_p99);
     // Refreshing the popular/likely-changed head each epoch keeps the
     // median bounded well under the run's epoch count.
     assert!(out.staleness_p50 <= 4.0, "p50 {} epochs", out.staleness_p50);
@@ -111,8 +109,4 @@ fn read_load_feeds_popularity_and_staleness_percentiles() {
     assert!(out.read.qps > 0.0);
     let urls = out.store.urls();
     assert!(out.store.reads(&urls[0]) > 0, "the Zipf head got read");
-    assert_eq!(
-        out.outcome.refresh.staleness_p50, out.staleness_p50,
-        "percentiles ride RefreshStats"
-    );
 }

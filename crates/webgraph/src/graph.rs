@@ -60,10 +60,6 @@ impl WebsiteGraph {
         self.weights[u]
     }
 
-    pub fn out_edges(&self, u: NodeIdx) -> &[(NodeIdx, TagPath)] {
-        &self.edges[u]
-    }
-
     pub fn successors(&self, u: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
         self.edges[u].iter().map(|(v, _)| *v)
     }

@@ -82,6 +82,13 @@ test -s target/verify-smoke/serve.csv
 cargo run --release --offline -p sb-eval --bin xp -- \
     quality --scale 0.003 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/quality.csv
+# Revisit smoke: `sb_revisit::harness` is the one refresh loop that does not
+# run on `CrawlSession::queue_refresh` (ROADMAP item 3(e)), so no smoke
+# above reaches it; it also exercises `Website` mutation + render-cache
+# invalidation. ~1 s.
+cargo run --release --offline -p sb-eval --bin xp -- \
+    revisit --scale 0.003 --seeds 1 --jobs 2 --out target/verify-smoke
+test -s target/verify-smoke/revisit.csv
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
 # workspace build and test lines above never compile it: a PR that narrows a
 # public API it uses would break it unnoticed. Build it, run its tests, and
