@@ -5,9 +5,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sb_eval::experiments::revisit::{recrawl, RecrawlConfig};
 use sb_revisit::{
-    recrawl, ChangeModel, EvolvingSite, Observation, ProportionalRevisit, RecrawlConfig,
-    RevisitPolicy, RoundRobinRevisit, SleepingBanditRevisit, ThompsonGroupsRevisit,
+    ChangeModel, EvolvingSite, Observation, ProportionalRevisit, RevisitPolicy, RoundRobinRevisit,
+    SleepingBanditRevisit, ThompsonGroupsRevisit,
 };
 use sb_webgraph::{build_site, SiteSpec};
 

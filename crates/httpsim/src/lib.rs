@@ -3,17 +3,21 @@
 //! Everything the paper's crawlers do over the network is reproduced here
 //! offline: an origin [`server`] over a generated website, the local
 //! [`replay`] database of Sec 4.4 (persistable via [`archive`]), and the
-//! crawler-side [`client`] with request/volume cost accounting,
-//! politeness-based time estimation and mid-flight interruption of
-//! block-listed downloads. The [`transport`] module is the nonblocking
-//! fetch boundary (PR 4): the [`Transport`] trait — a politeness-gated
-//! in-flight request pool with deterministic completion ordering, which
-//! the crawl engine pipelines on — and the per-host politeness gate. The
+//! crawler-side cost model in [`client`]: request/volume accounting
+//! ([`Traffic`]), politeness-based time estimation ([`Politeness`]) and
+//! mid-flight interruption of block-listed downloads ([`Fetched`]). The
+//! [`transport`] module is the one way to fetch (PR 4): the [`Transport`]
+//! trait — a politeness-gated in-flight request pool with deterministic
+//! completion ordering, which the crawl engine pipelines on — and the
+//! per-host politeness gate. The
 //! [`pool`] module (PR 5) is its one implementation: a bounded in-flight
 //! window multiplexed across the sites registered with it, politeness
 //! sharded per site. A fleet shares one [`SharedTransportPool`]; a
 //! single-site [`PipelinedTransport`] is the lone [`PoolHandle`] of a
-//! private one. Production-crawler substrates live alongside:
+//! private one. The blocking [`client::Client`] is kept only as the
+//! *reference oracle* the transport's window-1 behaviour is pinned against
+//! (conformance suite, frozen `sb_bench::reference`); no library code
+//! fetches through it. Production-crawler substrates live alongside:
 //! [`robots`] (RFC 9309 Robots Exclusion Protocol), [`flaky`]
 //! (failure-injection and robot-trap servers for robustness testing) and
 //! [`hazard`] (PR 6: composable transport-level hazards — timeouts,
@@ -34,7 +38,7 @@ pub mod sitemap;
 pub mod transport;
 
 pub use archive::{ArchiveError, ArchiveReader, ArchiveWriter};
-pub use client::{Client, Fetched, Politeness, Traffic};
+pub use client::{Fetched, Politeness, Traffic};
 pub use flaky::{FlakyServer, TrapServer};
 pub use hazard::{
     HazardPolicy, HazardState, RateLimit, RetryPolicy, TailLatency, STATUS_QUARANTINED,

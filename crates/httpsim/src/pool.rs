@@ -241,7 +241,7 @@ pub struct PoolHandle<'a> {
 
 impl<'a> PoolHandle<'a> {
     /// A single-site transport over `server` with a window of 1 and no
-    /// retries — the drop-in equivalent of the blocking [`crate::Client`]:
+    /// retries — the drop-in equivalent of the blocking [`crate::client::Client`]:
     /// the only handle of a private pool.
     pub fn new(
         server: &'a (dyn HttpServer + 'a),
@@ -553,8 +553,8 @@ mod tests {
         // sites' blocking-client costs.
         let (a, b) = (server(150, 7), server(150, 8));
         let (ua, ub) = (html_urls(&a, 8), html_urls(&b, 8));
-        let mut ca = crate::Client::new(&a, MimePolicy::default());
-        let mut cb = crate::Client::new(&b, MimePolicy::default());
+        let mut ca = crate::client::Client::new(&a, MimePolicy::default());
+        let mut cb = crate::client::Client::new(&b, MimePolicy::default());
         for u in &ua {
             ca.get(u);
         }
@@ -621,8 +621,8 @@ mod tests {
         // schedule-dependent.
         let (a, b) = (server(150, 13), server(150, 14));
         let (ua, ub) = (html_urls(&a, 5), html_urls(&b, 5));
-        let mut ca = crate::Client::new(&a, MimePolicy::default());
-        let mut cb = crate::Client::new(&b, MimePolicy::default());
+        let mut ca = crate::client::Client::new(&a, MimePolicy::default());
+        let mut cb = crate::client::Client::new(&b, MimePolicy::default());
         for u in &ua {
             ca.get(u);
         }

@@ -1,7 +1,7 @@
 //! The nonblocking fetch boundary: a politeness-gated in-flight request
 //! pool over the simulated wire (PR 4).
 //!
-//! The blocking [`crate::Client`] serialises a crawl on simulated latency:
+//! The blocking [`crate::client::Client`] serialises a crawl on simulated latency:
 //! every GET charges `delay + transfer` before the next one can even be
 //! issued, so a site of `n` pages costs `n · (delay + transfer)` simulated
 //! seconds no matter how many URLs the frontier holds. Production crawlers
@@ -100,7 +100,7 @@ impl<'u> Request<'u> {
 /// uphold the invariants of the conformance suite
 /// (`tests/transport_conformance.rs`): politeness gate spacing,
 /// deterministic completion order, window-1 equivalence with the blocking
-/// [`crate::Client`], and charged-every-attempt retry accounting.
+/// [`crate::client::Client`], and charged-every-attempt retry accounting.
 pub trait Transport {
     /// Enqueues a GET into the in-flight pool and returns its id. Callers
     /// must keep [`Transport::in_flight`] within
@@ -153,7 +153,7 @@ pub trait Transport {
     fn traffic(&self) -> Traffic;
 
     /// Re-attributes `bytes` from the non-target to the target volume
-    /// bucket (same contract as [`crate::Client::tag_target`]).
+    /// bucket (same contract as [`crate::client::Client::tag_target`]).
     fn tag_target(&mut self, bytes: u64);
 
     /// The MIME policy governing mid-flight interruption.
@@ -219,7 +219,7 @@ impl GateTable {
 /// The single-site [`Transport`]: the lone [`PoolHandle`] of a private
 /// [`SharedTransportPool`](crate::pool::SharedTransportPool), built by
 /// [`PoolHandle::new`] (window 1, no retries — the drop-in equivalent of
-/// the blocking [`crate::Client`]) and widened by
+/// the blocking [`crate::client::Client`]) and widened by
 /// [`PoolHandle::with_window`].
 pub type PipelinedTransport<'a> = PoolHandle<'a>;
 
@@ -281,7 +281,7 @@ mod tests {
     fn window_one_matches_blocking_client() {
         let s = server();
         let urls = html_urls(&s, 24);
-        let mut client = crate::Client::new(&s, MimePolicy::default());
+        let mut client = crate::client::Client::new(&s, MimePolicy::default());
         for u in &urls {
             client.get(u);
         }

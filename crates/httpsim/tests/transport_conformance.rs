@@ -36,9 +36,10 @@
 //! `Send`, and crossing a real thread boundary must not perturb a single
 //! invariant.
 
+use sb_httpsim::client::Client;
 use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{
-    Client, Fetched, FlakyServer, HttpServer, PipelinedTransport, Politeness, SharedTransportPool,
+    Fetched, FlakyServer, HttpServer, PipelinedTransport, Politeness, SharedTransportPool,
     SiteServer,
 };
 use sb_webgraph::gen::{build_site, SiteSpec};

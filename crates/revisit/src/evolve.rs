@@ -3,7 +3,7 @@
 //! [`EvolvingSite::evolve`] applies a [`ChangeModel`] to a base
 //! [`Website`], materialising one snapshot per epoch together with the
 //! ground-truth [`EpochEvents`] of each transition. [`EvolvingServer`]
-//! serves whichever snapshot is current, so a recrawl harness can flip the
+//! serves whichever snapshot is current, so a revisit driver can flip the
 //! clock forward with [`EvolvingServer::set_epoch`] between crawls — the
 //! crawler itself never sees anything but HTTP.
 //!

@@ -5,7 +5,7 @@
 //! scheduler ranks refresh candidates by [`RevisitPolicy::estimate`].
 //! These tests drive the estimators with observations taken from a
 //! *hazard-laced evolving* site, through the same `begin_epoch` →
-//! `next` → `observe` loop the recrawl harness uses, and pin that the
+//! `next` → `observe` loop every revisit driver uses, and pin that the
 //! hazards do not poison the estimates: a soft-404 keeps answering 200
 //! with the same body forever, a near-dup clone never changes either, so
 //! both must end up with strictly lower refresh estimates than the

@@ -1,4 +1,4 @@
-//! Property tests for the recrawl substrate: estimator bounds, corpus
+//! Property tests for the revisit substrate: estimator bounds, body
 //! hashing, scheduler safety under arbitrary event sequences, and
 //! evolution invariants under arbitrary change models.
 
@@ -37,6 +37,13 @@ proptest! {
         tweaked.push(0);
         prop_assert_ne!(fnv64(&tweaked), fnv64(&data));
     }
+}
+
+/// Stored body hashes must mean the same thing in every process and on
+/// every platform: the empty input hashes to the FNV-1a offset basis.
+#[test]
+fn fnv64_of_nothing_is_the_offset_basis() {
+    assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
 }
 
 /// Drives a policy with an arbitrary interleaving of registrations and

@@ -41,8 +41,11 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Transport window (in-flight requests) of the single session.
     pub window: usize,
-    /// GET quota of the initial discovery phase; the frontier left over
-    /// keeps draining interleaved with later refresh epochs.
+    /// GET quota of the initial discovery phase. The frontier left over
+    /// (and every URL a refresh harvests) drains only while an epoch's
+    /// refreshes are still in flight: refresh picks pre-empt discovery and
+    /// the epoch loop exits when the last one resolves, so at window 1 it
+    /// never drains at all (ROADMAP, "Found in PR 16").
     pub discovery_requests: u64,
     /// Refreshes planned per origin epoch.
     pub refresh_per_epoch: usize,

@@ -9,10 +9,10 @@
 //! Since PR 9 this runs on the **continuous crawl-and-serve subsystem**
 //! (`sbcrawl::serve`): one long-lived crawl session discovers the site,
 //! a snapshot store serves it, and the policy schedules refreshes through
-//! the same politeness/budget window. The older one-shot
-//! `sbcrawl::revisit::recrawl` harness is deprecated for this use — it
-//! rebuilds a fresh client per epoch and never serves what it fetched;
-//! prefer `serve::serve_site` (see also `examples/crawl_and_serve.rs`).
+//! the same politeness/budget window (see also
+//! `examples/crawl_and_serve.rs`). The four-policy *recall* comparison —
+//! same session API, no store, no readers — is `xp revisit`
+//! (`sbcrawl::eval::experiments::revisit::recrawl`).
 //!
 //! ```sh
 //! cargo run --release --example incremental_recrawl

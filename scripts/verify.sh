@@ -82,13 +82,30 @@ test -s target/verify-smoke/serve.csv
 cargo run --release --offline -p sb-eval --bin xp -- \
     quality --scale 0.003 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/quality.csv
-# Revisit smoke: `sb_revisit::harness` is the one refresh loop that does not
-# run on `CrawlSession::queue_refresh` (ROADMAP item 3(e)), so no smoke
-# above reaches it; it also exercises `Website` mutation + render-cache
-# invalidation. ~1 s.
+# Revisit smoke: the four revisit policies through the second
+# `CrawlSession::queue_refresh` caller (`experiments::revisit::recrawl` — one
+# session per policy, BFS acquisition at epoch 0, one refresh per pick); the
+# experiment itself asserts both tag-path group learners reach at least
+# uniform cycling's new-target recall on every site. Also exercises
+# `Website` mutation + render-cache invalidation. ~1 s.
 cargo run --release --offline -p sb-eval --bin xp -- \
     revisit --scale 0.003 --seeds 1 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/revisit.csv
+# One crawl loop, one way to fetch (PR 16). Structural guards, each failing
+# on its own line (`if`, because `set -e` ignores a `!`-negated pipeline):
+# link extraction is called by the parser crate, the site generator, the
+# session and the frozen reference only; the blocking `Client` is constructed
+# by its own crate (the reference oracle of the transport's window-1 pins)
+# and by the frozen reference engine only.
+if grep -rn "extract_links" crates/*/src \
+    | grep -v -e "^crates/html/" -e "^crates/webgraph/src/gen/" \
+              -e "^crates/core/src/session.rs:" -e "^crates/bench/"; then
+    echo "verify: extract_links called outside CrawlSession" >&2; exit 1
+fi
+if grep -rn "Client::new" crates/*/src \
+    | grep -v -e "^crates/httpsim/src/" -e "^crates/bench/src/reference.rs:"; then
+    echo "verify: library code fetches through the blocking Client" >&2; exit 1
+fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
 # workspace build and test lines above never compile it: a PR that narrows a
 # public API it uses would break it unnoticed. Build it, run its tests, and
