@@ -10,6 +10,8 @@
 //! [`Projector::project`] and [`cosine`] are the bit-identical reference the
 //! differential proptests pin the sparse kernels against.
 
+#![forbid(unsafe_code)]
+
 pub mod hnsw;
 pub mod ngram;
 pub mod project;

@@ -9,6 +9,8 @@
 //! alternatives discussed in the paper's appendix, kept here for the
 //! ablation benches.
 
+#![forbid(unsafe_code)]
+
 pub mod arm;
 pub mod policies;
 

@@ -3,8 +3,8 @@
 //! against the preserved seed implementation (string-keyed `seen`,
 //! render-per-GET server) from `sb_bench::reference`.
 //!
-//! `BENCH_engine.json` at the repository root snapshots these numbers;
-//! regenerate it with `scripts/bench_engine.sh`.
+//! Microbenches for local before/after reading only: `benchmark/`
+//! (`BENCHMARK.json`) is the authority for perf claims.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_bench::reference::{reference_queue_crawl, UncachedSiteServer};
@@ -124,7 +124,7 @@ fn bench_head(c: &mut Criterion) {
 /// `workers_1` is the serial baseline; the ratio is the fleet's parallel
 /// speedup (bounded by the machine's core count — on a single-core runner
 /// it only measures scheduling overhead), and 8 sites / `workers_4` time
-/// is the recorded multi-site throughput in `BENCH_engine.json`.
+/// is the multi-site throughput.
 fn bench_fleet(c: &mut Criterion) {
     let sites: Vec<Arc<Website>> =
         (0..8).map(|i| Arc::new(build_site(&SiteSpec::demo(500), 100 + i))).collect();
@@ -155,8 +155,7 @@ fn bench_fleet(c: &mut Criterion) {
 /// global in-flight windows 1/4/16 on the single driver thread. Wall time
 /// per window is recorded here; the *simulated makespan* ladder (the
 /// coverage-invariant ≥ 2× acceptance number) comes from
-/// `xp fleet --shared-pool`, which `scripts/bench_engine.sh` runs and
-/// merges into the `fleet.shared_pool` section of `BENCH_engine.json`.
+/// `xp fleet --shared-pool` (`fleet_pool.csv`).
 fn bench_fleet_shared_pool(c: &mut Criterion) {
     let sites: Vec<Arc<Website>> =
         (0..8).map(|i| Arc::new(build_site(&SiteSpec::demo(500), 100 + i))).collect();
@@ -187,9 +186,8 @@ fn bench_fleet_shared_pool(c: &mut Criterion) {
 /// split across 1/2/4 shard threads, each with its own pool at per-shard
 /// window 1 and whole-site work stealing between backlogs. The
 /// `shards_1` / `shards_4` wall-time ratio is the fleet's *real* parallel
-/// speedup, recorded as `fleet.sharded.parallel_speedup` in
-/// `BENCH_engine.json` (bounded by the machine's core count — on a
-/// single-core runner it only measures the sharding overhead).
+/// speedup (bounded by the machine's core count — on a single-core runner
+/// it only measures the sharding overhead).
 fn bench_fleet_sharded(c: &mut Criterion) {
     let sites: Vec<Arc<Website>> =
         (0..8).map(|i| Arc::new(build_site(&SiteSpec::demo(500), 100 + i))).collect();
@@ -220,8 +218,7 @@ fn bench_fleet_sharded(c: &mut Criterion) {
 /// site at in-flight windows 1/4/16 under the latency-simulated politeness
 /// model (1 s delay, slow link). Wall time per window is recorded here;
 /// the *simulated makespan* ladder itself (the ≥ 2× acceptance number)
-/// comes from `xp pipeline`, which `scripts/bench_engine.sh` runs and
-/// merges into the `pipeline` section of `BENCH_engine.json`.
+/// comes from `xp pipeline` (`pipeline.csv`).
 fn bench_pipeline(c: &mut Criterion) {
     let site = bench_site(4_000);
     let root = root_of(&site);

@@ -4,8 +4,8 @@
 //! 3 000-page generated site — the same per-page work every end-to-end
 //! crawl pays on its hot path.
 //!
-//! The `html` section of `BENCH_engine.json` snapshots these numbers;
-//! regenerate with `scripts/bench_engine.sh`.
+//! A microbench for local before/after reading only: `benchmark/`
+//! (`BENCHMARK.json`) is the authority for perf claims.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sb_bench::seed_html::{seed_extract_links, seed_parse, seed_tokenize};

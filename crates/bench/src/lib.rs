@@ -6,5 +6,7 @@
 //! owned-`String` HTML pipeline the same way, for `benches/html.rs` and the
 //! zero-copy equivalence property tests (`tests/html_equivalence.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod reference;
 pub mod seed_html;

@@ -7,8 +7,8 @@
 //!
 //! Two consumers:
 //!
-//! * `benches/engine.rs` — the before/after numbers in `BENCH_engine.json`
-//!   measure this module against the interned hot path;
+//! * `benches/engine.rs` — the before/after microbenches measure this
+//!   module against the interned hot path;
 //! * `tests/determinism.rs` — property tests assert the interned engine
 //!   produces byte-identical `CrawlTrace`s and target lists.
 

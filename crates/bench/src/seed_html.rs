@@ -7,8 +7,8 @@
 //!
 //! Three consumers:
 //!
-//! * `benches/html.rs` — the before/after numbers in the `html` section of
-//!   `BENCH_engine.json` measure this module against the borrowed pipeline;
+//! * `benches/html.rs` — the before/after microbenches measure this
+//!   module against the borrowed pipeline;
 //! * `tests/html_equivalence.rs` — property tests assert the zero-copy
 //!   tokenizer/DOM/extractor produce value-identical tokens, trees and
 //!   links on arbitrary and generated markup;

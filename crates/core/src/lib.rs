@@ -61,6 +61,8 @@
 //! # Ok::<(), sb_crawler::ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod action;
 pub mod early_stop;
 pub mod events;

@@ -163,7 +163,7 @@ pub fn run(cfg: &EvalConfig) -> String {
         "## Continuous crawl-and-serve — freshness SLA under read load (PR 9)\n\n\
          Site `{}` evolved for {} epochs (~12 % refresh budget per epoch,\n\
          thompson-groups scheduling by estimated-change × read-popularity);\n\
-         Zipf(1.1) readers on a lock-free snapshot store. Zero-reader rung:\n\
+         Zipf(1.1) readers on the versioned snapshot store. Zero-reader rung:\n\
          window 1, byte-reproducible schedule (asserted). SLA asserted on\n\
          every rung: median age-at-read ≤ 2 epochs, p99 within the horizon.\n\n{}\n",
         SERVE_SITE,

@@ -5,6 +5,8 @@
 //! all`). Each experiment module renders a markdown report and writes CSV
 //! series under `results/`. `EXPERIMENTS.md` records paper-vs-measured.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod metrics;
 pub mod runner;

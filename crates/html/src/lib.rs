@@ -22,6 +22,8 @@
 //! parse, and extract; owned conversion belongs at the single boundary
 //! where data outlives the page (the crawl engine's `NewLink` → interner).
 
+#![forbid(unsafe_code)]
+
 pub mod dom;
 pub mod escape;
 pub mod links;

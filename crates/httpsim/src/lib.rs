@@ -25,6 +25,8 @@
 //! retry/backoff policy and per-host circuit breaker every GET is
 //! dispatched through).
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod client;
 pub mod flaky;

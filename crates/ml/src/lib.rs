@@ -6,6 +6,8 @@
 //! * [`classifier`] — the batch-incremental URL classifier of Algorithm 2,
 //! * [`metrics`] — 3×3 confusion matrices and the MR metric of Table 5.
 
+#![forbid(unsafe_code)]
+
 pub mod classifier;
 pub mod features;
 pub mod metrics;

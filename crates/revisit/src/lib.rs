@@ -47,6 +47,8 @@
 //! assert!(policy.next(&mut rng).is_none(), "each page is due once per epoch");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod change;
 pub mod estimate;
 pub mod evolve;

@@ -32,6 +32,8 @@
 //! the unbounded structures**, so the frozen `sb_bench::reference` replay
 //! and every conformance suite pin the bounded implementations too.
 
+#![forbid(unsafe_code)]
+
 pub mod frontier;
 pub mod stream;
 pub mod visited;

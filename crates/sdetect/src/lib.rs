@@ -13,6 +13,8 @@
 //! and word-processor text. Archives are opaque without extraction and
 //! detect as zero tables — the same blind spot a human has before unzipping.
 
+#![forbid(unsafe_code)]
+
 pub mod delimited;
 pub mod detect;
 pub mod records;

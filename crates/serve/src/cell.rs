@@ -1,113 +1,37 @@
-//! [`ArcCell`]: an atomically swappable `Arc<T>` slot with wait-free-ish
-//! readers — the synchronisation primitive under the snapshot store.
+//! [`ArcCell`]: a swappable `Arc<T>` slot — the synchronisation primitive
+//! under the snapshot store, and nothing cleverer than `RwLock<Arc<T>>`.
 //!
-//! `load` never blocks on a lock and never observes a torn value: the
-//! pointer is published with a single atomic swap, so a reader sees either
-//! the complete old `Arc` or the complete new one. The subtlety is
-//! *reclamation* — a reader that has loaded the raw pointer but not yet
-//! bumped the refcount must not race a writer dropping that pointer's last
-//! reference. The classic fix (epoch-based reclamation, as in
-//! userspace-RCU) is used here in a deliberately small form:
-//!
-//! * Readers **pin** one of two parity counters (`readers[epoch & 1]`)
-//!   before touching the pointer, and *re-check* the epoch after pinning.
-//!   A reader that pinned a stale parity (the writer flipped in between)
-//!   unpins and retries; one that passes the re-check is guaranteed the
-//!   writer has not yet entered its grace period.
-//! * Writers serialise on a mutex, swap the pointer, flip the epoch, and
-//!   then spin until the *old* parity's pin count drains before dropping
-//!   the replaced `Arc`. Serialisation is load-bearing: because the next
-//!   writer cannot start until the previous one's grace period ends, a
-//!   pinned reader can only ever dereference a pointer whose reclaimer is
-//!   the very writer currently waiting on that reader's parity — so the
-//!   refcount bump always happens before the matching drop.
-//!
-//! Writers may briefly spin; readers only retry if they lose a race with
-//! an epoch flip, which a writer cannot re-trigger until all pinned
-//! readers finish. `SeqCst` everywhere: this cell is swapped a few
-//! thousand times per run while being read millions of times, so the
-//! write-side cost is irrelevant and the reasoning stays simple.
+//! `load` clones the `Arc` under the read lock and `store` swaps it under
+//! the write lock, so a reader sees either the complete old value or the
+//! complete new one and waits at most for one pointer swap. A loaded
+//! `Arc` is immutable history: later stores cannot touch it.
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
+use parking_lot::RwLock;
 use std::sync::Arc;
 
-/// A shared slot holding an `Arc<T>`, readable without locks and
-/// replaceable with a single atomic pointer swap.
-pub struct ArcCell<T> {
-    ptr: AtomicPtr<T>,
-    epoch: AtomicUsize,
-    readers: [AtomicUsize; 2],
-    writer: Mutex<()>,
-}
-
-// The cell hands out `Arc<T>` across threads and mutates the slot from
-// any thread, so it needs exactly what `Arc<T>: Send + Sync` needs.
-unsafe impl<T: Send + Sync> Send for ArcCell<T> {}
-unsafe impl<T: Send + Sync> Sync for ArcCell<T> {}
+/// A shared slot holding an `Arc<T>`, replaced whole and never mutated.
+pub struct ArcCell<T>(RwLock<Arc<T>>);
 
 impl<T> ArcCell<T> {
     pub fn new(value: Arc<T>) -> Self {
-        ArcCell {
-            ptr: AtomicPtr::new(Arc::into_raw(value).cast_mut()),
-            epoch: AtomicUsize::new(0),
-            readers: [AtomicUsize::new(0), AtomicUsize::new(0)],
-            writer: Mutex::new(()),
-        }
+        ArcCell(RwLock::new(value))
     }
 
-    /// A complete, previously-committed value. Lock-free: at most a few
-    /// retries when racing an epoch flip, never a blocking wait.
+    /// A complete, previously-committed value.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let e = self.epoch.load(SeqCst);
-            let pin = &self.readers[e & 1];
-            pin.fetch_add(1, SeqCst);
-            if self.epoch.load(SeqCst) != e {
-                // Lost the race: the writer flipped between our epoch read
-                // and our pin, so it is *not* waiting on this parity and
-                // the pointer may already be in its grace period.
-                pin.fetch_sub(1, SeqCst);
-                continue;
-            }
-            // Passing the re-check while pinned guarantees the current
-            // writer (if any) drains this parity before dropping whatever
-            // pointer we are about to read — see the module docs.
-            let p = self.ptr.load(SeqCst);
-            let value = unsafe {
-                Arc::increment_strong_count(p);
-                Arc::from_raw(p)
-            };
-            pin.fetch_sub(1, SeqCst);
-            return value;
-        }
+        Arc::clone(&self.0.read())
     }
 
-    /// Publishes `value` and returns the replaced `Arc` after the grace
-    /// period — once no in-flight reader can still dereference it.
+    /// Publishes `value` and returns the replaced `Arc`.
     pub fn store(&self, value: Arc<T>) -> Arc<T> {
-        let _writer = self.writer.lock();
-        let new = Arc::into_raw(value).cast_mut();
-        let old = self.ptr.swap(new, SeqCst);
-        let e = self.epoch.fetch_add(1, SeqCst);
-        while self.readers[e & 1].load(SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        unsafe { Arc::from_raw(old) }
-    }
-}
-
-impl<T> Drop for ArcCell<T> {
-    fn drop(&mut self) {
-        // &mut self: no readers or writers can exist; reclaim the slot.
-        unsafe { drop(Arc::from_raw(self.ptr.load(SeqCst))) }
+        std::mem::replace(&mut *self.0.write(), value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
     #[test]
     fn load_returns_stored_value() {

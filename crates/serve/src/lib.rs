@@ -6,13 +6,14 @@
 //! one-shot crawl (`sb-crawler`) plus the recrawl machinery
 //! (`sb-revisit`) into a long-running subsystem:
 //!
-//! * [`cell::ArcCell`] — the lock-free snapshot primitive: an atomically
-//!   swappable `Arc<T>` with epoch-based reclamation. Readers never
-//!   block and never observe a torn value.
-//! * [`store::SnapshotStore`] — versioned, copy-on-write page store.
-//!   Per-URL generations are monotonic, replaced versions are retained
-//!   under a bounded budget, and a read is two lock-free loads plus a
-//!   relaxed popularity bump.
+//! * [`cell::ArcCell`] — the snapshot primitive: a swappable `Arc<T>`
+//!   behind a reader-writer lock. A reader waits at most for one pointer
+//!   swap and never observes a torn value.
+//! * [`store::SnapshotStore`] — versioned page store. Per-URL
+//!   generations are monotonic, replaced versions are retained under a
+//!   bounded budget, and a read is two read-lock acquisitions plus a
+//!   relaxed popularity bump — it never waits for a fetch, a body copy
+//!   or a shelf clone.
 //! * [`sched`] — the freshness-SLA planner: per origin epoch it ranks
 //!   refresh candidates by *estimated change* ([`sb_revisit`] policies)
 //!   × *read popularity* (store counters) and feeds the winners back
@@ -30,6 +31,8 @@
 //! generations (proptest interleaving), and with readers off at
 //! `window == 1` the refresh schedule is byte-reproducible for a fixed
 //! seed.
+
+#![forbid(unsafe_code)]
 
 pub mod cell;
 pub mod read;

@@ -47,7 +47,7 @@ impl Zipf {
 }
 
 /// Per-slot staleness marks, written by the serve runtime's oracle and
-/// read (lock-free) by every reader at sample time. `0` = the stored
+/// read (one relaxed load) by every reader at sample time. `0` = the stored
 /// version matches the live origin; `m > 0` = it diverged when the origin
 /// entered epoch `m`.
 pub struct StaleBoard {
@@ -135,10 +135,22 @@ pub struct ReadReport {
 }
 
 impl ReadReport {
+    /// Folds in a *later* phase (the next epoch): walls add.
     pub fn merge(&mut self, other: &ReadReport) {
+        self.fold(other, self.wall_secs + other.wall_secs);
+    }
+
+    /// Folds in a reader thread that ran *beside* this one: the phase
+    /// lasted as long as its longest thread, so `qps` is the store's
+    /// throughput rather than the per-thread mean.
+    fn join(&mut self, other: &ReadReport) {
+        self.fold(other, self.wall_secs.max(other.wall_secs));
+    }
+
+    fn fold(&mut self, other: &ReadReport, wall_secs: f64) {
         self.reads += other.reads;
         self.misses += other.misses;
-        self.wall_secs += other.wall_secs;
+        self.wall_secs = wall_secs;
         if self.ages.len() < other.ages.len() {
             self.ages.resize(other.ages.len(), 0);
         }
@@ -176,7 +188,8 @@ pub fn percentile_of(hist: &[u64], q: f64) -> f64 {
 }
 
 /// The simulated read workload. [`ReadLoad::run`] drives one phase on
-/// the calling scope's threads and aggregates per-thread reports.
+/// the calling scope's threads and joins the per-thread reports on the
+/// longest thread's wall.
 pub struct ReadLoad {
     cfg: ReadLoadConfig,
 }
@@ -233,7 +246,7 @@ impl ReadLoad {
                 })
                 .collect();
             for h in handles {
-                merged.merge(&h.join().expect("reader thread panicked"));
+                merged.join(&h.join().expect("reader thread panicked"));
             }
         });
         merged
@@ -300,6 +313,24 @@ mod tests {
         assert_eq!(percentile_of(&hist, 0.95), 2.0);
         assert_eq!(percentile_of(&hist, 0.999), 7.0);
         assert_eq!(percentile_of(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn concurrent_threads_join_on_the_longest_wall_sequential_phases_add() {
+        let report = |reads, wall_secs| ReadReport {
+            reads,
+            wall_secs,
+            ..ReadReport::default()
+        };
+        let mut concurrent = report(10, 1.0);
+        concurrent.join(&report(30, 2.0));
+        assert_eq!(concurrent.reads, 40);
+        assert_eq!(concurrent.wall_secs, 2.0);
+        assert_eq!(concurrent.qps, 20.0);
+        let mut sequential = report(10, 1.0);
+        sequential.merge(&report(30, 2.0));
+        assert_eq!(sequential.wall_secs, 3.0);
+        assert!((sequential.qps - 40.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

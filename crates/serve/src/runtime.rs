@@ -5,7 +5,7 @@
 //! data-acquisition pipeline runs in production: a single
 //! [`CrawlSession`] first *discovers* the site (BFS under the shared
 //! politeness gates and budget), every fetched page is committed to the
-//! copy-on-write [`SnapshotStore`], and then, as the origin evolves
+//! versioned [`SnapshotStore`], and then, as the origin evolves
 //! epoch by epoch, a [`RevisitPolicy`]-driven planner picks which known
 //! URLs to refetch. Refreshes ride the **same** session — same
 //! transport window, same politeness, same budget accounting — so

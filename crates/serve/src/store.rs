@@ -1,25 +1,28 @@
-//! [`SnapshotStore`]: the versioned, copy-on-write page store that the
-//! read workload hits while the crawler refreshes it.
+//! [`SnapshotStore`]: the versioned page store that the read workload
+//! hits while the crawler refreshes it.
 //!
-//! Layout: an [`ArcCell`]-published *shelf* maps URL → slot; each slot is
-//! a `VersionCell` whose current [`PageVersion`] is itself an `ArcCell`.
-//! The shelf is cloned only when a **new URL** is inserted (copy-on-write
-//! of the index — cheap `Arc` clones of the cells, never of bodies);
-//! committing a fresh version of a *known* URL touches only that slot's
-//! pointer. Readers therefore never block, never see a torn page, and a
-//! read costs two lock-free loads plus one relaxed counter bump (the
+//! Layout: a *shelf* behind one `RwLock` maps URL → slot; each slot is a
+//! `VersionCell` whose current [`PageVersion`] is an [`ArcCell`]. The
+//! shelf's write lock is taken only to insert a **new URL** (one index
+//! insert and one push, in place); committing a fresh version of a
+//! *known* URL swaps only that slot's pointer. A reader therefore waits
+//! at most for one index insert or one pointer swap — never for a fetch,
+//! a body copy or a shelf clone — never sees a torn page, and a read
+//! costs two read-lock acquisitions plus one relaxed counter bump (the
 //! popularity signal the refresh scheduler consumes).
 //!
 //! Per-URL **generations** are monotonic: commit *k* for a URL carries
-//! generation *k*, generations are assigned under the writer lock, and
-//! version pointers are published in assignment order — so two successive
-//! reads of one URL can never observe generations going backwards.
+//! generation *k*. Commits to one URL serialise on that slot's `history`
+//! mutex, which is taken *before* the current generation is read, so
+//! generations are assigned and version pointers published in the same
+//! order — two successive reads of one URL can never observe generations
+//! going backwards. Commits to different URLs do not serialise.
 //! Replaced versions are retained in a bounded per-slot history (the
 //! retained-version budget), so a version a reader still holds stays
 //! cheap — dropping history only drops `Arc`s.
 
 use crate::cell::ArcCell;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use sb_httpsim::Body;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -42,23 +45,22 @@ pub struct PageVersion {
 struct VersionCell {
     url: Arc<str>,
     current: ArcCell<PageVersion>,
-    generation: AtomicU64,
     /// Reads served from this slot — the popularity signal.
     reads: AtomicU64,
     /// Replaced versions, newest first, capped at the retain budget.
+    /// Its lock also serialises commits to this slot.
     history: Mutex<VecDeque<Arc<PageVersion>>>,
 }
 
+#[derive(Default)]
 struct Shelf {
     index: HashMap<Arc<str>, usize>,
     cells: Vec<Arc<VersionCell>>,
 }
 
-/// The copy-on-write, versioned page store. See the module docs.
+/// The versioned page store. See the module docs.
 pub struct SnapshotStore {
-    shelf: ArcCell<Shelf>,
-    /// Serialises inserts and commits; readers never take it.
-    writer: Mutex<()>,
+    shelf: RwLock<Shelf>,
     retain: usize,
 }
 
@@ -67,65 +69,67 @@ impl SnapshotStore {
     /// URL (0 = current version only).
     pub fn new(retain: usize) -> Self {
         SnapshotStore {
-            shelf: ArcCell::new(Arc::new(Shelf {
-                index: HashMap::new(),
-                cells: Vec::new(),
-            })),
-            writer: Mutex::new(()),
+            shelf: RwLock::default(),
             retain,
         }
     }
 
+    /// Runs `f` on `url`'s slot under the shelf's read lock.
+    fn with_cell<R>(&self, url: &str, f: impl FnOnce(&Arc<VersionCell>) -> R) -> Option<R> {
+        let shelf = self.shelf.read();
+        shelf.index.get(url).map(|&i| f(&shelf.cells[i]))
+    }
+
     /// Serves the current version of `url` and counts the read. This is
-    /// the reader hot path: two lock-free loads, one counter bump, no
+    /// the reader hot path: two read locks, one counter bump, no
     /// allocation beyond the returned `Arc`.
     pub fn read(&self, url: &str) -> Option<Arc<PageVersion>> {
-        let shelf = self.shelf.load();
-        let cell = &shelf.cells[*shelf.index.get(url)?];
-        cell.reads.fetch_add(1, Relaxed);
-        Some(cell.current.load())
+        self.with_cell(url, |cell| {
+            cell.reads.fetch_add(1, Relaxed);
+            cell.current.load()
+        })
     }
 
     /// The current version without counting a read — for schedulers and
     /// oracles that must not pollute the popularity signal.
     pub fn peek(&self, url: &str) -> Option<Arc<PageVersion>> {
-        let shelf = self.shelf.load();
-        Some(shelf.cells[*shelf.index.get(url)?].current.load())
+        self.with_cell(url, |cell| cell.current.load())
     }
 
     /// Commits a new version of `url`, inserting the URL on first sight.
     /// Returns the version's generation (1 for a brand-new URL).
     pub fn commit(&self, url: &str, status: u16, body: Body, body_hash: u64) -> u64 {
-        let _writer = self.writer.lock();
-        let shelf = self.shelf.load();
-        let cell = match shelf.index.get(url) {
-            Some(&i) => Arc::clone(&shelf.cells[i]),
+        let cell = match self.with_cell(url, Arc::clone) {
+            Some(cell) => cell,
             None => {
-                // New URL: copy-on-write shelf clone (Arc clones only).
-                let u: Arc<str> = Arc::from(url);
-                let cell = Arc::new(VersionCell {
-                    url: Arc::clone(&u),
-                    current: ArcCell::new(Arc::new(PageVersion {
-                        url: Arc::clone(&u),
-                        status,
-                        body: body.clone(),
-                        body_hash,
-                        generation: 1,
-                    })),
-                    generation: AtomicU64::new(1),
-                    reads: AtomicU64::new(0),
-                    history: Mutex::new(VecDeque::new()),
-                });
-                let mut index = shelf.index.clone();
-                let mut cells = shelf.cells.clone();
-                index.insert(u, cells.len());
-                cells.push(Arc::clone(&cell));
-                self.shelf.store(Arc::new(Shelf { index, cells }));
-                return 1;
+                let mut shelf = self.shelf.write();
+                // Re-check under the write lock: committers may race to
+                // introduce one URL, and the losers commit generations 2...
+                match shelf.index.get(url) {
+                    Some(&i) => Arc::clone(&shelf.cells[i]),
+                    None => {
+                        let url: Arc<str> = Arc::from(url);
+                        let slot = shelf.cells.len();
+                        shelf.index.insert(Arc::clone(&url), slot);
+                        shelf.cells.push(Arc::new(VersionCell {
+                            url: Arc::clone(&url),
+                            current: ArcCell::new(Arc::new(PageVersion {
+                                url,
+                                status,
+                                body,
+                                body_hash,
+                                generation: 1,
+                            })),
+                            reads: AtomicU64::new(0),
+                            history: Mutex::new(VecDeque::new()),
+                        }));
+                        return 1;
+                    }
+                }
             }
         };
-        drop(shelf);
-        let generation = cell.generation.fetch_add(1, Relaxed) + 1;
+        let mut history = cell.history.lock();
+        let generation = cell.current.load().generation + 1;
         let next = Arc::new(PageVersion {
             url: Arc::clone(&cell.url),
             status,
@@ -133,9 +137,7 @@ impl SnapshotStore {
             body_hash,
             generation,
         });
-        let old = cell.current.store(next);
-        let mut history = cell.history.lock();
-        history.push_front(old);
+        history.push_front(cell.current.store(next));
         history.truncate(self.retain);
         generation
     }
@@ -143,11 +145,11 @@ impl SnapshotStore {
     /// Slot of `url` in insertion order, if known. Slot indexes are
     /// stable for the life of the store (the shelf only grows).
     pub fn slot(&self, url: &str) -> Option<usize> {
-        self.shelf.load().index.get(url).copied()
+        self.shelf.read().index.get(url).copied()
     }
 
     pub fn len(&self) -> usize {
-        self.shelf.load().cells.len()
+        self.shelf.read().cells.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -156,39 +158,26 @@ impl SnapshotStore {
 
     /// Every known URL, in insertion (slot) order.
     pub fn urls(&self) -> Vec<Arc<str>> {
-        self.shelf
-            .load()
-            .cells
-            .iter()
-            .map(|c| Arc::clone(&c.url))
-            .collect()
+        let shelf = self.shelf.read();
+        shelf.cells.iter().map(|c| Arc::clone(&c.url)).collect()
     }
 
     /// Reads served for `url` so far (the popularity signal).
     pub fn reads(&self, url: &str) -> u64 {
-        let shelf = self.shelf.load();
-        shelf
-            .index
-            .get(url)
-            .map_or(0, |&i| shelf.cells[i].reads.load(Relaxed))
+        self.with_cell(url, |cell| cell.reads.load(Relaxed))
+            .unwrap_or(0)
     }
 
     /// Current generation of `url` (0 if unknown).
     pub fn generation(&self, url: &str) -> u64 {
-        let shelf = self.shelf.load();
-        shelf
-            .index
-            .get(url)
-            .map_or(0, |&i| shelf.cells[i].generation.load(Relaxed))
+        self.with_cell(url, |cell| cell.current.load().generation)
+            .unwrap_or(0)
     }
 
     /// Replaced versions currently retained for `url`.
     pub fn retained(&self, url: &str) -> usize {
-        let shelf = self.shelf.load();
-        shelf
-            .index
-            .get(url)
-            .map_or(0, |&i| shelf.cells[i].history.lock().len())
+        self.with_cell(url, |cell| cell.history.lock().len())
+            .unwrap_or(0)
     }
 }
 
@@ -261,4 +250,63 @@ mod tests {
         assert_eq!(held.body_hash, h1, "held version is immutable");
         assert_eq!(store.peek("https://s/a").expect("known").body_hash, h2);
     }
+
+    /// `threads` committers released together on `url`; every generation
+    /// they were handed, sorted.
+    fn racing_commits(store: &SnapshotStore, url: &str, threads: u64, each: u64) -> Vec<u64> {
+        let barrier = std::sync::Barrier::new(threads as usize);
+        let mut generations: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        (0..each)
+                            .map(|k| {
+                                let (body, hash) = body_of(t * each + k);
+                                store.commit(url, 200, body, hash)
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("committer panicked"))
+                .collect()
+        });
+        generations.sort_unstable();
+        generations
+    }
+
+    /// The slot's `history` mutex alone serialises commits to a known URL.
+    #[test]
+    fn concurrent_commits_to_one_url_get_distinct_consecutive_generations() {
+        let store = SnapshotStore::new(3);
+        let (body, hash) = body_of(0);
+        store.commit("https://s/a", 200, body, hash);
+        let generations = racing_commits(&store, "https://s/a", 4, 250);
+        assert_eq!(generations, (2..=1001).collect::<Vec<u64>>());
+        assert_eq!(store.generation("https://s/a"), 1001);
+        assert_eq!(store.retained("https://s/a"), 3);
+        assert_eq!(store.len(), 1);
+    }
+
+    /// The index is re-checked under the shelf's write lock.
+    #[test]
+    fn racing_inserts_of_one_new_url_share_one_slot() {
+        let store = SnapshotStore::new(0);
+        let generations = racing_commits(&store, "https://s/new", 4, 1);
+        assert_eq!(generations, vec![1, 2, 3, 4]);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.slot("https://s/new"), Some(0));
+        assert_eq!(store.urls().len(), 1);
+    }
+
+    /// Compile-time: both are `Send + Sync` by auto-derivation.
+    const _: fn() = || {
+        fn shared<T: Send + Sync>() {}
+        shared::<ArcCell<Vec<u8>>>();
+        shared::<SnapshotStore>();
+    };
 }

@@ -15,6 +15,8 @@
 //! * [`content`] — target file bodies with planted statistic tables
 //!   (ground truth for the Table 7 experiment).
 
+#![forbid(unsafe_code)]
+
 pub mod complexity;
 pub mod content;
 pub mod csr;

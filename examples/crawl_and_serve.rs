@@ -2,7 +2,7 @@
 //!
 //! The paper's pipeline ends with acquired data being consumed at scale.
 //! This walkthrough runs the PR 9 subsystem end to end: one crawl session
-//! discovers a statistics portal into a lock-free snapshot store, the
+//! discovers a statistics portal into a versioned snapshot store, the
 //! origin keeps publishing, a Thompson-sampling revisit policy schedules
 //! refreshes by estimated-change × read-popularity, and two Zipf reader
 //! threads hammer the store the whole time — measuring read throughput

@@ -43,12 +43,11 @@ cargo run --release --offline -p sb-eval --bin xp -- \
     --out target/verify-smoke
 test -s target/verify-smoke/fleet_pool.csv
 test -s target/verify-smoke/fleet_shards.csv
-# The fleet examples drive every FleetMode through the public API from
-# outside the crate; shared_pool_fleet and sharded_fleet assert cross-mode
-# coverage parity, so they are run (~1 s together), not just compiled.
-for example in fleet_crawl shared_pool_fleet sharded_fleet; do
-    cargo run --release --offline --example "$example" > /dev/null
-done
+# The fleet example drives every FleetMode through the public API from
+# outside the crate and asserts cross-mode coverage parity (per-site vs
+# pool 1/16, shards 1/2/4, pinned-assignment stealing), so it is run
+# (~1 s), not just compiled.
+cargo run --release --offline --example fleet_crawl > /dev/null
 # Pipeline smoke: the nonblocking transport at in-flight 1/4/16 — coverage
 # must be window-invariant and the makespan ladder monotone (PR 4).
 cargo run --release --offline -p sb-eval --bin xp -- \
@@ -72,6 +71,10 @@ test -s target/verify-smoke/scale.csv
 # the workspace test run; named here so a zero-copy regression fails on
 # its own line.
 cargo test -q --offline -p sb-httpsim --test alloc_guard_replay
+# The snapshot store synchronises with plain locks (PR 18). What licenses
+# the lock is the suite that held the lock-free cell to account: readers
+# under a write storm see only untorn, per-URL monotone versions.
+cargo test -q --offline -p sb-serve --test snapshot_consistency
 cargo run --release --offline -p sb-eval --bin xp -- \
     serve --scale 0.003 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/serve.csv

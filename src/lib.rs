@@ -18,7 +18,7 @@
 //! * [`crawler`] — the crawl engine and all strategies,
 //! * [`revisit`] — incremental recrawl of evolving sites (the paper's
 //!   Sec 6 future work): change models, revisit policies, freshness,
-//! * [`serve`] — continuous crawl-and-serve: lock-free snapshot store,
+//! * [`serve`] — continuous crawl-and-serve: versioned snapshot store,
 //!   freshness-SLA refresh scheduling, simulated read load,
 //! * [`sdetect`] — statistics-table detection in retrieved files,
 //! * [`eval`] — the table/figure regeneration harness.
@@ -44,6 +44,8 @@
 //! concurrent multi-site fleets, see [`crawler::session`],
 //! [`crawler::events`] and [`crawler::fleet`] (demo:
 //! `examples/fleet_crawl.rs`).
+
+#![forbid(unsafe_code)]
 
 pub use sb_ann as ann;
 pub use sb_bandit as bandit;
