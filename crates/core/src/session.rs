@@ -157,8 +157,8 @@ pub struct CrawlConfig {
     /// admit). `None` (the default) changes nothing.
     pub robots_agent: Option<String>,
     /// Visited-set compaction threshold (PR 7): the first this many
-    /// discovered URLs are kept as full interner entries; URLs past the
-    /// threshold are kept as 64-bit fingerprints + canonical text
+    /// discovered URLs keep their parsed form beside the canonical text;
+    /// URLs past the threshold keep the text alone
     /// (`sb_scale::VisitedSet`), cutting per-URL memory several-fold on
     /// large crawls. `usize::MAX` (the default) never compacts and is
     /// bit-identical to the plain interner.
@@ -544,10 +544,15 @@ pub struct CrawlSession<'a> {
     /// root is not interned until the first step).
     root_text: String,
     /// `T ∪ F` membership: every discovered URL is interned exactly once
-    /// (one hash of the parsed `Url`, no string round-trips); the id keys
-    /// everything downstream. Exact entries up to
-    /// [`CrawlConfig::compact_visited_threshold`], fingerprints past it.
+    /// (one fingerprint of the parsed `Url`, no string round-trips); the id
+    /// keys everything downstream. Parsed forms kept up to
+    /// [`CrawlConfig::compact_visited_threshold`], text only past it.
     visited: VisitedSet,
+    /// The one `Url` every href of every page resolves into
+    /// ([`Url::join_into`]): once warm, a link the visited set rejects
+    /// costs no allocation. `process_html` takes it for its loop and puts
+    /// it back on every exit.
+    link_scratch: Option<Url>,
     /// Discovery depth per interned id (parallel to the interner).
     depths: Vec<u32>,
     targets: Vec<RetrievedTarget>,
@@ -635,6 +640,7 @@ impl<'a> CrawlSession<'a> {
             root,
             root_text,
             visited: VisitedSet::with_threshold(cfg.compact_visited_threshold),
+            link_scratch: None,
             depths: Vec::new(),
             targets: Vec::new(),
             pages_crawled: 0,
@@ -1565,13 +1571,17 @@ impl<'a> CrawlSession<'a> {
         let html = sb_html::body_str(body);
         let links = sb_html::extract_links_with(&html, self.strategy.link_needs());
         // One clone of the parsed base per page (instead of a re-parse);
-        // per link, membership is checked on the parsed `Url` itself, so
-        // known links cost one hash and zero allocations.
+        // per link, the href resolves into the session's scratch `Url` and
+        // membership is checked on it, so known links cost one fingerprint
+        // and zero allocations.
         let base = self.visited.base(page_id);
+        let mut resolved = self.link_scratch.take().unwrap_or_else(|| base.clone());
         let mut reward = 0.0;
         let mut new_links = 0u32;
         for link in &links {
-            let Ok(resolved) = base.join(&link.href) else { continue };
+            if base.join_into(&link.href, &mut resolved).is_err() {
+                continue;
+            }
             // Only in-website links enter the graph (Sec 2.2).
             if !resolved.same_site_as(&self.root) {
                 continue;
@@ -1622,10 +1632,12 @@ impl<'a> CrawlSession<'a> {
                 }
                 LinkDecision::ActionSpaceFull => {
                     self.aborted_oom = true;
+                    self.link_scratch = Some(resolved);
                     return reward;
                 }
             }
         }
+        self.link_scratch = Some(resolved);
         let snap = self.snapshot();
         self.hub.emit(
             &snap,

@@ -325,3 +325,86 @@ fn seed_urls_respect_site_boundary_filter_and_dedup() {
     // Only the root fetch happened: every seed was rejected unrequested.
     assert_eq!(outcome.pages_crawled, 1);
 }
+
+// ---------------------------------------------------------------------
+// Relative references that carry a URL
+// ---------------------------------------------------------------------
+
+/// `https://t.example/` links `/login?next=https://t.example/x` and
+/// `/moved`, which 301s to `/landing?from=https://t.example/moved`; every
+/// GET is recorded.
+#[derive(Default)]
+struct EmbeddedUrlServer {
+    fetched: std::sync::Mutex<Vec<String>>,
+}
+
+impl sb_httpsim::HttpServer for EmbeddedUrlServer {
+    fn head(&self, url: &str) -> sb_httpsim::HeadResponse {
+        self.get(url).head()
+    }
+
+    fn get(&self, url: &str) -> sb_httpsim::Response {
+        use sb_httpsim::{Body, Headers, Response};
+        self.fetched.lock().expect("no panic holds the log").push(url.to_owned());
+        let html = |body: &str| Response {
+            status: 200,
+            headers: Headers {
+                content_type: Some("text/html".to_owned()),
+                content_length: Some(body.len() as u64),
+                location: None,
+            },
+            body: body.as_bytes().to_vec().into(),
+        };
+        match url.strip_prefix("https://t.example").unwrap_or("<off>") {
+            "/" => html(
+                "<html><body>\
+                 <a href=\"/login?next=https://t.example/x\">log in</a>\
+                 <a href=\"/moved\">moved</a>\
+                 </body></html>",
+            ),
+            "/moved" => Response {
+                status: 301,
+                headers: Headers {
+                    content_type: None,
+                    content_length: Some(0),
+                    location: Some("/landing?from=https://t.example/moved".to_owned()),
+                },
+                body: Body::empty(),
+            },
+            "/login?next=https://t.example/x" | "/landing?from=https://t.example/moved" => {
+                html("<html><body>nothing here</body></html>")
+            }
+            _ => sb_httpsim::response::error_response(404),
+        }
+    }
+}
+
+fn crawl_embedded_url_site() -> (Vec<String>, sb_crawler::CrawlOutcome) {
+    let server = EmbeddedUrlServer::default();
+    let mut bfs = QueueStrategy::bfs();
+    let outcome = crawl(&server, None, "https://t.example/", &mut bfs, &CrawlConfig::default());
+    (server.fetched.into_inner().expect("no panic holds the log"), outcome)
+}
+
+/// A relative href whose query carries a URL resolves against the page; it
+/// is not mistaken for an absolute URL and dropped.
+#[test]
+fn href_carrying_a_url_is_fetched() {
+    let (fetched, _) = crawl_embedded_url_site();
+    assert!(
+        fetched.iter().any(|u| u == "https://t.example/login?next=https://t.example/x"),
+        "the linked login page must be fetched: {fetched:?}"
+    );
+}
+
+/// Likewise a 301 whose `Location` is such a reference is followed, not
+/// abandoned as unparseable.
+#[test]
+fn redirect_location_carrying_a_url_is_followed() {
+    let (fetched, outcome) = crawl_embedded_url_site();
+    assert!(
+        fetched.iter().any(|u| u == "https://t.example/landing?from=https://t.example/moved"),
+        "the redirect must be followed: {fetched:?}"
+    );
+    assert_eq!(outcome.abandoned.redirect, 0);
+}

@@ -22,10 +22,11 @@
 //!   A bounded in-memory deque whose middle spills to an overflow arena
 //!   (in-memory chunks or an unlinked temp file) in fixed-size chunks,
 //!   preserving the *exact* FIFO/LIFO pop order of the unbounded deque.
-//! * [`visited`] — [`VisitedSet`]: full `UrlInterner` entries up to a
-//!   configurable threshold, 64-bit FNV fingerprints + canonical text past
-//!   it, with collision accounting and an exact-map escape hatch so a
-//!   fingerprint collision can never merge two distinct URLs.
+//! * [`visited`] — [`VisitedSet`]: one 64-bit FNV fingerprint probe over
+//!   every URL's canonical text; the parsed form is kept beside it up to a
+//!   configurable threshold and dropped past it, with collision accounting
+//!   and an exact-map escape hatch so a fingerprint collision can never
+//!   merge two distinct URLs.
 //!
 //! Invariant shared by all three: **at overflow thresholds of `usize::MAX`
 //! (the defaults used by the engine), behaviour is bit-for-bit identical to

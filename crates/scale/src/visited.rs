@@ -1,83 +1,55 @@
-//! Compact visited-URL structure: exact entries up to a threshold, 64-bit
-//! fingerprints past it.
+//! Compact visited-URL structure: exact entries up to a threshold, text-only
+//! entries past it, one fingerprint probe over both.
 //!
-//! The engine's `UrlInterner` keeps, per URL, the canonical string *plus
-//! two* parsed [`Url`] copies (the map key and the id-indexed entry) —
-//! roughly 3× the text bytes and eight `String` headers. That is the right
-//! trade at 4k URLs and the wrong one at 10⁶. [`VisitedSet`] wraps the
-//! interner: the first `threshold` URLs intern exactly (bit-identical
-//! behaviour — the engine default threshold is `usize::MAX`, so the frozen
-//! replay suites pin this path), and every URL past the threshold is keyed
-//! by a 64-bit FNV-1a fingerprint of its canonical string, storing only the
-//! text itself.
+//! Every URL is keyed by the 64-bit FNV-1a fingerprint of its canonical
+//! form ([`fp_of_url`], computed once per `get`/`intern`, component-wise,
+//! no string built) and stores its canonical text once. The two tiers
+//! differ only in whether the parsed [`Url`] is kept beside it: the first
+//! `threshold` URLs keep it — the engine default threshold is
+//! `usize::MAX`, where the set behaves bit-identically to the plain
+//! `UrlInterner` and the frozen replay suites pin that — and every URL
+//! past the threshold stores the text alone and re-parses on demand. A
+//! parsed copy is the right trade at 4k URLs and the wrong one at 10⁶.
 //!
 //! Fingerprinting is *accounted, never trusted*: a fingerprint hit is
 //! confirmed against the stored text (allocation-free, component-wise), and
-//! a true collision — same fingerprint, different URL — bumps a visible
-//! counter and falls back to an exact text-keyed side map. Two distinct
-//! URLs can therefore never merge; the BUbiNG-style failure mode of
+//! a true collision — same fingerprint, different URL — is counted and
+//! falls back to an exact text-keyed side map. Two distinct URLs can
+//! therefore never merge; the BUbiNG-style failure mode of
 //! fingerprint-only visited sets (silently dropping colliding URLs) is
 //! traded for a measurable, escape-hatched slow path.
 
-use sb_webgraph::interner::FxHashMap;
+use sb_webgraph::interner::{fp_of_url, url_eq_canonical, FxHashMap};
 use sb_webgraph::url::Url;
-use sb_webgraph::{fnv1a, UrlId, UrlInterner, FNV1A_BASIS};
+use sb_webgraph::UrlId;
 use std::sync::Arc;
 
-/// Fingerprint of a URL's canonical form, computed component-wise without
-/// materialising the string ([`fnv1a`] is chunk-split insensitive — the
-/// property the allocation-free `get` rests on). Must mirror
-/// `Url::as_string` byte-for-byte.
-fn fp_of_url(u: &Url) -> u64 {
-    let mut h = fnv1a(FNV1A_BASIS, u.scheme.as_bytes());
-    h = fnv1a(h, b"://");
-    h = fnv1a(h, u.host.as_bytes());
-    h = fnv1a(h, u.path.as_bytes());
-    if !u.query.is_empty() {
-        h = fnv1a(h, b"?");
-        h = fnv1a(h, u.query.as_bytes());
-    }
-    h
-}
-
-/// Allocation-free `u.as_string() == s`, mirroring `Url::as_string`.
-fn url_eq_canonical(u: &Url, s: &str) -> bool {
-    let Some(rest) = s
-        .strip_prefix(u.scheme.as_str())
-        .and_then(|r| r.strip_prefix("://"))
-        .and_then(|r| r.strip_prefix(u.host.as_str()))
-        .and_then(|r| r.strip_prefix(u.path.as_str()))
-    else {
-        return false;
-    };
-    if u.query.is_empty() {
-        rest.is_empty()
-    } else {
-        rest.strip_prefix('?').is_some_and(|q| q == u.query)
-    }
-}
-
-/// Rough per-entry overheads for the byte-footprint gauge (headers, map
-/// slots, allocator slack).
-const EXACT_ENTRY_OVERHEAD: u64 = 256;
+/// Rough per-entry overheads for the byte-footprint gauge. Exact: the
+/// text's `Arc` header and slot, the parsed form's four `String` headers,
+/// a 16-byte map slot and allocator slack on five heap blocks. Compact:
+/// the `Arc`, its slot and the map slot.
+const EXACT_ENTRY_OVERHEAD: u64 = 224;
 const COMPACT_ENTRY_OVERHEAD: u64 = 64;
 
 /// Visited-URL set with a configurable exact/compact threshold; see module
-/// docs. Drop-in for the engine's `UrlInterner` (dense ids, same text/url
-/// accessors) — at `threshold == usize::MAX` it *is* the interner.
+/// docs. Drop-in for the plain `UrlInterner` (dense ids, same text/url
+/// accessors) — at `threshold == usize::MAX` it behaves as one.
 #[derive(Debug, Clone, Default)]
 pub struct VisitedSet {
-    exact: UrlInterner,
     threshold: usize,
-    /// fingerprint → compact id, for ids `>= exact.len()`.
-    fp_ids: FxHashMap<u64, UrlId>,
-    /// Canonical text of compact id `exact.len() + i`.
-    texts: Vec<Arc<str>>,
-    /// Escape hatch: URLs whose fingerprint collided with a *different*
-    /// URL, keyed by exact canonical text.
+    /// fingerprint → id of the first URL seen with it, either tier.
+    ids: FxHashMap<u64, UrlId>,
+    /// Escape hatch: URLs whose fingerprint belongs to a *different* URL,
+    /// keyed by exact canonical text. Its length is the collision count.
     collided: FxHashMap<Arc<str>, UrlId>,
-    collisions: u64,
+    /// Canonical text of every id.
+    texts: Vec<Arc<str>>,
+    /// Parsed form of the exact tier: ids `< parsed.len() <= threshold`.
+    parsed: Vec<Url>,
     bytes: u64,
+    /// Fingerprint bits dropped before keying: 0 outside the tests that
+    /// force collisions.
+    fp_shift: u32,
 }
 
 impl VisitedSet {
@@ -87,34 +59,41 @@ impl VisitedSet {
         Self::with_threshold(usize::MAX)
     }
 
-    /// Exact entries for the first `threshold` URLs, fingerprints past it.
+    /// Exact entries for the first `threshold` URLs, text-only past it.
     pub fn with_threshold(threshold: usize) -> Self {
         VisitedSet { threshold, ..Default::default() }
     }
 
+    /// Keys on the top 8 fingerprint bits only, so a few hundred URLs
+    /// exercise the collision side map.
+    #[cfg(test)]
+    fn with_narrow_fingerprint(threshold: usize) -> Self {
+        VisitedSet { threshold, fp_shift: 56, ..Default::default() }
+    }
+
     /// Number of distinct URLs in the set.
     pub fn len(&self) -> usize {
-        self.exact.len() + self.texts.len()
+        self.texts.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.texts.is_empty()
     }
 
-    /// URLs held as full interner entries.
+    /// URLs held with their parsed form.
     pub fn exact_len(&self) -> usize {
-        self.exact.len()
+        self.parsed.len()
     }
 
     /// URLs held as fingerprint + text.
     pub fn compact_len(&self) -> usize {
-        self.texts.len()
+        self.texts.len() - self.parsed.len()
     }
 
-    /// Fingerprint collisions observed (each cost one side-map entry, none
-    /// cost correctness).
+    /// Fingerprint collisions observed, in either tier (each cost one
+    /// side-map entry, none cost correctness).
     pub fn collisions(&self) -> u64 {
-        self.collisions
+        self.collided.len() as u64
     }
 
     /// Rough heap footprint of the set, in bytes (string content + per-entry
@@ -123,98 +102,69 @@ impl VisitedSet {
         self.bytes
     }
 
-    /// Id of an already-present URL, without inserting. Allocation-free on
-    /// the exact path and on compact fingerprint hits; a collided
-    /// fingerprint (counted, astronomically rare) pays one string build.
+    /// Id of an already-present URL, without inserting: one fingerprint,
+    /// one probe, one confirming compare against the stored text.
+    /// Allocation-free in both tiers; a collided fingerprint (counted,
+    /// astronomically rare) pays one string build.
     #[inline]
     pub fn get(&self, url: &Url) -> Option<UrlId> {
-        if let Some(id) = self.exact.get(url) {
+        let &id = self.ids.get(&(fp_of_url(url) >> self.fp_shift))?;
+        if url_eq_canonical(url, self.text(id)) {
             return Some(id);
         }
-        if self.texts.is_empty() {
-            return None;
-        }
-        let fp = fp_of_url(url);
-        let &id = self.fp_ids.get(&fp)?;
-        if url_eq_canonical(url, self.compact_text(id)) {
-            return Some(id);
-        }
-        let s: Arc<str> = Arc::from(url.as_string());
-        self.collided.get(&s).copied()
+        self.collided.get(url.as_string().as_str()).copied()
     }
 
     /// Inserts `url` if absent, returning its dense id.
     pub fn intern(&mut self, url: &Url) -> UrlId {
-        if let Some(id) = self.exact.get(url) {
-            return id;
-        }
-        if self.texts.is_empty() && self.exact.len() < self.threshold {
-            let id = self.exact.intern(url);
-            self.bytes += self.exact.text(id).len() as u64 * 3 + EXACT_ENTRY_OVERHEAD;
-            return id;
-        }
-        // Compact path: exact is frozen from here on, so `exact.len()` is a
-        // stable id base.
-        let fp = fp_of_url(url);
-        if let Some(&id) = self.fp_ids.get(&fp) {
-            if url_eq_canonical(url, self.compact_text(id)) {
-                return id;
+        let fp = fp_of_url(url) >> self.fp_shift;
+        let fresh = self.texts.len() as UrlId;
+        let text: Arc<str> = match self.ids.get(&fp) {
+            Some(&id) if url_eq_canonical(url, self.text(id)) => return id,
+            Some(_) => {
+                // True collision: count it and store the URL exactly.
+                let text: Arc<str> = Arc::from(url.as_string());
+                if let Some(&id) = self.collided.get(&text) {
+                    return id;
+                }
+                self.collided.insert(Arc::clone(&text), fresh);
+                text
             }
-            // True collision: count it and store the URL exactly.
-            let s: Arc<str> = Arc::from(url.as_string());
-            if let Some(&id) = self.collided.get(&s) {
-                return id;
+            None => {
+                self.ids.insert(fp, fresh);
+                Arc::from(url.as_string())
             }
-            self.collisions += 1;
-            let id = self.push_text(Arc::clone(&s));
-            self.collided.insert(s, id);
-            return id;
+        };
+        // The exact tier fills first and freezes at the threshold.
+        if self.parsed.len() < self.threshold {
+            self.bytes += text.len() as u64 * 2 + EXACT_ENTRY_OVERHEAD;
+            self.parsed.push(url.clone());
+        } else {
+            self.bytes += text.len() as u64 + COMPACT_ENTRY_OVERHEAD;
         }
-        let s: Arc<str> = Arc::from(url.as_string());
-        let id = self.push_text(s);
-        self.fp_ids.insert(fp, id);
-        id
-    }
-
-    fn push_text(&mut self, s: Arc<str>) -> UrlId {
-        let id = (self.exact.len() + self.texts.len()) as UrlId;
-        self.bytes += s.len() as u64 + COMPACT_ENTRY_OVERHEAD;
-        self.texts.push(s);
-        id
-    }
-
-    fn compact_text(&self, id: UrlId) -> &str {
-        &self.texts[id as usize - self.exact.len()]
+        self.texts.push(text);
+        fresh
     }
 
     /// Canonical string of URL `id`.
     #[inline]
     pub fn text(&self, id: UrlId) -> &str {
-        if (id as usize) < self.exact.len() {
-            self.exact.text(id)
-        } else {
-            self.compact_text(id)
-        }
+        &self.texts[id as usize]
     }
 
     /// Shared handle to the canonical string.
     #[inline]
     pub fn text_arc(&self, id: UrlId) -> Arc<str> {
-        if (id as usize) < self.exact.len() {
-            self.exact.text_arc(id)
-        } else {
-            Arc::clone(&self.texts[id as usize - self.exact.len()])
-        }
+        Arc::clone(&self.texts[id as usize])
     }
 
     /// Parsed form of URL `id`, for joins and same-site checks. Exact
     /// entries clone the stored parse; compact entries re-parse the
     /// canonical text (always valid — it round-tripped once).
     pub fn base(&self, id: UrlId) -> Url {
-        if (id as usize) < self.exact.len() {
-            self.exact.url(id).clone()
-        } else {
-            Url::parse(self.compact_text(id)).expect("canonical text reparses")
+        match self.parsed.get(id as usize) {
+            Some(url) => url.clone(),
+            None => Url::parse(self.text(id)).expect("canonical text reparses"),
         }
     }
 }
@@ -222,6 +172,7 @@ impl VisitedSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_webgraph::UrlInterner;
 
     fn u(s: &str) -> Url {
         Url::parse(s).unwrap()
@@ -305,6 +256,41 @@ mod tests {
         assert_ne!(ia, ib);
         assert_eq!(set.get(&a), Some(ia));
         assert_eq!(set.get(&b), Some(ib));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// With the fingerprint narrowed to 8 bits both tiers lean on the
+        /// collision side map, and the set still agrees with an exact
+        /// string-keyed model on every id, across the threshold.
+        #[test]
+        fn narrow_fingerprint_matches_string_model(
+            picks in proptest::collection::vec(0usize..400, 0..500),
+            threshold in 0usize..350,
+        ) {
+            let mut set = VisitedSet::with_narrow_fingerprint(threshold);
+            let mut model: std::collections::HashMap<String, UrlId> = Default::default();
+            // Random picks (with duplicates), then a sweep of 300 distinct
+            // URLs: more than the 256 keys, so collisions are certain.
+            for i in picks.into_iter().chain(0..300) {
+                // Three hosts; every odd `i` is the query twin of a
+                // query-less URL.
+                let query = if i % 2 == 1 { "?page=2" } else { "" };
+                let url = u(&format!("https://h{}.example/d/{}{query}", i % 3, i / 6));
+                let text = url.as_string();
+                proptest::prop_assert_eq!(set.get(&url), model.get(&text).copied());
+                let fresh = model.len() as UrlId;
+                let want = *model.entry(text.clone()).or_insert(fresh);
+                proptest::prop_assert_eq!(set.intern(&url), want);
+                proptest::prop_assert_eq!(set.get(&url), Some(want));
+                proptest::prop_assert_eq!(set.text(want), text.as_str());
+                proptest::prop_assert_eq!(set.base(want), url);
+            }
+            proptest::prop_assert_eq!(set.len(), model.len());
+            proptest::prop_assert_eq!(set.exact_len(), threshold.min(model.len()));
+            proptest::prop_assert!(set.collisions() > 0, "the rare path must have fired");
+        }
     }
 
     #[test]

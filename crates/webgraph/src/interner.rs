@@ -11,9 +11,12 @@
 //!   tag paths (DoS resistance is irrelevant for a simulator keyed by its
 //!   own generated strings),
 //! * [`FxHashMap`] / [`FxHashSet`] — std collections with that hasher,
-//! * [`UrlInterner`] — a bidirectional `Url ↔ UrlId` table that stores each
-//!   URL's parsed form *and* canonical string once, so the engine never
-//!   re-parses or re-stringifies a known URL.
+//! * [`fp_of_url`] / [`url_eq_canonical`] — the 64-bit fingerprint of a
+//!   URL's canonical form and its allocation-free confirmation, the one
+//!   probe every visited structure shares,
+//! * [`UrlInterner`] — a bidirectional `Url ↔ UrlId` table keyed by that
+//!   fingerprint, storing each URL's parsed form *and* canonical string
+//!   once, so the engine never re-parses or re-stringifies a known URL.
 
 use crate::url::{Url, UrlError};
 use std::collections::{HashMap, HashSet};
@@ -111,23 +114,76 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv1a(FNV1A_BASIS, bytes)
 }
 
+/// Fingerprint of a URL's canonical form, computed component-wise without
+/// materialising the string ([`fnv1a`] is chunk-split insensitive — the
+/// property the allocation-free `get` rests on). Must mirror
+/// `Url::as_string` byte-for-byte.
+#[inline]
+pub fn fp_of_url(u: &Url) -> u64 {
+    let mut h = fnv1a(FNV1A_BASIS, u.scheme.as_bytes());
+    h = fnv1a(h, b"://");
+    h = fnv1a(h, u.host.as_bytes());
+    h = fnv1a(h, u.path.as_bytes());
+    if !u.query.is_empty() {
+        h = fnv1a(h, b"?");
+        h = fnv1a(h, u.query.as_bytes());
+    }
+    h
+}
+
+/// Allocation-free `u.as_string() == s`, mirroring `Url::as_string`.
+#[inline]
+pub fn url_eq_canonical(u: &Url, s: &str) -> bool {
+    let Some(rest) = s
+        .strip_prefix(u.scheme.as_str())
+        .and_then(|r| r.strip_prefix("://"))
+        .and_then(|r| r.strip_prefix(u.host.as_str()))
+        .and_then(|r| r.strip_prefix(u.path.as_str()))
+    else {
+        return false;
+    };
+    if u.query.is_empty() {
+        rest.is_empty()
+    } else {
+        rest.strip_prefix('?').is_some_and(|q| q == u.query)
+    }
+}
+
 /// Bidirectional `Url ↔ UrlId` table.
 ///
-/// Lookups key on the **parsed** [`Url`] (hashing its components in place),
-/// so membership tests on freshly resolved links allocate nothing; the
-/// canonical string is materialised exactly once per distinct URL, when it
-/// is first interned. `text()` hands out `Arc<str>` so strategies can keep
-/// cheap owned copies.
+/// Lookups key on the [`fp_of_url`] fingerprint of the **parsed** [`Url`]
+/// (one pass over its components in place) and confirm a hit against the
+/// entry's one contiguous canonical string, so membership tests on freshly
+/// resolved links allocate nothing and touch one heap string. The
+/// fingerprint is accounted, never trusted: a URL whose fingerprint is
+/// taken by a *different* URL lives in a text-keyed side map, so two
+/// distinct URLs never share an id. The canonical string is materialised
+/// exactly once per distinct URL, when it is first interned. `text()`
+/// hands out `Arc<str>` so strategies can keep cheap owned copies.
 #[derive(Debug, Clone, Default)]
 pub struct UrlInterner {
-    ids: FxHashMap<Url, UrlId>,
+    /// fingerprint → id of the first URL interned with it.
+    ids: FxHashMap<u64, UrlId>,
+    /// Escape hatch: URLs whose fingerprint belongs to a different URL,
+    /// keyed by canonical text (its length is the collision count).
+    collided: FxHashMap<Arc<str>, UrlId>,
     /// id → (canonical string, parsed form), in id order.
     entries: Vec<(Arc<str>, Url)>,
+    /// Fingerprint bits dropped before keying: 0 outside the tests that
+    /// force collisions.
+    fp_shift: u32,
 }
 
 impl UrlInterner {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Keys on the top 8 fingerprint bits only, so a few hundred URLs
+    /// exercise the collision side map.
+    #[cfg(test)]
+    fn with_narrow_fingerprint() -> Self {
+        UrlInterner { fp_shift: 56, ..Self::default() }
     }
 
     /// Number of distinct URLs interned.
@@ -139,22 +195,40 @@ impl UrlInterner {
         self.entries.is_empty()
     }
 
-    /// Id of an already-interned URL, without interning. Allocation-free.
+    /// Id of an already-interned URL, without interning. Allocation-free
+    /// unless the fingerprint is held by a different URL (one string build
+    /// for the side-map lookup).
     #[inline]
     pub fn get(&self, url: &Url) -> Option<UrlId> {
-        self.ids.get(url).copied()
+        let &id = self.ids.get(&(fp_of_url(url) >> self.fp_shift))?;
+        if url_eq_canonical(url, self.text(id)) {
+            return Some(id);
+        }
+        self.collided.get(url.as_string().as_str()).copied()
     }
 
     /// Interns `url`, returning its id (existing or fresh). The canonical
     /// string form is built only for URLs seen for the first time.
     pub fn intern(&mut self, url: &Url) -> UrlId {
-        if let Some(id) = self.ids.get(url) {
-            return *id;
+        let fp = fp_of_url(url) >> self.fp_shift;
+        let fresh = self.entries.len() as UrlId;
+        match self.ids.get(&fp) {
+            Some(&id) if url_eq_canonical(url, self.text(id)) => return id,
+            Some(_) => {
+                // True collision: the URL is stored exactly, by text.
+                let text: Arc<str> = Arc::from(url.as_string());
+                if let Some(&id) = self.collided.get(&text) {
+                    return id;
+                }
+                self.collided.insert(Arc::clone(&text), fresh);
+                self.entries.push((text, url.clone()));
+            }
+            None => {
+                self.ids.insert(fp, fresh);
+                self.entries.push((Arc::from(url.as_string()), url.clone()));
+            }
         }
-        let id = self.entries.len() as UrlId;
-        self.entries.push((Arc::from(url.as_string()), url.clone()));
-        self.ids.insert(url.clone(), id);
-        id
+        fresh
     }
 
     /// Boundary helper: interns from a string (parsing it first).
@@ -236,6 +310,54 @@ mod tests {
         assert_eq!(h("https://a.com/x"), h("https://a.com/x"));
         assert_ne!(h("https://a.com/x"), h("https://a.com/y"));
         assert_ne!(h("abc"), h("abcd"));
+    }
+
+    #[test]
+    fn url_eq_canonical_mirrors_as_string() {
+        for s in ["https://www.example.org/a/b.html", "http://h.example/x?page=2", "https://h.example/"] {
+            assert!(url_eq_canonical(&u(s), s), "{s}");
+        }
+        // A query-less URL is not a prefix match of its query twin, nor the reverse.
+        assert!(!url_eq_canonical(&u("https://h.example/x"), "https://h.example/x?page=2"));
+        assert!(!url_eq_canonical(&u("https://h.example/x?page=2"), "https://h.example/x"));
+    }
+
+    /// URL `i` of the collision fixtures: three hosts, and every odd `i` is
+    /// the query twin of a query-less URL.
+    fn fixture_url(i: usize) -> Url {
+        let query = if i % 2 == 1 { "?page=2" } else { "" };
+        u(&format!("https://h{}.example/d/{}{query}", i % 3, i / 6))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// With the fingerprint narrowed to 8 bits the side map carries
+        /// most of the table, and the interner still agrees with an exact
+        /// string-keyed model on every id.
+        #[test]
+        fn narrow_fingerprint_matches_string_model(
+            picks in proptest::collection::vec(0usize..400, 0..500),
+        ) {
+            let mut it = UrlInterner::with_narrow_fingerprint();
+            let mut model: HashMap<String, UrlId> = HashMap::new();
+            // Random picks (with duplicates), then a sweep of 300 distinct
+            // URLs: more than the 256 keys, so collisions are certain.
+            for i in picks.into_iter().chain(0..300) {
+                let url = fixture_url(i);
+                let text = url.as_string();
+                proptest::prop_assert_eq!(it.get(&url), model.get(&text).copied());
+                let fresh = model.len() as UrlId;
+                let want = *model.entry(text.clone()).or_insert(fresh);
+                proptest::prop_assert_eq!(it.intern(&url), want);
+                proptest::prop_assert_eq!(it.get(&url), Some(want));
+                proptest::prop_assert_eq!(it.text(want), text.as_str());
+                proptest::prop_assert_eq!(it.url(want), &url);
+            }
+            proptest::prop_assert_eq!(it.len(), model.len());
+            proptest::prop_assert!(!it.collided.is_empty(), "the rare path must have fired");
+            proptest::prop_assert_eq!(it.ids.len() + it.collided.len(), it.len());
+        }
     }
 
     #[test]

@@ -48,63 +48,61 @@ impl Url {
     /// Parses an absolute URL. Fragments (`#…`) are dropped: they never
     /// change the fetched resource.
     pub fn parse(s: &str) -> Result<Url, UrlError> {
-        let s = s.trim();
-        let (scheme, rest) = match s.split_once("://") {
-            Some((sch, rest)) => (sch.to_ascii_lowercase(), rest),
-            None => return Err(UrlError::BadScheme),
-        };
-        if scheme != "http" && scheme != "https" {
-            return Err(UrlError::BadScheme);
-        }
-        let rest = rest.split('#').next().unwrap_or("");
-        let (authority, path_query) = match rest.find('/') {
-            Some(pos) => (&rest[..pos], &rest[pos..]),
-            None => match rest.find('?') {
-                Some(pos) => (&rest[..pos], &rest[pos..]),
-                None => (rest, ""),
-            },
-        };
-        if authority.is_empty() {
-            return Err(UrlError::NoHost);
-        }
-        // Strip userinfo if any.
-        let host = authority.rsplit('@').next().unwrap_or(authority).to_ascii_lowercase();
-        if host.is_empty() {
-            return Err(UrlError::NoHost);
-        }
-        let (path, query) = match path_query.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (path_query, ""),
-        };
-        let path = if path.is_empty() { "/".to_owned() } else { normalize_path(path) };
-        Ok(Url { scheme, host, path, query: query.to_owned() })
+        let mut url = Url::blank();
+        Url::parse_into(s, &mut url)?;
+        Ok(url)
+    }
+
+    /// [`Url::parse`] into `out`'s own buffers: a warmed `out` never
+    /// allocates. On `Err`, `out` holds unspecified components; the next
+    /// `Ok` overwrites all four.
+    pub fn parse_into(s: &str, out: &mut Url) -> Result<(), UrlError> {
+        let (scheme, rest) = s.trim().split_once("://").ok_or(UrlError::BadScheme)?;
+        write_absolute(scheme, rest, out)
     }
 
     /// Resolves `reference` (absolute, protocol-relative, root-relative,
     /// relative or query-only) against `self` as base.
     pub fn join(&self, reference: &str) -> Result<Url, UrlError> {
+        let mut url = Url::blank();
+        self.join_into(reference, &mut url)?;
+        Ok(url)
+    }
+
+    /// [`Url::join`] into `out`'s own buffers — the per-link form: the
+    /// crawl session resolves every href of every page into one scratch
+    /// `Url` and copies out only the links it admits. Same `Err` contract
+    /// as [`Url::parse_into`].
+    pub fn join_into(&self, reference: &str, out: &mut Url) -> Result<(), UrlError> {
         let r = reference.trim();
         let r = r.split('#').next().unwrap_or("");
         if r.is_empty() {
-            return Ok(self.clone());
+            out.copy_from(self);
+            return Ok(());
         }
-        if r.contains("://") {
-            return Url::parse(r);
+        // Absolute only when an RFC 3986 scheme is followed by `://` at the
+        // very start. A scheme cannot contain `:`, so the first one decides:
+        // `/login?next=https://a.com/x` is a relative reference.
+        if let Some((scheme, rest)) = r.split_once(':') {
+            if is_scheme(scheme) {
+                if let Some(rest) = rest.strip_prefix("//") {
+                    return write_absolute(scheme, rest.trim_end(), out);
+                }
+            }
         }
         if let Some(rest) = r.strip_prefix("//") {
-            return Url::parse(&format!("{}://{}", self.scheme, rest));
+            return write_absolute(&self.scheme, rest.trim_end(), out);
         }
+        out.scheme.clone_from(&self.scheme);
+        out.host.clone_from(&self.host);
         if let Some(q) = r.strip_prefix('?') {
-            let mut u = self.clone();
-            u.query = q.to_owned();
-            return Ok(u);
+            out.path.clone_from(&self.path);
+            set(&mut out.query, q);
+            return Ok(());
         }
-        let (ref_path, query) = match r.split_once('?') {
-            Some((p, q)) => (p, q.to_owned()),
-            None => (r, String::new()),
-        };
-        let path = if ref_path.starts_with('/') {
-            normalize_path(ref_path)
+        let (ref_path, query) = r.split_once('?').unwrap_or((r, ""));
+        if ref_path.starts_with('/') {
+            normalize_path(ref_path, &mut out.path);
         } else {
             // Relative to the base path's directory. The two halves are
             // normalised as one stream — no `format!("{dir}{ref_path}")`
@@ -117,9 +115,24 @@ impl Url {
                 dir.split('/').chain(ref_path.split('/')),
                 ref_path.ends_with('/'),
                 dir.len() + ref_path.len(),
-            )
-        };
-        Ok(Url { scheme: self.scheme.clone(), host: self.host.clone(), path, query })
+                &mut out.path,
+            );
+        }
+        set(&mut out.query, query);
+        Ok(())
+    }
+
+    /// The empty value `parse`/`join` resolve into (never handed out).
+    fn blank() -> Url {
+        Url { scheme: String::new(), host: String::new(), path: String::new(), query: String::new() }
+    }
+
+    /// `*self = src.clone()`, keeping `self`'s buffers.
+    fn copy_from(&mut self, src: &Url) {
+        self.scheme.clone_from(&src.scheme);
+        self.host.clone_from(&src.host);
+        self.path.clone_from(&src.path);
+        self.query.clone_from(&src.query);
     }
 
     /// Hostname with a leading `www.` removed — the paper's footnote-1 rule.
@@ -179,20 +192,66 @@ impl fmt::Display for Url {
     }
 }
 
-/// Collapses `.` and `..` segments and duplicate slashes.
-fn normalize_path(path: &str) -> String {
-    normalize_segments(path.split('/'), path.ends_with('/'), path.len())
+/// `ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )` (RFC 3986 §3.1).
+fn is_scheme(s: &str) -> bool {
+    let b = s.as_bytes();
+    b.first().is_some_and(u8::is_ascii_alphabetic)
+        && b.iter().all(|c| c.is_ascii_alphanumeric() || matches!(c, b'+' | b'-' | b'.'))
 }
 
-/// Single-pass, single-allocation normalisation over a segment stream:
-/// `..` pops by truncating to the previous `/` instead of via a segment
-/// `Vec` + `join`.
+/// Overwrites `dst` with `src`, keeping `dst`'s buffer.
+fn set(dst: &mut String, src: &str) {
+    dst.clear();
+    dst.push_str(src);
+}
+
+/// The one resolver behind `parse_into` and the absolute and
+/// protocol-relative branches of `join_into`: writes `scheme://rest` into
+/// `out`, where `rest` is everything after the `://`.
+fn write_absolute(scheme: &str, rest: &str, out: &mut Url) -> Result<(), UrlError> {
+    if !scheme.eq_ignore_ascii_case("http") && !scheme.eq_ignore_ascii_case("https") {
+        return Err(UrlError::BadScheme);
+    }
+    let rest = rest.split('#').next().unwrap_or("");
+    let (authority, path_query) = match rest.find('/') {
+        Some(pos) => (&rest[..pos], &rest[pos..]),
+        None => match rest.find('?') {
+            Some(pos) => (&rest[..pos], &rest[pos..]),
+            None => (rest, ""),
+        },
+    };
+    // Strip userinfo if any.
+    let host = authority.rsplit('@').next().unwrap_or(authority);
+    if host.is_empty() {
+        return Err(UrlError::NoHost);
+    }
+    let (path, query) = path_query.split_once('?').unwrap_or((path_query, ""));
+    set(&mut out.scheme, scheme);
+    out.scheme.make_ascii_lowercase();
+    set(&mut out.host, host);
+    out.host.make_ascii_lowercase();
+    // An empty path normalises to `/`.
+    normalize_path(path, &mut out.path);
+    set(&mut out.query, query);
+    Ok(())
+}
+
+/// Collapses `.` and `..` segments and duplicate slashes.
+fn normalize_path(path: &str, out: &mut String) {
+    normalize_segments(path.split('/'), path.ends_with('/'), path.len(), out);
+}
+
+/// Single-pass normalisation of a segment stream into `p`'s buffer (one
+/// allocation when it is fresh, none once it is warm): `..` pops by
+/// truncating to the previous `/` instead of via a segment `Vec` + `join`.
 fn normalize_segments<'a>(
     segments: impl Iterator<Item = &'a str>,
     trailing_slash: bool,
     capacity_hint: usize,
-) -> String {
-    let mut p = String::with_capacity(capacity_hint + 1);
+    p: &mut String,
+) {
+    p.clear();
+    p.reserve(capacity_hint + 1);
     p.push('/');
     for seg in segments {
         match seg {
@@ -214,7 +273,6 @@ fn normalize_segments<'a>(
     if trailing_slash && !p.ends_with('/') {
         p.push('/');
     }
-    p
 }
 
 #[cfg(test)]
@@ -288,6 +346,45 @@ mod tests {
     fn join_drops_fragment() {
         let base = u("https://a.com/dir/");
         assert_eq!(base.join("x.html#sec").unwrap().path, "/dir/x.html");
+    }
+
+    /// A reference is absolute only when a scheme and `://` open it; a URL
+    /// carried in a query or path does not make it one.
+    #[test]
+    fn join_embedded_url_is_not_absolute() {
+        let base = u("https://a.com/dir/page.html");
+        assert_eq!(
+            base.join("/login?next=https://a.com/x").unwrap().to_string(),
+            "https://a.com/login?next=https://a.com/x"
+        );
+        assert_eq!(
+            base.join("share?u=http://b.org/").unwrap().to_string(),
+            "https://a.com/dir/share?u=http://b.org/"
+        );
+        assert_eq!(
+            base.join("?to=https://a.com/").unwrap().to_string(),
+            "https://a.com/dir/page.html?to=https://a.com/"
+        );
+        assert_eq!(base.join("HTTPS://A.com/X").unwrap().to_string(), "https://a.com/X");
+        assert_eq!(
+            base.join("//cdn.a.com/y?u=http://x").unwrap().to_string(),
+            "https://cdn.a.com/y?u=http://x"
+        );
+        assert_eq!(base.join("ftp://a.com/x"), Err(UrlError::BadScheme));
+    }
+
+    /// Every branch overwrites all four components of a dirty destination.
+    #[test]
+    fn into_variants_overwrite_a_dirty_destination() {
+        let base = u("https://a.com/dir/page.html?old=1");
+        let mut out = u("http://stale.example/very/long/stale/path?stale=query");
+        for r in ["https://x.org/y", "//cdn.a.com/y", "?page=2", "/root.csv", "../up.xls?v=3", "", "#top"] {
+            base.join_into(r, &mut out).unwrap();
+            assert_eq!(out, base.join(r).unwrap(), "{r}");
+        }
+        assert_eq!(base.join_into("ftp://x/", &mut out), Err(UrlError::BadScheme));
+        Url::parse_into("http://B.com", &mut out).unwrap();
+        assert_eq!(out, u("http://b.com/"));
     }
 
     #[test]

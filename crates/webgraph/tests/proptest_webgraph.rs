@@ -41,6 +41,31 @@ proptest! {
         }
     }
 
+    /// Scratch reuse leaks no state: resolving any sequence of references
+    /// (absolute, `//host/…`, `?q`, `/abs`, `rel/../x`, with and without
+    /// query and fragment, and ones that fail) into **one** dirty `Url`
+    /// equals a fresh `join`/`parse` on every step — after an `Err` too.
+    #[test]
+    fn into_variants_match_fresh_resolution_on_a_dirty_scratch(
+        references in proptest::collection::vec(
+            "(https://[a-z]{1,6}\\.org|HTTP://[A-Z]{1,4}\\.COM|ftp://[a-z]{1,4}\\.org|https://|//[a-z]{1,6}\\.net|/|)\
+             /?((\\.\\./|\\./|[a-z0-9]{1,5}/){0,3}[a-z0-9.]{0,6})\
+             (\\?[a-z]=[a-z:/]{0,10})?(#[a-z]{0,4})?",
+            1..24,
+        ),
+        base_path in "(/[a-z0-9]{1,6}){0,3}/?",
+    ) {
+        let base = Url::parse(&format!("https://www.example.org{base_path}?base=1")).unwrap();
+        let mut joined = base.clone();
+        let mut parsed = base.clone();
+        for r in &references {
+            let got = base.join_into(r, &mut joined).map(|()| joined.clone());
+            prop_assert_eq!(got, base.join(r), "join {:?}", r);
+            let got = Url::parse_into(r, &mut parsed).map(|()| parsed.clone());
+            prop_assert_eq!(got, Url::parse(r), "parse {:?}", r);
+        }
+    }
+
     /// Subdomain boundary: a host is same-site iff equal or dot-separated
     /// suffix (never substring tricks).
     #[test]

@@ -23,6 +23,14 @@ cargo test -q --offline -p sb-html --test alloc_guard
 cargo test -q --offline -p sb-ann --test proptest_sparse
 cargo test -q --offline -p sb-crawler --test proptest_action
 cargo test -q --offline -p sb-crawler --test alloc_guard_action
+# Link admission resolves once and hashes once (PR 19). The webgraph
+# proptest licenses the session's scratch `Url`: `join_into`/`parse_into`
+# on one dirty destination equal a fresh `join`/`parse` on every step. The
+# counting-allocator guard licenses the fingerprint key: rejecting a known
+# link allocates nothing in either tier of the visited set, and admitting
+# one costs at most six allocations.
+cargo test -q --offline -p sb-webgraph --test proptest_webgraph
+cargo test -q --offline -p sb-scale --test alloc_guard_visited
 # Benches must stay compilable even when nobody runs them — the html
 # microbench (seed pipeline vs zero-copy) named explicitly; its compile is
 # cached from the package-wide line, so the extra check is free.
