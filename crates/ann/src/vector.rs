@@ -2,8 +2,8 @@
 //! dense cosine reference they are pinned against.
 //!
 //! A projected tag path has ~10 non-zeros out of `D = 4096`, so production
-//! code ([`crate::Sketcher`], [`crate::Hnsw`], `ActionSpace`) only ever
-//! holds [`SparseVec`]s. The sparse kernels are **bit-identical** to the
+//! code ([`crate::Sketcher`], `ActionSpace`) only ever holds
+//! [`SparseVec`]s. The sparse kernels are **bit-identical** to the
 //! dense ones by construction: a skipped coordinate would only have added
 //! an exact-zero product to an f64 accumulator, and every surviving term is
 //! added in the same ascending-index order as the dense loop. The dense

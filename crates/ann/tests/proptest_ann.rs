@@ -1,15 +1,9 @@
-//! Property tests for the vectorisation pipeline and the HNSW index.
+//! Property tests for the vectorisation pipeline.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_ann::{brute_force_nearest, cosine, Hnsw, HnswParams, NgramVocab, Projector, SparseVec};
-
-/// A random dense vector, handed to the index the only way it takes one.
-fn random_vec(rng: &mut StdRng, dim: usize) -> SparseVec {
-    let dense: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
-    SparseVec::from_dense(&dense)
-}
+use sb_ann::{cosine, NgramVocab, Projector};
 
 fn arb_tokens() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z]{1,6}(#[a-z]{1,4})?(\\.[a-z]{1,4})?", 1..12)
@@ -58,53 +52,6 @@ proptest! {
         let bow = sb_ann::SparseBow { dim: d, items };
         let proj = Projector::paper_default();
         prop_assert_eq!(proj.project(&bow), proj.project(&bow));
-    }
-
-    /// HNSW: inserted vectors are their own (near-)exact matches, whatever
-    /// the insertion order.
-    #[test]
-    fn hnsw_self_recall(seed in 0u64..30, n in 10usize..80) {
-        let dim = 12;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut index = Hnsw::new(dim, HnswParams::default());
-        let mut vecs = Vec::new();
-        for _ in 0..n {
-            let v = random_vec(&mut rng, dim);
-            index.insert(&v);
-            vecs.push(v);
-        }
-        for (i, v) in vecs.iter().enumerate().step_by(7) {
-            let hits = index.search(v, 3);
-            prop_assert!(
-                hits.iter().any(|&(id, sim)| id as usize == i && sim > 0.999),
-                "vector {i} not its own neighbour"
-            );
-        }
-    }
-
-    /// HNSW top-1 agrees with brute force for most queries (approximate, so
-    /// demand ≥ 70% on small instances — empirically it is ~100%).
-    #[test]
-    fn hnsw_close_to_bruteforce(seed in 0u64..20) {
-        let dim = 16;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut index = Hnsw::new(dim, HnswParams::default());
-        let mut vecs = Vec::new();
-        for _ in 0..120 {
-            let v = random_vec(&mut rng, dim);
-            index.insert(&v);
-            vecs.push(v);
-        }
-        let mut agree = 0;
-        for _ in 0..20 {
-            let q = random_vec(&mut rng, dim);
-            let (bf, _) = brute_force_nearest(&vecs, &q).expect("nonempty");
-            let approx = index.search(&q, 5);
-            if approx.iter().any(|&(id, _)| id as usize == bf) {
-                agree += 1;
-            }
-        }
-        prop_assert!(agree >= 14, "only {agree}/20 queries agreed with brute force");
     }
 
     /// Cosine similarity is symmetric and bounded.

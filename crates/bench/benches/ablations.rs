@@ -2,9 +2,7 @@
 //!
 //! 1. **Bandit policy** — AUER vs plain UCB1 vs ε-greedy vs Thompson on the
 //!    same site (the paper's appendix discusses why AUER);
-//! 2. **ANN index** — HNSW vs brute-force nearest-centroid (same clusters,
-//!    different CPU);
-//! 3. **Classifier vs oracle vs none** — what the online URL classifier
+//! 2. **Classifier vs oracle vs none** — what the online URL classifier
 //!    buys over plain BFS, and how far it sits from the perfect oracle.
 //!
 //! Each bench reports wall time; the companion `measure_*` functions print
@@ -14,8 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sb_ann::{brute_force_nearest, Hnsw, HnswParams, SparseVec};
+use rand::SeedableRng;
 use sb_bandit::{policies::ArmView, ArmStats, Auer, EpsilonGreedy, Policy, ThompsonSampling, Ucb1};
 use sb_crawler::{crawl, Budget, CrawlConfig};
 use sb_crawler::strategies::{QueueStrategy, SbConfig, SbStrategy};
@@ -51,28 +48,6 @@ fn bench_bandit_policies(c: &mut Criterion) {
         let mut p = ThompsonSampling::default();
         b.iter(|| p.select(black_box(&arms), 5000, &mut rng))
     });
-    group.finish();
-}
-
-fn bench_ann_vs_bruteforce(c: &mut Criterion) {
-    let dim = 4096;
-    let mut rng = StdRng::seed_from_u64(9);
-    let mk = |rng: &mut StdRng| {
-        let mut v = vec![0.0f32; dim];
-        for _ in 0..24 {
-            v[rng.gen_range(0..dim)] = rng.gen_range(0.1..2.0);
-        }
-        SparseVec::from_dense(&v)
-    };
-    let vectors: Vec<SparseVec> = (0..300).map(|_| mk(&mut rng)).collect();
-    let mut index = Hnsw::new(dim, HnswParams::default());
-    for v in &vectors {
-        index.insert(v);
-    }
-    let q = mk(&mut rng);
-    let mut group = c.benchmark_group("ablation/nearest_centroid_300");
-    group.bench_function("hnsw", |b| b.iter(|| index.nearest(black_box(&q))));
-    group.bench_function("brute_force", |b| b.iter(|| brute_force_nearest(black_box(&vectors), &q)));
     group.finish();
 }
 
@@ -178,7 +153,7 @@ fn bench_bandit_choice_quality(c: &mut Criterion) {
 criterion_group!(
     name = ablations;
     config = Criterion::default().sample_size(20).warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2));
-    targets = bench_bandit_policies, bench_ann_vs_bruteforce, bench_crawler_quality,
+    targets = bench_bandit_policies, bench_crawler_quality,
         bench_bandit_choice_quality
 );
 criterion_main!(ablations);

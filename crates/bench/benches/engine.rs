@@ -12,8 +12,9 @@ use sb_crawler::{crawl, Budget, CrawlConfig};
 use sb_crawler::fleet::{Fleet, FleetJob, FleetMode, SharedServer};
 use sb_crawler::strategies::{Discipline, QueueStrategy, SbStrategy};
 use sb_httpsim::SiteServer;
+use sb_scale::VisitedSet;
 use sb_webgraph::gen::{build_site, SiteSpec};
-use sb_webgraph::{UrlInterner, Website};
+use sb_webgraph::Website;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -255,7 +256,7 @@ fn bench_interner(c: &mut Criterion) {
 
     c.bench_function("interner/intern_2k_urls", |b| {
         b.iter(|| {
-            let mut it = UrlInterner::new();
+            let mut it = VisitedSet::exact();
             for u in &parsed {
                 black_box(it.intern(u));
             }
@@ -263,7 +264,7 @@ fn bench_interner(c: &mut Criterion) {
         })
     });
     c.bench_function("interner/hit_lookup_2k", |b| {
-        let mut it = UrlInterner::new();
+        let mut it = VisitedSet::exact();
         for u in &parsed {
             it.intern(u);
         }
@@ -276,8 +277,8 @@ fn bench_interner(c: &mut Criterion) {
         })
     });
     // The per-link loop of `process_html` in isolation: every href of one
-    // generated site resolved into a reused scratch `Url` and looked up in an
-    // interner that already knows it (the 88 % case of a BFS crawl).
+    // generated site resolved into a reused scratch `Url` and looked up in a
+    // visited set that already knows it (the 88 % case of a BFS crawl).
     c.bench_function("interner/link_admission", |b| {
         let pages: Vec<(sb_webgraph::Url, Vec<String>)> = (0..site.len() as u32)
             .filter(|&id| matches!(site.page(id).kind, sb_webgraph::gen::PageKind::Html(_)))
@@ -290,7 +291,7 @@ fn bench_interner(c: &mut Criterion) {
                 (sb_webgraph::Url::parse(&site.page(id).url).unwrap(), hrefs)
             })
             .collect();
-        let mut visited = UrlInterner::new();
+        let mut visited = VisitedSet::exact();
         for u in &parsed {
             visited.intern(u);
         }

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the crawler's hot inner loops: HTML parse + link
-//! extraction, tag-path vectorisation + projection, HNSW insert/query,
+//! extraction, tag-path vectorisation + projection, action assignment,
 //! online classifier updates and AUER selection. These are the costs the
 //! paper argues are "negligible compared to crawl time" (Sec 3.2) — the
 //! numbers here quantify that claim.
@@ -7,8 +7,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sb_ann::{Hnsw, HnswParams, Projector, Sketcher, SparseVec};
+use rand::SeedableRng;
+use sb_ann::{Projector, Sketcher};
 use sb_bandit::{policies::ArmView, ArmStats, Auer, Policy};
 use sb_crawler::{ActionSpace, ActionSpaceConfig};
 use sb_html::{extract_links, parse, TagPath};
@@ -62,30 +62,8 @@ fn bench_projection(c: &mut Criterion) {
     });
 }
 
-fn bench_hnsw(c: &mut Criterion) {
-    let dim = 4096;
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut index = Hnsw::new(dim, HnswParams::default());
-    let sparse_vec = |rng: &mut StdRng| {
-        let mut v = vec![0.0f32; dim];
-        for _ in 0..24 {
-            v[rng.gen_range(0..dim)] = rng.gen_range(0.1..2.0);
-        }
-        SparseVec::from_dense(&v)
-    };
-    for _ in 0..200 {
-        let v = sparse_vec(&mut rng);
-        index.insert(&v);
-    }
-    let q = sparse_vec(&mut rng);
-    c.bench_function("ann/hnsw_nearest_200c", |b| b.iter(|| index.nearest(black_box(&q))));
-    c.bench_function("ann/hnsw_insert", |b| {
-        b.iter_with_setup(|| sparse_vec(&mut rng), |v| index.insert(black_box(&v)))
-    });
-}
-
 /// `ActionSpace::assign` at steady state: every path joins an existing
-/// action (sketch, nearest centroid, centroid move, HNSW relink).
+/// action (sketch, nearest-centroid scan, centroid move).
 fn bench_assign_warm(c: &mut Criterion) {
     let mut space = ActionSpace::new(ActionSpaceConfig::default());
     let paths = bench_tag_paths();
@@ -162,6 +140,6 @@ fn bench_bandit(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(30).warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2));
-    targets = bench_html, bench_projection, bench_hnsw, bench_assign_warm, bench_action_space, bench_classifier, bench_bandit
+    targets = bench_html, bench_projection, bench_assign_warm, bench_action_space, bench_classifier, bench_bandit
 );
 criterion_main!(micro);

@@ -1,20 +1,20 @@
 //! The action space of the sleeping bandit (Algorithm 1).
 //!
 //! An *action* is an evolving cluster of similar tag paths, represented only
-//! by its centroid (stored in an HNSW index for fast nearest-centroid
-//! queries and cheap centroid updates). For each new hyperlink, its tag path
-//! is sketched (token n-grams over a dynamic vocabulary, projected to a
-//! fixed dimension — a [`Sketcher`], sparse end to end: ~10 non-zeros out of
-//! `D = 4096`) and matched against the nearest centroid: cosine
-//! similarity ≥ θ joins the action and moves its centroid; anything less
-//! founds a new action.
+//! by its centroid (a `Vec<SparseVec>`, one per action; the nearest one is
+//! found by an exact scan — a healthy clustering stays within a few dozen
+//! actions). For each new hyperlink, its tag path is sketched (token n-grams
+//! over a dynamic vocabulary, projected to a fixed dimension — a
+//! [`Sketcher`], sparse end to end: ~10 non-zeros out of `D = 4096`) and
+//! matched against the nearest centroid: cosine similarity ≥ θ joins the
+//! action and moves its centroid; anything less founds a new action.
 //!
 //! The θ = 1 extreme creates one action per distinct path (pure exploration,
 //! and the `ed` OOM pathology of Table 4 — reproduced here by the optional
 //! `max_actions` guard); θ = 0 collapses everything into one action (pure
 //! random selection).
 
-use sb_ann::{Hnsw, HnswParams, Projector, Sketcher};
+use sb_ann::{cosine_sparse, Projector, SparseVec, Sketcher};
 use sb_html::TagPath;
 
 /// Identifier of an action (dense, in creation order).
@@ -80,19 +80,15 @@ struct ActionMeta {
 pub struct ActionSpace {
     cfg: ActionSpaceConfig,
     sketcher: Sketcher,
-    index: Hnsw,
+    /// `centroids[a]` is action `a`'s centroid; parallel to `metas`.
+    centroids: Vec<SparseVec>,
     metas: Vec<ActionMeta>,
 }
 
 impl ActionSpace {
     pub fn new(cfg: ActionSpaceConfig) -> Self {
         let sketcher = Sketcher::new(cfg.ngram, Projector::new(cfg.m, cfg.w, cfg.prime));
-        ActionSpace {
-            index: Hnsw::new(sketcher.dim(), HnswParams::default()),
-            sketcher,
-            cfg,
-            metas: Vec::new(),
-        }
+        ActionSpace { sketcher, cfg, centroids: Vec::new(), metas: Vec::new() }
     }
 
     pub fn config(&self) -> &ActionSpaceConfig {
@@ -130,10 +126,22 @@ impl ActionSpace {
     pub fn match_only(&self, path: &TagPath) -> Option<ActionId> {
         let tokens: Vec<String> = path.tokens().collect();
         let projected = self.sketcher.sketch(&tokens);
-        match self.index.nearest(&projected) {
-            Some((id, sim)) if sim >= self.cfg.theta => Some(id as usize),
+        match self.nearest(&projected) {
+            Some((a, sim)) if sim >= self.cfg.theta => Some(a),
             _ => None,
         }
+    }
+
+    /// The centroid nearest to `q` and its cosine similarity: every centroid
+    /// is scanned, the smallest distance `1 − cos` (as an f32) wins, ties go
+    /// to the lowest id.
+    fn nearest(&self, q: &SparseVec) -> Option<(ActionId, f32)> {
+        self.centroids
+            .iter()
+            .map(|c| cosine_sparse(q, c))
+            .enumerate()
+            // `min_by` keeps the first of equal minima, i.e. the lowest id.
+            .min_by(|a, b| (1.0 - a.1).total_cmp(&(1.0 - b.1)))
     }
 
     /// Algorithm 1: finds (or creates) the action for a hyperlink's tag
@@ -143,13 +151,11 @@ impl ActionSpace {
         let tokens: Vec<String> = path.tokens().collect();
         let projected = self.sketcher.sketch_mut(&tokens);
 
-        if let Some((nearest, sim)) = self.index.nearest(&projected) {
+        if let Some((a, sim)) = self.nearest(&projected) {
             if sim >= self.cfg.theta {
                 // Join: move the centroid toward the newcomer.
-                let a = nearest as usize;
                 let m = self.metas[a].members as f32;
-                let updated = self.index.vector(nearest).moved_toward(&projected, m);
-                self.index.update(nearest, &updated);
+                self.centroids[a] = self.centroids[a].moved_toward(&projected, m);
                 self.metas[a].members += 1;
                 return Ok(a);
             }
@@ -160,10 +166,9 @@ impl ActionSpace {
                 return Err(ActionSpaceFull { actions: self.metas.len() });
             }
         }
-        let id = self.index.insert(&projected) as usize;
-        debug_assert_eq!(id, self.metas.len());
+        self.centroids.push(projected);
         self.metas.push(ActionMeta { members: 1, exemplar: path.to_string() });
-        Ok(id)
+        Ok(self.metas.len() - 1)
     }
 }
 
@@ -266,6 +271,32 @@ mod tests {
         let ids: Vec<_> = variants.iter().map(|p| s.assign(&tp(p)).unwrap()).collect();
         assert!(ids.iter().all(|&i| i == ids[0]), "{ids:?} should all merge");
         assert_eq!(s.members(ids[0]), variants.len() as u64);
+    }
+
+    /// The orphan scenario an approximate index lost centroids in: many
+    /// near-equidistant actions, each moved once. Every founding path must
+    /// still find its own action and found nothing new.
+    #[test]
+    fn moved_near_equidistant_centroids_all_stay_reachable() {
+        // Sibling paths share 8 of 10 bigrams (cos = 0.8 < θ); an inserted
+        // `b` keeps 9 of 10 against 11 (cos ≈ 0.86 ≥ θ) and so joins and moves.
+        let mut s = space(0.83);
+        let family = |i: usize, tail: &str| {
+            tp(&format!("html body div#layout div.wrap main ul.list li#i{i} {tail}"))
+        };
+        let n = 20;
+        for i in 0..n {
+            assert_eq!(s.assign(&family(i, "span a")).unwrap(), i);
+        }
+        for i in 0..n {
+            assert_eq!(s.assign(&family(i, "span b a")).unwrap(), i);
+        }
+        assert_eq!(s.len(), n);
+        for i in 0..n {
+            assert_eq!(s.match_only(&family(i, "span a")), Some(i));
+            assert_eq!(s.assign(&family(i, "span a")).unwrap(), i);
+        }
+        assert_eq!(s.len(), n);
     }
 
     #[test]

@@ -685,11 +685,6 @@ impl<'a> CrawlSession<'a> {
         self.targets.len() as u64
     }
 
-    /// Outer selections begun so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
-    }
-
     /// Pages fetched so far (GET attempts, redirect hops included).
     pub fn pages_crawled(&self) -> u64 {
         self.pages_crawled

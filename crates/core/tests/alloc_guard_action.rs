@@ -57,9 +57,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// deep, so its variants share 12 of 14 bigrams (cos ≈ 0.86) and cluster
 /// into one action at the paper's θ = 0.75. Like a real site's templates,
 /// contexts share their outer layout segments in varying amounts and differ
-/// in the inner five — far below θ, and not all at one distance from each
-/// other (`Hnsw::update` keeps a moved centroid's `M = 12` nearest links, so
-/// 14 exactly equidistant neighbours would cut the last two loose).
+/// in the inner five — far below θ, so each context founds its own action.
 fn tag_paths() -> Vec<TagPath> {
     let classes = ["a.download", "a.file", "a.dataset", "a.doc-link"];
     (0..15)
@@ -87,7 +85,7 @@ fn joining_assign_never_allocates_a_dense_vector() {
     let paths = tag_paths();
 
     // Warm: three passes, so every centroid has absorbed every variant and
-    // the vocabulary, hit table and HNSW links have stopped growing.
+    // the vocabulary and hit table have stopped growing.
     for _ in 0..3 {
         for p in &paths {
             space.assign(p).expect("no cap");
@@ -114,10 +112,9 @@ fn joining_assign_never_allocates_a_dense_vector() {
             "assign of path {i} made a {largest}-byte allocation (a dense vector is \
              {dense_vector_bytes}): a D-sized temporary has crept back in"
         );
-        // Tokens, n-grams, one sketch, the HNSW beam-search heaps and the
-        // relink's neighbour lists — measured ≤ 3.3 KiB on this fixture
-        // (largest single allocation 336 bytes); the dense path allocated a
-        // dozen-plus 16 KiB vectors per call.
+        // Tokens, n-grams, one sketch and the moved centroid — measured
+        // ≤ 1.8 KiB on this fixture (largest single allocation 336 bytes);
+        // the dense path allocated a dozen-plus 16 KiB vectors per call.
         assert!(
             total <= 6 * 1024,
             "assign of path {i} allocated {total} bytes (budget 6144): per-coordinate \

@@ -68,7 +68,9 @@ fn run_variant(cfg: &EvalConfig, code: &str, tuning: &SbTuning) -> (Cell, Vec<Ru
     // as many actions as HTML pages". A healthy clustering stays within a few
     // dozen actions regardless of site size (one per tag-path template), so
     // an action count growing like the page count — more than ~1/8 of the
-    // site at our scales — is the OOM regime.
+    // site at our scales — is the OOM regime. The nearest-centroid scan is
+    // exact, so the count the cap sees is distinct clusters only: a tag path
+    // within θ of an existing centroid always joins it.
     let mut tuning = tuning.clone();
     tuning.max_actions = Some((site_ref.available / 8).max(64));
     let seeds: Vec<u64> = (0..cfg.seeds).collect();

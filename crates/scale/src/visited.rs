@@ -6,10 +6,10 @@
 //! no string built) and stores its canonical text once. The two tiers
 //! differ only in whether the parsed [`Url`] is kept beside it: the first
 //! `threshold` URLs keep it — the engine default threshold is
-//! `usize::MAX`, where the set behaves bit-identically to the plain
-//! `UrlInterner` and the frozen replay suites pin that — and every URL
-//! past the threshold stores the text alone and re-parses on demand. A
-//! parsed copy is the right trade at 4k URLs and the wrong one at 10⁶.
+//! `usize::MAX`, every URL exact, which the frozen replay suites pin — and
+//! every URL past the threshold stores the text alone and re-parses on
+//! demand. A parsed copy is the right trade at 4k URLs and the wrong one at
+//! 10⁶.
 //!
 //! Fingerprinting is *accounted, never trusted*: a fingerprint hit is
 //! confirmed against the stored text (allocation-free, component-wise), and
@@ -32,8 +32,8 @@ const EXACT_ENTRY_OVERHEAD: u64 = 224;
 const COMPACT_ENTRY_OVERHEAD: u64 = 64;
 
 /// Visited-URL set with a configurable exact/compact threshold; see module
-/// docs. Drop-in for the plain `UrlInterner` (dense ids, same text/url
-/// accessors) — at `threshold == usize::MAX` it behaves as one.
+/// docs. The crawl's one `Url ↔ UrlId` table: ids are dense, in discovery
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct VisitedSet {
     threshold: usize,
@@ -53,8 +53,8 @@ pub struct VisitedSet {
 }
 
 impl VisitedSet {
-    /// Pure-exact set (`threshold = usize::MAX`): bit-identical to the
-    /// plain `UrlInterner`. The engine default.
+    /// Pure-exact set (`threshold = usize::MAX`): every URL keeps its parsed
+    /// form. The engine default.
     pub fn exact() -> Self {
         Self::with_threshold(usize::MAX)
     }
@@ -172,7 +172,6 @@ impl VisitedSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_webgraph::UrlInterner;
 
     fn u(s: &str) -> Url {
         Url::parse(s).unwrap()
@@ -187,27 +186,6 @@ mod tests {
         ] {
             let url = u(s);
             assert_eq!(fp_of_url(&url), sb_webgraph::fnv64(url.as_string().as_bytes()), "{s}");
-        }
-    }
-
-    #[test]
-    fn exact_mode_matches_interner() {
-        let mut set = VisitedSet::exact();
-        let mut interner = UrlInterner::new();
-        let urls: Vec<Url> = (0..50)
-            .map(|i| u(&format!("https://www.example.org/page/{i}?s={}", i % 7)))
-            .collect();
-        for url in &urls {
-            assert_eq!(set.intern(url), interner.intern(url));
-        }
-        for url in &urls {
-            assert_eq!(set.get(url), interner.get(url));
-        }
-        assert_eq!(set.len(), interner.len());
-        assert_eq!(set.compact_len(), 0);
-        for id in 0..set.len() as UrlId {
-            assert_eq!(set.text(id), interner.text(id));
-            assert_eq!(set.base(id), *interner.url(id));
         }
     }
 

@@ -1,8 +1,8 @@
 //! Property pins for the memory-bounded structures: the streaming site is
 //! byte-identical to the eager one on arbitrary layouts, the spillable
 //! frontier pops in exactly the unbounded order for arbitrary spill
-//! thresholds, and the fingerprint visited set assigns exactly the
-//! interner's ids for arbitrary thresholds.
+//! thresholds, and the fingerprint visited set is a bijection assigning the
+//! same ids for arbitrary thresholds.
 
 use proptest::prelude::*;
 use sb_scale::{stream_site, SpillBacking, SpillConfig, SpillQueue, VisitedSet};
@@ -153,5 +153,31 @@ proptest! {
             prop_assert_eq!(compact.text(id), exact.text(id));
             prop_assert_eq!(compact.base(id), exact.base(id));
         }
+    }
+
+    /// Interning is a bijection on arbitrary valid URLs: text and parsed
+    /// form round-trip, ids are stable and dense, and `get` agrees with
+    /// `intern`.
+    #[test]
+    fn interner_roundtrips_arbitrary_urls(
+        hosts in proptest::collection::vec("[a-z]{1,8}(\\.[a-z]{1,5}){1,2}", 1..12),
+        paths in proptest::collection::vec("(/[a-z0-9._-]{1,8}){0,3}", 1..12),
+    ) {
+        let mut it = VisitedSet::exact();
+        let urls: Vec<Url> = hosts
+            .iter()
+            .zip(&paths)
+            .map(|(h, p)| Url::parse(&format!("https://{h}{p}")).expect("constructed valid"))
+            .collect();
+        let ids: Vec<_> = urls.iter().map(|u| it.intern(u)).collect();
+        for (u, &id) in urls.iter().zip(&ids) {
+            prop_assert_eq!(it.get(u), Some(id));
+            prop_assert_eq!(it.intern(u), id, "re-interning must be stable");
+            prop_assert_eq!(&it.base(id), u);
+            let text = u.as_string();
+            prop_assert_eq!(it.text(id), text.as_str());
+        }
+        // Dense ids: every id below len() is populated.
+        prop_assert!(ids.iter().all(|&id| (id as usize) < it.len()));
     }
 }

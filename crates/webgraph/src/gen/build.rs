@@ -107,7 +107,6 @@ pub fn build_site(spec: &SiteSpec, seed: u64) -> Website {
         in_links_extra: FxHashMap::default(),
         renders: std::sync::atomic::AtomicU64::new(0),
         target_cache_budget: std::sync::atomic::AtomicU64::new(super::TARGET_CACHE_BUDGET),
-        render_cache_budget: std::sync::atomic::AtomicU64::new(super::RENDER_CACHE_BUDGET),
     };
     // Precompute every HTML page's rendered Content-Length so the
     // origin server can answer HEAD without rendering a body.

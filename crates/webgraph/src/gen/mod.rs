@@ -197,20 +197,11 @@ pub struct Website {
     /// can reach `content::BODY_CAP` each, so caching is bounded per site
     /// instance).
     target_cache_budget: AtomicU64,
-    /// Remaining byte budget for cached rendered HTML bodies. Defaults to
-    /// [`RENDER_CACHE_BUDGET`] (effectively unbounded — HTML bodies are
-    /// small); million-page sites can lower it via
-    /// [`Website::with_render_cache_budget`].
-    render_cache_budget: AtomicU64,
 }
 
 /// Default per-site budget for cached target payloads (see
 /// [`Website::target_payload`]).
 pub const TARGET_CACHE_BUDGET: u64 = 256 << 20;
-
-/// Default per-site budget for cached rendered HTML bodies: effectively
-/// unbounded, preserving the historical render-once behaviour.
-pub const RENDER_CACHE_BUDGET: u64 = u64::MAX;
 
 impl Clone for Website {
     fn clone(&self) -> Self {
@@ -226,7 +217,6 @@ impl Clone for Website {
             in_links_extra: self.in_links_extra.clone(),
             renders: AtomicU64::new(self.renders.load(Ordering::Relaxed)),
             target_cache_budget: AtomicU64::new(self.target_cache_budget.load(Ordering::Relaxed)),
-            render_cache_budget: AtomicU64::new(self.render_cache_budget.load(Ordering::Relaxed)),
         }
     }
 }
@@ -273,9 +263,9 @@ impl Website {
     /// The rendered HTML body of page `id`, from the shared per-page cache.
     /// The first call renders (deterministically) and caches; every later
     /// call — from any `SiteServer` over the same site instance — is an
-    /// `Arc` clone. Caching is bounded by the render-cache budget (default
-    /// [`RENDER_CACHE_BUDGET`], effectively unbounded); past it, bodies are
-    /// re-rendered per call. Panics if `id` is not an HTML page.
+    /// `Arc` clone. HTML bodies are small, so the cache is unbounded (a
+    /// bounded one is what `sb_scale::StreamingSite` is for). Panics if `id`
+    /// is not an HTML page.
     pub fn rendered(&self, id: PageId) -> Arc<[u8]> {
         debug_assert!(matches!(self.page(id).kind, PageKind::Html(_)));
         let slot = &self.render[id as usize];
@@ -284,12 +274,9 @@ impl Website {
         }
         self.renders.fetch_add(1, Ordering::Relaxed);
         let bytes: Arc<[u8]> = Arc::from(render::render_page(self, id).into_bytes());
-        let cost = bytes.len() as u64;
-        if try_charge(&self.render_cache_budget, cost) && slot.body.set(Arc::clone(&bytes)).is_err()
-        {
-            // Another thread cached it first: release our reservation.
-            self.render_cache_budget.fetch_add(cost, Ordering::Relaxed);
-        }
+        // Renders are deterministic: losing the race to cache drops an
+        // identical copy.
+        let _ = slot.body.set(Arc::clone(&bytes));
         bytes
     }
 
@@ -349,15 +336,6 @@ impl Website {
     /// set before serving). The default is [`TARGET_CACHE_BUDGET`].
     pub fn with_target_cache_budget(self, bytes: u64) -> Self {
         self.target_cache_budget.store(bytes, Ordering::Relaxed);
-        self
-    }
-
-    /// Replaces the remaining rendered-HTML cache budget (builder knob; set
-    /// before serving). The default is [`RENDER_CACHE_BUDGET`], i.e.
-    /// unbounded; million-page sites lower it so cached bodies cannot pin
-    /// unbounded memory.
-    pub fn with_render_cache_budget(self, bytes: u64) -> Self {
-        self.render_cache_budget.store(bytes, Ordering::Relaxed);
         self
     }
 
@@ -489,14 +467,19 @@ impl Website {
         page.out.push(link);
         self.in_links_extra.entry(link.to).or_default().push(from);
         // The rendered body changed: drop the cached body and length.
-        self.refund_cached_body(from);
         self.render[from as usize] = RenderSlot::default();
     }
 
     /// Replaces the kind of a page in place (a target growing a revision, a
     /// page dying with `Error { status: 410 }`, …). The URL is unchanged.
     pub fn set_kind(&mut self, id: PageId, kind: PageKind) {
-        self.refund_cached_body(id);
+        // A cached target payload goes back to the budget it was charged
+        // against (rendered HTML bodies are not budgeted).
+        if let (PageKind::Target { .. }, Some(body)) =
+            (&self.pages[id as usize].kind, self.render[id as usize].body.get())
+        {
+            self.target_cache_budget.fetch_add(body.len() as u64, Ordering::Relaxed);
+        }
         self.pages[id as usize].kind = kind;
         self.render[id as usize] = RenderSlot::default();
         // Rendering reads *linked* pages' kinds (nav/anchor wording), so
@@ -509,37 +492,15 @@ impl Website {
         }
         for pid in sources {
             if matches!(self.pages[pid as usize].kind, PageKind::Html(_)) {
-                self.refund_cached_body(pid);
                 self.render[pid as usize] = RenderSlot::default();
             }
         }
-    }
-
-    /// Returns a to-be-dropped cached body's bytes to the budget it was
-    /// charged against (target payloads and rendered HTML bodies are
-    /// budgeted separately).
-    fn refund_cached_body(&mut self, id: PageId) {
-        let Some(body) = self.render[id as usize].body.get() else {
-            return;
-        };
-        let budget = match self.pages[id as usize].kind {
-            PageKind::Target { .. } => &self.target_cache_budget,
-            PageKind::Html(_) => &self.render_cache_budget,
-            _ => return,
-        };
-        budget.fetch_add(body.len() as u64, Ordering::Relaxed);
     }
 
     /// Remaining target-payload cache budget, in bytes (observability +
     /// tests; starts at [`TARGET_CACHE_BUDGET`]).
     pub fn target_cache_remaining(&self) -> u64 {
         self.target_cache_budget.load(Ordering::Relaxed)
-    }
-
-    /// Remaining rendered-HTML cache budget, in bytes (observability +
-    /// tests; starts at [`RENDER_CACHE_BUDGET`]).
-    pub fn render_cache_remaining(&self) -> u64 {
-        self.render_cache_budget.load(Ordering::Relaxed)
     }
 
     /// The Table 1 census of this site; see [`Census`].
@@ -765,28 +726,6 @@ mod mutation_tests {
         let fresh = crate::gen::render::render_page(&site, root);
         assert_eq!(&after[..], fresh.as_bytes());
         let _ = before;
-    }
-
-    #[test]
-    fn zero_render_budget_disables_body_caching() {
-        let site = small_site().with_render_cache_budget(0);
-        let root = site.root();
-        let a = site.rendered(root);
-        let b = site.rendered(root);
-        assert_eq!(&a[..], &b[..], "re-renders stay deterministic");
-        assert_eq!(site.render_count(), 2, "nothing cached: every GET renders");
-        assert_eq!(site.render_cache_remaining(), 0);
-    }
-
-    #[test]
-    fn default_render_budget_caches_once() {
-        let site = small_site();
-        let root = site.root();
-        let before = site.render_cache_remaining();
-        let body = site.rendered(root);
-        let _ = site.rendered(root);
-        assert_eq!(site.render_count(), 1);
-        assert_eq!(site.render_cache_remaining(), before - body.len() as u64);
     }
 
     #[test]

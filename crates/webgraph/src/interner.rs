@@ -13,15 +13,11 @@
 //! * [`FxHashMap`] / [`FxHashSet`] — std collections with that hasher,
 //! * [`fp_of_url`] / [`url_eq_canonical`] — the 64-bit fingerprint of a
 //!   URL's canonical form and its allocation-free confirmation, the one
-//!   probe every visited structure shares,
-//! * [`UrlInterner`] — a bidirectional `Url ↔ UrlId` table keyed by that
-//!   fingerprint, storing each URL's parsed form *and* canonical string
-//!   once, so the engine never re-parses or re-stringifies a known URL.
+//!   probe of the crawl's `Url ↔ UrlId` table (`sb_scale::VisitedSet`).
 
-use crate::url::{Url, UrlError};
+use crate::url::Url;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 /// Dense identifier of an interned URL. Ids are assigned in discovery
 /// order, so they double as an index into engine-side parallel vectors.
@@ -149,153 +145,12 @@ pub fn url_eq_canonical(u: &Url, s: &str) -> bool {
     }
 }
 
-/// Bidirectional `Url ↔ UrlId` table.
-///
-/// Lookups key on the [`fp_of_url`] fingerprint of the **parsed** [`Url`]
-/// (one pass over its components in place) and confirm a hit against the
-/// entry's one contiguous canonical string, so membership tests on freshly
-/// resolved links allocate nothing and touch one heap string. The
-/// fingerprint is accounted, never trusted: a URL whose fingerprint is
-/// taken by a *different* URL lives in a text-keyed side map, so two
-/// distinct URLs never share an id. The canonical string is materialised
-/// exactly once per distinct URL, when it is first interned. `text()`
-/// hands out `Arc<str>` so strategies can keep cheap owned copies.
-#[derive(Debug, Clone, Default)]
-pub struct UrlInterner {
-    /// fingerprint → id of the first URL interned with it.
-    ids: FxHashMap<u64, UrlId>,
-    /// Escape hatch: URLs whose fingerprint belongs to a different URL,
-    /// keyed by canonical text (its length is the collision count).
-    collided: FxHashMap<Arc<str>, UrlId>,
-    /// id → (canonical string, parsed form), in id order.
-    entries: Vec<(Arc<str>, Url)>,
-    /// Fingerprint bits dropped before keying: 0 outside the tests that
-    /// force collisions.
-    fp_shift: u32,
-}
-
-impl UrlInterner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Keys on the top 8 fingerprint bits only, so a few hundred URLs
-    /// exercise the collision side map.
-    #[cfg(test)]
-    fn with_narrow_fingerprint() -> Self {
-        UrlInterner { fp_shift: 56, ..Self::default() }
-    }
-
-    /// Number of distinct URLs interned.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Id of an already-interned URL, without interning. Allocation-free
-    /// unless the fingerprint is held by a different URL (one string build
-    /// for the side-map lookup).
-    #[inline]
-    pub fn get(&self, url: &Url) -> Option<UrlId> {
-        let &id = self.ids.get(&(fp_of_url(url) >> self.fp_shift))?;
-        if url_eq_canonical(url, self.text(id)) {
-            return Some(id);
-        }
-        self.collided.get(url.as_string().as_str()).copied()
-    }
-
-    /// Interns `url`, returning its id (existing or fresh). The canonical
-    /// string form is built only for URLs seen for the first time.
-    pub fn intern(&mut self, url: &Url) -> UrlId {
-        let fp = fp_of_url(url) >> self.fp_shift;
-        let fresh = self.entries.len() as UrlId;
-        match self.ids.get(&fp) {
-            Some(&id) if url_eq_canonical(url, self.text(id)) => return id,
-            Some(_) => {
-                // True collision: the URL is stored exactly, by text.
-                let text: Arc<str> = Arc::from(url.as_string());
-                if let Some(&id) = self.collided.get(&text) {
-                    return id;
-                }
-                self.collided.insert(Arc::clone(&text), fresh);
-                self.entries.push((text, url.clone()));
-            }
-            None => {
-                self.ids.insert(fp, fresh);
-                self.entries.push((Arc::from(url.as_string()), url.clone()));
-            }
-        }
-        fresh
-    }
-
-    /// Boundary helper: interns from a string (parsing it first).
-    pub fn intern_str(&mut self, s: &str) -> Result<UrlId, UrlError> {
-        let url = Url::parse(s)?;
-        Ok(self.intern(&url))
-    }
-
-    /// Canonical string of an interned URL.
-    #[inline]
-    pub fn text(&self, id: UrlId) -> &str {
-        &self.entries[id as usize].0
-    }
-
-    /// Shared handle to the canonical string (cheap to clone and store).
-    #[inline]
-    pub fn text_arc(&self, id: UrlId) -> Arc<str> {
-        Arc::clone(&self.entries[id as usize].0)
-    }
-
-    /// Parsed form of an interned URL — the engine's no-reparse path.
-    #[inline]
-    pub fn url(&self, id: UrlId) -> &Url {
-        &self.entries[id as usize].1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn u(s: &str) -> Url {
         Url::parse(s).unwrap()
-    }
-
-    #[test]
-    fn intern_is_idempotent_and_dense() {
-        let mut it = UrlInterner::new();
-        let a = it.intern(&u("https://a.com/x"));
-        let b = it.intern(&u("https://a.com/y"));
-        let a2 = it.intern(&u("https://a.com/x"));
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(it.len(), 2);
-    }
-
-    #[test]
-    fn text_and_url_roundtrip() {
-        let mut it = UrlInterner::new();
-        let url = u("https://www.a.com/dir/file.csv?x=1");
-        let id = it.intern(&url);
-        assert_eq!(it.text(id), "https://www.a.com/dir/file.csv?x=1");
-        assert_eq!(it.url(id), &url);
-        assert_eq!(it.get(&url), Some(id));
-        assert_eq!(it.get(&u("https://www.a.com/other")), None);
-    }
-
-    #[test]
-    fn intern_str_parses_at_the_boundary() {
-        let mut it = UrlInterner::new();
-        let id = it.intern_str("https://a.com/x").unwrap();
-        assert_eq!(it.text(id), "https://a.com/x");
-        assert!(it.intern_str("not a url").is_err());
-        // Canonicalisation happens through parsing: same resource, same id.
-        let id2 = it.intern_str("HTTPS://a.com/x#frag").unwrap();
-        assert_eq!(id, id2);
     }
 
     #[test]
@@ -320,52 +175,5 @@ mod tests {
         // A query-less URL is not a prefix match of its query twin, nor the reverse.
         assert!(!url_eq_canonical(&u("https://h.example/x"), "https://h.example/x?page=2"));
         assert!(!url_eq_canonical(&u("https://h.example/x?page=2"), "https://h.example/x"));
-    }
-
-    /// URL `i` of the collision fixtures: three hosts, and every odd `i` is
-    /// the query twin of a query-less URL.
-    fn fixture_url(i: usize) -> Url {
-        let query = if i % 2 == 1 { "?page=2" } else { "" };
-        u(&format!("https://h{}.example/d/{}{query}", i % 3, i / 6))
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        /// With the fingerprint narrowed to 8 bits the side map carries
-        /// most of the table, and the interner still agrees with an exact
-        /// string-keyed model on every id.
-        #[test]
-        fn narrow_fingerprint_matches_string_model(
-            picks in proptest::collection::vec(0usize..400, 0..500),
-        ) {
-            let mut it = UrlInterner::with_narrow_fingerprint();
-            let mut model: HashMap<String, UrlId> = HashMap::new();
-            // Random picks (with duplicates), then a sweep of 300 distinct
-            // URLs: more than the 256 keys, so collisions are certain.
-            for i in picks.into_iter().chain(0..300) {
-                let url = fixture_url(i);
-                let text = url.as_string();
-                proptest::prop_assert_eq!(it.get(&url), model.get(&text).copied());
-                let fresh = model.len() as UrlId;
-                let want = *model.entry(text.clone()).or_insert(fresh);
-                proptest::prop_assert_eq!(it.intern(&url), want);
-                proptest::prop_assert_eq!(it.get(&url), Some(want));
-                proptest::prop_assert_eq!(it.text(want), text.as_str());
-                proptest::prop_assert_eq!(it.url(want), &url);
-            }
-            proptest::prop_assert_eq!(it.len(), model.len());
-            proptest::prop_assert!(!it.collided.is_empty(), "the rare path must have fired");
-            proptest::prop_assert_eq!(it.ids.len() + it.collided.len(), it.len());
-        }
-    }
-
-    #[test]
-    fn text_arc_shares_storage() {
-        let mut it = UrlInterner::new();
-        let id = it.intern(&u("https://a.com/x"));
-        let t1 = it.text_arc(id);
-        let t2 = it.text_arc(id);
-        assert!(Arc::ptr_eq(&t1, &t2));
     }
 }

@@ -32,8 +32,6 @@ pub use gen::{
     SiteSource, SiteSpec, Website,
 };
 pub use graph::{Crawl, NodeIdx, WebsiteGraph};
-pub use interner::{
-    fnv1a, fnv64, FxBuildHasher, FxHashMap, FxHashSet, UrlId, UrlInterner, FNV1A_BASIS,
-};
+pub use interner::{fnv1a, fnv64, FxBuildHasher, FxHashMap, FxHashSet, UrlId, FNV1A_BASIS};
 pub use mime::{MimePolicy, UrlClass};
 pub use url::Url;

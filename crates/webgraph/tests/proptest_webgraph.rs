@@ -138,33 +138,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Interning is a bijection on arbitrary valid URLs: text and parsed
-    /// form round-trip, ids are stable and dense, and `get` agrees with
-    /// `intern`.
-    #[test]
-    fn interner_roundtrips_arbitrary_urls(
-        hosts in proptest::collection::vec("[a-z]{1,8}(\\.[a-z]{1,5}){1,2}", 1..12),
-        paths in proptest::collection::vec("(/[a-z0-9._-]{1,8}){0,3}", 1..12),
-    ) {
-        use sb_webgraph::UrlInterner;
-        let mut it = UrlInterner::new();
-        let urls: Vec<Url> = hosts
-            .iter()
-            .zip(&paths)
-            .map(|(h, p)| Url::parse(&format!("https://{h}{p}")).expect("constructed valid"))
-            .collect();
-        let ids: Vec<_> = urls.iter().map(|u| it.intern(u)).collect();
-        for (u, &id) in urls.iter().zip(&ids) {
-            prop_assert_eq!(it.get(u), Some(id));
-            prop_assert_eq!(it.intern(u), id, "re-interning must be stable");
-            prop_assert_eq!(it.url(id), u);
-            let text = u.as_string();
-            prop_assert_eq!(it.text(id), text.as_str());
-        }
-        // Dense ids: every id below len() is populated.
-        prop_assert!(ids.iter().all(|&id| (id as usize) < it.len()));
-    }
-
     /// The precomputed Content-Length equals the actual rendered length on
     /// every HTML page of arbitrary generated sites, without rendering on
     /// the length path.

@@ -17,7 +17,9 @@ cargo test -q --offline -p sb-html --test alloc_guard
 # The sparse sketch kernel (PR 14) is only allowed to be the dense pipeline
 # minus its exact-zero terms: the differential proptests compare cosine,
 # projection and centroid move against the dense reference bit for bit, the
-# ActionSpace-level one replays a dense transcription of `assign`, and the
+# ActionSpace-level one is the brute-force-parity net (ids, member counts and
+# `match_only` against an independent dense model with an exhaustive nearest
+# centroid, among dozens of near-equidistant moving centroids too), and the
 # counting-allocator guard keeps any D-sized temporary out of a joining
 # `assign`. Named like the html guard above, for the same reason.
 cargo test -q --offline -p sb-ann --test proptest_sparse
@@ -116,6 +118,11 @@ fi
 if grep -rn "Client::new" crates/*/src \
     | grep -v -e "^crates/httpsim/src/" -e "^crates/bench/src/reference.rs:"; then
     echo "verify: library code fetches through the blocking Client" >&2; exit 1
+fi
+# Nearest centroid is an exact scan and the visited set is the one URL
+# table (PR 20): neither deleted duplicate comes back.
+if grep -rn -e "Hnsw" -e "UrlInterner" crates/*/src; then
+    echo "verify: Hnsw or UrlInterner reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
 # workspace build and test lines above never compile it: a PR that narrows a

@@ -12,7 +12,7 @@
 //! * [`webgraph`] — URLs, MIME policy, graph model, synthetic sites,
 //!   NP-hardness (Prop 4) machinery,
 //! * [`httpsim`] — simulated HTTP transport with cost accounting,
-//! * [`ann`] — n-gram vocabularies, hash projection, HNSW,
+//! * [`ann`] — n-gram vocabularies, hash projection, sparse cosine,
 //! * [`ml`] — online classifiers (LR/SVM/NB/PA) and Algorithm 2,
 //! * [`bandit`] — AUER sleeping bandits and friends,
 //! * [`crawler`] — the crawl engine and all strategies,
