@@ -82,7 +82,7 @@ pub use fleet::{
     Fleet, FleetJob, FleetMode, FleetOutcome, ShardReport, SharedOracle, SharedServer, SiteReport,
 };
 pub use session::{
-    crawl, robots_filter, Budget, ConfigError, CrawlConfig, CrawlConfigBuilder, CrawlOutcome,
+    crawl, Budget, ConfigError, CrawlConfig, CrawlConfigBuilder, CrawlOutcome,
     CrawlSession, Oracle, RefreshedPage, RetrievedTarget, StepReport, UrlFilter,
 };
 pub use strategies::{Batched, ValueSpec, ValueStrategy};

@@ -131,11 +131,11 @@ pub struct CrawlConfig {
     pub max_steps: Option<u64>,
     /// Optional URL admission filter, checked on every discovered link and
     /// redirect target (the root is exempt). `false` drops the URL before
-    /// any request is spent on it — this is where robots.txt compliance
-    /// plugs in (see [`robots_filter`]).
+    /// any request is spent on it. robots.txt compliance is
+    /// [`CrawlConfig::robots_agent`], not a filter.
     pub url_filter: Option<UrlFilter>,
     /// Extra URLs fetched right after the root, before the strategy takes
-    /// over — sitemap seeding (`sb_httpsim::fetch_sitemap_urls`). Off-site
+    /// over: URLs the caller already knows (a sitemap's, say). Off-site
     /// and filter-rejected entries are skipped; each seed costs its
     /// requests against the budget like any other fetch.
     pub seed_urls: Vec<String>,
@@ -176,22 +176,6 @@ pub struct CrawlConfig {
 
 /// Boxed URL predicate for [`CrawlConfig::url_filter`].
 pub type UrlFilter = Box<dyn Fn(&Url) -> bool + Send + Sync>;
-
-/// Builds a [`CrawlConfig::url_filter`] that enforces a parsed robots.txt
-/// for the given user agent.
-///
-/// ```
-/// use sb_crawler::{robots_filter, CrawlConfig};
-/// use sb_httpsim::RobotsTxt;
-///
-/// let robots = RobotsTxt::parse("User-agent: *\nDisallow: /private/");
-/// let cfg = CrawlConfig { url_filter: Some(robots_filter(robots, "sbcrawl")), ..Default::default() };
-/// # let _ = cfg;
-/// ```
-pub fn robots_filter(robots: sb_httpsim::RobotsTxt, agent: &str) -> UrlFilter {
-    let agent = agent.to_owned();
-    Box::new(move |url: &Url| robots.allows(&agent, &url.path))
-}
 
 impl Default for CrawlConfig {
     fn default() -> Self {
@@ -1014,7 +998,11 @@ impl<'a> CrawlSession<'a> {
             return false;
         }
         match (&self.robots, &self.cfg.robots_agent) {
-            (Some(robots), Some(agent)) => robots.allows(agent, &url.path),
+            // Rules match the path *and* query (`Disallow: /*?month=`).
+            (Some(robots), Some(agent)) if url.query.is_empty() => robots.allows(agent, &url.path),
+            (Some(robots), Some(agent)) => {
+                robots.allows(agent, &format!("{}?{}", url.path, url.query))
+            }
             _ => true,
         }
     }

@@ -6,7 +6,7 @@
 //! tests drive the shared engine (Algorithms 3–4) through the
 //! `sb-httpsim` failure-injection servers.
 
-use sb_crawler::{crawl, robots_filter, Budget, CrawlConfig};
+use sb_crawler::{crawl, Budget, CrawlConfig};
 use sb_crawler::strategies::{QueueStrategy, SbStrategy};
 use sb_httpsim::{EnforcedRobots, FlakyServer, RobotsTxt, SiteServer, TrapServer, WithRobots};
 use sb_webgraph::url::Url;
@@ -124,64 +124,6 @@ fn deterministic_under_identical_failure_seeds() {
 // robots.txt compliance
 // ---------------------------------------------------------------------
 
-/// Disallow a real section of a generated site, then check (a) the
-/// compliant crawl never requests an excluded URL — proven by running
-/// against an *enforcing* server and seeing zero 403s — and (b) coverage
-/// shrinks accordingly.
-#[test]
-fn robots_filter_prevents_excluded_requests_entirely() {
-    let site = build_site(&SiteSpec::demo(400), 17);
-    let root_url = site.page(site.root()).url.clone();
-    // Find a path prefix that actually exists: the first section hub's
-    // first path segment.
-    let prefix = site
-        .pages()
-        .iter()
-        .filter_map(|p| {
-            let u = Url::parse(&p.url).ok()?;
-            let seg = u.path.split('/').nth(1)?.to_owned();
-            (!seg.is_empty()).then_some(format!("/{seg}/"))
-        })
-        .find(|pre| !root_url.ends_with(pre.as_str()))
-        .expect("site has sectioned paths");
-    let robots_body = format!("User-agent: *\nDisallow: {prefix}");
-
-    // Uncompliant crawl on the plain site: spends requests under `prefix`.
-    let plain = SiteServer::new(site.clone());
-    let mut bfs = QueueStrategy::bfs();
-    let unfiltered = crawl(&plain, None, &root_url, &mut bfs, &CrawlConfig::default());
-
-    // Compliant crawl against the *enforcing* server: if the filter ever
-    // leaked a request to an excluded URL it would cost a 403 and show up
-    // as a request count difference vs. the non-enforcing server.
-    let enforcing = EnforcedRobots::new(SiteServer::new(site.clone()), &root_url, robots_body.clone(), "sbcrawl");
-    let robots = RobotsTxt::parse(&robots_body);
-    let mut bfs2 = QueueStrategy::bfs();
-    let cfg = CrawlConfig {
-        url_filter: Some(robots_filter(robots.clone(), "sbcrawl")),
-        ..Default::default()
-    };
-    let filtered_enforced = crawl(&enforcing, None, &root_url, &mut bfs2, &cfg);
-
-    let soft = WithRobots::new(SiteServer::new(site), &root_url, robots_body);
-    let mut bfs3 = QueueStrategy::bfs();
-    let cfg2 = CrawlConfig { url_filter: Some(robots_filter(robots, "sbcrawl")), ..Default::default() };
-    let filtered_soft = crawl(&soft, None, &root_url, &mut bfs3, &cfg2);
-
-    assert_eq!(
-        filtered_enforced.traffic.requests(),
-        filtered_soft.traffic.requests(),
-        "enforcement changes nothing for a compliant crawler ⇒ no excluded URL was requested"
-    );
-    assert_eq!(filtered_enforced.targets_found(), filtered_soft.targets_found());
-    assert!(
-        filtered_enforced.pages_crawled < unfiltered.pages_crawled,
-        "excluding a section must shrink coverage ({} vs {})",
-        filtered_enforced.pages_crawled,
-        unfiltered.pages_crawled
-    );
-}
-
 /// PR 6: setting `robots_agent` makes the session fetch `/robots.txt` on
 /// its own, route every admission decision through the parsed rules, and
 /// feed `Crawl-delay` into the transport gate — no manual `url_filter` or
@@ -237,6 +179,13 @@ fn robots_agent_auto_applies_disallow_and_crawl_delay() {
         per_request > 4.0,
         "Crawl-delay 5 must reach the gate: {per_request:.2}s per request"
     );
+
+    // An origin with no robots.txt (404) admits everything: the handshake
+    // costs its one request and changes nothing else.
+    let mut bfs4 = QueueStrategy::bfs();
+    let no_file = crawl(&plain, None, &root_url, &mut bfs4, &cfg);
+    assert_eq!(no_file.pages_crawled, blind.pages_crawled);
+    assert_eq!(no_file.traffic.requests(), blind.traffic.requests() + 1);
 }
 
 #[test]
@@ -262,36 +211,127 @@ fn crawl_delay_raises_estimated_wall_clock() {
     assert!(t5 > t1 * 3.0, "5 s delay must dominate: {t1:.0}s vs {t5:.0}s");
 }
 
+/// A 200 `text/html` answer, for the hand-written origins below.
+fn html_page(body: &str) -> sb_httpsim::Response {
+    sb_httpsim::Response {
+        status: 200,
+        headers: sb_httpsim::Headers {
+            content_type: Some("text/html".to_owned()),
+            content_length: Some(body.len() as u64),
+            location: None,
+        },
+        body: body.as_bytes().to_vec().into(),
+    }
+}
+
+/// `https://q.example/` links `/cal?month=1` and `/r.pdf?page=2`; every
+/// GET the origin sees is recorded.
+struct QueryLinksServer {
+    fetched: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+}
+
+impl sb_httpsim::HttpServer for QueryLinksServer {
+    fn head(&self, url: &str) -> sb_httpsim::HeadResponse {
+        self.get(url).head()
+    }
+
+    fn get(&self, url: &str) -> sb_httpsim::Response {
+        self.fetched.lock().expect("no panic holds the log").push(url.to_owned());
+        match url.strip_prefix("https://q.example").unwrap_or("<off>") {
+            "/" => html_page(
+                "<html><body><a href=\"/cal?month=1\">calendar</a>\
+                 <a href=\"/r.pdf?page=2\">report</a></body></html>",
+            ),
+            "/cal?month=1" | "/r.pdf?page=2" => html_page("<html><body>leaf</body></html>"),
+            _ => sb_httpsim::response::error_response(404),
+        }
+    }
+}
+
+/// robots rules match the path *and* the query, as `RobotsTxt::allows` is
+/// unit-tested to: the calendar-trap rule `Disallow: /*?month=` must fire,
+/// and `Disallow: /*.pdf$` must not block a `.pdf` URL that carries a
+/// query. The enforcing origin shares the matcher, so the request logs are
+/// asserted directly on top of the enforcing-vs-soft parity.
+#[test]
+fn robots_rules_see_the_query_string() {
+    const ROBOTS: &str = "User-agent: *\nDisallow: /*?month=\nDisallow: /*.pdf$";
+    let root = "https://q.example/";
+    let cfg = CrawlConfig { robots_agent: Some("sbcrawl".to_owned()), ..Default::default() };
+    let run = |enforce: bool| {
+        let fetched = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let origin = QueryLinksServer { fetched: std::sync::Arc::clone(&fetched) };
+        let mut bfs = QueueStrategy::bfs();
+        let outcome = if enforce {
+            crawl(&EnforcedRobots::new(origin, root, ROBOTS, "sbcrawl"), None, root, &mut bfs, &cfg)
+        } else {
+            crawl(&WithRobots::new(origin, root, ROBOTS), None, root, &mut bfs, &cfg)
+        };
+        let log = fetched.lock().expect("no panic holds the log").clone();
+        (log, outcome.traffic)
+    };
+
+    let (enforced_log, enforced_traffic) = run(true);
+    let (soft_log, soft_traffic) = run(false);
+    assert_eq!(enforced_traffic, soft_traffic, "enforcement changes nothing for a compliant crawl");
+    assert_eq!(enforced_log, soft_log);
+    assert_eq!(
+        soft_log,
+        ["https://q.example/", "https://q.example/r.pdf?page=2"],
+        "the calendar URL is never requested, the report is"
+    );
+}
+
+/// `"inf".parse::<f64>()` succeeds. A non-finite `Crawl-delay` is ignored
+/// like a negative one, so the host gate (and the simulated makespan the
+/// paper's time metric reads) stays finite.
+#[test]
+fn non_finite_crawl_delay_is_ignored() {
+    let site = build_site(&SiteSpec::demo(200), 3);
+    let root = site.page(site.root()).url.clone();
+    let elapsed_under = |robots_body: &str| {
+        let server = WithRobots::new(SiteServer::new(site.clone()), &root, robots_body);
+        let mut bfs = QueueStrategy::bfs();
+        let cfg = CrawlConfig {
+            budget: Budget::Requests(60),
+            robots_agent: Some("sbcrawl".to_owned()),
+            ..Default::default()
+        };
+        crawl(&server, None, &root, &mut bfs, &cfg).traffic.elapsed_secs
+    };
+    let plain = elapsed_under("User-agent: *\n");
+    let poisoned = elapsed_under("User-agent: *\nCrawl-delay: inf\n");
+    assert!(poisoned.is_finite(), "Crawl-delay: inf reached the gate: {poisoned}");
+    assert!((poisoned - plain).abs() < 1.0, "{plain} s without the line, {poisoned} s with it");
+}
+
 // ---------------------------------------------------------------------
-// Sitemap seeding
+// Seed URLs
 // ---------------------------------------------------------------------
 
 #[test]
-fn sitemap_seeding_front_loads_targets() {
-    use sb_httpsim::{fetch_sitemap_urls, WithSitemap};
-
+fn seed_urls_front_load_targets() {
     let site = build_site(&SiteSpec::demo(500), 23);
     let root = site.page(site.root()).url.clone();
     let target_urls: Vec<String> =
         site.target_ids().iter().map(|&id| site.page(id).url.clone()).collect();
     let n_listed = 40.min(target_urls.len());
     let listed: Vec<String> = target_urls[..n_listed].to_vec();
-    let server = WithSitemap::new(SiteServer::new(site), &root, &listed, 25);
+    let server = SiteServer::new(site);
 
-    // Cooperative crawl: read the sitemap, seed the engine with it.
-    let seeds = fetch_sitemap_urls(&server, &root);
-    assert_eq!(seeds.len(), n_listed);
+    // Cooperative crawl: the caller knows 40 target URLs up front (a
+    // sitemap's worth) and seeds the engine with them.
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig {
         budget: Budget::Requests(n_listed as u64 + 5),
-        seed_urls: seeds,
+        seed_urls: listed,
         ..Default::default()
     };
     let outcome = crawl(&server, None, &root, &mut bfs, &cfg);
     // Root + seeds fit in the budget: nearly every request lands a target.
     assert!(
         outcome.targets_found() >= n_listed as u64 - 2,
-        "sitemap seeding should land ~{n_listed} targets, got {}",
+        "seeding should land ~{n_listed} targets, got {}",
         outcome.targets_found()
     );
 
@@ -308,17 +348,16 @@ fn seed_urls_respect_site_boundary_filter_and_dedup() {
     let root = site.page(site.root()).url.clone();
     let a_target = site.target_ids().first().map(|&id| site.page(id).url.clone()).unwrap();
     let server = SiteServer::new(site);
-    let robots = RobotsTxt::parse("User-agent: *\nDisallow: /");
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig {
         budget: Budget::Requests(50),
-        // Off-site, duplicate-of-root, robots-blocked: all skipped for free.
+        // Off-site, duplicate-of-root, filter-rejected: all skipped for free.
         seed_urls: vec![
             "https://elsewhere.example/x.csv".to_owned(),
             root.clone(),
             a_target,
         ],
-        url_filter: Some(robots_filter(robots, "sbcrawl")),
+        url_filter: Some(Box::new(|_: &Url| false)),
         ..Default::default()
     };
     let outcome = crawl(&server, None, &root, &mut bfs, &cfg);
@@ -346,17 +385,8 @@ impl sb_httpsim::HttpServer for EmbeddedUrlServer {
     fn get(&self, url: &str) -> sb_httpsim::Response {
         use sb_httpsim::{Body, Headers, Response};
         self.fetched.lock().expect("no panic holds the log").push(url.to_owned());
-        let html = |body: &str| Response {
-            status: 200,
-            headers: Headers {
-                content_type: Some("text/html".to_owned()),
-                content_length: Some(body.len() as u64),
-                location: None,
-            },
-            body: body.as_bytes().to_vec().into(),
-        };
         match url.strip_prefix("https://t.example").unwrap_or("<off>") {
-            "/" => html(
+            "/" => html_page(
                 "<html><body>\
                  <a href=\"/login?next=https://t.example/x\">log in</a>\
                  <a href=\"/moved\">moved</a>\
@@ -372,7 +402,7 @@ impl sb_httpsim::HttpServer for EmbeddedUrlServer {
                 body: Body::empty(),
             },
             "/login?next=https://t.example/x" | "/landing?from=https://t.example/moved" => {
-                html("<html><body>nothing here</body></html>")
+                html_page("<html><body>nothing here</body></html>")
             }
             _ => sb_httpsim::response::error_response(404),
         }

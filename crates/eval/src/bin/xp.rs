@@ -38,7 +38,8 @@
 //! reported, every rung asserted byte-identical per site to the first.
 //!
 //! Defaults: `--scale 0.01 --seeds 3 --out results/`. The paper-fidelity run
-//! is `--scale 0.02 --seeds 15` (slower; see EXPERIMENTS.md).
+//! is `--scale 0.02 --seeds 15` (slower). A run reports itself under
+//! `results/`; measured numbers are recorded per PR in `CHANGES.md`.
 
 use sb_eval::experiments as xp;
 use sb_eval::EvalConfig;

@@ -3,7 +3,8 @@
 //!
 //! Entry point: the `xp` binary (`cargo run --release -p sb-eval --bin xp --
 //! all`). Each experiment module renders a markdown report and writes CSV
-//! series under `results/`. `EXPERIMENTS.md` records paper-vs-measured.
+//! series under `results/` (a run's own report); measured numbers are
+//! recorded per PR in `CHANGES.md`.
 
 #![forbid(unsafe_code)]
 

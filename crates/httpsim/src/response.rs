@@ -6,8 +6,8 @@
 //! accounted in volume mode (Sec 2.2: "much smaller than ω(u)").
 //!
 //! Bodies are [`Body`] — shared, immutable byte buffers — so a `Response`
-//! clone (replay stores, archives, the server's render cache) is a pointer
-//! copy, not a buffer copy.
+//! clone (the server's render cache, a serving store's page version) is a
+//! pointer copy, not a buffer copy.
 
 use std::sync::Arc;
 

@@ -82,7 +82,9 @@ impl RobotsTxt {
                 "crawl-delay" => {
                     collecting_agents = false;
                     if let Ok(d) = value.parse::<f64>() {
-                        if d >= 0.0 && current.crawl_delay.is_none() {
+                        // "inf" and "1e999" parse to +∞, which would park
+                        // the host gate forever.
+                        if d.is_finite() && d >= 0.0 && current.crawl_delay.is_none() {
                             current.crawl_delay = Some(d);
                         }
                     }
@@ -96,19 +98,6 @@ impl RobotsTxt {
             groups.push(current);
         }
         RobotsTxt { groups }
-    }
-
-    /// Fetches and parses `{origin}/robots.txt` from `server`. Returns an
-    /// empty (allow-everything) file when the server has none.
-    pub fn fetch(server: &dyn HttpServer, root_url: &str) -> RobotsTxt {
-        let Ok(root) = Url::parse(root_url) else { return RobotsTxt::default() };
-        let Ok(robots_url) = root.join("/robots.txt") else { return RobotsTxt::default() };
-        let r = server.get(&robots_url.as_string());
-        if r.status == 200 {
-            RobotsTxt::parse(&String::from_utf8_lossy(&r.body))
-        } else {
-            RobotsTxt::default()
-        }
     }
 
     /// The group that governs `agent`: the one whose matched `User-agent`
@@ -282,7 +271,10 @@ impl<S: HttpServer> EnforcedRobots<S> {
 
     fn blocked(&self, url: &str) -> bool {
         match Url::parse(url) {
-            Ok(u) => u.path != "/robots.txt" && !self.robots.allows(&self.agent, &u.path),
+            Ok(u) if u.path == "/robots.txt" => false,
+            // Rules match the path *and* query (`Disallow: /*?month=`).
+            Ok(u) if u.query.is_empty() => !self.robots.allows(&self.agent, &u.path),
+            Ok(u) => !self.robots.allows(&self.agent, &format!("{}?{}", u.path, u.query)),
             Err(_) => false,
         }
     }
@@ -390,6 +382,10 @@ Disallow: /
             let r = RobotsTxt::parse(garbage);
             assert!(r.allows("x", "/x"), "rules without a preceding agent line are dropped");
         }
+        for delay in ["inf", "Infinity", "1e999", "NaN", "-1", "soon"] {
+            let r = RobotsTxt::parse(&format!("User-agent: *\nCrawl-delay: {delay}"));
+            assert_eq!(r.crawl_delay("x"), None, "Crawl-delay: {delay} must be ignored");
+        }
     }
 
     #[test]
@@ -405,32 +401,6 @@ Disallow: /
         assert!(pattern_matches("/a*b$", "/axbyb"), "the * must stretch to the final b");
         assert!(!pattern_matches("/ab$", "/abxab/ab "), "single-piece anchor is exact");
         assert!(pattern_matches("/ab$", "/ab"));
-    }
-
-    #[test]
-    fn with_robots_serves_and_delegates() {
-        use crate::server::SiteServer;
-        use sb_webgraph::gen::{build_site, SiteSpec};
-        let site = build_site(&SiteSpec::demo(80), 3);
-        let root = site.page(site.root()).url.clone();
-        let server = WithRobots::new(SiteServer::new(site), &root, "User-agent: *\nDisallow: /x");
-        let robots = RobotsTxt::fetch(&server, &root);
-        assert_eq!(robots.n_groups(), 1);
-        assert!(!robots.allows("any", "/x/y"));
-        // Delegation: the root page still serves.
-        assert_eq!(server.get(&root).status, 200);
-    }
-
-    #[test]
-    fn fetch_missing_robots_is_allow_all() {
-        use crate::server::SiteServer;
-        use sb_webgraph::gen::{build_site, SiteSpec};
-        let site = build_site(&SiteSpec::demo(80), 3);
-        let root = site.page(site.root()).url.clone();
-        let server = SiteServer::new(site);
-        let robots = RobotsTxt::fetch(&server, &root);
-        assert_eq!(robots.n_groups(), 0);
-        assert!(robots.allows("any", "/whatever"));
     }
 
     #[test]

@@ -437,38 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_store_serves_the_pipeline_from_cache() {
-        use crate::replay::{Mode, ReplayStore};
-        let s = server();
-        let urls = html_urls(&s, 12);
-        let store = ReplayStore::new(s, Mode::SemiOnline);
-
-        let sweep = |store: &ReplayStore<SiteServer>| {
-            let mut t = PipelinedTransport::new(store, MimePolicy::default(), Politeness::default())
-                .with_window(4);
-            let mut out = Vec::new();
-            let mut bodies = Vec::new();
-            for chunk in urls.chunks(4) {
-                for u in chunk {
-                    t.submit(Request::get(u));
-                }
-                while t.in_flight() > 0 {
-                    t.poll_into(&mut out);
-                    bodies.extend(out.drain(..).map(|(_, f)| f.body));
-                }
-            }
-            bodies
-        };
-
-        let first = sweep(&store);
-        let miss_gets = store.upstream_gets();
-        assert_eq!(miss_gets, urls.len() as u64, "first sweep fills the store");
-        let second = sweep(&store);
-        assert_eq!(store.upstream_gets(), miss_gets, "second sweep is all cache hits");
-        assert_eq!(first, second, "replayed bodies are identical");
-    }
-
-    #[test]
     fn crawl_delay_applies_to_mixed_case_hosts() {
         // A min-delay registered under any casing must govern dispatches
         // to every casing of the host — gates are case-folded.

@@ -1,10 +1,9 @@
-//! Property tests for the httpsim substrates: the robots.txt parser and
-//! matcher (never panic, spec invariants) and the archive format
-//! (roundtrip fidelity, corruption detection).
+//! Property tests for the robots.txt parser and matcher (never panic,
+//! spec invariants).
 
 use proptest::prelude::*;
 use sb_httpsim::robots::pattern_matches;
-use sb_httpsim::{ArchiveReader, ArchiveWriter, Headers, Response, RobotsTxt};
+use sb_httpsim::RobotsTxt;
 
 proptest! {
     /// The parser must accept anything without panicking — robots.txt in
@@ -60,78 +59,5 @@ proptest! {
     #[test]
     fn star_matches_everything(path in "[ -~]{0,64}") {
         prop_assert!(pattern_matches("*", &path));
-    }
-}
-
-fn arb_response() -> impl Strategy<Value = Response> {
-    (
-        100u16..600,
-        proptest::option::of("[ -~]{0,40}"),
-        proptest::option::of(any::<u64>()),
-        proptest::option::of("[ -~]{0,60}"),
-        proptest::collection::vec(any::<u8>(), 0..300),
-    )
-        .prop_map(|(status, content_type, content_length, location, body)| Response {
-            status,
-            headers: Headers { content_type, content_length, location },
-            body: body.into(),
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Whatever goes into an archive comes back, bit for bit, in order.
-    #[test]
-    fn archive_roundtrip(
-        records in proptest::collection::vec(("https?://[a-z]{1,10}\\.example/[ -~]{0,30}", arb_response()), 0..12)
-    ) {
-        let mut w = ArchiveWriter::new(Vec::new()).unwrap();
-        for (url, r) in &records {
-            w.write(url, r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let back: Vec<(String, Response)> =
-            ArchiveReader::new(&bytes[..]).unwrap().map(|r| r.unwrap()).collect();
-        prop_assert_eq!(back.len(), records.len());
-        for ((u1, r1), (u2, r2)) in records.iter().zip(&back) {
-            prop_assert_eq!(u1, u2);
-            prop_assert_eq!(r1, r2);
-        }
-    }
-
-    /// Flipping any single byte after the header either errors out or
-    /// changes the decoded records — silent corruption is impossible.
-    #[test]
-    fn archive_detects_any_single_byte_flip(
-        records in proptest::collection::vec(("https?://[a-z]{1,8}\\.example/[a-z]{0,16}", arb_response()), 1..6),
-        flip_seed in any::<u64>(),
-        flip_bit in 0u8..8,
-    ) {
-        let mut w = ArchiveWriter::new(Vec::new()).unwrap();
-        for (url, r) in &records {
-            w.write(url, r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        prop_assume!(bytes.len() > 8);
-        let victim = 8 + (flip_seed as usize) % (bytes.len() - 8);
-        let mut evil = bytes.clone();
-        evil[victim] ^= 1 << flip_bit;
-
-        let originals: Vec<(String, Response)> =
-            ArchiveReader::new(&bytes[..]).unwrap().map(|r| r.unwrap()).collect();
-        match ArchiveReader::new(&evil[..]) {
-            Err(_) => {} // header flip: rejected outright
-            Ok(reader) => {
-                let decoded: Result<Vec<(String, Response)>, _> = reader.collect();
-                match decoded {
-                    Err(_) => {} // CRC / framing violation: detected
-                    Ok(items) => prop_assert_ne!(
-                        items, originals,
-                        "a byte flip at {} went completely unnoticed", victim
-                    ),
-                }
-            }
-        }
     }
 }

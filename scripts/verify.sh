@@ -77,13 +77,12 @@ test -s target/verify-smoke/scale.csv
 # Serve smoke (PR 9): continuous crawl-and-serve — the experiment asserts
 # the zero-reader window-1 refresh schedule is byte-reproducible and the
 # freshness SLA (median age-at-read ≤ 2 epochs) holds on every rung of
-# the 0/2/4-reader pressure ladder. The replay-cache alloc guard rides
-# the workspace test run; named here so a zero-copy regression fails on
-# its own line.
-cargo test -q --offline -p sb-httpsim --test alloc_guard_replay
+# the 0/2/4-reader pressure ladder.
 # The snapshot store synchronises with plain locks (PR 18). What licenses
 # the lock is the suite that held the lock-free cell to account: readers
-# under a write storm see only untorn, per-URL monotone versions.
+# under a write storm see only untorn, per-URL monotone versions. (The
+# `alloc_guard_replay` line that stood here pinned `ReplayStore::get_shared`,
+# which `sb_serve` never called: no serve-path coverage went with it, PR 21.)
 cargo test -q --offline -p sb-serve --test snapshot_consistency
 cargo run --release --offline -p sb-eval --bin xp -- \
     serve --scale 0.003 --jobs 2 --out target/verify-smoke
@@ -120,9 +119,12 @@ if grep -rn "Client::new" crates/*/src \
     echo "verify: library code fetches through the blocking Client" >&2; exit 1
 fi
 # Nearest centroid is an exact scan and the visited set is the one URL
-# table (PR 20): neither deleted duplicate comes back.
-if grep -rn -e "Hnsw" -e "UrlInterner" crates/*/src; then
-    echo "verify: Hnsw or UrlInterner reappeared under crates/*/src" >&2; exit 1
+# table (PR 20); the origin is the replay database and robots.txt is fetched
+# and enforced by the session's `robots_agent` handshake alone (PR 21): no
+# deleted duplicate comes back.
+if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
+        -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" crates/*/src; then
+    echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
 # workspace build and test lines above never compile it: a PR that narrows a

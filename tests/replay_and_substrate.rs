@@ -1,46 +1,14 @@
-//! Cross-crate substrate tests: the Sec 4.4 replay methodology, the MIME
-//! policy plumbing, and the NP-hardness module working over the same graph
-//! types the crawler uses.
+//! Cross-crate substrate tests: the MIME policy plumbing, and the
+//! NP-hardness module working over the same graph types the crawler uses.
 
 use sbcrawl::crawler::{crawl, CrawlConfig};
 use sbcrawl::crawler::strategies::QueueStrategy;
-use sbcrawl::httpsim::{Mode, ReplayStore, SiteServer};
+use sbcrawl::httpsim::SiteServer;
 use sbcrawl::webgraph::complexity::{
     crawl_budget_for_cover_budget, min_crawl_cost, min_set_cover, reduce_set_cover,
     SetCoverInstance,
 };
 use sbcrawl::webgraph::{build_site, SiteSpec};
-
-/// Sec 4.4: crawlers behind a semi-online replay store see exactly what a
-/// direct crawl sees, and the second crawler costs the origin nothing.
-#[test]
-fn replay_store_is_transparent_and_saves_origin_traffic() {
-    let site = build_site(&SiteSpec::demo(250), 1);
-    let root = site.page(site.root()).url.clone();
-
-    // Direct crawl.
-    let direct_server = SiteServer::new(site.clone());
-    let mut bfs = QueueStrategy::bfs();
-    let direct = crawl(&direct_server, None, &root, &mut bfs, &CrawlConfig::default());
-
-    // Same crawl through a semi-online replay store.
-    let store = ReplayStore::new(SiteServer::new(site.clone()), Mode::SemiOnline);
-    let mut bfs2 = QueueStrategy::bfs();
-    let replayed = crawl(&store, None, &root, &mut bfs2, &CrawlConfig::default());
-    assert_eq!(direct.targets_found(), replayed.targets_found());
-    assert_eq!(direct.traffic.get_requests, replayed.traffic.get_requests);
-
-    // A second crawler re-uses the database: zero new upstream GETs.
-    let upstream_before = store.upstream_gets();
-    let mut dfs = QueueStrategy::dfs();
-    let second = crawl(&store, None, &root, &mut dfs, &CrawlConfig::default());
-    assert_eq!(second.targets_found(), direct.targets_found());
-    assert_eq!(
-        store.upstream_gets(),
-        upstream_before,
-        "DFS after BFS must be served fully from the replay DB"
-    );
-}
 
 /// A PDF-only policy retrieves exactly the PDFs (custom target MIME lists,
 /// Sec 2.2).
