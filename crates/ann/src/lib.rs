@@ -17,5 +17,5 @@ pub mod project;
 pub mod vector;
 
 pub use ngram::{NgramVocab, SparseBow, BOS, EOS};
-pub use project::{Projector, Sketcher, DEFAULT_PRIME};
+pub use project::{BucketSums, Projector, Sketcher, DEFAULT_PRIME};
 pub use vector::{cosine, cosine_sparse, SparseVec};

@@ -85,6 +85,13 @@ impl Projector {
     }
 }
 
+/// The half of a sketch that never changes once its n-grams are in the
+/// vocabulary: `(bucket, Σ counts)` in ascending bucket order, each sum
+/// accumulated in ascending vocabulary-index order. [`Sketcher::project_into`]
+/// divides it by the hit table of the moment.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BucketSums(Box<[(u32, f32)]>);
+
 /// The one owner of the vocabulary→projection pair: token n-grams in, the
 /// projected [`SparseVec`] out, equal coordinate for coordinate to
 /// [`Projector::project`] over the same [`NgramVocab`] history.
@@ -94,6 +101,12 @@ impl Projector {
 /// grows, so it is kept in a per-bucket hit table extended by exactly the
 /// new positions on every growth — the table always covers `0..vocab_len()`
 /// — and a sketch costs O(nnz), with no `D`- or vocabulary-sized work.
+///
+/// A sketch is two steps, and a caller that sketches the same tokens again
+/// and again takes them apart: [`Sketcher::admit`] grows the vocabulary and
+/// returns the token sequence's [`BucketSums`] (static from then on),
+/// [`Sketcher::project_into`] applies the current hit table.
+/// [`Sketcher::sketch_mut`] is one after the other.
 #[derive(Debug, Clone)]
 pub struct Sketcher {
     vocab: NgramVocab,
@@ -113,38 +126,74 @@ impl Sketcher {
         self.projector.dim()
     }
 
-    /// Vocabulary size `d` (grows with [`Sketcher::sketch_mut`]).
+    /// Vocabulary size `d` (grows with [`Sketcher::admit`]).
     pub fn vocab_len(&self) -> usize {
         self.vocab.len()
     }
 
+    /// **Grows** the vocabulary (and the hit table) with the unseen n-grams
+    /// of `tokens` and returns their bucket sums. The order of `admit`
+    /// calls is the order the vocabulary grows in, and with it every later
+    /// hit count.
+    pub fn admit(&mut self, tokens: &[String]) -> BucketSums {
+        BucketSums(self.grow(tokens).into_boxed_slice())
+    }
+
     /// Sketches `tokens`, **growing** the vocabulary with unseen n-grams.
     pub fn sketch_mut(&mut self, tokens: &[String]) -> SparseVec {
+        let sums = self.grow(tokens);
+        self.mean(sums)
+    }
+
+    /// Sketches without growing: unseen n-grams are dropped.
+    pub fn sketch(&self, tokens: &[String]) -> SparseVec {
+        self.mean(self.bucket_sums(&self.vocab.vectorize(tokens)))
+    }
+
+    /// Σ of the hit counts under `sums`' buckets. Hit counts only grow, so
+    /// this moves exactly when the projection of `sums` does.
+    pub fn hits_under(&self, sums: &BucketSums) -> u32 {
+        sums.0.iter().map(|&(j, _)| self.hits[j as usize]).sum()
+    }
+
+    /// The collision mean of `sums` under the current hit table — what
+    /// [`Sketcher::sketch`] of the admitted tokens would return now —
+    /// written into `out`'s allocation.
+    pub fn project_into(&self, sums: &BucketSums, out: &mut SparseVec) {
+        out.refill(sums.0.iter().map(|&item| self.mean_of(item)));
+    }
+
+    /// The collision mean of one bucket: its sum over its hit count.
+    fn mean_of(&self, (j, sum): (u32, f32)) -> (u32, f32) {
+        (j, sum / self.hits[j as usize] as f32)
+    }
+
+    fn grow(&mut self, tokens: &[String]) -> Vec<(u32, f32)> {
         let before = self.vocab.len();
         let bow = self.vocab.vectorize_mut(tokens);
         for i in before..bow.dim {
             self.hits[self.projector.hash(i as u64)] += 1;
         }
-        self.project(&bow)
-    }
-
-    /// Sketches without growing: unseen n-grams are dropped.
-    pub fn sketch(&self, tokens: &[String]) -> SparseVec {
-        self.project(&self.vocab.vectorize(tokens))
+        self.bucket_sums(&bow)
     }
 
     /// Bucket sums in ascending input-index order (the order the dense loop
-    /// adds them in), then the collision mean from the hit table.
-    fn project(&self, bow: &SparseBow) -> SparseVec {
+    /// adds them in).
+    fn bucket_sums(&self, bow: &SparseBow) -> Vec<(u32, f32)> {
         debug_assert_eq!(bow.dim, self.vocab.len(), "hit table covers the whole vocabulary");
         let mut out: Vec<(u32, f32)> = Vec::with_capacity(bow.items.len());
         for &(i, val) in &bow.items {
             add_sorted(&mut out, self.projector.hash(i as u64) as u32, val);
         }
-        for (j, sum) in &mut out {
-            *sum /= self.hits[*j as usize] as f32;
+        out
+    }
+
+    /// The collision mean from the hit table, in place.
+    fn mean(&self, mut sums: Vec<(u32, f32)>) -> SparseVec {
+        for item in &mut sums {
+            *item = self.mean_of(*item);
         }
-        SparseVec::new(out)
+        SparseVec::new(sums)
     }
 }
 

@@ -12,21 +12,37 @@
 use std::cmp::Ordering;
 
 /// A sparse f32 vector: `(index, value)` items in strictly ascending index
-/// order, plus the squared norm cached at construction (the same ordered
-/// f64 sum the dense [`cosine`] loop accumulates). Immutable once built, so
-/// the cache can never go stale.
-#[derive(Debug, Clone, PartialEq)]
+/// order, plus the squared norm cached beside them (the same ordered f64
+/// sum the dense [`cosine`] loop accumulates). The two constructors —
+/// [`SparseVec::new`] and the in-place [`SparseVec::refill`] — check the
+/// order and compute the norm through one function, and nothing else
+/// writes the items, so the cache can never go stale.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVec {
     items: Vec<(u32, f32)>,
     norm_sq: f64,
 }
 
+/// The cached norm of `items`: panics unless indices are strictly
+/// ascending, then sums the squares in that order.
+fn checked_norm_sq(items: &[(u32, f32)]) -> f64 {
+    assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "indices must be strictly ascending");
+    items.iter().fold(0.0f64, |acc, &(_, v)| acc + f64::from(v) * f64::from(v))
+}
+
 impl SparseVec {
     /// Panics unless indices are strictly ascending.
     pub fn new(items: Vec<(u32, f32)>) -> Self {
-        assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "indices must be strictly ascending");
-        let norm_sq = items.iter().fold(0.0f64, |acc, &(_, v)| acc + f64::from(v) * f64::from(v));
+        let norm_sq = checked_norm_sq(&items);
         SparseVec { items, norm_sq }
+    }
+
+    /// [`SparseVec::new`] into this vector's allocation — for a caller that
+    /// rebuilds one probe vector many times over. Same check, same norm.
+    pub fn refill(&mut self, items: impl IntoIterator<Item = (u32, f32)>) {
+        self.items.clear();
+        self.items.extend(items);
+        self.norm_sq = checked_norm_sq(&self.items);
     }
 
     /// The non-zero coordinates of a dense vector.

@@ -76,6 +76,37 @@ proptest! {
         }
     }
 
+    /// (b') The two halves of a sketch: bucket sums kept from `admit`
+    /// stay valid however far the vocabulary grows afterwards — projected
+    /// under any later hit table they are the dense projection of the same
+    /// tokens over the vocabulary of that moment, norm included, and
+    /// `hits_under` moves exactly when that projection does.
+    #[test]
+    fn kept_bucket_sums_project_like_a_fresh_dense_sketch(
+        paths in proptest::collection::vec(arb_tokens(), 1..24),
+        paper_dim in proptest::bool::ANY,
+    ) {
+        let proj = if paper_dim { Projector::paper_default() } else { Projector::new(3, 11, DEFAULT_PRIME) };
+        let mut sketcher = Sketcher::new(2, proj);
+        let mut vocab = NgramVocab::new(2);
+        let mut kept = Vec::new();
+        let mut probe = SparseVec::default();
+        for tokens in &paths {
+            let sums = sketcher.admit(tokens);
+            vocab.vectorize_mut(tokens);
+            kept.push((tokens, sums, 0u32, Vec::new()));
+            for (tokens, sums, hits_seen, dense_seen) in &mut kept {
+                sketcher.project_into(sums, &mut probe);
+                let dense = proj.project(&vocab.vectorize(tokens));
+                prop_assert_eq!(bits(&probe.to_dense(proj.dim())), bits(&dense));
+                prop_assert_eq!(&probe, &SparseVec::from_dense(&dense), "refill caches new()'s norm");
+                let hits = sketcher.hits_under(sums);
+                prop_assert_eq!(hits == *hits_seen, bits(&dense) == bits(dense_seen));
+                (*hits_seen, *dense_seen) = (hits, dense);
+            }
+        }
+    }
+
     /// (c) The sorted-union centroid move ≡ the dense coordinate-wise map
     /// `c + (x − c) / (m + 1)`.
     #[test]

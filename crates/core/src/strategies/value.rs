@@ -20,6 +20,38 @@
 //!   the top `k`; [`Strategy::next`] is the `k = 1` special case, so the
 //!   strategy behaves identically whether the session batches or not.
 //!
+//! # Score once, re-score what changed (PR 22)
+//!
+//! A pass still *visits* every candidate, but it pays the per-URL work —
+//! tokenising, sketching, featurising — **once per candidate**, and per
+//! pass only for what a scorer's learned state has actually invalidated.
+//! Each scorer keeps one compact memo per candidate, parallel to the
+//! frontier (slot `i` of every scorer belongs to `frontier[i]`):
+//!
+//! * **What a memo may cache** is anything that is a function of the
+//!   candidate alone (its feature vector, its sketch's bucket sums, its
+//!   bandit arm) plus the last answer computed from it, stamped with the
+//!   scorer state that answer depended on.
+//! * **What invalidates it** is declared by the stamp: the classifier's
+//!   score by [`UrlClassifier::trainings`] advancing; the near-dup verdict
+//!   by the sketcher's hit table growing under one of the candidate's
+//!   buckets (all of it) or by a fetch overwriting a ring slot (that slot's
+//!   bit); the bandit's score by nothing — it is a few flops over the
+//!   resolved arm.
+//! * **Admission is at the candidate's first ranking pass, not at
+//!   `decide`** — in frontier order, interleaved with scoring exactly as
+//!   the passes always ran. The near-dup sketcher's vocabulary grows in
+//!   admission order, `on_fetched` calls fall between `decide` and the next
+//!   pass, and every later hit count (hence every cosine) depends on that
+//!   order; admitting where the first score used to happen keeps it, and
+//!   with it every selection, byte-identical to re-scoring everything.
+//! * A memo is **released when its candidate is selected**
+//!   ([`Scorer::release`], mirroring the frontier's `swap_remove`).
+//!
+//! There is one ranking path. The re-score-everything loop this replaced
+//! lives on only as the test oracle (`crates/core/tests/oracle/`), which
+//! `proptest_value.rs` and `batch.rs` compare every selection against.
+//!
 //! Four scorers ship with the repo, mirroring Crawl4LLM's length/fasttext
 //! raters in this engine's vocabulary: [`DepthPriorScorer`] (link-length/
 //! depth prior), [`ClassifierScorer`] (sb-ml online classifier
@@ -32,7 +64,7 @@
 
 use crate::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
 use rand::rngs::StdRng;
-use sb_ann::{cosine_sparse, Projector, Sketcher, SparseVec};
+use sb_ann::{cosine_sparse, BucketSums, Projector, Sketcher, SparseVec};
 use sb_ml::{Class2, FeatureInput, UrlClassifier};
 use sb_webgraph::{UrlClass, UrlId};
 use std::collections::HashMap;
@@ -53,30 +85,63 @@ pub fn finite_or_zero(x: f64) -> f64 {
 
 /// A frontier entry as scorers see it: the interned id, the canonical URL
 /// (owned at the [`Strategy::decide`] boundary, like every feature that
-/// outlives its page), the discovery depth and the anchor-text length.
+/// outlives its page) and the discovery depth.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     pub id: UrlId,
     pub url: Box<str>,
     pub depth: u32,
-    /// Length of the link's anchor text, captured at discovery (0 when
-    /// the link had none).
-    pub anchor_len: u32,
 }
 
 /// One composable rating method (a Crawl4LLM `rating_methods` entry).
+///
+/// The host keeps the frontier as a vector and addresses candidates by
+/// **slot** (frontier index). A scorer that caches anything per candidate
+/// keeps its memos in a vector parallel to it, under this contract:
+///
+/// * [`Scorer::admit`] is called exactly once per candidate, immediately
+///   before its first [`Scorer::score`], and always for the slot one past
+///   the scorer's last memo — so `admit` is a `push`. It happens at the
+///   candidate's first ranking pass, in frontier order, *not* when the link
+///   is discovered: a scorer whose learned state grows on admission (the
+///   near-dup vocabulary) grows it in the same order, relative to its
+///   [`Scorer::on_fetched`] calls, as if it scored from scratch every pass.
+/// * Every pass calls `score` for every slot in ascending order. A memo may
+///   hold whatever depends on the candidate alone, and the last answer
+///   stamped with the scorer state it depended on; `score` recomputes only
+///   when the stamp is stale, and must return what a memo-less scorer
+///   would.
+/// * [`Scorer::release`] follows the frontier's `swap_remove(slot)` when a
+///   candidate is selected; the scorer does the same to its memos.
 ///
 /// `score` may return any float — the combinator clamps non-finite
 /// answers to 0.0 ([`finite_or_zero`]) before weighting, so a degenerate
 /// scorer can never corrupt the ranking. The learning hooks are optional:
 /// the strategy forwards every fetched page's true class and every
-/// selection's terminal feedback to every scorer.
+/// selection's terminal feedback to every scorer. A stateless scorer
+/// implements `name` and `score` only.
 pub trait Scorer: Send {
     fn name(&self) -> &'static str;
 
-    /// Value estimate for one frontier candidate. `&mut` because scoring
-    /// may touch learned state (growing vocabularies, cached sketches).
-    fn score(&mut self, cand: &Candidate) -> f64;
+    /// `cand` enters the next free slot: build its memo.
+    fn admit(&mut self, cand: &Candidate) {
+        let _ = cand;
+    }
+
+    /// Value estimate for the admitted candidate in `slot`.
+    fn score(&mut self, slot: usize, cand: &Candidate) -> f64;
+
+    /// The candidate in `slot` was selected and the last slot's candidate
+    /// moved into its place (`swap_remove`).
+    fn release(&mut self, slot: usize) {
+        let _ = slot;
+    }
+
+    /// Memos currently held (0 for a stateless scorer). After a ranking
+    /// pass a memoising scorer holds exactly one per frontier candidate.
+    fn live_memos(&self) -> usize {
+        0
+    }
 
     /// A page was fetched and its true class is known (the free online
     /// signal of Algorithm 2).
@@ -108,7 +173,7 @@ impl Scorer for DepthPriorScorer {
         "depth"
     }
 
-    fn score(&mut self, cand: &Candidate) -> f64 {
+    fn score(&mut self, _slot: usize, cand: &Candidate) -> f64 {
         1.0 / (1.0 + f64::from(cand.depth) + cand.url.len() as f64 / 64.0)
     }
 }
@@ -118,19 +183,30 @@ impl Scorer for DepthPriorScorer {
 /// candidate with the sigmoid of its decision value — the model's
 /// confidence that the URL is a target. Before the first trained batch it
 /// answers a flat 0.5 (uninformed), so early ranking rides the priors.
+///
+/// A candidate is featurised once, at admission; its score is a sparse dot
+/// product redone only when a training batch has moved the weights.
 pub struct ClassifierScorer {
     clf: UrlClassifier,
+    memos: Vec<ClassifierMemo>,
+}
+
+struct ClassifierMemo {
+    features: sb_ml::SparseVec,
+    score: f64,
+    /// [`UrlClassifier::trainings`] when `score` was computed.
+    trainings: u64,
 }
 
 impl ClassifierScorer {
     pub fn new(clf: UrlClassifier) -> Self {
-        ClassifierScorer { clf }
+        ClassifierScorer { clf, memos: Vec::new() }
     }
 
     /// The paper-default classifier (logistic regression, URL-only
     /// features, batch 10) — free labels only, no HEAD bootstrap.
     pub fn paper_default() -> Self {
-        ClassifierScorer { clf: UrlClassifier::paper_default() }
+        ClassifierScorer::new(UrlClassifier::paper_default())
     }
 }
 
@@ -139,12 +215,36 @@ impl Scorer for ClassifierScorer {
         "classifier"
     }
 
-    fn score(&mut self, cand: &Candidate) -> f64 {
-        if self.clf.in_initial_phase() {
-            return 0.5;
+    fn admit(&mut self, cand: &Candidate) {
+        self.memos.push(ClassifierMemo {
+            features: self.clf.featurize(&FeatureInput::url_only(&cand.url)),
+            score: 0.0,
+            // No model has trained this often: the first `score` computes.
+            trainings: u64::MAX,
+        });
+    }
+
+    fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
+        let memo = &mut self.memos[slot];
+        let trainings = self.clf.trainings();
+        if memo.trainings != trainings {
+            memo.trainings = trainings;
+            memo.score = if self.clf.in_initial_phase() {
+                0.5
+            } else {
+                let s = f64::from(self.clf.score_features(&memo.features));
+                1.0 / (1.0 + (-s).exp())
+            };
         }
-        let s = f64::from(self.clf.predict_score(&FeatureInput::url_only(&cand.url)));
-        1.0 / (1.0 + (-s).exp())
+        memo.score
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.memos.swap_remove(slot);
+    }
+
+    fn live_memos(&self) -> usize {
+        self.memos.len()
     }
 
     fn on_fetched(&mut self, url: &str, class: UrlClass) {
@@ -161,8 +261,10 @@ impl Scorer for ClassifierScorer {
 
 /// How many fetched-URL sketches [`NearDupScorer`] compares against (a
 /// ring of the most recent ones — recency is what matters for trap
-/// shapes, which arrive in runs).
+/// shapes, which arrive in runs). At most 32: a candidate's per-slot
+/// verdicts are the bits of a `u32`.
 const NEARDUP_RING: usize = 32;
+const _: () = assert!(NEARDUP_RING <= u32::BITS as usize);
 
 /// Cosine similarity above which a candidate is charged the near-dup
 /// penalty. A trap URL that differs from a fetched one only in its tail
@@ -177,10 +279,32 @@ const NEARDUP_THRESHOLD: f32 = 0.7;
 /// recent fetch. Calendar traps, session-id farms and `?page=N` mills all
 /// share their URL shape with what was just crawled; this scorer makes
 /// them pay for it before a request is spent.
+///
+/// A candidate is tokenised once, at admission, which is also when its
+/// bigrams enter the vocabulary. Its sketch at any later moment is its
+/// (static) bucket sums over the hit table of that moment, and its verdict
+/// is one bit per ring slot: a pass recomputes the bits of the slots
+/// fetches have overwritten since the last one — or all of them, if the hit
+/// table grew under one of the candidate's buckets and moved its sketch.
 pub struct NearDupScorer {
     sketcher: Sketcher,
     ring: Vec<SparseVec>,
-    next_slot: usize,
+    /// Fetches sketched into the ring so far (wrapping); write `w` lands in
+    /// slot `w % NEARDUP_RING`.
+    ring_writes: u32,
+    memos: Vec<NearDupMemo>,
+    /// Reused: the candidate at hand under the current hit table.
+    probe: SparseVec,
+}
+
+struct NearDupMemo {
+    sums: BucketSums,
+    /// [`Sketcher::hits_under`] `sums` when `near` was last computed whole.
+    hits: u32,
+    /// `ring_writes` when `near` was last brought up to date.
+    ring_seen: u32,
+    /// Bit `s`: the sketch is a near-dup of `ring[s]`.
+    near: u32,
 }
 
 impl NearDupScorer {
@@ -190,18 +314,18 @@ impl NearDupScorer {
             // URL-token vocabularies.
             sketcher: Sketcher::new(2, Projector::new(10, 15, sb_ann::DEFAULT_PRIME)),
             ring: Vec::with_capacity(NEARDUP_RING),
-            next_slot: 0,
+            ring_writes: 0,
+            memos: Vec::new(),
+            probe: SparseVec::default(),
         }
     }
+}
 
-    fn sketch(&mut self, url: &str) -> SparseVec {
-        let tokens: Vec<String> = url
-            .split(|c: char| !c.is_ascii_alphanumeric())
-            .filter(|t| !t.is_empty())
-            .map(str::to_lowercase)
-            .collect();
-        self.sketcher.sketch_mut(&tokens)
-    }
+fn url_tokens(url: &str) -> Vec<String> {
+    url.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|t| !t.is_empty())
+        .map(str::to_lowercase)
+        .collect()
 }
 
 impl Default for NearDupScorer {
@@ -215,24 +339,61 @@ impl Scorer for NearDupScorer {
         "neardup"
     }
 
-    fn score(&mut self, cand: &Candidate) -> f64 {
-        let sketch = self.sketch(&cand.url);
-        let near = self.ring.iter().any(|seen| cosine_sparse(&sketch, seen) >= NEARDUP_THRESHOLD);
-        if near {
+    fn admit(&mut self, cand: &Candidate) {
+        self.memos.push(NearDupMemo {
+            sums: self.sketcher.admit(&url_tokens(&cand.url)),
+            // Every bucket of a non-empty sketch has a hit, so the first
+            // `score` computes all bits (an empty one has none to compute).
+            hits: 0,
+            ring_seen: self.ring_writes,
+            near: 0,
+        });
+    }
+
+    fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
+        let memo = &mut self.memos[slot];
+        let hits = self.sketcher.hits_under(&memo.sums);
+        // The ring slots whose bit is out of date: `count` of them from
+        // `first`, wrapping.
+        let (first, count) = if hits != memo.hits {
+            (memo.hits, memo.near) = (hits, 0);
+            (0, self.ring.len())
+        } else {
+            let behind = self.ring_writes.wrapping_sub(memo.ring_seen) as usize;
+            (memo.ring_seen as usize % NEARDUP_RING, behind.min(NEARDUP_RING))
+        };
+        memo.ring_seen = self.ring_writes;
+        if count > 0 {
+            self.sketcher.project_into(&memo.sums, &mut self.probe);
+            for s in (first..first + count).map(|s| s % NEARDUP_RING) {
+                let near = cosine_sparse(&self.probe, &self.ring[s]) >= NEARDUP_THRESHOLD;
+                memo.near = (memo.near & !(1 << s)) | (u32::from(near) << s);
+            }
+        }
+        if memo.near != 0 {
             -1.0
         } else {
             0.0
         }
     }
 
+    fn release(&mut self, slot: usize) {
+        self.memos.swap_remove(slot);
+    }
+
+    fn live_memos(&self) -> usize {
+        self.memos.len()
+    }
+
     fn on_fetched(&mut self, url: &str, _class: UrlClass) {
-        let sketch = self.sketch(url);
-        if self.ring.len() < NEARDUP_RING {
+        let sketch = self.sketcher.sketch_mut(&url_tokens(url));
+        let slot = self.ring_writes as usize % NEARDUP_RING;
+        if slot == self.ring.len() {
             self.ring.push(sketch);
         } else {
-            self.ring[self.next_slot] = sketch;
-            self.next_slot = (self.next_slot + 1) % NEARDUP_RING;
+            self.ring[slot] = sketch;
         }
+        self.ring_writes = self.ring_writes.wrapping_add(1);
     }
 }
 
@@ -249,10 +410,17 @@ struct DirArm {
 /// UCB exploration bonus — unexplored directories look optimistic, proven
 /// target directories stay hot, and directories that only ever answered
 /// HTML or errors decay toward 0.
+///
+/// A candidate's directory is resolved to its arm once, at admission (an
+/// arm nobody pulled yet scores as no arm did: the optimistic prior).
 #[derive(Debug, Default)]
 pub struct BanditScorer {
-    arms: HashMap<String, DirArm>,
+    /// First path segment → its index in `arms`.
+    arm_of_dir: HashMap<Box<str>, u32>,
+    arms: Vec<DirArm>,
     total_pulls: u64,
+    /// The arm of each frontier candidate.
+    memos: Vec<u32>,
 }
 
 /// First path segment of a canonical URL ("" for the root).
@@ -265,6 +433,19 @@ impl BanditScorer {
     pub fn new() -> Self {
         BanditScorer::default()
     }
+
+    /// The arm of `url`'s directory, founded (unpulled) on first sight —
+    /// the only time the directory name is copied.
+    fn arm_of(&mut self, url: &str) -> u32 {
+        let dir = dir_of(url);
+        if let Some(&arm) = self.arm_of_dir.get(dir) {
+            return arm;
+        }
+        let arm = self.arms.len() as u32;
+        self.arms.push(DirArm::default());
+        self.arm_of_dir.insert(dir.into(), arm);
+        arm
+    }
 }
 
 impl Scorer for BanditScorer {
@@ -272,20 +453,34 @@ impl Scorer for BanditScorer {
         "bandit"
     }
 
-    fn score(&mut self, cand: &Candidate) -> f64 {
+    fn admit(&mut self, cand: &Candidate) {
+        let arm = self.arm_of(&cand.url);
+        self.memos.push(arm);
+    }
+
+    fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
         let t = (1.0 + self.total_pulls as f64).ln();
-        match self.arms.get(dir_of(&cand.url)) {
-            Some(arm) if arm.pulls > 0 => {
-                let mean = arm.sum / arm.pulls as f64;
-                mean + 0.5 * (t / arm.pulls as f64).sqrt()
-            }
+        let arm = self.arms[self.memos[slot] as usize];
+        if arm.pulls > 0 {
+            let mean = arm.sum / arm.pulls as f64;
+            mean + 0.5 * (t / arm.pulls as f64).sqrt()
+        } else {
             // Never pulled: optimistic prior plus the full bonus.
-            _ => 0.5 + 0.5 * t.sqrt(),
+            0.5 + 0.5 * t.sqrt()
         }
     }
 
+    fn release(&mut self, slot: usize) {
+        self.memos.swap_remove(slot);
+    }
+
+    fn live_memos(&self) -> usize {
+        self.memos.len()
+    }
+
     fn observe(&mut self, url: &str, reward: f64) {
-        let arm = self.arms.entry(dir_of(url).to_owned()).or_default();
+        let arm = self.arm_of(url);
+        let arm = &mut self.arms[arm as usize];
         arm.pulls += 1;
         arm.sum += finite_or_zero(reward).clamp(0.0, 1.0);
         self.total_pulls += 1;
@@ -374,15 +569,20 @@ impl ValueSpec {
 /// enqueued ([`LinkDecision::Enqueue`]): selection order, not routing, is
 /// where this strategy spends its intelligence.
 ///
-/// Each selection's token indexes a ledger of selected URLs, so terminal
-/// feedback (one per selection, the engine's invariant) can be routed to
-/// every scorer with the URL it concerns.
+/// Each selection's token indexes a ledger holding the selected URL until
+/// its terminal feedback arrives (one per selection, the engine's
+/// invariant), so the feedback can be routed to every scorer with the URL
+/// it concerns.
 pub struct ValueStrategy {
     scorers: Vec<(Box<dyn Scorer>, f64)>,
     frontier: Vec<Candidate>,
-    /// URL of every selection pulled so far; `Selection::token` indexes it.
-    ledger: Vec<Box<str>>,
-    /// Reused per-ranking scratch: `(score, frontier index)`.
+    /// `frontier[..admitted]` have been through [`Scorer::admit`]; the rest
+    /// were discovered since the last ranking pass.
+    admitted: usize,
+    /// `Selection::token` indexes it: the selection's URL while its
+    /// feedback is outstanding, `None` once settled.
+    ledger: Vec<Option<Box<str>>>,
+    /// Reused per-ranking scratch: `(score, frontier slot)`.
     scratch: Vec<(f64, usize)>,
 }
 
@@ -390,7 +590,13 @@ impl ValueStrategy {
     /// Builds from an explicit scorer mix.
     pub fn new(scorers: Vec<(Box<dyn Scorer>, f64)>) -> Self {
         assert!(!scorers.is_empty(), "a value strategy needs at least one scorer");
-        ValueStrategy { scorers, frontier: Vec::new(), ledger: Vec::new(), scratch: Vec::new() }
+        ValueStrategy {
+            scorers,
+            frontier: Vec::new(),
+            admitted: 0,
+            ledger: Vec::new(),
+            scratch: Vec::new(),
+        }
     }
 
     /// Builds from a parsed [`ValueSpec`].
@@ -403,23 +609,23 @@ impl ValueStrategy {
         ValueStrategy::from_spec(&ValueSpec::default_mix())
     }
 
-    /// Weighted-sum combination with the NaN guard applied per raw score:
-    /// a scorer answering NaN/∞ contributes 0, never poison. The combined
-    /// value is finite by construction (`debug_assert`ed).
-    fn combined_score(&mut self, idx: usize) -> f64 {
-        let cand = &self.frontier[idx];
-        let mut total = 0.0;
-        for (scorer, weight) in &mut self.scorers {
-            total += *weight * finite_or_zero(scorer.score(cand));
-        }
-        debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
-        total
+    /// Adds a candidate to the frontier — what [`Strategy::decide`] does
+    /// with every link, for callers that have no page to borrow one from.
+    /// Owned-conversion boundary: the candidate outlives the page.
+    pub fn enqueue(&mut self, id: UrlId, url: &str, depth: u32) {
+        self.frontier.push(Candidate { id, url: url.into(), depth });
     }
 
-    /// One terminal observation for the selection behind `token`.
+    /// `(name, live memos)` per scorer, in mix order ([`Scorer::live_memos`]).
+    pub fn live_memos(&self) -> impl Iterator<Item = (&'static str, usize)> + '_ {
+        self.scorers.iter().map(|(s, _)| (s.name(), s.live_memos()))
+    }
+
+    /// One terminal observation for the selection behind `token`, which
+    /// settles it: its ledger entry is released.
     fn route_feedback(&mut self, token: u64, reward: f64) {
-        let Some(url) = self.ledger.get(token as usize).cloned() else {
-            debug_assert!(false, "feedback for a token this strategy never issued");
+        let Some(url) = self.ledger.get_mut(token as usize).and_then(Option::take) else {
+            debug_assert!(false, "feedback for a token this strategy never issued, or twice");
             return;
         };
         for (scorer, _) in &mut self.scorers {
@@ -436,9 +642,8 @@ impl Strategy for ValueStrategy {
     }
 
     fn link_needs(&self) -> sb_html::LinkNeeds {
-        // Scorers read URL, depth and anchor length; tag paths and
-        // surrounding text are never consulted.
-        sb_html::LinkNeeds { tag_path: false, anchor_text: true, surrounding_text: false }
+        // Scorers read URL and depth only; no per-link text is consulted.
+        sb_html::LinkNeeds::HREF_ONLY
     }
 
     fn next(&mut self, rng: &mut StdRng) -> Option<Selection> {
@@ -449,35 +654,58 @@ impl Strategy for ValueStrategy {
         if k == 0 || self.frontier.is_empty() {
             return Vec::new();
         }
-        // Rank the whole frontier once (the Crawl4LLM iteration): score
-        // every candidate, order by clamped score descending with UrlId
-        // ascending as the deterministic tiebreak.
+        // Rank the whole frontier once (the Crawl4LLM iteration). A
+        // candidate discovered since the last pass is admitted just before
+        // its first score — slot by slot, never all up front: a scorer's
+        // state may grow on admission, and slot `i` is scored under what
+        // slots `..= i` have grown, as it always was. The combined value is
+        // a weighted sum of clamped scores, so it is finite.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        for idx in 0..self.frontier.len() {
-            let score = self.combined_score(idx);
-            scratch.push((score, idx));
+        for (slot, cand) in self.frontier.iter().enumerate() {
+            let mut total = 0.0;
+            for (scorer, weight) in &mut self.scorers {
+                if slot >= self.admitted {
+                    scorer.admit(cand);
+                }
+                total += *weight * finite_or_zero(scorer.score(slot, cand));
+            }
+            debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
+            scratch.push((total, slot));
         }
-        scratch.sort_by(|a, b| {
+        // Top k under the total order: clamped score descending, UrlId
+        // ascending, then slot (what a stable sort of the slots would do
+        // with a repeated id).
+        let frontier = &self.frontier;
+        let by_rank = |a: &(f64, usize), b: &(f64, usize)| {
             b.0.partial_cmp(&a.0)
                 .expect("combined scores are finite by construction")
-                .then_with(|| self.frontier[a.1].id.cmp(&self.frontier[b.1].id))
-        });
+                .then_with(|| frontier[a.1].id.cmp(&frontier[b.1].id))
+                .then_with(|| a.1.cmp(&b.1))
+        };
         let take = k.min(scratch.len());
-        let mut picked: Vec<usize> = scratch[..take].iter().map(|&(_, idx)| idx).collect();
+        if take < scratch.len() {
+            scratch.select_nth_unstable_by(take - 1, by_rank);
+        }
+        let picked = &mut scratch[..take];
+        picked.sort_unstable_by(by_rank);
+        // The selected URLs move into the ledger, in rank order.
         let mut out = Vec::with_capacity(take);
-        for &idx in &picked {
-            let cand = &self.frontier[idx];
-            let token = self.ledger.len() as u64;
-            self.ledger.push(cand.url.clone());
-            out.push(Selection { url: cand.id.into(), token });
+        for &(_, slot) in picked.iter() {
+            let cand = &mut self.frontier[slot];
+            out.push(Selection { url: cand.id.into(), token: self.ledger.len() as u64 });
+            self.ledger.push(Some(std::mem::take(&mut cand.url)));
         }
-        // Remove the selected candidates (largest index first, so earlier
-        // indices stay valid).
-        picked.sort_unstable_by(|a, b| b.cmp(a));
-        for idx in picked {
-            self.frontier.swap_remove(idx);
+        // Remove the selected candidates and their memos (largest slot
+        // first, so earlier slots stay valid).
+        picked.sort_unstable_by_key(|&(_, slot)| std::cmp::Reverse(slot));
+        for &(_, slot) in picked.iter() {
+            self.frontier.swap_remove(slot);
+            for (scorer, _) in &mut self.scorers {
+                scorer.release(slot);
+            }
         }
+        self.admitted = self.frontier.len();
         self.scratch = scratch;
         out
     }
@@ -487,13 +715,7 @@ impl Strategy for ValueStrategy {
     }
 
     fn decide(&mut self, link: &NewLink<'_>, _services: &mut Services<'_, '_>) -> LinkDecision {
-        // Owned-conversion boundary: the candidate outlives the page.
-        self.frontier.push(Candidate {
-            id: link.id,
-            url: link.url_str.into(),
-            depth: link.source_depth + 1,
-            anchor_len: link.html.anchor_text.len() as u32,
-        });
+        self.enqueue(link.id, link.url_str, link.source_depth + 1);
         LinkDecision::Enqueue
     }
 
@@ -594,7 +816,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn cand(id: UrlId, url: &str, depth: u32) -> Candidate {
-        Candidate { id, url: url.into(), depth, anchor_len: 0 }
+        Candidate { id, url: url.into(), depth }
     }
 
     /// A scorer that always answers the same (possibly degenerate) value.
@@ -605,7 +827,7 @@ mod tests {
             self.0
         }
 
-        fn score(&mut self, _cand: &Candidate) -> f64 {
+        fn score(&mut self, _slot: usize, _cand: &Candidate) -> f64 {
             self.1
         }
     }
@@ -627,8 +849,8 @@ mod tests {
             (Box::new(Fixed("nan", f64::NAN)), 10.0),
             (Box::new(DepthPriorScorer), 1.0),
         ]);
-        s.frontier.push(cand(0, "https://s/deep/deep/deep/page", 5));
-        s.frontier.push(cand(1, "https://s/top", 1));
+        s.enqueue(0, "https://s/deep/deep/deep/page", 5);
+        s.enqueue(1, "https://s/top", 1);
         let mut rng = StdRng::seed_from_u64(1);
         let batch = s.select_batch(2, &mut rng);
         assert_eq!(batch.len(), 2);
@@ -645,7 +867,7 @@ mod tests {
             )]);
             for k in 0..20u32 {
                 let url = format!("https://s/{}", "x".repeat((k % 7) as usize + 1));
-                s.frontier.push(cand(k, &url, k % 5));
+                s.enqueue(k, &url, k % 5);
             }
             s
         };
@@ -659,14 +881,16 @@ mod tests {
     #[test]
     fn tokens_index_the_ledger_and_feedback_routes() {
         let mut s = ValueStrategy::new(vec![(Box::new(BanditScorer::new()) as _, 1.0)]);
-        s.frontier.push(cand(0, "https://s/files/a.csv", 1));
+        s.enqueue(0, "https://s/files/a.csv", 1);
         let mut rng = StdRng::seed_from_u64(1);
         let sel = s.next(&mut rng).expect("one candidate");
+        assert_eq!(s.ledger[sel.token as usize].as_deref(), Some("https://s/files/a.csv"));
         s.feedback_target(sel.token);
+        assert_eq!(s.ledger[sel.token as usize], None, "terminal feedback settles the entry");
         // The /files directory arm must now dominate an unseen one with
         // identical depth priors.
-        s.frontier.push(cand(1, "https://s/files/b.csv", 1));
-        s.frontier.push(cand(2, "https://s/about/c.csv", 1));
+        s.enqueue(1, "https://s/files/b.csv", 1);
+        s.enqueue(2, "https://s/about/c.csv", 1);
         let next = s.next(&mut rng).expect("two candidates");
         assert_eq!(next.url, crate::strategy::SelUrl::Id(1), "proven dir first");
     }
@@ -677,8 +901,12 @@ mod tests {
         for day in 1..=9 {
             nd.on_fetched(&format!("https://s/calendar/2021/01/0{day}"), UrlClass::Html);
         }
-        let trap = nd.score(&cand(0, "https://s/calendar/2021/01/27", 3));
-        let fresh = nd.score(&cand(1, "https://s/papers/edbt-2026-accepted-list", 3));
+        let mut score = |slot, cand: Candidate| {
+            nd.admit(&cand);
+            nd.score(slot, &cand)
+        };
+        let trap = score(0, cand(0, "https://s/calendar/2021/01/27", 3));
+        let fresh = score(1, cand(1, "https://s/papers/edbt-2026-accepted-list", 3));
         assert!(trap < fresh, "trap-shaped URL must score below a fresh shape");
         assert_eq!(trap, -1.0);
     }

@@ -6,6 +6,9 @@
 //! including members still buffered (pulled but unsubmitted) when the
 //! session shuts down mid-batch.
 
+mod oracle;
+
+use oracle::OracleValueStrategy;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 use rand::rngs::StdRng;
@@ -189,6 +192,63 @@ fn value_strategy_exhaustive_coverage_matches_bfs() {
         let targets: BTreeSet<String> = out.targets.iter().map(|t| t.url.clone()).collect();
         assert_eq!(fetched, bfs_fetched, "window {window} changed the visited set");
         assert_eq!(targets, bfs_targets, "window {window} changed the targets");
+    }
+}
+
+/// Whole crawls, memoised vs re-score-everything (PR 22): the frozen
+/// pre-memo strategy in `oracle/` and `ValueStrategy::default_mix()` drive
+/// `CrawlSession` over the same site with the same budget, and must produce
+/// the same crawl — every trace point (simulated clock included), every
+/// fetch in order, every target in order — at windows 1, 4 and 16. The
+/// second site is hazard-laced, so calendar traps and near-dup clusters put
+/// the near-dup verdicts to work. (The oracle also still asks for anchor
+/// text, as `ValueStrategy` did for a field no scorer read: the extracted
+/// link set does not depend on it.)
+#[test]
+fn value_strategy_replays_the_rescoring_oracle_through_whole_crawls() {
+    use sb_webgraph::gen::{apply_hazards, HazardSpec};
+
+    let clean = build_site(&SiteSpec::demo(400), 41);
+    let mut hostile = build_site(&SiteSpec::demo(300), 43);
+    apply_hazards(&mut hostile, &HazardSpec::scaled(300), 43);
+
+    fn crawl(
+        site: &Arc<Website>,
+        window: usize,
+        strategy: &mut dyn Strategy,
+    ) -> (Vec<sb_crawler::TracePoint>, Vec<String>, Vec<String>) {
+        let server = SiteServer::shared(Arc::clone(site));
+        let cfg = CrawlConfig {
+            max_in_flight: window,
+            budget: Budget::Requests(150),
+            ..CrawlConfig::default()
+        };
+        let mut log = EventLog::new();
+        let out = CrawlSession::new(&server, None, &root_of(site), strategy, &cfg)
+            .expect("generated roots are valid")
+            .observe(&mut log)
+            .run();
+        let fetched = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                OwnedEvent::Fetched { url, .. } => Some(url.clone()),
+                _ => None,
+            })
+            .collect();
+        let targets = out.targets.iter().map(|t| t.url.clone()).collect();
+        (out.trace.points().to_vec(), fetched, targets)
+    }
+
+    for (name, site) in [("clean", Arc::new(clean)), ("hostile", Arc::new(hostile))] {
+        for window in [1usize, 4, 16] {
+            let want = crawl(&site, window, &mut OracleValueStrategy::default_mix());
+            let got = crawl(&site, window, &mut ValueStrategy::default_mix());
+            assert!(want.1.len() > 100, "{name}/{window}: the budget must bind, not the site");
+            assert_eq!(got.0, want.0, "{name} site, window {window}: trace diverged");
+            assert_eq!(got.1, want.1, "{name} site, window {window}: fetch order diverged");
+            assert_eq!(got.2, want.2, "{name} site, window {window}: targets diverged");
+        }
     }
 }
 

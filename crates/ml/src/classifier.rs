@@ -108,7 +108,21 @@ impl UrlClassifier {
     /// strategies (PR 10's value-driven frontier) use this to order
     /// candidates by confidence rather than by hard class.
     pub fn predict_score(&self, input: &FeatureInput<'_>) -> f32 {
-        self.model.predict_score(&featurize(self.feature_set, input))
+        self.score_features(&self.featurize(input))
+    }
+
+    /// `input` under this classifier's feature set. A URL's features never
+    /// change, so a caller that ranks the same URL again and again
+    /// featurises it once and keeps the vector.
+    pub fn featurize(&self, input: &FeatureInput<'_>) -> SparseVec {
+        featurize(self.feature_set, input)
+    }
+
+    /// [`UrlClassifier::predict_score`] over features kept from
+    /// [`UrlClassifier::featurize`]: one sparse dot product. The answer
+    /// changes only when [`UrlClassifier::trainings`] advances.
+    pub fn score_features(&self, x: &SparseVec) -> f32 {
+        self.model.predict_score(x)
     }
 }
 

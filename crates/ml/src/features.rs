@@ -79,30 +79,40 @@ fn char_id(b: u8) -> u32 {
     }
 }
 
-fn add_bigrams(s: &str, block: usize, counts: &mut std::collections::HashMap<u32, f32>) {
-    let bytes = s.as_bytes();
-    if bytes.len() < 2 {
-        return;
-    }
+/// Appends the feature id of every character bigram of `s` (block-offset),
+/// one per occurrence.
+fn push_bigrams(s: &str, block: usize, ids: &mut Vec<u32>) {
     let base = (block * BLOCK_DIM) as u32;
-    for w in bytes.windows(2) {
-        let id = base + char_id(w[0]) * CHAR_VOCAB as u32 + char_id(w[1]);
-        *counts.entry(id).or_insert(0.0) += 1.0;
-    }
+    ids.extend(
+        s.as_bytes()
+            .windows(2)
+            .map(|w| base + char_id(w[0]) * CHAR_VOCAB as u32 + char_id(w[1])),
+    );
 }
 
 /// Featurises an input under a feature set. The result is L2-normalised so
 /// SGD step sizes are comparable across URLs of different lengths.
+///
+/// Bigram ids are pushed one per occurrence, sorted, and run-length
+/// counted — the `(index, count)` items a map would give, already in
+/// index order and without hashing; the norm is the f64 sum over them in
+/// that order. `crates/ml/tests/proptest_ml.rs` pins every item's bits
+/// against a map-counting reference.
 pub fn featurize(set: FeatureSet, input: &FeatureInput<'_>) -> SparseVec {
-    let mut counts = std::collections::HashMap::new();
-    add_bigrams(input.url, 0, &mut counts);
-    if set == FeatureSet::UrlContent {
-        add_bigrams(input.anchor, 1, &mut counts);
-        add_bigrams(input.dom_path, 2, &mut counts);
-        add_bigrams(input.surrounding, 3, &mut counts);
+    let blocks = [input.url, input.anchor, input.dom_path, input.surrounding];
+    let blocks = &blocks[..set.n_blocks()];
+    let mut ids = Vec::with_capacity(blocks.iter().map(|s| s.len().saturating_sub(1)).sum());
+    for (block, s) in blocks.iter().enumerate() {
+        push_bigrams(s, block, &mut ids);
     }
-    let mut items: Vec<(u32, f32)> = counts.into_iter().collect();
-    items.sort_unstable_by_key(|&(i, _)| i);
+    ids.sort_unstable();
+    let mut items: Vec<(u32, f32)> = Vec::with_capacity(ids.len());
+    for id in ids {
+        match items.last_mut() {
+            Some((last, count)) if *last == id => *count += 1.0,
+            _ => items.push((id, 1.0)),
+        }
+    }
     let norm = items.iter().map(|&(_, v)| f64::from(v) * f64::from(v)).sum::<f64>().sqrt();
     if norm > 0.0 {
         for (_, v) in &mut items {

@@ -6,7 +6,65 @@ use sb_ml::metrics::{Class3, Confusion};
 use sb_ml::models::ModelKind;
 use sb_ml::{Class2, UrlClassifier};
 
+/// The pre-PR-22 kernel, kept as the reference: bigram counts through a
+/// `HashMap`, collected, sorted by index, L2-normalised.
+fn featurize_by_map(set: FeatureSet, input: &FeatureInput<'_>) -> Vec<(u32, f32)> {
+    const CHAR_VOCAB: u32 = 96;
+    fn char_id(b: u8) -> u32 {
+        if (0x20..0x7F).contains(&b) {
+            u32::from(b) - 0x20
+        } else {
+            CHAR_VOCAB - 1
+        }
+    }
+    let mut counts = std::collections::HashMap::new();
+    let blocks = [input.url, input.anchor, input.dom_path, input.surrounding];
+    for (block, s) in blocks.iter().enumerate().take(set.n_blocks()) {
+        let base = block as u32 * CHAR_VOCAB * CHAR_VOCAB;
+        for w in s.as_bytes().windows(2) {
+            let id = base + char_id(w[0]) * CHAR_VOCAB + char_id(w[1]);
+            *counts.entry(id).or_insert(0.0f32) += 1.0;
+        }
+    }
+    let mut items: Vec<(u32, f32)> = counts.into_iter().collect();
+    items.sort_unstable_by_key(|&(i, _)| i);
+    let norm = items.iter().map(|&(_, v)| f64::from(v) * f64::from(v)).sum::<f64>().sqrt();
+    if norm > 0.0 {
+        for (_, v) in &mut items {
+            *v /= norm as f32;
+        }
+    }
+    items
+}
+
+/// Short strings over a small alphabet (repeated bigrams are the point),
+/// with the empty string, single bytes and non-ASCII in range.
+fn arb_text() -> impl Strategy<Value = String> {
+    "|[a-c/.]|[a-c/.?=01]{0,60}|(ab|日本|é|/|[0-9]){0,24}|.{0,80}"
+}
+
 proptest! {
+    /// The sort-and-count kernel is the map-counting one, item for item and
+    /// bit for bit, on both feature sets and all four `UrlContent` blocks.
+    #[test]
+    fn featurize_matches_the_map_counting_reference(
+        (url, anchor, dom_path, surrounding) in (arb_text(), arb_text(), arb_text(), arb_text()),
+    ) {
+        let input = FeatureInput {
+            url: &url,
+            anchor: &anchor,
+            dom_path: &dom_path,
+            surrounding: &surrounding,
+        };
+        for set in [FeatureSet::UrlOnly, FeatureSet::UrlContent] {
+            let got: Vec<(u32, u32)> =
+                featurize(set, &input).items.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+            let want: Vec<(u32, u32)> =
+                featurize_by_map(set, &input).iter().map(|&(i, v)| (i, v.to_bits())).collect();
+            prop_assert_eq!(got, want, "{:?}", set);
+        }
+    }
+
     /// Featurisation is total, deterministic and L2-normalised for any URL.
     #[test]
     fn featurize_total_and_normalised(url in ".{0,120}") {

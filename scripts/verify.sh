@@ -25,6 +25,19 @@ cargo test -q --offline -p sb-html --test alloc_guard
 cargo test -q --offline -p sb-ann --test proptest_sparse
 cargo test -q --offline -p sb-crawler --test proptest_action
 cargo test -q --offline -p sb-crawler --test alloc_guard_action
+# The value frontier scores once and re-scores what changed (PR 22). What
+# licenses the per-candidate memos is the frozen re-score-everything
+# strategy under crates/core/tests/oracle/: the proptest replays arbitrary
+# decide/select/fetch/feedback interleavings against it (every selection and
+# token equal, through two laps of the near-dup ring and three classifier
+# trainings), and the counting-allocator guard pins a steady-state pass to a
+# constant number of allocations whatever the frontier's size, with memos
+# released at selection. Underneath, `sb_ml::featurize` counts bigrams by
+# sort and run length; its proptest holds every item's bits to the
+# map-counting kernel it replaced.
+cargo test -q --offline -p sb-crawler --test proptest_value
+cargo test -q --offline -p sb-crawler --test alloc_guard_value
+cargo test -q --offline -p sb-ml --test proptest_ml featurize_matches_the_map_counting_reference
 # Link admission resolves once and hashes once (PR 19). The webgraph
 # proptest licenses the session's scratch `Url`: `join_into`/`parse_into`
 # on one dirty destination equal a fresh `join`/`parse` on every step. The
