@@ -17,17 +17,29 @@ use std::borrow::Cow;
 /// double-quoted attribute values.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(s, &mut out);
     out
+}
+
+/// [`escape`], appended to `out`: no intermediate `String`, and the runs
+/// between special characters (usually the whole input) are copied whole.
+pub fn escape_into(s: &str, out: &mut String) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&#39;",
+            _ => continue,
+        };
+        // The specials are ASCII, so `i` is always a char boundary.
+        out.push_str(&s[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
 }
 
 /// Resolves entity references in HTML text or attribute values.

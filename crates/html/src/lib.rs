@@ -11,9 +11,9 @@
 //!
 //! This crate provides a tolerant HTML tokenizer ([`tokenize`]), an arena-based
 //! DOM ([`Document`]), tag-path extraction ([`TagPath`]), link extraction
-//! ([`extract_links`]) and an HTML builder ([`render()`]) used by the synthetic
-//! site generator so that generated pages round-trip through the same parser a
-//! real crawl would use.
+//! ([`extract_links`]) and a streaming HTML emitter ([`HtmlWriter`]) used by the
+//! synthetic site generator so that generated pages round-trip through the
+//! same parser a real crawl would use.
 //!
 //! The whole pipeline is **zero-copy** (PR 3): tokens, DOM nodes and link
 //! features are lifetime-parameterized `Cow`s that borrow the input buffer
@@ -32,11 +32,12 @@ pub mod tagpath;
 pub mod token;
 
 pub use dom::{parse, Children, Document, Node, NodeId};
+pub use escape::escape_into;
 pub use links::{
     extract_links, extract_links_from, extract_links_from_with, extract_links_with, Link,
     LinkKind, LinkNeeds,
 };
-pub use render::{el, render, text, HtmlBuilder};
+pub use render::HtmlWriter;
 pub use tagpath::{PathSegment, TagPath};
 pub use token::{tokenize, Attr, Token};
 

@@ -2,7 +2,7 @@
 //! input, and generated markup must round-trip through parse/extract exactly.
 
 use proptest::prelude::*;
-use sb_html::{el, extract_links, parse, render, text, HtmlBuilder, TagPath};
+use sb_html::{extract_links, parse, HtmlWriter, TagPath};
 
 proptest! {
     /// Tokenizer + DOM are total functions of arbitrary strings.
@@ -27,11 +27,13 @@ proptest! {
         anchors in proptest::collection::vec("[a-zA-Z0-9 &<>]{1,20}", 1..20),
     ) {
         let n = hrefs.len().min(anchors.len());
-        let items: Vec<HtmlBuilder> = (0..n)
-            .map(|i| el("li").link(hrefs[i].clone(), anchors[i].clone()))
-            .collect();
-        let page = el("html").child(el("body").child(el("ul").class("list").children(items)));
-        let html = render(&page);
+        let mut html = String::new();
+        let mut w = HtmlWriter::document(&mut html);
+        w.open("html").open("body").open("ul").classes(["list"]);
+        for i in 0..n {
+            w.open("li").open("a").attr("href", &hrefs[i]).text(&anchors[i]).close().close();
+        }
+        w.close().close().close();
         let links = extract_links(&html);
         prop_assert_eq!(links.len(), n);
         for i in 0..n {
@@ -62,8 +64,8 @@ proptest! {
     /// Escaped text never leaks markup into the DOM.
     #[test]
     fn text_cannot_inject_elements(t in "[a-zA-Z0-9<>&\"' ]{0,60}") {
-        let page = el("html").child(el("body").child(text(t)));
-        let html = render(&page);
+        let mut html = String::new();
+        HtmlWriter::document(&mut html).open("html").open("body").text(&t).close().close();
         let doc = parse(&html);
         // Only html and body elements may exist.
         let elems = doc.nodes().iter().filter(|n| n.name().is_some()).count();

@@ -146,3 +146,30 @@ proptest! {
         }
     }
 }
+
+/// The frozen tree renderer `sb-webgraph`'s tests keep as the origin's
+/// oracle (PR 23), shared rather than copied.
+#[path = "../../webgraph/tests/oracle/mod.rs"]
+mod oracle;
+
+/// Every epoch of an evolving site — published articles and targets, grown
+/// catalogs, deaths that nav bars and anchors still point at — renders
+/// byte-for-byte what the tree renderer produced for the same snapshot.
+#[test]
+fn evolved_snapshots_render_as_the_tree_renderer_did() {
+    use sb_webgraph::gen::PageKind;
+    let model = ChangeModel { epochs: 3, death_frac: 0.05, ..ChangeModel::default() };
+    let site = EvolvingSite::evolve(build_site(&SiteSpec::demo(300), 21), &model, 4);
+    for e in 0..site.epochs() {
+        let snap = site.snapshot(e);
+        let mut pages = 0;
+        for id in 0..snap.len() as u32 {
+            if matches!(snap.page(id).kind, PageKind::Html(_)) {
+                let want = oracle::page::render_page(snap, id);
+                assert_eq!(&snap.rendered(id)[..], want.as_bytes(), "epoch {e}, page {id}");
+                pages += 1;
+            }
+        }
+        assert!(pages > 100, "epoch {e} rendered only {pages} pages");
+    }
+}

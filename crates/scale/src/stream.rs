@@ -1,7 +1,7 @@
 //! Streaming site representation: the eager `Website`'s graph, packed.
 //!
 //! [`PackedStore`] is a [`PageStore`] that records the deterministic build
-//! into dense structures — one concatenated byte arena each for URLs and
+//! into dense structures — one concatenated text arena each for URLs and
 //! titles (two `u32` offsets per page instead of two `String` headers +
 //! heap blocks), a flat edge list, and a 64-bit-fingerprint URL index.
 //! [`stream_site`] runs the *same* generic builder as
@@ -16,6 +16,18 @@
 //! table. Rendered output is byte-identical to the eager site's, pinned by
 //! proptest; what changes is only the resident footprint, which stays
 //! `O(arena + cache budgets)` instead of `O(pages × body)`.
+//!
+//! A BFS fetches each page once, so at streaming scale the cache mostly
+//! misses and **a miss is the per-request cost of the origin**. The
+//! contract of a miss (guarded by `tests/alloc_guard_stream.rs`): the page
+//! is streamed by the one emitter, `render::render_page_into`, in RNG draw
+//! order into the *thread's* reused buffer — owned by
+//! `render::with_rendered`, one page-sized `String` per serving thread,
+//! never by the site — and copied once into an exact-sized `Arc<[u8]>`;
+//! URLs and titles are sliced out of the arenas, not copied or
+//! re-validated. The cache stays because HEAD-then-GET strategies do hit
+//! it: the first HEAD of a page renders to size it and the GET that
+//! follows is an `Arc` clone.
 
 use sb_webgraph::gen::{
     build_with_store, render, PageStore, SiteSource, SiteSpec,
@@ -34,34 +46,33 @@ pub const STREAM_RENDER_CACHE_BUDGET: u64 = 16 << 20;
 /// Default target-payload cache budget for streaming sites.
 pub const STREAM_TARGET_CACHE_BUDGET: u64 = 64 << 20;
 
-/// Concatenated strings: one shared byte buffer + an offset per entry.
+/// Concatenated strings: one shared text buffer + an offset per entry.
 #[derive(Debug)]
 struct StrArena {
-    bytes: Vec<u8>,
+    text: String,
     /// `offsets[i]..offsets[i + 1]` is entry `i`; length `len + 1`.
     offsets: Vec<u32>,
 }
 
 impl StrArena {
     fn new() -> Self {
-        StrArena { bytes: Vec::new(), offsets: vec![0] }
+        StrArena { text: String::new(), offsets: vec![0] }
     }
 
     fn push(&mut self, s: &str) {
-        self.bytes.extend_from_slice(s.as_bytes());
-        let end = u32::try_from(self.bytes.len()).expect("arena under 4 GiB");
+        self.text.push_str(s);
+        let end = u32::try_from(self.text.len()).expect("arena under 4 GiB");
         self.offsets.push(end);
     }
 
     fn get(&self, i: usize) -> &str {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        // Entries are pushed as whole `&str`s, so every slice is valid UTF-8.
-        std::str::from_utf8(&self.bytes[lo..hi]).expect("arena holds whole UTF-8 strings")
+        // Entries are pushed as whole `&str`s, so both offsets are char
+        // boundaries: slicing checks that in O(1), not the bytes between.
+        &self.text[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     fn heap_bytes(&self) -> u64 {
-        (self.bytes.len() + self.offsets.len() * std::mem::size_of::<u32>()) as u64
+        (self.text.len() + self.offsets.len() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -321,7 +332,7 @@ impl SiteSource for StreamingSite {
             return cached;
         }
         self.renders.fetch_add(1, Ordering::Relaxed);
-        let bytes: Arc<[u8]> = Arc::from(render::render_page(self, id).into_bytes());
+        let bytes = render::with_rendered(self, id, |page| Arc::<[u8]>::from(page));
         let _ = self.lens[id as usize].compare_exchange(
             u64::MAX,
             bytes.len() as u64,

@@ -13,6 +13,7 @@
 use crate::gen::lexicon::{self, Lang};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::Write as _;
 
 /// Upper bound on generated body size; servers declare the true
 /// `Content-Length` separately (big files are truncated on the wire).
@@ -25,6 +26,11 @@ pub const BODY_CAP: usize = 1 << 18;
 /// archive formats get magic bytes plus opaque content (their SDs are inside
 /// the archive — undetectable without extraction, exactly like the paper's
 /// ZIP case).
+///
+/// Like the page renderer, every generator writes its cells straight into
+/// the body in RNG draw order, and the body is reserved once at its final
+/// size (`declared_size` capped at [`BODY_CAP`]; structure that overshoots a
+/// small declared size grows it as any `Vec` grows).
 pub fn target_body(
     seed: u64,
     ext: &str,
@@ -32,19 +38,33 @@ pub fn target_body(
     declared_size: u64,
     lang: Lang,
 ) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
+    let rng = &mut StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
     let approx = (declared_size as usize).min(BODY_CAP);
+    let mut out = Vec::with_capacity(approx);
     match ext {
-        "csv" => delimited(&mut rng, planted_tables, approx, b',', lang),
-        "tsv" => delimited(&mut rng, planted_tables, approx, b'\t', lang),
-        "txt" => delimited(&mut rng, planted_tables, approx, b';', lang),
-        "pdf" => pdf_like(&mut rng, planted_tables, approx, lang),
-        "xls" | "xlsx" | "ods" => sheet_like(&mut rng, planted_tables, approx, lang),
-        "json" => json_like(&mut rng, planted_tables, approx, lang),
-        "yaml" | "yml" => yaml_like(&mut rng, planted_tables, approx, lang),
-        "doc" | "docx" => doc_like(&mut rng, planted_tables, approx, lang),
-        _ => opaque(&mut rng, ext, approx),
+        "csv" => delimited(rng, &mut out, planted_tables, approx, b',', lang),
+        "tsv" => delimited(rng, &mut out, planted_tables, approx, b'\t', lang),
+        "txt" => delimited(rng, &mut out, planted_tables, approx, b';', lang),
+        "pdf" => pdf_like(rng, &mut out, b"%PDF-1.4\n", planted_tables, approx, lang),
+        "xls" | "xlsx" | "ods" => sheet_like(rng, &mut out, planted_tables, approx, lang),
+        "json" => json_like(rng, &mut out, planted_tables, approx, lang),
+        "yaml" | "yml" => yaml_like(rng, &mut out, planted_tables, approx, lang),
+        "doc" | "docx" => {
+            // Word-processor text: like pdf_like under another magic line,
+            // cut to the declared size (but never into the magic).
+            pdf_like(rng, &mut out, b"#DOCFILE v1\n", planted_tables, approx, lang);
+            out.truncate(approx.max(16));
+        }
+        _ => opaque(rng, &mut out, ext, approx),
     }
+    out
+}
+
+/// Writes formatted cells into a body. Writing to a `Vec<u8>` cannot fail.
+macro_rules! put {
+    ($out:expr, $($fmt:tt)+) => {
+        let _ = write!($out, $($fmt)+);
+    };
 }
 
 fn dim_names(lang: Lang) -> &'static [&'static str] {
@@ -55,32 +75,22 @@ fn dim_names(lang: Lang) -> &'static [&'static str] {
 /// One statistic table: a header of dimension names + a measure column, then
 /// numeric rows.
 fn stat_table(rng: &mut StdRng, out: &mut Vec<u8>, sep: u8, lang: Lang) {
+    let sep = char::from(sep);
     let dims = dim_names(lang);
     let k = rng.gen_range(2..4usize);
     let rows = rng.gen_range(6..30usize);
     let measure = lexicon::pick(rng, lexicon::nouns(lang));
-    let mut header: Vec<String> = (0..k).map(|i| dims[(i + rng.gen_range(0..dims.len())) % dims.len()].to_owned()).collect();
-    header.push(format!("{measure}_count"));
-    push_row(out, &header, sep);
+    for i in 0..k {
+        put!(out, "{}{sep}", dims[(i + rng.gen_range(0..dims.len())) % dims.len()]);
+    }
+    put!(out, "{measure}_count\n");
     for r in 0..rows {
-        let mut row: Vec<String> = Vec::with_capacity(k + 1);
-        row.push((1990 + (r % 35)).to_string());
+        put!(out, "{}{sep}", 1990 + (r % 35));
         for _ in 1..k {
-            row.push(format!("R{:02}", rng.gen_range(1..20)));
+            put!(out, "R{:02}{sep}", rng.gen_range(1..20));
         }
-        row.push(format!("{}", rng.gen_range(0..5_000_000)));
-        push_row(out, &row, sep);
+        put!(out, "{}\n", rng.gen_range(0..5_000_000));
     }
-}
-
-fn push_row(out: &mut Vec<u8>, cells: &[String], sep: u8) {
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(sep);
-        }
-        out.extend_from_slice(c.as_bytes());
-    }
-    out.push(b'\n');
 }
 
 /// Non-table filler rows: prose lines that must *not* look like an SD.
@@ -91,145 +101,110 @@ fn prose_block(rng: &mut StdRng, out: &mut Vec<u8>, lang: Lang) {
     }
 }
 
-fn delimited(rng: &mut StdRng, tables: u16, approx: usize, sep: u8, lang: Lang) -> Vec<u8> {
-    let mut out = Vec::with_capacity(approx.min(1 << 16));
+fn delimited(rng: &mut StdRng, out: &mut Vec<u8>, tables: u16, approx: usize, sep: u8, lang: Lang) {
     if tables == 0 {
         // A "dataset-shaped but not statistical" file: contact lists, link
         // registries — textual columns, no numeric majority.
-        let header = ["name", "address", "contact", "notes"].map(String::from);
-        push_row(&mut out, &header, sep);
+        let sep = char::from(sep);
+        put!(out, "name{sep}address{sep}contact{sep}notes\n");
         for _ in 0..rng.gen_range(10..40) {
-            let row = vec![
-                lexicon::title(rng, lang),
-                format!("{} street", lexicon::pick(rng, lexicon::nouns(lang))),
-                "office".to_owned(),
-                lexicon::pick(rng, lexicon::filler(lang)).to_owned(),
-            ];
-            push_row(&mut out, &row, sep);
+            put!(out, "{}{sep}", lexicon::title(rng, lang));
+            put!(out, "{} street{sep}office{sep}", lexicon::pick(rng, lexicon::nouns(lang)));
+            put!(out, "{}\n", lexicon::pick(rng, lexicon::filler(lang)));
         }
     } else {
         for t in 0..tables {
             if t > 0 {
                 out.push(b'\n'); // blank separator line: multi-region file
             }
-            stat_table(rng, &mut out, sep, lang);
+            stat_table(rng, out, sep, lang);
         }
     }
-    pad_to(&mut out, approx, b'\n');
-    out
+    pad_to(out, approx, b'\n');
 }
 
-fn pdf_like(rng: &mut StdRng, tables: u16, approx: usize, lang: Lang) -> Vec<u8> {
-    let mut out = Vec::with_capacity(approx.min(1 << 16));
-    out.extend_from_slice(b"%PDF-1.4\n");
-    prose_block(rng, &mut out, lang);
+/// Text as extracted from a paginated document: `magic`, prose, then
+/// whitespace-aligned tables between paragraphs.
+fn pdf_like(
+    rng: &mut StdRng,
+    out: &mut Vec<u8>,
+    magic: &[u8],
+    tables: u16,
+    approx: usize,
+    lang: Lang,
+) {
+    out.extend_from_slice(magic);
+    prose_block(rng, out, lang);
     for _ in 0..tables {
-        out.extend_from_slice(b"\n");
+        out.push(b'\n');
         // Whitespace-aligned table, like text extracted from a PDF.
         let rows = rng.gen_range(5..15usize);
-        out.extend_from_slice(format!("{:<12}{:<12}{:>12}\n", "year", "region", "count").as_bytes());
+        put!(out, "{:<12}{:<12}{:>12}\n", "year", "region", "count");
         for r in 0..rows {
-            out.extend_from_slice(
-                format!(
-                    "{:<12}{:<12}{:>12}\n",
-                    1990 + (r % 35),
-                    format!("R{:02}", rng.gen_range(1..20)),
-                    rng.gen_range(0..5_000_000)
-                )
-                .as_bytes(),
-            );
+            // `Rnn` is always three characters: nine spaces pad it to 12.
+            put!(out, "{:<12}R{:02}         ", 1990 + (r % 35), rng.gen_range(1..20));
+            put!(out, "{:>12}\n", rng.gen_range(0..5_000_000));
         }
-        out.extend_from_slice(b"\n");
-        prose_block(rng, &mut out, lang);
+        out.push(b'\n');
+        prose_block(rng, out, lang);
     }
-    prose_block(rng, &mut out, lang);
-    pad_to(&mut out, approx, b' ');
-    out
+    prose_block(rng, out, lang);
+    pad_to(out, approx, b' ');
 }
 
 /// Simulated spreadsheet: a sheet-per-line text container with explicit sheet
 /// markers (a stand-in for real XLSX zip containers, which are out of scope).
-fn sheet_like(rng: &mut StdRng, tables: u16, approx: usize, lang: Lang) -> Vec<u8> {
-    let mut out = Vec::with_capacity(approx.min(1 << 16));
+fn sheet_like(rng: &mut StdRng, out: &mut Vec<u8>, tables: u16, approx: usize, lang: Lang) {
     out.extend_from_slice(b"#SHEETFILE v1\n");
     if tables == 0 {
         out.extend_from_slice(b"== Sheet: notes ==\n");
-        prose_block(rng, &mut out, lang);
+        prose_block(rng, out, lang);
     }
     for t in 0..tables {
-        out.extend_from_slice(format!("== Sheet: table{} ==\n", t + 1).as_bytes());
-        stat_table(rng, &mut out, b'\t', lang);
+        put!(out, "== Sheet: table{} ==\n", t + 1);
+        stat_table(rng, out, b'\t', lang);
     }
-    pad_to(&mut out, approx, b'\n');
-    out
+    pad_to(out, approx, b'\n');
 }
 
-fn json_like(rng: &mut StdRng, tables: u16, approx: usize, lang: Lang) -> Vec<u8> {
-    let mut out = Vec::with_capacity(approx.min(1 << 16));
+fn json_like(rng: &mut StdRng, out: &mut Vec<u8>, tables: u16, approx: usize, lang: Lang) {
     out.extend_from_slice(b"{\n");
     if tables == 0 {
         out.extend_from_slice(b"  \"description\": \"site metadata\",\n  \"links\": [\"a\", \"b\"]\n");
     } else {
         for t in 0..tables {
-            out.extend_from_slice(format!("  \"table{}\": [\n", t + 1).as_bytes());
+            put!(out, "  \"table{}\": [\n", t + 1);
             for r in 0..rng.gen_range(5..20usize) {
-                out.extend_from_slice(
-                    format!(
-                        "    {{\"year\": {}, \"region\": \"R{:02}\", \"{}\": {}}},\n",
-                        1990 + (r % 35),
-                        rng.gen_range(1..20),
-                        lexicon::pick(rng, lexicon::nouns(lang)),
-                        rng.gen_range(0..5_000_000)
-                    )
-                    .as_bytes(),
-                );
+                put!(out, "    {{\"year\": {}, \"region\": \"R{:02}\", ", 1990 + (r % 35), rng.gen_range(1..20));
+                put!(out, "\"{}\": ", lexicon::pick(rng, lexicon::nouns(lang)));
+                put!(out, "{}}},\n", rng.gen_range(0..5_000_000));
             }
             out.extend_from_slice(b"  ],\n");
         }
     }
     out.extend_from_slice(b"}\n");
-    pad_to(&mut out, approx, b' ');
-    out
+    pad_to(out, approx, b' ');
 }
 
-fn yaml_like(rng: &mut StdRng, tables: u16, approx: usize, lang: Lang) -> Vec<u8> {
-    let mut out = Vec::with_capacity(approx.min(1 << 16));
+fn yaml_like(rng: &mut StdRng, out: &mut Vec<u8>, tables: u16, approx: usize, lang: Lang) {
     if tables == 0 {
         out.extend_from_slice(b"kind: metadata\nnotes: textual\n");
     }
     for t in 0..tables {
-        out.extend_from_slice(format!("table{}:\n", t + 1).as_bytes());
+        put!(out, "table{}:\n", t + 1);
         for r in 0..rng.gen_range(5..15usize) {
-            out.extend_from_slice(
-                format!(
-                    "  - {{year: {}, region: R{:02}, {}: {}}}\n",
-                    1990 + (r % 35),
-                    rng.gen_range(1..20),
-                    lexicon::pick(rng, lexicon::nouns(lang)),
-                    rng.gen_range(0..5_000_000)
-                )
-                .as_bytes(),
-            );
+            put!(out, "  - {{year: {}, region: R{:02}, ", 1990 + (r % 35), rng.gen_range(1..20));
+            put!(out, "{}: ", lexicon::pick(rng, lexicon::nouns(lang)));
+            put!(out, "{}}}\n", rng.gen_range(0..5_000_000));
         }
     }
-    pad_to(&mut out, approx, b'\n');
-    out
-}
-
-fn doc_like(rng: &mut StdRng, tables: u16, approx: usize, lang: Lang) -> Vec<u8> {
-    // Word-processor text: like pdf_like without the magic header.
-    let mut out = pdf_like(rng, tables, approx, lang);
-    out.drain(..b"%PDF-1.4\n".len());
-    let mut with_magic = b"#DOCFILE v1\n".to_vec();
-    with_magic.extend_from_slice(&out);
-    with_magic.truncate(approx.max(16));
-    with_magic
+    pad_to(out, approx, b'\n');
 }
 
 /// Archives and unknown formats: magic bytes + pseudo-random payload. Any
 /// SDs inside are invisible without extraction (documented limitation,
 /// mirroring the paper's treatment of ZIPs in Table 7 sampling).
-fn opaque(rng: &mut StdRng, ext: &str, approx: usize) -> Vec<u8> {
+fn opaque(rng: &mut StdRng, out: &mut Vec<u8>, ext: &str, approx: usize) {
     let magic: &[u8] = match ext {
         "zip" => b"PK\x03\x04",
         "gz" => b"\x1f\x8b\x08",
@@ -238,19 +213,15 @@ fn opaque(rng: &mut StdRng, ext: &str, approx: usize) -> Vec<u8> {
         "tar" => b"ustar",
         _ => b"BIN\x00",
     };
-    let mut out = Vec::with_capacity(approx.min(1 << 16).max(magic.len()));
     out.extend_from_slice(magic);
-    while out.len() < approx.min(BODY_CAP) {
-        out.push(rng.gen());
-    }
-    out
+    out.extend((magic.len()..approx).map(|_| rng.gen::<u8>()));
 }
 
+/// Fills a body that came out short of its declared size (`approx`, already
+/// capped) with comment-ish filler so parsers aren't confused.
 fn pad_to(out: &mut Vec<u8>, approx: usize, fill: u8) {
-    let want = approx.min(BODY_CAP);
-    if out.len() < want {
-        // Pad with comment-ish filler so parsers aren't confused.
-        out.resize(want, fill);
+    if out.len() < approx {
+        out.resize(approx, fill);
     }
     out.truncate(BODY_CAP);
 }

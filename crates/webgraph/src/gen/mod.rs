@@ -273,7 +273,7 @@ impl Website {
             return Arc::clone(cached);
         }
         self.renders.fetch_add(1, Ordering::Relaxed);
-        let bytes: Arc<[u8]> = Arc::from(render::render_page(self, id).into_bytes());
+        let bytes = render::with_rendered(self, id, |page| Arc::<[u8]>::from(page));
         // Renders are deterministic: losing the race to cache drops an
         // identical copy.
         let _ = slot.body.set(Arc::clone(&bytes));
@@ -358,7 +358,7 @@ impl Website {
         );
         for id in 0..self.pages.len() as PageId {
             if matches!(self.pages[id as usize].kind, PageKind::Html(_)) {
-                let len = render::render_page(self, id).len() as u64;
+                let len = render::with_rendered(self, id, |page| page.len() as u64);
                 let _ = self.render[id as usize].len.set(len);
             }
         }

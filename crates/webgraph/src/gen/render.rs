@@ -1,18 +1,38 @@
 //! Deterministic HTML rendering of generated pages.
 //!
-//! Pages are rendered with the `sb-html` builder and re-parsed by the crawler
-//! with the same crate's parser, so tag paths travel through a genuine
-//! parse. Every [`Slot`] renders at a distinct, section-styled DOM location;
-//! the per-section style variations (extra wrappers, different list classes,
-//! `div#frame-…` unique ids on `unique_ids` sites) produce the near-duplicate
-//! tag paths the θ-threshold clustering has to cope with.
+//! Pages are streamed through `sb-html`'s [`HtmlWriter`] and re-parsed by the
+//! crawler with the same crate's parser, so tag paths travel through a
+//! genuine parse. Every [`Slot`] renders at a distinct, section-styled DOM
+//! location; the per-section style variations (extra wrappers, different
+//! list classes, `div#frame-…` unique ids on `unique_ids` sites) produce the
+//! near-duplicate tag paths the θ-threshold clustering has to cope with.
+//!
+//! The contract, pinned against the frozen tree renderer by
+//! `tests/proptest_render.rs`:
+//!
+//! * **Output order = RNG draw order.** [`render_page_into`] is the one
+//!   emitter. It walks the template top to bottom — nav, breadcrumb,
+//!   wrappers, content, footer, embeds — drawing from the per-page RNG
+//!   exactly where the markup that needs the draw is written (a nav word
+//!   before its href, an href before its anchor). Moving a section moves
+//!   its draws and changes every later byte of the page.
+//! * **Nothing is built to be walked later.** Links are filtered from
+//!   `out_links(id)` per slot; hrefs and titles are borrowed from the site.
+//! * **The buffer belongs to the caller.** [`with_rendered`] owns the only
+//!   reused one — a thread-local page-sized `String` — and lends the bytes
+//!   to a closure, so a cache miss copies them once into an exact-sized
+//!   `Arc<[u8]>` and sizing a page (`Website::finish_build`) allocates
+//!   nothing. [`render_page`] `-> String` is the same emitter over a fresh
+//!   buffer: it stays for the frozen `sb_bench::reference` engine and for
+//!   tests, which want an owned page and are not on a hot path.
 
 use super::source::SiteSource;
-use super::{HtmlRole, PageId, PageKind, SectionStyle, Slot};
+use super::{HtmlRole, OutLink, PageId, PageKind, SectionStyle, Slot};
 use crate::gen::lexicon;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_html::{el, render as render_doc, text, HtmlBuilder};
+use sb_html::HtmlWriter;
+use std::cell::RefCell;
 
 /// Renders the HTML body of page `id`. Panics if the page is not HTML.
 ///
@@ -21,219 +41,221 @@ use sb_html::{el, render as render_doc, text, HtmlBuilder};
 /// depends only on (seed, id) and the page's links, never on the concrete
 /// representation — that is what keeps the two byte-identical.
 pub fn render_page<S: SiteSource + ?Sized>(site: &S, id: PageId) -> String {
+    let mut out = String::with_capacity(2048);
+    render_page_into(site, id, &mut out);
+    out
+}
+
+/// Renders page `id` into this thread's reused buffer and lends the bytes to
+/// `f`: the serving path of every [`SiteSource`] (see the module docs).
+pub fn with_rendered<S: SiteSource + ?Sized, R>(
+    site: &S,
+    id: PageId,
+    f: impl FnOnce(&[u8]) -> R,
+) -> R {
+    thread_local! {
+        static PAGE: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    // Taken out of the cell while in use, so a re-entrant call renders into
+    // a fresh buffer instead of panicking on the borrow.
+    let mut page = PAGE.take();
+    render_page_into(site, id, &mut page);
+    let r = f(page.as_bytes());
+    PAGE.set(page);
+    r
+}
+
+/// [`render_page`] into `out`, whose previous contents are replaced.
+pub fn render_page_into<S: SiteSource + ?Sized>(site: &S, id: PageId, out: &mut String) {
     let PageKind::Html(role) = *site.kind(id) else {
         panic!("render_page on non-HTML page {id}");
     };
     let style = site.section_style(role.section());
-    let mut rng = StdRng::seed_from_u64(site.seed() ^ (u64::from(id) << 17) ^ 0x9e37_79b9);
+    let links = site.out_links(id);
+    let rng = &mut StdRng::seed_from_u64(site.seed() ^ (u64::from(id) << 17) ^ 0x9e37_79b9);
 
-    let mut by_slot: Vec<Vec<&crate::gen::OutLink>> = vec![Vec::new(); Slot::ALL.len()];
-    for l in site.out_links(id) {
-        by_slot[slot_index(l.slot)].push(l);
-    }
+    out.clear();
+    let w = &mut HtmlWriter::document(out);
+    w.open("html");
+    w.open("head").open("meta").attr("charset", "utf-8").close();
+    w.open("title").text(site.title(id)).close().close();
 
-    let head = el("head")
-        .child(el("meta").attr("charset", "utf-8"))
-        .child(el("title").child(text(site.title(id).to_owned())));
-
-    let mut body = el("body");
-    body = body.child(nav_bar(site, &by_slot[slot_index(Slot::Nav)], &mut rng));
-
-    let mut layout = el("div").id("layout");
-    if !by_slot[slot_index(Slot::Breadcrumb)].is_empty() {
-        let mut bc = el("div").class("breadcrumb");
-        for l in &by_slot[slot_index(Slot::Breadcrumb)] {
-            bc = bc.child(anchor(site, l.to, None, &mut rng));
-        }
-        layout = layout.child(bc);
-    }
-
-    let mut content = el("div");
-    for c in &style.content_classes {
-        content = content.class(c.clone());
-    }
-    if site.spec().unique_ids {
-        // The `ed` pathology: a unique id in the path of every content link.
-        content = content.child(frame_content(site, id, role, style, &by_slot, &mut rng));
-    } else {
-        content = content_children(content, site, role, style, &by_slot, &mut rng);
-    }
-
-    let mut main = el("main").child(content);
-    for _ in 0..style.wrapper_divs {
-        main = el("div").class("wrap").child(main);
-    }
-    layout = layout.child(main);
-    body = body.child(layout);
-
-    // Footer links.
-    let footer_links = &by_slot[slot_index(Slot::Footer)];
-    if !footer_links.is_empty() {
-        let mut links = el("div").class("links");
-        for l in footer_links.iter() {
-            links = links.child(anchor(site, l.to, None, &mut rng));
-        }
-        body = body.child(el("footer").child(links));
-    }
-    // Embeds.
-    for l in &by_slot[slot_index(Slot::Embed)] {
-        body = body.child(el("iframe").attr("src", href(site, l.to, &mut rng)));
-    }
-
-    render_doc(&el("html").child(head).child(body))
-}
-
-fn frame_content<S: SiteSource + ?Sized>(
-    site: &S,
-    id: PageId,
-    role: HtmlRole,
-    style: &SectionStyle,
-    by_slot: &[Vec<&crate::gen::OutLink>],
-    rng: &mut StdRng,
-) -> HtmlBuilder {
-    let inner = content_children(el("div").class("frame-standard"), site, role, style, by_slot, rng);
-    el("div").id(format!("frame-{id}")).class("frame").child(inner)
-}
-
-fn content_children<S: SiteSource + ?Sized>(
-    mut content: HtmlBuilder,
-    site: &S,
-    role: HtmlRole,
-    style: &SectionStyle,
-    by_slot: &[Vec<&crate::gen::OutLink>],
-    rng: &mut StdRng,
-) -> HtmlBuilder {
-    let lang = style.lang;
-    content = content.child(el("h1").child(text(title_of(site, role))));
-    // Filler paragraphs.
-    for _ in 0..rng.gen_range(1..4) {
-        content = content.child(el("p").child(text(lexicon::pick(rng, lexicon::filler(lang)).to_owned())));
-    }
-
-    // Topic lists (hub → chains/catalog heads).
-    let topics = &by_slot[slot_index(Slot::TopicItem)];
-    if !topics.is_empty() {
-        let mut ul = el("ul").class("topics");
-        for l in topics.iter() {
-            ul = ul.child(el("li").child(anchor(site, l.to, None, rng)));
-        }
-        content = content.child(ul);
-    }
-
-    // Article listings.
-    let items = &by_slot[slot_index(Slot::ListItem)];
-    if !items.is_empty() {
-        let mut ul = el("ul").class("items");
-        for l in items.iter() {
-            ul = ul.child(el("li").class("item").child(anchor(site, l.to, None, rng)));
-        }
-        content = content.child(ul);
-    }
-
-    // Dataset listings — the target-rich slot.
-    let datasets = &by_slot[slot_index(Slot::DatasetItem)];
-    if !datasets.is_empty() {
-        let mut ul = el("ul").class(style.list_class.clone());
-        for l in datasets.iter() {
-            ul = ul.child(el("li").child(anchor(site, l.to, Some(&style.link_class), rng)));
-        }
-        content = content.child(ul);
-    }
-
-    // Article download boxes.
-    let downloads = &by_slot[slot_index(Slot::Download)];
-    if !downloads.is_empty() {
-        let mut ul = el("ul");
-        for l in downloads.iter() {
-            ul = ul.child(el("li").child(anchor(site, l.to, Some(&style.link_class), rng)));
-        }
-        content = content
-            .child(el("article").child(el("div").class("downloads").child(ul)));
-    }
-
-    // Related links.
-    let related = &by_slot[slot_index(Slot::Related)];
-    if !related.is_empty() {
-        let mut ul = el("ul");
-        for l in related.iter() {
-            ul = ul.child(el("li").child(anchor(site, l.to, None, rng)));
-        }
-        content = content.child(el("div").class("related").child(ul));
-    }
-
-    // Pagination.
-    let pag = &by_slot[slot_index(Slot::Pagination)];
-    if !pag.is_empty() {
-        let mut div = el("div").class("pagination");
-        for l in pag.iter() {
-            div = div.child(
-                el("a").class("page").attr("href", href(site, l.to, rng)).child(text("Next")),
-            );
-        }
-        content = content.child(div);
-    }
-    content
-}
-
-fn nav_bar<S: SiteSource + ?Sized>(
-    site: &S,
-    links: &[&crate::gen::OutLink],
-    rng: &mut StdRng,
-) -> HtmlBuilder {
-    let mut ul = el("ul").class("menu");
-    for l in links.iter() {
+    w.open("body");
+    w.open("header").open("nav").open("ul").classes(["menu"]);
+    for l in links.iter().filter(|l| l.slot == Slot::Nav) {
         let lang = match *site.kind(l.to) {
             PageKind::Html(r) => site.section_style(r.section()).lang,
             _ => site.section_style(0).lang,
         };
-        let word = lexicon::pick(rng, lexicon::nav_words(lang)).to_owned();
-        ul = ul.child(el("li").child(el("a").attr("href", href(site, l.to, rng)).child(text(word))));
+        let word = lexicon::pick(rng, lexicon::nav_words(lang));
+        w.open("li").open("a").attr("href", href(site, l.to, rng)).text(word).close().close();
     }
-    el("header").child(el("nav").child(ul))
+    w.close().close().close();
+
+    w.open("div").id("layout");
+    if let Some(crumbs) = in_slot(links, Slot::Breadcrumb) {
+        w.open("div").classes(["breadcrumb"]);
+        for l in crumbs {
+            anchor(w, site, l.to, "", rng);
+        }
+        w.close();
+    }
+    for _ in 0..style.wrapper_divs {
+        w.open("div").classes(["wrap"]);
+    }
+    w.open("main").open("div").classes(style.content_classes.iter().map(String::as_str));
+    if site.spec().unique_ids {
+        // The `ed` pathology: a unique id in the path of every content link.
+        w.open("div").id_fmt(format_args!("frame-{id}")).classes(["frame"]);
+        w.open("div").classes(["frame-standard"]);
+        content(w, site, role, style, links, rng);
+        w.close().close();
+    } else {
+        content(w, site, role, style, links, rng);
+    }
+    w.close().close();
+    for _ in 0..style.wrapper_divs {
+        w.close();
+    }
+    w.close(); // div#layout
+
+    if let Some(footer) = in_slot(links, Slot::Footer) {
+        w.open("footer").open("div").classes(["links"]);
+        for l in footer {
+            anchor(w, site, l.to, "", rng);
+        }
+        w.close().close();
+    }
+    for l in links.iter().filter(|l| l.slot == Slot::Embed) {
+        w.open("iframe").attr("src", href(site, l.to, rng)).close();
+    }
+    w.close().close();
 }
 
+/// The links of `slot` in graph order, or `None` when the page has none (so
+/// the section's container is not emitted at all).
+fn in_slot(links: &[OutLink], slot: Slot) -> Option<impl Iterator<Item = &OutLink>> {
+    let mut it = links.iter().filter(move |l| l.slot == slot).peekable();
+    it.peek().is_some().then_some(it)
+}
+
+/// The children of the content container: heading, filler, then one list
+/// per populated content slot.
+fn content<S: SiteSource + ?Sized>(
+    w: &mut HtmlWriter<'_>,
+    site: &S,
+    role: HtmlRole,
+    style: &SectionStyle,
+    links: &[OutLink],
+    rng: &mut StdRng,
+) {
+    w.open("h1");
+    match role {
+        HtmlRole::Root => w.text(site.spec().name),
+        // Titles are stored on the page itself; the heading is a
+        // section-ish one derived from the role alone.
+        _ => w.text_fmt(format_args!(
+            "Section {} — {}",
+            role.section(),
+            style.content_classes.last().map_or("", String::as_str)
+        )),
+    };
+    w.close();
+    // Filler paragraphs.
+    for _ in 0..rng.gen_range(1..4) {
+        w.open("p").text(lexicon::pick(rng, lexicon::filler(style.lang))).close();
+    }
+
+    // Topic lists (hub → chains/catalog heads).
+    if let Some(topics) = in_slot(links, Slot::TopicItem) {
+        w.open("ul").classes(["topics"]);
+        for l in topics {
+            w.open("li");
+            anchor(w, site, l.to, "", rng);
+            w.close();
+        }
+        w.close();
+    }
+
+    // Article listings.
+    if let Some(items) = in_slot(links, Slot::ListItem) {
+        w.open("ul").classes(["items"]);
+        for l in items {
+            w.open("li").classes(["item"]);
+            anchor(w, site, l.to, "", rng);
+            w.close();
+        }
+        w.close();
+    }
+
+    // Dataset listings — the target-rich slot.
+    if let Some(datasets) = in_slot(links, Slot::DatasetItem) {
+        w.open("ul").classes([style.list_class.as_str()]);
+        for l in datasets {
+            w.open("li");
+            anchor(w, site, l.to, &style.link_class, rng);
+            w.close();
+        }
+        w.close();
+    }
+
+    // Article download boxes.
+    if let Some(downloads) = in_slot(links, Slot::Download) {
+        w.open("article").open("div").classes(["downloads"]).open("ul");
+        for l in downloads {
+            w.open("li");
+            anchor(w, site, l.to, &style.link_class, rng);
+            w.close();
+        }
+        w.close().close().close();
+    }
+
+    // Related links.
+    if let Some(related) = in_slot(links, Slot::Related) {
+        w.open("div").classes(["related"]).open("ul");
+        for l in related {
+            w.open("li");
+            anchor(w, site, l.to, "", rng);
+            w.close();
+        }
+        w.close().close();
+    }
+
+    // Pagination.
+    if let Some(pages) = in_slot(links, Slot::Pagination) {
+        w.open("div").classes(["pagination"]);
+        for l in pages {
+            w.open("a").classes(["page"]).attr("href", href(site, l.to, rng)).text("Next").close();
+        }
+        w.close();
+    }
+}
+
+/// `<a class=".." href="..">title of `to`</a>`; `class` is a
+/// whitespace-separated list, empty for a bare anchor.
 fn anchor<S: SiteSource + ?Sized>(
+    w: &mut HtmlWriter<'_>,
     site: &S,
     to: PageId,
-    class: Option<&str>,
+    class: &str,
     rng: &mut StdRng,
-) -> HtmlBuilder {
-    let mut a = el("a").attr("href", href(site, to, rng));
-    if let Some(c) = class {
-        for part in c.split_ascii_whitespace() {
-            a = a.class(part);
-        }
-    }
-    a.child(text(site.title(to).to_owned()))
+) {
+    let href = href(site, to, rng);
+    w.open("a").classes(class.split_ascii_whitespace()).attr("href", href);
+    w.text(site.title(to)).close();
 }
 
 /// Mostly root-relative hrefs, occasionally absolute — both forms occur in
 /// the wild and both must resolve to the same page.
-fn href<S: SiteSource + ?Sized>(site: &S, to: PageId, rng: &mut StdRng) -> String {
+fn href<'s, S: SiteSource + ?Sized>(site: &'s S, to: PageId, rng: &mut StdRng) -> &'s str {
     let url = site.url(to);
     if rng.gen_bool(0.1) {
-        return url.to_owned();
+        return url;
     }
     match url.find("://").and_then(|p| url[p + 3..].find('/').map(|q| p + 3 + q)) {
-        Some(slash) => url[slash..].to_owned(),
-        None => url.to_owned(),
+        Some(slash) => &url[slash..],
+        None => url,
     }
-}
-
-fn title_of<S: SiteSource + ?Sized>(site: &S, role: HtmlRole) -> String {
-    match role {
-        HtmlRole::Root => site.spec().name.to_owned(),
-        _ => {
-            // Titles are stored on the page itself; the caller passes role
-            // only, so regenerate a section-ish heading.
-            let style = site.section_style(role.section());
-            format!("Section {} — {}", role.section(), style.content_classes.last().cloned().unwrap_or_default())
-        }
-    }
-}
-
-fn slot_index(s: Slot) -> usize {
-    Slot::ALL.iter().position(|&x| x == s).expect("slot in ALL")
 }
 
 #[cfg(test)]

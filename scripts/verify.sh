@@ -46,6 +46,19 @@ cargo test -q --offline -p sb-ml --test proptest_ml featurize_matches_the_map_co
 # one costs at most six allocations.
 cargo test -q --offline -p sb-webgraph --test proptest_webgraph
 cargo test -q --offline -p sb-scale --test alloc_guard_visited
+# The origin writes bytes, not trees (PR 23). What licenses the streaming
+# emitter is the frozen tree renderer and target generator under
+# crates/webgraph/tests/oracle/: the differential proptests hold
+# `render_page_into` to it on every HTML page of arbitrary sites (every
+# slot and section style, hazard-laced, mutated by an epoch), `HtmlWriter`
+# on arbitrary trees, and `content::target_body` on every format and size —
+# one RNG draw out of place fails them. The counting-allocator guards pin
+# what a render costs: at most two allocations under 512 B per page on a
+# warmed thread, and a streaming cache miss that requests under twice its
+# body; a single `to_owned()` per href fails both.
+cargo test -q --offline -p sb-webgraph --test proptest_render
+cargo test -q --offline -p sb-webgraph --test alloc_guard_render
+cargo test -q --offline -p sb-scale --test alloc_guard_stream
 # Benches must stay compilable even when nobody runs them — the html
 # microbench (seed pipeline vs zero-copy) named explicitly; its compile is
 # cached from the package-wide line, so the extra check is free.
@@ -133,10 +146,12 @@ if grep -rn "Client::new" crates/*/src \
 fi
 # Nearest centroid is an exact scan and the visited set is the one URL
 # table (PR 20); the origin is the replay database and robots.txt is fetched
-# and enforced by the session's `robots_agent` handshake alone (PR 21): no
-# deleted duplicate comes back.
+# and enforced by the session's `robots_agent` handshake alone (PR 21);
+# markup is emitted by `HtmlWriter` alone, the tree builder being a test
+# oracle (PR 23): no deleted duplicate comes back.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
-        -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" crates/*/src; then
+        -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
+        -e "HtmlBuilder" crates/*/src; then
     echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
