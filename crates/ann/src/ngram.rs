@@ -6,6 +6,11 @@
 //! the hash projection of [`crate::project`] exists). `BOS`/`EOS` sentinel
 //! tokens mark stream boundaries exactly as in Figure 3, and n-grams keep
 //! token order — the paper shows order matters (n = 2, 3 beat n = 1).
+//!
+//! Grams are produced in window order, left to right, each written into one
+//! buffer that the next overwrites, and looked up by `&str`: a gram is only
+//! ever copied out of the buffer when it is new to the vocabulary. Window
+//! order is the order the vocabulary grows in, so it fixes every index.
 
 use crate::vector::add_sorted;
 use std::collections::HashMap;
@@ -42,50 +47,64 @@ impl NgramVocab {
         self.index.is_empty()
     }
 
-    /// The n-grams of a token sequence, in order.
-    fn grams(&self, tokens: &[String]) -> Vec<String> {
-        if self.n == 1 {
-            return tokens.to_vec();
-        }
-        let mut padded: Vec<&str> = Vec::with_capacity(tokens.len() + 2);
-        padded.push(BOS);
-        padded.extend(tokens.iter().map(String::as_str));
-        padded.push(EOS);
-        padded
-            .windows(self.n)
-            .map(|w| w.join(" "))
-            .collect()
-    }
-
     /// Vectorises `tokens`, **growing** the vocabulary with unseen n-grams.
     /// Returns a sparse BoW: `(index, count)` pairs sorted by index.
-    pub fn vectorize_mut(&mut self, tokens: &[String]) -> SparseBow {
-        let grams = self.grams(tokens);
+    pub fn vectorize_mut(&mut self, tokens: &[impl AsRef<str>]) -> SparseBow {
         let index = &mut self.index;
-        let items = count_grams(grams, |g| {
-            let next = index.len();
-            Some(*index.entry(g).or_insert(next))
+        let items = count_grams(self.n, tokens, |gram| {
+            Some(match index.get(gram) {
+                Some(&id) => id,
+                None => {
+                    let id = index.len();
+                    index.insert(gram.to_owned(), id);
+                    id
+                }
+            })
         });
         SparseBow { dim: self.index.len(), items }
     }
 
     /// Vectorises without growing: unseen n-grams are dropped.
-    pub fn vectorize(&self, tokens: &[String]) -> SparseBow {
-        let items = count_grams(self.grams(tokens), |g| self.index.get(&g).copied());
+    pub fn vectorize(&self, tokens: &[impl AsRef<str>]) -> SparseBow {
+        let items = count_grams(self.n, tokens, |gram| self.index.get(gram).copied());
         SparseBow { dim: self.index.len(), items }
     }
 }
 
-/// Counts each gram `id_of` resolves into `(index, count)` items sorted by
-/// index.
-fn count_grams(
-    grams: Vec<String>,
-    mut id_of: impl FnMut(String) -> Option<usize>,
+/// Counts each `n`-gram of `tokens` that `id_of` resolves into
+/// `(index, count)` items sorted by index. `id_of` sees the grams in window
+/// order: the tokens themselves for `n = 1`, otherwise every `n` consecutive
+/// entries of `[BOS] tokens… [EOS]` joined by single spaces (none when that
+/// has fewer than `n` entries).
+fn count_grams<T: AsRef<str>>(
+    n: usize,
+    tokens: &[T],
+    mut id_of: impl FnMut(&str) -> Option<usize>,
 ) -> Vec<(usize, f32)> {
-    let mut items: Vec<(usize, f32)> = Vec::with_capacity(grams.len());
-    for g in grams {
-        if let Some(id) = id_of(g) {
+    let mut items: Vec<(usize, f32)> = Vec::with_capacity(tokens.len() + 1);
+    let mut count = |gram: &str| {
+        if let Some(id) = id_of(gram) {
             add_sorted(&mut items, id, 1.0);
+        }
+    };
+    if n == 1 {
+        tokens.iter().for_each(|t| count(t.as_ref()));
+    } else {
+        let padded = |i: usize| match i {
+            0 => BOS,
+            i if i > tokens.len() => EOS,
+            i => tokens[i - 1].as_ref(),
+        };
+        let mut gram = String::new();
+        for start in 0..(tokens.len() + 3).saturating_sub(n) {
+            gram.clear();
+            for i in start..start + n {
+                if i > start {
+                    gram.push(' ');
+                }
+                gram.push_str(padded(i));
+            }
+            count(&gram);
         }
     }
     items
@@ -119,8 +138,8 @@ impl SparseBow {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_owned).collect()
+    fn toks(s: &str) -> Vec<&str> {
+        s.split_whitespace().collect()
     }
 
     #[test]

@@ -135,18 +135,18 @@ impl Sketcher {
     /// of `tokens` and returns their bucket sums. The order of `admit`
     /// calls is the order the vocabulary grows in, and with it every later
     /// hit count.
-    pub fn admit(&mut self, tokens: &[String]) -> BucketSums {
+    pub fn admit(&mut self, tokens: &[impl AsRef<str>]) -> BucketSums {
         BucketSums(self.grow(tokens).into_boxed_slice())
     }
 
     /// Sketches `tokens`, **growing** the vocabulary with unseen n-grams.
-    pub fn sketch_mut(&mut self, tokens: &[String]) -> SparseVec {
+    pub fn sketch_mut(&mut self, tokens: &[impl AsRef<str>]) -> SparseVec {
         let sums = self.grow(tokens);
         self.mean(sums)
     }
 
     /// Sketches without growing: unseen n-grams are dropped.
-    pub fn sketch(&self, tokens: &[String]) -> SparseVec {
+    pub fn sketch(&self, tokens: &[impl AsRef<str>]) -> SparseVec {
         self.mean(self.bucket_sums(&self.vocab.vectorize(tokens)))
     }
 
@@ -168,7 +168,7 @@ impl Sketcher {
         (j, sum / self.hits[j as usize] as f32)
     }
 
-    fn grow(&mut self, tokens: &[String]) -> Vec<(u32, f32)> {
+    fn grow(&mut self, tokens: &[impl AsRef<str>]) -> Vec<(u32, f32)> {
         let before = self.vocab.len();
         let bow = self.vocab.vectorize_mut(tokens);
         for i in before..bow.dim {
@@ -202,8 +202,8 @@ mod tests {
     use super::*;
     use crate::ngram::NgramVocab;
 
-    fn toks(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_owned).collect()
+    fn toks(s: &str) -> Vec<&str> {
+        s.split_whitespace().collect()
     }
 
     /// Figure 3, step by step: h(2) = ⌊(766245317·2 mod 2048)/512⌋ = 1.

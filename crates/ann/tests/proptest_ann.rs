@@ -3,13 +3,94 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_ann::{cosine, NgramVocab, Projector};
+use sb_ann::{cosine, NgramVocab, Projector, SparseBow, BOS, EOS};
+use std::collections::HashMap;
 
 fn arb_tokens() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z]{1,6}(#[a-z]{1,4})?(\\.[a-z]{1,4})?", 1..12)
 }
 
+/// The n-gram vocabulary as first written: pad with the sentinels, `join`
+/// every window into a fresh `String`, count through a map.
+struct JoinModel {
+    n: usize,
+    index: HashMap<String, usize>,
+}
+
+impl JoinModel {
+    fn grams(&self, tokens: &[String]) -> Vec<String> {
+        if self.n == 1 {
+            return tokens.to_vec();
+        }
+        let mut padded = vec![BOS];
+        padded.extend(tokens.iter().map(String::as_str));
+        padded.push(EOS);
+        padded.windows(self.n).map(|w| w.join(" ")).collect()
+    }
+
+    fn bow(&self, ids: impl Iterator<Item = usize>) -> SparseBow {
+        let mut counts: HashMap<usize, f32> = HashMap::new();
+        for id in ids {
+            *counts.entry(id).or_default() += 1.0;
+        }
+        let mut items: Vec<(usize, f32)> = counts.into_iter().collect();
+        items.sort_by_key(|&(id, _)| id);
+        SparseBow { dim: self.index.len(), items }
+    }
+
+    fn vectorize_mut(&mut self, tokens: &[String]) -> SparseBow {
+        let mut ids = Vec::new();
+        for gram in self.grams(tokens) {
+            let next = self.index.len();
+            ids.push(*self.index.entry(gram).or_insert(next));
+        }
+        self.bow(ids.into_iter())
+    }
+
+    fn vectorize(&self, tokens: &[String]) -> SparseBow {
+        self.bow(self.grams(tokens).iter().filter_map(|g| self.index.get(g).copied()))
+    }
+}
+
+/// Token lists that repeat grams (`div div div`), carry spaces inside a
+/// token, and run from empty (`len + 2 < n` yields no gram) to 11 long.
+fn arb_gram_tokens() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec("(div|div|[a-c]{1,2}|[a-c] [a-c])", 0..12)
+}
+
 proptest! {
+    /// The buffer-written grams are the joined grams: over any history of
+    /// growing and frozen calls, for n = 1, 2, 3, every `SparseBow` equals
+    /// the join model's, `&[String]` and `&[&str]` inputs agree, and the
+    /// two vocabularies have grown in the same order (a frozen lookup of
+    /// every earlier input gives the model's indices at the end).
+    #[test]
+    fn buffer_grams_match_the_join_they_replace(
+        n in 1usize..=3,
+        ops in proptest::collection::vec((proptest::bool::ANY, arb_gram_tokens()), 1..16),
+    ) {
+        let mut vocab = NgramVocab::new(n);
+        let mut borrowed = NgramVocab::new(n);
+        let mut model = JoinModel { n, index: HashMap::new() };
+        for (grow, tokens) in &ops {
+            let strs: Vec<&str> = tokens.iter().map(String::as_str).collect();
+            let (got, got_borrowed, want) = if *grow {
+                (vocab.vectorize_mut(tokens), borrowed.vectorize_mut(&strs), model.vectorize_mut(tokens))
+            } else {
+                (vocab.vectorize(tokens), borrowed.vectorize(&strs), model.vectorize(tokens))
+            };
+            prop_assert_eq!(&got, &want, "n = {}, tokens {:?}", n, tokens);
+            prop_assert_eq!(&got_borrowed, &want);
+            if tokens.len() + 2 < n {
+                prop_assert_eq!(got.nnz(), 0);
+            }
+        }
+        prop_assert_eq!(vocab.len(), model.index.len());
+        for (_, tokens) in &ops {
+            prop_assert_eq!(vocab.vectorize(tokens), model.vectorize(tokens));
+        }
+    }
+
     /// Vectorising the same tokens twice (after freezing) gives the same
     /// sparse vector, and counts sum to the number of n-grams.
     #[test]

@@ -124,7 +124,7 @@ impl ActionSpace {
     /// vocabulary is frozen) — this is TP-OFF's phase-2 behaviour, where all
     /// learning stopped with phase 1.
     pub fn match_only(&self, path: &TagPath) -> Option<ActionId> {
-        let tokens: Vec<String> = path.tokens().collect();
+        let tokens: Vec<&str> = path.tokens().collect();
         let projected = self.sketcher.sketch(&tokens);
         match self.nearest(&projected) {
             Some((a, sim)) if sim >= self.cfg.theta => Some(a),
@@ -148,7 +148,7 @@ impl ActionSpace {
     /// path. Returns the action id, or [`ActionSpaceFull`] when the guard
     /// trips.
     pub fn assign(&mut self, path: &TagPath) -> Result<ActionId, ActionSpaceFull> {
-        let tokens: Vec<String> = path.tokens().collect();
+        let tokens: Vec<&str> = path.tokens().collect();
         let projected = self.sketcher.sketch_mut(&tokens);
 
         if let Some((a, sim)) = self.nearest(&projected) {
@@ -167,7 +167,7 @@ impl ActionSpace {
             }
         }
         self.centroids.push(projected);
-        self.metas.push(ActionMeta { members: 1, exemplar: path.to_string() });
+        self.metas.push(ActionMeta { members: 1, exemplar: path.as_str().to_owned() });
         Ok(self.metas.len() - 1)
     }
 }

@@ -1552,7 +1552,12 @@ impl<'a> CrawlSession<'a> {
         // link borrows `html` in turn — owned conversion happens only below,
         // at the interner boundary, for URLs that outlive the page.
         let html = sb_html::body_str(body);
-        let links = sb_html::extract_links_with(&html, self.strategy.link_needs());
+        let doc = sb_html::parse(&html);
+        // A link is filtered on its href alone; its features (tag path,
+        // text windows) are computed once it is about to reach `decide`, so
+        // a link the visited set rejects never pays for them.
+        let needs = self.strategy.link_needs();
+        let mut text_scratch = String::new();
         // One clone of the parsed base per page (instead of a re-parse);
         // per link, the href resolves into the session's scratch `Url` and
         // membership is checked on it, so known links cost one fingerprint
@@ -1561,8 +1566,8 @@ impl<'a> CrawlSession<'a> {
         let mut resolved = self.link_scratch.take().unwrap_or_else(|| base.clone());
         let mut reward = 0.0;
         let mut new_links = 0u32;
-        for link in &links {
-            if base.join_into(&link.href, &mut resolved).is_err() {
+        for site in sb_html::link_sites(&doc) {
+            if base.join_into(&site.href, &mut resolved).is_err() {
                 continue;
             }
             // Only in-website links enter the graph (Sec 2.2).
@@ -1583,11 +1588,12 @@ impl<'a> CrawlSession<'a> {
             }
             let id = self.intern_at_depth(&resolved, page_depth + 1);
             new_links += 1;
+            let link = site.into_link(&doc, needs, &mut text_scratch);
             let new_link = NewLink {
                 id,
                 url: &resolved,
                 url_str: self.visited.text(id),
-                html: link,
+                html: &link,
                 source_depth: page_depth,
             };
             let mut services = Services {

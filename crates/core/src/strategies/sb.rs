@@ -123,6 +123,8 @@ pub struct SbStrategy {
     policy: AnyPolicy,
     /// Selection counter `t` of the AUER score.
     t: u64,
+    /// What the policy sees of the arms, rebuilt in place per selection.
+    views: Vec<sb_bandit::policies::ArmView>,
     /// Link context for URL_CONT online training (anchor, DOM path,
     /// surrounding text of the link that discovered each URL).
     link_ctx: Option<FxHashMap<UrlId, (String, String, String)>>,
@@ -148,6 +150,7 @@ impl SbStrategy {
             frontier_total: 0,
             policy: cfg.policy(),
             t: 0,
+            views: Vec::new(),
             link_ctx: track_ctx.then(FxHashMap::default),
             recorded: None,
         }
@@ -163,6 +166,7 @@ impl SbStrategy {
             frontier_total: 0,
             policy: cfg.policy(),
             t: 0,
+            views: Vec::new(),
             link_ctx: None,
             recorded: None,
         }
@@ -187,18 +191,12 @@ impl SbStrategy {
         match &mut self.mode {
             SbMode::Oracle => services.oracle_class(link.url_str),
             SbMode::Classifier(clf) => {
-                // The tag-path string only feeds the URL_CONT feature set;
-                // URL_ONLY (the paper default) must not pay a per-link
-                // render of the path.
-                let dom_path = if clf.feature_set() == FeatureSet::UrlContent {
-                    link.html.tag_path.to_string()
-                } else {
-                    String::new()
-                };
+                // Under URL_ONLY (the paper default) `featurize` reads the
+                // URL alone; the other three are borrows either way.
                 let input = FeatureInput {
                     url: link.url_str,
                     anchor: &link.html.anchor_text,
-                    dom_path: &dom_path,
+                    dom_path: link.html.tag_path.as_str(),
                     surrounding: &link.html.surrounding_text,
                 };
                 if clf.in_initial_phase() {
@@ -264,17 +262,12 @@ impl Strategy for SbStrategy {
         if self.frontier_total == 0 {
             return None;
         }
-        let views: Vec<sb_bandit::policies::ArmView> = self
-            .arms
-            .iter()
-            .zip(&self.pools)
-            .map(|(stats, pool)| sb_bandit::policies::ArmView {
-                stats: *stats,
-                available: !pool.is_empty(),
-            })
-            .collect();
+        self.views.clear();
+        self.views.extend(self.arms.iter().zip(&self.pools).map(|(stats, pool)| {
+            sb_bandit::policies::ArmView { stats: *stats, available: !pool.is_empty() }
+        }));
         self.t += 1;
-        let a = self.policy.select(&views, self.t, rng)?;
+        let a = self.policy.select(&self.views, self.t, rng)?;
         self.arms[a].select();
         // Uniform link choice within the chosen action (Sec 3.2).
         let pool = &mut self.pools[a];

@@ -168,9 +168,10 @@ pub trait Strategy {
     fn name(&self) -> String;
 
     /// Which per-link features this strategy reads ([`NewLink::html`]).
-    /// The engine skips computing the rest during link extraction — tag
-    /// paths and text windows cost real time on every fetched page. The
-    /// conservative default is everything.
+    /// The engine computes those, and only for a link it hands to
+    /// [`Strategy::decide`] — tag paths and text windows cost real time,
+    /// and most links of a page are already known. The rest come back
+    /// empty. The conservative default is everything.
     fn link_needs(&self) -> sb_html::LinkNeeds {
         sb_html::LinkNeeds::ALL
     }

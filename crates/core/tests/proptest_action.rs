@@ -48,7 +48,7 @@ impl DenseSpace {
     }
 
     fn match_only(&self, path: &TagPath) -> Option<usize> {
-        let tokens: Vec<String> = path.tokens().collect();
+        let tokens: Vec<String> = path.tokens().map(str::to_owned).collect();
         let projected = self.projector.project(&self.vocab.vectorize(&tokens));
         match self.nearest(&projected) {
             Some((a, sim)) if sim >= self.theta => Some(a),
@@ -57,7 +57,7 @@ impl DenseSpace {
     }
 
     fn assign(&mut self, path: &TagPath) -> usize {
-        let tokens: Vec<String> = path.tokens().collect();
+        let tokens: Vec<String> = path.tokens().map(str::to_owned).collect();
         let projected = self.projector.project(&self.vocab.vectorize_mut(&tokens));
         if let Some((a, sim)) = self.nearest(&projected) {
             if sim >= self.theta {

@@ -821,3 +821,106 @@ fn refresh_fetches_are_invisible_to_the_strategy() {
     assert_eq!(rec.targets, plain.targets, "no feedback_target for a refresh");
     assert_eq!(rec.errors, plain.errors, "no feedback_error for a failed refresh");
 }
+
+// ---------------------------------------------------------------------
+// Deferred link features (PR 24): the session filters a link on its href
+// and computes tag path and text windows only for a link it hands to
+// `decide` — the same features eager extraction computes for it.
+// ---------------------------------------------------------------------
+
+/// What `decide` was handed of one link: href, tag path, anchor text,
+/// surrounding text.
+type HandedLink = [String; 4];
+
+/// BFS that asks for every feature and records, per fetched HTML page, the
+/// links it was handed from it.
+#[derive(Default)]
+struct FeatureProbe {
+    frontier: VecDeque<UrlId>,
+    pages: Vec<(String, Vec<HandedLink>)>,
+}
+
+impl Strategy for FeatureProbe {
+    fn name(&self) -> String {
+        "FEATURE-PROBE".to_owned()
+    }
+
+    fn link_needs(&self) -> sb_html::LinkNeeds {
+        sb_html::LinkNeeds::ALL
+    }
+
+    fn next(&mut self, _rng: &mut StdRng) -> Option<Selection> {
+        let id = self.frontier.pop_front()?;
+        Some(Selection { url: SelUrl::Id(id), token: u64::from(id) })
+    }
+
+    fn decide(&mut self, link: &NewLink<'_>, _services: &mut Services<'_, '_>) -> LinkDecision {
+        let page = self.pages.last_mut().expect("links arrive after their page's on_fetched");
+        page.1.push([
+            link.html.href.to_string(),
+            link.html.tag_path.to_string(),
+            link.html.anchor_text.to_string(),
+            link.html.surrounding_text.to_string(),
+        ]);
+        self.frontier.push_back(link.id);
+        LinkDecision::Enqueue
+    }
+
+    fn on_fetched(&mut self, _id: UrlId, url: &str, class: UrlClass) {
+        if class == UrlClass::Html {
+            self.pages.push((url.to_owned(), Vec::new()));
+        }
+    }
+
+    fn frontier_len(&self) -> usize {
+        self.frontier.len()
+    }
+}
+
+#[test]
+fn deferred_link_features_equal_eager_extraction() {
+    use sb_webgraph::gen::hazard::{apply_hazards, HazardSpec};
+
+    for hazards in [false, true] {
+        let mut site = build_site(&SiteSpec::demo(300), 23);
+        if hazards {
+            apply_hazards(&mut site, &HazardSpec::scaled(300), 99);
+        }
+        let root = site_root(&site);
+        let server = SiteServer::new(site);
+        let mut probe = FeatureProbe::default();
+        crawl(&server, None, &root, &mut probe, &CrawlConfig::default());
+        assert!(probe.pages.len() > 100, "{} HTML pages", probe.pages.len());
+
+        let (mut handed, mut rejected) = (0, 0);
+        for (url, got) in &probe.pages {
+            let body = server.get(url).body;
+            let html = sb_html::body_str(&body);
+            let eager = sb_html::extract_links_with(&html, sb_html::LinkNeeds::ALL);
+            // The handed-over links are a subsequence of the page's links:
+            // each is the first occurrence of its href (a later one is
+            // already known), so a cursor finds its position.
+            let mut at = 0;
+            for link in got {
+                at += eager[at..]
+                    .iter()
+                    .position(|l| l.href == link[0])
+                    .unwrap_or_else(|| panic!("{url}: {} is not a link of the page", link[0]));
+                let l = &eager[at];
+                let want: HandedLink = [
+                    l.href.to_string(),
+                    l.tag_path.to_string(),
+                    l.anchor_text.to_string(),
+                    l.surrounding_text.to_string(),
+                ];
+                assert_eq!(link, &want, "{url}, link {at}");
+                assert!(!link[1].is_empty() && !link[2].is_empty(), "features were asked for");
+                at += 1;
+            }
+            handed += got.len();
+            rejected += eager.len() - got.len();
+        }
+        // Most links of a site point at pages the crawl already knows.
+        assert!(rejected > handed, "hazards {hazards}: {handed} handed, {rejected} rejected");
+    }
+}

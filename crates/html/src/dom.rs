@@ -58,6 +58,13 @@ impl<'a> Node<'a> {
         }
     }
 
+    fn first_child(&self) -> Option<NodeId> {
+        match self {
+            Node::Element { first_child, .. } => *first_child,
+            Node::Text { .. } => None,
+        }
+    }
+
     fn next_sibling(&self) -> Option<NodeId> {
         match self {
             Node::Element { next_sibling, .. } | Node::Text { next_sibling, .. } => *next_sibling,
@@ -238,33 +245,29 @@ impl<'a> Document<'a> {
 
     /// Child ids of `id` in document order (empty for text nodes).
     pub fn children(&self, id: NodeId) -> Children<'_, 'a> {
-        let first = match &self.nodes[id] {
-            Node::Element { first_child, .. } => *first_child,
-            Node::Text { .. } => None,
-        };
-        Children { doc: self, next: first }
+        Children { doc: self, next: self.nodes[id].first_child() }
+    }
+
+    /// Every node beneath `id`, in document order (pre-order). Walks the
+    /// intrusive links, so a subtree of any depth costs no stack and no
+    /// allocation, and a caller that stops early pays only for what it saw.
+    pub fn descendants(&self, id: NodeId) -> Descendants<'_, 'a> {
+        Descendants { doc: self, root: id, next: self.nodes[id].first_child() }
     }
 
     /// Concatenated text content beneath `id` (including `id` itself if text).
     pub fn text_content(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.collect_text(id, &mut out);
+        self.text_content_into(id, &mut out);
         out
     }
 
     /// As [`Document::text_content`], appending into a caller-supplied
     /// buffer (hot callers reuse one scratch allocation across nodes).
     pub fn text_content_into(&self, id: NodeId, out: &mut String) {
-        self.collect_text(id, out);
-    }
-
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        match &self.nodes[id] {
-            Node::Text { content, .. } => out.push_str(content),
-            Node::Element { .. } => {
-                for c in self.children(id) {
-                    self.collect_text(c, out);
-                }
+        for n in std::iter::once(id).chain(self.descendants(id)) {
+            if let Node::Text { content, .. } = &self.nodes[n] {
+                out.push_str(content);
             }
         }
     }
@@ -304,6 +307,38 @@ impl Iterator for Children<'_, '_> {
     fn next(&mut self) -> Option<NodeId> {
         let id = self.next?;
         self.next = self.doc.nodes[id].next_sibling();
+        Some(id)
+    }
+}
+
+/// Iterator over a node's subtree, see [`Document::descendants`].
+pub struct Descendants<'d, 'a> {
+    doc: &'d Document<'a>,
+    root: NodeId,
+    next: Option<NodeId>,
+}
+
+impl Iterator for Descendants<'_, '_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let id = self.next?;
+        // Down if possible; otherwise across from the nearest node, on the
+        // way back up to the root, that has a sibling left.
+        let nodes = &self.doc.nodes;
+        self.next = nodes[id].first_child().or_else(|| {
+            let mut cur = id;
+            loop {
+                let node = &nodes[cur];
+                if let Some(sibling) = node.next_sibling() {
+                    break Some(sibling);
+                }
+                match node.parent() {
+                    Some(up) if up != self.root => cur = up,
+                    _ => break None,
+                }
+            }
+        });
         Some(id)
     }
 }
@@ -372,6 +407,19 @@ mod tests {
         let doc = parse("<div>a<span>b</span>c</div>");
         let div = doc.elements_named("div")[0];
         assert_eq!(doc.text_content(div), "abc");
+    }
+
+    #[test]
+    fn descendants_are_the_subtree_in_document_order() {
+        let doc = parse("<div><p>a<b>b<i>c</i></b></p>d<br></div><span>e</span>");
+        let div = doc.elements_named("div")[0];
+        // Ids are handed out in document order, so a subtree is a run of them.
+        let span = doc.elements_named("span")[0];
+        assert_eq!(doc.descendants(div).collect::<Vec<_>>(), (div + 1..span).collect::<Vec<_>>());
+        let p = doc.elements_named("p")[0];
+        assert_eq!(doc.descendants(p).count(), 5, "stops at the subtree's end, not its parent's");
+        let br = doc.elements_named("br")[0];
+        assert_eq!(doc.descendants(br).count(), 0);
     }
 
     #[test]

@@ -31,11 +31,11 @@ pub mod render;
 pub mod tagpath;
 pub mod token;
 
-pub use dom::{parse, Children, Document, Node, NodeId};
+pub use dom::{parse, Children, Descendants, Document, Node, NodeId};
 pub use escape::escape_into;
 pub use links::{
-    extract_links, extract_links_from, extract_links_from_with, extract_links_with, Link,
-    LinkKind, LinkNeeds,
+    extract_links, extract_links_from, extract_links_from_with, extract_links_with, link_sites,
+    Link, LinkKind, LinkNeeds, LinkSite,
 };
 pub use render::HtmlWriter;
 pub use tagpath::{PathSegment, TagPath};

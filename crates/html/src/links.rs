@@ -5,6 +5,16 @@
 //! (the edge label λ) plus the anchor text and a window of surrounding text,
 //! which the `URL_CONT` classifier feature set of Sec 4.6 consumes.
 //!
+//! Extraction is two steps, so that a feature is computed for a link the
+//! crawl admits and never for one it rejects. [`link_sites`] walks a parsed
+//! document and yields, in document order, where its crawlable links are
+//! and what they point to (a [`LinkSite`]: node, kind, trimmed href) —
+//! enough to resolve the URL and look it up in the visited set, and free of
+//! allocation on entity-free markup. [`LinkSite::into_link`] then computes
+//! the features a consumer's [`LinkNeeds`] ask for. The crawl session runs
+//! its filters between the two; `extract_links*` are the first mapped
+//! through the second for every site, for callers that want them all.
+//!
 //! Links are **borrowed** (PR 3): `href`, `anchor_text` and
 //! `surrounding_text` are [`Cow`]s over the page's input buffer. An owned
 //! copy is made only when the value genuinely differs from the raw bytes —
@@ -78,65 +88,81 @@ impl Default for LinkNeeds {
 /// Extracts all hyperlinks of `html` in document order. The returned links
 /// borrow `html`.
 pub fn extract_links(html: &str) -> Vec<Link<'_>> {
-    links_from(&parse(html), LinkNeeds::ALL)
+    extract_links_from_with(&parse(html), LinkNeeds::ALL)
 }
 
 /// As [`extract_links`], computing only the features `needs` asks for.
 pub fn extract_links_with(html: &str, needs: LinkNeeds) -> Vec<Link<'_>> {
-    links_from(&parse(html), needs)
+    extract_links_from_with(&parse(html), needs)
 }
 
 /// As [`extract_links`], over an already-parsed document. The links borrow
 /// the buffer the document was parsed from, not the document itself, so
 /// they outlive it.
 pub fn extract_links_from<'a>(doc: &Document<'a>) -> Vec<Link<'a>> {
-    links_from(doc, LinkNeeds::ALL)
+    extract_links_from_with(doc, LinkNeeds::ALL)
 }
 
-/// As [`extract_links_from`] with explicit [`LinkNeeds`].
+/// As [`extract_links_from`] with explicit [`LinkNeeds`]: every
+/// [`LinkSite`] of `doc` turned into its [`Link`].
 pub fn extract_links_from_with<'a>(doc: &Document<'a>, needs: LinkNeeds) -> Vec<Link<'a>> {
-    links_from(doc, needs)
+    let mut scratch = String::new();
+    link_sites(doc).map(|site| site.into_link(doc, needs, &mut scratch)).collect()
 }
 
-fn links_from<'a>(doc: &Document<'a>, needs: LinkNeeds) -> Vec<Link<'a>> {
-    let mut out = Vec::new();
-    // One scratch buffer reused for every raw text collection that cannot
-    // borrow: link extraction runs on every fetched page, so per-link
-    // temporaries are kept off the allocator.
-    let mut scratch = String::new();
-    for id in 0..doc.len() {
-        let node = doc.node(id);
-        let Some(name) = node.name() else { continue };
-        let (kind, url_attr) = match name {
+/// Where a crawlable link sits in a parsed document and what it points to:
+/// all a crawler needs to decide whether the link is new to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkSite<'a> {
+    /// The linking element.
+    pub node: NodeId,
+    pub kind: LinkKind,
+    /// The raw (not yet resolved) href/src value, trimmed.
+    pub href: Cow<'a, str>,
+}
+
+/// The crawlable link sites of `doc` in document order: `<a href>`,
+/// `<area href>` and `<iframe src>` whose target is non-empty, not a bare
+/// fragment and not a non-http scheme.
+pub fn link_sites<'d, 'a>(doc: &'d Document<'a>) -> impl Iterator<Item = LinkSite<'a>> + 'd {
+    (0..doc.len()).filter_map(move |node| {
+        let (kind, url_attr) = match doc.node(node).name()? {
             "a" => (LinkKind::Anchor, "href"),
             "area" => (LinkKind::Area, "href"),
             "iframe" => (LinkKind::Iframe, "src"),
-            _ => continue,
+            _ => return None,
         };
-        let Some(href) = doc.attr_value(id, url_attr) else { continue };
-        let href = trimmed(href);
-        if href.is_empty() || href.starts_with('#') || is_non_http_scheme(&href) {
-            continue;
-        }
+        let href = trimmed(doc.attr_value(node, url_attr)?);
+        let crawlable = !href.is_empty() && !href.starts_with('#') && !is_non_http_scheme(&href);
+        crawlable.then_some(LinkSite { node, kind, href })
+    })
+}
+
+impl<'a> LinkSite<'a> {
+    /// The [`Link`] at this site of `doc`, with the features `needs` asks
+    /// for computed and the rest left empty. `scratch` is a buffer for raw
+    /// text collections that cannot borrow; passing the same one for every
+    /// site of a page keeps per-link temporaries off the allocator.
+    pub fn into_link(self, doc: &Document<'a>, needs: LinkNeeds, scratch: &mut String) -> Link<'a> {
+        let LinkSite { node, kind, href } = self;
         let anchor_text = if needs.anchor_text || needs.surrounding_text {
-            element_text(doc, id, &mut scratch)
+            element_text(doc, node, scratch)
         } else {
             Cow::Borrowed("")
         };
         let surrounding_text = if needs.surrounding_text {
-            surrounding_text(doc, id, &anchor_text, &mut scratch)
+            surrounding_text(doc, node, &anchor_text, scratch)
         } else {
             Cow::Borrowed("")
         };
-        out.push(Link {
+        Link {
             href,
             kind,
-            tag_path: if needs.tag_path { TagPath::of(doc, id) } else { TagPath::default() },
+            tag_path: if needs.tag_path { TagPath::of(doc, node) } else { TagPath::default() },
             anchor_text: if needs.anchor_text { anchor_text } else { Cow::Borrowed("") },
             surrounding_text,
-        });
+        }
     }
-    out
 }
 
 /// `str::trim` lifted over the input borrow: a borrowed value trims to a
@@ -191,19 +217,12 @@ fn collect_single_text<'d, 'a>(
     id: NodeId,
     single: &mut Option<&'d Cow<'a, str>>,
 ) -> bool {
-    for c in doc.children(id) {
-        match doc.node(c) {
-            Node::Text { content, .. } => {
-                if single.is_some() {
-                    return false;
-                }
-                *single = Some(content);
+    for c in doc.descendants(id) {
+        if let Node::Text { content, .. } = doc.node(c) {
+            if single.is_some() {
+                return false;
             }
-            Node::Element { .. } => {
-                if !collect_single_text(doc, c, single) {
-                    return false;
-                }
-            }
+            *single = Some(content);
         }
     }
     true
@@ -365,22 +384,14 @@ impl CappedNormalizer<'_> {
 /// Walks `id`'s subtree in document order feeding every text node into
 /// `norm`; aborts (without visiting further nodes) once the budget is
 /// spent — the point of the cap.
-fn feed_subtree(doc: &Document<'_>, id: NodeId, norm: &mut CappedNormalizer<'_>) -> bool {
-    for c in doc.children(id) {
-        match doc.node(c) {
-            Node::Text { content, .. } => {
-                if !norm.feed(content) {
-                    return false;
-                }
-            }
-            Node::Element { .. } => {
-                if !feed_subtree(doc, c, norm) {
-                    return false;
-                }
+fn feed_subtree(doc: &Document<'_>, id: NodeId, norm: &mut CappedNormalizer<'_>) {
+    for c in doc.descendants(id) {
+        if let Node::Text { content, .. } = doc.node(c) {
+            if !norm.feed(content) {
+                return;
             }
         }
     }
-    true
 }
 
 fn normalize_ws(s: &str) -> String {

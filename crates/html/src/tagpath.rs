@@ -7,39 +7,23 @@
 //! are therefore both the clustering key of the action space (Algorithm 1) and
 //! the unit that gets vectorised into token n-grams (Fig 3).
 //!
-//! Tag paths are stored far beyond the lifetime of the page they came from
-//! (action spaces, graph edge labels), so they cannot borrow the response
-//! body. Instead segment *names* are interned `&'static str`s for every
-//! tag in the `WELL_KNOWN_TAGS` table below — which covers essentially all
-//! real markup — so extracting a path allocates only for ids/classes that
-//! are actually present, never one `String` per ancestor element.
+//! **The path is its rendered text.** A [`TagPath`] holds that one string
+//! and the end offset of every token in it, nothing else: tokens are `&str`
+//! slices of the text, `Display` writes the text, and two paths are equal
+//! exactly when their token sequences are — which is all a consumer can
+//! read of a path. The text is owned, because paths outlive the page they
+//! came from (action exemplars, revisit groups); extracting one costs two
+//! allocations whatever its depth or decoration.
+//!
+//! [`PathSegment`] is the vocabulary for building a path by hand
+//! ([`TagPath::new`]): it is rendered on construction, not stored.
 
 use crate::dom::{Document, NodeId};
 use std::borrow::Cow;
 use std::fmt;
 
-/// Tag names interned as `&'static str` (sorted for binary search): path
-/// segments for these never allocate.
-const WELL_KNOWN_TAGS: [&str; 64] = [
-    "a", "area", "article", "aside", "b", "base", "blockquote", "body", "br", "button",
-    "caption", "code", "col", "dd", "div", "dl", "dt", "em", "embed", "figcaption", "figure",
-    "footer", "form", "h1", "h2", "h3", "h4", "h5", "h6", "head", "header", "hr", "html", "i",
-    "iframe", "img", "input", "label", "li", "link", "main", "map", "meta", "nav", "ol",
-    "option", "p", "param", "pre", "script", "section", "select", "small", "source", "span",
-    "strong", "style", "table", "tbody", "td", "th", "thead", "tr", "ul",
-];
-
-/// Interns `name` against [`WELL_KNOWN_TAGS`]: a `'static` borrow for every
-/// common tag, an owned copy only for exotic ones.
-pub(crate) fn intern_tag(name: &str) -> Cow<'static, str> {
-    match WELL_KNOWN_TAGS.binary_search(&name) {
-        Ok(i) => Cow::Borrowed(WELL_KNOWN_TAGS[i]),
-        Err(_) => Cow::Owned(name.to_owned()),
-    }
-}
-
-/// One step of a tag path: element name plus optional `#id` and `.class`es.
-/// The name is a `'static` borrow for well-known tags (see module docs).
+/// One step of a hand-built tag path: element name plus optional `#id` and
+/// `.class`es.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathSegment {
     pub name: Cow<'static, str>,
@@ -61,131 +45,165 @@ impl PathSegment {
         self.classes.push(class.into());
         self
     }
+}
 
-    /// Token form used by the n-gram vectoriser, e.g. `div#main` or
-    /// `ul.datasets.active`. `#` prefixes the id, `.` each class, matching the
-    /// paper's label syntax.
-    pub fn token(&self) -> String {
-        let mut s = String::with_capacity(
-            self.name.len()
-                + self.id.as_ref().map_or(0, |i| i.len() + 1)
-                + self.classes.iter().map(|c| c.len() + 1).sum::<usize>(),
-        );
-        s.push_str(&self.name);
-        if let Some(id) = &self.id {
-            s.push('#');
-            s.push_str(id);
-        }
-        for c in &self.classes {
-            s.push('.');
-            s.push_str(c);
-        }
-        s
+/// Appends one token, `name#id.class…`: `#` prefixes the id, `.` each class,
+/// matching the paper's label syntax.
+fn write_token<'s>(
+    text: &mut String,
+    name: &str,
+    id: Option<&str>,
+    classes: impl Iterator<Item = &'s str>,
+) {
+    text.push_str(name);
+    if let Some(id) = id {
+        text.push('#');
+        text.push_str(id);
+    }
+    for c in classes {
+        text.push('.');
+        text.push_str(c);
     }
 }
 
-impl fmt::Display for PathSegment {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.token())
+/// The raw `id` and `class` attribute values of element `id` (the first of
+/// each), found in one pass over its attributes.
+fn id_and_class<'d>(doc: &'d Document<'_>, id: NodeId) -> (Option<&'d str>, Option<&'d str>) {
+    let (mut elem_id, mut class) = (None, None);
+    for attr in doc.attrs_of(id) {
+        if attr.name == "id" {
+            elem_id = elem_id.or(Some(attr.value.as_ref()));
+        } else if attr.name == "class" {
+            class = class.or(Some(attr.value.as_ref()));
+        }
     }
+    (elem_id, class)
 }
 
-/// A root-to-element tag path.
+/// Node ids and text offsets are held as `u32`: both are bounded by the
+/// size of the page, which is far below 4 GiB.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("node ids and tag-path offsets of a page fit u32")
+}
+
+/// A root-to-element tag path: its rendered text (tokens joined by single
+/// spaces) and where each token ends. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct TagPath {
-    pub segments: Vec<PathSegment>,
+    text: String,
+    /// `ends[i]` is the offset in `text` just past token `i`; token `i + 1`
+    /// starts one separator later. Offsets, not a search for spaces: an
+    /// `id` may itself contain one.
+    ends: Vec<u32>,
 }
 
 impl TagPath {
     pub fn new(segments: Vec<PathSegment>) -> Self {
-        TagPath { segments }
+        let mut path = TagPath::default();
+        for seg in &segments {
+            path.push_token(|text| {
+                let classes = seg.classes.iter().map(String::as_str);
+                write_token(text, &seg.name, seg.id.as_deref(), classes)
+            });
+        }
+        path
     }
 
-    /// Extracts the tag path of the element `id` within `doc`. Segment
-    /// names are interned; only ids/classes that exist on the element
-    /// allocate.
+    /// Extracts the tag path of the element `id` within `doc`: the id
+    /// trimmed (dropped when empty), the classes split on whitespace. Two
+    /// allocations — the text and the offsets — both reserved up front.
     pub fn of(doc: &Document<'_>, id: NodeId) -> Self {
-        let segments = doc
-            .ancestry(id)
-            .into_iter()
-            .map(|nid| {
-                let name = intern_tag(doc.node(nid).name().unwrap_or(""));
-                let elem_id = doc
-                    .attr(nid, "id")
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned);
-                let classes = doc
-                    .attr(nid, "class")
-                    .map(|c| c.split_ascii_whitespace().map(str::to_owned).collect())
-                    .unwrap_or_default();
-                PathSegment { name, id: elem_id, classes }
-            })
-            .collect();
-        TagPath { segments }
+        let elements = || {
+            std::iter::successors(Some(id), |&n| doc.node(n).parent())
+                .filter_map(|n| Some((n, doc.node(n).name()?)))
+        };
+        // An upper bound on the text: a raw attribute value is never shorter
+        // than what is written of it.
+        let (mut depth, mut bytes) = (0usize, 0usize);
+        for (n, name) in elements() {
+            let (elem_id, class) = id_and_class(doc, n);
+            depth += 1;
+            let decoration = |v: Option<&str>| v.map_or(0, |v| 1 + v.len());
+            bytes += 1 + name.len() + decoration(elem_id) + decoration(class);
+        }
+        // Parent links run leaf to root and the text reads root to leaf.
+        // `ends` is the stack that turns them around: it takes the node ids,
+        // is reversed, and each id is overwritten by the end offset of the
+        // token written for it.
+        let mut text = String::with_capacity(bytes);
+        let mut ends = Vec::with_capacity(depth);
+        ends.extend(elements().map(|(n, _)| narrow(n)));
+        ends.reverse();
+        for (i, slot) in ends.iter_mut().enumerate() {
+            if i > 0 {
+                text.push(' ');
+            }
+            let n = *slot as NodeId;
+            let (elem_id, class) = id_and_class(doc, n);
+            write_token(
+                &mut text,
+                doc.node(n).name().unwrap_or(""),
+                elem_id.map(str::trim).filter(|v| !v.is_empty()),
+                class.into_iter().flat_map(str::split_ascii_whitespace),
+            );
+            *slot = narrow(text.len());
+        }
+        TagPath { text, ends }
     }
 
-    /// Parses the space-separated rendered form (`html body div#main ... a`).
+    /// Parses the rendered form (`html body div#main ... a`): every
+    /// whitespace-separated word is one token, copied as it stands.
     pub fn parse(s: &str) -> Self {
-        let segments = s
-            .split_ascii_whitespace()
-            .map(|tok| {
-                let (name_part, rest) = match tok.find(['#', '.']) {
-                    Some(pos) => (&tok[..pos], &tok[pos..]),
-                    None => (tok, ""),
-                };
-                let mut seg = PathSegment::new(intern_tag(name_part));
-                let mut rest = rest;
-                while !rest.is_empty() {
-                    let kind = rest.as_bytes()[0];
-                    let tail = &rest[1..];
-                    let end = tail.find(['#', '.']).unwrap_or(tail.len());
-                    let val = &tail[..end];
-                    match kind {
-                        b'#' => seg.id = Some(val.to_owned()),
-                        _ => seg.classes.push(val.to_owned()),
-                    }
-                    rest = &tail[end..];
-                }
-                seg
-            })
-            .collect();
-        TagPath { segments }
+        let mut path = TagPath::default();
+        for tok in s.split_ascii_whitespace() {
+            path.push_token(|text| text.push_str(tok));
+        }
+        path
+    }
+
+    /// Appends the token `write` produces, after a separating space unless
+    /// it is the first.
+    fn push_token(&mut self, write: impl FnOnce(&mut String)) {
+        if !self.ends.is_empty() {
+            self.text.push(' ');
+        }
+        write(&mut self.text);
+        self.ends.push(narrow(self.text.len()));
+    }
+
+    /// The rendered path, e.g. `html body div#main ul.datasets li a`.
+    pub fn as_str(&self) -> &str {
+        &self.text
     }
 
     /// The tokens fed to the n-gram vectoriser, **order-preserving** (the
     /// paper shows order matters: n=2,3 beat n=1).
-    pub fn tokens(&self) -> impl Iterator<Item = String> + '_ {
-        self.segments.iter().map(PathSegment::token)
+    pub fn tokens(&self) -> impl Iterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let token = &self.text[start..end as usize];
+            start = end as usize + 1;
+            token
+        })
     }
 
     pub fn len(&self) -> usize {
-        self.segments.len()
+        self.ends.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Number of leading segments shared with `other`.
+    /// Number of leading tokens shared with `other`.
     pub fn common_prefix_len(&self, other: &TagPath) -> usize {
-        self.segments
-            .iter()
-            .zip(&other.segments)
-            .take_while(|(a, b)| a == b)
-            .count()
+        self.tokens().zip(other.tokens()).take_while(|(a, b)| a == b).count()
     }
 }
 
 impl fmt::Display for TagPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, seg) in self.segments.iter().enumerate() {
-            if i > 0 {
-                f.write_str(" ")?;
-            }
-            write!(f, "{seg}")?;
-        }
-        Ok(())
+        f.write_str(&self.text)
     }
 }
 
@@ -193,22 +211,6 @@ impl fmt::Display for TagPath {
 mod tests {
     use super::*;
     use crate::dom::parse as parse_html;
-
-    #[test]
-    fn well_known_tags_sorted() {
-        let mut sorted = WELL_KNOWN_TAGS;
-        sorted.sort_unstable();
-        assert_eq!(sorted, WELL_KNOWN_TAGS, "binary_search needs a sorted table");
-    }
-
-    #[test]
-    fn interning_borrows_common_tags() {
-        assert!(matches!(intern_tag("div"), Cow::Borrowed(_)));
-        assert!(matches!(intern_tag("a"), Cow::Borrowed(_)));
-        assert!(matches!(intern_tag("x-custom"), Cow::Owned(_)));
-        // Interned and owned names compare equal (Cow compares as str).
-        assert_eq!(intern_tag("div"), Cow::<str>::Owned("div".to_owned()));
-    }
 
     #[test]
     fn extracts_paper_style_path() {
@@ -237,8 +239,22 @@ mod tests {
     #[test]
     fn parse_id_and_class_on_same_segment() {
         let tp = TagPath::parse("div#main.wide.dark a");
-        assert_eq!(tp.segments[0].id.as_deref(), Some("main"));
-        assert_eq!(tp.segments[0].classes, vec!["wide", "dark"]);
+        assert_eq!(tp.tokens().collect::<Vec<_>>(), vec!["div#main.wide.dark", "a"]);
+    }
+
+    #[test]
+    fn equality_is_on_tokens_however_the_path_was_built() {
+        let doc = parse_html(r#"<div id=" a b " class="x  y"><a href="/x">x</a></div>"#);
+        let of = TagPath::of(&doc, doc.elements_named("a")[0]);
+        let built = TagPath::new(vec![
+            PathSegment::new("div").with_id("a b").with_class("x").with_class("y"),
+            PathSegment::new("a"),
+        ]);
+        assert_eq!(of, built);
+        assert_eq!(of.tokens().collect::<Vec<_>>(), vec!["div#a b.x.y", "a"]);
+        // The id's space sits inside a token; re-parsing the text splits there.
+        assert_eq!(TagPath::parse(of.as_str()).len(), 3);
+        assert_ne!(of, TagPath::parse(of.as_str()));
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! if a change reintroduces per-token/per-node allocation, the pinned
 //! ceilings here fail tier-1 verify.
 //!
+//! PR 24 adds the two guards of the deferred link features: walking a
+//! page's link sites allocates nothing, and a tag path costs two
+//! allocations whatever its depth.
+//!
 //! The counting allocator is process-global, so this file holds exactly one
 //! `#[test]` — a second concurrent test would corrupt the counts.
 
@@ -111,6 +115,38 @@ fn parse_of_entity_free_page_is_allocation_bounded() {
         link_allocs <= 8,
         "href-only extraction allocated {link_allocs} times (budget 8): \
          per-link allocation has crept back in"
+    );
+
+    // Finding the links is free: walking the page's link sites without
+    // asking for a feature — all a crawl does for a link its visited set
+    // already knows — touches the allocator not once.
+    let site_allocs = count_allocs(|| {
+        assert_eq!(sb_html::link_sites(&doc).count(), 32);
+    });
+    assert_eq!(site_allocs, 0, "walking link sites allocated {site_allocs} times");
+
+    // A tag path is one string: its text and its token offsets, whatever
+    // its depth and however decorated. The nested representation paid one
+    // allocation per id, per class, per class list and for the segment
+    // vector (9+ here); a `to_owned()` per class brings three of them back.
+    let deep = sb_html::parse(
+        "<html><body><div id=\"layout\"><div class=\"wrap wide\"><main><section id=\"s1\">\
+         <ul class=\"datasets\"><li><span><a href=\"/d.csv\">d</a></span></li></ul>\
+         </section></main></div></div></body></html>",
+    );
+    let anchor = deep.elements_named("a")[0];
+    let path_allocs = count_allocs(|| {
+        let path = sb_html::TagPath::of(&deep, anchor);
+        assert_eq!(path.len(), 10);
+        std::mem::forget(path);
+    });
+    assert_eq!(
+        sb_html::TagPath::of(&deep, anchor).as_str(),
+        "html body div#layout div.wrap.wide main section#s1 ul.datasets li span a"
+    );
+    assert!(
+        path_allocs <= 2,
+        "TagPath::of allocated {path_allocs} times (budget 2): per-segment allocation has crept back in"
     );
 
     // The zero-copy contract behind those numbers: every borrowable piece

@@ -59,6 +59,22 @@ cargo test -q --offline -p sb-scale --test alloc_guard_visited
 cargo test -q --offline -p sb-webgraph --test proptest_render
 cargo test -q --offline -p sb-webgraph --test alloc_guard_render
 cargo test -q --offline -p sb-scale --test alloc_guard_stream
+# A tag path is one string, built only for the links that survive (PR 24).
+# The html guard named at the top now also pins `TagPath::of` to two
+# allocations whatever the path's depth (a `to_owned()` per class fails it)
+# and a walk over a page's link sites to none; the action guard's byte
+# budget is twice what a joining `assign` measures with borrowed tokens and
+# one gram buffer. The n-gram differential holds that buffer to the
+# pad-and-`join` model it replaced (n = 1..3, empty lists, repeated grams,
+# tokens with spaces, `&[String]` and `&[&str]`, same vocabulary order); the
+# session test holds every link `decide` is handed over clean and
+# hazard-laced crawls to what eager extraction computes at its position of
+# its page. The deep-nesting regression extracts a 200 000-deep anchor with
+# every feature on a 2 MiB stack: the subtree walks are loops over
+# `Document::descendants`, where one recursive call per level aborted.
+cargo test -q --offline -p sb-ann --test proptest_ann buffer_grams_match_the_join_they_replace
+cargo test -q --offline -p sb-crawler --test session_api deferred_link_features_equal_eager_extraction
+cargo test -q --offline -p sb-html --test deep_nesting
 # Benches must stay compilable even when nobody runs them — the html
 # microbench (seed pipeline vs zero-copy) named explicitly; its compile is
 # cached from the package-wide line, so the extra check is free.
@@ -131,14 +147,15 @@ cargo run --release --offline -p sb-eval --bin xp -- \
 test -s target/verify-smoke/revisit.csv
 # One crawl loop, one way to fetch (PR 16). Structural guards, each failing
 # on its own line (`if`, because `set -e` ignores a `!`-negated pipeline):
-# link extraction is called by the parser crate, the site generator, the
-# session and the frozen reference only; the blocking `Client` is constructed
+# link extraction (eager `extract_links*` or the lazy `link_sites`) is called
+# by the parser crate, the site generator, the session and the frozen
+# reference only; the blocking `Client` is constructed
 # by its own crate (the reference oracle of the transport's window-1 pins)
 # and by the frozen reference engine only.
-if grep -rn "extract_links" crates/*/src \
+if grep -rn -e "extract_links" -e "link_sites" crates/*/src \
     | grep -v -e "^crates/html/" -e "^crates/webgraph/src/gen/" \
               -e "^crates/core/src/session.rs:" -e "^crates/bench/"; then
-    echo "verify: extract_links called outside CrawlSession" >&2; exit 1
+    echo "verify: links extracted outside CrawlSession" >&2; exit 1
 fi
 if grep -rn "Client::new" crates/*/src \
     | grep -v -e "^crates/httpsim/src/" -e "^crates/bench/src/reference.rs:"; then
@@ -148,10 +165,12 @@ fi
 # table (PR 20); the origin is the replay database and robots.txt is fetched
 # and enforced by the session's `robots_agent` handshake alone (PR 21);
 # markup is emitted by `HtmlWriter` alone, the tree builder being a test
-# oracle (PR 23): no deleted duplicate comes back.
+# oracle (PR 23); a tag path is its rendered text, not a segment vector, and
+# n-grams come out of one buffer, not a `Vec<String>` (PR 24): no deleted
+# duplicate comes back.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
-        -e "HtmlBuilder" crates/*/src; then
+        -e "HtmlBuilder" -e "fn grams(" -e "pub segments" crates/*/src; then
     echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
