@@ -32,7 +32,8 @@ pub enum AbandonReason {
     RedirectUnparseable,
     /// The redirect target left the website boundary (Sec 2.2).
     RedirectOffSite,
-    /// The redirect target was rejected by [`crate::session::CrawlConfig::url_filter`].
+    /// The redirect target is disallowed by the site's robots.txt
+    /// ([`crate::session::CrawlConfig::robots_agent`]).
     RedirectFiltered,
     /// The redirect target was already in `T ∪ F` under another id.
     RedirectAlreadyKnown,
@@ -159,8 +160,6 @@ pub enum FinishReason {
     BudgetExhausted,
     /// Sec 4.8 early stopping fired.
     EarlyStopped,
-    /// The [`crate::session::CrawlConfig::max_steps`] safety valve fired.
-    MaxSteps,
     /// The action space exploded (Table 4's θ = 0.95 OOM).
     ActionSpaceOverflow,
     /// The caller finished the session before any natural end.

@@ -111,7 +111,8 @@ impl FleetJob {
         }
     }
 
-    /// Per-site crawl configuration (budget, politeness, seeds, …).
+    /// Per-site crawl configuration (budget, politeness, window, …),
+    /// validated when the site's session is built.
     pub fn config(mut self, cfg: CrawlConfig) -> Self {
         self.cfg = cfg;
         self
@@ -124,8 +125,9 @@ impl FleetJob {
     }
 }
 
-/// One site's result. Construction errors (an unparseable root) are
-/// reported here instead of panicking the worker.
+/// One site's result. Construction errors (an unparseable root, an
+/// invalid [`CrawlConfig`]) are reported here instead of panicking the
+/// worker.
 pub struct SiteReport {
     pub name: String,
     pub outcome: Result<CrawlOutcome, ConfigError>,

@@ -9,7 +9,8 @@
 //!   batch frontier ([`ValueStrategy`]: whole-frontier top-k ranking
 //!   per window-fill with composable [`strategies::Scorer`]s),
 //! * [`session`] — Algorithms 3 & 4 as a resumable [`CrawlSession`]:
-//!   validated construction, `step()`/`run()`, typed [`CrawlEvent`]s,
+//!   every config validated where its session is built,
+//!   `step()`/`run()`, typed [`CrawlEvent`]s,
 //!   pipelined over the nonblocking `sb_httpsim::Transport`
 //!   ([`CrawlConfig`]`::max_in_flight` requests in flight at once, with
 //!   the politeness gate enforced at the transport),
@@ -38,7 +39,10 @@
 //! println!("retrieved {} targets", outcome.targets_found());
 //! ```
 //!
-//! Step-driven crawl with validation and observation (the session API):
+//! Step-driven crawl with validation and observation (the session API).
+//! A config is a struct literal; [`CrawlSession::new`] (like every other
+//! way of starting a session) rejects an invalid one with a
+//! [`ConfigError`] before any request is spent:
 //!
 //! ```no_run
 //! use sb_crawler::{Budget, CrawlConfig, CrawlSession, EventLog};
@@ -49,7 +53,7 @@
 //! let site = build_site(&SiteSpec::demo(500), 42);
 //! let root = site.page(site.root()).url.clone();
 //! let server = SiteServer::new(site);
-//! let cfg = CrawlConfig::builder().budget(Budget::Requests(100)).build()?;
+//! let cfg = CrawlConfig { budget: Budget::Requests(100), ..Default::default() };
 //! let mut bfs = QueueStrategy::bfs();
 //! let mut log = EventLog::new();
 //! let mut session = CrawlSession::new(&server, None, &root, &mut bfs, &cfg)?.observe(&mut log);
@@ -82,8 +86,8 @@ pub use fleet::{
     Fleet, FleetJob, FleetMode, FleetOutcome, ShardReport, SharedOracle, SharedServer, SiteReport,
 };
 pub use session::{
-    crawl, Budget, ConfigError, CrawlConfig, CrawlConfigBuilder, CrawlOutcome,
-    CrawlSession, Oracle, RefreshedPage, RetrievedTarget, StepReport, UrlFilter,
+    crawl, Budget, ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, Oracle, RefreshedPage,
+    RetrievedTarget, StepReport,
 };
 pub use strategies::{Batched, ValueSpec, ValueStrategy};
 pub use strategy::{

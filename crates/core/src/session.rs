@@ -50,9 +50,10 @@
 //! [`CrawlSession::refill_one`]/[`CrawlSession::drain_completions`] pair
 //! lets an external driver ration the pool's global window across many
 //! sessions and drain them in the pool's deterministic completion order.
-//! Construction is validated ([`CrawlConfig::builder`], [`ConfigError`])
-//! — an unparseable root or a zero budget is rejected before any request
-//! is spent.
+//! Construction is validated ([`ConfigError`]): both constructors check
+//! the config and the root before any request is spent, so an unparseable
+//! root, a zero budget or a zero-bandwidth politeness is rejected however
+//! the [`CrawlConfig`] was written.
 //!
 //! A session also re-fetches what it already knows (PR 9):
 //! [`CrawlSession::queue_refresh`] admits a refresh through the same
@@ -97,7 +98,7 @@ pub trait Oracle: Sync {
     fn class_of(&self, url: &str) -> sb_webgraph::UrlClass;
 }
 
-impl Oracle for sb_webgraph::Website {
+impl<S: sb_webgraph::gen::SiteSource + ?Sized> Oracle for S {
     fn class_of(&self, url: &str) -> sb_webgraph::UrlClass {
         match self.lookup(url) {
             Some(id) => self.true_class(id),
@@ -106,45 +107,22 @@ impl Oracle for sb_webgraph::Website {
     }
 }
 
-impl Oracle for sb_scale::StreamingSite {
-    fn class_of(&self, url: &str) -> sb_webgraph::UrlClass {
-        use sb_webgraph::gen::SiteSource;
-        match self.lookup(url) {
-            Some(id) => self.true_class(id),
-            None => sb_webgraph::UrlClass::Neither,
-        }
-    }
-}
-
-/// Session configuration. Build one with [`CrawlConfig::builder`] for
-/// upfront validation, or as a struct literal (the pre-session API) when
-/// the values are known-good constants.
+/// Session configuration: a struct literal over `..Default::default()`.
+/// Every session validates its config before any request is spent
+/// ([`ConfigError`]), however the config was written.
 pub struct CrawlConfig {
     pub budget: Budget,
     pub policy: MimePolicy,
     pub politeness: Politeness,
+    /// RNG seed shared by the engine and the strategy's frontier draws.
     pub seed: u64,
     pub early_stop: Option<EarlyStopConfig>,
     /// Keep the bodies of retrieved targets (Table 7 needs them).
     pub keep_target_bodies: bool,
-    /// Hard cap on crawl steps (safety valve for tests).
-    pub max_steps: Option<u64>,
-    /// Optional URL admission filter, checked on every discovered link and
-    /// redirect target (the root is exempt). `false` drops the URL before
-    /// any request is spent on it. robots.txt compliance is
-    /// [`CrawlConfig::robots_agent`], not a filter.
-    pub url_filter: Option<UrlFilter>,
-    /// Extra URLs fetched right after the root, before the strategy takes
-    /// over: URLs the caller already knows (a sitemap's, say). Off-site
-    /// and filter-rejected entries are skipped; each seed costs its
-    /// requests against the budget like any other fetch.
-    pub seed_urls: Vec<String>,
     /// Requests the session may keep in flight at once (PR 4). `1` (the
     /// default) is the exact sequential engine; wider windows overlap
     /// simulated transfer latency within the politeness gate's spacing.
-    /// A struct-literal `0` is clamped to `1` (like junk seed URLs, the
-    /// unvalidated path is lenient); the validating builder rejects it
-    /// with [`ConfigError::ZeroMaxInFlight`] instead.
+    /// `0` is rejected with [`ConfigError::ZeroMaxInFlight`].
     pub max_in_flight: usize,
     /// Crawl as this user agent under the site's robots.txt (PR 6). When
     /// set, the session's very first request fetches `/robots.txt` through
@@ -153,8 +131,7 @@ pub struct CrawlConfig {
     /// at link admission and a declared `Crawl-delay` is applied to the
     /// transport's politeness gate automatically — no manual
     /// [`sb_httpsim::transport::Transport::apply_crawl_delay`] call
-    /// needed. Composes with [`CrawlConfig::url_filter`] (both must
-    /// admit). `None` (the default) changes nothing.
+    /// needed. `None` (the default) changes nothing.
     pub robots_agent: Option<String>,
     /// Visited-set compaction threshold (PR 7): the first this many
     /// discovered URLs keep their parsed form beside the canonical text;
@@ -174,9 +151,6 @@ pub struct CrawlConfig {
     pub serve_feed: bool,
 }
 
-/// Boxed URL predicate for [`CrawlConfig::url_filter`].
-pub type UrlFilter = Box<dyn Fn(&Url) -> bool + Send + Sync>;
-
 impl Default for CrawlConfig {
     fn default() -> Self {
         CrawlConfig {
@@ -186,9 +160,6 @@ impl Default for CrawlConfig {
             seed: 0,
             early_stop: None,
             keep_target_bodies: false,
-            max_steps: None,
-            url_filter: None,
-            seed_urls: Vec::new(),
             max_in_flight: 1,
             robots_agent: None,
             compact_visited_threshold: usize::MAX,
@@ -198,26 +169,39 @@ impl Default for CrawlConfig {
 }
 
 impl CrawlConfig {
-    /// A fluent, validating builder.
-    pub fn builder() -> CrawlConfigBuilder {
-        CrawlConfigBuilder { cfg: CrawlConfig::default() }
+    /// The values no session can run with. The root is checked separately,
+    /// by [`CrawlSession::with_transport`], which runs this first.
+    fn validate(&self) -> Result<(), ConfigError> {
+        if let Budget::Requests(0) | Budget::VolumeBytes(0) = self.budget {
+            return Err(ConfigError::ZeroBudget);
+        }
+        if self.max_in_flight == 0 {
+            return Err(ConfigError::ZeroMaxInFlight);
+        }
+        let p = self.politeness;
+        if !p.delay_secs.is_finite()
+            || p.delay_secs < 0.0
+            || !p.bytes_per_sec.is_finite()
+            || p.bytes_per_sec <= 0.0
+        {
+            return Err(ConfigError::InvalidPoliteness);
+        }
+        Ok(())
     }
 }
 
-/// What [`CrawlConfigBuilder::build`] or [`CrawlSession::new`] rejects
-/// before any request is spent.
+/// What [`CrawlSession::new`] and [`CrawlSession::with_transport`] — and so
+/// every [`crate::fleet::Fleet`] job, whose `SiteReport` carries it —
+/// reject before any request is spent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// The crawl root is not an absolute http(s) URL.
     InvalidRoot { url: String, error: UrlError },
     /// A zero budget can never admit the root fetch.
     ZeroBudget,
-    /// `max_steps == 0` can never admit the root fetch.
-    ZeroMaxSteps,
-    /// Politeness delay must be finite and ≥ 0; bandwidth must be > 0.
+    /// Politeness delay must be finite and ≥ 0; bandwidth must be finite
+    /// and > 0.
     InvalidPoliteness,
-    /// A seed URL is not an absolute http(s) URL.
-    InvalidSeedUrl { url: String, error: UrlError },
     /// `max_in_flight == 0` can never admit any fetch.
     ZeroMaxInFlight,
 }
@@ -229,12 +213,8 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "crawl root {url:?} is not an absolute http(s) URL: {error}")
             }
             ConfigError::ZeroBudget => f.write_str("crawl budget is zero"),
-            ConfigError::ZeroMaxSteps => f.write_str("max_steps is zero"),
             ConfigError::InvalidPoliteness => {
-                f.write_str("politeness delay must be finite and ≥ 0, bandwidth > 0")
-            }
-            ConfigError::InvalidSeedUrl { url, error } => {
-                write!(f, "seed URL {url:?} is not an absolute http(s) URL: {error}")
+                f.write_str("politeness delay must be finite and ≥ 0, bandwidth finite and > 0")
             }
             ConfigError::ZeroMaxInFlight => f.write_str("max_in_flight is zero"),
         }
@@ -242,124 +222,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Fluent builder for [`CrawlConfig`]; [`CrawlConfigBuilder::build`]
-/// validates everything that does not need the root URL (the root is
-/// validated by [`CrawlSession::new`]).
-pub struct CrawlConfigBuilder {
-    cfg: CrawlConfig,
-}
-
-impl CrawlConfigBuilder {
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.cfg.budget = budget;
-        self
-    }
-
-    pub fn mime_policy(mut self, policy: MimePolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    pub fn politeness(mut self, politeness: Politeness) -> Self {
-        self.cfg.politeness = politeness;
-        self
-    }
-
-    /// RNG seed shared by the engine and the strategy's frontier draws.
-    pub fn rng_seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    pub fn early_stop(mut self, cfg: EarlyStopConfig) -> Self {
-        self.cfg.early_stop = Some(cfg);
-        self
-    }
-
-    pub fn keep_target_bodies(mut self, keep: bool) -> Self {
-        self.cfg.keep_target_bodies = keep;
-        self
-    }
-
-    pub fn max_steps(mut self, max: u64) -> Self {
-        self.cfg.max_steps = Some(max);
-        self
-    }
-
-    pub fn url_filter(mut self, filter: UrlFilter) -> Self {
-        self.cfg.url_filter = Some(filter);
-        self
-    }
-
-    /// In-flight request window (validated ≥ 1 at build).
-    pub fn max_in_flight(mut self, window: usize) -> Self {
-        self.cfg.max_in_flight = window;
-        self
-    }
-
-    /// Crawl as this agent under the site's robots.txt (fetched, parsed
-    /// and enforced automatically — see [`CrawlConfig::robots_agent`]).
-    pub fn robots_agent(mut self, agent: impl Into<String>) -> Self {
-        self.cfg.robots_agent = Some(agent.into());
-        self
-    }
-
-    /// Keep full visited-set entries for the first `threshold` URLs and
-    /// 64-bit fingerprints past it — see
-    /// [`CrawlConfig::compact_visited_threshold`].
-    pub fn compact_visited_threshold(mut self, threshold: usize) -> Self {
-        self.cfg.compact_visited_threshold = threshold;
-        self
-    }
-
-    /// Buffer every fetched page for a serving layer — see
-    /// [`CrawlConfig::serve_feed`].
-    pub fn serve_feed(mut self, on: bool) -> Self {
-        self.cfg.serve_feed = on;
-        self
-    }
-
-    /// Appends one seed URL (validated at [`CrawlConfigBuilder::build`]).
-    pub fn seed_url(mut self, url: impl Into<String>) -> Self {
-        self.cfg.seed_urls.push(url.into());
-        self
-    }
-
-    /// Appends many seed URLs (validated at [`CrawlConfigBuilder::build`]).
-    pub fn seed_urls(mut self, urls: impl IntoIterator<Item = String>) -> Self {
-        self.cfg.seed_urls.extend(urls);
-        self
-    }
-
-    pub fn build(self) -> Result<CrawlConfig, ConfigError> {
-        let cfg = self.cfg;
-        match cfg.budget {
-            Budget::Requests(0) | Budget::VolumeBytes(0) => return Err(ConfigError::ZeroBudget),
-            _ => {}
-        }
-        if cfg.max_steps == Some(0) {
-            return Err(ConfigError::ZeroMaxSteps);
-        }
-        if cfg.max_in_flight == 0 {
-            return Err(ConfigError::ZeroMaxInFlight);
-        }
-        let p = cfg.politeness;
-        if !p.delay_secs.is_finite()
-            || p.delay_secs < 0.0
-            || !p.bytes_per_sec.is_finite()
-            || p.bytes_per_sec <= 0.0
-        {
-            return Err(ConfigError::InvalidPoliteness);
-        }
-        for url in &cfg.seed_urls {
-            if let Err(error) = Url::parse(url) {
-                return Err(ConfigError::InvalidSeedUrl { url: url.clone(), error });
-            }
-        }
-        Ok(cfg)
-    }
-}
 
 /// A target retrieved during the crawl.
 #[derive(Debug, Clone)]
@@ -436,8 +298,8 @@ impl CrawlOutcome {
 /// What one [`CrawlSession::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
-    /// Outer selections begun so far, this step included (the root and
-    /// each admitted seed count as one each).
+    /// Outer selections begun so far, this step included (the root counts
+    /// as one).
     pub steps: u64,
     /// GET requests delivered during this step.
     pub fetched: u64,
@@ -465,8 +327,6 @@ pub struct StepReport {
 enum Phase {
     /// The root fetch has not happened yet.
     Root,
-    /// Seed URLs from index `.0` onward remain to be considered.
-    Seeds(usize),
     /// The strategy drives selections.
     Steady,
     Done(FinishReason),
@@ -582,7 +442,7 @@ pub struct CrawlSession<'a> {
 }
 
 impl<'a> CrawlSession<'a> {
-    /// Validates the root and builds a session over a fresh
+    /// Validates `cfg` and the root and builds a session over a fresh
     /// [`PipelinedTransport`] for `server` — the sole handle of a private
     /// in-flight pool, window and politeness from `cfg`. No request is
     /// spent until the first [`CrawlSession::step`].
@@ -595,7 +455,7 @@ impl<'a> CrawlSession<'a> {
     ) -> Result<Self, ConfigError> {
         let transport: Box<dyn Transport + 'a> = Box::new(
             PipelinedTransport::new(server, cfg.policy.clone(), cfg.politeness)
-                .with_window(cfg.max_in_flight.max(1)),
+                .with_window(cfg.max_in_flight),
         );
         Self::with_transport(transport, oracle, root_url, strategy, cfg)
     }
@@ -604,7 +464,8 @@ impl<'a> CrawlSession<'a> {
     /// [`PipelinedTransport`] with custom retry or hazard policies, or a
     /// [`sb_httpsim::PoolHandle`] on a pool shared with other sessions
     /// ([`crate::fleet::Fleet`] uses this). Both are the same backend; the
-    /// transport's own window wins over [`CrawlConfig::max_in_flight`].
+    /// transport's own window wins over [`CrawlConfig::max_in_flight`]
+    /// (which is validated all the same).
     pub fn with_transport(
         transport: Box<dyn Transport + 'a>,
         oracle: Option<&'a dyn Oracle>,
@@ -612,6 +473,7 @@ impl<'a> CrawlSession<'a> {
         strategy: &'a mut dyn Strategy,
         cfg: &'a CrawlConfig,
     ) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         let root = Url::parse(root_url)
             .map_err(|error| ConfigError::InvalidRoot { url: root_url.to_owned(), error })?;
         let root_text = root.as_string();
@@ -718,8 +580,8 @@ impl<'a> CrawlSession<'a> {
     }
 
     /// Pumps the crawl once: refill the in-flight window (cascade work
-    /// first, then fresh selections — the root and admitted seeds count as
-    /// selections), then drain and process the next batch of completions.
+    /// first, then fresh selections — the root counts as a selection),
+    /// then drain and process the next batch of completions.
     /// With `max_in_flight = 1` one submission completes per pump, which
     /// reproduces the sequential engine's operation order exactly. On an
     /// already-finished (or just-finishing) session this is a no-op that
@@ -763,7 +625,7 @@ impl<'a> CrawlSession<'a> {
     /// change detection compares the refetched body against it.
     ///
     /// A session that already finished for a benign reason (frontier
-    /// exhausted, max steps) is *reopened*: continuous serving re-admits
+    /// exhausted, early stop) is *reopened*: continuous serving re-admits
     /// work into a drained crawl. It finishes again — emitting a second
     /// `SessionFinished` — once the refresh queue and frontier drain; a
     /// budget-exhausted session re-finishes immediately and the queued
@@ -845,7 +707,7 @@ impl<'a> CrawlSession<'a> {
 
     /// Fills the transport window: pending cascade work first (Algorithm
     /// 4's FIFO), then — once the cascade is drained — the next selection
-    /// source: root fetch, admitted seeds, strategy picks. Mirrors the
+    /// source: root fetch, then strategy picks. Mirrors the
     /// sequential engine's check order exactly: the stop checks run before
     /// every selection pull, while cascade submissions re-check only
     /// budget/OOM (as the cascade loop did).
@@ -884,7 +746,7 @@ impl<'a> CrawlSession<'a> {
                 self.fetch_robots();
                 let root = self.root.clone();
                 let root_id = self.intern_at_depth(&root, 0);
-                self.phase = Phase::Seeds(0);
+                self.phase = Phase::Steady;
                 self.steps += 1;
                 if !(self.budget_exhausted() || self.aborted_oom) {
                     self.submit(Job::fresh(root_id, 0, None));
@@ -894,12 +756,9 @@ impl<'a> CrawlSession<'a> {
             }
             if self.budget_exhausted() || self.aborted_oom {
                 // Mid-cascade exhaustion drops the remaining queue, exactly
-                // as the sequential cascade loop did; remaining seeds are
-                // moot. The stop reason fires once the pipeline drains.
+                // as the sequential cascade loop did. The stop reason fires
+                // once the pipeline drains.
                 self.pending.clear();
-                if let Phase::Seeds(_) = self.phase {
-                    self.phase = Phase::Steady;
-                }
                 if self.transport.in_flight() == 0 {
                     if let Some(reason) = self.stop_check() {
                         self.finish_with(reason);
@@ -949,25 +808,8 @@ impl<'a> CrawlSession<'a> {
                 }
                 continue;
             }
-            match self.phase {
-                Phase::Root => unreachable!("handled above"),
-                Phase::Seeds(from) => match self.next_admissible_seed(from) {
-                    Some((next_from, id)) => {
-                        self.phase = Phase::Seeds(next_from);
-                        self.steps += 1;
-                        self.submit(Job::fresh(id, 1, None));
-                        dispatched += 1;
-                    }
-                    None => {
-                        self.phase = Phase::Steady;
-                    }
-                },
-                Phase::Steady => {
-                    if !self.pull_selections() {
-                        return dispatched;
-                    }
-                }
-                Phase::Done(_) => return dispatched,
+            if !self.pull_selections() {
+                return dispatched;
             }
         }
     }
@@ -990,13 +832,9 @@ impl<'a> CrawlSession<'a> {
         self.robots = Some(robots);
     }
 
-    /// Link/seed/redirect admission (beyond the structural checks): the
-    /// caller's [`CrawlConfig::url_filter`] AND the session's own robots
-    /// rules must both admit the URL.
+    /// Link/redirect admission beyond the structural checks: the session's
+    /// robots rules, when [`CrawlConfig::robots_agent`] fetched any.
     fn admits(&self, url: &Url) -> bool {
-        if self.cfg.url_filter.as_ref().is_some_and(|f| !f(url)) {
-            return false;
-        }
         match (&self.robots, &self.cfg.robots_agent) {
             // Rules match the path *and* query (`Disallow: /*?month=`).
             (Some(robots), Some(agent)) if url.query.is_empty() => robots.allows(agent, &url.path),
@@ -1137,7 +975,7 @@ impl<'a> CrawlSession<'a> {
     }
 
     /// The ordered stop checks of the outer loop. Order matters for replay
-    /// fidelity: budget, OOM, `max_steps`, then the early-stop observation
+    /// fidelity: budget, OOM, then the early-stop observation
     /// (which mutates the detector and must not run when an earlier check
     /// already fired).
     fn stop_check(&mut self) -> Option<FinishReason> {
@@ -1155,11 +993,6 @@ impl<'a> CrawlSession<'a> {
         }
         if self.aborted_oom {
             return Some(FinishReason::ActionSpaceOverflow);
-        }
-        if let Some(max) = self.cfg.max_steps {
-            if self.t >= max {
-                return Some(FinishReason::MaxSteps);
-            }
         }
         if let Some(es) = &mut self.early {
             if es.observe(self.t, self.targets.len() as f64) {
@@ -1296,28 +1129,6 @@ impl<'a> CrawlSession<'a> {
             }
             Budget::Unlimited => false,
         }
-    }
-
-    /// Finds the next seed URL that passes the admission checks (parseable,
-    /// on-site, filter-admitted, unseen), interning it. Returns the index
-    /// to resume from plus the interned id.
-    fn next_admissible_seed(&mut self, from: usize) -> Option<(usize, UrlId)> {
-        let cfg = self.cfg;
-        for (offset, seed) in cfg.seed_urls[from.min(cfg.seed_urls.len())..].iter().enumerate() {
-            let Ok(url) = Url::parse(seed) else { continue };
-            if !url.same_site_as(&self.root) {
-                continue;
-            }
-            if !self.admits(&url) {
-                continue;
-            }
-            if self.visited.get(&url).is_some() {
-                continue;
-            }
-            let id = self.intern_at_depth(&url, 1);
-            return Some((from + offset + 1, id));
-        }
-        None
     }
 
     /// Interns `url`, recording `depth` if it is new. Existing ids keep
@@ -1582,7 +1393,7 @@ impl<'a> CrawlSession<'a> {
             if self.cfg.policy.has_blocked_extension(&resolved) {
                 continue;
             }
-            // URL admission filter (robots.txt etc.): dropped unrequested.
+            // robots.txt admission: dropped unrequested.
             if !self.admits(&resolved) {
                 continue;
             }
@@ -1639,8 +1450,8 @@ impl<'a> CrawlSession<'a> {
 /// Crawls `root_url` on `server` driving `strategy` to completion — the
 /// one-shot convenience over [`CrawlSession`].
 ///
-/// Panics on an unparseable root; callers that want the error instead use
-/// [`CrawlSession::new`].
+/// Panics on an invalid config or root; callers that want the
+/// [`ConfigError`] instead use [`CrawlSession::new`].
 pub fn crawl(
     server: &dyn HttpServer,
     oracle: Option<&dyn Oracle>,
@@ -1649,7 +1460,7 @@ pub fn crawl(
     cfg: &CrawlConfig,
 ) -> CrawlOutcome {
     CrawlSession::new(server, oracle, root_url, strategy, cfg)
-        .expect("crawl root must be an absolute http(s) URL")
+        .unwrap_or_else(|e| panic!("invalid crawl: {e}"))
         .run()
 }
 

@@ -89,26 +89,13 @@ impl AnyPolicy {
 }
 
 /// Configuration of the SB crawlers.
+#[derive(Default)]
 pub struct SbConfig {
-    /// Exploration coefficient α (default 2√2) — used by the default AUER
-    /// policy; ignored when `bandit` overrides the policy family.
-    pub alpha: f64,
     /// Tag-path clustering parameters (n, θ, m, w, Π).
     pub actions: ActionSpaceConfig,
-    /// Bandit policy family; `None` = AUER with `alpha` (the paper).
-    pub bandit: Option<BanditChoice>,
-}
-
-impl SbConfig {
-    fn policy(&self) -> AnyPolicy {
-        AnyPolicy::new(self.bandit.unwrap_or(BanditChoice::Auer { alpha: self.alpha }))
-    }
-}
-
-impl Default for SbConfig {
-    fn default() -> Self {
-        SbConfig { alpha: ALPHA_DEFAULT, actions: ActionSpaceConfig::default(), bandit: None }
-    }
+    /// Bandit policy and its parameter (default: the paper's AUER with
+    /// exploration coefficient α = 2√2).
+    pub bandit: BanditChoice,
 }
 
 /// The sleeping-bandit strategy.
@@ -148,7 +135,7 @@ impl SbStrategy {
             arms: Vec::new(),
             pools: Vec::new(),
             frontier_total: 0,
-            policy: cfg.policy(),
+            policy: AnyPolicy::new(cfg.bandit),
             t: 0,
             views: Vec::new(),
             link_ctx: track_ctx.then(FxHashMap::default),
@@ -164,7 +151,7 @@ impl SbStrategy {
             arms: Vec::new(),
             pools: Vec::new(),
             frontier_total: 0,
-            policy: cfg.policy(),
+            policy: AnyPolicy::new(cfg.bandit),
             t: 0,
             views: Vec::new(),
             link_ctx: None,

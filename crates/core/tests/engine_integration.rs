@@ -9,7 +9,7 @@ use sb_crawler::strategies::{
 use sb_crawler::strategy::Strategy;
 use sb_crawler::EarlyStopConfig;
 use sb_httpsim::SiteServer;
-use sb_webgraph::gen::{build_site, SiteSpec};
+use sb_webgraph::gen::{build_site, SiteSource, SiteSpec};
 use sb_webgraph::Website;
 
 fn demo_site(n: usize, seed: u64) -> Website {

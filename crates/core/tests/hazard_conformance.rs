@@ -13,7 +13,7 @@
 //!   a trap, a redirect loop or a retry storm;
 //! * **budget honesty** — `requests ≤ budget + window·(1 + retries)`: a
 //!   pipelined window may finish work already in flight (one attempt per
-//!   retried request, as documented on `with_retries`), never more;
+//!   retried request, as documented on `with_retry_policy`), never more;
 //! * **bounded waste** — requests spent inside the hazard subspace (the
 //!   `HazardReport` ground truth) stay under the profile's waste ceiling;
 //! * **clean-subset parity at window 1** — an exhaustive hazard-free run

@@ -12,7 +12,7 @@ use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};
 use sb_crawler::EventLog;
 use sb_httpsim::transport::{PipelinedTransport, Transport};
-use sb_httpsim::{FlakyServer, Politeness, SiteServer};
+use sb_httpsim::{FlakyServer, Politeness, RetryPolicy, SiteServer};
 use sb_webgraph::gen::{build_site, SiteSpec};
 use sb_webgraph::{UrlId, Website};
 use rand::rngs::StdRng;
@@ -190,7 +190,7 @@ fn flaky_retry_through_the_pipeline_recovers_targets() {
         let transport: Box<dyn Transport + '_> = Box::new(
             PipelinedTransport::new(&flaky, cfg.policy.clone(), cfg.politeness)
                 .with_window(cfg.max_in_flight)
-                .with_retries(retries),
+                .with_retry_policy(RetryPolicy::retries(retries)),
         );
         let mut bfs = QueueStrategy::bfs();
         let out = CrawlSession::with_transport(transport, None, &root, &mut bfs, &cfg)

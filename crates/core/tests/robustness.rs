@@ -126,7 +126,7 @@ fn deterministic_under_identical_failure_seeds() {
 
 /// PR 6: setting `robots_agent` makes the session fetch `/robots.txt` on
 /// its own, route every admission decision through the parsed rules, and
-/// feed `Crawl-delay` into the transport gate — no manual `url_filter` or
+/// feed `Crawl-delay` into the transport gate — no manual admission or
 /// `Politeness` plumbing. The enforcing server proves compliance: a leaked
 /// request to a disallowed URL would cost a 403 there but not on the soft
 /// server, so identical traffic on both means no excluded URL was fetched.
@@ -303,66 +303,6 @@ fn non_finite_crawl_delay_is_ignored() {
     let poisoned = elapsed_under("User-agent: *\nCrawl-delay: inf\n");
     assert!(poisoned.is_finite(), "Crawl-delay: inf reached the gate: {poisoned}");
     assert!((poisoned - plain).abs() < 1.0, "{plain} s without the line, {poisoned} s with it");
-}
-
-// ---------------------------------------------------------------------
-// Seed URLs
-// ---------------------------------------------------------------------
-
-#[test]
-fn seed_urls_front_load_targets() {
-    let site = build_site(&SiteSpec::demo(500), 23);
-    let root = site.page(site.root()).url.clone();
-    let target_urls: Vec<String> =
-        site.target_ids().iter().map(|&id| site.page(id).url.clone()).collect();
-    let n_listed = 40.min(target_urls.len());
-    let listed: Vec<String> = target_urls[..n_listed].to_vec();
-    let server = SiteServer::new(site);
-
-    // Cooperative crawl: the caller knows 40 target URLs up front (a
-    // sitemap's worth) and seeds the engine with them.
-    let mut bfs = QueueStrategy::bfs();
-    let cfg = CrawlConfig {
-        budget: Budget::Requests(n_listed as u64 + 5),
-        seed_urls: listed,
-        ..Default::default()
-    };
-    let outcome = crawl(&server, None, &root, &mut bfs, &cfg);
-    // Root + seeds fit in the budget: nearly every request lands a target.
-    assert!(
-        outcome.targets_found() >= n_listed as u64 - 2,
-        "seeding should land ~{n_listed} targets, got {}",
-        outcome.targets_found()
-    );
-
-    // The uncooperative baseline finds far fewer in the same budget.
-    let mut bfs2 = QueueStrategy::bfs();
-    let cfg2 = CrawlConfig { budget: Budget::Requests(n_listed as u64 + 5), ..Default::default() };
-    let blind = crawl(&server, None, &root, &mut bfs2, &cfg2);
-    assert!(blind.targets_found() < outcome.targets_found());
-}
-
-#[test]
-fn seed_urls_respect_site_boundary_filter_and_dedup() {
-    let site = build_site(&SiteSpec::demo(200), 23);
-    let root = site.page(site.root()).url.clone();
-    let a_target = site.target_ids().first().map(|&id| site.page(id).url.clone()).unwrap();
-    let server = SiteServer::new(site);
-    let mut bfs = QueueStrategy::bfs();
-    let cfg = CrawlConfig {
-        budget: Budget::Requests(50),
-        // Off-site, duplicate-of-root, filter-rejected: all skipped for free.
-        seed_urls: vec![
-            "https://elsewhere.example/x.csv".to_owned(),
-            root.clone(),
-            a_target,
-        ],
-        url_filter: Some(Box::new(|_: &Url| false)),
-        ..Default::default()
-    };
-    let outcome = crawl(&server, None, &root, &mut bfs, &cfg);
-    // Only the root fetch happened: every seed was rejected unrequested.
-    assert_eq!(outcome.pages_crawled, 1);
 }
 
 // ---------------------------------------------------------------------

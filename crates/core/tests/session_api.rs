@@ -1,24 +1,29 @@
-//! The session API contract: validated construction, step-driven
-//! execution equivalent to `run()`, typed event streams in order, and the
-//! one-feedback-per-selection invariant — including the abandoned
-//! selections (dead redirects, errors) that the pre-session engine left as
-//! silent bandit pulls. The last section pins the refresh path
+//! The session API contract: every config validated where its session is
+//! built (standalone, over a caller's transport, or as a fleet job),
+//! step-driven execution equivalent to `run()`, typed event streams in
+//! order, and the one-feedback-per-selection invariant — including the
+//! abandoned selections (dead redirects, errors) that the pre-session
+//! engine left as silent bandit pulls. The last section pins the refresh path
 //! (`queue_refresh` / `take_refreshed` / `serve_feed`) at the session
 //! level, where `sb_serve::serve_site` drives it.
 
 use sb_crawler::{
-    crawl, Budget, ConfigError, CrawlConfig, CrawlSession, RefreshStats, RefreshedPage,
+    crawl, Budget, ConfigError, CrawlConfig, CrawlSession, Fleet, FleetJob, FleetMode,
+    RefreshStats, RefreshedPage, SharedServer,
 };
 use sb_crawler::events::{AbandonReason, FinishReason, OwnedEvent, TraceObserver};
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};
 use sb_crawler::EventLog;
 use sb_httpsim::response::error_response;
-use sb_httpsim::{Headers, HeadResponse, HttpServer, Politeness, Response, SiteServer};
+use sb_httpsim::{
+    Headers, HeadResponse, HttpServer, PipelinedTransport, Politeness, Response, SiteServer,
+};
 use sb_webgraph::gen::{build_site, SiteSpec};
 use sb_webgraph::{UrlClass, UrlId, Website};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -270,56 +275,92 @@ fn unparseable_text_selection_feeds_back_even_on_2xx() {
 }
 
 // ---------------------------------------------------------------------
-// Builder validation.
+// Validation: however a config was written, its session checks it.
 // ---------------------------------------------------------------------
 
-#[test]
-fn builder_rejects_zero_budget() {
-    assert_eq!(
-        CrawlConfig::builder().budget(Budget::Requests(0)).build().err(),
-        Some(ConfigError::ZeroBudget)
-    );
-    assert_eq!(
-        CrawlConfig::builder().budget(Budget::VolumeBytes(0)).build().err(),
-        Some(ConfigError::ZeroBudget)
-    );
+/// [`TrickServer`] that counts every request reaching it.
+#[derive(Default)]
+struct CountingServer(AtomicU64);
+
+impl HttpServer for CountingServer {
+    fn head(&self, url: &str) -> HeadResponse {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        TrickServer.respond(url).head()
+    }
+
+    fn get(&self, url: &str) -> Response {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        TrickServer.respond(url)
+    }
+}
+
+/// Struct-literal configs no session can run with, and what rejects each.
+fn invalid_configs() -> Vec<(CrawlConfig, ConfigError)> {
+    let budget = |budget| CrawlConfig { budget, ..Default::default() };
+    let politeness = |delay_secs, bytes_per_sec| CrawlConfig {
+        politeness: Politeness { delay_secs, bytes_per_sec },
+        ..Default::default()
+    };
+    vec![
+        (budget(Budget::Requests(0)), ConfigError::ZeroBudget),
+        (budget(Budget::VolumeBytes(0)), ConfigError::ZeroBudget),
+        (politeness(-1.0, 1e6), ConfigError::InvalidPoliteness),
+        (politeness(f64::NAN, 1e6), ConfigError::InvalidPoliteness),
+        (politeness(f64::INFINITY, 1e6), ConfigError::InvalidPoliteness),
+        (politeness(1.0, 0.0), ConfigError::InvalidPoliteness),
+        (politeness(1.0, f64::NAN), ConfigError::InvalidPoliteness),
+        (politeness(1.0, f64::INFINITY), ConfigError::InvalidPoliteness),
+        (CrawlConfig { max_in_flight: 0, ..Default::default() }, ConfigError::ZeroMaxInFlight),
+    ]
 }
 
 #[test]
-fn builder_rejects_zero_max_steps_and_bad_politeness() {
-    assert_eq!(
-        CrawlConfig::builder().max_steps(0).build().err(),
-        Some(ConfigError::ZeroMaxSteps)
-    );
-    let bad = Politeness { delay_secs: -1.0, bytes_per_sec: 1e6 };
-    assert_eq!(
-        CrawlConfig::builder().politeness(bad).build().err(),
-        Some(ConfigError::InvalidPoliteness)
-    );
-    let nan = Politeness { delay_secs: f64::NAN, bytes_per_sec: 1e6 };
-    assert_eq!(
-        CrawlConfig::builder().politeness(nan).build().err(),
-        Some(ConfigError::InvalidPoliteness)
-    );
-    let zero_bw = Politeness { delay_secs: 1.0, bytes_per_sec: 0.0 };
-    assert_eq!(
-        CrawlConfig::builder().politeness(zero_bw).build().err(),
-        Some(ConfigError::InvalidPoliteness)
-    );
-}
+fn every_way_of_building_a_session_rejects_an_invalid_config() {
+    let server = CountingServer::default();
+    for (cfg, want) in invalid_configs() {
+        let mut bfs = QueueStrategy::bfs();
+        let err = CrawlSession::new(&server, None, TRICK_ROOT, &mut bfs, &cfg).err();
+        assert_eq!(err.as_ref(), Some(&want), "new, {:?}", cfg.politeness);
+        // A caller-built transport with valid settings of its own: the
+        // config is still checked.
+        let transport = Box::new(PipelinedTransport::new(
+            &server,
+            cfg.policy.clone(),
+            Politeness::default(),
+        ));
+        let err = CrawlSession::with_transport(transport, None, TRICK_ROOT, &mut bfs, &cfg).err();
+        assert_eq!(err.as_ref(), Some(&want), "with_transport, {:?}", cfg.politeness);
+    }
+    assert_eq!(server.0.load(Ordering::Relaxed), 0, "no request reached the server");
 
-#[test]
-fn builder_rejects_unparseable_seed_urls() {
-    let err = CrawlConfig::builder().seed_url("not a url").build().err();
-    assert!(
-        matches!(err, Some(ConfigError::InvalidSeedUrl { ref url, .. }) if url == "not a url"),
-        "got {err:?}"
-    );
-    // A valid seed list passes.
-    assert!(CrawlConfig::builder()
-        .seed_urls(vec!["https://t.example/a".to_owned(), "https://t.example/b".to_owned()])
-        .build()
-        .is_ok());
+    // A fleet job reports its error in its `SiteReport`; its siblings crawl.
+    let site = Arc::new(build_site(&SiteSpec::demo(120), 5));
+    let root = site_root(&site);
+    let modes = [
+        FleetMode::PerSite,
+        FleetMode::SharedPool { max_in_flight: 4 },
+        FleetMode::Sharded { shards: 2, max_in_flight: 2 },
+    ];
+    for mode in modes {
+        for (bad, want) in invalid_configs() {
+            let mut fleet = Fleet::new(2).mode(mode);
+            let cfgs = [CrawlConfig::default(), bad, CrawlConfig::default()];
+            for (i, cfg) in cfgs.into_iter().enumerate() {
+                let server: SharedServer = Arc::new(SiteServer::shared(Arc::clone(&site)));
+                let job = FleetJob::new(format!("s{i}"), server, root.clone(), || {
+                    Box::new(QueueStrategy::bfs())
+                });
+                fleet.push(job.config(cfg));
+            }
+            let out = fleet.run();
+            assert_eq!(out.sites[1].outcome.as_ref().err(), Some(&want), "{mode:?}");
+            for sibling in [&out.sites[0], &out.sites[2]] {
+                let o = sibling.expect_outcome();
+                assert_eq!(o.finish_reason, FinishReason::FrontierExhausted, "{mode:?}");
+                assert!(o.targets_found() > 0, "{mode:?}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -333,68 +374,6 @@ fn session_rejects_unparseable_root_without_panicking() {
         "got {err:?}"
     );
     // No request was spent probing it.
-}
-
-// ---------------------------------------------------------------------
-// seed_urls × url_filter / site boundary.
-// ---------------------------------------------------------------------
-
-#[test]
-fn admitted_seed_is_fetched_filtered_and_offsite_seeds_cost_nothing() {
-    let site = build_site(&SiteSpec::demo(200), 23);
-    let root = site.page(site.root()).url.clone();
-    let a_target = site.target_ids().first().map(|&id| site.page(id).url.clone()).unwrap();
-    let server = SiteServer::new(site);
-
-    // Filter that rejects exactly the target's path.
-    let target_path = sb_webgraph::url::Url::parse(&a_target).unwrap().path;
-    let rejected = target_path.clone();
-    let cfg = CrawlConfig {
-        budget: Budget::Requests(3),
-        seed_urls: vec![
-            "https://elsewhere.example/x.csv".to_owned(), // off-site: free skip
-            a_target.clone(),                             // filter-rejected: free skip
-        ],
-        url_filter: Some(Box::new(move |u: &sb_webgraph::url::Url| u.path != rejected)),
-        ..Default::default()
-    };
-    let mut bfs = QueueStrategy::bfs();
-    let out = crawl(&server, None, &root, &mut bfs, &cfg);
-    // The filtered seed was never requested.
-    assert!(out.targets.iter().all(|t| t.url != a_target));
-
-    // Without the filter, the same target seed is fetched right after the
-    // root, at seed depth.
-    let site2 = build_site(&SiteSpec::demo(200), 23);
-    let server2 = SiteServer::new(site2);
-    let cfg2 = CrawlConfig {
-        budget: Budget::Requests(3),
-        seed_urls: vec![a_target.clone()],
-        ..Default::default()
-    };
-    let mut bfs2 = QueueStrategy::bfs();
-    let out2 = crawl(&server2, None, &root, &mut bfs2, &cfg2);
-    assert!(out2.targets_found() >= 1);
-    assert_eq!(out2.targets[0].url, a_target, "seed fetched right after the root");
-}
-
-#[test]
-fn plain_config_still_skips_unparseable_seeds() {
-    // Compat: the unvalidated struct-literal path tolerates junk seeds by
-    // skipping them for free (the builder is where rejection happens).
-    let site = build_site(&SiteSpec::demo(200), 23);
-    let root = site.page(site.root()).url.clone();
-    let run_with_seeds = |seeds: Vec<String>| {
-        let server = SiteServer::new(site.clone());
-        let cfg =
-            CrawlConfig { budget: Budget::Requests(30), seed_urls: seeds, ..Default::default() };
-        let mut bfs = QueueStrategy::bfs();
-        let out = crawl(&server, None, &root, &mut bfs, &cfg);
-        (out.pages_crawled, out.targets_found(), out.traffic.requests())
-    };
-    let clean = run_with_seeds(Vec::new());
-    let junk = run_with_seeds(vec!["::junk::".to_owned()]);
-    assert_eq!(clean, junk, "a junk seed must be skipped for free");
 }
 
 // ---------------------------------------------------------------------

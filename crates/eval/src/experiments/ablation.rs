@@ -42,7 +42,7 @@ pub fn run(cfg: &EvalConfig) -> String {
         let site = build_site_for(cfg, code);
         let site_ref = reference(cfg, code);
         for (label, choice) in bandit_variants() {
-            let tuning = SbTuning { bandit: Some(choice), ..SbTuning::default() };
+            let tuning = SbTuning { bandit: choice, ..SbTuning::default() };
             let seeds: Vec<u64> = (0..cfg.seeds.max(2)).collect();
             let metrics = par_map(&seeds, cfg.jobs, |&seed| {
                 let opts = RunOpts { scale: cfg.scale, sb: tuning.clone(), ..Default::default() };

@@ -48,11 +48,11 @@ pub fn run(cfg: &EvalConfig) -> String {
             let site = build_site_for(cfg, p.code);
             let root = site.page(site.root()).url.clone();
             let server: SharedServer = Arc::new(SiteServer::shared(Arc::clone(&site)));
-            let crawl_cfg = CrawlConfig::builder()
-                .early_stop(scaled_early_stop(cfg.scale))
-                .rng_seed(cfg.site_seed(p.code))
-                .build()
-                .expect("fleet experiment config is valid");
+            let crawl_cfg = CrawlConfig {
+                early_stop: Some(scaled_early_stop(cfg.scale)),
+                seed: cfg.site_seed(p.code),
+                ..Default::default()
+            };
             fleet.push(
                 FleetJob::new(p.code, server, root, || {
                     Box::new(SbStrategy::classifier_default())

@@ -42,14 +42,14 @@ pub fn run(cfg: &EvalConfig) -> String {
     let rows: Vec<Row> = crate::runner::par_map(&WINDOWS, cfg.jobs, |&window| {
         let server = SiteServer::shared(Arc::clone(&site));
         let mut bfs = QueueStrategy::bfs();
-        let crawl_cfg = CrawlConfig::builder()
-            .politeness(latency_politeness())
-            .max_in_flight(window)
-            .rng_seed(7)
-            .build()
-            .expect("pipeline experiment config is valid");
+        let crawl_cfg = CrawlConfig {
+            politeness: latency_politeness(),
+            max_in_flight: window,
+            seed: 7,
+            ..Default::default()
+        };
         let out = CrawlSession::new(&server, None, &root, &mut bfs, &crawl_cfg)
-            .expect("generated roots are valid")
+            .expect("pipeline experiment config and generated roots are valid")
             .run();
         Row {
             window,

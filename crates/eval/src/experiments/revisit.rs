@@ -224,17 +224,17 @@ pub fn recrawl(
 ) -> RecrawlOutcome {
     let server = EvolvingServer::new(site);
     let base = site.snapshot(0);
-    let crawl_cfg = CrawlConfig::builder()
-        .politeness(cfg.politeness)
-        .mime_policy(cfg.mime.clone())
-        .serve_feed(true)
-        .build()
-        .expect("recrawl crawl config is valid by construction");
+    let crawl_cfg = CrawlConfig {
+        politeness: cfg.politeness,
+        policy: cfg.mime.clone(),
+        serve_feed: true,
+        ..Default::default()
+    };
     let in_paths = InPaths::default();
     let mut strategy = InLinkBfs(QueueStrategy::bfs(), &in_paths);
     let root_url = &base.page(base.root()).url;
     let mut session = CrawlSession::new(&server, None, root_url, &mut strategy, &crawl_cfg)
-        .expect("generated root URL is absolute");
+        .expect("recrawl config and generated root URL are valid");
 
     // The initial acquisition *is* the standard crawl, run to completion.
     while !session.is_finished() {

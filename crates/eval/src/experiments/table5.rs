@@ -10,6 +10,7 @@ use crate::tables::{fmt_pct, markdown, write_csv, write_text};
 use sb_crawler::strategies::SbStrategy;
 use sb_ml::{Class2, Class3, Confusion, FeatureSet, ModelKind};
 use sb_webgraph::gen::profiles::fully_crawled_codes;
+use sb_webgraph::gen::SiteSource;
 use sb_webgraph::UrlClass;
 
 /// The eight studied variants, in Table 5 row order.

@@ -12,7 +12,6 @@ pub struct RunOpts {
     pub budget: Budget,
     pub early_stop: Option<EarlyStopConfig>,
     pub keep_bodies: bool,
-    pub max_steps: Option<u64>,
     /// Scale, for phase sizing (TP-OFF) — not site sizing.
     pub scale: f64,
     pub sb: SbTuning,
@@ -28,7 +27,6 @@ impl Default for RunOpts {
             budget: Budget::Unlimited,
             early_stop: None,
             keep_bodies: false,
-            max_steps: None,
             scale: 0.01,
             sb: SbTuning::default(),
             max_in_flight: 1,

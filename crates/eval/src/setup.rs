@@ -4,8 +4,8 @@
 use parking_lot::Mutex;
 use sb_crawler::{CrawlConfig, CrawlOutcome, CrawlSession};
 use sb_crawler::strategies::{
-    FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
-    TresStrategy,
+    BanditChoice, FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy,
+    TpOffStrategy, TresStrategy,
 };
 use sb_crawler::strategy::Strategy;
 use sb_crawler::ActionSpaceConfig;
@@ -134,28 +134,26 @@ impl CrawlerKind {
 /// SB tuning knobs for the hyper-parameter studies.
 #[derive(Debug, Clone)]
 pub struct SbTuning {
-    pub alpha: f64,
     pub theta: f32,
     pub ngram: usize,
     pub model: ModelKind,
     pub features: FeatureSet,
     pub batch: usize,
     pub max_actions: Option<usize>,
-    /// Bandit policy family override (`None` = the paper's AUER).
-    pub bandit: Option<sb_crawler::strategies::BanditChoice>,
+    /// Bandit policy and its parameter (default: the paper's AUER, α = 2√2).
+    pub bandit: BanditChoice,
 }
 
 impl Default for SbTuning {
     fn default() -> Self {
         SbTuning {
-            alpha: sb_bandit::ALPHA_DEFAULT,
             theta: 0.75,
             ngram: 2,
             model: ModelKind::LogisticRegression,
             features: FeatureSet::UrlOnly,
             batch: 10,
             max_actions: None,
-            bandit: None,
+            bandit: BanditChoice::default(),
         }
     }
 }
@@ -163,7 +161,6 @@ impl Default for SbTuning {
 impl SbTuning {
     pub fn sb_config(&self) -> SbConfig {
         SbConfig {
-            alpha: self.alpha,
             actions: ActionSpaceConfig {
                 ngram: self.ngram,
                 theta: self.theta,
@@ -295,20 +292,16 @@ pub fn run_with_strategy(
 ) -> CrawlOutcome {
     let server = SiteServer::shared(site.clone());
     let root = site.page(site.root()).url.clone();
-    let mut builder = CrawlConfig::builder()
-        .budget(opts.budget)
-        .rng_seed(seed)
-        .max_in_flight(opts.max_in_flight)
-        .keep_target_bodies(opts.keep_bodies);
-    if let Some(es) = opts.early_stop {
-        builder = builder.early_stop(es);
-    }
-    if let Some(max) = opts.max_steps {
-        builder = builder.max_steps(max);
-    }
-    let cfg = builder.build().expect("harness run options are valid");
+    let cfg = CrawlConfig {
+        budget: opts.budget,
+        seed,
+        max_in_flight: opts.max_in_flight,
+        keep_target_bodies: opts.keep_bodies,
+        early_stop: opts.early_stop,
+        ..Default::default()
+    };
     let oracle: Option<&dyn sb_crawler::Oracle> = needs_oracle.then_some(site.as_ref() as _);
     CrawlSession::new(&server, oracle, &root, strategy, &cfg)
-        .expect("generated site roots are valid")
+        .expect("harness run options and generated site roots are valid")
         .run()
 }

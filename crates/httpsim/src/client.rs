@@ -182,7 +182,7 @@ impl<'a, S: HttpServer + ?Sized> Client<'a, S> {
 mod tests {
     use super::*;
     use crate::server::SiteServer;
-    use sb_webgraph::gen::{build_site, PageKind, SiteSpec};
+    use sb_webgraph::gen::{build_site, PageKind, SiteSource, SiteSpec};
 
     fn server() -> SiteServer {
         SiteServer::new(build_site(&SiteSpec::demo(200), 5))

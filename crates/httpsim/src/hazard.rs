@@ -160,15 +160,15 @@ impl HazardPolicy {
 
 /// Retry/backoff/circuit-breaker policy for hazard-aware dispatch.
 ///
-/// `RetryPolicy::retries(n)` (zero backoff, no breaker) reproduces the
-/// legacy `with_retries(n)` contract exactly: a 5xx answer re-enters the
-/// gate at its own arrival instant, every attempt is charged.
+/// `RetryPolicy::retries(n)` (zero backoff, no breaker) is the plain retry
+/// knob: a 5xx answer re-enters the gate at its own arrival instant, every
+/// attempt is charged.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Extra attempts after the first (0 = deliver failures as-is).
     pub max_retries: u32,
-    /// First backoff step (seconds); doubles per extra attempt. 0 keeps
-    /// the legacy retry-at-arrival behaviour.
+    /// First backoff step (seconds); doubles per extra attempt. 0 retries
+    /// at the failed attempt's arrival instant.
     pub base_backoff_secs: f64,
     /// Cap on the exponential backoff.
     pub max_backoff_secs: f64,
@@ -190,7 +190,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The legacy policy: `n` zero-backoff retries, no breaker.
+    /// The plain policy: `n` zero-backoff retries, no breaker.
     pub fn retries(n: u32) -> Self {
         RetryPolicy {
             max_retries: n,

@@ -268,18 +268,13 @@ impl<'a> PoolHandle<'a> {
         self
     }
 
-    /// Re-dispatches 5xx answers up to `retries` extra attempts through
-    /// the gate. Every attempt is charged at delivery, so a
-    /// `Budget::Requests` session over a retrying transport may finish up
-    /// to one attempt per retried in-flight request past its budget (the
-    /// check sees one request per submission; the sequential engine has
-    /// the same one-request check-to-charge gap).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.state.retry.max_retries = retries;
-        self
-    }
-
-    /// Installs a full [`RetryPolicy`] (backoff, jitter, circuit breaker).
+    /// Installs a [`RetryPolicy`]: 5xx answers re-dispatch through the
+    /// gate up to `max_retries` extra attempts (with backoff, jitter and
+    /// circuit breaker as configured). Every attempt is charged at
+    /// delivery, so a `Budget::Requests` session over a retrying transport
+    /// may finish up to one attempt per retried in-flight request past its
+    /// budget (the check sees one request per submission; the sequential
+    /// engine has the same one-request check-to-charge gap).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.state.retry = retry;
         self

@@ -47,8 +47,9 @@
 //!
 //! ## Retries
 //!
-//! [`PoolHandle::with_retries`] re-dispatches 5xx answers through
-//! the gate up to `n` extra attempts before delivering the final answer;
+//! [`PoolHandle::with_retry_policy`] with [`crate::hazard::RetryPolicy::retries`]`(n)`
+//! re-dispatches 5xx answers through the gate up to `n` extra attempts
+//! before delivering the final answer;
 //! every attempt is charged (requests and wire bytes). Off by default so
 //! the window-1 replay stays byte-identical; with a recoverable
 //! [`crate::FlakyServer`] upstream, one retry turns transient 503 bursts
@@ -382,7 +383,7 @@ mod tests {
             Politeness { delay_secs: 0.1, bytes_per_sec: 1e6 },
         )
         .with_window(4)
-        .with_retries(1);
+        .with_retry_policy(crate::hazard::RetryPolicy::retries(1));
         let mut out = Vec::new();
         let mut failures = 0;
         let mut delivered = 0u64;

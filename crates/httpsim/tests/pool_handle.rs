@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use sb_httpsim::transport::{Request, Transport};
 use sb_httpsim::{
     FlakyServer, HazardPolicy, HttpServer, PipelinedTransport, Politeness, PoolHandle, RateLimit,
-    SharedTransportPool, SiteServer,
+    RetryPolicy, SharedTransportPool, SiteServer,
 };
 use sb_webgraph::gen::{build_site, SiteSpec};
 use sb_webgraph::mime::MimePolicy;
@@ -46,7 +46,10 @@ proptest! {
         let pool = SharedTransportPool::new(WINDOW);
         let mut handles: Vec<PoolHandle<'_>> = origins
             .iter()
-            .map(|s| pool.handle(*s, MimePolicy::default(), Politeness::default()).with_retries(1))
+            .map(|s| {
+                pool.handle(*s, MimePolicy::default(), Politeness::default())
+                    .with_retry_policy(RetryPolicy::retries(1))
+            })
             .collect();
         let mut out = Vec::new();
 

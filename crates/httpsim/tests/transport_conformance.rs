@@ -39,8 +39,8 @@
 use sb_httpsim::client::Client;
 use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{
-    Fetched, FlakyServer, HttpServer, PipelinedTransport, Politeness, SharedTransportPool,
-    SiteServer,
+    Fetched, FlakyServer, HttpServer, PipelinedTransport, Politeness, RetryPolicy,
+    SharedTransportPool, SiteServer,
 };
 use sb_webgraph::gen::{build_site, SiteSpec};
 use sb_webgraph::mime::MimePolicy;
@@ -62,7 +62,11 @@ fn build_pipelined<'a>(
     window: usize,
     retries: u32,
 ) -> Box<dyn Transport + 'a> {
-    Box::new(PipelinedTransport::new(server, policy, politeness).with_window(window).with_retries(retries))
+    Box::new(
+        PipelinedTransport::new(server, policy, politeness)
+            .with_window(window)
+            .with_retry_policy(RetryPolicy::retries(retries)),
+    )
 }
 
 fn build_pool_handle<'a>(
@@ -73,7 +77,9 @@ fn build_pool_handle<'a>(
     retries: u32,
 ) -> Box<dyn Transport + 'a> {
     let pool = SharedTransportPool::new(window);
-    Box::new(pool.handle(server, policy, politeness).with_retries(retries))
+    Box::new(
+        pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries)),
+    )
 }
 
 /// A registered second site that never submits anything: the handle under
@@ -101,7 +107,9 @@ fn build_pool_handle_contended<'a>(
 ) -> Box<dyn Transport + 'a> {
     let pool = SharedTransportPool::new(window);
     let _idle_sibling = pool.handle(&DECOY, MimePolicy::default(), Politeness::default());
-    Box::new(pool.handle(server, policy, politeness).with_retries(retries))
+    Box::new(
+        pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries)),
+    )
 }
 
 /// Proves the `Send` bound the sharded fleet (PR 8) relies on by
@@ -120,7 +128,8 @@ fn build_threaded_pool_handle<'a>(
     retries: u32,
 ) -> Box<dyn Transport + 'a> {
     let pool = SharedTransportPool::new(window);
-    let handle = pool.handle(server, policy, politeness).with_retries(retries);
+    let handle =
+        pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries));
     Box::new(roundtrip_through_thread(handle))
 }
 
@@ -133,7 +142,8 @@ fn build_threaded_pool_handle_contended<'a>(
 ) -> Box<dyn Transport + 'a> {
     let pool = SharedTransportPool::new(window);
     let _idle_sibling = pool.handle(&DECOY, MimePolicy::default(), Politeness::default());
-    let handle = pool.handle(server, policy, politeness).with_retries(retries);
+    let handle =
+        pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries));
     Box::new(roundtrip_through_thread(handle))
 }
 

@@ -330,6 +330,7 @@ impl HttpServer for EvolvingServer {
 mod tests {
     use super::*;
     use sb_webgraph::gen::render::render_page;
+    use sb_webgraph::gen::SiteSource;
     use sb_webgraph::{build_site, SiteSpec};
 
     fn evolved(pages: usize, seed: u64, model: &ChangeModel) -> EvolvingSite {
@@ -379,7 +380,7 @@ mod tests {
         let mut seen_any = false;
         for e in 1..site.epochs() {
             let snap = site.snapshot(e);
-            let depths = snap.depths();
+            let depths = snap.source_depths();
             for url in &site.events(e).new_target_urls {
                 seen_any = true;
                 let id = snap.lookup(url).expect("new target is registered");

@@ -404,7 +404,7 @@ mod tests {
             assert_eq!(lazy.lookup(&p.url), Some(id));
         }
         assert_eq!(lazy.target_ids(), eager.target_ids());
-        assert_eq!(lazy.source_depths(), eager.depths());
+        assert_eq!(lazy.source_depths(), eager.source_depths());
     }
 
     #[test]

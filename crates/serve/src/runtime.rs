@@ -126,16 +126,16 @@ pub fn serve_site(
     let root_url = base.page(base.root()).url.clone();
     server.set_epoch(0);
 
-    let crawl_cfg = CrawlConfig::builder()
-        .budget(cfg.budget)
-        .rng_seed(cfg.seed)
-        .max_in_flight(cfg.window.max(1))
-        .serve_feed(true)
-        .build()
-        .expect("serve crawl config is valid by construction");
+    let crawl_cfg = CrawlConfig {
+        budget: cfg.budget,
+        seed: cfg.seed,
+        max_in_flight: cfg.window.max(1),
+        serve_feed: true,
+        ..Default::default()
+    };
     let mut strategy = QueueStrategy::bfs();
     let mut session = CrawlSession::new(&server, None, &root_url, &mut strategy, &crawl_cfg)
-        .expect("generated root URL is absolute");
+        .expect("serve crawl config and generated root URL are valid");
 
     let store = SnapshotStore::new(cfg.retain);
     let mut board = StaleBoard::new(0);

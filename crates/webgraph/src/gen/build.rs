@@ -641,7 +641,7 @@ fn pick_opt<'a, R: Rng + ?Sized, T>(rng: &mut R, xs: &'a [T]) -> Option<&'a T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::SiteSpec;
+    use crate::gen::{SiteSource, SiteSpec};
 
     #[test]
     fn builds_and_counts_match_spec() {
@@ -694,7 +694,7 @@ mod tests {
     fn all_targets_reachable() {
         let spec = SiteSpec::demo(500);
         let site = build_site(&spec, 3);
-        let depths = site.depths();
+        let depths = site.source_depths();
         for id in site.target_ids() {
             assert!(depths[id as usize].is_some(), "target {id} unreachable");
         }

@@ -41,7 +41,7 @@
 //! hazard subspace — so tests and experiments can attribute waste
 //! exactly.
 
-use super::{HtmlRole, OutLink, PageId, PageKind, SitePage, Slot, Website};
+use super::{HtmlRole, OutLink, PageId, PageKind, SitePage, SiteSource, Slot, Website};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -161,7 +161,7 @@ fn origin_of(site: &Website) -> String {
 
 /// Reachable error pages in id order — the entrance/conversion pool.
 fn reachable_errors(site: &Website) -> Vec<PageId> {
-    let depths = site.depths();
+    let depths = site.source_depths();
     (0..site.len() as PageId)
         .filter(|&id| {
             depths[id as usize].is_some()
@@ -430,7 +430,7 @@ mod tests {
     fn trap_is_reachable_deep_and_closed() {
         let (site, report) = hazard_site(HazardSpec::trap_only(64));
         assert!(report.trap_ids.len() >= 64, "entrance + 64 calendar pages");
-        let depths = site.depths();
+        let depths = site.source_depths();
         let reachable = report
             .trap_ids
             .iter()

@@ -31,7 +31,6 @@ pub use spec::{MimePalette, SiteSpec, StructureSpec};
 
 use crate::csr::Csr;
 use crate::interner::FxHashMap;
-use crate::mime::UrlClass;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -364,31 +363,6 @@ impl Website {
         }
     }
 
-    /// Ground-truth class of a page (what a perfect oracle would say).
-    /// Redirects classify as their destination, followed for a bounded
-    /// number of hops — a redirect cycle (a [`hazard`] loop profile) is
-    /// `Neither`, matching what a crawler with a redirect-chain budget
-    /// can ever retrieve from it.
-    pub fn true_class(&self, id: PageId) -> UrlClass {
-        let mut id = id;
-        for _ in 0..8 {
-            match &self.page(id).kind {
-                PageKind::Html(_) => return UrlClass::Html,
-                PageKind::Target { .. } => return UrlClass::Target,
-                PageKind::Error { .. } => return UrlClass::Neither,
-                PageKind::Redirect { to } => id = *to,
-            }
-        }
-        UrlClass::Neither
-    }
-
-    /// Ids of all target pages.
-    pub fn target_ids(&self) -> Vec<PageId> {
-        (0..self.pages.len() as PageId)
-            .filter(|&id| matches!(self.page(id).kind, PageKind::Target { .. }))
-            .collect()
-    }
-
     /// Total number of target pages.
     pub fn n_targets(&self) -> usize {
         self.pages.iter().filter(|p| matches!(p.kind, PageKind::Target { .. })).count()
@@ -403,32 +377,6 @@ impl Website {
                 _ => None,
             })
             .sum()
-    }
-
-    /// BFS depths over the page graph (following redirects at no depth cost).
-    pub fn depths(&self) -> Vec<Option<u32>> {
-        let mut depth: Vec<Option<u32>> = vec![None; self.pages.len()];
-        let mut q = std::collections::VecDeque::new();
-        depth[self.root as usize] = Some(0);
-        q.push_back(self.root);
-        while let Some(u) = q.pop_front() {
-            let d = depth[u as usize].expect("queued pages have depths");
-            // Redirects forward without incrementing depth.
-            if let PageKind::Redirect { to } = self.page(u).kind {
-                if depth[to as usize].is_none() {
-                    depth[to as usize] = Some(d);
-                    q.push_back(to);
-                }
-                continue;
-            }
-            for l in &self.page(u).out {
-                if depth[l.to as usize].is_none() {
-                    depth[l.to as usize] = Some(d + 1);
-                    q.push_back(l.to);
-                }
-            }
-        }
-        depth
     }
 
     /// Appends a page to the site, registering its URL.
@@ -505,7 +453,7 @@ impl Website {
 
     /// The Table 1 census of this site; see [`Census`].
     pub fn census(&self) -> Census {
-        let depths = self.depths();
+        let depths = self.source_depths();
         let mut available = 0usize;
         let mut targets = 0usize;
         let mut html = 0usize;
@@ -612,6 +560,7 @@ mod mutation_tests {
     use super::*;
     use crate::gen::build::build_site;
     use crate::gen::spec::SiteSpec;
+    use crate::mime::UrlClass;
 
     fn small_site() -> Website {
         build_site(&SiteSpec::demo(80), 7)

@@ -73,7 +73,9 @@ pub trait SiteSource: Send + Sync {
 
     /// Ground-truth class of a page (what a perfect oracle would say).
     /// Redirects classify as their destination, followed for a bounded
-    /// number of hops — a redirect cycle is `Neither`.
+    /// number of hops — a redirect cycle (a [`super::hazard`] loop
+    /// profile) is `Neither`, matching what a crawler with a
+    /// redirect-chain budget can ever retrieve from it.
     fn true_class(&self, id: PageId) -> UrlClass {
         let mut id = id;
         for _ in 0..8 {
@@ -185,18 +187,6 @@ impl SiteSource for Website {
     fn render_count(&self) -> u64 {
         Website::render_count(self)
     }
-
-    fn true_class(&self, id: PageId) -> UrlClass {
-        Website::true_class(self, id)
-    }
-
-    fn target_ids(&self) -> Vec<PageId> {
-        Website::target_ids(self)
-    }
-
-    fn source_depths(&self) -> Vec<Option<u32>> {
-        Website::depths(self)
-    }
 }
 
 /// Shared handles are sources too: `render_page(&arc_site, id)` keeps
@@ -258,18 +248,6 @@ impl<S: SiteSource + ?Sized> SiteSource for Arc<S> {
     fn render_count(&self) -> u64 {
         (**self).render_count()
     }
-
-    fn true_class(&self, id: PageId) -> UrlClass {
-        (**self).true_class(id)
-    }
-
-    fn target_ids(&self) -> Vec<PageId> {
-        (**self).target_ids()
-    }
-
-    fn source_depths(&self) -> Vec<Option<u32>> {
-        (**self).source_depths()
-    }
 }
 
 #[cfg(test)]
@@ -288,10 +266,7 @@ mod tests {
             assert_eq!(src.title(id), site.page(id).title);
             assert_eq!(src.kind(id), &site.page(id).kind);
             assert_eq!(src.out_links(id), site.page(id).out.as_slice());
-            assert_eq!(src.true_class(id), site.true_class(id));
         }
-        assert_eq!(src.target_ids(), site.target_ids());
-        assert_eq!(src.source_depths(), site.depths());
     }
 
     #[test]

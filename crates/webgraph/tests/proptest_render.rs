@@ -15,8 +15,8 @@ use sb_webgraph::content::{target_body, BODY_CAP};
 use sb_webgraph::gen::lexicon::ALL_LANGS;
 use sb_webgraph::gen::render::{render_page, render_page_into, with_rendered};
 use sb_webgraph::gen::{
-    apply_hazards, build_site, HazardSpec, HtmlRole, Lang, OutLink, PageKind, SitePage, SiteSpec,
-    Slot, Website,
+    apply_hazards, build_site, HazardSpec, HtmlRole, Lang, OutLink, PageKind, SitePage,
+    SiteSource, SiteSpec, Slot, Website,
 };
 use sb_webgraph::PageId;
 use std::collections::HashSet;

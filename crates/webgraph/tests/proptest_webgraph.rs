@@ -1,7 +1,7 @@
 //! Property tests for the URL module and the site generator.
 
 use proptest::prelude::*;
-use sb_webgraph::gen::{build_site, PageKind, SiteSpec};
+use sb_webgraph::gen::{build_site, PageKind, SiteSource, SiteSpec};
 use sb_webgraph::url::Url;
 
 proptest! {
@@ -97,7 +97,7 @@ proptest! {
         let census = site.census();
         prop_assert_eq!(census.available, census.html + census.targets);
 
-        let depths = site.depths();
+        let depths = site.source_depths();
         let root = Url::parse(spec.start_url).unwrap();
         let mut seen = std::collections::HashSet::new();
         for (i, p) in site.pages().iter().enumerate() {

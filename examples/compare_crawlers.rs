@@ -11,6 +11,7 @@ use sbcrawl::crawler::strategies::{
 };
 use sbcrawl::crawler::strategy::Strategy;
 use sbcrawl::httpsim::SiteServer;
+use sbcrawl::webgraph::gen::SiteSource;
 use sbcrawl::webgraph::{build_site, SiteSpec, Website};
 
 fn run_one(site: &Website, name: &str, strategy: &mut dyn Strategy, budget: u64) -> (String, u64, u64) {

@@ -95,14 +95,11 @@ fn main() {
     let site = build_site(&SiteSpec::demo(400), 42);
     let root = site.page(site.root()).url.clone();
     let server = SiteServer::new(site);
-    let cfg = CrawlConfig::builder()
-        .budget(Budget::Requests(60))
-        .build()
-        .expect("valid config");
+    let cfg = CrawlConfig { budget: Budget::Requests(60), ..Default::default() };
     let mut sb = SbStrategy::classifier_default();
     let mut progress = Progress::default();
     let mut session = CrawlSession::new(&server, None, &root, &mut sb, &cfg)
-        .expect("valid root")
+        .expect("valid config and root")
         .observe(&mut progress);
 
     // Step by hand: stop the moment five targets are in, budget unspent.

@@ -17,7 +17,7 @@
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{CrawlConfig, CrawlSession};
 use sb_httpsim::transport::{PipelinedTransport, Request, Transport};
-use sb_httpsim::{FlakyServer, Politeness, SiteServer};
+use sb_httpsim::{FlakyServer, Politeness, RetryPolicy, SiteServer};
 use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::{build_site, SiteSpec};
 use std::sync::Arc;
@@ -35,13 +35,9 @@ fn main() {
     for window in [1usize, 4, 16] {
         let server = SiteServer::shared(Arc::clone(&site));
         let mut bfs = QueueStrategy::bfs();
-        let cfg = CrawlConfig::builder()
-            .politeness(politeness)
-            .max_in_flight(window)
-            .build()
-            .expect("valid config");
+        let cfg = CrawlConfig { politeness, max_in_flight: window, ..Default::default() };
         let out = CrawlSession::new(&server, None, &root, &mut bfs, &cfg)
-            .expect("valid root")
+            .expect("valid config and root")
             .run();
         let makespan = out.traffic.elapsed_secs;
         let serial_makespan = *serial.get_or_insert(makespan);
@@ -80,7 +76,7 @@ fn main() {
     let flaky = FlakyServer::new(SiteServer::shared(Arc::clone(&site)), 0.3, 7).recoverable();
     let mut t = PipelinedTransport::new(&flaky, MimePolicy::default(), politeness)
         .with_window(4)
-        .with_retries(1);
+        .with_retry_policy(RetryPolicy::retries(1));
     let robots = sb_httpsim::RobotsTxt::parse("User-agent: *\nCrawl-delay: 2");
     t.apply_crawl_delay(&robots, "sbcrawl", "www.stats.example.org");
     let mut ok = 0;

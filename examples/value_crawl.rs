@@ -32,13 +32,9 @@ fn main() {
 
     let run = |strategy: &mut dyn Strategy, window: usize| {
         let server = SiteServer::shared(Arc::clone(&site));
-        let cfg = CrawlConfig::builder()
-            .budget(budget)
-            .max_in_flight(window)
-            .build()
-            .expect("valid config");
+        let cfg = CrawlConfig { budget, max_in_flight: window, ..Default::default() };
         CrawlSession::new(&server, None, &root, strategy, &cfg)
-            .expect("valid root")
+            .expect("valid config and root")
             .run()
     };
 

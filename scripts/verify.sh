@@ -75,6 +75,10 @@ cargo test -q --offline -p sb-scale --test alloc_guard_stream
 cargo test -q --offline -p sb-ann --test proptest_ann buffer_grams_match_the_join_they_replace
 cargo test -q --offline -p sb-crawler --test session_api deferred_link_features_equal_eager_extraction
 cargo test -q --offline -p sb-html --test deep_nesting
+# One way to configure a crawl (PR 25): a struct-literal config with any
+# value the deleted builder rejected fails `CrawlSession::new`,
+# `with_transport` and a fleet job alike, before any request is made.
+cargo test -q --offline -p sb-crawler --test session_api every_way_of_building_a_session_rejects_an_invalid_config
 # Benches must stay compilable even when nobody runs them — the html
 # microbench (seed pipeline vs zero-copy) named explicitly; its compile is
 # cached from the package-wide line, so the extra check is free.
@@ -166,11 +170,15 @@ fi
 # and enforced by the session's `robots_agent` handshake alone (PR 21);
 # markup is emitted by `HtmlWriter` alone, the tree builder being a test
 # oracle (PR 23); a tag path is its rendered text, not a segment vector, and
-# n-grams come out of one buffer, not a `Vec<String>` (PR 24): no deleted
-# duplicate comes back.
+# n-grams come out of one buffer, not a `Vec<String>` (PR 24); a crawl is
+# configured by one struct literal its session validates, with no builder,
+# seed list, URL filter or step cap beside it, and retries are set by one
+# `RetryPolicy` setter (PR 25): no deleted duplicate comes back.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
-        -e "HtmlBuilder" -e "fn grams(" -e "pub segments" crates/*/src; then
+        -e "HtmlBuilder" -e "fn grams(" -e "pub segments" \
+        -e "CrawlConfigBuilder" -e "UrlFilter" -e "seed_urls" -e "MaxSteps" \
+        -e "fn with_retries" crates/*/src; then
     echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
