@@ -15,7 +15,7 @@
 use sb_crawler::Budget;
 use sb_crawler::strategies::Discipline;
 use sb_crawler::{CrawlTrace, TracePoint};
-use sb_httpsim::client::Client;
+use crate::client::Client;
 use sb_httpsim::{HeadResponse, Headers, HttpServer, Response};
 use sb_webgraph::content::target_body;
 use sb_webgraph::gen::render::render_page;

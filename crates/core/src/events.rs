@@ -220,24 +220,20 @@ pub enum CrawlEvent<'e> {
 }
 
 /// Cost counters at the instant an event is dispatched (the event's work
-/// already included).
+/// already included) — what the trace records. Selection counts and
+/// memory gauges ride [`crate::session::StepReport`] instead, so an event
+/// costs no gauge reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrawlSnapshot {
     pub traffic: Traffic,
     /// Targets retrieved so far.
     pub targets: u64,
-    /// Outer selections begun so far (the root and each admitted seed
-    /// count as one; under a pipelined window a selection counts when it
-    /// is submitted, not when its answer lands).
-    pub steps: u64,
-    /// Memory gauges at this instant (PR 7).
-    pub mem: MemGauges,
 }
 
 /// Memory-footprint gauges of the session's growing structures, reported
-/// on every [`CrawlSnapshot`] and [`crate::session::StepReport`] so
-/// bounded-memory crawls can *observe* that they are bounded instead of
-/// trusting it.
+/// on every [`crate::session::StepReport`] and
+/// [`crate::session::CrawlOutcome`] so bounded-memory crawls can *observe*
+/// that they are bounded instead of trusting it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemGauges {
     /// Distinct URLs in the visited set (`T ∪ F` membership).

@@ -491,7 +491,8 @@ fn dup_clusters_sketch_closer_than_unrelated_pages() {
     let report = apply_hazards(&mut site, &HazardSpec::dups_only(1, 3), 99);
     let clones: Vec<u32> = report.dup_ids[1..].to_vec(); // [0] is the index page
     assert!(clones.len() >= 2);
-    let server = SiteServer::new(site);
+    let site = Arc::new(site);
+    let server = SiteServer::shared(Arc::clone(&site));
     let tokens = |url: &str| -> Vec<String> {
         let body = server.get(url).body.to_vec();
         String::from_utf8_lossy(&body)
@@ -500,10 +501,10 @@ fn dup_clusters_sketch_closer_than_unrelated_pages() {
             .map(str::to_owned)
             .collect()
     };
-    let a = tokens(&server.site().page(clones[0]).url.clone());
-    let b = tokens(&server.site().page(clones[1]).url.clone());
+    let a = tokens(&site.page(clones[0]).url.clone());
+    let b = tokens(&site.page(clones[1]).url.clone());
     // An unrelated page: the root (a different role entirely).
-    let other = tokens(&server.site().page(server.site().root()).url.clone());
+    let other = tokens(&site.page(site.root()).url.clone());
 
     // Freeze one bigram vocabulary over all three pages, then sketch.
     let mut vocab = NgramVocab::new(2);

@@ -8,8 +8,8 @@
 //! level, where `sb_serve::serve_site` drives it.
 
 use sb_crawler::{
-    crawl, Budget, ConfigError, CrawlConfig, CrawlSession, Fleet, FleetJob, FleetMode,
-    RefreshStats, RefreshedPage, SharedServer,
+    crawl, AbandonCounts, Batched, Budget, ConfigError, CrawlConfig, CrawlSession, Fleet,
+    FleetJob, FleetMode, RefreshStats, RefreshedPage, SharedServer,
 };
 use sb_crawler::events::{AbandonReason, FinishReason, OwnedEvent, TraceObserver};
 use sb_crawler::strategies::QueueStrategy;
@@ -117,6 +117,9 @@ struct Recorder {
     errors: Vec<u64>,
     /// Every `on_fetched` class observation, in order.
     observed: Vec<String>,
+    /// Handed out once, as an unparseable text selection, before the
+    /// first frontier pick.
+    junk: Option<u64>,
 }
 
 impl Strategy for Recorder {
@@ -125,6 +128,10 @@ impl Strategy for Recorder {
     }
 
     fn next(&mut self, _rng: &mut StdRng) -> Option<Selection> {
+        if let Some(token) = self.junk.take() {
+            self.selected.push(token);
+            return Some(Selection { url: SelUrl::Text("::junk::".to_owned()), token });
+        }
         let id = self.frontier.pop_front()?;
         let token = u64::from(id);
         self.selected.push(token);
@@ -272,6 +279,113 @@ fn unparseable_text_selection_feeds_back_even_on_2xx() {
         OwnedEvent::Abandoned { reason: AbandonReason::UnparseableSelection, .. }
     )));
     assert_eq!(out.pages_crawled, 2, "root + the charged junk fetch");
+}
+
+// ---------------------------------------------------------------------
+// Every abandonment source, counted once beside its event.
+// ---------------------------------------------------------------------
+
+/// The [`AbandonCounts`] bucket `reason` is tallied in, in the order
+/// [`assert_abandonments_accounted`] lists the buckets.
+fn bucket(reason: AbandonReason) -> usize {
+    match reason {
+        AbandonReason::HttpError(_) => 0,
+        AbandonReason::Timeout => 1,
+        AbandonReason::RetriesExhausted => 2,
+        AbandonReason::HostQuarantined => 3,
+        AbandonReason::RedirectChainExhausted
+        | AbandonReason::RedirectMissingLocation
+        | AbandonReason::RedirectUnparseable
+        | AbandonReason::RedirectOffSite
+        | AbandonReason::RedirectFiltered
+        | AbandonReason::RedirectAlreadyKnown => 4,
+        AbandonReason::SessionClosed => 5,
+        AbandonReason::UnparseableSelection
+        | AbandonReason::Interrupted
+        | AbandonReason::MissingMime => 6,
+    }
+}
+
+/// Each bucket of `counts` equals the number of `Abandoned` events with
+/// its reasons, `total()` is their sum, and every token `rec` handed out
+/// got exactly one terminal feedback. Returns `counts`.
+fn assert_abandonments_accounted(
+    log: &EventLog,
+    counts: AbandonCounts,
+    rec: &Recorder,
+) -> AbandonCounts {
+    let mut events = [0u64; 7];
+    for e in log.events() {
+        if let OwnedEvent::Abandoned { reason, .. } = e {
+            events[bucket(*reason)] += 1;
+        }
+    }
+    let tally = [
+        counts.http_error,
+        counts.timeout,
+        counts.retries_exhausted,
+        counts.quarantined,
+        counts.redirect,
+        counts.session_closed,
+        counts.other,
+    ];
+    assert_eq!(tally, events, "each bucket counts exactly its Abandoned events");
+    assert_eq!(counts.total(), events.iter().sum::<u64>());
+    let mut fed: Vec<u64> =
+        rec.rewards.iter().chain(&rec.targets).chain(&rec.errors).copied().collect();
+    fed.sort_unstable();
+    let mut selected = rec.selected.clone();
+    selected.sort_unstable();
+    assert_eq!(fed, selected, "every selection token gets exactly one terminal feedback");
+    counts
+}
+
+#[test]
+fn every_abandonment_source_is_counted_once_beside_its_event() {
+    use sb_webgraph::gen::hazard::{apply_hazards, HazardSpec};
+
+    let mut site = build_site(&SiteSpec::demo(300), 23);
+    apply_hazards(&mut site, &HazardSpec::scaled(300), 99);
+    let root = site_root(&site);
+    let server = SiteServer::new(site);
+
+    // Dead redirects and HTTP errors on a hazard-laced site, plus one
+    // unparseable text selection, crawled to the end.
+    let cfg = CrawlConfig::default();
+    let mut rec = Recorder { junk: Some(u64::MAX), ..Recorder::default() };
+    let mut log = EventLog::new();
+    let out =
+        CrawlSession::new(&server, None, &root, &mut rec, &cfg).unwrap().observe(&mut log).run();
+    let c = assert_abandonments_accounted(&log, out.abandoned, &rec);
+    assert!(c.redirect > 0 && c.http_error > 0 && c.other > 0, "{c:?}");
+
+    // Requests still in flight at `finish()`, at window 16.
+    let cfg = CrawlConfig { max_in_flight: 16, ..CrawlConfig::default() };
+    let mut rec = Recorder::default();
+    let mut log = EventLog::new();
+    let mut session =
+        CrawlSession::new(&server, None, &root, &mut rec, &cfg).unwrap().observe(&mut log);
+    for _ in 0..4 {
+        session.step();
+    }
+    let in_flight = session.in_flight() as u64;
+    let out = session.finish();
+    let c = assert_abandonments_accounted(&log, out.abandoned, &rec);
+    assert!(in_flight > 0 && c.session_closed == in_flight, "{in_flight} in flight: {c:?}");
+
+    // Batch members still buffered at `finish()`: one refill pulls a
+    // window's worth through `Batched` and submits only the first.
+    let mut batched = Batched(Recorder::default());
+    let mut log = EventLog::new();
+    let mut session =
+        CrawlSession::new(&server, None, &root, &mut batched, &cfg).unwrap().observe(&mut log);
+    assert!(session.refill_one(), "the root");
+    session.drain_completions();
+    assert!(session.refill_one(), "the first member of a batch");
+    assert_eq!(session.in_flight(), 1);
+    let out = session.finish();
+    let c = assert_abandonments_accounted(&log, out.abandoned, &batched.0);
+    assert!(c.session_closed > 1, "buffered members are closed too: {c:?}");
 }
 
 // ---------------------------------------------------------------------

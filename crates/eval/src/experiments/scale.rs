@@ -1,5 +1,5 @@
 //! Scale — the memory-bounded crawl ladder (PR 7): BFS to exhaustion over
-//! 10k / 100k (and optionally 1M) page streaming sites, with every
+//! 10k / 100k page streaming sites, with every
 //! unbounded structure swapped for its `sb_scale` counterpart — streaming
 //! site behind the server, spill-backed frontier, fingerprint-compacted
 //! visited set. Records wall-clock throughput (pages/sec), process peak
@@ -8,7 +8,7 @@
 //! to the all-unbounded engine (checked outright on the 10k rung).
 //!
 //! Rungs: `[10k]` under `--scale < 0.01` (the verify smoke), `[10k, 100k]`
-//! otherwise; set `SB_SCALE_XL=1` to append the 1M rung.
+//! otherwise.
 
 use crate::setup::EvalConfig;
 use crate::tables::{markdown, write_csv, write_text};
@@ -141,10 +141,7 @@ fn verify_identical(pages: usize) -> String {
 }
 
 pub fn run(cfg: &EvalConfig) -> String {
-    let mut rung_sizes = if cfg.scale < 0.01 { vec![10_000] } else { vec![10_000, 100_000] };
-    if std::env::var_os("SB_SCALE_XL").is_some() {
-        rung_sizes.push(1_000_000);
-    }
+    let rung_sizes = if cfg.scale < 0.01 { vec![10_000] } else { vec![10_000, 100_000] };
 
     // Rungs run first: `VmHWM` is a process-wide high-water mark, so the
     // RSS column must be captured before the eager reference site of the

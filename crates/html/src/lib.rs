@@ -34,8 +34,8 @@ pub mod token;
 pub use dom::{parse, Children, Descendants, Document, Node, NodeId};
 pub use escape::escape_into;
 pub use links::{
-    extract_links, extract_links_from, extract_links_from_with, extract_links_with, link_sites,
-    Link, LinkKind, LinkNeeds, LinkSite,
+    extract_links, extract_links_from_with, extract_links_with, link_sites, Link, LinkKind,
+    LinkNeeds, LinkSite,
 };
 pub use render::HtmlWriter;
 pub use tagpath::{PathSegment, TagPath};

@@ -96,15 +96,10 @@ pub fn extract_links_with(html: &str, needs: LinkNeeds) -> Vec<Link<'_>> {
     extract_links_from_with(&parse(html), needs)
 }
 
-/// As [`extract_links`], over an already-parsed document. The links borrow
-/// the buffer the document was parsed from, not the document itself, so
-/// they outlive it.
-pub fn extract_links_from<'a>(doc: &Document<'a>) -> Vec<Link<'a>> {
-    extract_links_from_with(doc, LinkNeeds::ALL)
-}
-
-/// As [`extract_links_from`] with explicit [`LinkNeeds`]: every
-/// [`LinkSite`] of `doc` turned into its [`Link`].
+/// As [`extract_links_with`], over an already-parsed document: every
+/// [`LinkSite`] of `doc` turned into its [`Link`]. The links borrow the
+/// buffer the document was parsed from, not the document itself, so they
+/// outlive it.
 pub fn extract_links_from_with<'a>(doc: &Document<'a>, needs: LinkNeeds) -> Vec<Link<'a>> {
     let mut scratch = String::new();
     link_sites(doc).map(|site| site.into_link(doc, needs, &mut scratch)).collect()

@@ -13,10 +13,10 @@
 //! a bounded in-flight window multiplexed across the sites registered with
 //! it, politeness sharded per site. A fleet shares one
 //! [`SharedTransportPool`]; a single-site [`PipelinedTransport`] is the
-//! lone [`PoolHandle`] of a private one. The blocking [`client::Client`]
-//! is kept only as the *reference oracle* the transport's window-1
-//! behaviour is pinned against (conformance suite, frozen
-//! `sb_bench::reference`); no library code fetches through it. Around the
+//! lone [`PoolHandle`] of a private one. The blocking client the
+//! transport's window-1 behaviour is pinned against lives in
+//! `sb_bench::client`, beside the frozen `sb_bench::reference` engine it
+//! drives: nothing in this crate fetches without the transport. Around the
 //! transport: [`robots`] (RFC 9309 parsing and matching, plus the
 //! origin-side overlays that publish or enforce a robots.txt — fetching it
 //! is the session's job, through the transport), [`flaky`]

@@ -241,7 +241,7 @@ pub struct PoolHandle<'a> {
 
 impl<'a> PoolHandle<'a> {
     /// A single-site transport over `server` with a window of 1 and no
-    /// retries — the drop-in equivalent of the blocking [`crate::client::Client`]:
+    /// retries — the drop-in equivalent of the blocking `sb_bench::client::Client`:
     /// the only handle of a private pool.
     pub fn new(
         server: &'a (dyn HttpServer + 'a),
@@ -426,11 +426,10 @@ mod tests {
     }
 
     fn html_urls(s: &SiteServer, n: usize) -> Vec<String> {
-        s.site()
-            .pages()
-            .iter()
-            .filter(|p| matches!(p.kind, sb_webgraph::PageKind::Html(_)))
-            .map(|p| p.url.clone())
+        let site = s.source();
+        (0..site.n_pages() as u32)
+            .filter(|&id| matches!(site.kind(id), sb_webgraph::PageKind::Html(_)))
+            .map(|id| site.url(id).to_owned())
             .take(n)
             .collect()
     }
@@ -542,46 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn global_window_one_serialises_the_fleet() {
-        // With window 1 the pool is one crawler visiting sites strictly in
-        // turn: the shared clock telescopes to the serial sum of both
-        // sites' blocking-client costs.
-        let (a, b) = (server(150, 7), server(150, 8));
-        let (ua, ub) = (html_urls(&a, 8), html_urls(&b, 8));
-        let mut ca = crate::client::Client::new(&a, MimePolicy::default());
-        let mut cb = crate::client::Client::new(&b, MimePolicy::default());
-        for u in &ua {
-            ca.get(u);
-        }
-        for u in &ub {
-            cb.get(u);
-        }
-        let serial_sum = ca.traffic().elapsed_secs + cb.traffic().elapsed_secs;
-
-        let pool = SharedTransportPool::new(1);
-        let mut ha = pool.handle(&a, MimePolicy::default(), Politeness::default());
-        let mut hb = pool.handle(&b, MimePolicy::default(), Politeness::default());
-        let mut out = Vec::new();
-        for (x, y) in ua.iter().zip(&ub) {
-            ha.submit(Request::get(x));
-            ha.poll_into(&mut out);
-            assert_eq!(out.len(), 1);
-            hb.submit(Request::get(y));
-            hb.poll_into(&mut out);
-            assert_eq!(out.len(), 1);
-        }
-        assert!(
-            (pool.clock_secs() - serial_sum).abs() < 1e-6,
-            "window 1 must serialise: {} vs {}",
-            pool.clock_secs(),
-            serial_sum
-        );
-        // And per-site volume matches the blocking clients exactly.
-        assert_eq!(ha.traffic().total_bytes(), ca.traffic().total_bytes());
-        assert_eq!(hb.traffic().total_bytes(), cb.traffic().total_bytes());
-    }
-
-    #[test]
     fn site_elapsed_tracks_last_delivery_per_site() {
         let (a, b) = (server(120, 9), server(120, 10));
         let (ua, ub) = (html_urls(&a, 2), html_urls(&b, 2));
@@ -605,54 +564,6 @@ mod tests {
         fn is_send<T: Send>() {}
         is_send::<SharedTransportPool>();
         is_send::<PoolHandle<'static>>();
-    }
-
-    #[test]
-    fn handles_drive_their_sites_from_other_threads() {
-        // Two handles of one pool, each moved to its own thread and driven
-        // there concurrently. Per-site volume accounting must come out
-        // exactly as a blocking client's, whatever the interleaving of the
-        // two threads' submissions — only the shared clock (elapsed) is
-        // schedule-dependent.
-        let (a, b) = (server(150, 13), server(150, 14));
-        let (ua, ub) = (html_urls(&a, 5), html_urls(&b, 5));
-        let mut ca = crate::client::Client::new(&a, MimePolicy::default());
-        let mut cb = crate::client::Client::new(&b, MimePolicy::default());
-        for u in &ua {
-            ca.get(u);
-        }
-        for u in &ub {
-            cb.get(u);
-        }
-
-        // Window wide enough that racing submits cannot overfill it.
-        let pool = SharedTransportPool::new(ua.len() + ub.len());
-        let ha = pool.handle(&a, MimePolicy::default(), Politeness::default());
-        let hb = pool.handle(&b, MimePolicy::default(), Politeness::default());
-        let (ta, tb) = std::thread::scope(|s| {
-            let run_a = s.spawn(|| {
-                let mut h = ha;
-                for u in &ua {
-                    h.submit(Request::get(u));
-                }
-                drain(&mut h);
-                h.traffic()
-            });
-            let run_b = s.spawn(|| {
-                let mut h = hb;
-                for u in &ub {
-                    h.submit(Request::get(u));
-                }
-                drain(&mut h);
-                h.traffic()
-            });
-            (run_a.join().expect("site A thread"), run_b.join().expect("site B thread"))
-        });
-        assert_eq!(pool.in_flight(), 0);
-        assert_eq!(ta.get_requests, ca.traffic().get_requests);
-        assert_eq!(ta.total_bytes(), ca.traffic().total_bytes());
-        assert_eq!(tb.get_requests, cb.traffic().get_requests);
-        assert_eq!(tb.total_bytes(), cb.traffic().total_bytes());
     }
 
     #[test]

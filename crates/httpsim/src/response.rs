@@ -149,18 +149,6 @@ impl Response {
         self.headers.wire_size() + self.declared_len()
     }
 
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
-
-    pub fn is_redirect(&self) -> bool {
-        (300..400).contains(&self.status)
-    }
-
-    pub fn is_error(&self) -> bool {
-        self.status >= 400
-    }
-
     pub fn head(&self) -> HeadResponse {
         HeadResponse { status: self.status, headers: self.headers.clone() }
     }
@@ -197,17 +185,6 @@ mod tests {
         };
         assert_eq!(r.declared_len(), 10_000_000);
         assert!(r.wire_size() > 10_000_000);
-    }
-
-    #[test]
-    fn status_categories() {
-        assert!(error_response(404).is_error());
-        assert!(error_response(500).is_error());
-        let mut r = error_response(301);
-        r.status = 301;
-        assert!(r.is_redirect());
-        r.status = 204;
-        assert!(r.is_success());
     }
 
     #[test]

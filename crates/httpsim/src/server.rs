@@ -16,12 +16,10 @@ pub trait HttpServer: Send + Sync {
 
 /// Serves one synthetic website — any [`SiteSource`], eager or streaming.
 /// The site is shared (`Arc`) so many concurrent experiment runs can serve
-/// the same generated site cheaply.
+/// the same generated site cheaply; callers that want an omniscient view
+/// keep their own handle on it (or read [`SiteServer::source`]).
 pub struct SiteServer {
     source: Arc<dyn SiteSource>,
-    /// Set when the source is a materialised [`Website`]; the omniscient
-    /// accessor [`SiteServer::site`] needs the concrete type.
-    eager: Option<Arc<Website>>,
 }
 
 impl SiteServer {
@@ -30,22 +28,13 @@ impl SiteServer {
     }
 
     pub fn shared(site: Arc<Website>) -> Self {
-        SiteServer { source: Arc::clone(&site) as Arc<dyn SiteSource>, eager: Some(site) }
+        Self::from_source(site)
     }
 
     /// Serves any [`SiteSource`] — e.g. a streaming `sb_scale` site whose
-    /// pages are rendered on demand through a bounded cache. Servers built
-    /// this way have no eager [`Website`]; use [`SiteServer::source`] for
-    /// omniscient views.
+    /// pages are rendered on demand through a bounded cache.
     pub fn from_source(source: Arc<dyn SiteSource>) -> Self {
-        SiteServer { source, eager: None }
-    }
-
-    /// The materialised site, for omniscient experiment setup. Panics on a
-    /// server built with [`SiteServer::from_source`] — streaming-site
-    /// callers go through [`SiteServer::source`] instead.
-    pub fn site(&self) -> &Website {
-        self.eager.as_deref().expect("server has no eager Website; use source()")
+        SiteServer { source }
     }
 
     /// The site behind this server, eager or streaming.
@@ -66,7 +55,7 @@ impl SiteServer {
     /// cache (eager: each page rendered at most once per site instance;
     /// streaming: bounded FIFO cache) and HEAD serves the precomputed
     /// Content-Length without touching a body.
-    pub fn respond_id(&self, id: PageId, with_body: bool) -> Response {
+    fn respond_id(&self, id: PageId, with_body: bool) -> Response {
         match self.source.kind(id) {
             PageKind::Html(_) => {
                 let (body, content_length) = if with_body {
@@ -136,14 +125,15 @@ mod tests {
     use sb_webgraph::gen::{build_site, SiteSpec};
     use sb_webgraph::PageKind;
 
-    fn server() -> SiteServer {
-        SiteServer::new(build_site(&SiteSpec::demo(300), 5))
+    fn server() -> (Arc<Website>, SiteServer) {
+        let site = Arc::new(build_site(&SiteSpec::demo(300), 5));
+        (Arc::clone(&site), SiteServer::shared(site))
     }
 
     #[test]
     fn serves_root_html() {
-        let s = server();
-        let root_url = s.site().page(s.site().root()).url.clone();
+        let (site, s) = server();
+        let root_url = site.page(site.root()).url.clone();
         let r = s.get(&root_url);
         assert_eq!(r.status, 200);
         assert_eq!(r.headers.content_type.as_deref(), Some("text/html; charset=utf-8"));
@@ -153,9 +143,9 @@ mod tests {
 
     #[test]
     fn serves_targets_with_declared_size() {
-        let s = server();
-        let tid = s.site().target_ids()[0];
-        let page = s.site().page(tid).clone();
+        let (site, s) = server();
+        let tid = site.target_ids()[0];
+        let page = site.page(tid).clone();
         let PageKind::Target { mime, declared_size, .. } = page.kind else { unreachable!() };
         let r = s.get(&page.url);
         assert_eq!(r.status, 200);
@@ -167,10 +157,9 @@ mod tests {
     /// the build-time precomputation.
     #[test]
     fn head_performs_zero_renders() {
-        let s = server();
-        assert_eq!(s.site().render_count(), 0, "build-time precompute is not cache traffic");
-        let html_urls: Vec<String> = s
-            .site()
+        let (site, s) = server();
+        assert_eq!(site.render_count(), 0, "build-time precompute is not cache traffic");
+        let html_urls: Vec<String> = site
             .pages()
             .iter()
             .filter(|p| matches!(p.kind, PageKind::Html(_)))
@@ -180,7 +169,7 @@ mod tests {
         for url in &html_urls {
             heads.push(s.head(url));
         }
-        assert_eq!(s.site().render_count(), 0, "HEAD rendered a body");
+        assert_eq!(site.render_count(), 0, "HEAD rendered a body");
         // And the lengths it reported are the real rendered lengths.
         for (url, h) in html_urls.iter().zip(&heads) {
             let g = s.get(url);
@@ -210,9 +199,9 @@ mod tests {
 
     #[test]
     fn head_matches_get_headers() {
-        let s = server();
-        for id in [s.site().root(), s.site().target_ids()[0]] {
-            let url = &s.site().page(id).url;
+        let (site, s) = server();
+        for id in [site.root(), site.target_ids()[0]] {
+            let url = &site.page(id).url;
             let h = s.head(url);
             let g = s.get(url);
             assert_eq!(h.status, g.status);
@@ -223,15 +212,14 @@ mod tests {
 
     #[test]
     fn unknown_url_is_404() {
-        let s = server();
+        let (_, s) = server();
         assert_eq!(s.get("https://www.stats.example.org/definitely/not/here").status, 404);
     }
 
     #[test]
     fn error_pages_serve_their_status() {
-        let s = server();
-        let err = s
-            .site()
+        let (site, s) = server();
+        let err = site
             .pages()
             .iter()
             .find(|p| matches!(p.kind, PageKind::Error { .. }))
@@ -242,9 +230,8 @@ mod tests {
 
     #[test]
     fn redirects_carry_location() {
-        let s = server();
-        let red = s
-            .site()
+        let (site, s) = server();
+        let red = site
             .pages()
             .iter()
             .find(|p| matches!(p.kind, PageKind::Redirect { .. }))
@@ -252,6 +239,6 @@ mod tests {
         let r = s.get(&red.url);
         assert_eq!(r.status, 301);
         let PageKind::Redirect { to } = red.kind else { unreachable!() };
-        assert_eq!(r.headers.location.as_deref(), Some(s.site().page(to).url.as_str()));
+        assert_eq!(r.headers.location.as_deref(), Some(site.page(to).url.as_str()));
     }
 }

@@ -1,7 +1,7 @@
 //! The nonblocking fetch boundary: a politeness-gated in-flight request
 //! pool over the simulated wire (PR 4).
 //!
-//! The blocking [`crate::client::Client`] serialises a crawl on simulated latency:
+//! A blocking client serialises a crawl on simulated latency:
 //! every GET charges `delay + transfer` before the next one can even be
 //! issued, so a site of `n` pages costs `n · (delay + transfer)` simulated
 //! seconds no matter how many URLs the frontier holds. Production crawlers
@@ -101,7 +101,7 @@ impl<'u> Request<'u> {
 /// uphold the invariants of the conformance suite
 /// (`tests/transport_conformance.rs`): politeness gate spacing,
 /// deterministic completion order, window-1 equivalence with the blocking
-/// [`crate::client::Client`], and charged-every-attempt retry accounting.
+/// `sb_bench::client::Client`, and charged-every-attempt retry accounting.
 pub trait Transport {
     /// Enqueues a GET into the in-flight pool and returns its id. Callers
     /// must keep [`Transport::in_flight`] within
@@ -154,7 +154,7 @@ pub trait Transport {
     fn traffic(&self) -> Traffic;
 
     /// Re-attributes `bytes` from the non-target to the target volume
-    /// bucket (same contract as [`crate::client::Client::tag_target`]).
+    /// bucket (same contract as `sb_bench::client::Client::tag_target`).
     fn tag_target(&mut self, bytes: u64);
 
     /// The MIME policy governing mid-flight interruption.
@@ -220,7 +220,7 @@ impl GateTable {
 /// The single-site [`Transport`]: the lone [`PoolHandle`] of a private
 /// [`SharedTransportPool`](crate::pool::SharedTransportPool), built by
 /// [`PoolHandle::new`] (window 1, no retries — the drop-in equivalent of
-/// the blocking [`crate::client::Client`]) and widened by
+/// the blocking `sb_bench::client::Client`) and widened by
 /// [`PoolHandle::with_window`].
 pub type PipelinedTransport<'a> = PoolHandle<'a>;
 
@@ -269,34 +269,12 @@ mod tests {
     }
 
     fn html_urls(s: &SiteServer, n: usize) -> Vec<String> {
-        s.site()
-            .pages()
-            .iter()
-            .filter(|p| matches!(p.kind, sb_webgraph::PageKind::Html(_)))
-            .map(|p| p.url.clone())
+        let site = s.source();
+        (0..site.n_pages() as u32)
+            .filter(|&id| matches!(site.kind(id), sb_webgraph::PageKind::Html(_)))
+            .map(|id| site.url(id).to_owned())
             .take(n)
             .collect()
-    }
-
-    #[test]
-    fn window_one_matches_blocking_client() {
-        let s = server();
-        let urls = html_urls(&s, 24);
-        let mut client = crate::client::Client::new(&s, MimePolicy::default());
-        for u in &urls {
-            client.get(u);
-        }
-        client.head(&urls[0]);
-
-        let mut t = PipelinedTransport::new(&s, MimePolicy::default(), Politeness::default());
-        let mut out = Vec::new();
-        for u in &urls {
-            t.submit(Request::get(u));
-            t.poll_into(&mut out);
-            assert_eq!(out.len(), 1);
-        }
-        t.head(&urls[0]);
-        assert_eq!(t.traffic(), client.traffic(), "window 1 must replay the blocking client");
     }
 
     #[test]

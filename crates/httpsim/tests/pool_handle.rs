@@ -13,9 +13,14 @@
 //! * A `RateLimit::period` of 0 installed through the public field — past
 //!   `with_rate_limit`'s clamp — is clamped where it is used instead of
 //!   dividing by zero on the first GET.
+//! * Against the blocking `sb_bench::client::Client`: a global window of 1
+//!   serialises the fleet to the sum of the sites' serial costs, and
+//!   handles driven from other threads account each site's volume exactly
+//!   as the client does.
 
 use proptest::prelude::*;
-use sb_httpsim::transport::{Request, Transport};
+use sb_bench::client::Client;
+use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{
     FlakyServer, HazardPolicy, HttpServer, PipelinedTransport, Politeness, PoolHandle, RateLimit,
     RetryPolicy, SharedTransportPool, SiteServer,
@@ -122,4 +127,115 @@ fn zero_rate_limit_period_set_through_the_field_is_clamped() {
         })
         .collect();
     assert_eq!(statuses, [200, 429], "period 0 behaves as the builder's clamp: every 2nd attempt");
+}
+
+fn server(pages: usize, seed: u64) -> SiteServer {
+    SiteServer::new(build_site(&SiteSpec::demo(pages), seed))
+}
+
+fn html_urls(s: &SiteServer, n: usize) -> Vec<String> {
+    let site = s.source();
+    (0..site.n_pages() as u32)
+        .filter(|&id| matches!(site.kind(id), sb_webgraph::PageKind::Html(_)))
+        .map(|id| site.url(id).to_owned())
+        .take(n)
+        .collect()
+}
+
+fn drain(t: &mut dyn Transport) -> Vec<RequestId> {
+    let mut out = Vec::new();
+    let mut order = Vec::new();
+    while t.in_flight() > 0 {
+        t.poll_into(&mut out);
+        order.extend(out.iter().map(|(id, _)| *id));
+    }
+    order
+}
+
+#[test]
+fn global_window_one_serialises_the_fleet() {
+    // With window 1 the pool is one crawler visiting sites strictly in
+    // turn: the shared clock telescopes to the serial sum of both
+    // sites' blocking-client costs.
+    let (a, b) = (server(150, 7), server(150, 8));
+    let (ua, ub) = (html_urls(&a, 8), html_urls(&b, 8));
+    let mut ca = Client::new(&a, MimePolicy::default());
+    let mut cb = Client::new(&b, MimePolicy::default());
+    for u in &ua {
+        ca.get(u);
+    }
+    for u in &ub {
+        cb.get(u);
+    }
+    let serial_sum = ca.traffic().elapsed_secs + cb.traffic().elapsed_secs;
+
+    let pool = SharedTransportPool::new(1);
+    let mut ha = pool.handle(&a, MimePolicy::default(), Politeness::default());
+    let mut hb = pool.handle(&b, MimePolicy::default(), Politeness::default());
+    let mut out = Vec::new();
+    for (x, y) in ua.iter().zip(&ub) {
+        ha.submit(Request::get(x));
+        ha.poll_into(&mut out);
+        assert_eq!(out.len(), 1);
+        hb.submit(Request::get(y));
+        hb.poll_into(&mut out);
+        assert_eq!(out.len(), 1);
+    }
+    assert!(
+        (pool.clock_secs() - serial_sum).abs() < 1e-6,
+        "window 1 must serialise: {} vs {}",
+        pool.clock_secs(),
+        serial_sum
+    );
+    // And per-site volume matches the blocking clients exactly.
+    assert_eq!(ha.traffic().total_bytes(), ca.traffic().total_bytes());
+    assert_eq!(hb.traffic().total_bytes(), cb.traffic().total_bytes());
+}
+
+#[test]
+fn handles_drive_their_sites_from_other_threads() {
+    // Two handles of one pool, each moved to its own thread and driven
+    // there concurrently. Per-site volume accounting must come out
+    // exactly as a blocking client's, whatever the interleaving of the
+    // two threads' submissions — only the shared clock (elapsed) is
+    // schedule-dependent.
+    let (a, b) = (server(150, 13), server(150, 14));
+    let (ua, ub) = (html_urls(&a, 5), html_urls(&b, 5));
+    let mut ca = Client::new(&a, MimePolicy::default());
+    let mut cb = Client::new(&b, MimePolicy::default());
+    for u in &ua {
+        ca.get(u);
+    }
+    for u in &ub {
+        cb.get(u);
+    }
+
+    // Window wide enough that racing submits cannot overfill it.
+    let pool = SharedTransportPool::new(ua.len() + ub.len());
+    let ha = pool.handle(&a, MimePolicy::default(), Politeness::default());
+    let hb = pool.handle(&b, MimePolicy::default(), Politeness::default());
+    let (ta, tb) = std::thread::scope(|s| {
+        let run_a = s.spawn(|| {
+            let mut h = ha;
+            for u in &ua {
+                h.submit(Request::get(u));
+            }
+            drain(&mut h);
+            h.traffic()
+        });
+        let run_b = s.spawn(|| {
+            let mut h = hb;
+            for u in &ub {
+                h.submit(Request::get(u));
+            }
+            drain(&mut h);
+            h.traffic()
+        });
+        (run_a.join().expect("site A thread"), run_b.join().expect("site B thread"))
+    });
+    assert_eq!(pool.in_flight(), 0);
+    assert_eq!(ta.get_requests, ca.traffic().get_requests);
+    assert_eq!(ta.total_bytes(), ca.traffic().total_bytes());
+    assert_eq!(tb.get_requests, cb.traffic().get_requests);
+    assert_eq!(tb.total_bytes(), cb.traffic().total_bytes());
 }

@@ -36,7 +36,7 @@
 //! `Send`, and crossing a real thread boundary must not perturb a single
 //! invariant.
 
-use sb_httpsim::client::Client;
+use sb_bench::client::Client;
 use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{
     Fetched, FlakyServer, HttpServer, PipelinedTransport, Politeness, RetryPolicy,
@@ -156,11 +156,10 @@ fn server(pages: usize, seed: u64) -> SiteServer {
 }
 
 fn html_urls(s: &SiteServer, n: usize) -> Vec<String> {
-    s.site()
-        .pages()
-        .iter()
-        .filter(|p| matches!(p.kind, sb_webgraph::PageKind::Html(_)))
-        .map(|p| p.url.clone())
+    let site = s.source();
+    (0..site.n_pages() as u32)
+        .filter(|&id| matches!(site.kind(id), sb_webgraph::PageKind::Html(_)))
+        .map(|id| site.url(id).to_owned())
         .take(n)
         .collect()
 }

@@ -152,12 +152,6 @@ impl VisitedSet {
         &self.texts[id as usize]
     }
 
-    /// Shared handle to the canonical string.
-    #[inline]
-    pub fn text_arc(&self, id: UrlId) -> Arc<str> {
-        Arc::clone(&self.texts[id as usize])
-    }
-
     /// Parsed form of URL `id`, for joins and same-site checks. Exact
     /// entries clone the stored parse; compact entries re-parse the
     /// canonical text (always valid — it round-tripped once).

@@ -79,6 +79,11 @@ cargo test -q --offline -p sb-html --test deep_nesting
 # value the deleted builder rejected fails `CrawlSession::new`,
 # `with_transport` and a fleet job alike, before any request is made.
 cargo test -q --offline -p sb-crawler --test session_api every_way_of_building_a_session_rejects_an_invalid_config
+# One abandonment path (PR 26): dead redirects, HTTP errors, an unparseable
+# selection, in-flight work and buffered batch members at `finish()` are
+# each counted in their `AbandonCounts` bucket exactly as often as an
+# `Abandoned` event names them, and every token gets one terminal feedback.
+cargo test -q --offline -p sb-crawler --test session_api every_abandonment_source_is_counted_once_beside_its_event
 # Benches must stay compilable even when nobody runs them — the html
 # microbench (seed pipeline vs zero-copy) named explicitly; its compile is
 # cached from the package-wide line, so the extra check is free.
@@ -153,16 +158,15 @@ test -s target/verify-smoke/revisit.csv
 # on its own line (`if`, because `set -e` ignores a `!`-negated pipeline):
 # link extraction (eager `extract_links*` or the lazy `link_sites`) is called
 # by the parser crate, the site generator, the session and the frozen
-# reference only; the blocking `Client` is constructed
-# by its own crate (the reference oracle of the transport's window-1 pins)
-# and by the frozen reference engine only.
+# reference only; the blocking `Client` lives in `sb_bench` (PR 26) and is
+# constructed there only — by the frozen reference engine and its own
+# tests; the transport's window-1 pins against it are integration tests.
 if grep -rn -e "extract_links" -e "link_sites" crates/*/src \
     | grep -v -e "^crates/html/" -e "^crates/webgraph/src/gen/" \
-              -e "^crates/core/src/session.rs:" -e "^crates/bench/"; then
+              -e "^crates/core/src/session/" -e "^crates/bench/"; then
     echo "verify: links extracted outside CrawlSession" >&2; exit 1
 fi
-if grep -rn "Client::new" crates/*/src \
-    | grep -v -e "^crates/httpsim/src/" -e "^crates/bench/src/reference.rs:"; then
+if grep -rn "Client::new" crates/*/src | grep -v -e "^crates/bench/src/"; then
     echo "verify: library code fetches through the blocking Client" >&2; exit 1
 fi
 # Nearest centroid is an exact scan and the visited set is the one URL
@@ -173,12 +177,15 @@ fi
 # n-grams come out of one buffer, not a `Vec<String>` (PR 24); a crawl is
 # configured by one struct literal its session validates, with no builder,
 # seed list, URL filter or step cap beside it, and retries are set by one
-# `RetryPolicy` setter (PR 25): no deleted duplicate comes back.
+# `RetryPolicy` setter (PR 25); the session abandons work and feeds the
+# serving layer through one function each, and the wrappers and toggles
+# nothing called are gone (PR 26): no deleted duplicate comes back.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
         -e "HtmlBuilder" -e "fn grams(" -e "pub segments" \
         -e "CrawlConfigBuilder" -e "UrlFilter" -e "seed_urls" -e "MaxSteps" \
-        -e "fn with_retries" crates/*/src; then
+        -e "fn with_retries" -e "StatusExt" -e "fn note_served" -e "fn note_refreshed" \
+        -e "fn text_arc" -e "SB_SCALE_XL" -e "extract_links_from(" crates/*/src; then
     echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
