@@ -225,6 +225,104 @@ fn whitespace_and_multinode_anchors() {
 }
 
 // ---------------------------------------------------------------------------
+// Byte-hostile inputs: raw text left open, megabyte attributes, deep
+// nesting and invalid UTF-8.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn raw_text_and_rcdata_elements_left_open_at_eof() {
+    for tag in ["script", "style", "textarea", "title"] {
+        for s in [
+            format!("<p><a href='/before'>b</a><{tag}>x <a href='/inside'>i</a>"),
+            format!("<{tag}><a href='/inside'>i</a></p><a href='/after'>a</a>"),
+            format!("<div><{tag} class=open>t <a href=/inside>i</a> u <{tag}>v"),
+            format!("<a href='/x'><{tag}>y"),
+            format!("<{tag}>"),
+            format!("<{tag}"),
+        ] {
+            assert_pipeline_eq(&s);
+        }
+    }
+    // Pinned: both pipelines hide markup only inside `script` and `style`.
+    // `textarea` and `title` stay ordinary elements rather than HTML5's
+    // RCDATA: a link inside one is extracted. Generated pages never put
+    // markup in either, so making them RCDATA could move no crawl count,
+    // but it would part the pipeline from the frozen seed.
+    let found = |tag: &str| extract_links(&format!("<{tag}><a href='/in'>i</a>")).len();
+    assert_eq!([found("script"), found("style"), found("textarea"), found("title")], [0, 0, 1, 1]);
+}
+
+/// `len` bytes of URL-safe text with no whitespace, quote or `>`: legal in
+/// a quoted and an unquoted attribute value alike.
+fn blob(len: usize) -> String {
+    "ab0/c-1.d_".chars().cycle().take(len).collect()
+}
+
+#[test]
+fn megabyte_attribute_values() {
+    const MIB: usize = 1 << 20;
+    let big = blob(MIB);
+    for s in [
+        format!("<a href=\"/{big}\">quoted</a><a href='/next'>n</a>"),
+        format!("<a href=/{big}>unquoted</a><a href='/next'>n</a>"),
+        format!("<a data-x=\"{big} &amp; {big}\" href='/x'>other attribute</a>"),
+        format!("<p>t <a href=\"/{big}"),
+    ] {
+        assert_pipeline_eq(&s);
+    }
+    let html = format!("<a href=/{big}>u</a>");
+    assert_eq!(extract_links(&html)[0].href.len(), MIB + 1);
+}
+
+/// `depth` nested `<div>`s around one link, with a second link in the
+/// outermost one: the outer link's surrounding text is the text of the
+/// whole nest.
+fn nested_divs(depth: usize) -> String {
+    let mut s = String::from("<div>outer text <a href='/outer'>up</a>");
+    s.push_str(&"<div>".repeat(depth - 1));
+    s.push_str("<a href='/inner'>deep</a>");
+    s.push_str(&"</div>".repeat(depth));
+    s
+}
+
+#[test]
+fn ten_thousand_nested_divs() {
+    let html = nested_divs(10_000);
+    // The seed's `collect_text` recurses once per level of the nest, so
+    // both sides run on a thread with room for it.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(move || {
+            assert_pipeline_eq(&html);
+            let links = extract_links(&html);
+            assert_eq!(links.len(), 2);
+            assert_eq!(links[0].surrounding_text, "outer text deep");
+            assert_eq!(links[1].tag_path.len(), 10_001);
+        })
+        .expect("spawn")
+        .join()
+        .expect("both pipelines handle 10 000 levels");
+}
+
+#[test]
+fn invalid_utf8_is_replaced_before_either_pipeline_sees_it() {
+    let bodies: [&[u8]; 5] = [
+        b"<a href='/x\xff'>bad \xfe byte</a>",
+        b"<p>\xc3</p><a href='/\xe2\x82'>truncated sequences</a>",
+        b"\xed\xa0\x80<a href=/s>encoded surrogate</a>",
+        b"<a href=\"/ok\">\xf8\x88\x80\x80\x80 five-byte form</a>",
+        b"<script>\xff<a href='/no'></script><a href='/yes'>\xc0\xaf overlong</a>",
+    ];
+    for bytes in bodies {
+        let text = sb_html::body_str(bytes);
+        assert_eq!(text, String::from_utf8_lossy(bytes));
+        assert_pipeline_eq(&text);
+    }
+    let text = sb_html::body_str(bodies[0]);
+    assert_eq!(extract_links(&text)[0].href, "/x\u{fffd}");
+}
+
+// ---------------------------------------------------------------------------
 // Property tests: arbitrary and generated inputs.
 // ---------------------------------------------------------------------------
 
@@ -248,6 +346,19 @@ proptest! {
     #[test]
     fn entity_dense_inputs_are_identical(s in "(&(amp|lt|gt|quot|apos|nbsp|#x2603|#65|bogus|);?|[a-z &;]){0,60}") {
         assert_pipeline_eq(&s);
+    }
+
+    /// Arbitrary bytes inside and around a link: the decoded body is the
+    /// lossy decoding, and both pipelines agree on it.
+    #[test]
+    fn arbitrary_bytes_decode_identically(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        let mut body = b"<div><a href='/".to_vec();
+        body.extend(&bytes);
+        body.extend(b"'>t</a>");
+        body.extend(&bytes);
+        let text = sb_html::body_str(&body);
+        prop_assert_eq!(&text, &String::from_utf8_lossy(&body));
+        assert_pipeline_eq(&text);
     }
 
     /// Real generated pages: every HTML page of an arbitrary small site

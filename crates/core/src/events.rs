@@ -85,8 +85,8 @@ impl AbandonReason {
 }
 
 /// Per-reason tally of [`CrawlEvent::Abandoned`] emissions (PR 6). A small
-/// `Copy` struct rather than a map so it can ride inside the step/outcome
-/// reports without allocation; rare structural reasons share the
+/// `Copy` struct rather than a map so it can ride inside the crawl and
+/// fleet outcomes without allocation; rare structural reasons share the
 /// `other` bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbandonCounts {
@@ -233,7 +233,9 @@ pub struct CrawlSnapshot {
 /// Memory-footprint gauges of the session's growing structures, reported
 /// on every [`crate::session::StepReport`] and
 /// [`crate::session::CrawlOutcome`] so bounded-memory crawls can *observe*
-/// that they are bounded instead of trusting it.
+/// that they are bounded instead of trusting it. A gauge is one session's
+/// at one instant: gauges of sessions that finished at different times do
+/// not add up to a footprint anything held, so nothing sums them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemGauges {
     /// Distinct URLs in the visited set (`T ∪ F` membership).
@@ -251,26 +253,13 @@ pub struct MemGauges {
     pub frontier_spilled: usize,
 }
 
-impl MemGauges {
-    /// Sums another site's gauges into this one — the fleet-level
-    /// aggregation (PR 8): each field is an additive footprint, so the sum
-    /// over a shard's (or the whole fleet's) sessions is the combined
-    /// memory held at the instant those sessions were gauged.
-    pub fn merge(&mut self, other: &MemGauges) {
-        self.visited_urls += other.visited_urls;
-        self.visited_bytes += other.visited_bytes;
-        self.visited_collisions += other.visited_collisions;
-        self.frontier_len += other.frontier_len;
-        self.frontier_spilled += other.frontier_spilled;
-    }
-}
-
 /// Refresh ledger of a continuous crawl-and-serve session (PR 9): how
 /// many already-fetched URLs were re-admitted through the window
 /// ([`crate::session::CrawlSession::queue_refresh`]) and what came back.
-/// Five additive counters, riding [`crate::session::StepReport`] and
-/// [`crate::session::CrawlOutcome`]; all zero when no refresh was ever
-/// queued, so one-shot crawls report exactly what they did before. The
+/// Five additive counters, read mid-crawl through
+/// [`crate::session::CrawlSession::refresh_stats`] and at the end from
+/// [`crate::session::CrawlOutcome::refresh`]; all zero when no refresh was
+/// ever queued, so one-shot crawls report exactly what they did before. The
 /// staleness readers saw while the crawl ran is not a session quantity —
 /// the layer serving the reads measures it (`sb_serve::ServeOutcome`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

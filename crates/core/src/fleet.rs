@@ -29,8 +29,14 @@
 //!      ascending arrival, cross-site ties by site index) drains one batch
 //!      ([`CrawlSession::drain_completions`]), so the pool's clock
 //!      advances in true arrival order;
-//! 4. **collect** the wave's [`SiteReport`]s into the thread's
-//!    [`ShardReport`].
+//! 4. **collect** the wave's [`SiteReport`]s; the thread's [`ShardReport`]
+//!    counts them, its steals and its pool's clock.
+//!
+//! Crawl statistics live on each site's [`CrawlOutcome`];
+//! [`FleetOutcome`] sums the three that add up across sites — traffic,
+//! targets and abandonments — in one pass over the sites. A shard's
+//! ledger holds only what no site knows: how many sites it drove, how many
+//! it stole and its pool's makespan.
 //!
 //! A mode is that loop with three numbers plugged in:
 //!
@@ -65,7 +71,7 @@
 //!
 //! [`SharedTransportPool`]: sb_httpsim::SharedTransportPool
 
-use crate::events::{AbandonCounts, FinishReason, MemGauges};
+use crate::events::{AbandonCounts, FinishReason};
 use crate::session::{ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, Oracle};
 use crate::strategy::Strategy;
 use parking_lot::Mutex;
@@ -141,16 +147,10 @@ impl SiteReport {
             Err(e) => panic!("fleet site {:?} failed to start: {e}", self.name),
         }
     }
-
-    /// The site's per-reason abandonment tally (PR 6); zero for sites
-    /// that failed to start.
-    pub fn abandoned(&self) -> AbandonCounts {
-        self.outcome.as_ref().map(|o| o.abandoned).unwrap_or_default()
-    }
 }
 
 /// What a finished fleet reports: per-site outcomes (in submission order)
-/// plus aggregate traffic.
+/// plus the sums of what adds up across them.
 pub struct FleetOutcome {
     pub sites: Vec<SiteReport>,
     /// Sum of every site's cost counters. `elapsed_secs` is the *serial*
@@ -164,18 +164,13 @@ pub struct FleetOutcome {
     /// Fleet-wide per-reason abandonment tally (PR 6) — the sum of every
     /// site's [`CrawlOutcome::abandoned`].
     pub abandoned: AbandonCounts,
-    /// Fleet-wide memory gauges (PR 8) — the sum of every site's final
-    /// [`CrawlOutcome::mem`], i.e. the combined visited-set + frontier
-    /// footprint the fleet held at the instant each site finished.
-    pub mem: MemGauges,
     /// One ledger per driver thread, in every mode (thread counts: the
-    /// module docs' table). Their `sites` sum to `sites.len()`; their
-    /// `mem`/`abandoned` merge to the fleet-wide fields above.
+    /// module docs' table). Their `sites` sum to `sites.len()`.
     pub shards: Vec<ShardReport>,
 }
 
-/// One driver thread's ledger: what the sites it took off the fleet's
-/// backlogs added up to. See the module docs for the loop it ran.
+/// One driver thread's ledger: what it did that no site's outcome
+/// records. See the module docs for the loop it ran.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardReport {
     /// Sites this shard drove to completion, steals included.
@@ -187,10 +182,6 @@ pub struct ShardReport {
     /// every site has a private pool, the sum of those pools' clocks —
     /// what this worker visiting its sites back to back would have waited.
     pub sim_makespan_secs: f64,
-    /// Final memory gauges summed over the shard's sites.
-    pub mem: MemGauges,
-    /// Abandonment tally summed over the shard's sites.
-    pub abandoned: AbandonCounts,
 }
 
 impl FleetOutcome {
@@ -360,13 +351,11 @@ impl Fleet {
         let mut traffic = Traffic::default();
         let mut targets = 0u64;
         let mut abandoned = AbandonCounts::default();
-        let mut mem = MemGauges::default();
         for report in &sites {
             if let Ok(o) = &report.outcome {
                 traffic.absorb(&o.traffic);
                 targets += o.targets_found();
                 abandoned.merge(&o.abandoned);
-                mem.merge(&o.mem);
             }
         }
         FleetOutcome {
@@ -375,7 +364,6 @@ impl Fleet {
             targets,
             wall_secs: started.elapsed().as_secs_f64(),
             abandoned,
-            mem,
             shards,
         }
     }
@@ -592,10 +580,6 @@ fn drive_shard(
             .collect();
         shard_report.sites += outcomes.len();
         for (p, outcome) in prepared.into_iter().zip(outcomes) {
-            if let Ok(o) = &outcome {
-                shard_report.mem.merge(&o.mem);
-                shard_report.abandoned.merge(&o.abandoned);
-            }
             reports.push((p.index, SiteReport { name: p.name, outcome }));
         }
     }

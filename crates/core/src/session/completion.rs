@@ -123,7 +123,6 @@ impl CrawlSession<'_> {
                 in_flight: self.transport.in_flight(),
             },
         );
-        self.t += 1;
         self.pages_crawled += 1;
         let snap = self.snapshot();
         self.hub.emit(

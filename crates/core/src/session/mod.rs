@@ -124,9 +124,8 @@ pub struct CrawlOutcome {
     pub trace: CrawlTrace,
     pub targets: Vec<RetrievedTarget>,
     pub pages_crawled: u64,
-    /// True when Sec 4.8 early stopping fired.
-    pub stopped_early: bool,
-    /// Step at which early stopping fired.
+    /// Step at which Sec 4.8 early stopping fired (the finish reason is
+    /// then [`FinishReason::EarlyStopped`]).
     pub early_stop_at: Option<u64>,
     /// True when the action space exploded (the θ = 0.95 OOM of Table 4).
     pub aborted_oom: bool,
@@ -139,9 +138,8 @@ pub struct CrawlOutcome {
     /// ledger: timeouts, exhausted retries, quarantined hosts, dead
     /// redirects.
     pub abandoned: AbandonCounts,
-    /// Final memory gauges (PR 7/8): the visited-set and frontier
-    /// footprint at the instant the session ended, so fleet drivers can
-    /// aggregate a run's memory profile without observing every step.
+    /// Final memory gauges: the visited-set and frontier footprint
+    /// at the instant the session ended.
     pub mem: MemGauges,
     /// Refresh ledger (PR 9): all zero unless the session re-admitted
     /// known URLs via [`CrawlSession::queue_refresh`].
@@ -154,7 +152,10 @@ impl CrawlOutcome {
     }
 }
 
-/// What one [`CrawlSession::step`] did.
+/// What one [`CrawlSession::step`] did: only what a step alone knows.
+/// Running totals are read from the session itself —
+/// [`CrawlSession::traffic`], [`CrawlSession::in_flight`],
+/// [`CrawlSession::finish_reason`], [`CrawlSession::refresh_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
     /// Outer selections begun so far, this step included (the root counts
@@ -164,20 +165,9 @@ pub struct StepReport {
     pub fetched: u64,
     /// Targets retrieved during this step.
     pub new_targets: u64,
-    /// Cumulative requests (GET + HEAD) after this step.
-    pub requests: u64,
-    /// Requests still in the transport's pool after this step.
-    pub in_flight: usize,
-    /// `None` while the session can still advance; the finish reason once
-    /// it cannot. A finishing step does no crawl work.
-    pub finished: Option<FinishReason>,
-    /// Cumulative per-reason abandonment tally after this step (PR 6).
-    pub abandoned: AbandonCounts,
     /// Memory gauges after this step (PR 7): visited-set size and byte
     /// estimate, frontier length and spilled portion.
     pub mem: MemGauges,
-    /// Cumulative refresh ledger after this step (PR 9).
-    pub refresh: RefreshStats,
 }
 
 /// Phase of the session's outer loop (Algorithm 3's shape, unrolled so it
@@ -244,9 +234,6 @@ pub struct CrawlSession<'a> {
     strategy: &'a mut dyn Strategy,
     hub: ObserverHub<'a>,
     root: Url,
-    /// Canonical root string, kept for the `SessionStarted` event (the
-    /// root is not interned until the first step).
-    root_text: String,
     /// `T ∪ F` membership: every discovered URL is interned exactly once
     /// (one fingerprint of the parsed `Url`, no string round-trips); the id
     /// keys everything downstream. Parsed forms kept up to
@@ -260,9 +247,9 @@ pub struct CrawlSession<'a> {
     /// Discovery depth per interned id (parallel to the interner).
     depths: Vec<u32>,
     targets: Vec<RetrievedTarget>,
+    /// Pages fetched (entered into `T`): Algorithm 4's crawl step `t`,
+    /// the iteration count early stopping observes.
     pages_crawled: u64,
-    /// Crawl step `t` (pages entered into `T`), as in Algorithm 4.
-    t: u64,
     /// Outer selections begun.
     steps: u64,
     early: Option<EarlyStop>,
@@ -336,7 +323,6 @@ impl<'a> CrawlSession<'a> {
         cfg.validate()?;
         let root = Url::parse(root_url)
             .map_err(|error| ConfigError::InvalidRoot { url: root_url.to_owned(), error })?;
-        let root_text = root.as_string();
         Ok(CrawlSession {
             transport,
             oracle,
@@ -344,13 +330,11 @@ impl<'a> CrawlSession<'a> {
             strategy,
             hub: ObserverHub { trace: TraceObserver::new(), user: Vec::new() },
             root,
-            root_text,
             visited: VisitedSet::with_threshold(cfg.compact_visited_threshold),
             link_scratch: None,
             depths: Vec::new(),
             targets: Vec::new(),
             pages_crawled: 0,
-            t: 0,
             steps: 0,
             early: cfg.early_stop.map(EarlyStop::new),
             aborted_oom: false,
@@ -457,18 +441,8 @@ impl<'a> CrawlSession<'a> {
             steps: self.steps,
             fetched: self.transport.traffic().get_requests - before_gets,
             new_targets: self.targets.len() as u64 - before_targets,
-            requests: self.transport.traffic().requests(),
-            in_flight: self.transport.in_flight(),
-            finished: self.finish_reason(),
-            abandoned: self.abandoned,
             mem: self.mem_gauges(),
-            refresh: self.refresh_stats,
         }
-    }
-
-    /// Per-reason abandonment tally so far (PR 6).
-    pub fn abandoned(&self) -> AbandonCounts {
-        self.abandoned
     }
 
     fn pump(&mut self) {
@@ -513,7 +487,6 @@ impl<'a> CrawlSession<'a> {
             trace: self.hub.trace.into_trace(),
             targets: self.targets,
             pages_crawled: self.pages_crawled,
-            stopped_early: reason == FinishReason::EarlyStopped,
             early_stop_at: self.early.as_ref().and_then(|e| e.triggered_at()),
             aborted_oom: self.aborted_oom,
             traffic: self.transport.traffic(),

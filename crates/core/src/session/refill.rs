@@ -39,11 +39,11 @@ impl CrawlSession<'_> {
                 return dispatched;
             }
             if let Phase::Root = self.phase {
+                let root_id = self.intern_at_depth(&self.root.clone(), 0);
                 let snap = self.snapshot();
-                self.hub.emit(&snap, &CrawlEvent::SessionStarted { root: &self.root_text });
+                let root = self.visited.text(root_id);
+                self.hub.emit(&snap, &CrawlEvent::SessionStarted { root });
                 self.fetch_robots();
-                let root = self.root.clone();
-                let root_id = self.intern_at_depth(&root, 0);
                 self.phase = Phase::Steady;
                 self.steps += 1;
                 if !(self.budget_exhausted() || self.aborted_oom) {
@@ -206,7 +206,6 @@ impl CrawlSession<'_> {
                     // selection is abandoned, and like every abandoned
                     // selection it delivers the error feedback (one
                     // observation per pull, no exceptions).
-                    self.t += 1;
                     self.pages_crawled += 1;
                     let f = self.transport.fetch_now(&s);
                     let snap = self.snapshot();
@@ -272,9 +271,9 @@ impl CrawlSession<'_> {
             return Some(FinishReason::ActionSpaceOverflow);
         }
         if let Some(es) = &mut self.early {
-            if es.observe(self.t, self.targets.len() as f64) {
+            if es.observe(self.pages_crawled, self.targets.len() as f64) {
                 let snap = self.snapshot();
-                self.hub.emit(&snap, &CrawlEvent::EarlyStopped { step: self.t });
+                self.hub.emit(&snap, &CrawlEvent::EarlyStopped { step: self.pages_crawled });
                 return Some(FinishReason::EarlyStopped);
             }
         }

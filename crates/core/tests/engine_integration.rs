@@ -1,7 +1,7 @@
 //! End-to-end engine tests: every strategy crawls a generated website
 //! through the full stack (render → parse → classify → cluster → select).
 
-use sb_crawler::{crawl, Budget, CrawlConfig, CrawlOutcome};
+use sb_crawler::{crawl, Budget, CrawlConfig, CrawlOutcome, FinishReason};
 use sb_crawler::strategies::{
     FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
     TresStrategy,
@@ -29,7 +29,7 @@ fn bfs_exhausts_the_site() {
     let out = run(&site, &mut bfs, &CrawlConfig::default());
     // An unlimited BFS retrieves every reachable target.
     assert_eq!(out.targets_found() as usize, site.census().targets);
-    assert!(!out.stopped_early);
+    assert_ne!(out.finish_reason, FinishReason::EarlyStopped);
     assert!(!out.aborted_oom);
 }
 
@@ -180,7 +180,7 @@ fn early_stopping_fires_on_exhausted_site() {
     let out = run(&site, &mut sb, &cfg);
     // Either it stopped early, or the frontier emptied first (tiny site);
     // both are acceptable ends — but the flag must be consistent.
-    if out.stopped_early {
+    if out.finish_reason == FinishReason::EarlyStopped {
         assert!(out.early_stop_at.is_some());
     }
 }

@@ -6,7 +6,7 @@
 //! tests drive the shared engine (Algorithms 3–4) through the
 //! `sb-httpsim` failure-injection servers.
 
-use sb_crawler::{crawl, Budget, CrawlConfig};
+use sb_crawler::{crawl, Budget, CrawlConfig, FinishReason};
 use sb_crawler::strategies::{QueueStrategy, SbStrategy};
 use sb_httpsim::{EnforcedRobots, FlakyServer, RobotsTxt, SiteServer, TrapServer, WithRobots};
 use sb_webgraph::url::Url;
@@ -54,7 +54,11 @@ fn early_stopping_escapes_the_trap() {
         ..Default::default()
     };
     let outcome = crawl(&trap, None, &root, &mut bfs, &cfg);
-    assert!(outcome.stopped_early, "target discovery flatlines ⇒ the slope rule must fire");
+    assert_eq!(
+        outcome.finish_reason,
+        FinishReason::EarlyStopped,
+        "target discovery flatlines ⇒ the slope rule must fire"
+    );
     assert!(
         outcome.traffic.requests() < 10_000,
         "stopped after {} requests",

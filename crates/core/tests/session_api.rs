@@ -3,9 +3,10 @@
 //! step-driven execution equivalent to `run()`, typed event streams in
 //! order, and the one-feedback-per-selection invariant — including the
 //! abandoned selections (dead redirects, errors) that the pre-session
-//! engine left as silent bandit pulls. The last section pins the refresh path
-//! (`queue_refresh` / `take_refreshed` / `serve_feed`) at the session
-//! level, where `sb_serve::serve_site` drives it.
+//! engine left as silent bandit pulls. The refresh section pins the refresh
+//! path (`queue_refresh` / `take_refreshed` / `serve_feed`) at the session
+//! level, where `sb_serve::serve_site` drives it, and the last section
+//! holds each crawl statistic to the event stream it summarises.
 
 use sb_crawler::{
     crawl, AbandonCounts, Batched, Budget, ConfigError, CrawlConfig, CrawlSession, Fleet,
@@ -388,6 +389,59 @@ fn every_abandonment_source_is_counted_once_beside_its_event() {
     assert!(c.session_closed > 1, "buffered members are closed too: {c:?}");
 }
 
+/// A 429 storm over failing pages trips the circuit breaker, and the
+/// session is closed with a ranking pass half-submitted: selections in
+/// flight and selections still buffered. Every token still gets one
+/// terminal feedback, every bucket still matches its events, and the
+/// retries cannot push the GET count past what the window could owe.
+#[test]
+fn a_429_storm_closed_mid_batch_settles_every_selection_once() {
+    use sb_httpsim::{FlakyServer, HazardPolicy, RateLimit, RetryPolicy};
+
+    let (window, retries, budget) = (16usize, 2u32, 120u64);
+    let site = Arc::new(build_site(&SiteSpec::demo(400), 31));
+    let root = site_root(&site);
+    // Hard 503s on a share of the pages; every second attempt on the host
+    // is a 429 besides, so a failing page fails every retry.
+    let origin = FlakyServer::new(SiteServer::shared(site), 0.3, 5).protecting(&root);
+    let cfg = CrawlConfig {
+        budget: Budget::Requests(budget),
+        max_in_flight: window,
+        ..CrawlConfig::default()
+    };
+    let rate_limit = RateLimit { period: 2, retry_after_secs: 0.5 };
+    let transport = PipelinedTransport::new(&origin, cfg.policy.clone(), cfg.politeness)
+        .with_window(window)
+        .with_hazards(HazardPolicy::seeded(3).with_rate_limit(rate_limit))
+        .with_retry_policy(RetryPolicy::retries(retries).with_quarantine_after(3));
+    let mut batched = Batched(Recorder::default());
+    let mut log = EventLog::new();
+    let mut session =
+        CrawlSession::with_transport(Box::new(transport), None, &root, &mut batched, &cfg)
+            .unwrap()
+            .observe(&mut log);
+    // Step until the breaker answers: a quarantine refusal is the only
+    // delivery that costs no GET.
+    while session.step().fetched > 0 {}
+    assert!(!session.is_finished(), "the storm is closed mid-crawl");
+    // Free half the window, then one ranking pass for the free slots: only
+    // its first member submits, the rest wait in the batch buffer.
+    while session.in_flight() > window / 2 {
+        session.drain_completions();
+    }
+    assert!(session.refill_one(), "a batch member is submitted");
+    let in_flight = session.in_flight() as u64;
+    let out = session.finish();
+
+    let c = assert_abandonments_accounted(&log, out.abandoned, &batched.0);
+    assert!(c.quarantined > 0, "the breaker tripped: {c:?}");
+    assert!(c.retries_exhausted > 0, "failing pages burnt their retries: {c:?}");
+    assert!(in_flight > 1, "selections in flight at finish: {in_flight}");
+    assert!(c.session_closed > in_flight, "buffered members are closed too: {c:?}");
+    let bound = budget + (window as u64) * (1 + u64::from(retries));
+    assert!(out.traffic.get_requests <= bound, "{} GETs > {bound}", out.traffic.get_requests);
+}
+
 // ---------------------------------------------------------------------
 // Validation: however a config was written, its session checks it.
 // ---------------------------------------------------------------------
@@ -593,14 +647,12 @@ fn stepping_matches_run_exactly() {
     let mut bfs2 = QueueStrategy::bfs();
     let mut session = CrawlSession::new(&server2, None, &root, &mut bfs2, &cfg).unwrap();
     let mut steps = 0u64;
-    let mut last = None;
     while !session.is_finished() {
         let report = session.step();
         assert!(report.steps >= steps, "steps are monotone");
         steps = report.steps;
-        last = Some(report);
     }
-    assert_eq!(last.unwrap().finished, Some(FinishReason::BudgetExhausted));
+    assert_eq!(session.finish_reason(), Some(FinishReason::BudgetExhausted));
     let step_out = session.finish();
 
     assert_eq!(step_out.pages_crawled, run_out.pages_crawled);
@@ -620,7 +672,7 @@ fn step_on_finished_session_is_a_reporting_noop() {
     }
     let before = session.traffic().requests();
     let report = session.step();
-    assert_eq!(report.finished, Some(FinishReason::FrontierExhausted));
+    assert_eq!(session.finish_reason(), Some(FinishReason::FrontierExhausted));
     assert_eq!(report.fetched, 0);
     assert_eq!(session.traffic().requests(), before);
 }
@@ -702,7 +754,8 @@ fn site_root(site: &Website) -> String {
 /// Steps until the session finishes (again) and returns the reason.
 fn drive(session: &mut CrawlSession<'_>) -> FinishReason {
     loop {
-        if let Some(reason) = session.step().finished {
+        session.step();
+        if let Some(reason) = session.finish_reason() {
             return reason;
         }
     }
@@ -873,10 +926,15 @@ fn budget_exhausted_session_refinishes_and_drops_the_refresh() {
     session.queue_refresh(&root, 0);
     assert!(!session.is_finished());
     let report = session.step();
-    assert_eq!(report.finished, Some(FinishReason::BudgetExhausted), "re-finishes immediately");
+    assert_eq!(
+        session.finish_reason(),
+        Some(FinishReason::BudgetExhausted),
+        "re-finishes immediately"
+    );
     assert_eq!(report.fetched, 0);
-    assert_eq!(report.refresh.scheduled, 1);
-    assert_eq!(report.refresh.attempted(), 0, "scheduled > attempted: the refresh was dropped");
+    let refresh = session.refresh_stats();
+    assert_eq!(refresh.scheduled, 1);
+    assert_eq!(refresh.attempted(), 0, "scheduled > attempted: the refresh was dropped");
     assert_eq!(session.traffic().requests(), requests);
 }
 
@@ -1016,4 +1074,113 @@ fn deferred_link_features_equal_eager_extraction() {
         // Most links of a site point at pages the crawl already knows.
         assert!(rejected > handed, "hazards {hazards}: {handed} handed, {rejected} rejected");
     }
+}
+
+// ---------------------------------------------------------------------
+// One home per statistic: each number a crawl reports is read from one
+// place, and agrees with the event stream it summarises.
+// ---------------------------------------------------------------------
+
+/// Counts the events `pick` matches.
+fn count(events: &[OwnedEvent], pick: impl Fn(&OwnedEvent) -> bool) -> u64 {
+    events.iter().filter(|e| pick(e)).count() as u64
+}
+
+#[test]
+fn each_crawl_statistic_agrees_with_the_event_stream() {
+    use sb_crawler::EarlyStopConfig;
+    use sb_httpsim::{FlakyServer, RetryPolicy, TrapServer, WithRobots};
+    use sb_webgraph::gen::hazard::{apply_hazards, HazardSpec};
+
+    // An early stop is a finish reason, announced once, at the crawl step
+    // that counts the pages fetched before it.
+    let trap = TrapServer::new("https://trap.example.org");
+    let cfg = CrawlConfig {
+        budget: Budget::Requests(100_000),
+        early_stop: Some(EarlyStopConfig { nu: 50, epsilon: 0.2, gamma: 0.05, kappa: 4 }),
+        ..Default::default()
+    };
+    let mut bfs = QueueStrategy::bfs();
+    let mut log = EventLog::new();
+    let out = CrawlSession::new(&trap, None, &trap.root_url(), &mut bfs, &cfg)
+        .unwrap()
+        .observe(&mut log)
+        .run();
+    assert_eq!(out.finish_reason, FinishReason::EarlyStopped);
+    let events = log.events();
+    let stops: Vec<(usize, u64)> = events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| match e {
+            OwnedEvent::EarlyStopped { step } => Some((i, *step)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stops.len(), 1, "early stopping fires once");
+    let (at, step) = stops[0];
+    assert_eq!(Some(step), out.early_stop_at);
+    let fetched = count(&events[..at], |e| matches!(e, OwnedEvent::Fetched { .. }));
+    assert_eq!(step, fetched, "the step is the number of pages fetched before it");
+
+    // A wide window over a hazard-laced, flaky origin with retries and a
+    // robots.txt: per-step deliveries add up to every GET charged
+    // (retries and the robots fetch included), `pages_crawled` counts the
+    // `Fetched` events, and the root `SessionStarted` names is the URL the
+    // first `Submitted` fetches.
+    let mut site = build_site(&SiteSpec::demo(300), 23);
+    apply_hazards(&mut site, &HazardSpec::scaled(300), 99);
+    let root = site_root(&site);
+    let robots = WithRobots::new(SiteServer::new(site), &root, "User-agent: *\nCrawl-delay: 2\n");
+    let origin = FlakyServer::new(robots, 0.1, 5).recoverable().protecting(&root);
+    let cfg = CrawlConfig {
+        max_in_flight: 16,
+        robots_agent: Some("sbcrawl".to_owned()),
+        ..Default::default()
+    };
+    let transport = PipelinedTransport::new(&origin, cfg.policy.clone(), cfg.politeness)
+        .with_window(16)
+        .with_retry_policy(RetryPolicy::retries(2));
+    let mut bfs = QueueStrategy::bfs();
+    let mut log = EventLog::new();
+    let mut session =
+        CrawlSession::with_transport(Box::new(transport), None, &root, &mut bfs, &cfg)
+            .unwrap()
+            .observe(&mut log);
+    let mut fetched = 0;
+    while !session.is_finished() {
+        fetched += session.step().fetched;
+    }
+    let out = session.finish();
+    assert!(origin.injected() > 0, "503s were retried");
+    assert_eq!(fetched, out.traffic.get_requests, "Σ StepReport.fetched");
+    let events = log.events();
+    assert_eq!(out.pages_crawled, count(events, |e| matches!(e, OwnedEvent::Fetched { .. })));
+    assert!(out.traffic.get_requests > out.pages_crawled, "retries are GETs, not pages");
+    let started = events.iter().find_map(|e| match e {
+        OwnedEvent::SessionStarted { root } => Some(root),
+        _ => None,
+    });
+    let first_submitted = events.iter().find_map(|e| match e {
+        OwnedEvent::Submitted { url, .. } => Some(url),
+        _ => None,
+    });
+    assert_eq!(started, first_submitted, "SessionStarted names the root it fetches");
+    assert!(started.is_some());
+
+    // A fleet's traffic and abandon tally are the sums of its sites'.
+    let mut fleet = Fleet::new(1).sharded(2, 4);
+    for i in 0..4u64 {
+        let mut site = build_site(&SiteSpec::demo(150), 40 + i);
+        apply_hazards(&mut site, &HazardSpec::scaled(150), i);
+        let root = site_root(&site);
+        let server: SharedServer = Arc::new(SiteServer::new(site));
+        fleet.push(FleetJob::new(format!("s{i}"), server, root, || Box::new(QueueStrategy::bfs())));
+    }
+    let out = fleet.run();
+    let sites = || out.sites.iter().map(|s| s.expect_outcome());
+    let requests: u64 = sites().map(|o| o.traffic.requests()).sum();
+    let abandoned: u64 = sites().map(|o| o.abandoned.total()).sum();
+    assert_eq!(out.traffic.requests(), requests);
+    assert_eq!(out.abandoned.total(), abandoned);
+    assert!(abandoned > 0, "hazard-laced sites abandon work");
 }

@@ -32,7 +32,7 @@ use crate::setup::{build_site_for, EvalConfig};
 use crate::tables::{markdown, write_csv, write_text};
 use sb_crawler::fleet::{Fleet, FleetJob, FleetMode, SharedServer};
 use sb_crawler::strategies::SbStrategy;
-use sb_crawler::CrawlConfig;
+use sb_crawler::{CrawlConfig, FinishReason};
 use sb_httpsim::SiteServer;
 use std::sync::Arc;
 
@@ -71,18 +71,19 @@ pub fn run(cfg: &EvalConfig) -> String {
     let mut csv_rows = Vec::new();
     for report in &out.sites {
         let o = report.expect_outcome();
+        let stopped_early = o.finish_reason == FinishReason::EarlyStopped;
         rows.push(vec![
             report.name.clone(),
             o.targets_found().to_string(),
             o.traffic.requests().to_string(),
-            if o.stopped_early { "✓" } else { "✗" }.to_owned(),
+            if stopped_early { "✓" } else { "✗" }.to_owned(),
             format!("{:.2}", o.traffic.elapsed_secs / 3600.0),
         ]);
         csv_rows.push(vec![
             report.name.clone(),
             o.targets_found().to_string(),
             o.traffic.requests().to_string(),
-            o.stopped_early.to_string(),
+            stopped_early.to_string(),
             format!("{:.4}", o.traffic.elapsed_secs),
         ]);
     }

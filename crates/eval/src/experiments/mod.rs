@@ -27,7 +27,7 @@ use crate::runner::{par_map, RunOpts};
 use crate::setup::{build_site_for, reference, run_crawler, CrawlerKind, EvalConfig, SiteRef};
 use parking_lot::Mutex;
 use sb_crawler::strategy::ArmReport;
-use sb_crawler::{EarlyStopConfig, TracePoint};
+use sb_crawler::{EarlyStopConfig, FinishReason, TracePoint};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -144,7 +144,7 @@ fn summarize(
         trace: outcome.trace.resampled(300),
         arms: outcome.report.arms,
         n_actions: outcome.report.n_actions,
-        stopped_early: outcome.stopped_early,
+        stopped_early: outcome.finish_reason == FinishReason::EarlyStopped,
         early_stop_at: outcome.early_stop_at,
     }
 }

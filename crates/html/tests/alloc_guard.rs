@@ -10,7 +10,9 @@
 //!
 //! PR 24 adds the two guards of the deferred link features: walking a
 //! page's link sites allocates nothing, and a tag path costs two
-//! allocations whatever its depth.
+//! allocations whatever its depth. The last block bounds the byte-hostile
+//! inputs `crates/bench/tests/html_equivalence.rs` holds to the seed: a
+//! megabyte attribute and 10 000 levels of nesting.
 //!
 //! The counting allocator is process-global, so this file holds exactly one
 //! `#[test]` — a second concurrent test would corrupt the counts.
@@ -185,4 +187,28 @@ fn parse_of_entity_free_page_is_allocation_bounded() {
         "ALL-features extraction allocated {link_bytes} bytes on a huge block \
          (budget 16384): the pre-normalisation window cap has regressed"
     );
+
+    // Byte-hostile inputs cost what their shape costs, not what their size
+    // does: a megabyte attribute value is borrowed whole, quoted or not,
+    // and 10 000 nested elements grow the arenas and the open-element
+    // stack geometrically. Each budget is twice the count measured (6, 6
+    // and 30): tokenize + parse + href-only extraction, as a crawl runs it.
+    let big: String = "ab0/c-1.d_".chars().cycle().take(1 << 20).collect();
+    let mut deep = String::from("<div>outer <a href='/outer'>up</a>");
+    deep.push_str(&"<div>".repeat(9_999));
+    deep.push_str("<a href='/inner'>deep</a>");
+    deep.push_str(&"</div>".repeat(10_000));
+    for (name, input, budget) in [
+        ("quoted megabyte href", format!("<a href=\"/{big}\">q</a><a href='/next'>n</a>"), 12),
+        ("unquoted megabyte href", format!("<a href=/{big}>u</a><a href='/next'>n</a>"), 12),
+        ("10 000 nested divs", deep, 60),
+    ] {
+        let allocs = count_allocs(|| {
+            let doc = sb_html::parse(&input);
+            let links = sb_html::extract_links_from_with(&doc, sb_html::LinkNeeds::HREF_ONLY);
+            assert_eq!(links.len(), 2);
+            std::mem::forget((doc, links));
+        });
+        assert!(allocs <= budget, "{name}: {allocs} allocations (budget {budget})");
+    }
 }

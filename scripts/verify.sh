@@ -84,6 +84,20 @@ cargo test -q --offline -p sb-crawler --test session_api every_way_of_building_a
 # each counted in their `AbandonCounts` bucket exactly as often as an
 # `Abandoned` event names them, and every token gets one terminal feedback.
 cargo test -q --offline -p sb-crawler --test session_api every_abandonment_source_is_counted_once_beside_its_event
+# One home per crawl statistic: the identities the deleted copies
+# stood for — an early stop is its finish reason, fired once at the step
+# that counts the `Fetched` events before it; per-step fetches sum to the
+# GET count; `pages_crawled` counts `Fetched` events; `SessionStarted`
+# names the first URL submitted; a fleet's sums are its sites' sums.
+cargo test -q --offline -p sb-crawler --test session_api each_crawl_statistic_agrees_with_the_event_stream
+# A 429 storm trips the circuit breaker and the session is closed with a
+# batch half-submitted: one terminal feedback per token, each abandonment
+# bucket equal to its events, GETs within budget + window·(1 + retries).
+cargo test -q --offline -p sb-crawler --test session_api a_429_storm_closed_mid_batch_settles_every_selection_once
+# Byte-hostile HTML against the frozen seed parser: raw-text elements left
+# open at EOF, megabyte attribute values, 10 000 nested elements and
+# invalid UTF-8 (the html alloc guard above bounds the same inputs).
+cargo test -q --offline -p sb-bench --test html_equivalence
 # Benches must stay compilable even when nobody runs them — the html
 # microbench (seed pipeline vs zero-copy) named explicitly; its compile is
 # cached from the package-wide line, so the extra check is free.
@@ -180,12 +194,17 @@ fi
 # `RetryPolicy` setter (PR 25); the session abandons work and feeds the
 # serving layer through one function each, and the wrappers and toggles
 # nothing called are gone (PR 26): no deleted duplicate comes back.
+# Every crawl statistic has one home: no second root string, no abandonment
+# getter beside `CrawlOutcome::abandoned`, no finish reason copied onto
+# `StepReport`, no summing of memory gauges.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
         -e "HtmlBuilder" -e "fn grams(" -e "pub segments" \
         -e "CrawlConfigBuilder" -e "UrlFilter" -e "seed_urls" -e "MaxSteps" \
         -e "fn with_retries" -e "StatusExt" -e "fn note_served" -e "fn note_refreshed" \
-        -e "fn text_arc" -e "SB_SCALE_XL" -e "extract_links_from(" crates/*/src; then
+        -e "fn text_arc" -e "SB_SCALE_XL" -e "extract_links_from(" \
+        -e "root_text" -e "fn abandoned(&self)" -e "pub finished: Option<FinishReason>" \
+        -e "fn merge(&mut self, other: &MemGauges)" crates/*/src; then
     echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
