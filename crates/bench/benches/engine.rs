@@ -61,44 +61,11 @@ fn bench_e2e_bfs(c: &mut Criterion) {
     group.finish();
 }
 
-/// HEAD-heavy serving: the classifier bootstrap issues one HEAD per
-/// discovered link. Seed path rendered a full body per HEAD; the interned
-/// path serves the precomputed Content-Length.
-fn bench_head(c: &mut Criterion) {
-    let site = bench_site(2_000);
-    let urls: Vec<String> = site
-        .pages()
-        .iter()
-        .filter(|p| matches!(p.kind, sb_webgraph::PageKind::Html(_)))
-        .map(|p| p.url.clone())
-        .take(256)
-        .collect();
-
-    let mut group = c.benchmark_group("server/head_256_html_pages");
-    group.bench_function("seed_render_per_head", |b| {
-        let server = UncachedSiteServer::new(Arc::clone(&site));
-        b.iter(|| {
-            for u in &urls {
-                black_box(sb_httpsim::HttpServer::head(&server, u));
-            }
-        })
-    });
-    group.bench_function("precomputed_content_length", |b| {
-        let server = SiteServer::shared(Arc::clone(&site));
-        b.iter(|| {
-            for u in &urls {
-                black_box(sb_httpsim::HttpServer::head(&server, u));
-            }
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     name = engine;
     config = Criterion::default()
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
-    targets = bench_e2e_bfs, bench_head
+    targets = bench_e2e_bfs
 );
 criterion_main!(engine);

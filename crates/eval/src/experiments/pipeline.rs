@@ -59,6 +59,27 @@ pub fn run(cfg: &EvalConfig) -> String {
         }
     });
 
+    // What the table claims, asserted on every run: coverage does not
+    // depend on the window, and a wider window never lengthens the crawl.
+    for r in &rows[1..] {
+        assert_eq!(
+            (r.requests, r.targets),
+            (rows[0].requests, rows[0].targets),
+            "window {} changed coverage (requests, targets) from window 1's",
+            r.window
+        );
+    }
+    for pair in rows.windows(2) {
+        assert!(
+            pair[1].makespan_secs <= pair[0].makespan_secs,
+            "window {} makespan {:.4} s exceeds window {}'s {:.4} s",
+            pair[1].window,
+            pair[1].makespan_secs,
+            pair[0].window,
+            pair[0].makespan_secs
+        );
+    }
+
     let serial = rows[0].makespan_secs;
     let headers: Vec<String> =
         ["In-flight", "Requests", "Targets", "Sim. makespan (h)", "Speedup"]

@@ -14,8 +14,9 @@
 //!
 //! * [`stream`] — [`StreamingSite`]: the same deterministic site graph as
 //!   the eager `Website`, packed into dense byte arenas + CSR adjacency
-//!   (no per-page allocations), rendering HTML bodies through a *bounded*
-//!   FIFO cache instead of caching every body forever. Implements
+//!   (no per-page allocations), serving bodies through the eager site's
+//!   FIFO body cache under *bounded* budgets instead of caching every HTML
+//!   body forever. Implements
 //!   `SiteSource`, so servers and renderers cannot tell the difference —
 //!   byte-identity is pinned by proptest.
 //! * [`frontier`] — [`SpillQueue`]: BUbiNG-style frontier virtualization.

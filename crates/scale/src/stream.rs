@@ -9,12 +9,12 @@
 //! randomness, the recorded graph is identical page-for-page, link-for-link
 //! to the eager site's.
 //!
-//! The finalised [`StreamingSite`] implements `SiteSource`: bodies are
-//! rendered on demand from the per-page seeded RNG (exactly the eager
-//! renderer — same code path, generic over the trait) and held in a
-//! **bounded FIFO byte cache** rather than a cache-everything `OnceLock`
-//! table. Rendered output is byte-identical to the eager site's, pinned by
-//! proptest; what changes is only the resident footprint, which stays
+//! The finalised [`StreamingSite`] implements `SiteSource` and serves
+//! through the same `sb_webgraph::gen::BodyCache` as the eager site —
+//! bodies rendered on demand by the one renderer, generic over the trait —
+//! under budgets far below the site instead of unbounded ones. Rendered
+//! output is byte-identical to the eager site's, pinned by proptest; what
+//! changes is only the resident footprint, which stays
 //! `O(arena + cache budgets)` instead of `O(pages × body)`.
 //!
 //! A BFS fetches each page once, so at streaming scale the cache mostly
@@ -29,15 +29,10 @@
 //! it: the first HEAD of a page renders to size it and the GET that
 //! follows is an `Arc` clone.
 
-use sb_webgraph::gen::{
-    build_with_store, render, PageStore, SiteSource, SiteSpec,
-};
+use sb_webgraph::gen::{build_with_store, BodyCache, PageStore, SiteSource, SiteSpec};
 use sb_webgraph::interner::FxHashMap;
 use sb_webgraph::{fnv64, Csr, PageId, PageKind};
 use sb_webgraph::gen::{OutLink, SectionStyle, Slot};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Default render-body cache budget for streaming sites: 16 MiB — a few
 /// thousand typical pages, far below `O(site)`.
@@ -167,42 +162,6 @@ impl PageStore for PackedStore {
     }
 }
 
-/// Bounded FIFO byte cache: evicts oldest entries once the byte budget is
-/// exceeded; entries larger than the whole budget are simply not cached.
-#[derive(Debug)]
-struct ByteCache {
-    map: FxHashMap<PageId, Arc<[u8]>>,
-    order: VecDeque<PageId>,
-    bytes: u64,
-    budget: u64,
-}
-
-impl ByteCache {
-    fn new(budget: u64) -> Self {
-        ByteCache { map: FxHashMap::default(), order: VecDeque::new(), bytes: 0, budget }
-    }
-
-    fn get(&self, id: PageId) -> Option<Arc<[u8]>> {
-        self.map.get(&id).cloned()
-    }
-
-    fn put(&mut self, id: PageId, body: Arc<[u8]>) {
-        let cost = body.len() as u64;
-        if cost > self.budget || self.map.contains_key(&id) {
-            return;
-        }
-        while self.bytes + cost > self.budget {
-            let Some(old) = self.order.pop_front() else { break };
-            if let Some(b) = self.map.remove(&old) {
-                self.bytes -= b.len() as u64;
-            }
-        }
-        self.map.insert(id, body);
-        self.order.push_back(id);
-        self.bytes += cost;
-    }
-}
-
 /// Builds the streaming representation of `spec` — same graph as
 /// `build_site(spec, seed)`, packed (see module docs). Budgets default to
 /// [`STREAM_RENDER_CACHE_BUDGET`] / [`STREAM_TARGET_CACHE_BUDGET`] and can
@@ -220,20 +179,11 @@ pub fn stream_site(spec: &SiteSpec, seed: u64) -> StreamingSite {
         out: Csr::from_pairs(n, store.edges),
         index: store.index,
         styles,
-        lens: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-        renders: AtomicU64::new(0),
-        html_cache: Mutex::new(ByteCache::new(STREAM_RENDER_CACHE_BUDGET)),
-        target_cache: Mutex::new(ByteCache::new(STREAM_TARGET_CACHE_BUDGET)),
+        cache: BodyCache::new(n, STREAM_RENDER_CACHE_BUDGET, STREAM_TARGET_CACHE_BUDGET),
     }
 }
 
 /// The packed, bounded-cache `SiteSource`; see module docs.
-///
-/// Unlike the eager `Website`, HTML Content-Lengths are *not* precomputed
-/// at build time: the first HEAD of a page renders once to size it (cached
-/// thereafter in an 8-byte slot). That trades the eager site's
-/// render-everything build pass for an O(pages-touched) lazy one — the
-/// point of streaming is precisely not to touch all pages up front.
 pub struct StreamingSite {
     spec: SiteSpec,
     seed: u64,
@@ -244,44 +194,38 @@ pub struct StreamingSite {
     out: Csr<OutLink>,
     index: UrlIndex,
     styles: Vec<SectionStyle>,
-    /// Lazily computed rendered Content-Lengths; `u64::MAX` = unknown.
-    lens: Vec<AtomicU64>,
-    renders: AtomicU64,
-    html_cache: Mutex<ByteCache>,
-    target_cache: Mutex<ByteCache>,
+    cache: BodyCache,
 }
 
 impl StreamingSite {
     /// Replaces the rendered-HTML cache budget (builder knob; set before
     /// serving).
-    pub fn with_render_cache_budget(mut self, bytes: u64) -> Self {
-        self.html_cache = Mutex::new(ByteCache::new(bytes));
-        self
+    pub fn with_render_cache_budget(self, bytes: u64) -> Self {
+        StreamingSite { cache: self.cache.with_html_budget(bytes), ..self }
     }
 
     /// Replaces the target-payload cache budget (builder knob; set before
     /// serving).
-    pub fn with_target_cache_budget(mut self, bytes: u64) -> Self {
-        self.target_cache = Mutex::new(ByteCache::new(bytes));
-        self
+    pub fn with_target_cache_budget(self, bytes: u64) -> Self {
+        StreamingSite { cache: self.cache.with_target_budget(bytes), ..self }
     }
 
     /// Bytes currently held by the two body caches.
     pub fn cached_body_bytes(&self) -> u64 {
-        self.html_cache.lock().expect("cache lock").bytes
-            + self.target_cache.lock().expect("cache lock").bytes
+        self.cache.cached_body_bytes()
     }
 
     /// Approximate heap footprint of the static site structures (arenas,
-    /// kinds, CSR, index, length table) — the part that scales with page
-    /// count. Excludes the bounded caches; see [`Self::cached_body_bytes`].
+    /// kinds, CSR, index, the cache's per-page size slots) — the part that
+    /// scales with page count. Excludes the bounded bodies; see
+    /// [`Self::cached_body_bytes`].
     pub fn static_bytes(&self) -> u64 {
         self.urls.heap_bytes()
             + self.titles.heap_bytes()
             + (self.kinds.len() * std::mem::size_of::<PageKind>()) as u64
             + self.out.bytes() as u64
             + (self.index.map.len() * 12 + self.index.collided.len() * 12) as u64
-            + (self.lens.len() * 8) as u64
+            + (self.kinds.len() * 8) as u64
     }
 }
 
@@ -326,60 +270,8 @@ impl SiteSource for StreamingSite {
         self.index.lookup(url, &self.urls)
     }
 
-    fn rendered(&self, id: PageId) -> Arc<[u8]> {
-        debug_assert!(matches!(self.kinds[id as usize], PageKind::Html(_)));
-        if let Some(cached) = self.html_cache.lock().expect("cache lock").get(id) {
-            return cached;
-        }
-        self.renders.fetch_add(1, Ordering::Relaxed);
-        let bytes = render::with_rendered(self, id, |page| Arc::<[u8]>::from(page));
-        let _ = self.lens[id as usize].compare_exchange(
-            u64::MAX,
-            bytes.len() as u64,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        self.html_cache.lock().expect("cache lock").put(id, Arc::clone(&bytes));
-        bytes
-    }
-
-    fn content_length(&self, id: PageId) -> u64 {
-        match &self.kinds[id as usize] {
-            PageKind::Html(_) => {
-                let len = self.lens[id as usize].load(Ordering::Relaxed);
-                if len != u64::MAX {
-                    return len;
-                }
-                // First HEAD of this page: render once to size it (the body
-                // lands in the bounded cache for the GET that often follows).
-                self.rendered(id).len() as u64
-            }
-            PageKind::Target { declared_size, .. } => *declared_size,
-            PageKind::Error { .. } | PageKind::Redirect { .. } => 0,
-        }
-    }
-
-    fn target_payload(&self, id: PageId) -> Arc<[u8]> {
-        if let Some(cached) = self.target_cache.lock().expect("cache lock").get(id) {
-            return cached;
-        }
-        let PageKind::Target { ext, declared_size, planted_tables, .. } = &self.kinds[id as usize]
-        else {
-            panic!("target_payload called on a non-target page");
-        };
-        let bytes: Arc<[u8]> = Arc::from(sb_webgraph::content::target_body(
-            self.seed ^ u64::from(id),
-            ext,
-            *planted_tables,
-            *declared_size,
-            self.section_style(0).lang,
-        ));
-        self.target_cache.lock().expect("cache lock").put(id, Arc::clone(&bytes));
-        bytes
-    }
-
-    fn render_count(&self) -> u64 {
-        self.renders.load(Ordering::Relaxed)
+    fn body_cache(&self) -> &BodyCache {
+        &self.cache
     }
 }
 
@@ -387,6 +279,7 @@ impl SiteSource for StreamingSite {
 mod tests {
     use super::*;
     use sb_webgraph::gen::build_site;
+    use std::sync::Arc;
 
     #[test]
     fn packed_graph_matches_eager_site() {

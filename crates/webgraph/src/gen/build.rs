@@ -17,7 +17,11 @@
 
 use super::lexicon::{self, Lang};
 use super::spec::SiteSpec;
-use super::{HtmlRole, OutLink, PageId, PageKind, SectionStyle, SitePage, Slot, Website};
+use super::cache::{BodyCache, UNBOUNDED};
+use super::{
+    HtmlRole, OutLink, PageId, PageKind, SectionStyle, SitePage, Slot, Website,
+    TARGET_CACHE_BUDGET,
+};
 use crate::mime::mime_for_extension;
 use crate::interner::FxHashMap;
 use rand::rngs::StdRng;
@@ -95,23 +99,15 @@ impl PageStore for EagerStore {
 /// Builds the website for `spec`, deterministically from `seed`.
 pub fn build_site(spec: &SiteSpec, seed: u64) -> Website {
     let (store, root, styles) = build_with_store(spec, seed, EagerStore::default());
-    let mut site = Website {
+    Website {
         spec: spec.clone(),
         seed,
         root,
+        cache: BodyCache::new(store.pages.len(), UNBOUNDED, TARGET_CACHE_BUDGET),
         pages: store.pages,
         url_index: store.url_index,
         section_styles: styles,
-        render: Vec::new(),
-        in_links: crate::csr::Csr::default(),
-        in_links_extra: FxHashMap::default(),
-        renders: std::sync::atomic::AtomicU64::new(0),
-        target_cache_budget: std::sync::atomic::AtomicU64::new(super::TARGET_CACHE_BUDGET),
-    };
-    // Precompute every HTML page's rendered Content-Length so the
-    // origin server can answer HEAD without rendering a body.
-    site.finish_build();
-    site
+    }
 }
 
 /// Runs the deterministic site construction against an arbitrary

@@ -12,9 +12,12 @@
 //! A [`Website`] is a fully materialised page graph; HTML bodies are rendered
 //! on demand (deterministically) and re-parsed by the crawler through
 //! `sb-html`, so the tag paths the crawler sees are produced by a real
-//! parse, not injected.
+//! parse, not injected. Building a site renders nothing: bodies and sizes
+//! are served through the [`BodyCache`] every [`SiteSource`] shares, and a
+//! mutation empties it.
 
 pub mod build;
+pub mod cache;
 pub mod hazard;
 pub mod lexicon;
 pub mod profiles;
@@ -23,16 +26,15 @@ pub mod source;
 pub mod spec;
 
 pub use build::{build_site, build_with_store, PageStore};
+pub use cache::BodyCache;
 pub use hazard::{apply_hazards, HazardReport, HazardSpec};
 pub use lexicon::Lang;
 pub use profiles::{paper_profiles, profile};
 pub use source::SiteSource;
 pub use spec::{MimePalette, SiteSpec, StructureSpec};
 
-use crate::csr::Csr;
 use crate::interner::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Index of a page within its [`Website`].
 pub type PageId = u32;
@@ -157,20 +159,9 @@ pub struct SectionStyle {
     pub wrapper_divs: u8,
 }
 
-/// Per-page render state: the precomputed rendered Content-Length (filled
-/// for every HTML page at build time, so HEAD requests never render) and
-/// the lazily-populated rendered-body cache shared by everything holding
-/// the same `Website` (notably every `SiteServer` over an `Arc<Website>`)
-/// — each page is rendered at most once per site instance, not once per
-/// GET.
-#[derive(Debug, Clone, Default)]
-struct RenderSlot {
-    len: OnceLock<u64>,
-    body: OnceLock<Arc<[u8]>>,
-}
-
-/// A fully generated website.
-#[derive(Debug)]
+/// A fully generated website. A clone starts with a cold cache under the
+/// same budgets.
+#[derive(Debug, Clone)]
 pub struct Website {
     spec: SiteSpec,
     seed: u64,
@@ -178,47 +169,17 @@ pub struct Website {
     pages: Vec<SitePage>,
     url_index: FxHashMap<String, PageId>,
     section_styles: Vec<SectionStyle>,
-    /// Parallel to `pages`; see [`RenderSlot`].
-    render: Vec<RenderSlot>,
-    /// Reverse link index (CSR: `in_links.row(p)` = pages with a build-time
-    /// out-link to `p`), kept so mutation-time cache invalidation is
-    /// O(in-degree) instead of a full site scan. May contain duplicates;
-    /// only used to reset slots.
-    in_links: Csr<PageId>,
-    /// Reverse links added after the build (pushed pages, added out-links):
-    /// a sparse overlay on the dense CSR index, empty on unmutated sites.
-    in_links_extra: FxHashMap<PageId, Vec<PageId>>,
-    /// Number of HTML render passes performed through the cache since this
-    /// instance was built (build-time Content-Length precomputation is not
-    /// counted). Exposed for the HEAD-performs-zero-renders tests.
-    renders: AtomicU64,
-    /// Remaining byte budget for cached *target* payloads (target bodies
-    /// can reach `content::BODY_CAP` each, so caching is bounded per site
-    /// instance).
-    target_cache_budget: AtomicU64,
+    /// Shared by everything holding this instance (notably every
+    /// `SiteServer` over an `Arc<Website>`) and emptied by every mutation:
+    /// HTML bodies unbounded ([`cache::UNBOUNDED`]), so each page renders
+    /// at most once between mutations; target payloads under
+    /// [`TARGET_CACHE_BUDGET`].
+    cache: BodyCache,
 }
 
-/// Default per-site budget for cached target payloads (see
-/// [`Website::target_payload`]).
+/// Default per-site budget for cached target payloads (target bodies can
+/// reach `content::BODY_CAP` each, so caching them is bounded).
 pub const TARGET_CACHE_BUDGET: u64 = 256 << 20;
-
-impl Clone for Website {
-    fn clone(&self) -> Self {
-        Website {
-            spec: self.spec.clone(),
-            seed: self.seed,
-            root: self.root,
-            pages: self.pages.clone(),
-            url_index: self.url_index.clone(),
-            section_styles: self.section_styles.clone(),
-            render: self.render.clone(),
-            in_links: self.in_links.clone(),
-            in_links_extra: self.in_links_extra.clone(),
-            renders: AtomicU64::new(self.renders.load(Ordering::Relaxed)),
-            target_cache_budget: AtomicU64::new(self.target_cache_budget.load(Ordering::Relaxed)),
-        }
-    }
-}
 
 impl Website {
     pub fn spec(&self) -> &SiteSpec {
@@ -259,108 +220,15 @@ impl Website {
         self.url_index.get(url).copied()
     }
 
-    /// The rendered HTML body of page `id`, from the shared per-page cache.
-    /// The first call renders (deterministically) and caches; every later
-    /// call — from any `SiteServer` over the same site instance — is an
-    /// `Arc` clone. HTML bodies are small, so the cache is unbounded (a
-    /// bounded one is what `sb_scale::StreamingSite` is for). Panics if `id`
-    /// is not an HTML page.
+    /// [`SiteSource::rendered`], callable without the trait in scope.
     pub fn rendered(&self, id: PageId) -> Arc<[u8]> {
-        debug_assert!(matches!(self.page(id).kind, PageKind::Html(_)));
-        let slot = &self.render[id as usize];
-        if let Some(cached) = slot.body.get() {
-            return Arc::clone(cached);
-        }
-        self.renders.fetch_add(1, Ordering::Relaxed);
-        let bytes = render::with_rendered(self, id, |page| Arc::<[u8]>::from(page));
-        // Renders are deterministic: losing the race to cache drops an
-        // identical copy.
-        let _ = slot.body.set(Arc::clone(&bytes));
-        bytes
+        SiteSource::rendered(self, id)
     }
 
-    /// The Content-Length the origin server declares for page `id`,
-    /// **without rendering**: HTML lengths are precomputed at build time,
-    /// targets report their declared size. After a mutation
-    /// ([`Website::add_out_link`], [`Website::set_kind`]) the affected
-    /// page's length is recomputed lazily — one render, then cached again.
-    pub fn content_length(&self, id: PageId) -> u64 {
-        match &self.page(id).kind {
-            PageKind::Html(_) => {
-                let slot = &self.render[id as usize];
-                if let Some(len) = slot.len.get() {
-                    return *len;
-                }
-                let len = self.rendered(id).len() as u64;
-                let _ = self.render[id as usize].len.set(len);
-                len
-            }
-            PageKind::Target { declared_size, .. } => *declared_size,
-            PageKind::Error { .. } | PageKind::Redirect { .. } => 0,
-        }
-    }
-
-    /// The payload bytes of target page `id`, from the shared per-page
-    /// cache. Generation is deterministic, so serving a cached `Arc` is
-    /// indistinguishable from regenerating — except it is free. Caching is
-    /// bounded by a per-site byte budget ([`TARGET_CACHE_BUDGET`]); beyond
-    /// it, payloads are regenerated per call. Panics if `id` is not a
-    /// target page.
-    pub fn target_payload(&self, id: PageId) -> Arc<[u8]> {
-        let slot = &self.render[id as usize];
-        if let Some(cached) = slot.body.get() {
-            return Arc::clone(cached);
-        }
-        let PageKind::Target { ext, declared_size, planted_tables, .. } = &self.page(id).kind
-        else {
-            panic!("target_payload called on a non-target page");
-        };
-        let bytes: Arc<[u8]> = Arc::from(crate::content::target_body(
-            self.seed ^ u64::from(id),
-            ext,
-            *planted_tables,
-            *declared_size,
-            self.section_style(0).lang,
-        ));
-        let cost = bytes.len() as u64;
-        if try_charge(&self.target_cache_budget, cost) && slot.body.set(Arc::clone(&bytes)).is_err()
-        {
-            // Another thread cached it first: release our reservation.
-            self.target_cache_budget.fetch_add(cost, Ordering::Relaxed);
-        }
-        bytes
-    }
-
-    /// Replaces the remaining target-payload cache budget (builder knob;
-    /// set before serving). The default is [`TARGET_CACHE_BUDGET`].
+    /// Replaces the target-payload cache budget (builder knob; set before
+    /// serving). The default is [`TARGET_CACHE_BUDGET`].
     pub fn with_target_cache_budget(self, bytes: u64) -> Self {
-        self.target_cache_budget.store(bytes, Ordering::Relaxed);
-        self
-    }
-
-    /// HTML render passes performed through the cache on this instance.
-    pub fn render_count(&self) -> u64 {
-        self.renders.load(Ordering::Relaxed)
-    }
-
-    /// Build-time finalisation: sizes the render-slot table and precomputes
-    /// every HTML page's rendered Content-Length (one render pass per page,
-    /// bodies discarded) so that serving HEAD never needs a body.
-    pub(crate) fn finish_build(&mut self) {
-        self.render = (0..self.pages.len()).map(|_| RenderSlot::default()).collect();
-        self.in_links = Csr::from_pairs(
-            self.pages.len(),
-            self.pages
-                .iter()
-                .enumerate()
-                .flat_map(|(pid, page)| page.out.iter().map(move |l| (l.to, pid as PageId))),
-        );
-        for id in 0..self.pages.len() as PageId {
-            if matches!(self.pages[id as usize].kind, PageKind::Html(_)) {
-                let len = render::with_rendered(self, id, |page| page.len() as u64);
-                let _ = self.render[id as usize].len.set(len);
-            }
-        }
+        Website { cache: self.cache.with_target_budget(bytes), ..self }
     }
 
     /// Total number of target pages.
@@ -390,14 +258,8 @@ impl Website {
         }
         let id = self.pages.len() as PageId;
         self.url_index.insert(page.url.clone(), id);
-        for l in &page.out {
-            self.in_links_extra.entry(l.to).or_default().push(id);
-        }
         self.pages.push(page);
-        // Fresh slot; the page's Content-Length is computed on first demand.
-        // The CSR reverse index is not resized: pushed pages live entirely
-        // in the sparse overlay (`Csr::row` is empty past the build size).
-        self.render.push(RenderSlot::default());
+        self.cache.clear(self.pages.len());
         Ok(id)
     }
 
@@ -413,42 +275,16 @@ impl Website {
             "out-links can only be added to HTML pages"
         );
         page.out.push(link);
-        self.in_links_extra.entry(link.to).or_default().push(from);
-        // The rendered body changed: drop the cached body and length.
-        self.render[from as usize] = RenderSlot::default();
+        self.cache.clear(self.pages.len());
     }
 
     /// Replaces the kind of a page in place (a target growing a revision, a
     /// page dying with `Error { status: 410 }`, …). The URL is unchanged.
+    /// Pages linking here may render differently too (nav and anchor
+    /// wording read the linked page's kind), so the whole cache is emptied.
     pub fn set_kind(&mut self, id: PageId, kind: PageKind) {
-        // A cached target payload goes back to the budget it was charged
-        // against (rendered HTML bodies are not budgeted).
-        if let (PageKind::Target { .. }, Some(body)) =
-            (&self.pages[id as usize].kind, self.render[id as usize].body.get())
-        {
-            self.target_cache_budget.fetch_add(body.len() as u64, Ordering::Relaxed);
-        }
         self.pages[id as usize].kind = kind;
-        self.render[id as usize] = RenderSlot::default();
-        // Rendering reads *linked* pages' kinds (nav/anchor wording), so
-        // any page linking here may now render differently: drop their
-        // cached bodies and precomputed lengths too (O(in-degree) via the
-        // reverse index: the build-time CSR rows plus the mutation overlay).
-        let mut sources: Vec<PageId> = self.in_links.row(id).to_vec();
-        if let Some(extra) = self.in_links_extra.get(&id) {
-            sources.extend_from_slice(extra);
-        }
-        for pid in sources {
-            if matches!(self.pages[pid as usize].kind, PageKind::Html(_)) {
-                self.render[pid as usize] = RenderSlot::default();
-            }
-        }
-    }
-
-    /// Remaining target-payload cache budget, in bytes (observability +
-    /// tests; starts at [`TARGET_CACHE_BUDGET`]).
-    pub fn target_cache_remaining(&self) -> u64 {
-        self.target_cache_budget.load(Ordering::Relaxed)
+        self.cache.clear(self.pages.len());
     }
 
     /// The Table 1 census of this site; see [`Census`].
@@ -495,25 +331,6 @@ impl Website {
             html_to_target_pct: if html > 0 { 100.0 * linkers as f64 / html as f64 } else { 0.0 },
             target_size_mb: mean_std(&sizes_mb),
             target_depth: mean_std(&target_depths),
-        }
-    }
-}
-
-/// Reserves `cost` bytes from a remaining-budget counter, if available.
-fn try_charge(budget: &AtomicU64, cost: u64) -> bool {
-    let mut remaining = budget.load(Ordering::Relaxed);
-    loop {
-        if remaining < cost {
-            return false;
-        }
-        match budget.compare_exchange_weak(
-            remaining,
-            remaining - cost,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return true,
-            Err(actual) => remaining = actual,
         }
     }
 }
@@ -650,14 +467,13 @@ mod mutation_tests {
     }
 
     #[test]
-    fn set_kind_refunds_cached_target_budget() {
+    fn set_kind_empties_the_cache() {
         let mut site = small_site();
         let target = site.target_ids()[0];
-        let before = site.target_cache_remaining();
         let body = site.target_payload(target);
-        assert_eq!(site.target_cache_remaining(), before - body.len() as u64);
+        assert_eq!(site.body_cache().cached_body_bytes(), body.len() as u64);
         site.set_kind(target, PageKind::Error { status: 410 });
-        assert_eq!(site.target_cache_remaining(), before, "invalidation must refund the budget");
+        assert_eq!(site.body_cache().cached_body_bytes(), 0, "a mutation must empty the cache");
     }
 
     #[test]
@@ -684,7 +500,7 @@ mod mutation_tests {
         let a = site.target_payload(target);
         let b = site.target_payload(target);
         assert_eq!(&a[..], &b[..]);
-        assert_eq!(site.target_cache_remaining(), 1, "payload larger than budget: not cached");
+        assert_eq!(site.body_cache().cached_body_bytes(), 0, "payload larger than budget: not cached");
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   `out_links(id)` per slot; hrefs and titles are borrowed from the site.
 //! * **The buffer belongs to the caller.** [`with_rendered`] owns the only
 //!   reused one — a thread-local page-sized `String` — and lends the bytes
-//!   to a closure, so a cache miss copies them once into an exact-sized
-//!   `Arc<[u8]>` and sizing a page (`Website::finish_build`) allocates
-//!   nothing. [`render_page`] `-> String` is the same emitter over a fresh
+//!   to a closure, so a cache miss ([`super::BodyCache`]) copies them once
+//!   into an exact-sized `Arc<[u8]>`, which also sizes the page.
+//!   [`render_page`] `-> String` is the same emitter over a fresh
 //!   buffer: it stays for the frozen `sb_bench::reference` engine and for
 //!   tests, which want an owned page and are not on a hot path.
 

@@ -2,15 +2,17 @@
 //! served and crawled.
 //!
 //! The eager [`Website`] materialises every [`super::SitePage`] up front;
-//! `sb-scale`'s streaming site packs the same graph into dense arenas and
-//! renders bodies through a bounded cache. Both implement this trait, and
-//! everything downstream — the origin server, the renderer, the omniscient
-//! strategy's target enumeration, BFS depth computation — consumes the trait
-//! rather than the concrete `Website`, so swapping the representation can
-//! never change crawler-observable behaviour. Rendering byte-identity
-//! between the two implementations is pinned by proptest in `sb-scale`.
+//! `sb-scale`'s streaming site packs the same graph into dense arenas. Both
+//! implement this trait, and everything downstream — the origin server, the
+//! renderer, the omniscient strategy's target enumeration, BFS depth
+//! computation — consumes the trait rather than the concrete `Website`, so
+//! swapping the representation can never change crawler-observable
+//! behaviour. An implementation supplies the graph and one
+//! [`BodyCache`]; serving (`rendered`, `content_length`, `target_payload`)
+//! is written once, here, over that cache. Rendering byte-identity between
+//! the two implementations is pinned by proptest in `sb-scale`.
 
-use super::{OutLink, PageId, PageKind, SectionStyle, SiteSpec, Website};
+use super::{BodyCache, OutLink, PageId, PageKind, SectionStyle, SiteSpec, Website};
 use crate::mime::UrlClass;
 use std::sync::Arc;
 
@@ -52,20 +54,34 @@ pub trait SiteSource: Send + Sync {
     /// This is the origin server's per-request hot path.
     fn lookup(&self, url: &str) -> Option<PageId>;
 
-    /// The rendered HTML body of page `id`. Deterministic per (seed, id);
-    /// implementations may cache. Panics if `id` is not an HTML page.
-    fn rendered(&self, id: PageId) -> Arc<[u8]>;
+    /// The cache this site's bodies and sizes are served through.
+    fn body_cache(&self) -> &BodyCache;
 
-    /// The Content-Length the origin server declares for page `id`.
-    fn content_length(&self, id: PageId) -> u64;
+    /// The rendered HTML body of page `id`, deterministic per (seed, id):
+    /// rendered on a cache miss, an `Arc` clone on a hit. Panics if `id` is
+    /// not an HTML page.
+    fn rendered(&self, id: PageId) -> Arc<[u8]> {
+        self.body_cache().rendered(self, id)
+    }
+
+    /// The Content-Length the origin server declares for page `id`. An HTML
+    /// page is sized by its first render and never rendered for its size
+    /// again; a target declares its size.
+    fn content_length(&self, id: PageId) -> u64 {
+        self.body_cache().content_length(self, id)
+    }
 
     /// The payload bytes of target page `id`. Panics if `id` is not a
     /// target page.
-    fn target_payload(&self, id: PageId) -> Arc<[u8]>;
+    fn target_payload(&self, id: PageId) -> Arc<[u8]> {
+        self.body_cache().target_payload(self, id)
+    }
 
-    /// HTML render passes performed on this instance (tests pin that HEAD
-    /// never renders).
-    fn render_count(&self) -> u64;
+    /// HTML render passes performed through [`Self::body_cache`] (tests pin
+    /// that a page is rendered at most once while it stays cached).
+    fn render_count(&self) -> u64 {
+        self.body_cache().renders()
+    }
 
     fn is_empty(&self) -> bool {
         self.n_pages() == 0
@@ -172,20 +188,8 @@ impl SiteSource for Website {
         Website::lookup(self, url)
     }
 
-    fn rendered(&self, id: PageId) -> Arc<[u8]> {
-        Website::rendered(self, id)
-    }
-
-    fn content_length(&self, id: PageId) -> u64 {
-        Website::content_length(self, id)
-    }
-
-    fn target_payload(&self, id: PageId) -> Arc<[u8]> {
-        Website::target_payload(self, id)
-    }
-
-    fn render_count(&self) -> u64 {
-        Website::render_count(self)
+    fn body_cache(&self) -> &BodyCache {
+        &self.cache
     }
 }
 
@@ -233,20 +237,8 @@ impl<S: SiteSource + ?Sized> SiteSource for Arc<S> {
         (**self).lookup(url)
     }
 
-    fn rendered(&self, id: PageId) -> Arc<[u8]> {
-        (**self).rendered(id)
-    }
-
-    fn content_length(&self, id: PageId) -> u64 {
-        (**self).content_length(id)
-    }
-
-    fn target_payload(&self, id: PageId) -> Arc<[u8]> {
-        (**self).target_payload(id)
-    }
-
-    fn render_count(&self) -> u64 {
-        (**self).render_count()
+    fn body_cache(&self) -> &BodyCache {
+        (**self).body_cache()
     }
 }
 

@@ -10,7 +10,8 @@
 //! * `with_rendered` of a ~12-link page performs **≤ 2** heap allocations
 //!   and requests **< 512 B** (measured 1 / 256 B: the writer's tag stack);
 //! * a `Website::rendered` miss adds exactly the one exact-sized
-//!   `Arc<[u8]>` — no intermediate `String`, no regrowth.
+//!   `Arc<[u8]>` — no intermediate `String`, no regrowth (measured 2 / 1 544 B
+//!   for a 1 267-byte page, the render included).
 //!
 //! One `href(..).to_owned()`, `title.to_owned()` or `format!` per link puts
 //! the first over budget at once (12 links → 13 allocations).
@@ -19,7 +20,7 @@
 //! own threads), and this file holds exactly one `#[test]`.
 
 use sb_webgraph::gen::render::with_rendered;
-use sb_webgraph::gen::{build_site, PageKind, SiteSpec};
+use sb_webgraph::gen::{build_site, PageKind, SiteSource, SiteSpec};
 use sb_webgraph::PageId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,6 +97,8 @@ fn rendering_a_page_allocates_its_tag_stack_and_nothing_else() {
 
     let mut len = 0;
     let (allocs, bytes) = allocated_in(|| len = with_rendered(&site, page, <[u8]>::len));
+    // A cold HEAD renders the page once and caches it, which also grows the
+    // cache's tables before the miss below is measured.
     assert_eq!(len as u64, site.content_length(page));
     assert!(
         allocs <= 2 && bytes < 512,

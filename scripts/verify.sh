@@ -59,6 +59,14 @@ cargo test -q --offline -p sb-scale --test alloc_guard_visited
 cargo test -q --offline -p sb-webgraph --test proptest_render
 cargo test -q --offline -p sb-webgraph --test alloc_guard_render
 cargo test -q --offline -p sb-scale --test alloc_guard_stream
+# One body cache for both site stores (PR 28): `Website` and
+# `StreamingSite` serve through `sb_webgraph::gen::BodyCache`, so one
+# behaviour suite runs over both. A cold HEAD renders a page once and
+# nothing after it does; every page of a 300-page site serves
+# `render_page`/`target_body` bytes and sizes within the budgets; an
+# evicted streaming page answers HEAD without rendering; a `Website`
+# mutated after serving serves fresh bytes for the page and its linkers.
+cargo test -q --offline -p sb-scale --test body_cache
 # A tag path is one string, built only for the links that survive (PR 24).
 # The html guard named at the top now also pins `TagPath::of` to two
 # allocations whatever the path's depth (a `to_owned()` per class fails it)
@@ -164,7 +172,7 @@ test -s target/verify-smoke/quality.csv
 # session per policy, BFS acquisition at epoch 0, one refresh per pick); the
 # experiment itself asserts both tag-path group learners reach at least
 # uniform cycling's new-target recall on every site. Also exercises
-# `Website` mutation + render-cache invalidation. ~1 s.
+# `Website` mutation, which empties the site's body cache. ~1 s.
 cargo run --release --offline -p sb-eval --bin xp -- \
     revisit --scale 0.003 --seeds 1 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/revisit.csv
@@ -196,7 +204,9 @@ fi
 # nothing called are gone (PR 26): no deleted duplicate comes back.
 # Every crawl statistic has one home: no second root string, no abandonment
 # getter beside `CrawlOutcome::abandoned`, no finish reason copied onto
-# `StepReport`, no summing of memory gauges.
+# `StepReport`, no summing of memory gauges. One body cache serves both
+# site stores (PR 28): no render-slot table, build-time sizing pass,
+# reverse-link index or fill-once target budget beside it.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
         -e "HtmlBuilder" -e "fn grams(" -e "pub segments" \
@@ -204,7 +214,9 @@ if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fn with_retries" -e "StatusExt" -e "fn note_served" -e "fn note_refreshed" \
         -e "fn text_arc" -e "SB_SCALE_XL" -e "extract_links_from(" \
         -e "root_text" -e "fn abandoned(&self)" -e "pub finished: Option<FinishReason>" \
-        -e "fn merge(&mut self, other: &MemGauges)" crates/*/src; then
+        -e "fn merge(&mut self, other: &MemGauges)" \
+        -e "RenderSlot" -e "in_links_extra" -e "fn try_charge" -e "fn finish_build" \
+        -e "target_cache_remaining" crates/*/src; then
     echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
