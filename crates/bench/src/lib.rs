@@ -1,14 +1,16 @@
-//! Benchmark support for the sbcrawl workspace.
+//! Frozen reference oracles for the sbcrawl workspace's differential tests.
+//! Nothing here is timed: perf claims go through `benchmark/`.
 //!
 //! [`client`] is the blocking crawl client: the serial cost model the
 //! transport's window-1 pins (in `sb_httpsim`'s tests) compare against, and
 //! what [`reference`] fetches through.
 //!
 //! [`reference`] preserves the pre-interning string-keyed engine and the
-//! uncached site server as an executable baseline for `benches/engine.rs`
-//! and the determinism property tests. [`seed_html`] preserves the seed
-//! owned-`String` HTML pipeline the same way, for `benches/html.rs` and the
-//! zero-copy equivalence property tests (`tests/html_equivalence.rs`).
+//! uncached site server as the oracle of the determinism property tests
+//! (`tests/determinism.rs`) and the fleet and batch replays in
+//! `sb_crawler`'s tests. [`seed_html`] preserves the seed owned-`String`
+//! HTML pipeline the same way, for the zero-copy equivalence property tests
+//! (`tests/html_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 

@@ -5,12 +5,12 @@
 //! that re-renders each page's HTML on every GET *and* HEAD (the seed
 //! `SiteServer::respond` behaviour).
 //!
-//! Two consumers:
+//! Its consumers are differential tests:
 //!
-//! * `benches/engine.rs` — the before/after microbenches measure this
-//!   module against the interned hot path;
 //! * `tests/determinism.rs` — property tests assert the interned engine
-//!   produces byte-identical `CrawlTrace`s and target lists.
+//!   produces byte-identical `CrawlTrace`s and target lists;
+//! * `sb_crawler`'s `tests/fleet.rs` and `tests/batch.rs` — window-1
+//!   fleet sites and batched crawls are held to this engine's traces.
 
 use sb_crawler::Budget;
 use sb_crawler::strategies::Discipline;
@@ -195,8 +195,8 @@ pub fn collapse_target_amends(trace: &CrawlTrace) -> CrawlTrace {
     out
 }
 
-/// What the reference crawl reports — the subset the determinism tests and
-/// benches compare against [`sb_crawler::CrawlOutcome`].
+/// What the reference crawl reports — the subset the differential tests
+/// compare against [`sb_crawler::CrawlOutcome`].
 pub struct ReferenceOutcome {
     pub trace: CrawlTrace,
     /// `(url, mime)` of every retrieved target, in retrieval order.

@@ -5,10 +5,8 @@
 //! seed `sb_html` (`Token { name: String, .. }`, per-node `children:
 //! Vec<NodeId>`, per-link `text_content` temporaries).
 //!
-//! Three consumers:
+//! Two consumers:
 //!
-//! * `benches/html.rs` — the before/after microbenches measure this
-//!   module against the borrowed pipeline;
 //! * `tests/html_equivalence.rs` — property tests assert the zero-copy
 //!   tokenizer/DOM/extractor produce value-identical tokens, trees and
 //!   links on arbitrary and generated markup;

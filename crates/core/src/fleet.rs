@@ -153,14 +153,14 @@ impl SiteReport {
 /// plus the sums of what adds up across them.
 pub struct FleetOutcome {
     pub sites: Vec<SiteReport>,
-    /// Sum of every site's cost counters. `elapsed_secs` is the *serial*
-    /// simulated time — what one crawler visiting the sites back to back
-    /// would have waited.
+    /// Sum of every site's cost counters. In [`FleetMode::PerSite`] its
+    /// `elapsed_secs` is the serial simulated time — what one crawler
+    /// visiting the sites back to back would have waited; in the pooled
+    /// modes each site reads its pool's shared clock, so the sum is not a
+    /// serial-visit estimate (see the module docs).
     pub traffic: Traffic,
     /// Targets retrieved across the fleet.
     pub targets: u64,
-    /// Real wall-clock seconds the fleet took.
-    pub wall_secs: f64,
     /// Fleet-wide per-reason abandonment tally (PR 6) — the sum of every
     /// site's [`CrawlOutcome::abandoned`].
     pub abandoned: AbandonCounts,
@@ -185,17 +185,11 @@ pub struct ShardReport {
 }
 
 impl FleetOutcome {
-    /// Requests per real second across the whole fleet — the headline
-    /// multi-site throughput number.
-    pub fn requests_per_sec(&self) -> f64 {
-        if self.wall_secs <= 0.0 {
-            return 0.0;
-        }
-        self.traffic.requests() as f64 / self.wall_secs
-    }
-
-    /// Longest simulated per-site duration — the fleet's simulated
-    /// wall-clock, since sites crawl concurrently.
+    /// Longest simulated per-site duration — the longest single site. It
+    /// is the fleet's simulated makespan only on a shared clock (the
+    /// pooled modes) or when every site has its own worker; a
+    /// [`FleetMode::PerSite`] worker crawling several sites back to back
+    /// waits their sum ([`ShardReport::sim_makespan_secs`]).
     pub fn sim_makespan_secs(&self) -> f64 {
         self.sites
             .iter()
@@ -300,7 +294,6 @@ impl Fleet {
     /// row of the module docs' table, deals the jobs onto one backlog per
     /// shard and runs the driver loop on one thread per shard.
     pub fn run(self) -> FleetOutcome {
-        let started = std::time::Instant::now();
         let n = self.jobs.len();
         let plan = match self.mode {
             FleetMode::PerSite => Plan {
@@ -358,14 +351,7 @@ impl Fleet {
                 abandoned.merge(&o.abandoned);
             }
         }
-        FleetOutcome {
-            sites,
-            traffic,
-            targets,
-            wall_secs: started.elapsed().as_secs_f64(),
-            abandoned,
-            shards,
-        }
+        FleetOutcome { sites, traffic, targets, abandoned, shards }
     }
 }
 

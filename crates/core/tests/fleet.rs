@@ -251,7 +251,6 @@ fn aggregate_traffic_sums_per_site_traffic() {
     assert_eq!(out.traffic.requests(), sum_requests);
     assert_eq!(out.targets, sum_targets);
     assert!(out.sim_makespan_secs() <= out.traffic.elapsed_secs);
-    assert!(out.wall_secs > 0.0);
 }
 
 /// [`FleetMode::PerSite`] lowers onto the same wave loop as every other

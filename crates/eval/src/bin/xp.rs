@@ -21,7 +21,7 @@
 //!   fleet       concurrent multi-site crawl (sessions + fleet scheduler)
 //!   pipeline    intra-site parallel fetch (in-flight window 1/4/16)
 //!   hostile     hostile-web workload: trap-laced site, retry/backoff (PR 6)
-//!   scale       memory-bounded crawl ladder: RSS + pages/sec at 10k/100k (PR 7)
+//!   scale       memory-bounded crawl ladder: peak memory gauges at 10k/100k (PR 7)
 //!   serve       continuous crawl-and-serve: read QPS + freshness SLA (PR 9)
 //!   quality     value-driven batch frontier: targets/GET, batch ladder (PR 10)
 //!   all         everything above
@@ -34,8 +34,10 @@
 //!
 //! `fleet` also accepts `--shards 1,2,4` (PR 8): the sharded parallel
 //! driver ladder (`fleet_shards.csv`) — one driver thread per shard,
-//! whole-site work stealing, wall-clock speedup and steal counts
-//! reported, every rung asserted byte-identical per site to the first.
+//! whole-site work stealing, every rung asserted byte-identical per site
+//! to the first. Wall-clock and steal counts are `benchmark/`'s
+//! (`fleet_sharded`): every `fleet` and `scale` CSV is a function of the
+//! flags alone.
 //!
 //! Defaults: `--scale 0.01 --seeds 3 --out results/`. The paper-fidelity run
 //! is `--scale 0.02 --seeds 15` (slower). A run reports itself under

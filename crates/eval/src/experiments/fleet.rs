@@ -1,9 +1,9 @@
 //! Fleet — the first multi-site workload: every selected Table 1 profile
 //! crawled **concurrently** by the paper's SB-CLASSIFIER (early stopping
 //! on), scheduled by `sb_crawler::fleet::Fleet` over `--jobs` worker
-//! threads. Reports per-site outcomes plus aggregate traffic and the
-//! fleet's real-time throughput — numbers the one-site-at-a-time harness
-//! could never produce.
+//! threads. Reports per-site outcomes plus aggregate traffic and
+//! simulated time. Every CSV is a function of the command-line flags
+//! alone: wall-clock throughput is `benchmark/`'s (`fleet_sharded`).
 //!
 //! With `--shared-pool` (PR 5) the same fleet additionally runs through
 //! one `SharedTransportPool` at global in-flight windows 1/4/16
@@ -21,7 +21,8 @@
 //! replays the sequential engine no matter which shard drives it, so each
 //! rung's per-site results are asserted byte-identical to the first
 //! rung's — the shard count may only buy wall-clock, never change a
-//! result.
+//! result. The rung reports only what the crawl determines; steal counts
+//! depend on thread timing and are left to `benchmark/`.
 //!
 //! This is a *throughput/workload* experiment, not a seed-averaged metric
 //! table: each site is crawled once (`--seeds` is not averaged here), with
@@ -36,8 +37,7 @@ use sb_crawler::{CrawlConfig, FinishReason};
 use sb_httpsim::SiteServer;
 use std::sync::Arc;
 
-/// Global shared-pool windows swept by `--shared-pool` (the bench suite
-/// records the same ladder).
+/// Global shared-pool windows swept by `--shared-pool`.
 pub const POOL_WINDOWS: [usize; 3] = [1, 4, 16];
 
 pub fn run(cfg: &EvalConfig) -> String {
@@ -94,14 +94,12 @@ pub fn run(cfg: &EvalConfig) -> String {
     );
 
     let summary = format!(
-        "{} sites on {} workers: {} targets, {} requests in {:.2}s wall \
-         ({:.0} req/s; simulated: {:.1}h serial vs {:.1}h concurrent makespan)",
+        "{} sites on {} workers: {} targets, {} requests \
+         (simulated: {:.1}h serial vs {:.1}h longest site)",
         out.sites.len(),
         cfg.jobs,
         out.targets,
         out.traffic.requests(),
-        out.wall_secs,
-        out.requests_per_sec(),
         out.traffic.elapsed_secs / 3600.0,
         out.sim_makespan_secs() / 3600.0,
     );
@@ -204,12 +202,9 @@ fn shared_pool_arm(
 /// window 1, one rung per shard count, each rung asserted byte-identical
 /// per site to the first.
 fn sharded_arm(cfg: &EvalConfig, build_fleet: impl Fn(FleetMode) -> Fleet) -> String {
-    let headers: Vec<String> = ["Shards", "Targets", "Requests", "Stolen sites", "Wall (s)", "Speedup"]
-        .map(String::from)
-        .to_vec();
-    let mut md_rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    let mut baseline: Option<(f64, Vec<(u64, u64, u64)>)> = None;
+    let headers: Vec<String> = ["Shards", "Targets", "Requests"].map(String::from).to_vec();
+    let mut rows = Vec::new();
+    let mut baseline: Option<Vec<(u64, u64, u64)>> = None;
 
     for &shards in &cfg.shards {
         let out = build_fleet(FleetMode::Sharded { shards, max_in_flight: 1 }).run();
@@ -221,7 +216,7 @@ fn sharded_arm(cfg: &EvalConfig, build_fleet: impl Fn(FleetMode) -> Fleet) -> St
                 (o.targets_found(), o.traffic.requests(), o.pages_crawled)
             })
             .collect();
-        let (base_wall, base_sites) = baseline.get_or_insert((out.wall_secs, per_site.clone()));
+        let base_sites = baseline.get_or_insert_with(|| per_site.clone());
         // Byte-parity across the ladder: at per-shard window 1 every site
         // replays the sequential engine regardless of shard count or
         // stealing, so any divergence is a driver bug.
@@ -229,36 +224,23 @@ fn sharded_arm(cfg: &EvalConfig, build_fleet: impl Fn(FleetMode) -> Fleet) -> St
             &per_site, base_sites,
             "sharded driver at {shards} shards diverged from the first rung"
         );
-        let speedup = *base_wall / out.wall_secs.max(1e-9);
-        md_rows.push(vec![
+        rows.push(vec![
             shards.to_string(),
             out.targets.to_string(),
             out.traffic.requests().to_string(),
-            out.stolen_sites().to_string(),
-            format!("{:.3}", out.wall_secs),
-            format!("{speedup:.2}×"),
-        ]);
-        csv_rows.push(vec![
-            shards.to_string(),
-            out.targets.to_string(),
-            out.traffic.requests().to_string(),
-            out.stolen_sites().to_string(),
-            format!("{:.6}", out.wall_secs),
-            format!("{speedup:.4}"),
         ]);
     }
 
     let _ = write_csv(
         &cfg.out_dir.join("fleet_shards.csv"),
-        &["shards", "targets", "requests", "stolen_sites", "wall_secs", "speedup_vs_first"]
-            .map(String::from),
-        &csv_rows,
+        &["shards", "targets", "requests"].map(String::from),
+        &rows,
     );
     format!(
         "\n### Sharded parallel driver (shard ladder)\n\n{}\n\n\
          One driver thread per shard, per-shard window 1, whole-site work stealing: \
          per-site results are byte-identical across the ladder (asserted) — shards buy \
-         wall-clock only. Wall-clock speedup depends on available cores.\n",
-        markdown(&headers, &md_rows),
+         wall-clock only, which the benchmark's `fleet_sharded` workload measures.\n",
+        markdown(&headers, &rows),
     )
 }

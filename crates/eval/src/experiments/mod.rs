@@ -115,18 +115,9 @@ pub fn campaign(cfg: &EvalConfig) -> Arc<Campaign> {
     c
 }
 
-/// Public summariser for experiments that run outside the shared campaign.
-pub fn summarize_public(
-    site: &str,
-    crawler: CrawlerKind,
-    seed: u64,
-    outcome: sb_crawler::CrawlOutcome,
-    site_ref: &SiteRef,
-) -> RunSummary {
-    summarize(site, crawler, seed, outcome, site_ref)
-}
-
-fn summarize(
+/// One crawl's [`RunSummary`]: the campaign's summariser, also used by
+/// experiments that run outside the shared campaign.
+pub fn summarize(
     site: &str,
     crawler: CrawlerKind,
     seed: u64,

@@ -2,10 +2,11 @@
 //! 10k / 100k page streaming sites, with every
 //! unbounded structure swapped for its `sb_scale` counterpart — streaming
 //! site behind the server, spill-backed frontier, fingerprint-compacted
-//! visited set. Records wall-clock throughput (pages/sec), process peak
-//! RSS, and the session's own memory gauges at their peaks, proving the
-//! in-memory footprint stays bounded while coverage stays *byte-identical*
-//! to the all-unbounded engine (checked outright on the 10k rung).
+//! visited set. Records the session's own memory gauges at their peaks,
+//! proving the in-memory footprint stays bounded while coverage stays
+//! *byte-identical* to the all-unbounded engine (checked outright on the
+//! 10k rung). Every column is a function of the rung alone; wall-clock and
+//! peak RSS are `benchmark/`'s (`scale_stream`).
 //!
 //! Rungs: `[10k]` under `--scale < 0.01` (the verify smoke), `[10k, 100k]`
 //! otherwise.
@@ -30,28 +31,9 @@ struct Rung {
     pages: usize,
     crawled: u64,
     targets: u64,
-    elapsed_secs: f64,
-    pages_per_sec: f64,
-    peak_rss_kb: u64,
     peak: MemGauges,
     spill_observed: bool,
     site_static_kb: u64,
-}
-
-/// `VmHWM` (peak resident set) and `VmRSS` from `/proc/self/status`, in kB.
-/// Returns 0 on non-Linux platforms rather than failing the ladder.
-pub fn peak_rss_kb() -> u64 {
-    proc_status_kb("VmHWM:")
-}
-
-fn proc_status_kb(key: &str) -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return 0 };
-    status
-        .lines()
-        .find(|l| l.starts_with(key))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 fn crawl_rung(pages: usize) -> Rung {
@@ -68,7 +50,6 @@ fn crawl_rung(pages: usize) -> Rung {
     let mut session =
         CrawlSession::new(&server, None, &root, &mut bfs, &cfg).expect("generated root is valid");
 
-    let t0 = std::time::Instant::now();
     let mut peak = MemGauges::default();
     let mut spill_observed = false;
     while !session.is_finished() {
@@ -81,15 +62,11 @@ fn crawl_rung(pages: usize) -> Rung {
         peak.frontier_spilled = peak.frontier_spilled.max(m.frontier_spilled);
         spill_observed |= m.frontier_spilled > 0;
     }
-    let elapsed_secs = t0.elapsed().as_secs_f64();
     let out = session.finish();
     Rung {
         pages,
         crawled: out.pages_crawled,
         targets: out.targets_found(),
-        elapsed_secs,
-        pages_per_sec: out.pages_crawled as f64 / elapsed_secs.max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
         peak,
         spill_observed,
         site_static_kb,
@@ -143,9 +120,6 @@ fn verify_identical(pages: usize) -> String {
 pub fn run(cfg: &EvalConfig) -> String {
     let rung_sizes = if cfg.scale < 0.01 { vec![10_000] } else { vec![10_000, 100_000] };
 
-    // Rungs run first: `VmHWM` is a process-wide high-water mark, so the
-    // RSS column must be captured before the eager reference site of the
-    // identity check inflates it.
     let rungs: Vec<Rung> = rung_sizes.iter().map(|&n| crawl_rung(n)).collect();
     let identity = verify_identical(rung_sizes[0]);
 
@@ -167,8 +141,8 @@ pub fn run(cfg: &EvalConfig) -> String {
     }
 
     let headers: Vec<String> = [
-        "Pages", "Crawled", "Targets", "Wall (s)", "Pages/s", "Peak RSS (MB)",
-        "Site static (MB)", "Peak frontier", "…spilled", "Visited (MB est.)",
+        "Pages", "Crawled", "Targets", "Site static (MB)", "Peak frontier", "…spilled",
+        "Visited (MB est.)",
     ]
     .map(String::from)
     .to_vec();
@@ -179,9 +153,6 @@ pub fn run(cfg: &EvalConfig) -> String {
             r.pages.to_string(),
             r.crawled.to_string(),
             r.targets.to_string(),
-            format!("{:.2}", r.elapsed_secs),
-            format!("{:.0}", r.pages_per_sec),
-            format!("{:.1}", r.peak_rss_kb as f64 / 1024.0),
             format!("{:.1}", r.site_static_kb as f64 / 1024.0),
             r.peak.frontier_len.to_string(),
             r.peak.frontier_spilled.to_string(),
@@ -191,9 +162,6 @@ pub fn run(cfg: &EvalConfig) -> String {
             r.pages.to_string(),
             r.crawled.to_string(),
             r.targets.to_string(),
-            format!("{:.4}", r.elapsed_secs),
-            format!("{:.2}", r.pages_per_sec),
-            r.peak_rss_kb.to_string(),
             r.site_static_kb.to_string(),
             r.peak.frontier_len.to_string(),
             r.peak.frontier_spilled.to_string(),
@@ -205,9 +173,8 @@ pub fn run(cfg: &EvalConfig) -> String {
     let _ = write_csv(
         &cfg.out_dir.join("scale.csv"),
         &[
-            "pages", "crawled", "targets", "wall_secs", "pages_per_sec", "peak_rss_kb",
-            "site_static_kb", "peak_frontier_len", "peak_frontier_spilled",
-            "peak_visited_bytes", "visited_urls", "visited_collisions",
+            "pages", "crawled", "targets", "site_static_kb", "peak_frontier_len",
+            "peak_frontier_spilled", "peak_visited_bytes", "visited_urls", "visited_collisions",
         ]
         .map(String::from),
         &csv_rows,
@@ -216,10 +183,9 @@ pub fn run(cfg: &EvalConfig) -> String {
     let last = rungs.last().expect("at least one rung");
     let summary = format!(
         "memory-bounded BFS ladder (frontier cap {FRONTIER_CAP}, visited threshold \
-         {VISITED_THRESHOLD}): {} pages at {:.0} pages/s, peak in-memory frontier {} ids \
+         {VISITED_THRESHOLD}): {} pages, peak in-memory frontier {} ids \
          ({} spilled), visited ≈{:.1} MB; {}",
         last.pages,
-        last.pages_per_sec,
         last.peak.frontier_len - last.peak.frontier_spilled,
         last.peak.frontier_spilled,
         last.peak.visited_bytes as f64 / (1024.0 * 1024.0),

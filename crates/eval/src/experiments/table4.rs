@@ -82,7 +82,7 @@ fn run_variant(cfg: &EvalConfig, code: &str, tuning: &SbTuning) -> (Cell, Vec<Ru
             req90_pct(&out, &site_ref),
             vol90_pct(&out, &site_ref),
             out.aborted_oom,
-            super::summarize_public(code, CrawlerKind::SbOracle, seed, out, &site_ref),
+            super::summarize(code, CrawlerKind::SbOracle, seed, out, &site_ref),
         )
     });
     let oom = outs.iter().any(|(_, _, o, _)| *o);

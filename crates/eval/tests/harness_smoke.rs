@@ -36,16 +36,28 @@ fn fleet_shared_pool_arm_renders_and_holds_parity() {
 fn fleet_sharded_arm_renders_and_holds_parity() {
     // Non-empty `shards` makes the experiment assert per-site byte-parity
     // across the shard ladder internally; the smoke checks the rendered
-    // ladder and the CSV artifact.
-    let mut c = cfg("fleet-shards", &["cl", "nc"]);
-    c.shards = vec![1, 2, 4];
-    let md = xp::fleet::run(&c);
+    // ladder and the CSV artifacts, and that every fleet CSV is a function
+    // of the flags alone: the same fleet on 1 and on 4 workers writes the
+    // same bytes.
+    let run = |tag: &str, jobs: usize| {
+        let mut c = cfg(tag, &["cl", "nc"]);
+        c.jobs = jobs;
+        c.shared_pool = true;
+        c.shards = vec![1, 2, 4];
+        (xp::fleet::run(&c), c.out_dir)
+    };
+    let (md, dir) = run("fleet-shards", 4);
+    let (_, serial_dir) = run("fleet-shards-jobs1", 1);
     assert!(md.contains("Sharded parallel driver"));
     assert!(md.contains("byte-identical across the ladder"));
-    let csv = std::fs::read_to_string(c.out_dir.join("fleet_shards.csv"))
+    let csv = std::fs::read_to_string(dir.join("fleet_shards.csv"))
         .expect("fleet_shards.csv exists");
     assert_eq!(csv.lines().count(), 4, "header + one row per rung:\n{csv}");
-    assert!(csv.starts_with("shards,targets,requests,stolen_sites,wall_secs,speedup_vs_first"));
+    assert!(csv.starts_with("shards,targets,requests"));
+    for name in ["fleet.csv", "fleet_pool.csv", "fleet_shards.csv"] {
+        let read = |d: &PathBuf| std::fs::read(d.join(name)).expect("fleet CSV exists");
+        assert!(read(&dir) == read(&serial_dir), "{name} differs between --jobs 4 and --jobs 1");
+    }
 }
 
 #[test]

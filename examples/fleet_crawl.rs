@@ -134,11 +134,9 @@ fn main() {
         );
     }
     println!(
-        "fleet total: {} targets, {} requests in {:.2}s wall ({:.0} req/s)\n",
+        "fleet total: {} targets, {} requests\n",
         per_site.targets,
-        per_site.traffic.requests(),
-        per_site.wall_secs,
-        per_site.requests_per_sec()
+        per_site.traffic.requests()
     );
 
     let pool_1 = build_fleet(&sites, FleetMode::SharedPool { max_in_flight: 1 }).run();
@@ -156,7 +154,7 @@ fn main() {
         ("shared pool, window 16", &pool_16),
     ] {
         println!(
-            "  {}: {} targets, {} requests, simulated makespan {:.1} min",
+            "  {}: {} targets, {} requests, longest site {:.1} simulated min",
             name,
             out.targets,
             out.traffic.requests(),
@@ -169,27 +167,22 @@ fn main() {
     );
 
     // ---- 3. The sharded driver: P = 1 / 2 / 4 --------------------------
-    // The runs above warmed the per-site render caches (shared through the
-    // `Arc<Website>`s), so the wall-clock ratios compare scheduling only.
     println!("== the same 6 sites through the sharded driver, P = 1 / 2 / 4 ==");
-    let mut baseline: Option<(f64, Vec<(u64, u64)>)> = None;
+    let mut baseline: Option<Vec<(u64, u64)>> = None;
     for shards in [1usize, 2, 4] {
         let out = build_fleet(&sites, FleetMode::Sharded { shards, max_in_flight: 1 }).run();
         let cov = coverage(&out);
-        let (base_wall, base_cov) = baseline.get_or_insert((out.wall_secs, cov.clone()));
+        let base_cov = baseline.get_or_insert_with(|| cov.clone());
 
         // The load-bearing property: shards may only buy wall-clock —
         // per-site coverage is identical to the single-shard run.
         assert_eq!(&cov, base_cov, "shard count changed a per-site result");
 
         println!(
-            "  P={shards}: {} targets, {} requests, {} sites stolen, \
-             {:.3}s wall ({:.2}x vs P=1)",
+            "  P={shards}: {} targets, {} requests, {} sites stolen",
             out.targets,
             out.traffic.requests(),
             out.stolen_sites(),
-            out.wall_secs,
-            *base_wall / out.wall_secs.max(1e-9),
         );
         for (s, report) in out.shards.iter().enumerate() {
             println!(
@@ -208,7 +201,7 @@ fn main() {
     let out = build_fleet(&sites, FleetMode::Sharded { shards: 2, max_in_flight: 1 })
         .shard_assignment(vec![0; sites.len()])
         .run();
-    assert_eq!(&coverage(&out), &baseline.unwrap().1, "stealing changed a per-site result");
+    assert_eq!(&coverage(&out), &baseline.unwrap(), "stealing changed a per-site result");
     for (s, report) in out.shards.iter().enumerate() {
         println!("  shard {s}: drove {} sites, stole {}", report.sites, report.stolen);
     }

@@ -19,7 +19,8 @@
 //!
 //! The session's `MemGauges` (on every `StepReport`) prove the bounds
 //! hold while the crawl runs — this is the same wiring the `xp scale`
-//! ladder uses to record its RSS/throughput table.
+//! ladder uses to record its memory-gauge table. Wall-clock and peak RSS
+//! of this crawl are measured by `benchmark/` (`scale_stream`).
 //!
 //! Run with: `cargo run --release --example large_scale_crawl`
 
@@ -36,7 +37,6 @@ const VISITED_THRESHOLD: usize = 8192;
 
 fn main() {
     println!("== building a {PAGES}-page streaming site (packed arenas, no SitePage structs) ==");
-    let t0 = std::time::Instant::now();
     let site = Arc::new(
         stream_site(&SiteSpec::demo(PAGES), 42)
             // Bounded body caches: ~16 MiB of rendered HTML, whatever the
@@ -45,8 +45,7 @@ fn main() {
             .with_target_cache_budget(32 << 20),
     );
     println!(
-        "   built in {:.2?}; static footprint ≈{:.1} MB for {} pages",
-        t0.elapsed(),
+        "   static footprint ≈{:.1} MB for {} pages",
         site.static_bytes() as f64 / (1024.0 * 1024.0),
         site.n_pages(),
     );
@@ -66,7 +65,6 @@ fn main() {
         .expect("generated root URL is valid");
 
     println!("== BFS to exhaustion, memory-bounded ==");
-    let t1 = std::time::Instant::now();
     let mut peak_in_mem = 0usize;
     let mut peak_spilled = 0usize;
     let mut peak_visited_mb = 0.0f64;
@@ -90,16 +88,13 @@ fn main() {
             );
         }
     }
-    let elapsed = t1.elapsed().as_secs_f64();
     let out = session.finish();
 
     println!("\n== done ==");
     println!(
-        "   {} pages crawled, {} targets, in {:.1}s ({:.0} pages/s)",
+        "   {} pages crawled, {} targets",
         out.pages_crawled,
         out.targets_found(),
-        elapsed,
-        out.pages_crawled as f64 / elapsed,
     );
     println!(
         "   peak in-memory frontier: {peak_in_mem} ids (cap {FRONTIER_CAP}); \

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, bench compile check
-# (benches can't rot) and an xp-driven smoke run of the experiment harness.
+# Tier-1 verification: release build, full test suite, the named guards,
+# an xp-driven smoke run of the experiment harness and the benchmark/ smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
-# Examples, benches and test binaries must stay compilable too.
+# Examples and test binaries must stay compilable too.
 cargo build --offline --workspace --all-targets
 cargo test -q --offline --workspace
 # The zero-copy HTML pipeline must stay allocation-bounded (PR 3): the
@@ -106,11 +106,6 @@ cargo test -q --offline -p sb-crawler --test session_api a_429_storm_closed_mid_
 # open at EOF, megabyte attribute values, 10 000 nested elements and
 # invalid UTF-8 (the html alloc guard above bounds the same inputs).
 cargo test -q --offline -p sb-bench --test html_equivalence
-# Benches must stay compilable even when nobody runs them — the html
-# microbench (seed pipeline vs zero-copy) named explicitly; its compile is
-# cached from the package-wide line, so the extra check is free.
-cargo bench --no-run --offline -p sb-bench
-cargo bench --no-run --offline -p sb-bench --bench html
 # End-to-end harness smoke: one tiny experiment through site generation,
 # crawling, metrics and report rendering.
 cargo run --release --offline -p sb-eval --bin xp -- \
@@ -143,10 +138,14 @@ cargo run --release --offline -p sb-eval --bin xp -- \
 # streaming site, spill-backed frontier, fingerprint visited set. The
 # experiment itself asserts bounded in-memory gauges (spill observed,
 # frontier cap respected) and byte-identical coverage vs the unbounded
-# engine; `--scale 0.003` keeps it to the 10k rung.
+# engine; `--scale 0.003` keeps it to the 10k rung. Its CSV records only
+# what the crawl determines, so a `--jobs 1` rerun writes the same bytes.
 cargo run --release --offline -p sb-eval --bin xp -- \
     scale --scale 0.003 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/scale.csv
+cargo run --release --offline -p sb-eval --bin xp -- \
+    scale --scale 0.003 --jobs 1 --out target/verify-smoke-jobs1
+cmp target/verify-smoke/scale.csv target/verify-smoke-jobs1/scale.csv
 # Serve smoke (PR 9): continuous crawl-and-serve — the experiment asserts
 # the zero-reader window-1 refresh schedule is byte-reproducible and the
 # freshness SLA (median age-at-read ≤ 2 epochs) holds on every rung of
@@ -206,7 +205,9 @@ fi
 # getter beside `CrawlOutcome::abandoned`, no finish reason copied onto
 # `StepReport`, no summing of memory gauges. One body cache serves both
 # site stores (PR 28): no render-slot table, build-time sizing pass,
-# reverse-link index or fill-once target budget beside it.
+# reverse-link index or fill-once target budget beside it. `benchmark/` is
+# the one place that times the crawl (PR 29): no benchmark shim, fleet
+# throughput getter or peak-RSS reader beside it.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
         -e "HtmlBuilder" -e "fn grams(" -e "pub segments" \
@@ -216,8 +217,13 @@ if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "root_text" -e "fn abandoned(&self)" -e "pub finished: Option<FinishReason>" \
         -e "fn merge(&mut self, other: &MemGauges)" \
         -e "RenderSlot" -e "in_links_extra" -e "fn try_charge" -e "fn finish_build" \
-        -e "target_cache_remaining" crates/*/src; then
-    echo "verify: a deleted duplicate reappeared under crates/*/src" >&2; exit 1
+        -e "target_cache_remaining" -e "criterion" -e "fn requests_per_sec" -e "VmHWM" \
+        crates/*/src Cargo.toml crates/*/Cargo.toml; then
+    echo "verify: a deleted duplicate reappeared" >&2; exit 1
+fi
+# `ReadReport::wall_secs` in sb_serve stays (`serve_refresh` reads its qps).
+if grep -rn "wall_secs" crates/core/src crates/eval/src; then
+    echo "verify: a crawl timer reappeared outside benchmark/" >&2; exit 1
 fi
 # The benchmark (benchmark/, BENCHMARK.json) is its own [workspace], so the
 # workspace build and test lines above never compile it: a PR that narrows a
