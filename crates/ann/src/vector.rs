@@ -69,17 +69,19 @@ impl SparseVec {
     /// The running-mean step of Algorithm 1: this centroid of `members`
     /// tag paths absorbs `x`, coordinate-wise `c + (x − c) / (members + 1)`
     /// over the sorted union of both supports (a coordinate absent from
-    /// both stays absent: the dense map sends 0 to 0).
-    pub fn moved_toward(&self, x: &SparseVec, members: f32) -> SparseVec {
+    /// both stays absent: the dense map sends 0 to 0), written into `out`'s
+    /// allocation through [`SparseVec::refill`] — a caller moves into one
+    /// scratch vector and swaps it in, so a warmed move allocates nothing.
+    pub fn moved_toward_into(&self, x: &SparseVec, members: f32, out: &mut SparseVec) {
         let step = |c: f32, x: f32| c + (x - c) / (members + 1.0);
         let (a, b) = (&self.items, &x.items);
-        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
+        out.refill(std::iter::from_fn(|| loop {
             let order = match (a.get(i), b.get(j)) {
                 (Some(l), Some(r)) => l.0.cmp(&r.0),
                 (Some(_), None) => Ordering::Less,
-                _ => Ordering::Greater,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return None,
             };
             let (idx, v) = match order {
                 Ordering::Less => (a[i].0, step(a[i].1, 0.0)),
@@ -89,10 +91,9 @@ impl SparseVec {
             i += usize::from(order != Ordering::Greater);
             j += usize::from(order != Ordering::Less);
             if v != 0.0 {
-                out.push((idx, v));
+                return Some((idx, v));
             }
-        }
-        SparseVec::new(out)
+        }));
     }
 }
 
@@ -199,6 +200,8 @@ mod tests {
         // One member at [2, 0, 4] absorbs [0, 6, 4]: the mean of the two.
         let c = SparseVec::from_dense(&[2.0, 0.0, 4.0]);
         let x = SparseVec::from_dense(&[0.0, 6.0, 4.0]);
-        assert_eq!(c.moved_toward(&x, 1.0).to_dense(3), vec![1.0, 3.0, 4.0]);
+        let mut out = SparseVec::from_dense(&[9.0, 9.0, 9.0, 9.0]);
+        c.moved_toward_into(&x, 1.0, &mut out);
+        assert_eq!(out, SparseVec::from_dense(&[1.0, 3.0, 4.0]));
     }
 }

@@ -108,9 +108,16 @@ proptest! {
     }
 
     /// (c) The sorted-union centroid move ≡ the dense coordinate-wise map
-    /// `c + (x − c) / (m + 1)`.
+    /// `c + (x − c) / (m + 1)`, written into a *dirty* destination (the
+    /// scratch vector `ActionSpace` reuses holds some other centroid's
+    /// items), exactly as `refill` is held to `new` in (b').
     #[test]
-    fn centroid_move_equals_dense_map(c in arb_sparse(), x in arb_sparse(), members in 1u32..100_000) {
+    fn centroid_move_equals_dense_map(
+        c in arb_sparse(),
+        x in arb_sparse(),
+        mut moved in arb_sparse(),
+        members in 1u32..100_000,
+    ) {
         let m = members as f32;
         let dense: Vec<f32> = c
             .to_dense(DIM)
@@ -118,8 +125,9 @@ proptest! {
             .zip(&x.to_dense(DIM))
             .map(|(&c, &x)| c + (x - c) / (m + 1.0))
             .collect();
-        let moved = c.moved_toward(&x, m);
+        c.moved_toward_into(&x, m, &mut moved);
         prop_assert_eq!(bits(&moved.to_dense(DIM)), bits(&dense));
+        prop_assert_eq!(&moved, &SparseVec::from_dense(&dense), "zeros dropped, new()'s norm cached");
         // And the moved centroid's cached norm is the dense one: cosines
         // against it keep matching.
         prop_assert_eq!(cosine_sparse(&moved, &x).to_bits(), cosine(&dense, &x.to_dense(DIM)).to_bits());

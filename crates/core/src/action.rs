@@ -13,9 +13,47 @@
 //! and the `ed` OOM pathology of Table 4 — reproduced here by the optional
 //! `max_actions` guard); θ = 0 collapses everything into one action (pure
 //! random selection).
+//!
+//! ## The path memo
+//!
+//! A site's links come from a few dozen templates, so `assign` sees the same
+//! tag path over and over. It pays for each distinct path once, and every
+//! answer stays what sketching and scanning afresh would give. The memo is
+//! keyed on the [`TagPath`] itself — its text *and* its token boundaries,
+//! since an `id` may contain a space and two paths can share their text.
+//! Each entry holds:
+//!
+//! - the path's `BucketSums` from `Sketcher::admit`, taken at first sighting
+//!   only. Only a first sighting can grow the vocabulary, so the growth
+//!   order and every hit count are unchanged;
+//! - its projected `SparseVec` and the `hits_under` value it was projected
+//!   at. It is re-projected with `project_into` only when `hits_under` has
+//!   moved, and every cached cosine of the entry goes stale with it;
+//! - one cosine per action, stamped with that centroid's member count. A
+//!   centroid changes only when it is created or absorbs a member, so a
+//!   cached cosine is valid while its centroid's member count and the
+//!   path's `hits_under` are unchanged: it is then bit for bit what
+//!   `cosine_sparse` returns now. Only stale cells are recomputed — usually
+//!   the one centroid the previous join moved.
+//!
+//! The memo empties whenever an entry would take its estimated size (the
+//! cosine cells, the keys, the sums and the sketches) past `MEMO_BYTES`,
+//! 1 MiB. A stream of paths that never repeat — θ = 0.95, `unique_ids`
+//! sites — thus costs at most about that much more memory than sketching
+//! every link afresh. Re-admitting a path after the memo empties yields the
+//! same sums, because its grams are already in the vocabulary.
+//!
+//! `match_only` does not use the memo: it sketches against the frozen
+//! vocabulary and scans every centroid, as TP-OFF's phase 2 always did.
 
-use sb_ann::{cosine_sparse, Projector, SparseVec, Sketcher};
+use sb_ann::{cosine_sparse, BucketSums, Projector, Sketcher, SparseVec};
 use sb_html::TagPath;
+use sb_webgraph::FxHashMap;
+use std::mem::size_of;
+
+/// Upper bound on the path memo's estimated size, in bytes. Crossing it
+/// empties the memo.
+const MEMO_BYTES: usize = 1 << 20;
 
 /// Identifier of an action (dense, in creation order).
 pub type ActionId = usize;
@@ -76,6 +114,46 @@ struct ActionMeta {
     exemplar: String,
 }
 
+/// One memoised tag path (see the module docs).
+struct PathMemo {
+    /// From `Sketcher::admit` at the path's first sighting.
+    sums: BucketSums,
+    /// `hits_under(sums)` when `projected` was computed.
+    hits: u32,
+    projected: SparseVec,
+    /// `sims[a]`: the cosine of `projected` to centroid `a`.
+    sims: Vec<Sim>,
+}
+
+/// A cached cosine, valid while its centroid has `members` members.
+#[derive(Clone, Copy)]
+struct Sim {
+    members: u64,
+    cos: f32,
+}
+
+impl Sim {
+    /// No centroid has zero members, so this cell is always recomputed.
+    const STALE: Sim = Sim { members: 0, cos: 0.0 };
+}
+
+/// Estimated bytes of `path`'s memo entry without its cosines: the entry
+/// and its table slot, the key's text and token ends, and the sums and the
+/// sketch (at most one bucket per n-gram, at most `len + 1` n-grams).
+fn entry_bytes(path: &TagPath) -> usize {
+    size_of::<(TagPath, PathMemo)>()
+        + path.as_str().len()
+        + path.len() * size_of::<u32>()
+        + 2 * (path.len() + 1) * size_of::<(u32, f32)>()
+}
+
+/// The nearest centroid, given the cosine to each in id order: the
+/// smallest distance `1 − cos` (as an f32) wins, ties go to the lowest id.
+fn nearest(cosines: impl Iterator<Item = f32>) -> Option<(ActionId, f32)> {
+    // `min_by` keeps the first of equal minima, i.e. the lowest id.
+    cosines.enumerate().min_by(|a, b| (1.0 - a.1).total_cmp(&(1.0 - b.1)))
+}
+
 /// The online tag-path clustering of Algorithm 1.
 pub struct ActionSpace {
     cfg: ActionSpaceConfig,
@@ -83,12 +161,28 @@ pub struct ActionSpace {
     /// `centroids[a]` is action `a`'s centroid; parallel to `metas`.
     centroids: Vec<SparseVec>,
     metas: Vec<ActionMeta>,
+    /// Every distinct path's sketch and cosines (see the module docs).
+    memo: FxHashMap<TagPath, PathMemo>,
+    /// Σ `entry_bytes` over the memo's keys plus its cosine cells; at most
+    /// `MEMO_BYTES`, unless one entry alone is larger (past ~65 000
+    /// actions, when the centroids already take several times more).
+    memo_bytes: usize,
+    /// The centroid move's destination, swapped with the centroid it moves.
+    scratch: SparseVec,
 }
 
 impl ActionSpace {
     pub fn new(cfg: ActionSpaceConfig) -> Self {
         let sketcher = Sketcher::new(cfg.ngram, Projector::new(cfg.m, cfg.w, cfg.prime));
-        ActionSpace { sketcher, cfg, centroids: Vec::new(), metas: Vec::new() }
+        ActionSpace {
+            sketcher,
+            cfg,
+            centroids: Vec::new(),
+            metas: Vec::new(),
+            memo: FxHashMap::default(),
+            memo_bytes: 0,
+            scratch: SparseVec::default(),
+        }
     }
 
     pub fn config(&self) -> &ActionSpaceConfig {
@@ -126,49 +220,78 @@ impl ActionSpace {
     pub fn match_only(&self, path: &TagPath) -> Option<ActionId> {
         let tokens: Vec<&str> = path.tokens().collect();
         let projected = self.sketcher.sketch(&tokens);
-        match self.nearest(&projected) {
+        match nearest(self.centroids.iter().map(|c| cosine_sparse(&projected, c))) {
             Some((a, sim)) if sim >= self.cfg.theta => Some(a),
             _ => None,
         }
-    }
-
-    /// The centroid nearest to `q` and its cosine similarity: every centroid
-    /// is scanned, the smallest distance `1 − cos` (as an f32) wins, ties go
-    /// to the lowest id.
-    fn nearest(&self, q: &SparseVec) -> Option<(ActionId, f32)> {
-        self.centroids
-            .iter()
-            .map(|c| cosine_sparse(q, c))
-            .enumerate()
-            // `min_by` keeps the first of equal minima, i.e. the lowest id.
-            .min_by(|a, b| (1.0 - a.1).total_cmp(&(1.0 - b.1)))
     }
 
     /// Algorithm 1: finds (or creates) the action for a hyperlink's tag
     /// path. Returns the action id, or [`ActionSpaceFull`] when the guard
     /// trips.
     pub fn assign(&mut self, path: &TagPath) -> Result<ActionId, ActionSpaceFull> {
-        let tokens: Vec<&str> = path.tokens().collect();
-        let projected = self.sketcher.sketch_mut(&tokens);
+        let actions = self.metas.len();
+        let cells_bytes = |cells: usize| cells * size_of::<Sim>();
+        let memo = match self.memo.get_mut(path) {
+            Some(memo)
+                if self.memo_bytes + cells_bytes(actions - memo.sims.len()) <= MEMO_BYTES =>
+            {
+                memo
+            }
+            // A first sighting, or a row whose new cells would pass the
+            // bound — then so does a fresh row, and the memo empties below.
+            _ => {
+                let tokens: Vec<&str> = path.tokens().collect();
+                let sums = self.sketcher.admit(&tokens);
+                let bytes = entry_bytes(path);
+                if self.memo_bytes + bytes + cells_bytes(actions) > MEMO_BYTES {
+                    self.memo.clear();
+                    self.memo_bytes = 0;
+                }
+                self.memo_bytes += bytes;
+                // `hits_under` is 0 only for empty sums, whose projection is
+                // the empty default: anything else is projected below.
+                let fresh =
+                    PathMemo { sums, hits: 0, projected: SparseVec::default(), sims: Vec::new() };
+                self.memo.entry(path.clone()).or_insert(fresh)
+            }
+        };
+        let hits = self.sketcher.hits_under(&memo.sums);
+        if hits != memo.hits {
+            self.sketcher.project_into(&memo.sums, &mut memo.projected);
+            memo.hits = hits;
+            memo.sims.fill(Sim::STALE);
+        }
+        self.memo_bytes += cells_bytes(actions - memo.sims.len());
+        memo.sims.resize(actions, Sim::STALE);
 
-        if let Some((a, sim)) = self.nearest(&projected) {
+        let (centroids, metas) = (&self.centroids, &self.metas);
+        let cosines =
+            memo.sims.iter_mut().zip(centroids.iter().zip(metas)).map(|(sim, (c, meta))| {
+                if sim.members != meta.members {
+                    *sim = Sim { members: meta.members, cos: cosine_sparse(&memo.projected, c) };
+                }
+                sim.cos
+            });
+        if let Some((a, sim)) = nearest(cosines) {
             if sim >= self.cfg.theta {
                 // Join: move the centroid toward the newcomer.
                 let m = self.metas[a].members as f32;
-                self.centroids[a] = self.centroids[a].moved_toward(&projected, m);
+                self.centroids[a].moved_toward_into(&memo.projected, m, &mut self.scratch);
+                std::mem::swap(&mut self.centroids[a], &mut self.scratch);
                 self.metas[a].members += 1;
                 return Ok(a);
             }
         }
         // Found nothing similar enough: a new action is born.
         if let Some(cap) = self.cfg.max_actions {
-            if self.metas.len() >= cap {
-                return Err(ActionSpaceFull { actions: self.metas.len() });
+            if actions >= cap {
+                return Err(ActionSpaceFull { actions });
             }
         }
-        self.centroids.push(projected);
+        self.centroids.push(memo.projected.clone());
         self.metas.push(ActionMeta { members: 1, exemplar: path.as_str().to_owned() });
-        Ok(self.metas.len() - 1)
+        Ok(actions)
     }
 }
 
@@ -304,6 +427,48 @@ mod tests {
         let mut s = space(0.75);
         let a = s.assign(&tp("html body ul.datasets li a")).unwrap();
         assert_eq!(s.exemplar(a), "html body ul.datasets li a");
+    }
+
+    /// At θ = 0.95 every unique-id path founds its own action, so the memo's
+    /// cosine cells grow quadratically: it must empty before its bound, and
+    /// its byte count must be exactly what its entries add up to.
+    #[test]
+    fn distinct_paths_never_take_the_memo_past_its_bound() {
+        let mut s = space(0.95);
+        let mut emptied = false;
+        for i in 0..1000 {
+            let before = s.memo.len();
+            s.assign(&tp(&format!("html body div#main ul.list li#i{i} span a"))).unwrap();
+            let counted: usize = s
+                .memo
+                .iter()
+                .map(|(path, memo)| entry_bytes(path) + memo.sims.len() * size_of::<Sim>())
+                .sum();
+            assert_eq!(s.memo_bytes, counted, "path {i}");
+            assert!(s.memo_bytes <= MEMO_BYTES, "path {i}: {} bytes", s.memo_bytes);
+            emptied |= s.memo.len() <= before;
+        }
+        assert!(s.len() > 300, "only {} actions", s.len());
+        assert!(emptied, "the stream never reached the bound");
+    }
+
+    /// An `id` may contain a space, so two paths can render the same text.
+    /// The memo keys on the token boundaries too: each keeps its own sketch.
+    #[test]
+    fn paths_sharing_their_text_keep_their_own_sketches() {
+        let spaced = TagPath::new(vec![
+            sb_html::PathSegment::new("html"),
+            sb_html::PathSegment::new("body"),
+            sb_html::PathSegment::new("div").with_id("x a"),
+        ]);
+        let split = tp("html body div#x a");
+        assert_eq!(spaced.as_str(), split.as_str());
+        let mut s = space(1.0);
+        let a = s.assign(&spaced).unwrap();
+        let b = s.assign(&split).unwrap();
+        assert_ne!(a, b, "the split path's grams differ from the spaced one's");
+        assert_eq!(s.assign(&spaced).unwrap(), a);
+        assert_eq!(s.assign(&split).unwrap(), b);
     }
 
     #[test]

@@ -265,31 +265,32 @@ impl Strategy for SbStrategy {
     }
 
     fn decide(&mut self, link: &NewLink<'_>, services: &mut Services<'_, '_>) -> LinkDecision {
-        match self.classify(link, services) {
-            UrlClass::Neither => LinkDecision::Skip,
+        let decision = match self.classify(link, services) {
+            UrlClass::Neither => return LinkDecision::Skip,
             UrlClass::Target => LinkDecision::FetchNow,
-            UrlClass::Html => {
-                match self.actions.assign(&link.html.tag_path) {
-                    Ok(a) => {
-                        if let Some(ctx) = &mut self.link_ctx {
-                            ctx.insert(
-                                link.id,
-                                (
-                                    // Owned-conversion boundary: this
-                                    // context outlives the page buffer.
-                                    link.html.anchor_text.to_string(),
-                                    link.html.tag_path.to_string(),
-                                    link.html.surrounding_text.to_string(),
-                                ),
-                            );
-                        }
-                        self.pool_push(a, link.id);
-                        LinkDecision::Enqueue
-                    }
-                    Err(_) => LinkDecision::ActionSpaceFull,
+            UrlClass::Html => match self.actions.assign(&link.html.tag_path) {
+                Ok(a) => {
+                    self.pool_push(a, link.id);
+                    LinkDecision::Enqueue
                 }
-            }
+                Err(_) => return LinkDecision::ActionSpaceFull,
+            },
+        };
+        // Every link that will be fetched — pooled or fetched now — is
+        // observed in `on_fetched` with the context it was routed on.
+        if let Some(ctx) = &mut self.link_ctx {
+            ctx.insert(
+                link.id,
+                (
+                    // Owned-conversion boundary: this context outlives the
+                    // page buffer.
+                    link.html.anchor_text.to_string(),
+                    link.html.tag_path.to_string(),
+                    link.html.surrounding_text.to_string(),
+                ),
+            );
         }
+        decision
     }
 
     fn feedback(&mut self, token: u64, reward: f64) {
@@ -402,6 +403,77 @@ mod tests {
         let mut s = SbStrategy::classifier_default();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(s.next(&mut rng).is_none());
+    }
+
+    /// An origin no decision past the bootstrap may reach.
+    struct NoOrigin;
+
+    impl sb_httpsim::HttpServer for NoOrigin {
+        fn head(&self, url: &str) -> sb_httpsim::HeadResponse {
+            panic!("HEAD {url} past the bootstrap")
+        }
+
+        fn get(&self, url: &str) -> sb_httpsim::Response {
+            panic!("GET {url} from decide")
+        }
+    }
+
+    /// URL_CONT past its bootstrap: every link routed to a fetch — a
+    /// predicted target fetched now as well as a pooled HTML link — keeps
+    /// the context it was predicted from until `on_fetched` trains on it
+    /// and removes it.
+    #[test]
+    fn url_cont_keeps_the_context_of_every_fetched_link_until_it_is_observed() {
+        use sb_ml::ModelKind;
+        let mut clf = UrlClassifier::new(ModelKind::LogisticRegression, FeatureSet::UrlContent, 10);
+        for i in 0..40 {
+            let (url, class) = if i % 2 == 0 {
+                (format!("https://s.org/files/data-{i}.csv"), Class2::Target)
+            } else {
+                (format!("https://s.org/pages/article-{i}.html"), Class2::Html)
+            };
+            clf.observe(
+                &FeatureInput { url: &url, anchor: "", dom_path: "", surrounding: "" },
+                class,
+            );
+        }
+        assert!(!clf.in_initial_phase());
+        let mut s = SbStrategy::with_classifier(SbConfig::default(), clf);
+        let policy = sb_webgraph::mime::MimePolicy::default();
+        let mut transport = sb_httpsim::PipelinedTransport::new(
+            &NoOrigin,
+            policy.clone(),
+            sb_httpsim::Politeness::default(),
+        );
+        let mut services = Services { transport: &mut transport, oracle: None, policy: &policy };
+        let context =
+            || ("the data".to_owned(), "html body ul li a".to_owned(), "download".to_owned());
+        for (id, url, expected) in [
+            (7, "https://s.org/files/data-99.csv", LinkDecision::FetchNow),
+            (8, "https://s.org/pages/article-99.html", LinkDecision::Enqueue),
+        ] {
+            let parsed = sb_webgraph::url::Url::parse(url).unwrap();
+            let (anchor, dom, surrounding) = context();
+            let html = sb_html::Link {
+                href: url.into(),
+                kind: sb_html::LinkKind::Anchor,
+                tag_path: sb_html::TagPath::parse(&dom),
+                anchor_text: anchor.into(),
+                surrounding_text: surrounding.into(),
+            };
+            let link = NewLink { id, url: &parsed, url_str: url, html: &html, source_depth: 1 };
+            assert_eq!(s.decide(&link, &mut services), expected, "{url}");
+            assert_eq!(s.link_ctx.as_ref().unwrap().get(&id), Some(&context()), "{url}");
+
+            let SbMode::Classifier(clf) = &s.mode else { unreachable!() };
+            let observed = clf.observed();
+            let class =
+                if expected == LinkDecision::FetchNow { UrlClass::Target } else { UrlClass::Html };
+            s.on_fetched(id, url, class);
+            assert!(!s.link_ctx.as_ref().unwrap().contains_key(&id), "{url}");
+            let SbMode::Classifier(clf) = &s.mode else { unreachable!() };
+            assert_eq!(clf.observed(), observed + 1);
+        }
     }
 
     #[test]

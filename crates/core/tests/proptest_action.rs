@@ -18,6 +18,7 @@ use sb_html::TagPath;
 
 struct DenseSpace {
     theta: f32,
+    max_actions: Option<usize>,
     vocab: NgramVocab,
     projector: Projector,
     centroids: Vec<Vec<f32>>,
@@ -28,6 +29,7 @@ impl DenseSpace {
     fn new(cfg: &ActionSpaceConfig) -> Self {
         DenseSpace {
             theta: cfg.theta,
+            max_actions: cfg.max_actions,
             vocab: NgramVocab::new(cfg.ngram),
             projector: Projector::new(cfg.m, cfg.w, cfg.prime),
             centroids: Vec::new(),
@@ -57,6 +59,12 @@ impl DenseSpace {
     }
 
     fn assign(&mut self, path: &TagPath) -> usize {
+        self.try_assign(path).expect("no cap")
+    }
+
+    /// `None` where a new action would pass `max_actions`: the vocabulary
+    /// has grown by the path's unseen n-grams, and nothing else has moved.
+    fn try_assign(&mut self, path: &TagPath) -> Option<usize> {
         let tokens: Vec<String> = path.tokens().map(str::to_owned).collect();
         let projected = self.projector.project(&self.vocab.vectorize_mut(&tokens));
         if let Some((a, sim)) = self.nearest(&projected) {
@@ -66,12 +74,33 @@ impl DenseSpace {
                     *c += (x - *c) / (m + 1.0);
                 }
                 self.members[a] += 1;
-                return a;
+                return Some(a);
             }
+        }
+        if self.max_actions.is_some_and(|cap| self.members.len() >= cap) {
+            return None;
         }
         self.members.push(1);
         self.centroids.push(projected);
-        self.members.len() - 1
+        Some(self.members.len() - 1)
+    }
+
+    /// Action count, vocabulary, member counts and `match_only` over
+    /// `probes` all equal the dense model's.
+    fn assert_same_state(
+        &self,
+        sparse: &ActionSpace,
+        probes: &[TagPath],
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(sparse.len(), self.members.len());
+        prop_assert_eq!(sparse.vocab_len(), self.vocab.len());
+        for (a, &m) in self.members.iter().enumerate() {
+            prop_assert_eq!(sparse.members(a), m);
+        }
+        for path in probes {
+            prop_assert_eq!(sparse.match_only(path), self.match_only(path), "match_only {}", path);
+        }
+        Ok(())
     }
 }
 
@@ -144,5 +173,87 @@ proptest! {
             prop_assert_eq!(sparse.assign(&path).expect("no cap"), dense.assign(&path), "assign {}", p);
         }
         prop_assert!(sparse.len() >= 14, "only {} actions", sparse.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The path memo: a site's links come from a few templates, so each
+    /// sequence draws from a small pool and every path repeats many times.
+    /// Through every repeat — cached sketch, cosines stamped by member
+    /// count, centroid moved in place — `assign` must hand out the dense
+    /// model's ids, and a `max_actions` cap that trips partway must fail on
+    /// exactly the paths that would found an action past it. After the
+    /// sequence, the action count, vocabulary, member counts and
+    /// `match_only` must still be the dense model's.
+    #[test]
+    fn memoised_assign_replays_the_dense_transcription_over_repeating_paths(
+        pool in proptest::collection::vec((arb_path(), arb_unique_id_path()), 1..10),
+        unique_ids in proptest::bool::ANY,
+        picks in proptest::collection::vec(0usize..64, 1..240),
+        probes in proptest::collection::vec(arb_path(), 1..6),
+        theta in 0u8..5,
+        small_dim in proptest::bool::ANY,
+        cap in 0usize..6,
+    ) {
+        let mut cfg = ActionSpaceConfig {
+            theta: [0.5, 0.75, 0.9, 0.95, 1.0][theta as usize],
+            max_actions: (cap > 0).then_some(cap),
+            ..Default::default()
+        };
+        if small_dim {
+            (cfg.m, cfg.w) = (4, 11);
+        }
+        let pool: Vec<TagPath> = pool
+            .iter()
+            .map(|(path, unique)| TagPath::parse(if unique_ids { unique } else { path }))
+            .collect();
+        let mut dense = DenseSpace::new(&cfg);
+        let mut sparse = ActionSpace::new(cfg);
+        for &i in &picks {
+            let path = &pool[i % pool.len()];
+            let expected = dense.try_assign(path).ok_or(dense.members.len());
+            let got = sparse.assign(path).map_err(|full| full.actions);
+            prop_assert_eq!(got, expected, "assign {}: {:?} vs {:?}", path, got, expected);
+        }
+        let probes: Vec<TagPath> = probes.iter().map(|p| TagPath::parse(p)).collect();
+        dense.assert_same_state(&sparse, &[pool, probes].concat())?;
+    }
+}
+
+proptest! {
+    // Each case replays ~800 assigns through a model with hundreds of
+    // actions; D = 256 keeps the dense scans affordable.
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The memo's bound. At θ = 0.95 each new unique-id path founds an
+    /// action, and its memo entry keeps one 16-byte cosine per action that
+    /// existed when it was assigned. Founding `n` actions that way leaves
+    /// `16 · n(n − 1) / 2` bytes of cells, past the memo's 1 MiB from
+    /// `n = 363` on: the memo must empty mid-sequence, and the earlier paths
+    /// revisited after that are re-admitted. No answer may change.
+    #[test]
+    fn the_memo_empties_mid_sequence_without_changing_an_answer(
+        tails in proptest::collection::vec("(span|p|em)(\\.[abc])?", 380..420),
+        revisits in proptest::collection::vec(0usize..10_000, 380..420),
+    ) {
+        let mut cfg = ActionSpaceConfig { theta: 0.95, ..Default::default() };
+        (cfg.m, cfg.w) = (8, 15);
+        let paths: Vec<TagPath> = tails
+            .iter()
+            .enumerate()
+            .map(|(i, tail)| TagPath::parse(&format!("html body div#main ul.list li#i{i} {tail} a")))
+            .collect();
+        let mut dense = DenseSpace::new(&cfg);
+        let mut sparse = ActionSpace::new(cfg);
+        for (i, path) in paths.iter().enumerate() {
+            let again = &paths[revisits[i % revisits.len()] % (i + 1)];
+            for path in [path, again] {
+                prop_assert_eq!(sparse.assign(path).expect("no cap"), dense.assign(path), "assign {}", path);
+            }
+        }
+        prop_assert!(sparse.len() >= 363, "only {} actions: the memo may never have emptied", sparse.len());
+        dense.assert_same_state(&sparse, &paths[..40])?;
     }
 }

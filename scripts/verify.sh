@@ -20,10 +20,20 @@ cargo test -q --offline -p sb-html --test alloc_guard
 # ActionSpace-level one is the brute-force-parity net (ids, member counts and
 # `match_only` against an independent dense model with an exhaustive nearest
 # centroid, among dozens of near-equidistant moving centroids too), and the
-# counting-allocator guard keeps any D-sized temporary out of a joining
-# `assign`. Named like the html guard above, for the same reason.
+# counting-allocator guard keeps any D-sized temporary out of `assign`.
+# Named like the html guard above, for the same reason.
 cargo test -q --offline -p sb-ann --test proptest_sparse
 cargo test -q --offline -p sb-crawler --test proptest_action
+# `ActionSpace` pays for each tag path once: its memo keeps every distinct
+# path's sketch and one cosine per action, stamped with the centroid's
+# member count, and centroids move into a reused scratch vector. The memo
+# differentials replay small pools of repeating paths (both families, every
+# θ, a `max_actions` cap tripping partway) and a unique-id stream long
+# enough to empty the memo against the dense model; the allocation guard
+# holds a repeat path's joining `assign` to 0 bytes and a first sighting's
+# to the 1 744 B it had before the memo.
+cargo test -q --offline -p sb-crawler --test proptest_action memoised_assign_replays_the_dense_transcription_over_repeating_paths
+cargo test -q --offline -p sb-crawler --test proptest_action the_memo_empties_mid_sequence_without_changing_an_answer
 cargo test -q --offline -p sb-crawler --test alloc_guard_action
 # The value frontier scores once and re-scores what changed (PR 22). What
 # licenses the per-candidate memos is the frozen re-score-everything
@@ -70,10 +80,11 @@ cargo test -q --offline -p sb-scale --test body_cache
 # A tag path is one string, built only for the links that survive (PR 24).
 # The html guard named at the top now also pins `TagPath::of` to two
 # allocations whatever the path's depth (a `to_owned()` per class fails it)
-# and a walk over a page's link sites to none; the action guard's byte
-# budget is twice what a joining `assign` measures with borrowed tokens and
-# one gram buffer. The n-gram differential holds that buffer to the
-# pad-and-`join` model it replaced (n = 1..3, empty lists, repeated grams,
+# and a walk over a page's link sites to none; borrowed tokens and one gram
+# buffer are what keep a first-sighting `assign` within the action guard's
+# byte budget (a repeat path is not tokenised at all). The n-gram
+# differential holds that buffer to the pad-and-`join` model it replaced
+# (n = 1..3, empty lists, repeated grams,
 # tokens with spaces, `&[String]` and `&[&str]`, same vocabulary order); the
 # session test holds every link `decide` is handed over clean and
 # hazard-laced crawls to what eager extraction computes at its position of
@@ -208,6 +219,8 @@ fi
 # reverse-link index or fill-once target budget beside it. `benchmark/` is
 # the one place that times the crawl (PR 29): no benchmark shim, fleet
 # throughput getter or peak-RSS reader beside it.
+# A centroid moves through one kernel, `moved_toward_into`: no allocating
+# `moved_toward` beside it.
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
         -e "HtmlBuilder" -e "fn grams(" -e "pub segments" \
@@ -218,6 +231,7 @@ if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fn merge(&mut self, other: &MemGauges)" \
         -e "RenderSlot" -e "in_links_extra" -e "fn try_charge" -e "fn finish_build" \
         -e "target_cache_remaining" -e "criterion" -e "fn requests_per_sec" -e "VmHWM" \
+        -e "fn moved_toward(" \
         crates/*/src Cargo.toml crates/*/Cargo.toml; then
     echo "verify: a deleted duplicate reappeared" >&2; exit 1
 fi
