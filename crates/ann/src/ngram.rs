@@ -34,10 +34,6 @@ impl NgramVocab {
         NgramVocab { n, index: HashMap::new() }
     }
 
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Current vocabulary size `d`.
     pub fn len(&self) -> usize {
         self.index.len()

@@ -1,20 +1,19 @@
-//! Vector primitives: the sparse sketch vectors the crawl runs on, and the
-//! dense cosine reference they are pinned against.
+//! Vector primitives: the sparse sketch vectors the crawl runs on.
 //!
-//! A projected tag path has ~10 non-zeros out of `D = 4096`, so production
-//! code ([`crate::Sketcher`], `ActionSpace`) only ever holds
-//! [`SparseVec`]s. The sparse kernels are **bit-identical** to the
-//! dense ones by construction: a skipped coordinate would only have added
-//! an exact-zero product to an f64 accumulator, and every surviving term is
-//! added in the same ascending-index order as the dense loop. The dense
-//! [`cosine`] stays as the small stateless reference and test oracle.
+//! A projected tag path has ~10 non-zeros out of `D = 4096`, so
+//! [`crate::Sketcher`] and `ActionSpace` only ever hold [`SparseVec`]s. The
+//! sparse kernels are **bit-identical** to the dense ones by construction:
+//! a skipped coordinate would only have added an exact-zero product to an
+//! f64 accumulator, and every surviving term is added in the same
+//! ascending-index order as the dense loop. That dense loop is the
+//! reference `sb_bench::dense::cosine` the differential tests pin them to.
 
 use std::cmp::Ordering;
 
 /// A sparse f32 vector: `(index, value)` items in strictly ascending index
 /// order, plus the squared norm cached beside them (the same ordered f64
-/// sum the dense [`cosine`] loop accumulates). The two constructors —
-/// [`SparseVec::new`] and the in-place [`SparseVec::refill`] — check the
+/// sum the dense cosine loop accumulates). The two constructors —
+/// [`SparseVec::new`] and the in-place `refill` — check the
 /// order and compute the norm through one function, and nothing else
 /// writes the items, so the cache can never go stale.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -39,7 +38,7 @@ impl SparseVec {
 
     /// [`SparseVec::new`] into this vector's allocation — for a caller that
     /// rebuilds one probe vector many times over. Same check, same norm.
-    pub fn refill(&mut self, items: impl IntoIterator<Item = (u32, f32)>) {
+    pub(crate) fn refill(&mut self, items: impl IntoIterator<Item = (u32, f32)>) {
         self.items.clear();
         self.items.extend(items);
         self.norm_sq = checked_norm_sq(&self.items);
@@ -70,7 +69,7 @@ impl SparseVec {
     /// tag paths absorbs `x`, coordinate-wise `c + (x − c) / (members + 1)`
     /// over the sorted union of both supports (a coordinate absent from
     /// both stays absent: the dense map sends 0 to 0), written into `out`'s
-    /// allocation through [`SparseVec::refill`] — a caller moves into one
+    /// allocation through `refill` — a caller moves into one
     /// scratch vector and swaps it in, so a warmed move allocates nothing.
     pub fn moved_toward_into(&self, x: &SparseVec, members: f32, out: &mut SparseVec) {
         let step = |c: f32, x: f32| c + (x - c) / (members + 1.0);
@@ -108,7 +107,8 @@ pub(crate) fn add_sorted<K: Ord + Copy>(items: &mut Vec<(K, f32)>, key: K, val: 
 }
 
 /// Cosine similarity of two sparse vectors by merge-join; 0 if either is
-/// zero. Equal, bit for bit, to [`cosine`] over the densified inputs.
+/// zero. Equal, bit for bit, to the dense three-accumulator cosine over the
+/// densified inputs.
 pub fn cosine_sparse(a: &SparseVec, b: &SparseVec) -> f32 {
     if a.norm_sq == 0.0 || b.norm_sq == 0.0 {
         return 0.0;
@@ -130,47 +130,9 @@ pub fn cosine_sparse(a: &SparseVec, b: &SparseVec) -> f32 {
     (dot / (a.norm_sq.sqrt() * b.norm_sq.sqrt())) as f32
 }
 
-/// Cosine similarity between two equal-length dense vectors; 0 if either is
-/// zero. Reference only — no production call site.
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut dot = 0.0f64;
-    let mut na = 0.0f64;
-    let mut nb = 0.0f64;
-    for (&x, &y) in a.iter().zip(b) {
-        dot += f64::from(x) * f64::from(y);
-        na += f64::from(x) * f64::from(x);
-        nb += f64::from(y) * f64::from(y);
-    }
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot / (na.sqrt() * nb.sqrt())) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cosine_identity_and_orthogonal() {
-        let a = [1.0, 0.0, 2.0];
-        assert!((cosine(&a, &a) - 1.0).abs() < 1e-6);
-        assert!((cosine(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-6);
-        assert!((cosine(&[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cosine_zero_vector_is_zero() {
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn cosine_scale_invariant() {
-        let a = [0.3, 0.7, 0.1];
-        let b: Vec<f32> = a.iter().map(|x| x * 42.0).collect();
-        assert!((cosine(&a, &b) - 1.0).abs() < 1e-6);
-    }
 
     #[test]
     fn sparse_round_trips_dense_and_drops_zeros() {
@@ -184,15 +146,6 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn sparse_rejects_unsorted_items() {
         SparseVec::new(vec![(3, 1.0), (1, 1.0)]);
-    }
-
-    #[test]
-    fn cosine_sparse_matches_dense_bits() {
-        let a = [0.3, 0.0, -0.7, 0.0, 0.1];
-        let b = [0.0, 0.9, 0.2, 0.0, 0.4];
-        let (sa, sb) = (SparseVec::from_dense(&a), SparseVec::from_dense(&b));
-        assert_eq!(cosine_sparse(&sa, &sb).to_bits(), cosine(&a, &b).to_bits());
-        assert_eq!(cosine_sparse(&sa, &SparseVec::new(Vec::new())), 0.0);
     }
 
     #[test]

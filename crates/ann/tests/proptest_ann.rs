@@ -1,10 +1,93 @@
-//! Property tests for the vectorisation pipeline.
+//! Property tests for the vectorisation pipeline, and the paper's Figure 3
+//! worked example (`D = 4`, `w = 11`, `Π = 766 245 317`) digit for digit,
+//! through the dense reference projection and through the [`Sketcher`].
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_ann::{cosine, NgramVocab, Projector, SparseBow, BOS, EOS};
+use sb_ann::{NgramVocab, Projector, Sketcher, SparseBow, BOS, DEFAULT_PRIME, EOS};
+use sb_bench::dense::{cosine, project};
 use std::collections::HashMap;
+
+fn toks(s: &str) -> Vec<&str> {
+    s.split_whitespace().collect()
+}
+
+/// Full Figure 3 reproduction: the k+1 tag path projects to
+/// `[1, 1.5, 0.5, 0.67]`.
+#[test]
+fn projection_paper_example() {
+    let mut vocab = NgramVocab::new(2);
+    // Iteration k: vocabulary of 5 bigrams.
+    vocab.vectorize_mut(&toks("html body div#container a.info"));
+    assert_eq!(vocab.len(), 5);
+    // Iteration k+1: the new tag path grows the vocabulary to 11.
+    let p = vocab.vectorize_mut(&toks(
+        "html body div#container div div div ul li.datasets a.dataset",
+    ));
+    assert_eq!(p.dim, 11);
+    let proj = Projector::new(2, 11, DEFAULT_PRIME);
+    let out = project(&proj, &p);
+    assert!((out[0] - 1.0).abs() < 1e-6, "{out:?}");
+    assert!((out[1] - 1.5).abs() < 1e-6, "{out:?}");
+    assert!((out[2] - 0.5).abs() < 1e-6, "{out:?}");
+    assert!((out[3] - 2.0 / 3.0).abs() < 1e-6, "{out:?}");
+}
+
+/// The same Figure 3 walk through the [`Sketcher`]: identical output,
+/// with the vocabulary grown from 5 to 11 positions between the calls.
+#[test]
+fn sketcher_reproduces_paper_example() {
+    let proj = Projector::new(2, 11, DEFAULT_PRIME);
+    let mut sketcher = Sketcher::new(2, proj);
+    let mut vocab = NgramVocab::new(2);
+    for path in [
+        "html body div#container a.info",
+        "html body div#container div div div ul li.datasets a.dataset",
+    ] {
+        let sparse = sketcher.sketch_mut(&toks(path));
+        assert_eq!(sparse.to_dense(4), project(&proj, &vocab.vectorize_mut(&toks(path))));
+    }
+    assert_eq!(sketcher.vocab_len(), 11);
+    // Frozen sketches drop unseen n-grams and leave the table alone.
+    let frozen = sketcher.sketch(&toks("html body nav a.info"));
+    assert_eq!(frozen.to_dense(4), project(&proj, &vocab.vectorize(&toks("html body nav a.info"))));
+    assert_eq!(sketcher.vocab_len(), 11);
+}
+
+#[test]
+fn unhit_positions_are_zero() {
+    // Tiny vocab: with d = 1 only bucket h(0) is hit.
+    let p = Projector::new(2, 11, DEFAULT_PRIME);
+    let bow = SparseBow { dim: 1, items: vec![(0, 3.0)] };
+    let out = project(&p, &bow);
+    let nonzero = out.iter().filter(|&&x| x != 0.0).count();
+    assert_eq!(nonzero, 1);
+    assert_eq!(out[p.hash(0)], 3.0);
+}
+
+#[test]
+fn projection_is_deterministic() {
+    let p = Projector::paper_default();
+    let bow = SparseBow { dim: 100, items: (0..100).step_by(3).map(|i| (i, 1.0)).collect() };
+    assert_eq!(project(&p, &bow), project(&p, &bow));
+}
+
+/// Similar tag paths must project to similar vectors (the clustering
+/// hypothesis would die here otherwise).
+#[test]
+fn similar_paths_project_close() {
+    let mut vocab = NgramVocab::new(2);
+    vocab.vectorize_mut(&toks("html body div#main ul.datasets li a.download"));
+    vocab.vectorize_mut(&toks("html body div#main ul.datasets li a.dataset"));
+    let c = vocab.vectorize_mut(&toks("html body header nav ul.menu li a"));
+    let proj = Projector::paper_default();
+    // Re-vectorise a and b under the final vocabulary for a fair compare.
+    let a = vocab.vectorize(&toks("html body div#main ul.datasets li a.download"));
+    let b = vocab.vectorize(&toks("html body div#main ul.datasets li a.dataset"));
+    let (pa, pb, pc) = (project(&proj, &a), project(&proj, &b), project(&proj, &c));
+    assert!(cosine(&pa, &pb) > cosine(&pa, &pc));
+}
 
 fn arb_tokens() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z]{1,6}(#[a-z]{1,4})?(\\.[a-z]{1,4})?", 1..12)
@@ -110,8 +193,8 @@ proptest! {
     fn projection_outputs_are_bucket_means(tokens in arb_tokens()) {
         let mut vocab = NgramVocab::new(2);
         let bow = vocab.vectorize_mut(&tokens);
-        let proj = Projector::new(6, 11, sb_ann::DEFAULT_PRIME);
-        let out = proj.project(&bow);
+        let proj = Projector::new(6, 11, DEFAULT_PRIME);
+        let out = project(&proj, &bow);
         let max_in = bow.items.iter().map(|&(_, c)| c).fold(0.0f32, f32::max);
         for &v in &out {
             prop_assert!(v <= max_in + 1e-6);
@@ -132,7 +215,7 @@ proptest! {
         }
         let bow = sb_ann::SparseBow { dim: d, items };
         let proj = Projector::paper_default();
-        prop_assert_eq!(proj.project(&bow), proj.project(&bow));
+        prop_assert_eq!(project(&proj, &bow), project(&proj, &bow));
     }
 
     /// Cosine similarity is symmetric and bounded.

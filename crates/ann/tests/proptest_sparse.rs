@@ -7,7 +7,8 @@
 //! stale hit count — is a bug that would silently change crawl traces.
 
 use proptest::prelude::*;
-use sb_ann::{cosine, cosine_sparse, NgramVocab, Projector, Sketcher, SparseVec, DEFAULT_PRIME};
+use sb_ann::{cosine_sparse, NgramVocab, Projector, Sketcher, SparseVec, DEFAULT_PRIME};
+use sb_bench::dense::{cosine, project};
 
 const DIM: usize = 48;
 
@@ -42,6 +43,15 @@ fn arb_tokens() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("(html|body|div|ul|li|a|nav)(\\.[ab])?", 1..10)
 }
 
+#[test]
+fn cosine_sparse_matches_dense_bits() {
+    let a = [0.3, 0.0, -0.7, 0.0, 0.1];
+    let b = [0.0, 0.9, 0.2, 0.0, 0.4];
+    let (sa, sb) = (SparseVec::from_dense(&a), SparseVec::from_dense(&b));
+    assert_eq!(cosine_sparse(&sa, &sb).to_bits(), cosine(&a, &b).to_bits());
+    assert_eq!(cosine_sparse(&sa, &SparseVec::new(Vec::new())), 0.0);
+}
+
 proptest! {
     /// (a) Merge-join cosine over cached norms ≡ the dense three-accumulator
     /// loop, including empty and zero-norm inputs.
@@ -54,7 +64,7 @@ proptest! {
 
     /// (b) The incremental hit table: after any interleaving of growing and
     /// frozen sketches, every sketch densifies to exactly
-    /// `Projector::project` of the same vocabulary history. `m = 3` (D = 8)
+    /// `dense::project` of the same vocabulary history. `m = 3` (D = 8)
     /// forces heavy bucket collisions; the paper default exercises the
     /// realistic sparse case.
     #[test]
@@ -72,7 +82,7 @@ proptest! {
                 (sketcher.sketch(tokens), vocab.vectorize(tokens))
             };
             prop_assert_eq!(sketcher.vocab_len(), vocab.len());
-            prop_assert_eq!(bits(&sparse.to_dense(proj.dim())), bits(&proj.project(&bow)));
+            prop_assert_eq!(bits(&sparse.to_dense(proj.dim())), bits(&project(&proj, &bow)));
         }
     }
 
@@ -97,7 +107,7 @@ proptest! {
             kept.push((tokens, sums, 0u32, Vec::new()));
             for (tokens, sums, hits_seen, dense_seen) in &mut kept {
                 sketcher.project_into(sums, &mut probe);
-                let dense = proj.project(&vocab.vectorize(tokens));
+                let dense = project(&proj, &vocab.vectorize(tokens));
                 prop_assert_eq!(bits(&probe.to_dense(proj.dim())), bits(&dense));
                 prop_assert_eq!(&probe, &SparseVec::from_dense(&dense), "refill caches new()'s norm");
                 let hits = sketcher.hits_under(sums);

@@ -10,10 +10,13 @@
 //! (`tests/determinism.rs`) and the fleet and batch replays in
 //! `sb_crawler`'s tests. [`seed_html`] preserves the seed owned-`String`
 //! HTML pipeline the same way, for the zero-copy equivalence property tests
-//! (`tests/html_equivalence.rs`).
+//! (`tests/html_equivalence.rs`). [`dense`] is the dense hash projection
+//! and cosine of Sec 3.2, the reference `sb_ann`'s sparse sketch kernels
+//! are pinned against.
 
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod dense;
 pub mod reference;
 pub mod seed_html;

@@ -16,7 +16,7 @@
 //!
 //! Keep it frozen: behaviour changes here invalidate every comparison.
 
-use sb_html::{LinkKind, PathSegment, TagPath};
+use sb_html::{LinkKind, TagPath};
 
 // ---------------------------------------------------------------------------
 // Seed entity unescaping (escape.rs at seed): always returns an owned String.
@@ -532,27 +532,28 @@ pub struct SeedLink {
     pub surrounding_text: String,
 }
 
-/// Seed tag-path extraction: one owned String per segment name, id, class.
+/// Seed tag-path extraction: one owned String per segment, rendered
+/// `name#id.class…` (the id trimmed and dropped when empty, the classes
+/// split on whitespace).
 pub fn seed_tag_path(doc: &SeedDocument, id: SeedNodeId) -> TagPath {
-    let segments = doc
+    let tokens: Vec<String> = doc
         .ancestry(id)
         .into_iter()
         .map(|nid| {
             let node = doc.node(nid);
-            let name = node.name().unwrap_or("").to_owned();
-            let elem_id =
-                node.attr("id").map(str::trim).filter(|s| !s.is_empty()).map(str::to_owned);
-            let classes = node
-                .attr("class")
-                .map(|c| c.split_ascii_whitespace().map(str::to_owned).collect())
-                .unwrap_or_default();
-            let mut seg = PathSegment::new(name);
-            seg.id = elem_id;
-            seg.classes = classes;
-            seg
+            let mut token = node.name().unwrap_or("").to_owned();
+            if let Some(elem_id) = node.attr("id").map(str::trim).filter(|s| !s.is_empty()) {
+                token.push('#');
+                token.push_str(elem_id);
+            }
+            for class in node.attr("class").into_iter().flat_map(str::split_ascii_whitespace) {
+                token.push('.');
+                token.push_str(class);
+            }
+            token
         })
         .collect();
-    TagPath::new(segments)
+    TagPath::from_tokens(tokens)
 }
 
 /// Seed link extraction over the seed DOM: per-link `text_content`

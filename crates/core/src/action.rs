@@ -204,7 +204,7 @@ impl ActionSpace {
     }
 
     /// A representative tag path of an action.
-    pub fn exemplar(&self, a: ActionId) -> &str {
+    pub(crate) fn exemplar(&self, a: ActionId) -> &str {
         &self.metas[a].exemplar
     }
 
@@ -456,11 +456,7 @@ mod tests {
     /// The memo keys on the token boundaries too: each keeps its own sketch.
     #[test]
     fn paths_sharing_their_text_keep_their_own_sketches() {
-        let spaced = TagPath::new(vec![
-            sb_html::PathSegment::new("html"),
-            sb_html::PathSegment::new("body"),
-            sb_html::PathSegment::new("div").with_id("x a"),
-        ]);
+        let spaced = TagPath::from_tokens(["html", "body", "div#x a"]);
         let split = tp("html body div#x a");
         assert_eq!(spaced.as_str(), split.as_str());
         let mut s = space(1.0);

@@ -36,7 +36,7 @@ impl EarlyStopConfig {
 
 /// The early-stopping monitor.
 #[derive(Debug, Clone)]
-pub struct EarlyStop {
+pub(crate) struct EarlyStop {
     cfg: EarlyStopConfig,
     mu: f64,
     last_y: f64,
@@ -50,7 +50,7 @@ pub struct EarlyStop {
 }
 
 impl EarlyStop {
-    pub fn new(cfg: EarlyStopConfig) -> Self {
+    pub(crate) fn new(cfg: EarlyStopConfig) -> Self {
         // μ starts at ε so a crawl cannot stop before the first real slopes
         // arrive (the paper's mechanism needs κ·ν iterations minimum).
         EarlyStop {
@@ -64,18 +64,9 @@ impl EarlyStop {
         }
     }
 
-    pub fn config(&self) -> &EarlyStopConfig {
-        &self.cfg
-    }
-
-    /// Current EMA of the slope.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
     /// Step `t` just finished with `y` targets retrieved so far. Returns
     /// true when the crawl should stop.
-    pub fn observe(&mut self, t: u64, y: f64) -> bool {
+    pub(crate) fn observe(&mut self, t: u64, y: f64) -> bool {
         if self.triggered_at.is_some() {
             return true;
         }
@@ -100,7 +91,7 @@ impl EarlyStop {
     }
 
     /// Iteration at which stopping triggered, if it did.
-    pub fn triggered_at(&self) -> Option<u64> {
+    pub(crate) fn triggered_at(&self) -> Option<u64> {
         self.triggered_at
     }
 }

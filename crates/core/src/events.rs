@@ -313,7 +313,7 @@ impl TraceObserver {
         &self.trace
     }
 
-    pub fn into_trace(self) -> CrawlTrace {
+    pub(crate) fn into_trace(self) -> CrawlTrace {
         self.trace
     }
 

@@ -87,7 +87,7 @@ pub type SharedOracle = Arc<dyn Oracle + Send + Sync>;
 
 /// Builds the strategy on the worker thread that will drive the session —
 /// strategies themselves never cross threads.
-pub type StrategyFactory = Box<dyn FnOnce() -> Box<dyn Strategy> + Send>;
+type StrategyFactory = Box<dyn FnOnce() -> Box<dyn Strategy> + Send>;
 
 /// One site's crawl: everything a worker needs to build and drive a
 /// session.
@@ -250,12 +250,6 @@ impl Fleet {
         self
     }
 
-    /// Shorthand for [`FleetMode::SharedPool`] with a global window of
-    /// `max_in_flight`.
-    pub fn shared_pool(self, max_in_flight: usize) -> Self {
-        self.mode(FleetMode::SharedPool { max_in_flight })
-    }
-
     /// Shorthand for [`FleetMode::Sharded`].
     pub fn sharded(self, shards: usize, max_in_flight: usize) -> Self {
         self.mode(FleetMode::Sharded { shards, max_in_flight })
@@ -274,12 +268,6 @@ impl Fleet {
 
     pub fn push(&mut self, job: FleetJob) {
         self.jobs.push(job);
-    }
-
-    /// Fluent [`Fleet::push`].
-    pub fn job(mut self, job: FleetJob) -> Self {
-        self.push(job);
-        self
     }
 
     pub fn len(&self) -> usize {

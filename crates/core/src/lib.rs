@@ -2,7 +2,7 @@
 //! crawler (sleeping-bandit RL over tag-path actions with an online URL
 //! classifier) plus every baseline, over one shared crawl engine.
 //!
-//! * [`action`] — tag-path clustering into actions (Algorithm 1),
+//! * [`ActionSpace`] — tag-path clustering into actions (Algorithm 1),
 //! * [`strategy`] — the crawler interface (frontier policy + link routing),
 //! * [`strategies`] — SB-CLASSIFIER, SB-ORACLE, BFS, DFS, RANDOM,
 //!   OMNISCIENT, FOCUSED, TP-OFF, TRES-lite, and the value-driven
@@ -20,8 +20,8 @@
 //!   taking waves of sites through in-flight pools, with the
 //!   [`FleetMode`] choosing how many threads, how many sites per wave and
 //!   whether sites share a pool's window,
-//! * [`early_stop`] — the Sec 4.8 stopping rule,
-//! * [`trace`] — per-request series and the Table 2/3 metrics.
+//! * [`EarlyStopConfig`] — the Sec 4.8 stopping rule,
+//! * [`CrawlTrace`] — per-request series and the Table 2/3 metrics.
 //!
 //! One-shot crawl ([`crawl`]):
 //!
@@ -67,17 +67,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod action;
-pub mod early_stop;
+mod action;
+mod early_stop;
 pub mod events;
 pub mod fleet;
 pub mod session;
 pub mod strategies;
 pub mod strategy;
-pub mod trace;
+mod trace;
 
 pub use action::{ActionId, ActionSpace, ActionSpaceConfig, ActionSpaceFull};
-pub use early_stop::{EarlyStop, EarlyStopConfig};
+pub use early_stop::EarlyStopConfig;
 pub use events::{
     AbandonCounts, AbandonReason, CrawlEvent, CrawlObserver, CrawlSnapshot, EventLog, FinishReason,
     MemGauges, OwnedEvent, RefreshStats, TraceObserver,
@@ -89,7 +89,7 @@ pub use session::{
     crawl, Budget, ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, Oracle, RefreshedPage,
     RetrievedTarget, StepReport,
 };
-pub use strategies::{Batched, ValueSpec, ValueStrategy};
+pub use strategies::ValueStrategy;
 pub use strategy::{
     ArmReport, LinkDecision, NewLink, SelUrl, Selection, Services, Strategy, StrategyReport,
 };

@@ -1,21 +1,21 @@
 //! All crawler strategies of Sec 4.3, over the shared engine:
 //! the paper's `SB-CLASSIFIER`/`SB-ORACLE` and the six baselines.
 
-pub mod focused;
-pub mod omniscient;
-pub mod queue;
-pub mod sb;
-pub mod tpoff;
-pub mod tres;
-pub mod value;
+mod focused;
+mod omniscient;
+mod queue;
+mod sb;
+mod tpoff;
+mod tres;
+mod value;
 
 pub use focused::FocusedStrategy;
 pub use omniscient::OmniscientStrategy;
 pub use queue::{Discipline, QueueStrategy};
-pub use sb::{BanditChoice, SbConfig, SbMode, SbStrategy};
+pub use sb::{BanditChoice, SbConfig, SbStrategy};
 pub use tpoff::TpOffStrategy;
-pub use tres::{TresStrategy, TRES_KEYWORDS};
+pub use tres::TresStrategy;
 pub use value::{
-    finite_or_zero, BanditScorer, Batched, Candidate, ClassifierScorer, DepthPriorScorer,
-    NearDupScorer, Scorer, ValueSpec, ValueStrategy,
+    finite_or_zero, BanditScorer, Candidate, ClassifierScorer, DepthPriorScorer, NearDupScorer,
+    Scorer, ValueStrategy,
 };

@@ -58,13 +58,6 @@ impl QueueStrategy {
             frontier: SpillQueue::with_config(SpillConfig::bounded(mem_cap, backing)),
         }
     }
-
-    /// Feeds an id straight into the frontier, bypassing `decide()`'s
-    /// engine plumbing — for tests exercising ordering/batching logic.
-    #[cfg(test)]
-    pub(crate) fn push_for_test(&mut self, id: sb_webgraph::UrlId) {
-        self.frontier.push_back(id);
-    }
 }
 
 impl Strategy for QueueStrategy {
@@ -183,5 +176,21 @@ mod tests {
         assert_eq!(s.frontier_len(), 200);
         assert!(s.frontier_spilled() > 0, "cap 16 with 200 pushes must spill");
         assert!(QueueStrategy::bfs().frontier_spilled() == 0);
+    }
+
+    /// The default `select_batch` (pull `next()` k times) agrees with
+    /// repeated `next()` for a queue strategy.
+    #[test]
+    fn default_select_batch_matches_repeated_next() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut a = QueueStrategy::bfs();
+        let mut b = QueueStrategy::bfs();
+        for id in 0..10u32 {
+            a.frontier.push_back(id);
+            b.frontier.push_back(id);
+        }
+        let singles: Vec<_> = std::iter::from_fn(|| a.next(&mut rng)).collect();
+        let batched = b.select_batch(16, &mut rng);
+        assert_eq!(singles, batched);
     }
 }

@@ -22,7 +22,7 @@ use sb_ml::{Class2, FeatureInput, FeatureSet, UrlClassifier};
 use sb_webgraph::{FxHashMap, UrlClass, UrlId};
 
 /// How the strategy estimates a link's class.
-pub enum SbMode {
+pub(crate) enum SbMode {
     /// Algorithm 2: HEAD-labelled bootstrap, then free online inference.
     Classifier(UrlClassifier),
     /// Ground truth at zero cost (Sec 4.3's unrealistic upper variant).
@@ -168,10 +168,6 @@ impl SbStrategy {
     /// Post-bootstrap predictions recorded so far, as `(url, predicted)`.
     pub fn predictions(&self) -> &[(String, Class2)] {
         self.recorded.as_deref().unwrap_or(&[])
-    }
-
-    pub fn n_actions(&self) -> usize {
-        self.actions.len()
     }
 
     fn classify(&mut self, link: &NewLink<'_>, services: &mut Services<'_, '_>) -> UrlClass {

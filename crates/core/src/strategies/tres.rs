@@ -19,7 +19,7 @@ use sb_webgraph::{UrlClass, UrlId};
 
 /// The seed keywords of Appendix B.2 (anchor phrases; single tokens cover
 /// the multi-word phrases too since matching is substring-based).
-pub const TRES_KEYWORDS: [&str; 74] = [
+pub(crate) const TRES_KEYWORDS: [&str; 74] = [
     "pdf", "xls", "csv", "tar", "zip", "rar", "rdf", "json", "doc", "xml", "yaml", "txt",
     "tsv", "ppt", "ods", "dta", "7z", "ttl", "file", "document", "report", "publication",
     "dataset", "data", "download", "archive", "spreadsheet", "table", "list", "resource",

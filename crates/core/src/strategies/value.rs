@@ -59,8 +59,8 @@
 //! near-identical to already-fetched ones — calendar traps and session-id
 //! farms score themselves out), and [`BanditScorer`] (per-directory
 //! expected reward with a UCB exploration bonus, fed by the
-//! one-feedback-per-selection stream). [`ValueSpec`] parses the
-//! `name:weight,...` strings `xp quality` configures mixes with.
+//! one-feedback-per-selection stream). [`ValueStrategy::default_mix`]
+//! weights all four; [`ValueStrategy::new`] takes any other mix.
 
 use crate::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
 use rand::rngs::StdRng;
@@ -488,77 +488,6 @@ impl Scorer for BanditScorer {
 }
 
 // ----------------------------------------------------------------------
-// Spec parsing (`rating_methods`-style configuration)
-// ----------------------------------------------------------------------
-
-/// A parsed scorer mix: `(name, weight)` pairs in declaration order, the
-/// engine-side equivalent of Crawl4LLM's `rating_methods` yaml list.
-/// Parsed from `"depth:1.0,classifier:2.0,neardup:0.5,bandit:1.0"`;
-/// a bare name means weight 1.0.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValueSpec {
-    pub methods: Vec<(String, f64)>,
-}
-
-impl ValueSpec {
-    /// The default mix: all four shipped scorers, classifier-weighted.
-    pub fn default_mix() -> Self {
-        ValueSpec {
-            methods: vec![
-                ("depth".to_owned(), 1.0),
-                ("classifier".to_owned(), 2.0),
-                ("neardup".to_owned(), 0.5),
-                ("bandit".to_owned(), 1.0),
-            ],
-        }
-    }
-
-    /// Parses `name[:weight],...`. Unknown names are rejected here, not
-    /// at crawl time. Weights must be finite (the combinator's NaN guard
-    /// covers scores, not configuration).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut methods = Vec::new();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (name, weight) = match part.split_once(':') {
-                Some((n, w)) => {
-                    let w: f64 =
-                        w.trim().parse().map_err(|_| format!("bad weight in {part:?}"))?;
-                    (n.trim(), w)
-                }
-                None => (part, 1.0),
-            };
-            if !weight.is_finite() {
-                return Err(format!("non-finite weight in {part:?}"));
-            }
-            if !matches!(name, "depth" | "classifier" | "neardup" | "bandit") {
-                return Err(format!("unknown scorer {name:?}"));
-            }
-            methods.push((name.to_owned(), weight));
-        }
-        if methods.is_empty() {
-            return Err("empty scorer spec".to_owned());
-        }
-        Ok(ValueSpec { methods })
-    }
-
-    fn build_scorers(&self) -> Vec<(Box<dyn Scorer>, f64)> {
-        self.methods
-            .iter()
-            .map(|(name, w)| {
-                let scorer: Box<dyn Scorer> = match name.as_str() {
-                    "depth" => Box::new(DepthPriorScorer),
-                    "classifier" => Box::new(ClassifierScorer::paper_default()),
-                    "neardup" => Box::new(NearDupScorer::new()),
-                    "bandit" => Box::new(BanditScorer::new()),
-                    other => unreachable!("ValueSpec::parse admitted {other:?}"),
-                };
-                (scorer, *w)
-            })
-            .collect()
-    }
-}
-
-// ----------------------------------------------------------------------
 // The strategy
 // ----------------------------------------------------------------------
 
@@ -599,14 +528,15 @@ impl ValueStrategy {
         }
     }
 
-    /// Builds from a parsed [`ValueSpec`].
-    pub fn from_spec(spec: &ValueSpec) -> Self {
-        ValueStrategy::new(spec.build_scorers())
-    }
-
-    /// The default mix ([`ValueSpec::default_mix`]).
+    /// The default mix: all four shipped scorers, classifier-weighted —
+    /// depth 1.0, classifier 2.0, neardup 0.5 and bandit 1.0, in that order.
     pub fn default_mix() -> Self {
-        ValueStrategy::from_spec(&ValueSpec::default_mix())
+        ValueStrategy::new(vec![
+            (Box::new(DepthPriorScorer), 1.0),
+            (Box::new(ClassifierScorer::paper_default()), 2.0),
+            (Box::new(NearDupScorer::new()), 0.5),
+            (Box::new(BanditScorer::new()), 1.0),
+        ])
     }
 
     /// Adds a candidate to the frontier — what [`Strategy::decide`] does
@@ -635,9 +565,11 @@ impl ValueStrategy {
 }
 
 impl Strategy for ValueStrategy {
+    /// `VALUE[name:weight,…]` in mix order, e.g.
+    /// `VALUE[depth:1.0,classifier:2.0,neardup:0.5,bandit:1.0]`.
     fn name(&self) -> String {
         let mix: Vec<String> =
-            self.scorers.iter().map(|(s, w)| format!("{}:{w}", s.name())).collect();
+            self.scorers.iter().map(|(s, w)| format!("{}:{w:?}", s.name())).collect();
         format!("VALUE[{}]", mix.join(","))
     }
 
@@ -743,73 +675,6 @@ impl Strategy for ValueStrategy {
     }
 }
 
-// ----------------------------------------------------------------------
-// The batching adapter
-// ----------------------------------------------------------------------
-
-/// Forces the session's batched refill path over any inner strategy
-/// without changing its selection logic: every call delegates, and
-/// [`Strategy::batch_selection`] answers `true`, so the session fills its
-/// window through [`Strategy::select_batch`] (the inner default pulls
-/// `next()` up to `k` times). At window 1 the batch degenerates to one
-/// pull per refill — byte-identical to the unbatched path; the batch
-/// conformance suite pins that equivalence for the queue strategies.
-pub struct Batched<S: Strategy>(pub S);
-
-impl<S: Strategy> Strategy for Batched<S> {
-    fn name(&self) -> String {
-        format!("BATCHED({})", self.0.name())
-    }
-
-    fn link_needs(&self) -> sb_html::LinkNeeds {
-        self.0.link_needs()
-    }
-
-    fn next(&mut self, rng: &mut StdRng) -> Option<Selection> {
-        self.0.next(rng)
-    }
-
-    fn select_batch(&mut self, k: usize, rng: &mut StdRng) -> Vec<Selection> {
-        self.0.select_batch(k, rng)
-    }
-
-    fn batch_selection(&self) -> bool {
-        true
-    }
-
-    fn decide(&mut self, link: &NewLink<'_>, services: &mut Services<'_, '_>) -> LinkDecision {
-        self.0.decide(link, services)
-    }
-
-    fn feedback(&mut self, token: u64, reward: f64) {
-        self.0.feedback(token, reward);
-    }
-
-    fn feedback_target(&mut self, token: u64) {
-        self.0.feedback_target(token);
-    }
-
-    fn feedback_error(&mut self, token: u64) {
-        self.0.feedback_error(token);
-    }
-
-    fn on_fetched(&mut self, id: UrlId, url: &str, class: UrlClass) {
-        self.0.on_fetched(id, url, class);
-    }
-
-    fn frontier_len(&self) -> usize {
-        self.0.frontier_len()
-    }
-
-    fn frontier_spilled(&self) -> usize {
-        self.0.frontier_spilled()
-    }
-
-    fn report(&self) -> crate::strategy::StrategyReport {
-        self.0.report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -895,6 +760,15 @@ mod tests {
         assert_eq!(next.url, crate::strategy::SelUrl::Id(1), "proven dir first");
     }
 
+    /// The default mix, in order, with its weights.
+    #[test]
+    fn default_mix_names_its_scorers_and_weights() {
+        assert_eq!(
+            ValueStrategy::default_mix().name(),
+            "VALUE[depth:1.0,classifier:2.0,neardup:0.5,bandit:1.0]"
+        );
+    }
+
     #[test]
     fn neardup_penalises_repeating_url_shapes() {
         let mut nd = NearDupScorer::new();
@@ -909,41 +783,5 @@ mod tests {
         let fresh = score(1, cand(1, "https://s/papers/edbt-2026-accepted-list", 3));
         assert!(trap < fresh, "trap-shaped URL must score below a fresh shape");
         assert_eq!(trap, -1.0);
-    }
-
-    #[test]
-    fn spec_parses_names_weights_and_rejects_junk() {
-        let spec = ValueSpec::parse("depth, classifier:2.5 ,bandit:0").unwrap();
-        assert_eq!(
-            spec.methods,
-            vec![
-                ("depth".to_owned(), 1.0),
-                ("classifier".to_owned(), 2.5),
-                ("bandit".to_owned(), 0.0)
-            ]
-        );
-        assert!(ValueSpec::parse("pagerank:1.0").is_err());
-        assert!(ValueSpec::parse("depth:wide").is_err());
-        assert!(ValueSpec::parse("depth:NaN").is_err());
-        assert!(ValueSpec::parse("").is_err());
-        let strategy = ValueStrategy::from_spec(&spec);
-        assert_eq!(strategy.name(), "VALUE[depth:1,classifier:2.5,bandit:0]");
-    }
-
-    /// The default `select_batch` (pull `next()` k times) and the batch
-    /// wrapper agree for a queue strategy.
-    #[test]
-    fn default_select_batch_matches_repeated_next() {
-        use crate::strategies::QueueStrategy;
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut a = QueueStrategy::bfs();
-        let mut b = Batched(QueueStrategy::bfs());
-        for id in 0..10u32 {
-            a.push_for_test(id);
-            b.0.push_for_test(id);
-        }
-        let singles: Vec<_> = std::iter::from_fn(|| a.next(&mut rng)).collect();
-        let batched = b.select_batch(16, &mut rng);
-        assert_eq!(singles, batched);
     }
 }

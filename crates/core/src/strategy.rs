@@ -101,7 +101,7 @@ impl Services<'_, '_> {
     /// The caller's string is probed as-is — the common no-redirect case
     /// costs zero allocations — and the URL is parsed (at most) once, on
     /// the first redirect; later hops join onto the already-parsed form.
-    pub fn head_class(&mut self, url: &str) -> UrlClass {
+    pub(crate) fn head_class(&mut self, url: &str) -> UrlClass {
         // `(parsed, canonical)` of the current redirect target; `None`
         // means we are still on the caller's original string.
         let mut current: Option<(Url, String)> = None;
@@ -138,7 +138,7 @@ impl Services<'_, '_> {
 
     /// Ground truth from the oracle. Panics if the strategy was run without
     /// one — oracle strategies must be wired with `Some(oracle)`.
-    pub fn oracle_class(&self, url: &str) -> UrlClass {
+    pub(crate) fn oracle_class(&self, url: &str) -> UrlClass {
         self.oracle.expect("this strategy requires a ground-truth oracle").class_of(url)
     }
 }
@@ -205,8 +205,9 @@ pub trait Strategy {
     /// in-flight window) instead of pulling selections one at a time?
     /// Default `false`: the classic per-pull path, whose window-1 replay
     /// of the frozen seed engine stays byte-identical. Strategies that
-    /// rank their frontier per step (or the [`crate::strategies::Batched`]
-    /// adapter) answer `true`.
+    /// rank their frontier per step answer `true` (so does the test-only
+    /// `Batched` adapter under `crates/core/tests/batched/`, which forces
+    /// this path over any strategy).
     fn batch_selection(&self) -> bool {
         false
     }

@@ -43,7 +43,7 @@ impl CrawlTrace {
     /// Re-records the last point in place: same request count, updated
     /// tallies (target-volume tagging re-attributes the bytes of the
     /// request the point describes). Pushes when the trace is empty.
-    pub fn amend_last(&mut self, p: TracePoint) {
+    pub(crate) fn amend_last(&mut self, p: TracePoint) {
         match self.points.last_mut() {
             Some(last) => {
                 debug_assert!(last.requests == p.requests, "amend must not change the x-axis");

@@ -6,8 +6,10 @@
 //! including members still buffered (pulled but unsubmitted) when the
 //! session shuts down mid-batch.
 
+mod batched;
 mod oracle;
 
+use batched::Batched;
 use oracle::OracleValueStrategy;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
@@ -15,7 +17,7 @@ use rand::rngs::StdRng;
 use sb_bench::reference::{collapse_target_amends, reference_queue_crawl};
 use sb_crawler::{Budget, CrawlConfig, CrawlSession};
 use sb_crawler::events::{AbandonReason, OwnedEvent};
-use sb_crawler::strategies::{Batched, Discipline, QueueStrategy, ValueStrategy};
+use sb_crawler::strategies::{Discipline, QueueStrategy, ValueStrategy};
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};
 use sb_crawler::{CrawlTrace, EventLog};
 use sb_httpsim::SiteServer;

@@ -485,7 +485,8 @@ fn transport_timeouts_are_counted_as_timeouts() {
 
 #[test]
 fn dup_clusters_sketch_closer_than_unrelated_pages() {
-    use sb_ann::{cosine, NgramVocab};
+    use sb_ann::NgramVocab;
+    use sb_bench::dense::cosine;
 
     let mut site = build_site(&SiteSpec::demo(PAGES), SITE_SEED);
     let report = apply_hazards(&mut site, &HazardSpec::dups_only(1, 3), 99);

@@ -7,12 +7,13 @@
 //! `ActionSpace` must hand out the same action ids, keep the same member
 //! counts and give the same frozen `match_only` answers as [`DenseSpace`]
 //! below — Algorithm 1 written out with the dense reference functions
-//! (`Projector::project`, `sb_ann::cosine`, the coordinate-wise centroid
+//! (`sb_bench::dense`'s `project` and `cosine`, the coordinate-wise centroid
 //! map) and a brute-force nearest centroid, sharing no code with the type
 //! under test beyond the vocabulary and the projector.
 
 use proptest::prelude::*;
-use sb_ann::{cosine, NgramVocab, Projector};
+use sb_ann::{NgramVocab, Projector};
+use sb_bench::dense::{cosine, project};
 use sb_crawler::{ActionSpace, ActionSpaceConfig};
 use sb_html::TagPath;
 
@@ -51,7 +52,7 @@ impl DenseSpace {
 
     fn match_only(&self, path: &TagPath) -> Option<usize> {
         let tokens: Vec<String> = path.tokens().map(str::to_owned).collect();
-        let projected = self.projector.project(&self.vocab.vectorize(&tokens));
+        let projected = project(&self.projector, &self.vocab.vectorize(&tokens));
         match self.nearest(&projected) {
             Some((a, sim)) if sim >= self.theta => Some(a),
             _ => None,
@@ -66,7 +67,7 @@ impl DenseSpace {
     /// has grown by the path's unseen n-grams, and nothing else has moved.
     fn try_assign(&mut self, path: &TagPath) -> Option<usize> {
         let tokens: Vec<String> = path.tokens().map(str::to_owned).collect();
-        let projected = self.projector.project(&self.vocab.vectorize_mut(&tokens));
+        let projected = project(&self.projector, &self.vocab.vectorize_mut(&tokens));
         if let Some((a, sim)) = self.nearest(&projected) {
             if sim >= self.theta {
                 let m = self.members[a] as f32;

@@ -18,12 +18,11 @@
 
 mod oracle;
 
-use oracle::OracleValueStrategy;
+use oracle::{memoised_value_strategy, OracleValueStrategy};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sb_crawler::strategies::{ValueSpec, ValueStrategy};
 use sb_crawler::strategy::{SelUrl, Selection, Strategy};
 use sb_webgraph::{UrlClass, UrlId};
 use std::collections::HashSet;
@@ -72,8 +71,7 @@ fn arb_ops() -> impl PropStrategy<Value = Vec<(u8, u32, u32)>> {
 }
 
 fn run(mix: &[(&str, f64)], ops: &[(u8, u32, u32)]) -> Result<(), TestCaseError> {
-    let spec = mix.iter().map(|(n, w)| format!("{n}:{w}")).collect::<Vec<_>>().join(",");
-    let mut memoised = ValueStrategy::from_spec(&ValueSpec::parse(&spec).expect("a valid mix"));
+    let mut memoised = memoised_value_strategy(mix);
     let mut oracle = OracleValueStrategy::new(mix);
     let mut rng = StdRng::seed_from_u64(0);
 

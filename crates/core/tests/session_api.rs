@@ -8,9 +8,12 @@
 //! level, where `sb_serve::serve_site` drives it, and the last section
 //! holds each crawl statistic to the event stream it summarises.
 
+mod batched;
+
+use batched::Batched;
 use sb_crawler::{
-    crawl, AbandonCounts, Batched, Budget, ConfigError, CrawlConfig, CrawlSession, Fleet,
-    FleetJob, FleetMode, RefreshStats, RefreshedPage, SharedServer,
+    crawl, AbandonCounts, Budget, ConfigError, CrawlConfig, CrawlSession, Fleet, FleetJob,
+    FleetMode, RefreshStats, RefreshedPage, SharedServer,
 };
 use sb_crawler::events::{AbandonReason, FinishReason, OwnedEvent, TraceObserver};
 use sb_crawler::strategies::QueueStrategy;

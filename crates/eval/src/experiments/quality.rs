@@ -2,9 +2,9 @@
 //! found **per GET** under a request budget too small to exhaust the
 //! site, where frontier *ordering* is the whole game. One classifier-
 //! target bench site, crawled by BFS / TRES / SB-CLASSIFIER at the
-//! sequential window, and by the Crawl4LLM-style `ValueStrategy` (scorer
-//! mix configured `rating_methods`-style) across the batch ladder 1/4/16
-//! — batch = in-flight window, one ranking pass per window-fill.
+//! sequential window, and by the Crawl4LLM-style `ValueStrategy` (its
+//! default scorer mix) across the batch ladder 1/4/16 — batch = in-flight
+//! window, one ranking pass per window-fill.
 //!
 //! The acceptance gate of ISSUE 10 is asserted here: ValueStrategy with
 //! batch = in-flight window must achieve **strictly better**
@@ -13,19 +13,11 @@
 use crate::runner::RunOpts;
 use crate::setup::{build_strategy, run_with_strategy, CrawlerKind, EvalConfig};
 use crate::tables::{markdown, write_csv, write_text};
-use sb_crawler::strategies::{ValueSpec, ValueStrategy};
+use sb_crawler::strategies::ValueStrategy;
+use sb_crawler::strategy::Strategy;
 use sb_crawler::Budget;
 use sb_webgraph::gen::{build_site, SiteSpec};
 use std::sync::Arc;
-
-/// Batch ladder: batch size = in-flight window per rung (the pipeline
-/// bench's ladder, reused so the two tables compare directly).
-pub const BATCHES: [usize; 3] = [1, 4, 16];
-
-/// The scorer mix `xp` configures the value frontier with —
-/// `rating_methods`-style `name:weight` entries (see
-/// [`sb_crawler::strategies::ValueSpec::parse`]).
-pub const RATING_METHODS: &str = "depth:1.0,classifier:2.0,neardup:0.5,bandit:1.0";
 
 pub fn run(cfg: &EvalConfig) -> String {
     // Same sizing as the pipeline bench; targets carry learnable URL
@@ -73,12 +65,7 @@ pub fn run(cfg: &EvalConfig) -> String {
                 let mut s = build_strategy(kind, &site, cfg.scale, &opts.sb);
                 run_with_strategy(&site, s.as_mut(), kind.needs_oracle(), 0, &opts)
             }
-            None => {
-                let spec = ValueSpec::parse(RATING_METHODS)
-                    .expect("the shipped rating_methods spec parses");
-                let mut s = ValueStrategy::from_spec(&spec);
-                run_with_strategy(&site, &mut s, false, 0, &opts)
-            }
+            None => run_with_strategy(&site, &mut ValueStrategy::default_mix(), false, 0, &opts),
         };
         let requests = out.traffic.requests();
         let targets = out.targets_found();
@@ -146,8 +133,9 @@ pub fn run(cfg: &EvalConfig) -> String {
         .expect("VALUE arms always run");
     let summary = format!(
         "{n_pages}-page bench site ({census_targets} targets), {budget_requests}-request \
-         budget: VALUE[{RATING_METHODS}] batch={} finds {} targets ({:.4}/GET) vs BFS \
+         budget: {} batch={} finds {} targets ({:.4}/GET) vs BFS \
          {:.4}/GET — {:.2}× quality-per-fetch",
+        ValueStrategy::default_mix().name(),
         best.window,
         best.targets,
         best.quality,

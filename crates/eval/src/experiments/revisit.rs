@@ -22,7 +22,7 @@ use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{
     CrawlConfig, CrawlSession, LinkDecision, NewLink, RefreshedPage, Selection, Services, Strategy,
 };
-use sb_httpsim::{HttpServer, Politeness, Traffic};
+use sb_httpsim::{HttpServer, Traffic};
 use sb_revisit::{
     fnv64, ChangeModel, EvolvingServer, EvolvingSite, Observation, ProportionalRevisit,
     RevisitPolicy, RoundRobinRevisit, SleepingBanditRevisit, ThompsonGroupsRevisit,
@@ -31,27 +31,19 @@ use sb_webgraph::mime::MimePolicy;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Recrawl driver configuration.
+/// Recrawl driver configuration. The session crawls under the default
+/// politeness model and MIME policy.
 #[derive(Debug, Clone)]
 pub struct RecrawlConfig {
     /// Request budget (GET + HEAD) per revisit epoch.
     pub per_epoch_requests: u64,
-    /// Politeness model for elapsed-time estimation.
-    pub politeness: Politeness,
-    /// Target MIME types and blocklists.
-    pub mime: MimePolicy,
     /// Seed for the policies' stochastic choices.
     pub seed: u64,
 }
 
 impl Default for RecrawlConfig {
     fn default() -> Self {
-        RecrawlConfig {
-            per_epoch_requests: 250,
-            politeness: Politeness::default(),
-            mime: MimePolicy::default(),
-            seed: 0,
-        }
+        RecrawlConfig { per_epoch_requests: 250, seed: 0 }
     }
 }
 
@@ -224,12 +216,7 @@ pub fn recrawl(
 ) -> RecrawlOutcome {
     let server = EvolvingServer::new(site);
     let base = site.snapshot(0);
-    let crawl_cfg = CrawlConfig {
-        politeness: cfg.politeness,
-        policy: cfg.mime.clone(),
-        serve_feed: true,
-        ..Default::default()
-    };
+    let crawl_cfg = CrawlConfig { serve_feed: true, ..Default::default() };
     let in_paths = InPaths::default();
     let mut strategy = InLinkBfs(QueueStrategy::bfs(), &in_paths);
     let root_url = &base.page(base.root()).url;
@@ -242,7 +229,7 @@ pub fn recrawl(
     }
     let initial_traffic = session.traffic();
     let (pages, targets) = (HashMap::new(), HashMap::new());
-    let mut stored = Stored { pages, targets, in_paths: &in_paths, mime: &cfg.mime };
+    let mut stored = Stored { pages, targets, in_paths: &in_paths, mime: &crawl_cfg.policy };
     stored.absorb(session.take_refreshed(), policy, &mut EpochStats::default());
     let (initial_pages, initial_targets) = (stored.pages.len(), stored.targets.len());
 
@@ -322,11 +309,7 @@ pub fn run_site(cfg: &EvalConfig, code: &str) -> Vec<RevisitRun> {
     policies()
         .into_iter()
         .map(|mut p| {
-            let rc = RecrawlConfig {
-                per_epoch_requests: budget,
-                seed: 11,
-                ..RecrawlConfig::default()
-            };
+            let rc = RecrawlConfig { per_epoch_requests: budget, seed: 11 };
             RevisitRun { site: code.to_owned(), outcome: recrawl(&site, p.as_mut(), &rc) }
         })
         .collect()

@@ -69,7 +69,7 @@ fn concentrated_site(seed: u64) -> EvolvingSite {
 }
 
 fn run(site: &EvolvingSite, policy: &mut dyn RevisitPolicy, budget: u64, seed: u64) -> f64 {
-    let cfg = RecrawlConfig { per_epoch_requests: budget, seed, ..RecrawlConfig::default() };
+    let cfg = RecrawlConfig { per_epoch_requests: budget, seed };
     recrawl(site, policy, &cfg).final_recall()
 }
 
@@ -78,7 +78,7 @@ fn every_policy_finds_something_under_tight_budget() {
     let site = concentrated_site(31);
     for mut p in four_policies() {
         let name = p.name();
-        let cfg = RecrawlConfig { per_epoch_requests: 60, seed: 5, ..RecrawlConfig::default() };
+        let cfg = RecrawlConfig { per_epoch_requests: 60, seed: 5 };
         let out = recrawl(&site, p.as_mut(), &cfg);
         assert!(
             out.new_targets_found() > 0,
@@ -133,7 +133,7 @@ fn churn_only_site_keeps_recall_trivially_and_degrades_freshness_without_revisit
     // With a zero budget the stored copy must go stale as targets update.
     let model = ChangeModel::churn_only(5, 0.3, 0.0);
     let site = EvolvingSite::evolve(build_site(&SiteSpec::demo(250), 23), &model, 23);
-    let cfg = RecrawlConfig { per_epoch_requests: 0, seed: 1, ..RecrawlConfig::default() };
+    let cfg = RecrawlConfig { per_epoch_requests: 0, seed: 1 };
     let mut policy = RoundRobinRevisit::default();
     let out = recrawl(&site, &mut policy, &cfg);
     let last = out.epochs.last().expect("epochs recorded");
@@ -153,7 +153,7 @@ fn revisits_restore_freshness() {
     // links), so HTML freshness stays 1 even unbudgeted; target freshness
     // is restored only by re-fetching targets, which the HTML-revisit
     // policies do not do — it must therefore *decay* monotonically.
-    let cfg = RecrawlConfig { per_epoch_requests: 100_000, seed: 1, ..RecrawlConfig::default() };
+    let cfg = RecrawlConfig { per_epoch_requests: 100_000, seed: 1 };
     let mut policy = RoundRobinRevisit::default();
     let out = recrawl(&site, &mut policy, &cfg);
     for e in &out.epochs {
@@ -229,7 +229,7 @@ fn deaths_are_detected_and_forgotten() {
 fn deterministic_across_runs() {
     let model = ChangeModel::default();
     let site = evolving(250, 21, &model);
-    let cfg = RecrawlConfig { per_epoch_requests: 80, seed: 7, ..RecrawlConfig::default() };
+    let cfg = RecrawlConfig { per_epoch_requests: 80, seed: 7 };
     let mut p1 = SleepingBanditRevisit::default();
     let mut p2 = SleepingBanditRevisit::default();
     let a = recrawl(&site, &mut p1, &cfg);

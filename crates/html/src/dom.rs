@@ -239,7 +239,7 @@ impl<'a> Document<'a> {
     /// As [`Document::attr`], exposing the underlying [`Cow`] so zero-copy
     /// consumers can keep the input borrow instead of re-borrowing the
     /// document.
-    pub fn attr_value(&self, id: NodeId, want: &str) -> Option<&Cow<'a, str>> {
+    pub(crate) fn attr_value(&self, id: NodeId, want: &str) -> Option<&Cow<'a, str>> {
         self.attrs_of(id).iter().find(|a| a.name == want).map(|a| &a.value)
     }
 
@@ -251,7 +251,7 @@ impl<'a> Document<'a> {
     /// Every node beneath `id`, in document order (pre-order). Walks the
     /// intrusive links, so a subtree of any depth costs no stack and no
     /// allocation, and a caller that stops early pays only for what it saw.
-    pub fn descendants(&self, id: NodeId) -> Descendants<'_, 'a> {
+    pub(crate) fn descendants(&self, id: NodeId) -> Descendants<'_, 'a> {
         Descendants { doc: self, root: id, next: self.nodes[id].first_child() }
     }
 
@@ -264,7 +264,7 @@ impl<'a> Document<'a> {
 
     /// As [`Document::text_content`], appending into a caller-supplied
     /// buffer (hot callers reuse one scratch allocation across nodes).
-    pub fn text_content_into(&self, id: NodeId, out: &mut String) {
+    pub(crate) fn text_content_into(&self, id: NodeId, out: &mut String) {
         for n in std::iter::once(id).chain(self.descendants(id)) {
             if let Node::Text { content, .. } = &self.nodes[n] {
                 out.push_str(content);
@@ -312,7 +312,7 @@ impl Iterator for Children<'_, '_> {
 }
 
 /// Iterator over a node's subtree, see [`Document::descendants`].
-pub struct Descendants<'d, 'a> {
+pub(crate) struct Descendants<'d, 'a> {
     doc: &'d Document<'a>,
     root: NodeId,
     next: Option<NodeId>,

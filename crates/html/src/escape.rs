@@ -14,15 +14,9 @@
 use std::borrow::Cow;
 
 /// Escapes `&`, `<`, `>`, `"` and `'` for safe inclusion in HTML text or
-/// double-quoted attribute values.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(s, &mut out);
-    out
-}
-
-/// [`escape`], appended to `out`: no intermediate `String`, and the runs
-/// between special characters (usually the whole input) are copied whole.
+/// double-quoted attribute values, appended to `out`: no intermediate
+/// `String`, and the runs between special characters (usually the whole
+/// input) are copied whole.
 pub fn escape_into(s: &str, out: &mut String) {
     let mut copied = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -50,7 +44,7 @@ pub fn escape_into(s: &str, out: &mut String) {
 ///
 /// Allocates only when at least one reference resolves; otherwise the input
 /// is returned as [`Cow::Borrowed`].
-pub fn unescape(s: &str) -> Cow<'_, str> {
+pub(crate) fn unescape(s: &str) -> Cow<'_, str> {
     let bytes = s.as_bytes();
     // Owned output, created lazily at the first actual substitution;
     // `copied` marks how far the input has been flushed into it.
@@ -111,6 +105,12 @@ pub fn unescape(s: &str) -> Cow<'_, str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        escape_into(s, &mut out);
+        out
+    }
 
     #[test]
     fn escape_basic() {

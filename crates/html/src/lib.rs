@@ -24,21 +24,21 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dom;
-pub mod escape;
-pub mod links;
-pub mod render;
-pub mod tagpath;
-pub mod token;
+mod dom;
+mod escape;
+mod links;
+mod render;
+mod tagpath;
+mod token;
 
-pub use dom::{parse, Children, Descendants, Document, Node, NodeId};
+pub use dom::{parse, Children, Document, Node, NodeId};
 pub use escape::escape_into;
 pub use links::{
     extract_links, extract_links_from_with, extract_links_with, link_sites, Link, LinkKind,
     LinkNeeds, LinkSite,
 };
 pub use render::HtmlWriter;
-pub use tagpath::{PathSegment, TagPath};
+pub use tagpath::TagPath;
 pub use token::{tokenize, Attr, Token};
 
 use std::borrow::Cow;

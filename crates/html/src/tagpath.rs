@@ -15,37 +15,12 @@
 //! came from (action exemplars, revisit groups); extracting one costs two
 //! allocations whatever its depth or decoration.
 //!
-//! [`PathSegment`] is the vocabulary for building a path by hand
-//! ([`TagPath::new`]): it is rendered on construction, not stored.
+//! A path is built from a page ([`TagPath::of`]) or from its rendered
+//! tokens ([`TagPath::from_tokens`]; [`TagPath::parse`] splits a rendered
+//! text into them).
 
 use crate::dom::{Document, NodeId};
-use std::borrow::Cow;
 use std::fmt;
-
-/// One step of a hand-built tag path: element name plus optional `#id` and
-/// `.class`es.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PathSegment {
-    pub name: Cow<'static, str>,
-    pub id: Option<String>,
-    pub classes: Vec<String>,
-}
-
-impl PathSegment {
-    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
-        PathSegment { name: name.into(), id: None, classes: Vec::new() }
-    }
-
-    pub fn with_id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
-
-    pub fn with_class(mut self, class: impl Into<String>) -> Self {
-        self.classes.push(class.into());
-        self
-    }
-}
 
 /// Appends one token, `name#id.class…`: `#` prefixes the id, `.` each class,
 /// matching the paper's label syntax.
@@ -98,17 +73,6 @@ pub struct TagPath {
 }
 
 impl TagPath {
-    pub fn new(segments: Vec<PathSegment>) -> Self {
-        let mut path = TagPath::default();
-        for seg in &segments {
-            path.push_token(|text| {
-                let classes = seg.classes.iter().map(String::as_str);
-                write_token(text, &seg.name, seg.id.as_deref(), classes)
-            });
-        }
-        path
-    }
-
     /// Extracts the tag path of the element `id` within `doc`: the id
     /// trimmed (dropped when empty), the classes split on whitespace. Two
     /// allocations — the text and the offsets — both reserved up front.
@@ -151,24 +115,26 @@ impl TagPath {
         TagPath { text, ends }
     }
 
-    /// Parses the rendered form (`html body div#main ... a`): every
-    /// whitespace-separated word is one token, copied as it stands.
-    pub fn parse(s: &str) -> Self {
+    /// The path of these rendered tokens (`name#id.class…`), one per item,
+    /// each copied as it stands. A token may contain a space, because an
+    /// `id` may: such a path shares its text with the path that splits
+    /// there, and is not equal to it.
+    pub fn from_tokens(tokens: impl IntoIterator<Item = impl AsRef<str>>) -> Self {
         let mut path = TagPath::default();
-        for tok in s.split_ascii_whitespace() {
-            path.push_token(|text| text.push_str(tok));
+        for token in tokens {
+            if !path.ends.is_empty() {
+                path.text.push(' ');
+            }
+            path.text.push_str(token.as_ref());
+            path.ends.push(narrow(path.text.len()));
         }
         path
     }
 
-    /// Appends the token `write` produces, after a separating space unless
-    /// it is the first.
-    fn push_token(&mut self, write: impl FnOnce(&mut String)) {
-        if !self.ends.is_empty() {
-            self.text.push(' ');
-        }
-        write(&mut self.text);
-        self.ends.push(narrow(self.text.len()));
+    /// Parses the rendered form (`html body div#main ... a`): every
+    /// whitespace-separated word is one token.
+    pub fn parse(s: &str) -> Self {
+        TagPath::from_tokens(s.split_ascii_whitespace())
     }
 
     /// The rendered path, e.g. `html body div#main ul.datasets li a`.
@@ -193,11 +159,6 @@ impl TagPath {
 
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
-    }
-
-    /// Number of leading tokens shared with `other`.
-    pub fn common_prefix_len(&self, other: &TagPath) -> usize {
-        self.tokens().zip(other.tokens()).take_while(|(a, b)| a == b).count()
     }
 }
 
@@ -246,10 +207,7 @@ mod tests {
     fn equality_is_on_tokens_however_the_path_was_built() {
         let doc = parse_html(r#"<div id=" a b " class="x  y"><a href="/x">x</a></div>"#);
         let of = TagPath::of(&doc, doc.elements_named("a")[0]);
-        let built = TagPath::new(vec![
-            PathSegment::new("div").with_id("a b").with_class("x").with_class("y"),
-            PathSegment::new("a"),
-        ]);
+        let built = TagPath::from_tokens(["div#a b.x.y", "a"]);
         assert_eq!(of, built);
         assert_eq!(of.tokens().collect::<Vec<_>>(), vec!["div#a b.x.y", "a"]);
         // The id's space sits inside a token; re-parsing the text splits there.
@@ -262,13 +220,6 @@ mod tests {
         let tp = TagPath::parse("html body div ul li a");
         let toks: Vec<_> = tp.tokens().collect();
         assert_eq!(toks, vec!["html", "body", "div", "ul", "li", "a"]);
-    }
-
-    #[test]
-    fn common_prefix() {
-        let a = TagPath::parse("html body div#m ul li a");
-        let b = TagPath::parse("html body div#m ol li a");
-        assert_eq!(a.common_prefix_len(&b), 3);
     }
 
     #[test]

@@ -51,12 +51,11 @@ proptest! {
         segs in proptest::collection::vec(("[a-z]{1,8}", proptest::option::of("[a-z0-9-]{1,8}"),
             proptest::collection::vec("[a-z0-9-]{1,8}", 0..3)), 1..8)
     ) {
-        let tp = TagPath::new(segs.into_iter().map(|(name, id, classes)| {
-            let mut s = sb_html::PathSegment::new(name);
-            if let Some(id) = id { s = s.with_id(id); }
-            for c in classes { s = s.with_class(c); }
-            s
-        }).collect());
+        let tp = TagPath::from_tokens(segs.into_iter().map(|(name, id, classes)| {
+            let id = id.map(|id| format!("#{id}")).unwrap_or_default();
+            let classes: String = classes.iter().map(|c| format!(".{c}")).collect();
+            format!("{name}{id}{classes}")
+        }));
         let rendered = tp.to_string();
         prop_assert_eq!(TagPath::parse(&rendered), tp);
     }

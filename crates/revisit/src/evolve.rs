@@ -111,17 +111,14 @@ fn mutate_epoch(
     // --- in-place churn first (it draws from the pre-existing page set) ---
     if model.target_update_frac > 0.0 {
         for id in 0..n_before {
-            if !matches!(site.page(id).kind, PageKind::Target { .. }) {
-                continue;
-            }
-            if rng.gen::<f64>() >= model.target_update_frac {
-                continue;
-            }
             let PageKind::Target { ext, mime, declared_size, planted_tables } =
                 site.page(id).kind
             else {
-                unreachable!()
+                continue;
             };
+            if rng.gen::<f64>() >= model.target_update_frac {
+                continue;
+            }
             let factor = rng.gen_range(0.8..1.3);
             let new_size = ((declared_size as f64 * factor) as u64).max(512);
             let new_tables =

@@ -9,7 +9,7 @@ use sb_revisit::{
     change_rate, fnv64, ChangeModel, EvolvingSite, Observation, ProportionalRevisit,
     RevisitPolicy, RoundRobinRevisit, SleepingBanditRevisit, ThompsonGroupsRevisit,
 };
-use sb_webgraph::{build_site, SiteSpec};
+use sb_webgraph::{build_site, SiteSource, SiteSpec};
 use std::collections::HashSet;
 
 proptest! {

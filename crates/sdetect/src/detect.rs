@@ -106,24 +106,20 @@ fn sniff_plain(body: &[u8]) -> Format {
 /// Detects statistic tables in a target file.
 pub fn detect_tables(body: &[u8], mime: &str) -> Detection {
     let format = sniff(body, mime);
-    if format == Format::Opaque {
-        return Detection { format, tables: Vec::new() };
-    }
-    // One decode for every textual branch: borrowed when the body is valid
-    // UTF-8, so a well-formed target pays no copy (and never the one
-    // validation scan per branch this used to cost).
-    let text = String::from_utf8_lossy(body);
+    // One decode per textual branch, none for an opaque body: borrowed when
+    // the body is valid UTF-8, so a well-formed target pays no copy.
+    let text = || String::from_utf8_lossy(body);
     let tables = match format {
-        Format::Opaque => unreachable!("handled above"),
-        Format::Csv => delimited::detect(&text, ','),
-        Format::Tsv => delimited::detect(&text, '\t'),
-        Format::SemicolonSv => delimited::detect(&text, ';'),
-        Format::Json | Format::Yaml => records::detect(&text),
-        Format::Pdf | Format::Doc => textual::detect(&text),
+        Format::Opaque => Vec::new(),
+        Format::Csv => delimited::detect(&text(), ','),
+        Format::Tsv => delimited::detect(&text(), '\t'),
+        Format::SemicolonSv => delimited::detect(&text(), ';'),
+        Format::Json | Format::Yaml => records::detect(&text()),
+        Format::Pdf | Format::Doc => textual::detect(&text()),
         Format::Sheet => {
             // Sheets: each "== Sheet: … ==" section is a TSV block.
             let mut tables = Vec::new();
-            for section in text.split("== Sheet:").skip(1) {
+            for section in text().split("== Sheet:").skip(1) {
                 let content: String =
                     section.lines().skip(1).collect::<Vec<_>>().join("\n");
                 tables.extend(delimited::detect(&content, '\t'));

@@ -13,7 +13,9 @@
 //! * [`greedy_set_cover`] / [`min_set_cover`] — baseline and exact cover
 //!   solvers to cross-check the equivalence on random instances.
 
-use crate::graph::{Crawl, NodeIdx, WebsiteGraph};
+#[cfg(test)]
+use crate::graph::Crawl;
+use crate::graph::{NodeIdx, WebsiteGraph};
 use sb_html::TagPath;
 use std::collections::HashSet;
 
@@ -40,7 +42,8 @@ impl SetCoverInstance {
     }
 
     /// Does `chosen` (indices into `sets`) cover the universe?
-    pub fn is_cover(&self, chosen: &[usize]) -> bool {
+    #[cfg(test)]
+    fn is_cover(&self, chosen: &[usize]) -> bool {
         let mut seen = vec![false; self.universe];
         for &i in chosen {
             for &e in &self.sets[i] {
@@ -214,7 +217,8 @@ fn useful_nodes(g: &WebsiteGraph, targets: &HashSet<NodeIdx>) -> HashSet<NodeIdx
 /// graphs: the same set-branching search, recording the argmin node set,
 /// then a BFS over that set (any spanning order of a feasible crawl set is
 /// a valid crawl tree).
-pub fn min_crawl(g: &WebsiteGraph, targets: &HashSet<NodeIdx>) -> Option<Crawl> {
+#[cfg(test)]
+fn min_crawl(g: &WebsiteGraph, targets: &HashSet<NodeIdx>) -> Option<Crawl> {
     let (_cost, set) = solve(g, targets, true)?;
     let set: HashSet<NodeIdx> = set?.into_iter().collect();
     let mut crawl = Crawl::rooted(g.root());

@@ -58,7 +58,8 @@ impl<E> Csr<E> {
     }
 
     /// Total number of edges.
-    pub fn n_edges(&self) -> usize {
+    #[cfg(test)]
+    fn n_edges(&self) -> usize {
         self.edges.len()
     }
 

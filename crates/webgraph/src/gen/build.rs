@@ -27,10 +27,6 @@ use crate::interner::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Bodies of huge targets are truncated to this many bytes; headers keep the
-/// declared size, which is what cost accounting uses.
-pub const TARGET_BODY_CAP: u64 = 1 << 18; // 256 KiB
-
 /// Sink the generic builder records pages and links into.
 ///
 /// Implementations must assign ids densely in insertion order (`insert`
@@ -590,7 +586,7 @@ impl<S: PageStore> Builder<S> {
 // ----------------------------------------------------------------------
 
 /// Standard normal via Box–Muller.
-pub fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
+fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();

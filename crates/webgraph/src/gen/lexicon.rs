@@ -60,7 +60,7 @@ pub fn nouns(lang: Lang) -> &'static [&'static str] {
 }
 
 /// Qualifier words for two-part slugs.
-pub fn qualifiers(lang: Lang) -> &'static [&'static str] {
+fn qualifiers(lang: Lang) -> &'static [&'static str] {
     match lang {
         Lang::En => &[
             "annual", "quarterly", "regional", "national", "monthly", "detailed", "summary",
@@ -78,7 +78,7 @@ pub fn qualifiers(lang: Lang) -> &'static [&'static str] {
 }
 
 /// "Download"-flavoured anchor words (the kind TRES keys on).
-pub fn download_words(lang: Lang) -> &'static [&'static str] {
+pub(crate) fn download_words(lang: Lang) -> &'static [&'static str] {
     match lang {
         Lang::En => &["Download", "Download file", "Get dataset", "Data file", "Export data", "Full table"],
         Lang::Fr => &["Telecharger", "Telecharger le fichier", "Donnees", "Exporter", "Tableau complet"],
@@ -143,7 +143,7 @@ pub fn pick<'a, R: Rng + ?Sized>(rng: &mut R, pool: &'a [&'a str]) -> &'a str {
 }
 
 /// A `noun-qualifier-NN` slug, URL-safe by construction.
-pub fn slug<R: Rng + ?Sized>(rng: &mut R, lang: Lang) -> String {
+pub(crate) fn slug<R: Rng + ?Sized>(rng: &mut R, lang: Lang) -> String {
     let n = pick(rng, nouns(lang));
     let q = pick(rng, qualifiers(lang));
     format!("{n}-{q}-{:02}", rng.gen_range(0..100))

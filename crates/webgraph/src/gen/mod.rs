@@ -22,8 +22,8 @@ pub mod hazard;
 pub mod lexicon;
 pub mod profiles;
 pub mod render;
-pub mod source;
-pub mod spec;
+mod source;
+mod spec;
 
 pub use build::{build_site, build_with_store, PageStore};
 pub use cache::BodyCache;
@@ -34,7 +34,6 @@ pub use source::SiteSource;
 pub use spec::{MimePalette, SiteSpec, StructureSpec};
 
 use crate::interner::FxHashMap;
-use std::sync::Arc;
 
 /// Index of a page within its [`Website`].
 pub type PageId = u32;
@@ -179,7 +178,7 @@ pub struct Website {
 
 /// Default per-site budget for cached target payloads (target bodies can
 /// reach `content::BODY_CAP` each, so caching them is bounded).
-pub const TARGET_CACHE_BUDGET: u64 = 256 << 20;
+pub(crate) const TARGET_CACHE_BUDGET: u64 = 256 << 20;
 
 impl Website {
     pub fn spec(&self) -> &SiteSpec {
@@ -220,13 +219,8 @@ impl Website {
         self.url_index.get(url).copied()
     }
 
-    /// [`SiteSource::rendered`], callable without the trait in scope.
-    pub fn rendered(&self, id: PageId) -> Arc<[u8]> {
-        SiteSource::rendered(self, id)
-    }
-
     /// Replaces the target-payload cache budget (builder knob; set before
-    /// serving). The default is [`TARGET_CACHE_BUDGET`].
+    /// serving). The default is 256 MiB.
     pub fn with_target_cache_budget(self, bytes: u64) -> Self {
         Website { cache: self.cache.with_target_budget(bytes), ..self }
     }
@@ -234,17 +228,6 @@ impl Website {
     /// Total number of target pages.
     pub fn n_targets(&self) -> usize {
         self.pages.iter().filter(|p| matches!(p.kind, PageKind::Target { .. })).count()
-    }
-
-    /// Total declared volume of all targets, in bytes.
-    pub fn total_target_volume(&self) -> u64 {
-        self.pages
-            .iter()
-            .filter_map(|p| match p.kind {
-                PageKind::Target { declared_size, .. } => Some(declared_size),
-                _ => None,
-            })
-            .sum()
     }
 
     /// Appends a page to the site, registering its URL.

@@ -110,9 +110,6 @@ pub fn fully_crawled_codes() -> Vec<&'static str> {
     ROWS.iter().filter(|r| r.fc).map(|r| r.code).collect()
 }
 
-/// The 10 sites shown in Figure 4.
-pub const FIGURE4_CODES: [&str; 10] = ["ce", "cl", "ed", "il", "in", "ju", "nc", "ok", "wh", "wo"];
-
 #[cfg(test)]
 mod tests {
     use super::*;

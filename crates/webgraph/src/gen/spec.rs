@@ -7,7 +7,7 @@ use crate::gen::lexicon::Lang;
 pub type MimePalette = &'static [(&'static str, f64)];
 
 /// Default palette: mostly PDFs and spreadsheets, like the ministry sites.
-pub const PALETTE_DOCS: MimePalette = &[
+pub(crate) const PALETTE_DOCS: MimePalette = &[
     ("pdf", 0.42),
     ("csv", 0.14),
     ("xlsx", 0.16),
@@ -19,7 +19,7 @@ pub const PALETTE_DOCS: MimePalette = &[
 ];
 
 /// Data-portal palette: CSV/spreadsheet heavy (is, cl, qa…).
-pub const PALETTE_DATA: MimePalette = &[
+pub(crate) const PALETTE_DATA: MimePalette = &[
     ("csv", 0.34),
     ("xlsx", 0.22),
     ("xls", 0.10),
@@ -31,7 +31,7 @@ pub const PALETTE_DATA: MimePalette = &[
 ];
 
 /// Archive-heavy palette (il, wo: big zipped micro-data).
-pub const PALETTE_ARCHIVE: MimePalette = &[
+pub(crate) const PALETTE_ARCHIVE: MimePalette = &[
     ("zip", 0.30),
     ("pdf", 0.25),
     ("csv", 0.15),
@@ -123,12 +123,12 @@ impl SiteSpec {
     }
 
     /// Expected number of HTML pages.
-    pub fn n_html(&self) -> usize {
+    pub(crate) fn n_html(&self) -> usize {
         self.n_pages.saturating_sub(self.n_targets()).max(2)
     }
 
     /// Expected number of HTML pages that link to at least one target.
-    pub fn n_linkers(&self) -> usize {
+    pub(crate) fn n_linkers(&self) -> usize {
         ((self.n_html() as f64) * self.html_to_target_frac).round().max(1.0) as usize
     }
 

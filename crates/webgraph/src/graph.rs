@@ -8,7 +8,9 @@
 //! harness (census over generated sites).
 
 use sb_html::TagPath;
-use std::collections::{HashMap, HashSet, VecDeque};
+#[cfg(test)]
+use std::collections::HashMap;
+use std::collections::{HashSet, VecDeque};
 
 /// Node index within a [`WebsiteGraph`].
 pub type NodeIdx = usize;
@@ -26,46 +28,43 @@ pub struct WebsiteGraph {
 
 impl WebsiteGraph {
     /// Creates a graph with `n` nodes of weight 1 and no edges, rooted at `root`.
-    pub fn unit_weights(n: usize, root: NodeIdx) -> Self {
+    pub(crate) fn unit_weights(n: usize, root: NodeIdx) -> Self {
         assert!(root < n, "root must be a node");
         WebsiteGraph { weights: vec![1.0; n], edges: vec![Vec::new(); n], root }
     }
 
     /// Creates a graph with explicit weights.
-    pub fn with_weights(weights: Vec<f64>, root: NodeIdx) -> Self {
+    #[cfg(test)]
+    fn with_weights(weights: Vec<f64>, root: NodeIdx) -> Self {
         assert!(root < weights.len(), "root must be a node");
         assert!(weights.iter().all(|&w| w > 0.0), "ω must be positive (Definition 1)");
         let n = weights.len();
         WebsiteGraph { weights, edges: vec![Vec::new(); n], root }
     }
 
-    pub fn add_edge(&mut self, u: NodeIdx, v: NodeIdx, label: TagPath) {
+    pub(crate) fn add_edge(&mut self, u: NodeIdx, v: NodeIdx, label: TagPath) {
         assert!(u < self.len() && v < self.len());
         self.edges[u].push((v, label));
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.weights.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    pub fn root(&self) -> NodeIdx {
+    pub(crate) fn root(&self) -> NodeIdx {
         self.root
     }
 
-    pub fn weight(&self, u: NodeIdx) -> f64 {
+    pub(crate) fn weight(&self, u: NodeIdx) -> f64 {
         self.weights[u]
     }
 
-    pub fn successors(&self, u: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
+    pub(crate) fn successors(&self, u: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
         self.edges[u].iter().map(|(v, _)| *v)
     }
 
     /// BFS depths from the root; unreachable nodes get `None`.
-    pub fn bfs_depths(&self) -> Vec<Option<u32>> {
+    pub(crate) fn bfs_depths(&self) -> Vec<Option<u32>> {
         let mut depth = vec![None; self.len()];
         let mut q = VecDeque::new();
         depth[self.root] = Some(0);
@@ -83,7 +82,7 @@ impl WebsiteGraph {
     }
 
     /// All nodes reachable from the root.
-    pub fn reachable(&self) -> HashSet<NodeIdx> {
+    pub(crate) fn reachable(&self) -> HashSet<NodeIdx> {
         self.bfs_depths()
             .iter()
             .enumerate()
@@ -92,17 +91,20 @@ impl WebsiteGraph {
     }
 }
 
-/// An `r`-rooted subtree of a website graph (Definition 2).
+/// An `r`-rooted subtree of a website graph (Definition 2): the executable
+/// definition the exact solver's minimal crawls are checked against.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct Crawl {
+pub(crate) struct Crawl {
     /// `parent[v] = Some(u)` for tree edge `(u, v)`; the root has `None`.
     parent: HashMap<NodeIdx, Option<NodeIdx>>,
     root: NodeIdx,
 }
 
 /// Errors raised by [`Crawl::validate`].
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CrawlError {
+pub(crate) enum CrawlError {
     /// A tree edge does not exist in the graph.
     MissingEdge(NodeIdx, NodeIdx),
     /// A node other than the root has no parent, or the root has one.
@@ -111,49 +113,38 @@ pub enum CrawlError {
     Disconnected(NodeIdx),
 }
 
+#[cfg(test)]
 impl Crawl {
     /// A crawl containing just the root.
-    pub fn rooted(root: NodeIdx) -> Self {
+    pub(crate) fn rooted(root: NodeIdx) -> Self {
         let mut parent = HashMap::new();
         parent.insert(root, None);
         Crawl { parent, root }
     }
 
     /// Adds tree edge `(u, v)`; `u` must already be in the crawl and `v` not.
-    pub fn extend(&mut self, u: NodeIdx, v: NodeIdx) {
+    pub(crate) fn extend(&mut self, u: NodeIdx, v: NodeIdx) {
         assert!(self.parent.contains_key(&u), "parent must be crawled first");
         assert!(!self.parent.contains_key(&v), "a crawl visits each node once");
         self.parent.insert(v, Some(u));
     }
 
-    pub fn contains(&self, v: NodeIdx) -> bool {
+    pub(crate) fn contains(&self, v: NodeIdx) -> bool {
         self.parent.contains_key(&v)
     }
 
-    pub fn nodes(&self) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.parent.keys().copied()
-    }
-
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Total cost `ω(T) = Σ_{u ∈ V'} ω(u)` (Definition 2).
-    pub fn cost(&self, g: &WebsiteGraph) -> f64 {
+    pub(crate) fn cost(&self, g: &WebsiteGraph) -> f64 {
         self.parent.keys().map(|&u| g.weight(u)).sum()
     }
 
     /// Does this crawl cover all of `targets` (Problem 3)?
-    pub fn covers(&self, targets: &HashSet<NodeIdx>) -> bool {
+    pub(crate) fn covers(&self, targets: &HashSet<NodeIdx>) -> bool {
         targets.iter().all(|t| self.contains(*t))
     }
 
     /// The crawl frontier: uncrawled nodes pointed to by crawled ones.
-    pub fn frontier(&self, g: &WebsiteGraph) -> HashSet<NodeIdx> {
+    pub(crate) fn frontier(&self, g: &WebsiteGraph) -> HashSet<NodeIdx> {
         let mut f = HashSet::new();
         for &u in self.parent.keys() {
             for v in g.successors(u) {
@@ -168,7 +159,7 @@ impl Crawl {
     /// Checks this is a valid `r`-rooted subtree of `g`: every tree edge
     /// exists in `g`, the root is `g`'s root, and every node reaches the root
     /// through tree edges.
-    pub fn validate(&self, g: &WebsiteGraph) -> Result<(), CrawlError> {
+    pub(crate) fn validate(&self, g: &WebsiteGraph) -> Result<(), CrawlError> {
         if self.root != g.root() || self.parent.get(&self.root) != Some(&None) {
             return Err(CrawlError::BadRoot);
         }

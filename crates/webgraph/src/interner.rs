@@ -10,13 +10,13 @@
 //!   hash, several times faster than SipHash on short keys like URLs and
 //!   tag paths (DoS resistance is irrelevant for a simulator keyed by its
 //!   own generated strings),
-//! * [`FxHashMap`] / [`FxHashSet`] — std collections with that hasher,
+//! * [`FxHashMap`] — the std map with that hasher,
 //! * [`fp_of_url`] / [`url_eq_canonical`] — the 64-bit fingerprint of a
 //!   URL's canonical form and its allocation-free confirmation, the one
 //!   probe of the crawl's `Url ↔ UrlId` table (`sb_scale::VisitedSet`).
 
 use crate::url::Url;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Dense identifier of an interned URL. Ids are assigned in discovery
@@ -85,9 +85,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// `HashMap` with FxHash — single fast hash per lookup.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// `HashSet` with FxHash.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// The 64-bit FNV-1a offset basis: the state an unseeded [`fnv1a`] stream
 /// starts from. Xor a seed into it for a keyed stream.

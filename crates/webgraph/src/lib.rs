@@ -7,7 +7,8 @@
 //! * [`interner`] — FxHash and the `Url ↔ u32` interning table behind the
 //!   allocation-free crawl hot path,
 //! * [`mime`] — target MIME types (Appendix A.2) and multimedia blocklists,
-//! * [`graph`] — the formal website-graph / crawl-tree model (Defs 1–3),
+//! * [`WebsiteGraph`] — the formal website-graph model (Def 1; the crawl
+//!   tree of Defs 2–3 lives in the tests that check the exact solver),
 //! * [`complexity`] — the set-cover reduction and exact solvers behind
 //!   Proposition 4,
 //! * [`gen`] — deterministic synthetic websites reproducing the Table 1
@@ -19,9 +20,9 @@
 
 pub mod complexity;
 pub mod content;
-pub mod csr;
+mod csr;
 pub mod gen;
-pub mod graph;
+mod graph;
 pub mod interner;
 pub mod mime;
 pub mod url;
@@ -31,7 +32,7 @@ pub use gen::{
     build_site, build_with_store, paper_profiles, profile, Census, PageId, PageKind, PageStore,
     SiteSource, SiteSpec, Website,
 };
-pub use graph::{Crawl, NodeIdx, WebsiteGraph};
-pub use interner::{fnv1a, fnv64, FxBuildHasher, FxHashMap, FxHashSet, UrlId, FNV1A_BASIS};
+pub use graph::{NodeIdx, WebsiteGraph};
+pub use interner::{fnv1a, fnv64, FxBuildHasher, FxHashMap, UrlId, FNV1A_BASIS};
 pub use mime::{MimePolicy, UrlClass};
 pub use url::Url;

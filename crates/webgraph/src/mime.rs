@@ -20,7 +20,7 @@ pub enum UrlClass {
 }
 
 /// The 38 default target MIME types (Appendix A.2, verbatim).
-pub const DEFAULT_TARGET_MIME_TYPES: [&str; 38] = [
+const DEFAULT_TARGET_MIME_TYPES: [&str; 38] = [
     "application/csv",
     "application/json",
     "application/msword",
@@ -63,7 +63,7 @@ pub const DEFAULT_TARGET_MIME_TYPES: [&str; 38] = [
 
 /// Multimedia URL extensions blocked before classification (Appendix B.3;
 /// a representative subset — the full paper list is mechanical).
-pub const DEFAULT_BLOCKED_EXTENSIONS: [&str; 58] = [
+const DEFAULT_BLOCKED_EXTENSIONS: [&str; 58] = [
     "3gp", "aac", "aif", "aiff", "avi", "avif", "bmp", "djvu", "flac", "flv", "gif", "h264",
     "heic", "heif", "ico", "jfif", "jpe", "jpeg", "jpg", "m4a", "m4v", "mid", "midi", "mkv",
     "mov", "mp2", "mp3", "mp4", "mpeg", "mpg", "oga", "ogg", "ogv", "opus", "pbm", "pcx",

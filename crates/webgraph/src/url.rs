@@ -136,7 +136,7 @@ impl Url {
     }
 
     /// Hostname with a leading `www.` removed — the paper's footnote-1 rule.
-    pub fn host_sans_www(&self) -> &str {
+    fn host_sans_www(&self) -> &str {
         self.host.strip_prefix("www.").unwrap_or(&self.host)
     }
 
@@ -158,7 +158,7 @@ impl Url {
     /// (`/a/b/file.CSV` → `CSV`). Query strings don't count. Compare with
     /// `eq_ignore_ascii_case` — returning a borrowed slice keeps this
     /// allocation-free on the per-link hot path.
-    pub fn extension(&self) -> Option<&str> {
+    pub(crate) fn extension(&self) -> Option<&str> {
         let last = self.path.rsplit('/').next()?;
         let (stem, ext) = last.rsplit_once('.')?;
         if stem.is_empty() || ext.is_empty() || ext.len() > 10 {

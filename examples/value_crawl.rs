@@ -11,12 +11,11 @@
 //!
 //! This example pits BFS against the value frontier under a request
 //! budget far too small to exhaust the site (ordering is the whole game),
-//! then shows the `rating_methods`-style spec string that configures the
-//! scorer mix.
+//! then builds a custom scorer mix.
 //!
 //! Run with: `cargo run --release --example value_crawl`
 
-use sb_crawler::strategies::{QueueStrategy, ValueSpec, ValueStrategy};
+use sb_crawler::strategies::{ClassifierScorer, QueueStrategy, ValueStrategy};
 use sb_crawler::strategy::Strategy;
 use sb_crawler::{Budget, CrawlConfig, CrawlSession};
 use sb_httpsim::SiteServer;
@@ -64,12 +63,10 @@ fn main() {
         );
     }
 
-    // The mix is configured `rating_methods`-style: `name[:weight]`
-    // entries, unknown names rejected at parse time. Here: classifier
-    // only, no exploration terms — a pure exploitation frontier.
+    // A mix is a list of weighted scorers. Here: classifier only, no
+    // exploration terms — a pure exploitation frontier.
     println!("\n== Custom scorer mix: classifier-only ==");
-    let spec = ValueSpec::parse("classifier:1.0").expect("known scorer name");
-    let mut value = ValueStrategy::from_spec(&spec);
+    let mut value = ValueStrategy::new(vec![(Box::new(ClassifierScorer::paper_default()), 1.0)]);
     println!("  strategy name: {}", value.name());
     let out = run(&mut value, 8);
     println!(

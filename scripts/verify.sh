@@ -235,6 +235,18 @@ if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         crates/*/src Cargo.toml crates/*/Cargo.toml; then
     echo "verify: a deleted duplicate reappeared" >&2; exit 1
 fi
+# Library crates hold only what a crawl runs: the dense projection and
+# cosine the sparse kernels are pinned against live in `sb_bench::dense`,
+# tag paths are built by hand from rendered tokens (`TagPath::from_tokens`),
+# the batching adapter lives under `crates/core/tests/batched/`, and the
+# value frontier's default mix is code, not a parsed `rating_methods` string.
+if grep -rn "Reference only" crates/*/src | grep -v "^crates/bench/"; then
+    echo "verify: a reference implementation is back in a library crate" >&2; exit 1
+fi
+if grep -rn -e "struct PathSegment" -e "struct Batched" -e "struct ValueSpec" -e "pub fn project(" \
+        crates/*/src | grep -v "^crates/bench/"; then
+    echo "verify: a test adapter or reference kernel is back in a library crate" >&2; exit 1
+fi
 # `ReadReport::wall_secs` in sb_serve stays (`serve_refresh` reads its qps).
 if grep -rn "wall_secs" crates/core/src crates/eval/src; then
     echo "verify: a crawl timer reappeared outside benchmark/" >&2; exit 1
@@ -246,6 +258,9 @@ fi
 # and must report a correct crawl. cargo and run.sh both honour
 # CARGO_TARGET_DIR and both default to benchmark/target.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# run.sh builds without --locked, so a dependency-edge change in a crate the
+# benchmark builds would rewrite benchmark/Cargo.lock: fail here instead.
+git diff --exit-code -- benchmark/
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --workload value_window16 --seed 1 --seconds 1 --trace 0 \
     | tail -n 1 | grep -q '"correct":true'
