@@ -6,7 +6,9 @@
 //! ([`Projector`]) → cosine geometry. The vectors stay sparse the whole way: a [`Sketcher`] turns
 //! tokens into a [`SparseVec`] (~10 non-zeros out of `D = 4096`), and
 //! Algorithm 1's action centroids (`sb_crawler::ActionSpace`) are
-//! `SparseVec`s compared with [`cosine_sparse`] in an exact scan. The dense
+//! `SparseVec`s compared with [`cosine_sparse`] in an exact scan; a ring of
+//! recent sketches is stored bucket-major ([`SketchRing`]) and read by
+//! gather, to the same bits. The dense
 //! projection and cosine the differential tests pin these kernels against,
 //! bit for bit, live in the oracle crate (`sb_bench::dense`): nothing the
 //! crawl runs is dense.
@@ -19,4 +21,4 @@ mod vector;
 
 pub use ngram::{NgramVocab, SparseBow, BOS, EOS};
 pub use project::{BucketSums, Projector, Sketcher, DEFAULT_PRIME};
-pub use vector::{cosine_sparse, SparseVec};
+pub use vector::{cosine_sparse, SketchRing, SparseVec};

@@ -127,7 +127,89 @@ pub fn cosine_sparse(a: &SparseVec, b: &SparseVec) -> f32 {
             }
         }
     }
-    (dot / (a.norm_sq.sqrt() * b.norm_sq.sqrt())) as f32
+    normalised(dot, a.norm_sq, b.norm_sq)
+}
+
+/// A dot product over the two norms it was taken between, as an f32; 0 if
+/// either norm is zero. The one cosine formula every kernel here ends in.
+#[inline]
+fn normalised(dot: f64, a_norm_sq: f64, b_norm_sq: f64) -> f32 {
+    if a_norm_sq == 0.0 || b_norm_sq == 0.0 {
+        return 0.0;
+    }
+    (dot / (a_norm_sq.sqrt() * b_norm_sq.sqrt())) as f32
+}
+
+/// Up to [`SketchRing::SLOTS`] sketches of dimension `D`, stored
+/// **bucket-major**: row `j` holds coordinate `j` of every slot, one f32
+/// lane per slot, and each slot's squared norm is the one its
+/// [`SparseVec`] cached. A probe is compared against a slot by *gathering*
+/// the rows under its own items — no merge-join, no branch per item — and
+/// against all slots at once by one pass over its items.
+///
+/// **Both reads equal [`cosine_sparse`]`(probe, slot's vector)` bit for
+/// bit.** Each lane adds the same f64 products in the same ascending-index
+/// order as the merge-join; the only extra terms are `v × 0.0 = ±0.0` for a
+/// probe coordinate the slot does not hold. The accumulator starts at
+/// `+0.0` and can never become `−0.0` (`+0.0 + −0.0 = +0.0`, and a sum of
+/// finite non-zeros that cancels is `+0.0`), and adding `±0.0` to a value
+/// that is not `−0.0` leaves it unchanged — so the extra terms change
+/// nothing. The norms are the cached ones and the final expression is the
+/// same one, zero-norm answer of 0 included. The vectors must be finite
+/// (`∞ × 0.0` is NaN).
+///
+/// A write zeroes the slot's whole lane (`D` strided stores) and scatters
+/// the new items: no second copy of the sketches is kept.
+#[derive(Debug)]
+pub struct SketchRing {
+    rows: Vec<[f32; SketchRing::SLOTS]>,
+    norm_sq: [f64; SketchRing::SLOTS],
+}
+
+impl SketchRing {
+    /// Slots per ring: a reader's per-slot verdicts fit the bits of a `u32`.
+    pub const SLOTS: usize = 32;
+
+    /// An empty ring over dimension `dim`: every slot reads as a zero-norm
+    /// vector (cosine 0) until written.
+    pub fn new(dim: usize) -> Self {
+        SketchRing { rows: vec![[0.0; Self::SLOTS]; dim], norm_sq: [0.0; Self::SLOTS] }
+    }
+
+    /// Replaces `slot`'s vector with `v`. Panics if `slot` or one of `v`'s
+    /// indices is out of range.
+    pub fn write(&mut self, slot: usize, v: &SparseVec) {
+        for row in &mut self.rows {
+            row[slot] = 0.0;
+        }
+        for &(j, x) in &v.items {
+            self.rows[j as usize][slot] = x;
+        }
+        self.norm_sq[slot] = v.norm_sq;
+    }
+
+    /// [`cosine_sparse`]`(probe, slot's vector)`, by gather.
+    pub fn cosine(&self, probe: &SparseVec, slot: usize) -> f32 {
+        let dot = probe.items.iter().fold(0.0f64, |acc, &(j, x)| {
+            acc + f64::from(x) * f64::from(self.rows[j as usize][slot])
+        });
+        normalised(dot, probe.norm_sq, self.norm_sq[slot])
+    }
+
+    /// [`SketchRing::cosine`] of `probe` against every slot, into `out`:
+    /// one pass over the probe's items, one f64 accumulator per lane.
+    pub fn cosines(&self, probe: &SparseVec, out: &mut [f32; SketchRing::SLOTS]) {
+        let mut dot = [0.0f64; Self::SLOTS];
+        for &(j, x) in &probe.items {
+            let x = f64::from(x);
+            for (acc, &r) in dot.iter_mut().zip(&self.rows[j as usize]) {
+                *acc += x * f64::from(r);
+            }
+        }
+        for ((c, &d), &n) in out.iter_mut().zip(&dot).zip(&self.norm_sq) {
+            *c = normalised(d, probe.norm_sq, n);
+        }
+    }
 }
 
 #[cfg(test)]

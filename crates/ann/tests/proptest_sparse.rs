@@ -7,7 +7,9 @@
 //! stale hit count — is a bug that would silently change crawl traces.
 
 use proptest::prelude::*;
-use sb_ann::{cosine_sparse, NgramVocab, Projector, Sketcher, SparseVec, DEFAULT_PRIME};
+use sb_ann::{
+    cosine_sparse, NgramVocab, Projector, SketchRing, Sketcher, SparseVec, DEFAULT_PRIME,
+};
 use sb_bench::dense::{cosine, project};
 
 const DIM: usize = 48;
@@ -142,4 +144,74 @@ proptest! {
         // against it keep matching.
         prop_assert_eq!(cosine_sparse(&moved, &x).to_bits(), cosine(&dense, &x.to_dense(DIM)).to_bits());
     }
+
+    /// (d) The bucket-major ring: after any sequence of writes — a partly
+    /// filled ring, slots overwritten in any order, each new support
+    /// disjoint from, overlapping or equal to the old one (`arb_sparse`
+    /// draws every density over one small dimension; `same_support` keeps
+    /// the old indices with fresh values) — `cosine` and `cosines` against
+    /// every slot equal `cosine_sparse` against the vector last written
+    /// there, bit for bit, and an unwritten slot reads 0.
+    #[test]
+    fn sketch_ring_reads_equal_the_merge_join(
+        writes in proptest::collection::vec(
+            (0usize..SketchRing::SLOTS, arb_sparse(), proptest::bool::ANY),
+            0..80,
+        ),
+        probes in proptest::collection::vec(arb_sparse(), 1..4),
+    ) {
+        let mut ring = SketchRing::new(DIM);
+        let mut model: Vec<Option<SparseVec>> = vec![None; SketchRing::SLOTS];
+        let mut cosines = [f32::NAN; SketchRing::SLOTS];
+        for (slot, v, same_support) in writes {
+            let v = match &model[slot] {
+                Some(old) if same_support => {
+                    let fresh = v.items().iter().map(|&(_, x)| x).chain(std::iter::repeat(1.5));
+                    SparseVec::new(old.items().iter().zip(fresh).map(|(&(j, _), x)| (j, x)).collect())
+                }
+                _ => v,
+            };
+            ring.write(slot, &v);
+            model[slot] = Some(v);
+            for probe in &probes {
+                ring.cosines(probe, &mut cosines);
+                for (slot, seen) in model.iter().enumerate() {
+                    let want = seen.as_ref().map_or(0.0, |seen| cosine_sparse(probe, seen));
+                    prop_assert_eq!(ring.cosine(probe, slot).to_bits(), want.to_bits());
+                    prop_assert_eq!(cosines[slot].to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
+}
+
+/// The ±0.0 cases the ring's bit-identity argument rests on: stored zeros
+/// and negative values on both sides, a zero-norm probe and slot, and a
+/// dot product that cancels exactly.
+#[test]
+fn sketch_ring_matches_the_merge_join_on_signed_zeros() {
+    let probe = SparseVec::new(vec![(0, -0.0), (1, 2.0), (2, -3.0), (5, 0.0)]);
+    let slots = [
+        SparseVec::new(vec![(1, 3.0), (2, 2.0)]),
+        SparseVec::new(vec![(0, 5.0), (2, -1.0), (5, -4.0)]),
+        SparseVec::new(vec![(3, 1.0), (4, -1.0)]),
+        SparseVec::new(vec![(0, 0.0), (5, -0.0)]),
+        SparseVec::new(Vec::new()),
+    ];
+    let mut ring = SketchRing::new(DIM);
+    for (slot, v) in slots.iter().enumerate() {
+        ring.write(slot, v);
+    }
+    let mut cosines = [f32::NAN; SketchRing::SLOTS];
+    for probe in [&probe, &SparseVec::new(vec![(1, -0.0)])] {
+        ring.cosines(probe, &mut cosines);
+        for (slot, v) in slots.iter().enumerate() {
+            let want = cosine_sparse(probe, v);
+            assert_eq!(ring.cosine(probe, slot).to_bits(), want.to_bits(), "slot {slot}");
+            assert_eq!(cosines[slot].to_bits(), want.to_bits(), "slot {slot}");
+        }
+        assert!(cosines[slots.len()..].iter().all(|c| c.to_bits() == 0));
+    }
+    // Slot 0's dot cancels to +0.0: the cosine is +0.0, not −0.0.
+    assert_eq!(ring.cosine(&probe, 0).to_bits(), 0.0f32.to_bits());
 }

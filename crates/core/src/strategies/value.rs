@@ -30,14 +30,14 @@
 //!
 //! * **What a memo may cache** is anything that is a function of the
 //!   candidate alone (its feature vector, its sketch's bucket sums, its
-//!   bandit arm) plus the last answer computed from it, stamped with the
-//!   scorer state that answer depended on.
+//!   bandit arm) plus what was last computed from it — an answer, a
+//!   projection — stamped with the scorer state it depended on.
 //! * **What invalidates it** is declared by the stamp: the classifier's
 //!   score by [`UrlClassifier::trainings`] advancing; the near-dup verdict
 //!   by the sketcher's hit table growing under one of the candidate's
-//!   buckets (all of it) or by a fetch overwriting a ring slot (that slot's
-//!   bit); the bandit's score by nothing — it is a few flops over the
-//!   resolved arm.
+//!   buckets (the kept projection and all bits) or by a fetch overwriting a
+//!   ring slot (that slot's bit); the bandit's per-arm score by any pull
+//!   (it is cached on the arm, not the candidate).
 //! * **Admission is at the candidate's first ranking pass, not at
 //!   `decide`** — in frontier order, interleaved with scoring exactly as
 //!   the passes always ran. The near-dup sketcher's vocabulary grows in
@@ -64,9 +64,10 @@
 
 use crate::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
 use rand::rngs::StdRng;
-use sb_ann::{cosine_sparse, BucketSums, Projector, Sketcher, SparseVec};
+use sb_ann::{BucketSums, Projector, SketchRing, Sketcher, SparseVec};
 use sb_ml::{Class2, FeatureInput, UrlClassifier};
 use sb_webgraph::{UrlClass, UrlId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Clamps a score to something totally ordered: non-finite values (NaN,
@@ -261,9 +262,9 @@ impl Scorer for ClassifierScorer {
 
 /// How many fetched-URL sketches [`NearDupScorer`] compares against (a
 /// ring of the most recent ones — recency is what matters for trap
-/// shapes, which arrive in runs). At most 32: a candidate's per-slot
-/// verdicts are the bits of a `u32`.
-const NEARDUP_RING: usize = 32;
+/// shapes, which arrive in runs): one [`SketchRing`], so at most 32, and a
+/// candidate's per-slot verdicts are the bits of a `u32`.
+const NEARDUP_RING: usize = SketchRing::SLOTS;
 const _: () = assert!(NEARDUP_RING <= u32::BITS as usize);
 
 /// Cosine similarity above which a candidate is charged the near-dup
@@ -282,49 +283,62 @@ const NEARDUP_THRESHOLD: f32 = 0.7;
 ///
 /// A candidate is tokenised once, at admission, which is also when its
 /// bigrams enter the vocabulary. Its sketch at any later moment is its
-/// (static) bucket sums over the hit table of that moment, and its verdict
-/// is one bit per ring slot: a pass recomputes the bits of the slots
-/// fetches have overwritten since the last one — or all of them, if the hit
-/// table grew under one of the candidate's buckets and moved its sketch.
+/// (static) bucket sums over the hit table of that moment — kept projected
+/// in its memo, and re-projected in place only when [`Sketcher::hits_under`]
+/// its sums moves (hits only grow, so an unchanged sum means every bucket's
+/// count, hence the projection, is unchanged). Its verdict is one bit per
+/// ring slot: a pass recomputes the bits of the slots fetches have
+/// overwritten since the last one ([`SketchRing::cosine`] each) — or all
+/// of them in one [`SketchRing::cosines`], if the sketch moved.
 pub struct NearDupScorer {
     sketcher: Sketcher,
-    ring: Vec<SparseVec>,
+    ring: SketchRing,
     /// Fetches sketched into the ring so far (wrapping); write `w` lands in
     /// slot `w % NEARDUP_RING`.
     ring_writes: u32,
     memos: Vec<NearDupMemo>,
-    /// Reused: the candidate at hand under the current hit table.
-    probe: SparseVec,
 }
 
 struct NearDupMemo {
     sums: BucketSums,
-    /// [`Sketcher::hits_under`] `sums` when `near` was last computed whole.
+    /// `sums` projected under the hit table of `hits`.
+    sketch: SparseVec,
+    /// [`Sketcher::hits_under`] `sums` when `sketch` was projected and
+    /// `near` computed whole.
     hits: u32,
     /// `ring_writes` when `near` was last brought up to date.
     ring_seen: u32,
-    /// Bit `s`: the sketch is a near-dup of `ring[s]`.
+    /// Bit `s`: the sketch is a near-dup of ring slot `s`.
     near: u32,
 }
 
 impl NearDupScorer {
     pub fn new() -> Self {
+        // D = 1024: large enough that bucket collisions stay rare for
+        // URL-token vocabularies.
+        let sketcher = Sketcher::new(2, Projector::new(10, 15, sb_ann::DEFAULT_PRIME));
         NearDupScorer {
-            // D = 1024: large enough that bucket collisions stay rare for
-            // URL-token vocabularies.
-            sketcher: Sketcher::new(2, Projector::new(10, 15, sb_ann::DEFAULT_PRIME)),
-            ring: Vec::with_capacity(NEARDUP_RING),
+            ring: SketchRing::new(sketcher.dim()),
+            sketcher,
             ring_writes: 0,
             memos: Vec::new(),
-            probe: SparseVec::default(),
         }
     }
 }
 
-fn url_tokens(url: &str) -> Vec<String> {
+/// The lowercased ASCII-alphanumeric runs of `url`, borrowed unless a run
+/// holds an uppercase letter (the runs are ASCII, so ASCII lowercasing is
+/// full lowercasing).
+fn url_tokens(url: &str) -> Vec<Cow<'_, str>> {
     url.split(|c: char| !c.is_ascii_alphanumeric())
         .filter(|t| !t.is_empty())
-        .map(str::to_lowercase)
+        .map(|t| {
+            if t.bytes().any(|b| b.is_ascii_uppercase()) {
+                Cow::Owned(t.to_ascii_lowercase())
+            } else {
+                Cow::Borrowed(t)
+            }
+        })
         .collect()
 }
 
@@ -343,7 +357,9 @@ impl Scorer for NearDupScorer {
         self.memos.push(NearDupMemo {
             sums: self.sketcher.admit(&url_tokens(&cand.url)),
             // Every bucket of a non-empty sketch has a hit, so the first
-            // `score` computes all bits (an empty one has none to compute).
+            // `score` projects and computes all bits (an empty one has none
+            // to compute: its empty sketch is its projection).
+            sketch: SparseVec::default(),
             hits: 0,
             ring_seen: self.ring_writes,
             near: 0,
@@ -353,23 +369,28 @@ impl Scorer for NearDupScorer {
     fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
         let memo = &mut self.memos[slot];
         let hits = self.sketcher.hits_under(&memo.sums);
-        // The ring slots whose bit is out of date: `count` of them from
-        // `first`, wrapping.
-        let (first, count) = if hits != memo.hits {
-            (memo.hits, memo.near) = (hits, 0);
-            (0, self.ring.len())
+        if hits != memo.hits {
+            // The sketch moved: every bit is out of date. A slot not yet
+            // written reads as cosine 0, never near.
+            memo.hits = hits;
+            self.sketcher.project_into(&memo.sums, &mut memo.sketch);
+            let mut cosines = [0.0; NEARDUP_RING];
+            self.ring.cosines(&memo.sketch, &mut cosines);
+            memo.near = cosines
+                .iter()
+                .enumerate()
+                .fold(0, |near, (s, &c)| near | (u32::from(c >= NEARDUP_THRESHOLD) << s));
         } else {
+            // Only the slots fetches overwrote since the last pass: `behind`
+            // of them from `ring_seen`, wrapping.
+            let first = memo.ring_seen as usize % NEARDUP_RING;
             let behind = self.ring_writes.wrapping_sub(memo.ring_seen) as usize;
-            (memo.ring_seen as usize % NEARDUP_RING, behind.min(NEARDUP_RING))
-        };
-        memo.ring_seen = self.ring_writes;
-        if count > 0 {
-            self.sketcher.project_into(&memo.sums, &mut self.probe);
-            for s in (first..first + count).map(|s| s % NEARDUP_RING) {
-                let near = cosine_sparse(&self.probe, &self.ring[s]) >= NEARDUP_THRESHOLD;
+            for s in (first..first + behind.min(NEARDUP_RING)).map(|s| s % NEARDUP_RING) {
+                let near = self.ring.cosine(&memo.sketch, s) >= NEARDUP_THRESHOLD;
                 memo.near = (memo.near & !(1 << s)) | (u32::from(near) << s);
             }
         }
+        memo.ring_seen = self.ring_writes;
         if memo.near != 0 {
             -1.0
         } else {
@@ -387,22 +408,24 @@ impl Scorer for NearDupScorer {
 
     fn on_fetched(&mut self, url: &str, _class: UrlClass) {
         let sketch = self.sketcher.sketch_mut(&url_tokens(url));
-        let slot = self.ring_writes as usize % NEARDUP_RING;
-        if slot == self.ring.len() {
-            self.ring.push(sketch);
-        } else {
-            self.ring[slot] = sketch;
-        }
+        self.ring.write(self.ring_writes as usize % NEARDUP_RING, &sketch);
         self.ring_writes = self.ring_writes.wrapping_add(1);
     }
 }
 
-/// Per-directory reward statistics for [`BanditScorer`].
-#[derive(Debug, Default, Clone, Copy)]
+/// Per-directory reward statistics for [`BanditScorer`], and the arm's
+/// score while `total_pulls` equals `scored_at` (every pull of any arm
+/// advances `total_pulls`, so nothing the score reads can move under it).
+#[derive(Debug, Clone, Copy)]
 struct DirArm {
     pulls: u64,
     sum: f64,
+    score: f64,
+    scored_at: u64,
 }
+
+/// A directory nobody pulled yet, never scored.
+const UNPULLED: DirArm = DirArm { pulls: 0, sum: 0.0, score: 0.0, scored_at: u64::MAX };
 
 /// Bandit-style expected reward: URLs are grouped by their first path
 /// segment (the "action" a directory represents), each group tracks the
@@ -412,7 +435,9 @@ struct DirArm {
 /// HTML or errors decay toward 0.
 ///
 /// A candidate's directory is resolved to its arm once, at admission (an
-/// arm nobody pulled yet scores as no arm did: the optimistic prior).
+/// arm nobody pulled yet scores as no arm did: the optimistic prior), and
+/// an arm's score is computed once per `total_pulls`, not once per
+/// candidate.
 #[derive(Debug, Default)]
 pub struct BanditScorer {
     /// First path segment → its index in `arms`.
@@ -442,7 +467,7 @@ impl BanditScorer {
             return arm;
         }
         let arm = self.arms.len() as u32;
-        self.arms.push(DirArm::default());
+        self.arms.push(UNPULLED);
         self.arm_of_dir.insert(dir.into(), arm);
         arm
     }
@@ -459,15 +484,20 @@ impl Scorer for BanditScorer {
     }
 
     fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
-        let t = (1.0 + self.total_pulls as f64).ln();
-        let arm = self.arms[self.memos[slot] as usize];
-        if arm.pulls > 0 {
-            let mean = arm.sum / arm.pulls as f64;
-            mean + 0.5 * (t / arm.pulls as f64).sqrt()
-        } else {
-            // Never pulled: optimistic prior plus the full bonus.
-            0.5 + 0.5 * t.sqrt()
+        let total_pulls = self.total_pulls;
+        let arm = &mut self.arms[self.memos[slot] as usize];
+        if arm.scored_at != total_pulls {
+            let t = (1.0 + total_pulls as f64).ln();
+            arm.scored_at = total_pulls;
+            arm.score = if arm.pulls > 0 {
+                let mean = arm.sum / arm.pulls as f64;
+                mean + 0.5 * (t / arm.pulls as f64).sqrt()
+            } else {
+                // Never pulled: optimistic prior plus the full bonus.
+                0.5 + 0.5 * t.sqrt()
+            };
         }
+        arm.score
     }
 
     fn release(&mut self, slot: usize) {
@@ -783,5 +813,33 @@ mod tests {
         let fresh = score(1, cand(1, "https://s/papers/edbt-2026-accepted-list", 3));
         assert!(trap < fresh, "trap-shaped URL must score below a fresh shape");
         assert_eq!(trap, -1.0);
+    }
+
+    /// A ring write replaces the slot's whole lane: a candidate that is a
+    /// near-dup of slot 0's sketch alone stops being penalised once slot 0
+    /// is overwritten by an unrelated URL.
+    #[test]
+    fn overwriting_a_ring_slot_forgets_its_old_sketch() {
+        let mut nd = NearDupScorer::new();
+        nd.on_fetched("https://s/calendar/2021/01/26", UrlClass::Html);
+        let trap = cand(0, "https://s/calendar/2021/01/27", 3);
+        nd.admit(&trap);
+        assert_eq!(nd.score(0, &trap), -1.0);
+        for _ in 1..NEARDUP_RING {
+            nd.on_fetched("ftp://zone/alpha/beta", UrlClass::Html);
+            assert_eq!(nd.score(0, &trap), -1.0, "slot 0 still holds the near-dup");
+        }
+        nd.on_fetched("gopher://quiet/river/stone", UrlClass::Html);
+        assert_eq!(nd.score(0, &trap), 0.0, "slot 0's old coordinates must be gone");
+    }
+
+    /// Tokens are the lowercased alphanumeric runs, copied only when a run
+    /// holds an uppercase letter.
+    #[test]
+    fn url_tokens_borrow_what_is_already_lowercase() {
+        let tokens = url_tokens("https://S.example/Cal_2021/x--y");
+        assert_eq!(tokens, ["https", "s", "example", "cal", "2021", "x", "y"]);
+        let owned: Vec<bool> = tokens.iter().map(|t| matches!(t, Cow::Owned(_))).collect();
+        assert_eq!(owned, [false, true, false, true, false, false, false]);
     }
 }

@@ -6,10 +6,12 @@
 //! n-gram strings, a bag of words, a sketch, a bigram `HashMap`, a feature
 //! vector), ~2.5 ms of CPU per request on the `value_window16` workload.
 //! Scorers now keep one memo per candidate and a pass redoes only what a
-//! scorer's state change invalidated. This guard pins the steady state —
-//! no new candidate, no fetch and no training since the last pass — to a
+//! scorer's state change invalidated. This guard pins a pass with no new
+//! candidate and no training since the last one — but one fetch, which
+//! overwrites a near-dup ring slot and moves some kept projections — to a
 //! small number of allocations that **does not depend on the frontier's
-//! size**, and pins that memos are released with their candidates.
+//! size** (a moved projection is refilled in place), and pins that memos
+//! are released with their candidates.
 //!
 //! The counting allocator is process-global, so this file holds exactly one
 //! `#[test]` — a second concurrent test would corrupt the counts.
@@ -91,6 +93,12 @@ fn steady_pass_allocations(candidates: usize) -> usize {
             strategy.feedback(sel.token, 0.5);
         }
     }
+    // One fetch between the warming passes and the measured one: it
+    // overwrites a near-dup ring slot, and its 33 new bigrams grow the hit
+    // table under some candidates' buckets, so the measured pass
+    // re-projects those into the projections their memos keep — in place.
+    let novel: Vec<String> = (0..32).map(|t| format!("t{t}")).collect();
+    strategy.on_fetched(0, &format!("https://s.example/{}", novel.join("/")), UrlClass::Html);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let batch = strategy.select_batch(1, &mut rng);

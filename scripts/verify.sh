@@ -48,6 +48,17 @@ cargo test -q --offline -p sb-crawler --test alloc_guard_action
 cargo test -q --offline -p sb-crawler --test proptest_value
 cargo test -q --offline -p sb-crawler --test alloc_guard_value
 cargo test -q --offline -p sb-ml --test proptest_ml featurize_matches_the_map_counting_reference
+# The near-dup check is a gather: the ring of fetched sketches is stored
+# bucket-major (`sb_ann::SketchRing`) and each candidate keeps its
+# projection. The kernel's reads equal the merge-join `cosine_sparse` bit
+# for bit after any sequence of slot overwrites (extra `v × 0.0` terms add
+# ±0.0 to an accumulator that is never −0.0), and the value frontier reads
+# the ring only through the kernel; the oracle under
+# crates/core/tests/oracle/ keeps its own `cosine_sparse` scan.
+cargo test -q --offline -p sb-ann --test proptest_sparse sketch_ring_reads_equal_the_merge_join
+if grep -n "cosine_sparse" crates/core/src/strategies/value.rs; then
+    echo "verify: the value frontier reads the near-dup ring outside SketchRing" >&2; exit 1
+fi
 # Link admission resolves once and hashes once (PR 19). The webgraph
 # proptest licenses the session's scratch `Url`: `join_into`/`parse_into`
 # on one dirty destination equal a fresh `join`/`parse` on every step. The
