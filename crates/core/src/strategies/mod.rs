@@ -12,7 +12,7 @@ mod value;
 pub use focused::FocusedStrategy;
 pub use omniscient::OmniscientStrategy;
 pub use queue::{Discipline, QueueStrategy};
-pub use sb::{BanditChoice, SbConfig, SbStrategy};
+pub use sb::{SbConfig, SbStrategy};
 pub use tpoff::TpOffStrategy;
 pub use tres::TresStrategy;
 pub use value::{

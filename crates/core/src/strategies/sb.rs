@@ -1,15 +1,21 @@
 //! SB-CLASSIFIER and SB-ORACLE — the paper's contribution (Sec 3).
 //!
 //! The sleeping-bandit crawler keeps one frontier *pool* of links per action
-//! (tag-path cluster). At each step the AUER policy scores every action
-//! whose pool is non-empty and a link is drawn **uniformly at random** from
-//! the chosen pool (Algorithm 3). Newly discovered links are classified
-//! (Algorithm 2's online URL classifier, or the ground-truth oracle for
-//! `SB-ORACLE`): predicted targets are retrieved immediately, predicted HTML
-//! links are mapped to an action (Algorithm 1) and pooled, dead URLs are
-//! dropped. Rewards — the number of new predicted-target links found on a
-//! fetched page — update the selected action's mean exactly as in
-//! Algorithm 4.
+//! (tag-path cluster) beside one [`ArmStats`] per action. At each step
+//! [`SbConfig::bandit`] — an [`sb_bandit::Policy`], the paper's AUER unless
+//! the ablation picks another variant — reads those arms in place, with an
+//! action awake while its pool is non-empty, and a link is drawn
+//! **uniformly at random** from the chosen pool (Algorithm 3). Newly
+//! discovered links are classified (Algorithm 2's online URL classifier, or
+//! the ground-truth oracle for `SB-ORACLE`): predicted targets are
+//! retrieved immediately, predicted HTML links are mapped to an action
+//! (Algorithm 1) and pooled, dead URLs are dropped. Rewards — the number of
+//! new predicted-target links found on a fetched page — update the selected
+//! action's mean as in Algorithm 4. A pull that brings no reward (the link
+//! was a target, or its fetch was abandoned) is settled without one, and a
+//! reward divides by the pulls settled so far: with a window of several
+//! selections in flight the mean is Algorithm 4 replayed in the order the
+//! outcomes arrive, and at window 1 it is Algorithm 4 exactly.
 
 use crate::action::{ActionId, ActionSpace, ActionSpaceConfig};
 use crate::strategy::{
@@ -17,7 +23,7 @@ use crate::strategy::{
 };
 use rand::rngs::StdRng;
 use rand::Rng;
-use sb_bandit::{ArmStats, Auer, Policy, ALPHA_DEFAULT};
+use sb_bandit::{ArmStats, Policy};
 use sb_ml::{Class2, FeatureInput, FeatureSet, UrlClassifier};
 use sb_webgraph::{FxHashMap, UrlClass, UrlId};
 
@@ -29,65 +35,6 @@ pub(crate) enum SbMode {
     Oracle,
 }
 
-/// Which bandit policy drives action selection.
-///
-/// The paper's production policy is AUER; the appendix discusses (and
-/// rejects, for stability or missing priors) the alternatives — all four are
-/// available here for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BanditChoice {
-    /// The paper's sleeping bandit (deterministic, the default).
-    Auer { alpha: f64 },
-    /// Plain UCB1 restricted to awake arms.
-    Ucb1 { alpha: f64 },
-    /// ε-greedy.
-    EpsilonGreedy { epsilon: f64 },
-    /// Gaussian Thompson sampling.
-    Thompson { sigma: f64 },
-}
-
-impl Default for BanditChoice {
-    fn default() -> Self {
-        BanditChoice::Auer { alpha: ALPHA_DEFAULT }
-    }
-}
-
-enum AnyPolicy {
-    Auer(Auer),
-    Ucb1(sb_bandit::Ucb1),
-    Eps(sb_bandit::EpsilonGreedy),
-    Thompson(sb_bandit::ThompsonSampling),
-}
-
-impl AnyPolicy {
-    fn new(choice: BanditChoice) -> Self {
-        match choice {
-            BanditChoice::Auer { alpha } => AnyPolicy::Auer(Auer::new(alpha)),
-            BanditChoice::Ucb1 { alpha } => AnyPolicy::Ucb1(sb_bandit::Ucb1 { alpha }),
-            BanditChoice::EpsilonGreedy { epsilon } => {
-                AnyPolicy::Eps(sb_bandit::EpsilonGreedy { epsilon })
-            }
-            BanditChoice::Thompson { sigma } => {
-                AnyPolicy::Thompson(sb_bandit::ThompsonSampling { sigma })
-            }
-        }
-    }
-
-    fn select(
-        &mut self,
-        arms: &[sb_bandit::policies::ArmView],
-        t: u64,
-        rng: &mut StdRng,
-    ) -> Option<usize> {
-        match self {
-            AnyPolicy::Auer(p) => p.select(arms, t, rng),
-            AnyPolicy::Ucb1(p) => p.select(arms, t, rng),
-            AnyPolicy::Eps(p) => p.select(arms, t, rng),
-            AnyPolicy::Thompson(p) => p.select(arms, t, rng),
-        }
-    }
-}
-
 /// Configuration of the SB crawlers.
 #[derive(Default)]
 pub struct SbConfig {
@@ -95,7 +42,7 @@ pub struct SbConfig {
     pub actions: ActionSpaceConfig,
     /// Bandit policy and its parameter (default: the paper's AUER with
     /// exploration coefficient α = 2√2).
-    pub bandit: BanditChoice,
+    pub bandit: Policy,
 }
 
 /// The sleeping-bandit strategy.
@@ -107,11 +54,9 @@ pub struct SbStrategy {
     /// bytes and moving links between pools never copies a string.
     pools: Vec<Vec<UrlId>>,
     frontier_total: usize,
-    policy: AnyPolicy,
+    policy: Policy,
     /// Selection counter `t` of the AUER score.
     t: u64,
-    /// What the policy sees of the arms, rebuilt in place per selection.
-    views: Vec<sb_bandit::policies::ArmView>,
     /// Link context for URL_CONT online training (anchor, DOM path,
     /// surrounding text of the link that discovered each URL).
     link_ctx: Option<FxHashMap<UrlId, (String, String, String)>>,
@@ -135,9 +80,8 @@ impl SbStrategy {
             arms: Vec::new(),
             pools: Vec::new(),
             frontier_total: 0,
-            policy: AnyPolicy::new(cfg.bandit),
+            policy: cfg.bandit,
             t: 0,
-            views: Vec::new(),
             link_ctx: track_ctx.then(FxHashMap::default),
             recorded: None,
         }
@@ -151,9 +95,8 @@ impl SbStrategy {
             arms: Vec::new(),
             pools: Vec::new(),
             frontier_total: 0,
-            policy: AnyPolicy::new(cfg.bandit),
+            policy: cfg.bandit,
             t: 0,
-            views: Vec::new(),
             link_ctx: None,
             recorded: None,
         }
@@ -208,7 +151,7 @@ impl SbStrategy {
     fn pool_push(&mut self, action: ActionId, id: UrlId) {
         while self.pools.len() <= action {
             self.pools.push(Vec::new());
-            self.arms.push(ArmStats::new());
+            self.arms.push(ArmStats::default());
         }
         self.pools[action].push(id);
         self.frontier_total += 1;
@@ -245,12 +188,8 @@ impl Strategy for SbStrategy {
         if self.frontier_total == 0 {
             return None;
         }
-        self.views.clear();
-        self.views.extend(self.arms.iter().zip(&self.pools).map(|(stats, pool)| {
-            sb_bandit::policies::ArmView { stats: *stats, available: !pool.is_empty() }
-        }));
         self.t += 1;
-        let a = self.policy.select(&self.views, self.t, rng)?;
+        let a = self.policy.select(&self.arms, |a| !self.pools[a].is_empty(), self.t, rng)?;
         self.arms[a].select();
         // Uniform link choice within the chosen action (Sec 3.2).
         let pool = &mut self.pools[a];
@@ -290,18 +229,24 @@ impl Strategy for SbStrategy {
     }
 
     fn feedback(&mut self, token: u64, reward: f64) {
-        let a = token as usize;
-        if a < self.arms.len() {
-            self.arms[a].reward(reward);
+        if let Some(arm) = self.arms.get_mut(token as usize) {
+            arm.reward(reward);
         }
     }
 
-    // feedback_target / feedback_error: Algorithm 4 returns before the
-    // R_mean update for non-HTML fetches — a pull without an observation —
-    // so the default no-ops are exactly right. The session engine delivers
-    // feedback_error on *every* abandoned selection (dead redirect chains,
-    // 4xx/5xx, interrupted transfers), so a future SB variant that wants
-    // to penalise wasted pulls has the hook; AUER deliberately ignores it.
+    /// Algorithm 4 returns before the R_mean update for a target: the pull
+    /// is settled without an observation.
+    fn feedback_target(&mut self, token: u64) {
+        if let Some(arm) = self.arms.get_mut(token as usize) {
+            arm.settle();
+        }
+    }
+
+    /// An abandoned selection (dead redirect chain, 4xx/5xx, interrupted
+    /// transfer, session closed) settles like a target: no observation.
+    fn feedback_error(&mut self, token: u64) {
+        self.feedback_target(token);
+    }
 
     fn on_fetched(&mut self, id: UrlId, url: &str, class: UrlClass) {
         // Free online training from GET outcomes (Algorithm 2, phase 2).
@@ -372,6 +317,28 @@ mod tests {
         s.feedback(sel.token, 7.0);
         assert_eq!(s.arms[0].pulls, 1);
         assert_eq!(s.arms[0].mean, 7.0);
+    }
+
+    /// Window > 1: four pulls of one action in flight. A target and an
+    /// abandonment each settle their pull without an observation, and each
+    /// reward divides by the pulls settled so far, itself included.
+    #[test]
+    fn pulls_in_flight_settle_before_the_mean_divides() {
+        let mut s = SbStrategy::oracle(SbConfig::default());
+        for id in 0..4 {
+            s.pool_push(0, id);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        let tokens: Vec<u64> = (0..4).map(|_| s.next(&mut rng).unwrap().token).collect();
+        assert_eq!(tokens, [0; 4]);
+        s.feedback(0, 8.0);
+        s.feedback_target(0);
+        s.feedback_error(0);
+        assert_eq!(s.arms[0].mean, 8.0);
+        s.feedback(0, 4.0);
+        // Algorithm 4 in settle order: 8 / 1, then (8 + (4 − 8) / 4).
+        assert_eq!(s.arms[0].mean, 7.0);
+        assert_eq!(s.arms[0].pulls, 4);
     }
 
     #[test]

@@ -11,15 +11,15 @@ use crate::metrics::req90_pct;
 use crate::runner::{mean_or_inf, par_map, RunOpts};
 use crate::setup::{build_site_for, reference, run_crawler, CrawlerKind, EvalConfig, SbTuning};
 use crate::tables::{fmt_pct, markdown, write_csv, write_text};
-use sb_crawler::strategies::BanditChoice;
+use sb_bandit::{Policy, ALPHA_DEFAULT};
 
 /// The four policy families of the appendix discussion.
-pub fn bandit_variants() -> Vec<(String, BanditChoice)> {
+pub fn bandit_variants() -> Vec<(String, Policy)> {
     vec![
-        ("AUER (paper)".to_owned(), BanditChoice::Auer { alpha: sb_bandit::ALPHA_DEFAULT }),
-        ("UCB1".to_owned(), BanditChoice::Ucb1 { alpha: sb_bandit::ALPHA_DEFAULT }),
-        ("ε-greedy (0.1)".to_owned(), BanditChoice::EpsilonGreedy { epsilon: 0.1 }),
-        ("Thompson".to_owned(), BanditChoice::Thompson { sigma: 1.0 }),
+        ("AUER (paper)".to_owned(), Policy::Auer { alpha: ALPHA_DEFAULT }),
+        ("UCB1".to_owned(), Policy::Ucb1 { alpha: ALPHA_DEFAULT }),
+        ("ε-greedy (0.1)".to_owned(), Policy::EpsilonGreedy { epsilon: 0.1 }),
+        ("Thompson".to_owned(), Policy::Thompson { sigma: 1.0 }),
     ]
 }
 

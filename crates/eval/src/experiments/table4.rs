@@ -9,8 +9,7 @@ use crate::metrics::{req90_pct, vol90_pct};
 use crate::runner::{mean_or_inf, par_map, RunOpts};
 use crate::setup::{build_site_for, reference, run_crawler, CrawlerKind, EvalConfig, SbTuning};
 use crate::tables::{fmt_pct, markdown, write_csv, write_text};
-use sb_bandit::ALPHA_DEFAULT;
-use sb_crawler::strategies::BanditChoice;
+use sb_bandit::{Policy, ALPHA_DEFAULT};
 use sb_webgraph::gen::profiles::fully_crawled_codes;
 
 /// One studied variant.
@@ -32,9 +31,9 @@ pub fn variants() -> Vec<(String, Vec<Variant>)> {
         (
             "alpha".to_owned(),
             vec![
-                mk("α=0.1", &|t| t.bandit = BanditChoice::Auer { alpha: 0.1 }),
-                mk("α=2√2", &|t| t.bandit = BanditChoice::Auer { alpha: ALPHA_DEFAULT }),
-                mk("α=30", &|t| t.bandit = BanditChoice::Auer { alpha: 30.0 }),
+                mk("α=0.1", &|t| t.bandit = Policy::Auer { alpha: 0.1 }),
+                mk("α=2√2", &|t| t.bandit = Policy::Auer { alpha: ALPHA_DEFAULT }),
+                mk("α=30", &|t| t.bandit = Policy::Auer { alpha: 30.0 }),
             ],
         ),
         (

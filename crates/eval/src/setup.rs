@@ -2,10 +2,11 @@
 //! reference statistics.
 
 use parking_lot::Mutex;
+use sb_bandit::Policy;
 use sb_crawler::{CrawlConfig, CrawlOutcome, CrawlSession};
 use sb_crawler::strategies::{
-    BanditChoice, FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy,
-    TpOffStrategy, TresStrategy,
+    FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
+    TresStrategy,
 };
 use sb_crawler::strategy::Strategy;
 use sb_crawler::ActionSpaceConfig;
@@ -141,7 +142,7 @@ pub struct SbTuning {
     pub batch: usize,
     pub max_actions: Option<usize>,
     /// Bandit policy and its parameter (default: the paper's AUER, α = 2√2).
-    pub bandit: BanditChoice,
+    pub bandit: Policy,
 }
 
 impl Default for SbTuning {
@@ -153,7 +154,7 @@ impl Default for SbTuning {
             features: FeatureSet::UrlOnly,
             batch: 10,
             max_actions: None,
-            bandit: BanditChoice::default(),
+            bandit: Policy::default(),
         }
     }
 }

@@ -21,8 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use sb_bandit::policies::{ArmView, Auer, Policy};
-use sb_bandit::ArmStats;
+use sb_bandit::{standard_normal, ArmStats, Policy};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// What one revisit of one page revealed.
@@ -394,10 +393,7 @@ fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     let d = shape - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        // Standard normal via Box–Muller.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        let z = standard_normal(rng);
         let v = (1.0 + c * z).powi(3);
         if v <= 0.0 {
             continue;
@@ -418,25 +414,14 @@ fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
 /// re-pointed at revisits. A group sleeps once all of its pages have been
 /// revisited this epoch (`1_a(t) = 0`), so budget drains toward groups
 /// that keep paying.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SleepingBanditRevisit {
     groups: Groups,
     dead: HashSet<String>,
     arms: Vec<ArmStats>,
-    auer: Auer,
+    /// The paper's AUER at α = 2√2.
+    policy: Policy,
     t: u64,
-}
-
-impl Default for SleepingBanditRevisit {
-    fn default() -> Self {
-        SleepingBanditRevisit {
-            groups: Groups::default(),
-            dead: HashSet::new(),
-            arms: Vec::new(),
-            auer: Auer::new(sb_bandit::ALPHA_DEFAULT),
-            t: 0,
-        }
-    }
 }
 
 impl SleepingBanditRevisit {
@@ -456,7 +441,7 @@ impl RevisitPolicy for SleepingBanditRevisit {
     fn register(&mut self, url: &str, in_path: &str) {
         if self.groups.register(url, in_path).is_some() {
             while self.arms.len() < self.groups.len() {
-                self.arms.push(ArmStats::new());
+                self.arms.push(ArmStats::default());
             }
         }
     }
@@ -466,11 +451,8 @@ impl RevisitPolicy for SleepingBanditRevisit {
     }
 
     fn next(&mut self, rng: &mut StdRng) -> Option<String> {
-        let views: Vec<ArmView> = (0..self.arms.len())
-            .map(|g| ArmView { stats: self.arms[g], available: self.groups.available(g) })
-            .collect();
         self.t += 1;
-        let g = self.auer.select(&views, self.t, rng)?;
+        let g = self.policy.select(&self.arms, |g| self.groups.available(g), self.t, rng)?;
         self.arms[g].select();
         self.groups.next_in(g)
     }

@@ -21,7 +21,7 @@
 //!   so refresh and residual discovery share one politeness/budget
 //!   window.
 //! * [`read`] — the simulated read side: seeded Zipf readers measuring
-//!   achieved QPS and age-at-read percentiles off the [`read::StaleBoard`].
+//!   achieved QPS and age-at-read percentiles off a per-slot stale board.
 //! * [`runtime`] — [`runtime::serve_site`] wires all of it into the
 //!   continuous loop and reports `staleness_p50`/`p99` on its
 //!   [`ServeOutcome`].
@@ -41,7 +41,7 @@ pub mod sched;
 pub mod store;
 
 pub use cell::ArcCell;
-pub use read::{percentile_of, ReadLoad, ReadLoadConfig, ReadReport, StaleBoard, Zipf};
-pub use runtime::{crawl_and_serve, in_path_of, serve_site, ServeConfig, ServeOutcome};
-pub use sched::{plan_epoch, PlanEntry, POOL_FACTOR};
+pub use read::{ReadLoadConfig, ReadReport, Zipf};
+pub use runtime::{serve_site, ServeConfig, ServeOutcome};
+pub use sched::{plan_epoch, PlanEntry};
 pub use store::{PageVersion, SnapshotStore};

@@ -1,11 +1,11 @@
 //! The simulated read workload and the staleness instrumentation.
 //!
-//! [`ReadLoad`] models the paper's "millions of users" end of the
+//! `ReadLoad` models the paper's "millions of users" end of the
 //! pipeline: `readers` threads issue a seeded Zipf-distributed stream of
 //! page reads against the [`SnapshotStore`] while the crawler refreshes
 //! it, and every read samples the page's **age** — how many origin
 //! epochs the served version lags the evolving site — off the
-//! [`StaleBoard`]. The aggregate age distribution's p50/p99 are the
+//! `StaleBoard`. The aggregate age distribution's p50/p99 are the
 //! freshness-SLA metric ([`crate::ServeOutcome`]'s `staleness_p50`/`p99`).
 //!
 //! The vendored `rand` has no Zipf distribution, so [`Zipf`] hand-rolls
@@ -50,7 +50,7 @@ impl Zipf {
 /// read (one relaxed load) by every reader at sample time. `0` = the stored
 /// version matches the live origin; `m > 0` = it diverged when the origin
 /// entered epoch `m`.
-pub struct StaleBoard {
+pub(crate) struct StaleBoard {
     marks: Vec<AtomicU64>,
 }
 
@@ -71,10 +71,6 @@ impl StaleBoard {
 
     pub fn len(&self) -> usize {
         self.marks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.marks.is_empty()
     }
 
     /// Marks `slot` stale as of `epoch` unless it already went stale
@@ -171,7 +167,7 @@ impl ReadReport {
 }
 
 /// The `q`-th percentile (0..=1) of a count histogram indexed by value.
-pub fn percentile_of(hist: &[u64], q: f64) -> f64 {
+pub(crate) fn percentile_of(hist: &[u64], q: f64) -> f64 {
     let total: u64 = hist.iter().sum();
     if total == 0 {
         return 0.0;
@@ -190,7 +186,7 @@ pub fn percentile_of(hist: &[u64], q: f64) -> f64 {
 /// The simulated read workload. [`ReadLoad::run`] drives one phase on
 /// the calling scope's threads and joins the per-thread reports on the
 /// longest thread's wall.
-pub struct ReadLoad {
+pub(crate) struct ReadLoad {
     cfg: ReadLoadConfig,
 }
 

@@ -11,8 +11,8 @@
 //! transport window, same politeness, same budget accounting — so
 //! discovery of newly-linked pages interleaves with refresh traffic
 //! instead of competing from a separate harness. Meanwhile an optional
-//! [`ReadLoad`] hammers the store from reader threads, and a truth
-//! oracle marks per-slot divergence on the [`StaleBoard`] so every read
+//! read load hammers the store from reader threads, and a truth
+//! oracle marks per-slot divergence on the stale board so every read
 //! samples its age-at-read; the aggregate p50/p99 are the freshness-SLA
 //! metric, reported as [`ServeOutcome::staleness_p50`]/`staleness_p99`.
 //!
@@ -30,7 +30,6 @@ use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession, RefreshedPage};
 use sb_httpsim::HttpServer;
 use sb_revisit::{fnv64, ChangeModel, EvolvingServer, EvolvingSite, Observation, RevisitPolicy};
-use sb_webgraph::Website;
 
 /// Knobs of the crawl-and-serve loop.
 #[derive(Debug, Clone)]
@@ -94,7 +93,7 @@ pub struct ServeOutcome {
 /// The crawler's view of a page's section, derived from the URL path the
 /// way the recrawl corpus derives in-link DOM paths: pages of one
 /// section share one policy group.
-pub fn in_path_of(url: &str) -> String {
+pub(crate) fn in_path_of(url: &str) -> String {
     let path = url.splitn(4, '/').nth(3).unwrap_or("");
     let seg = path.split('/').next().unwrap_or("");
     if seg.is_empty() {
@@ -102,16 +101,6 @@ pub fn in_path_of(url: &str) -> String {
     } else {
         format!("html body section.{seg} ul a")
     }
-}
-
-/// Evolves `base` under `cfg.change` and runs [`serve_site`] on it.
-pub fn crawl_and_serve(
-    base: Website,
-    policy: &mut dyn RevisitPolicy,
-    cfg: &ServeConfig,
-) -> ServeOutcome {
-    let site = EvolvingSite::evolve(base, &cfg.change, cfg.seed);
-    serve_site(&site, policy, cfg)
 }
 
 /// Runs the continuous crawl-and-serve loop over an already-evolved

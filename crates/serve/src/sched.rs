@@ -36,7 +36,7 @@ pub struct PlanEntry {
 /// How many candidates the planner draws per planned slot before
 /// ranking. A pool wider than the budget lets popularity re-order what
 /// the policy would have visited in its own order.
-pub const POOL_FACTOR: usize = 4;
+pub(crate) const POOL_FACTOR: usize = 4;
 
 /// Total `policy.next` draws the planner is willing to spend per call,
 /// as a multiple of the pool it is trying to fill. Policies that sample
@@ -46,7 +46,7 @@ pub const POOL_FACTOR: usize = 4;
 /// growing the pool). 8× lets a sampling policy re-offer generously —
 /// the pool still fills whenever fills are possible — while bounding the
 /// worst case.
-pub const MAX_DRAW_FACTOR: usize = 8;
+pub(crate) const MAX_DRAW_FACTOR: usize = 8;
 
 /// Plans one refresh epoch: draws up to `POOL_FACTOR × per_epoch`
 /// candidates from `policy`, keeps those the store knows, ranks them by

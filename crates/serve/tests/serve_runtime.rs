@@ -12,7 +12,7 @@
 use sb_crawler::Budget;
 use sb_revisit::EvolvingSite;
 use sb_revisit::{fnv64, ChangeModel, ProportionalRevisit};
-use sb_serve::{crawl_and_serve, serve_site, ServeConfig, ServeOutcome};
+use sb_serve::{serve_site, ServeConfig, ServeOutcome};
 use sb_webgraph::{build_site, SiteSpec};
 
 fn pinned_config() -> ServeConfig {
@@ -102,7 +102,8 @@ fn read_load_feeds_popularity_and_staleness_percentiles() {
     });
     let base = build_site(&SiteSpec::demo(180), 99);
     let mut policy = ProportionalRevisit::default();
-    let out = crawl_and_serve(base, &mut policy, &cfg);
+    let site = EvolvingSite::evolve(base, &cfg.change, cfg.seed);
+    let out = serve_site(&site, &mut policy, &cfg);
     // 4 refresh epochs × 2 readers × 800 reads.
     assert_eq!(out.read.reads, 6_400);
     assert_eq!(out.read.misses, 0, "readers only sample store-known URLs");

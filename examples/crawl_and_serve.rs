@@ -13,8 +13,8 @@
 //! ```
 
 use sbcrawl::crawler::Budget;
-use sbcrawl::revisit::{ChangeModel, ThompsonGroupsRevisit};
-use sbcrawl::serve::{crawl_and_serve, ReadLoadConfig, ServeConfig};
+use sbcrawl::revisit::{ChangeModel, EvolvingSite, ThompsonGroupsRevisit};
+use sbcrawl::serve::{serve_site, ReadLoadConfig, ServeConfig};
 use sbcrawl::webgraph::{build_site, SiteSpec};
 
 fn main() {
@@ -47,7 +47,8 @@ fn main() {
     };
 
     let mut policy = ThompsonGroupsRevisit::default();
-    let out = crawl_and_serve(base, &mut policy, &cfg);
+    let site = EvolvingSite::evolve(base, &cfg.change, cfg.seed);
+    let out = serve_site(&site, &mut policy, &cfg);
 
     let r = out.outcome.refresh;
     println!("\nserved corpus: {} pages", out.store.len());

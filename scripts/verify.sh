@@ -59,6 +59,21 @@ cargo test -q --offline -p sb-ann --test proptest_sparse sketch_ring_reads_equal
 if grep -n "cosine_sparse" crates/core/src/strategies/value.rs; then
     echo "verify: the value frontier reads the near-dup ring outside SketchRing" >&2; exit 1
 fi
+# The bandit policy is one enum over the caller's arms. What licenses it is
+# the frozen `Policy` trait, its four policy structs and the per-pick
+# `ArmView` copy under crates/bandit/tests/oracle/: the differential holds
+# every variant to them over arbitrary arm statistics (exact ties, silent
+# pulls, every parameter edge), availability, `t` and seed — the same arm,
+# and the same next `u64` from the RNG. The settle proptest holds a mean
+# over arbitrary select/settle/reward interleavings of one arm to
+# Algorithm 4 replayed over its settled pulls in settle order.
+cargo test -q --offline -p sb-bandit --test proptest_bandit select_replays_the_frozen_policy_structs
+cargo test -q --offline -p sb-bandit --test proptest_bandit settled_mean_replays_algorithm_4_in_settle_order
+if grep -rn -e "trait Policy" -e "struct ArmView" -e "BanditChoice" -e "AnyPolicy" \
+        -e "struct Auer" -e "struct Ucb1" -e "struct EpsilonGreedy" -e "struct ThompsonSampling" \
+        crates/*/src; then
+    echo "verify: a second way to pick an arm reappeared" >&2; exit 1
+fi
 # Link admission resolves once and hashes once (PR 19). The webgraph
 # proptest licenses the session's scratch `Url`: `join_into`/`parse_into`
 # on one dirty destination equal a fresh `join`/`parse` on every step. The
