@@ -263,8 +263,18 @@ impl CrawlSession<'_> {
                 // the pull happened but no reward observation follows.
                 self.strategy.feedback_target(token);
             }
+        } else {
+            // Any other MIME type: "Neither". The pull yielded no
+            // observation and no value, so it settles as an error (SB's
+            // Algorithm 4 returns early for non-HTML); a refresh bought
+            // nothing the serving layer can use, so it counts as failed.
+            if let Some(token) = job.token {
+                self.strategy.feedback_error(token);
+            }
+            if job.refresh.is_some() {
+                self.refresh_stats.failed += 1;
+            }
         }
-        // Any other MIME type: "Neither", nothing to do.
         Ok(())
     }
 

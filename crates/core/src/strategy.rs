@@ -227,7 +227,9 @@ pub trait Strategy {
         let _ = token;
     }
 
-    /// The selected link answered 4xx/5xx.
+    /// The selection yielded no observation and no value: it answered
+    /// 4xx/5xx, was abandoned, or was a MIME type that is neither HTML nor
+    /// a target.
     fn feedback_error(&mut self, token: u64) {
         let _ = token;
     }

@@ -24,7 +24,7 @@ use sb_httpsim::{
     Headers, HeadResponse, HttpServer, PipelinedTransport, Politeness, Response, SiteServer,
 };
 use sb_webgraph::gen::{build_site, SiteSpec};
-use sb_webgraph::{UrlClass, UrlId, Website};
+use sb_webgraph::{MimePolicy, UrlClass, UrlId, Website};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,6 +177,16 @@ impl Recorder {
             .map(|(t, _)| *t)
             .unwrap_or_else(|| panic!("no discovered URL ends with {suffix}"))
     }
+
+    /// Every token fed back (rewards, targets, errors) and every token
+    /// selected, each sorted.
+    fn settled_and_selected(&self) -> (Vec<u64>, Vec<u64>) {
+        let mut settled = [&self.rewards[..], &self.targets[..], &self.errors[..]].concat();
+        settled.sort_unstable();
+        let mut selected = self.selected.clone();
+        selected.sort_unstable();
+        (settled, selected)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -191,14 +201,8 @@ fn every_selection_gets_exactly_one_feedback() {
     assert_eq!(out.targets_found(), 1);
 
     // Every outer selection fed back exactly once, even the dead ends.
-    let mut all: Vec<u64> = Vec::new();
-    all.extend(&rec.rewards);
-    all.extend(&rec.targets);
-    all.extend(&rec.errors);
-    all.sort_unstable();
-    let mut selected = rec.selected.clone();
-    selected.sort_unstable();
-    assert_eq!(all, selected, "each pull must produce exactly one observation");
+    let (settled, selected) = rec.settled_and_selected();
+    assert_eq!(settled, selected, "each pull must produce exactly one observation");
 
     // And the dead ends landed in the error bucket specifically.
     for suffix in ["/spin", "/away", "/back", "/gone"] {
@@ -974,6 +978,45 @@ fn refresh_fetches_are_invisible_to_the_strategy() {
     assert_eq!(rec.rewards, plain.rewards, "no feedback for a refresh");
     assert_eq!(rec.targets, plain.targets, "no feedback_target for a refresh");
     assert_eq!(rec.errors, plain.errors, "no feedback_error for a failed refresh");
+}
+
+// ---------------------------------------------------------------------
+// A fetch whose MIME type is neither HTML nor a target still settles: the
+// selection gets `feedback_error`, a refresh counts as failed.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_fetch_that_is_neither_html_nor_a_target_settles_once() {
+    let policy = MimePolicy::with_targets(["application/pdf"]);
+    let site = refresh_site();
+    let root = site_root(&site);
+    for window in [1usize, 4, 16] {
+        let server = SiteServer::shared(Arc::clone(&site));
+        let cfg = CrawlConfig { policy: policy.clone(), max_in_flight: window, ..Default::default() };
+        let mut rec = Recorder::default();
+        let out = crawl(&server, None, &root, &mut rec, &cfg);
+        let (settled, selected) = rec.settled_and_selected();
+        assert_eq!(settled, selected, "window {window}: one settlement per selection");
+        assert!(
+            rec.errors.len() as u64 > out.abandoned.total(),
+            "window {window}: the site serves data files the policy does not count"
+        );
+    }
+
+    // A refresh of a URL that is neither still counts as attempted.
+    let server = TrickServer;
+    let cfg = CrawlConfig { policy, ..Default::default() };
+    let mut rec = Recorder::default();
+    let mut session = CrawlSession::new(&server, None, TRICK_ROOT, &mut rec, &cfg).unwrap();
+    drive(&mut session);
+    session.queue_refresh(&format!("{TRICK_ROOT}data.csv"), 0);
+    drive(&mut session);
+    let want = RefreshStats { scheduled: 1, completed: 0, unchanged: 0, changed: 0, failed: 1 };
+    assert_eq!(session.refresh_stats(), want);
+    assert_eq!(session.refresh_stats().attempted(), 1);
+    assert!(session.take_refreshed().is_empty(), "nothing usable is served");
+    session.finish();
+    assert!(rec.errors.contains(&rec.token_of("/data.csv")), "the CSV selection settled as an error");
 }
 
 // ---------------------------------------------------------------------

@@ -23,13 +23,13 @@
 
 use crate::read::{percentile_of, ReadLoad, ReadLoadConfig, ReadReport, StaleBoard};
 use crate::sched::plan_epoch;
-use crate::store::SnapshotStore;
+use crate::store::{PageVersion, SnapshotStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession, RefreshedPage};
-use sb_httpsim::HttpServer;
-use sb_revisit::{fnv64, ChangeModel, EvolvingServer, EvolvingSite, Observation, RevisitPolicy};
+use sb_httpsim::{HttpServer, Response};
+use sb_revisit::{ChangeModel, EvolvingServer, EvolvingSite, Observation, RevisitPolicy};
 
 /// Knobs of the crawl-and-serve loop.
 #[derive(Debug, Clone)]
@@ -103,6 +103,14 @@ pub(crate) fn in_path_of(url: &str) -> String {
     }
 }
 
+/// The truth oracle's verdict on one slot: the live origin answers without
+/// error and with the stored bytes. `Body` equality compares lengths, then
+/// contents: no body is hashed, and no hash collision can pass a stale
+/// body as fresh.
+fn serves_live(stored: &PageVersion, live: &Response) -> bool {
+    live.status < 400 && stored.body == live.body
+}
+
 /// Runs the continuous crawl-and-serve loop over an already-evolved
 /// site. See the module docs for the phase structure.
 pub fn serve_site(
@@ -145,17 +153,14 @@ pub fn serve_site(
         let epoch = e as u64;
         server.set_epoch(e);
 
-        // Truth oracle: compare what the store serves against the live
-        // origin and time-stamp divergence. Bypasses the session's
-        // transport, so it spends no crawl budget and counts no reads.
+        // Truth oracle: compare the bytes the store serves with the live
+        // origin's (`serves_live`; no body is hashed) and time-stamp
+        // divergence. Bypasses the session's transport, so it spends no
+        // crawl budget, and peeks, so it counts no reads.
         let urls = store.urls();
         for (slot, url) in urls.iter().enumerate() {
             let live = server.get(url);
-            let fresh = live.status < 400
-                && store
-                    .peek(url)
-                    .is_some_and(|v| v.body_hash == fnv64(live.body.as_slice()));
-            if fresh {
+            if store.peek(url).is_some_and(|stored| serves_live(&stored, &live)) {
                 board.mark_fresh(slot);
             } else {
                 board.mark_stale(slot, epoch);
@@ -296,3 +301,6 @@ fn admit_new(
     }
     board.ensure(store.len());
 }
+
+#[cfg(test)]
+mod tests;

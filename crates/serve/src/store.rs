@@ -8,8 +8,10 @@
 //! *known* URL swaps only that slot's pointer. A reader therefore waits
 //! at most for one index insert or one pointer swap — never for a fetch,
 //! a body copy or a shelf clone — never sees a torn page, and a read
-//! costs two read-lock acquisitions plus one relaxed counter bump (the
-//! popularity signal the refresh scheduler consumes).
+//! costs one FxHash of the URL (the hasher `VisitedSet` keys the same
+//! crawl's URLs with; the index is never iterated, so the hasher decides
+//! nothing but speed), two read-lock acquisitions and one relaxed counter
+//! bump (the popularity signal the refresh scheduler consumes).
 //!
 //! Per-URL **generations** are monotonic: commit *k* for a URL carries
 //! generation *k*. Commits to one URL serialise on that slot's `history`
@@ -24,7 +26,8 @@
 use crate::cell::ArcCell;
 use parking_lot::{Mutex, RwLock};
 use sb_httpsim::Body;
-use std::collections::{HashMap, VecDeque};
+use sb_webgraph::FxHashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -54,7 +57,7 @@ struct VersionCell {
 
 #[derive(Default)]
 struct Shelf {
-    index: HashMap<Arc<str>, usize>,
+    index: FxHashMap<Arc<str>, usize>,
     cells: Vec<Arc<VersionCell>>,
 }
 
@@ -301,6 +304,29 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.slot("https://s/new"), Some(0));
         assert_eq!(store.urls().len(), 1);
+    }
+
+    /// Every one of many similar URLs resolves to its own slot, through
+    /// each of the index's three readers.
+    #[test]
+    fn ten_thousand_urls_each_resolve_to_their_own_slot() {
+        let store = SnapshotStore::new(0);
+        let url = |k: u64| format!("https://s/p{k}");
+        for k in 0..10_000u64 {
+            let (body, hash) = body_of(k);
+            assert_eq!(store.commit(&url(k), 200, body, hash), 1);
+        }
+        assert_eq!(store.len(), 10_000);
+        for k in 0..10_000u64 {
+            let url = url(k);
+            assert_eq!(store.slot(&url), Some(k as usize));
+            let (_, hash) = body_of(k);
+            let read = store.read(&url).expect("known");
+            assert_eq!((&*read.url, read.body_hash), (url.as_str(), hash));
+            let peeked = store.peek(&url).expect("known");
+            assert!(Arc::ptr_eq(&read, &peeked));
+        }
+        assert!(store.slot("https://s/p10000").is_none());
     }
 
     /// Compile-time: both are `Send + Sync` by auto-derivation.

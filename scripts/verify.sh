@@ -139,6 +139,10 @@ cargo test -q --offline -p sb-crawler --test session_api each_crawl_statistic_ag
 # batch half-submitted: one terminal feedback per token, each abandonment
 # bucket equal to its events, GETs within budget + window·(1 + retries).
 cargo test -q --offline -p sb-crawler --test session_api a_429_storm_closed_mid_batch_settles_every_selection_once
+# A fetch whose MIME type is neither HTML nor a target settles too: its
+# selection gets `feedback_error` at windows 1, 4 and 16, and a refresh of
+# one counts as failed, so `attempted()` reaches `scheduled`.
+cargo test -q --offline -p sb-crawler --test session_api a_fetch_that_is_neither_html_nor_a_target_settles_once
 # Byte-hostile HTML against the frozen seed parser: raw-text elements left
 # open at EOF, megabyte attribute values, 10 000 nested elements and
 # invalid UTF-8 (the html alloc guard above bounds the same inputs).
@@ -193,6 +197,20 @@ cmp target/verify-smoke/scale.csv target/verify-smoke-jobs1/scale.csv
 # `alloc_guard_replay` line that stood here pinned `ReplayStore::get_shared`,
 # which `sb_serve` never called: no serve-path coverage went with it, PR 21.)
 cargo test -q --offline -p sb-serve --test snapshot_consistency
+# The serve loop hashes no corpus. The truth oracle compares a stored body
+# with the live one byte for byte (`serves_live`: equal, one byte off, a
+# length off, an error status, empty bodies, and a proptest holding it to
+# the `fnv64` compare it replaced), and the store's index is FxHash-keyed
+# (10 000 near-identical URLs each resolve to their own slot through
+# `slot`, `read` and `peek`).
+cargo test -q --offline -p sb-serve --lib runtime::tests
+cargo test -q --offline -p sb-serve --lib store::tests::ten_thousand_urls_each_resolve_to_their_own_slot
+if grep -nw "HashMap" crates/serve/src/store.rs; then
+    echo "verify: the snapshot store's index is back on std's SipHash map" >&2; exit 1
+fi
+if grep -n "fnv64(" crates/serve/src/runtime.rs; then
+    echo "verify: the serve loop hashes bodies again" >&2; exit 1
+fi
 cargo run --release --offline -p sb-eval --bin xp -- \
     serve --scale 0.003 --jobs 2 --out target/verify-smoke
 test -s target/verify-smoke/serve.csv
@@ -288,6 +306,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # benchmark builds would rewrite benchmark/Cargo.lock: fail here instead.
 git diff --exit-code -- benchmark/
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# The paired runner (scripts/pair.sh) builds and runs whole revisions, too
+# slow for this script: check that it parses and prints its usage.
+bash -n scripts/pair.sh
+scripts/pair.sh --help > /dev/null
 benchmark/run.sh --workload value_window16 --seed 1 --seconds 1 --trace 0 \
     | tail -n 1 | grep -q '"correct":true'
 echo "verify: OK"
