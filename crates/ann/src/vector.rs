@@ -158,12 +158,17 @@ fn normalised(dot: f64, a_norm_sq: f64, b_norm_sq: f64) -> f32 {
 /// same one, zero-norm answer of 0 included. The vectors must be finite
 /// (`∞ × 0.0` is NaN).
 ///
-/// A write zeroes the slot's whole lane (`D` strided stores) and scatters
-/// the new items: no second copy of the sketches is kept.
+/// A write clears the slot's old support — the rows its previous vector
+/// held, which each slot keeps as a short index list — and scatters the new
+/// items, so it costs the two vectors' non-zeros, not `D`. Every lane is
+/// zero outside its slot's support, so after a write the lane holds
+/// exactly the new vector's coordinates.
 #[derive(Debug)]
 pub struct SketchRing {
     rows: Vec<[f32; SketchRing::SLOTS]>,
     norm_sq: [f64; SketchRing::SLOTS],
+    /// Per slot: the indices of the vector it holds.
+    support: [Vec<u32>; SketchRing::SLOTS],
 }
 
 impl SketchRing {
@@ -173,17 +178,24 @@ impl SketchRing {
     /// An empty ring over dimension `dim`: every slot reads as a zero-norm
     /// vector (cosine 0) until written.
     pub fn new(dim: usize) -> Self {
-        SketchRing { rows: vec![[0.0; Self::SLOTS]; dim], norm_sq: [0.0; Self::SLOTS] }
+        SketchRing {
+            rows: vec![[0.0; Self::SLOTS]; dim],
+            norm_sq: [0.0; Self::SLOTS],
+            support: std::array::from_fn(|_| Vec::new()),
+        }
     }
 
     /// Replaces `slot`'s vector with `v`. Panics if `slot` or one of `v`'s
     /// indices is out of range.
     pub fn write(&mut self, slot: usize, v: &SparseVec) {
-        for row in &mut self.rows {
-            row[slot] = 0.0;
+        let support = &mut self.support[slot];
+        for &j in support.iter() {
+            self.rows[j as usize][slot] = 0.0;
         }
+        support.clear();
         for &(j, x) in &v.items {
             self.rows[j as usize][slot] = x;
+            support.push(j);
         }
         self.norm_sq[slot] = v.norm_sq;
     }

@@ -96,6 +96,7 @@ impl CrawlSession<'_> {
         reason: AbandonReason,
     ) {
         if let Some(token) = token {
+            self.settle(token);
             self.strategy.feedback_error(token);
         }
         if refresh {
@@ -109,6 +110,23 @@ impl CrawlSession<'_> {
         self.abandoned.record(reason);
         let snap = self.snapshot();
         self.hub.emit(&snap, &CrawlEvent::Abandoned { url, reason });
+    }
+
+    /// The selection behind `token` gets its terminal feedback now. Debug
+    /// builds check it was pulled and is settled exactly once; the caller
+    /// delivers the feedback itself.
+    pub(super) fn settle(&mut self, token: u64) {
+        #[cfg(debug_assertions)]
+        {
+            let pending = self.unsettled.get_mut(&token);
+            let pending =
+                pending.unwrap_or_else(|| panic!("token {token} settled twice, or never issued"));
+            *pending -= 1;
+            if *pending == 0 {
+                self.unsettled.remove(&token);
+            }
+        }
+        let _ = token;
     }
 
     /// Algorithm 4 for one delivered answer: announce it, then act on it.
@@ -225,6 +243,7 @@ impl CrawlSession<'_> {
             self.strategy.on_fetched(id, self.visited.text(id), sb_webgraph::UrlClass::Html);
             let reward = self.process_html(id, job.depth, &f.body);
             if let Some(token) = job.token {
+                self.settle(token);
                 self.strategy.feedback(token, reward);
             }
             if self.cfg.serve_feed {
@@ -261,6 +280,7 @@ impl CrawlSession<'_> {
             if let Some(token) = job.token {
                 // Algorithm 4 returns before the R_mean update for targets:
                 // the pull happened but no reward observation follows.
+                self.settle(token);
                 self.strategy.feedback_target(token);
             }
         } else {
@@ -269,6 +289,7 @@ impl CrawlSession<'_> {
             // Algorithm 4 returns early for non-HTML); a refresh bought
             // nothing the serving layer can use, so it counts as failed.
             if let Some(token) = job.token {
+                self.settle(token);
                 self.strategy.feedback_error(token);
             }
             if job.refresh.is_some() {

@@ -39,7 +39,9 @@
 //! every pulled selection delivers exactly one of
 //! `feedback`/`feedback_target`/`feedback_error`, with selections still in
 //! flight when the session stops receiving `feedback_error`
-//! ([`crate::events::AbandonReason::SessionClosed`]).
+//! ([`crate::events::AbandonReason::SessionClosed`]). Debug builds check
+//! it: every issued token waits in a pending multiset until its one
+//! settlement, and [`CrawlSession::finish`] asserts none is left.
 //!
 //! With `max_in_flight = 1` (the default) the pipeline degenerates to the
 //! exact sequential engine: behaviour is frozen — `CrawlSession::run`
@@ -92,6 +94,8 @@ use sb_httpsim::{Fetched, HttpServer};
 use sb_scale::VisitedSet;
 use sb_webgraph::interner::UrlId;
 use sb_webgraph::url::Url;
+#[cfg(debug_assertions)]
+use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Ground-truth URL classes, for oracle strategies (Sec 4.3's `SB-ORACLE`,
@@ -286,6 +290,10 @@ pub struct CrawlSession<'a> {
     refreshed: Vec<RefreshedPage>,
     /// Cumulative refresh ledger (PR 9).
     refresh_stats: RefreshStats,
+    /// Debug builds only: tokens of selections pulled and not yet settled,
+    /// with multiplicity (strategies reuse token values).
+    #[cfg(debug_assertions)]
+    unsettled: HashMap<u64, u32>,
 }
 
 impl<'a> CrawlSession<'a> {
@@ -349,6 +357,8 @@ impl<'a> CrawlSession<'a> {
             refresh_queue: VecDeque::new(),
             refreshed: Vec::new(),
             refresh_stats: RefreshStats::default(),
+            #[cfg(debug_assertions)]
+            unsettled: HashMap::new(),
         })
     }
 
@@ -482,6 +492,8 @@ impl<'a> CrawlSession<'a> {
             self.finish_with(FinishReason::Cancelled);
         }
         let reason = self.finish_reason().expect("session finished");
+        #[cfg(debug_assertions)]
+        assert!(self.unsettled.is_empty(), "selections never settled: {:?}", self.unsettled);
         let mem = self.mem_gauges();
         CrawlOutcome {
             trace: self.hub.trace.into_trace(),

@@ -165,6 +165,11 @@ impl CrawlSession<'_> {
         } else {
             self.batch_buf.extend(self.strategy.next(&mut self.rng));
         }
+        // `batch_buf` was empty: it holds exactly this pull's selections.
+        #[cfg(debug_assertions)]
+        for sel in &self.batch_buf {
+            *self.unsettled.entry(sel.token).or_default() += 1;
+        }
         if self.batch_buf.is_empty() {
             if self.transport.in_flight() == 0 {
                 let snap = self.snapshot();
@@ -192,6 +197,7 @@ impl CrawlSession<'_> {
                 // An id the engine never handed out — a strategy bug.
                 // Degrade like an error answer instead of panicking.
                 debug_assert!(false, "strategy returned an unknown UrlId");
+                self.settle(token);
                 self.strategy.feedback_error(token);
                 return false;
             }

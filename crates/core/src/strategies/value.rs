@@ -20,7 +20,7 @@
 //!   the top `k`; [`Strategy::next`] is the `k = 1` special case, so the
 //!   strategy behaves identically whether the session batches or not.
 //!
-//! # Score once, re-score what changed (PR 22)
+//! # Score once, re-score what changed, and run a bounded scorer only where it can change the top-k
 //!
 //! A pass still *visits* every candidate, but it pays the per-URL work —
 //! tokenising, sketching, featurising — **once per candidate**, and per
@@ -47,6 +47,19 @@
 //!   with it every selection, byte-identical to re-scoring everything.
 //! * A memo is **released when its candidate is selected**
 //!   ([`Scorer::release`], mirroring the frontier's `swap_remove`).
+//! * **A scorer with [`Scorer::bounds`] runs only where it can change the
+//!   top-k.** For a candidate admitted in an earlier pass, the pass first
+//!   folds each bounded scorer's bound in place of its answer — an upper
+//!   bound on the candidate's total, since IEEE addition and a fixed
+//!   weight's product are monotone — then scores exactly the `k` best
+//!   bounds and every other candidate whose bound still reaches the `k`-th
+//!   best exact total (ties included, so they still break on [`UrlId`]).
+//!   All of it happens before the pass admits anyone, as every old slot
+//!   was scored before any new one; new candidates are admitted and scored
+//!   by every scorer, slot by slot. In a mix with no bounded scorer every
+//!   bound is its exact total, so the same path ranks every total exactly,
+//!   as it always did. Debug builds check each bounded answer lies inside
+//!   its declared bounds.
 //!
 //! There is one ranking path. The re-score-everything loop this replaced
 //! lives on only as the test oracle (`crates/core/tests/oracle/`), which
@@ -68,7 +81,8 @@ use sb_ann::{BucketSums, Projector, SketchRing, Sketcher, SparseVec};
 use sb_ml::{Class2, FeatureInput, UrlClassifier};
 use sb_webgraph::{UrlClass, UrlId};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Clamps a score to something totally ordered: non-finite values (NaN,
 /// ±∞) become 0.0, everything else passes through. Ranking code must
@@ -107,11 +121,11 @@ pub struct Candidate {
 ///   is discovered: a scorer whose learned state grows on admission (the
 ///   near-dup vocabulary) grows it in the same order, relative to its
 ///   [`Scorer::on_fetched`] calls, as if it scored from scratch every pass.
-/// * Every pass calls `score` for every slot in ascending order. A memo may
-///   hold whatever depends on the candidate alone, and the last answer
-///   stamped with the scorer state it depended on; `score` recomputes only
-///   when the stamp is stale, and must return what a memo-less scorer
-///   would.
+/// * Every pass calls `score` for every slot in ascending order — unless
+///   the scorer declares [`Scorer::bounds`], see there. A memo may hold
+///   whatever depends on the candidate alone, and the last answer stamped
+///   with the scorer state it depended on; `score` recomputes only when the
+///   stamp is stale, and must return what a memo-less scorer would.
 /// * [`Scorer::release`] follows the frontier's `swap_remove(slot)` when a
 ///   candidate is selected; the scorer does the same to its memos.
 ///
@@ -131,6 +145,18 @@ pub trait Scorer: Send {
 
     /// Value estimate for the admitted candidate in `slot`.
     fn score(&mut self, slot: usize, cand: &Candidate) -> f64;
+
+    /// `Some((lo, hi))` promises two things: every answer of `score` lies in
+    /// `[lo, hi]` (both finite), and an answer depends only on this
+    /// scorer's state and the candidate — not on which other slots were
+    /// scored before it in the pass. In exchange the host may call `score`
+    /// for only some of the candidates admitted in earlier passes, in any
+    /// order, and rank the rest on the bound; a newly admitted candidate is
+    /// still scored at admission. Read once, when the strategy is built.
+    /// `None` (the default) keeps the every-slot, ascending-order contract.
+    fn bounds(&self) -> Option<(f64, f64)> {
+        None
+    }
 
     /// The candidate in `slot` was selected and the last slot's candidate
     /// moved into its place (`swap_remove`).
@@ -287,9 +313,12 @@ const NEARDUP_THRESHOLD: f32 = 0.7;
 /// in its memo, and re-projected in place only when [`Sketcher::hits_under`]
 /// its sums moves (hits only grow, so an unchanged sum means every bucket's
 /// count, hence the projection, is unchanged). Its verdict is one bit per
-/// ring slot: a pass recomputes the bits of the slots fetches have
-/// overwritten since the last one ([`SketchRing::cosine`] each) — or all
-/// of them in one [`SketchRing::cosines`], if the sketch moved.
+/// ring slot: a `score` recomputes the bits of the slots fetches have
+/// overwritten since the memo's last one ([`SketchRing::cosine`] each) —
+/// or all of them in one [`SketchRing::cosines`], if the sketch moved or
+/// the whole ring was overwritten. The answer is 0 or −1 and a function of
+/// the memo, ring and hit table alone, so the scorer declares
+/// [`Scorer::bounds`] and the host skips it wherever −1 cannot matter.
 pub struct NearDupScorer {
     sketcher: Sketcher,
     ring: SketchRing,
@@ -369,11 +398,15 @@ impl Scorer for NearDupScorer {
     fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
         let memo = &mut self.memos[slot];
         let hits = self.sketcher.hits_under(&memo.sums);
-        if hits != memo.hits {
-            // The sketch moved: every bit is out of date. A slot not yet
-            // written reads as cosine 0, never near.
-            memo.hits = hits;
-            self.sketcher.project_into(&memo.sums, &mut memo.sketch);
+        let behind = self.ring_writes.wrapping_sub(memo.ring_seen) as usize;
+        if hits != memo.hits || behind >= NEARDUP_RING {
+            // The sketch moved, or every slot was overwritten since the
+            // memo was last scored: every bit is out of date. A slot not
+            // yet written reads as cosine 0, never near.
+            if hits != memo.hits {
+                memo.hits = hits;
+                self.sketcher.project_into(&memo.sums, &mut memo.sketch);
+            }
             let mut cosines = [0.0; NEARDUP_RING];
             self.ring.cosines(&memo.sketch, &mut cosines);
             memo.near = cosines
@@ -381,11 +414,10 @@ impl Scorer for NearDupScorer {
                 .enumerate()
                 .fold(0, |near, (s, &c)| near | (u32::from(c >= NEARDUP_THRESHOLD) << s));
         } else {
-            // Only the slots fetches overwrote since the last pass: `behind`
-            // of them from `ring_seen`, wrapping.
+            // Only the slots fetches overwrote since the memo's last score:
+            // `behind` of them from `ring_seen`, wrapping.
             let first = memo.ring_seen as usize % NEARDUP_RING;
-            let behind = self.ring_writes.wrapping_sub(memo.ring_seen) as usize;
-            for s in (first..first + behind.min(NEARDUP_RING)).map(|s| s % NEARDUP_RING) {
+            for s in (first..first + behind).map(|s| s % NEARDUP_RING) {
                 let near = self.ring.cosine(&memo.sketch, s) >= NEARDUP_THRESHOLD;
                 memo.near = (memo.near & !(1 << s)) | (u32::from(near) << s);
             }
@@ -396,6 +428,10 @@ impl Scorer for NearDupScorer {
         } else {
             0.0
         }
+    }
+
+    fn bounds(&self) -> Option<(f64, f64)> {
+        Some((-1.0, 0.0))
     }
 
     fn release(&mut self, slot: usize) {
@@ -534,6 +570,8 @@ impl Scorer for BanditScorer {
 /// it concerns.
 pub struct ValueStrategy {
     scorers: Vec<(Box<dyn Scorer>, f64)>,
+    /// Per scorer, in mix order: its [`Scorer::bounds`] under its weight.
+    bounds: Vec<Option<Bound>>,
     frontier: Vec<Candidate>,
     /// `frontier[..admitted]` have been through [`Scorer::admit`]; the rest
     /// were discovered since the last ranking pass.
@@ -541,20 +579,104 @@ pub struct ValueStrategy {
     /// `Selection::token` indexes it: the selection's URL while its
     /// feedback is outstanding, `None` once settled.
     ledger: Vec<Option<Box<str>>>,
-    /// Reused per-ranking scratch: `(score, frontier slot)`.
-    scratch: Vec<(f64, usize)>,
+    /// Reused per-ranking scratch: one entry per candidate in the running.
+    ranked: Vec<Ranked>,
+    /// Reused per-ranking scratch: every old candidate's weighted terms in
+    /// mix order, a bounded scorer's ceiling in its place (row `slot`, one
+    /// column per scorer).
+    terms: Vec<f64>,
+    /// Reused per-ranking scratch: the old candidates' exact top-k, worst
+    /// on top.
+    certified: Vec<Ranked>,
+}
+
+/// A frontier slot in a ranking pass: its combined value — or, for an old
+/// candidate whose bounded scorers have not run, an upper bound on it —
+/// with its id and slot. Ordered by rank, best first: value descending,
+/// [`UrlId`] ascending, then slot (what a stable sort of the slots would
+/// do with a repeated id).
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    value: f64,
+    id: UrlId,
+    slot: usize,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .value
+            .partial_cmp(&self.value)
+            .expect("combined scores are finite by construction")
+            .then_with(|| self.id.cmp(&other.id))
+            .then_with(|| self.slot.cmp(&other.slot))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// A scorer's declared [`Scorer::bounds`], with the largest term it can add
+/// to a total under its weight in the mix.
+#[derive(Debug, Clone, Copy)]
+struct Bound {
+    lo: f64,
+    hi: f64,
+    /// Weight × `hi`, or × `lo` under a negative weight.
+    ceiling: f64,
+}
+
+impl Bound {
+    /// `answer` from `scorer`; debug builds check it keeps the promise the
+    /// ceiling was folded on.
+    fn check(&self, scorer: &dyn Scorer, answer: f64) -> f64 {
+        debug_assert!(
+            self.lo <= answer && answer <= self.hi,
+            "{}: answer {answer} outside its declared bounds [{}, {}]",
+            scorer.name(),
+            self.lo,
+            self.hi
+        );
+        answer
+    }
 }
 
 impl ValueStrategy {
     /// Builds from an explicit scorer mix.
     pub fn new(scorers: Vec<(Box<dyn Scorer>, f64)>) -> Self {
         assert!(!scorers.is_empty(), "a value strategy needs at least one scorer");
+        let bounds = scorers
+            .iter()
+            .map(|(scorer, weight)| {
+                let (lo, hi) = scorer.bounds()?;
+                assert!(
+                    lo.is_finite() && hi.is_finite() && lo <= hi,
+                    "{}: bounds must be finite and ordered",
+                    scorer.name()
+                );
+                Some(Bound { lo, hi, ceiling: *weight * if *weight >= 0.0 { hi } else { lo } })
+            })
+            .collect();
         ValueStrategy {
             scorers,
+            bounds,
             frontier: Vec::new(),
             admitted: 0,
             ledger: Vec::new(),
-            scratch: Vec::new(),
+            ranked: Vec::new(),
+            terms: Vec::new(),
+            certified: Vec::new(),
         }
     }
 
@@ -592,6 +714,61 @@ impl ValueStrategy {
             scorer.observe(&url, reward);
         }
     }
+
+    /// Replaces `ranked` — the old candidates, each on its bound (`terms`
+    /// holds the row it was folded from) — by their exact top `k`. The `k`
+    /// best bounds are scored exactly first; after that a candidate is
+    /// scored only if its bound is at least the `k`-th best exact total
+    /// found so far. A bound is never below its exact total, so a candidate
+    /// skipped that way ranks below `k` others; `≥`, not `>`, keeps the
+    /// ones that could still win a tie on [`UrlId`].
+    fn certify_old_top(&mut self, k: usize, ranked: &mut Vec<Ranked>, terms: &[f64]) {
+        let take = k.min(ranked.len());
+        if take == 0 {
+            return;
+        }
+        if take < ranked.len() {
+            ranked.select_nth_unstable(take - 1);
+        }
+        let columns = self.scorers.len();
+        let (scorers, bounds, frontier) = (&mut self.scorers, &self.bounds, &self.frontier);
+        // The same fold as the bound's, in mix order, with each bounded
+        // scorer's answer where its ceiling stood. Without a bounded scorer
+        // it re-adds the same terms: the exact total is the bound.
+        let mut exact = |r: &Ranked| {
+            let (cand, row) = (&frontier[r.slot], &terms[r.slot * columns..][..columns]);
+            let mut total = 0.0;
+            for (((scorer, weight), bound), &term) in scorers.iter_mut().zip(bounds).zip(row) {
+                total += match bound {
+                    Some(bound) => {
+                        let answer = scorer.score(r.slot, cand);
+                        *weight * finite_or_zero(bound.check(&**scorer, answer))
+                    }
+                    None => term,
+                };
+            }
+            debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
+            Ranked { value: total, ..*r }
+        };
+        let mut certified = std::mem::take(&mut self.certified);
+        certified.clear();
+        certified.extend(ranked[..take].iter().map(&mut exact));
+        // A max-heap under rank order: the worst of the exact top-k on top.
+        let mut top = BinaryHeap::from(certified);
+        for r in &ranked[take..] {
+            let mut kth = top.peek_mut().expect("take > 0");
+            if r.value >= kth.value {
+                let scored = exact(r);
+                if scored < *kth {
+                    *kth = scored;
+                }
+            }
+        }
+        let certified = top.into_vec();
+        ranked.clear();
+        ranked.extend_from_slice(&certified);
+        self.certified = certified;
+    }
 }
 
 impl Strategy for ValueStrategy {
@@ -616,59 +793,72 @@ impl Strategy for ValueStrategy {
         if k == 0 || self.frontier.is_empty() {
             return Vec::new();
         }
-        // Rank the whole frontier once (the Crawl4LLM iteration). A
-        // candidate discovered since the last pass is admitted just before
-        // its first score — slot by slot, never all up front: a scorer's
-        // state may grow on admission, and slot `i` is scored under what
-        // slots `..= i` have grown, as it always was. The combined value is
-        // a weighted sum of clamped scores, so it is finite.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for (slot, cand) in self.frontier.iter().enumerate() {
+        // Rank the whole frontier once (the Crawl4LLM iteration). The
+        // combined value is a weighted sum of clamped scores, so it is
+        // finite. Old candidates first, each on its bound — every bounded
+        // scorer's ceiling in place of its answer — and then exactly only
+        // where the bound reaches the old top-k.
+        let mut ranked = std::mem::take(&mut self.ranked);
+        ranked.clear();
+        let mut terms = std::mem::take(&mut self.terms);
+        terms.clear();
+        for (slot, cand) in self.frontier[..self.admitted].iter().enumerate() {
             let mut total = 0.0;
-            for (scorer, weight) in &mut self.scorers {
-                if slot >= self.admitted {
-                    scorer.admit(cand);
-                }
-                total += *weight * finite_or_zero(scorer.score(slot, cand));
+            for ((scorer, weight), bound) in self.scorers.iter_mut().zip(&self.bounds) {
+                let term = match bound {
+                    Some(bound) => bound.ceiling,
+                    None => *weight * finite_or_zero(scorer.score(slot, cand)),
+                };
+                terms.push(term);
+                total += term;
             }
             debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
-            scratch.push((total, slot));
+            ranked.push(Ranked { value: total, id: cand.id, slot });
         }
-        // Top k under the total order: clamped score descending, UrlId
-        // ascending, then slot (what a stable sort of the slots would do
-        // with a repeated id).
-        let frontier = &self.frontier;
-        let by_rank = |a: &(f64, usize), b: &(f64, usize)| {
-            b.0.partial_cmp(&a.0)
-                .expect("combined scores are finite by construction")
-                .then_with(|| frontier[a.1].id.cmp(&frontier[b.1].id))
-                .then_with(|| a.1.cmp(&b.1))
-        };
-        let take = k.min(scratch.len());
-        if take < scratch.len() {
-            scratch.select_nth_unstable_by(take - 1, by_rank);
+        self.certify_old_top(k, &mut ranked, &terms);
+        // Then every candidate discovered since the last pass, admitted
+        // just before its first score — slot by slot, never all up front:
+        // a scorer's state may grow on admission, and slot `i` is scored
+        // under what slots `..= i` have grown, as it always was.
+        for (slot, cand) in self.frontier.iter().enumerate().skip(self.admitted) {
+            let mut total = 0.0;
+            for ((scorer, weight), bound) in self.scorers.iter_mut().zip(&self.bounds) {
+                scorer.admit(cand);
+                let mut answer = scorer.score(slot, cand);
+                if let Some(bound) = bound {
+                    answer = bound.check(&**scorer, answer);
+                }
+                total += *weight * finite_or_zero(answer);
+            }
+            debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
+            ranked.push(Ranked { value: total, id: cand.id, slot });
         }
-        let picked = &mut scratch[..take];
-        picked.sort_unstable_by(by_rank);
+        // Top k under the total order of `Ranked`.
+        let take = k.min(ranked.len());
+        if take < ranked.len() {
+            ranked.select_nth_unstable(take - 1);
+        }
+        let picked = &mut ranked[..take];
+        picked.sort_unstable();
         // The selected URLs move into the ledger, in rank order.
         let mut out = Vec::with_capacity(take);
-        for &(_, slot) in picked.iter() {
+        for &Ranked { slot, .. } in picked.iter() {
             let cand = &mut self.frontier[slot];
             out.push(Selection { url: cand.id.into(), token: self.ledger.len() as u64 });
             self.ledger.push(Some(std::mem::take(&mut cand.url)));
         }
         // Remove the selected candidates and their memos (largest slot
         // first, so earlier slots stay valid).
-        picked.sort_unstable_by_key(|&(_, slot)| std::cmp::Reverse(slot));
-        for &(_, slot) in picked.iter() {
+        picked.sort_unstable_by_key(|r| std::cmp::Reverse(r.slot));
+        for &Ranked { slot, .. } in picked.iter() {
             self.frontier.swap_remove(slot);
             for (scorer, _) in &mut self.scorers {
                 scorer.release(slot);
             }
         }
         self.admitted = self.frontier.len();
-        self.scratch = scratch;
+        self.ranked = ranked;
+        self.terms = terms;
         out
     }
 
@@ -708,7 +898,9 @@ impl Strategy for ValueStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::SelUrl;
     use rand::SeedableRng;
+    use std::sync::{Arc, Mutex};
 
     fn cand(id: UrlId, url: &str, depth: u32) -> Candidate {
         Candidate { id, url: url.into(), depth }
@@ -724,6 +916,42 @@ mod tests {
 
         fn score(&mut self, _slot: usize, _cand: &Candidate) -> f64 {
             self.1
+        }
+    }
+
+    /// An unbounded scorer that answers `f(id)`.
+    struct ById(fn(UrlId) -> f64);
+
+    impl Scorer for ById {
+        fn name(&self) -> &'static str {
+            "by-id"
+        }
+
+        fn score(&mut self, _slot: usize, cand: &Candidate) -> f64 {
+            (self.0)(cand.id)
+        }
+    }
+
+    /// A bounded scorer that answers `answer(id)` and records every
+    /// candidate it was asked about.
+    struct Counted {
+        bounds: (f64, f64),
+        answer: fn(UrlId) -> f64,
+        calls: Arc<Mutex<Vec<UrlId>>>,
+    }
+
+    impl Scorer for Counted {
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+
+        fn score(&mut self, _slot: usize, cand: &Candidate) -> f64 {
+            self.calls.lock().unwrap().push(cand.id);
+            (self.answer)(cand.id)
+        }
+
+        fn bounds(&self) -> Option<(f64, f64)> {
+            Some(self.bounds)
         }
     }
 
@@ -788,6 +1016,83 @@ mod tests {
         s.enqueue(2, "https://s/about/c.csv", 1);
         let next = s.next(&mut rng).expect("two candidates");
         assert_eq!(next.url, crate::strategy::SelUrl::Id(1), "proven dir first");
+    }
+
+    /// A steady-state pass asks a bounded scorer only about candidates
+    /// whose bound reaches the top-k: with two shallow winners over 498 deep
+    /// URLs, the pass that picks the second winner scores it alone.
+    #[test]
+    fn a_bounded_scorer_runs_only_where_its_bound_reaches_the_top_k() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let counted = Counted { bounds: (-1.0, 0.0), answer: |_| 0.0, calls: Arc::clone(&calls) };
+        let mut s =
+            ValueStrategy::new(vec![(Box::new(DepthPriorScorer), 1.0), (Box::new(counted), 0.5)]);
+        s.enqueue(0, "https://s/a", 0);
+        s.enqueue(1, "https://s/b", 0);
+        for id in 2..500 {
+            s.enqueue(id, &format!("https://s/deep/{id}/page"), 4);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        // The first pass admits every candidate, and admission scores.
+        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(0));
+        assert_eq!(calls.lock().unwrap().len(), 500);
+        calls.lock().unwrap().clear();
+        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(1));
+        assert_eq!(*calls.lock().unwrap(), [1], "only the top-1's bound reaches the top-1");
+    }
+
+    /// Every exact total equal and every bound equal to it: each old
+    /// candidate could still win its tie, so each is scored, and the
+    /// selection comes out in ascending `UrlId` as the eager pass's did.
+    #[test]
+    fn equal_bounds_and_totals_still_rank_by_url_id() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let counted = Counted { bounds: (0.0, 0.0), answer: |_| 0.0, calls: Arc::clone(&calls) };
+        let mut s =
+            ValueStrategy::new(vec![(Box::new(counted), 1.0), (Box::new(Fixed("flat", 1.0)), 1.0)]);
+        for i in 0..50u32 {
+            let id = i * 37 % 50;
+            s.enqueue(id, &format!("https://s/{id}"), 1);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(0));
+        calls.lock().unwrap().clear();
+        let ids: Vec<SelUrl> = s.select_batch(5, &mut rng).into_iter().map(|s| s.url).collect();
+        assert_eq!(ids, (1..=5).map(SelUrl::Id).collect::<Vec<_>>());
+        assert_eq!(calls.lock().unwrap().len(), 49, "a tied bound must be scored");
+    }
+
+    /// The tie that decides the top-1 hides behind a looser bound: id 2
+    /// bounds 2.0 and totals 1.0, id 1 bounds and totals 1.0. A bound equal
+    /// to the best exact total must be scored, or id 2 would win.
+    #[test]
+    fn a_bound_equal_to_the_kth_total_is_scored_and_wins_its_tie() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let answer = |id| if id == 1 { 1.0 } else { 0.0 };
+        let counted = Counted { bounds: (0.0, 1.0), answer, calls: Arc::clone(&calls) };
+        let mut s = ValueStrategy::new(vec![
+            (Box::new(ById(|id| [9.0, 0.0, 1.0][id as usize])), 1.0),
+            (Box::new(counted), 1.0),
+        ]);
+        for id in 0..3 {
+            s.enqueue(id, &format!("https://s/{id}"), 1);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(0));
+        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(1));
+    }
+
+    /// A bounded scorer that answers outside its declared bounds would make
+    /// the ceiling a non-bound; debug builds catch it at its first answer.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its declared bounds")]
+    fn an_answer_outside_the_declared_bounds_panics_in_debug_builds() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let counted = Counted { bounds: (-1.0, 0.0), answer: |_| 0.5, calls };
+        let mut s = ValueStrategy::new(vec![(Box::new(counted), 1.0)]);
+        s.enqueue(0, "https://s/0", 1);
+        s.select_batch(1, &mut StdRng::seed_from_u64(1));
     }
 
     /// The default mix, in order, with its weights.

@@ -27,13 +27,18 @@ use sb_crawler::strategy::{SelUrl, Selection, Strategy};
 use sb_webgraph::{UrlClass, UrlId};
 use std::collections::HashSet;
 
-/// The default mix and each scorer alone.
-const MIXES: [&[(&str, f64)]; 5] = [
+/// The default mix, each scorer alone, and two mixes that pin the near-dup
+/// bound: a negative weight (its `lo` bounds the total) with the bounded
+/// scorer first in the fold, and the bounded scorer between two unbounded
+/// ones at a weight above 1.
+const MIXES: [&[(&str, f64)]; 7] = [
     &[("depth", 1.0), ("classifier", 2.0), ("neardup", 0.5), ("bandit", 1.0)],
     &[("depth", 1.0)],
     &[("classifier", 1.0)],
     &[("neardup", 1.0)],
     &[("bandit", 1.0)],
+    &[("neardup", -0.5), ("depth", 1.0)],
+    &[("bandit", 1.0), ("neardup", 2.0), ("classifier", 1.0)],
 ];
 
 /// One URL out of three families that share bigrams with their siblings.

@@ -35,24 +35,37 @@ cargo test -q --offline -p sb-crawler --test proptest_action
 cargo test -q --offline -p sb-crawler --test proptest_action memoised_assign_replays_the_dense_transcription_over_repeating_paths
 cargo test -q --offline -p sb-crawler --test proptest_action the_memo_empties_mid_sequence_without_changing_an_answer
 cargo test -q --offline -p sb-crawler --test alloc_guard_action
-# The value frontier scores once and re-scores what changed (PR 22). What
-# licenses the per-candidate memos is the frozen re-score-everything
-# strategy under crates/core/tests/oracle/: the proptest replays arbitrary
-# decide/select/fetch/feedback interleavings against it (every selection and
-# token equal, through two laps of the near-dup ring and three classifier
-# trainings), and the counting-allocator guard pins a steady-state pass to a
-# constant number of allocations whatever the frontier's size, with memos
-# released at selection. Underneath, `sb_ml::featurize` counts bigrams by
-# sort and run length; its proptest holds every item's bits to the
-# map-counting kernel it replaced.
+# The value frontier scores once and re-scores what changed, and
+# defers a scorer with declared bounds (the near-dup penalty): an old
+# candidate is ranked on the bound folded in place of its answer, and scored
+# exactly only if that bound still reaches the k-th best exact total. What
+# licenses the per-candidate memos and the deferral is the frozen
+# re-score-everything strategy under crates/core/tests/oracle/: the proptest
+# replays arbitrary decide/select/fetch/feedback interleavings against it
+# (every selection and token equal, through two laps of the near-dup ring
+# and three classifier trainings; two of its mixes pin the bound — a
+# negative weight, and the bounded scorer between unbounded ones), and the
+# counting-allocator guard pins a steady-state pass to a constant number of
+# allocations whatever the frontier's size, with memos released at
+# selection. The unit tests pin the deferral itself: a steady-state pass
+# asks a call-counting bounded scorer about the top-1 alone, and a bound
+# equal to the k-th total is scored, so ties still break on UrlId; debug
+# builds check every bounded answer against the scorer's declared bounds.
+# Underneath, `sb_ml::featurize` counts bigrams by sort and run length; its
+# proptest holds every item's bits to the map-counting kernel it replaced.
 cargo test -q --offline -p sb-crawler --test proptest_value
+cargo test -q --offline -p sb-crawler --lib strategies::value::tests::a_bounded_scorer_runs_only_where_its_bound_reaches_the_top_k
+cargo test -q --offline -p sb-crawler --lib strategies::value::tests::equal_bounds_and_totals_still_rank_by_url_id
+cargo test -q --offline -p sb-crawler --lib strategies::value::tests::a_bound_equal_to_the_kth_total_is_scored_and_wins_its_tie
+cargo test -q --offline -p sb-crawler --lib strategies::value::tests::an_answer_outside_the_declared_bounds_panics_in_debug_builds
 cargo test -q --offline -p sb-crawler --test alloc_guard_value
 cargo test -q --offline -p sb-ml --test proptest_ml featurize_matches_the_map_counting_reference
 # The near-dup check is a gather: the ring of fetched sketches is stored
 # bucket-major (`sb_ann::SketchRing`) and each candidate keeps its
-# projection. The kernel's reads equal the merge-join `cosine_sparse` bit
-# for bit after any sequence of slot overwrites (extra `v × 0.0` terms add
-# ±0.0 to an accumulator that is never −0.0), and the value frontier reads
+# projection. A write clears only the rows its slot's old vector held. The
+# kernel's reads equal the merge-join `cosine_sparse` bit for bit after any
+# sequence of slot overwrites (extra `v × 0.0` terms add ±0.0 to an
+# accumulator that is never −0.0), and the value frontier reads
 # the ring only through the kernel; the oracle under
 # crates/core/tests/oracle/ keeps its own `cosine_sparse` scan.
 cargo test -q --offline -p sb-ann --test proptest_sparse sketch_ring_reads_equal_the_merge_join
