@@ -7,7 +7,7 @@
 //! * [`strategies`] — SB-CLASSIFIER, SB-ORACLE, BFS, DFS, RANDOM,
 //!   OMNISCIENT, FOCUSED, TP-OFF, TRES-lite, and the value-driven
 //!   batch frontier ([`ValueStrategy`]: whole-frontier top-k ranking
-//!   per window-fill with composable [`strategies::Scorer`]s),
+//!   per window-fill over one fixed weighted sum of four terms),
 //! * [`session`] — Algorithms 3 & 4 as a resumable [`CrawlSession`]:
 //!   every config validated where its session is built,
 //!   `step()`/`run()`, typed [`CrawlEvent`]s,

@@ -15,7 +15,4 @@ pub use queue::{Discipline, QueueStrategy};
 pub use sb::{SbConfig, SbStrategy};
 pub use tpoff::TpOffStrategy;
 pub use tres::TresStrategy;
-pub use value::{
-    finite_or_zero, BanditScorer, Candidate, ClassifierScorer, DepthPriorScorer, NearDupScorer,
-    Scorer, ValueStrategy,
-};
+pub use value::{finite_or_zero, ValueStrategy};

@@ -1,37 +1,45 @@
 //! The value-driven batch frontier (PR 10): Crawl4LLM-style top-k
-//! selection with composable scorers.
+//! selection over one fixed weighted sum.
 //!
 //! Where the paper's crawlers pull one URL per outer step, Crawl4LLM-style
-//! acquisition rates every frontier document with pluggable scorers each
-//! iteration and crawls the **top-k** — the batch fills the pipelined
-//! transport's in-flight window in one ranking pass. [`ValueStrategy`]
-//! reproduces that loop over this engine's frontier contract:
+//! acquisition rates every frontier document each iteration and crawls the
+//! **top-k** — the batch fills the pipelined transport's in-flight window in
+//! one ranking pass. [`ValueStrategy`] reproduces that loop over this
+//! engine's frontier contract with four terms, mirroring Crawl4LLM's
+//! length/fasttext raters in this engine's vocabulary, summed in this order
+//! under these weights:
 //!
-//! * a [`Scorer`] is one `rating_methods` entry: it maps a frontier
-//!   [`Candidate`] to a value estimate and may learn from the crawl's free
-//!   signals ([`Scorer::on_fetched`], [`Scorer::observe`]);
-//! * the strategy combines scorers by **weighted sum**, with every raw
-//!   score routed through [`finite_or_zero`] first — a NaN or infinite
-//!   estimate from a degenerate scorer is clamped to 0.0 *before* ranking,
-//!   so the total order (score desc, then [`UrlId`] asc) can never be
-//!   broken the way `plan_epoch`'s pre-fix sort could (same guard, shared
-//!   function — `sb-serve` ranks with it too);
-//! * [`Strategy::select_batch`] ranks the whole frontier once and returns
-//!   the top `k`; [`Strategy::next`] is the `k = 1` special case, so the
-//!   strategy behaves identically whether the session batches or not.
+//! 1. **depth** (1.0): a link-length/depth prior — shallow, short URLs
+//!    score near 1, so a cold-start crawl degenerates to near-BFS;
+//! 2. **classifier** (2.0): the sb-ml online classifier's confidence that
+//!    the URL is a target;
+//! 3. **neardup** (0.5): an sb-ann sketch penalty for URL shapes
+//!    near-identical to recent fetches — calendar traps and session-id
+//!    farms score themselves out;
+//! 4. **bandit** (1.0): per-directory expected reward with a UCB
+//!    exploration bonus, fed by the one-feedback-per-selection stream.
 //!
-//! # Score once, re-score what changed, and run a bounded scorer only where it can change the top-k
+//! Every raw term goes through [`finite_or_zero`] before it is weighted, so
+//! the total is finite and the ranking's total order (value desc, then
+//! [`UrlId`] asc) can never be broken the way `plan_epoch`'s pre-fix sort
+//! could (same guard, shared function — `sb-serve` ranks with it too).
+//! [`Strategy::select_batch`] ranks the whole frontier once and returns the
+//! top `k`; [`Strategy::next`] is the `k = 1` special case, so the strategy
+//! behaves identically whether the session batches or not.
+//!
+//! # Score once, re-score what changed, and run the near-dup term only where it can change the top-k
 //!
 //! A pass still *visits* every candidate, but it pays the per-URL work —
 //! tokenising, sketching, featurising — **once per candidate**, and per
-//! pass only for what a scorer's learned state has actually invalidated.
-//! Each scorer keeps one compact memo per candidate, parallel to the
-//! frontier (slot `i` of every scorer belongs to `frontier[i]`):
+//! pass only for what a term's learned state has actually invalidated.
+//! The classifier, near-dup and bandit terms each keep one memo column
+//! parallel to the frontier (slot `i` of every column belongs to
+//! `frontier[i]`; debug builds check the lengths after every pass):
 //!
 //! * **What a memo may cache** is anything that is a function of the
 //!   candidate alone (its feature vector, its sketch's bucket sums, its
 //!   bandit arm) plus what was last computed from it — an answer, a
-//!   projection — stamped with the scorer state it depended on.
+//!   projection — stamped with the term's state it depended on.
 //! * **What invalidates it** is declared by the stamp: the classifier's
 //!   score by [`UrlClassifier::trainings`] advancing; the near-dup verdict
 //!   by the sketcher's hit table growing under one of the candidate's
@@ -45,35 +53,21 @@
 //!   pass, and every later hit count (hence every cosine) depends on that
 //!   order; admitting where the first score used to happen keeps it, and
 //!   with it every selection, byte-identical to re-scoring everything.
-//! * A memo is **released when its candidate is selected**
-//!   ([`Scorer::release`], mirroring the frontier's `swap_remove`).
-//! * **A scorer with [`Scorer::bounds`] runs only where it can change the
-//!   top-k.** For a candidate admitted in an earlier pass, the pass first
-//!   folds each bounded scorer's bound in place of its answer — an upper
-//!   bound on the candidate's total, since IEEE addition and a fixed
-//!   weight's product are monotone — then scores exactly the `k` best
-//!   bounds and every other candidate whose bound still reaches the `k`-th
-//!   best exact total (ties included, so they still break on [`UrlId`]).
-//!   All of it happens before the pass admits anyone, as every old slot
-//!   was scored before any new one; new candidates are admitted and scored
-//!   by every scorer, slot by slot. In a mix with no bounded scorer every
-//!   bound is its exact total, so the same path ranks every total exactly,
-//!   as it always did. Debug builds check each bounded answer lies inside
-//!   its declared bounds.
+//! * A memo is **released when its candidate is selected**, mirroring the
+//!   frontier's `swap_remove`.
+//! * **The near-dup term runs only where it can change the top-k.** Its
+//!   answer is 0 or −1, so for a candidate admitted in an earlier pass the
+//!   pass first folds its ceiling, 0.5 × 0, in its place — an upper bound on
+//!   the candidate's total, since IEEE addition and a fixed weight's product
+//!   are monotone — then scores exactly the `k` best bounds and every other
+//!   candidate whose bound still reaches the `k`-th best exact total (ties
+//!   included, so they still break on [`UrlId`]). All of it happens before
+//!   the pass admits anyone, as every old slot was scored before any new
+//!   one; new candidates are admitted and scored term by term, slot by slot.
 //!
 //! There is one ranking path. The re-score-everything loop this replaced
 //! lives on only as the test oracle (`crates/core/tests/oracle/`), which
 //! `proptest_value.rs` and `batch.rs` compare every selection against.
-//!
-//! Four scorers ship with the repo, mirroring Crawl4LLM's length/fasttext
-//! raters in this engine's vocabulary: [`DepthPriorScorer`] (link-length/
-//! depth prior), [`ClassifierScorer`] (sb-ml online classifier
-//! confidence), [`NearDupScorer`] (sb-ann sketch penalty for URL shapes
-//! near-identical to already-fetched ones — calendar traps and session-id
-//! farms score themselves out), and [`BanditScorer`] (per-directory
-//! expected reward with a UCB exploration bonus, fed by the
-//! one-feedback-per-selection stream). [`ValueStrategy::default_mix`]
-//! weights all four; [`ValueStrategy::new`] takes any other mix.
 
 use crate::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
 use rand::rngs::StdRng;
@@ -98,111 +92,34 @@ pub fn finite_or_zero(x: f64) -> f64 {
     }
 }
 
-/// A frontier entry as scorers see it: the interned id, the canonical URL
-/// (owned at the [`Strategy::decide`] boundary, like every feature that
-/// outlives its page) and the discovery depth.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    pub id: UrlId,
-    pub url: Box<str>,
-    pub depth: u32,
-}
+/// The weight of each term, in fold order.
+const DEPTH_WEIGHT: f64 = 1.0;
+const CLASSIFIER_WEIGHT: f64 = 2.0;
+const NEARDUP_WEIGHT: f64 = 0.5;
+const BANDIT_WEIGHT: f64 = 1.0;
 
-/// One composable rating method (a Crawl4LLM `rating_methods` entry).
-///
-/// The host keeps the frontier as a vector and addresses candidates by
-/// **slot** (frontier index). A scorer that caches anything per candidate
-/// keeps its memos in a vector parallel to it, under this contract:
-///
-/// * [`Scorer::admit`] is called exactly once per candidate, immediately
-///   before its first [`Scorer::score`], and always for the slot one past
-///   the scorer's last memo — so `admit` is a `push`. It happens at the
-///   candidate's first ranking pass, in frontier order, *not* when the link
-///   is discovered: a scorer whose learned state grows on admission (the
-///   near-dup vocabulary) grows it in the same order, relative to its
-///   [`Scorer::on_fetched`] calls, as if it scored from scratch every pass.
-/// * Every pass calls `score` for every slot in ascending order — unless
-///   the scorer declares [`Scorer::bounds`], see there. A memo may hold
-///   whatever depends on the candidate alone, and the last answer stamped
-///   with the scorer state it depended on; `score` recomputes only when the
-///   stamp is stale, and must return what a memo-less scorer would.
-/// * [`Scorer::release`] follows the frontier's `swap_remove(slot)` when a
-///   candidate is selected; the scorer does the same to its memos.
-///
-/// `score` may return any float — the combinator clamps non-finite
-/// answers to 0.0 ([`finite_or_zero`]) before weighting, so a degenerate
-/// scorer can never corrupt the ranking. The learning hooks are optional:
-/// the strategy forwards every fetched page's true class and every
-/// selection's terminal feedback to every scorer. A stateless scorer
-/// implements `name` and `score` only.
-pub trait Scorer: Send {
-    fn name(&self) -> &'static str;
+/// The strategy's name: each term and its weight, in fold order.
+const NAME: &str = "VALUE[depth:1.0,classifier:2.0,neardup:0.5,bandit:1.0]";
 
-    /// `cand` enters the next free slot: build its memo.
-    fn admit(&mut self, cand: &Candidate) {
-        let _ = cand;
-    }
-
-    /// Value estimate for the admitted candidate in `slot`.
-    fn score(&mut self, slot: usize, cand: &Candidate) -> f64;
-
-    /// `Some((lo, hi))` promises two things: every answer of `score` lies in
-    /// `[lo, hi]` (both finite), and an answer depends only on this
-    /// scorer's state and the candidate — not on which other slots were
-    /// scored before it in the pass. In exchange the host may call `score`
-    /// for only some of the candidates admitted in earlier passes, in any
-    /// order, and rank the rest on the bound; a newly admitted candidate is
-    /// still scored at admission. Read once, when the strategy is built.
-    /// `None` (the default) keeps the every-slot, ascending-order contract.
-    fn bounds(&self) -> Option<(f64, f64)> {
-        None
-    }
-
-    /// The candidate in `slot` was selected and the last slot's candidate
-    /// moved into its place (`swap_remove`).
-    fn release(&mut self, slot: usize) {
-        let _ = slot;
-    }
-
-    /// Memos currently held (0 for a stateless scorer). After a ranking
-    /// pass a memoising scorer holds exactly one per frontier candidate.
-    fn live_memos(&self) -> usize {
-        0
-    }
-
-    /// A page was fetched and its true class is known (the free online
-    /// signal of Algorithm 2).
-    fn on_fetched(&mut self, url: &str, class: UrlClass) {
-        let _ = (url, class);
-    }
-
-    /// Terminal feedback for a selection this strategy pulled: `1.0` when
-    /// the selection was a target, `0.0` for an error answer, the page
-    /// reward otherwise. Exactly one call per selection.
-    fn observe(&mut self, url: &str, reward: f64) {
-        let _ = (url, reward);
-    }
+/// A frontier entry: the interned id, the canonical URL (owned at the
+/// [`Strategy::decide`] boundary, like every feature that outlives its
+/// page) and the discovery depth.
+struct Candidate {
+    id: UrlId,
+    url: Box<str>,
+    depth: u32,
 }
 
 // ----------------------------------------------------------------------
-// The four shipped scorers
+// The four terms
 // ----------------------------------------------------------------------
 
 /// Link-length/depth prior (Crawl4LLM's `length` rater, adapted to URLs):
 /// shallow, short URLs score near 1, deep or long ones decay toward 0.
 /// Purely structural — it needs no learning and anchors the mix so a
 /// cold-start crawl degenerates to near-BFS instead of noise.
-#[derive(Debug, Default)]
-pub struct DepthPriorScorer;
-
-impl Scorer for DepthPriorScorer {
-    fn name(&self) -> &'static str {
-        "depth"
-    }
-
-    fn score(&mut self, _slot: usize, cand: &Candidate) -> f64 {
-        1.0 / (1.0 + f64::from(cand.depth) + cand.url.len() as f64 / 64.0)
-    }
+fn depth_prior(cand: &Candidate) -> f64 {
+    1.0 / (1.0 + f64::from(cand.depth) + cand.url.len() as f64 / 64.0)
 }
 
 /// sb-ml classifier confidence (the `fasttext_score` analogue): an online
@@ -213,7 +130,9 @@ impl Scorer for DepthPriorScorer {
 ///
 /// A candidate is featurised once, at admission; its score is a sparse dot
 /// product redone only when a training batch has moved the weights.
-pub struct ClassifierScorer {
+struct ClassifierTerm {
+    /// The paper-default classifier (logistic regression, URL-only
+    /// features, batch 10) — free labels only, no HEAD bootstrap.
     clf: UrlClassifier,
     memos: Vec<ClassifierMemo>,
 }
@@ -225,33 +144,22 @@ struct ClassifierMemo {
     trainings: u64,
 }
 
-impl ClassifierScorer {
-    pub fn new(clf: UrlClassifier) -> Self {
-        ClassifierScorer { clf, memos: Vec::new() }
+impl ClassifierTerm {
+    fn new() -> Self {
+        ClassifierTerm { clf: UrlClassifier::paper_default(), memos: Vec::new() }
     }
 
-    /// The paper-default classifier (logistic regression, URL-only
-    /// features, batch 10) — free labels only, no HEAD bootstrap.
-    pub fn paper_default() -> Self {
-        ClassifierScorer::new(UrlClassifier::paper_default())
-    }
-}
-
-impl Scorer for ClassifierScorer {
-    fn name(&self) -> &'static str {
-        "classifier"
-    }
-
-    fn admit(&mut self, cand: &Candidate) {
+    /// `url` enters the next free slot.
+    fn admit(&mut self, url: &str) {
         self.memos.push(ClassifierMemo {
-            features: self.clf.featurize(&FeatureInput::url_only(&cand.url)),
+            features: self.clf.featurize(&FeatureInput::url_only(url)),
             score: 0.0,
             // No model has trained this often: the first `score` computes.
             trainings: u64::MAX,
         });
     }
 
-    fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
+    fn score(&mut self, slot: usize) -> f64 {
         let memo = &mut self.memos[slot];
         let trainings = self.clf.trainings();
         if memo.trainings != trainings {
@@ -266,14 +174,6 @@ impl Scorer for ClassifierScorer {
         memo.score
     }
 
-    fn release(&mut self, slot: usize) {
-        self.memos.swap_remove(slot);
-    }
-
-    fn live_memos(&self) -> usize {
-        self.memos.len()
-    }
-
     fn on_fetched(&mut self, url: &str, class: UrlClass) {
         let label = match class {
             UrlClass::Target => Class2::Target,
@@ -286,9 +186,9 @@ impl Scorer for ClassifierScorer {
     }
 }
 
-/// How many fetched-URL sketches [`NearDupScorer`] compares against (a
-/// ring of the most recent ones — recency is what matters for trap
-/// shapes, which arrive in runs): one [`SketchRing`], so at most 32, and a
+/// How many fetched-URL sketches [`NearDupTerm`] compares against (a ring
+/// of the most recent ones — recency is what matters for trap shapes,
+/// which arrive in runs): one [`SketchRing`], so at most 32, and a
 /// candidate's per-slot verdicts are the bits of a `u32`.
 const NEARDUP_RING: usize = SketchRing::SLOTS;
 const _: () = assert!(NEARDUP_RING <= u32::BITS as usize);
@@ -304,8 +204,8 @@ const NEARDUP_THRESHOLD: f32 = 0.7;
 /// URL into a fixed dimension ([`Sketcher`]) and charges −1 to any
 /// candidate whose sketch is ≥ [`NEARDUP_THRESHOLD`] cosine-similar to a
 /// recent fetch. Calendar traps, session-id farms and `?page=N` mills all
-/// share their URL shape with what was just crawled; this scorer makes
-/// them pay for it before a request is spent.
+/// share their URL shape with what was just crawled; this term makes them
+/// pay for it before a request is spent.
 ///
 /// A candidate is tokenised once, at admission, which is also when its
 /// bigrams enter the vocabulary. Its sketch at any later moment is its
@@ -317,9 +217,9 @@ const NEARDUP_THRESHOLD: f32 = 0.7;
 /// overwritten since the memo's last one ([`SketchRing::cosine`] each) —
 /// or all of them in one [`SketchRing::cosines`], if the sketch moved or
 /// the whole ring was overwritten. The answer is 0 or −1 and a function of
-/// the memo, ring and hit table alone, so the scorer declares
-/// [`Scorer::bounds`] and the host skips it wherever −1 cannot matter.
-pub struct NearDupScorer {
+/// the memo, ring and hit table alone, which is what lets the strategy
+/// skip it wherever −1 cannot matter.
+struct NearDupTerm {
     sketcher: Sketcher,
     ring: SketchRing,
     /// Fetches sketched into the ring so far (wrapping); write `w` lands in
@@ -341,20 +241,6 @@ struct NearDupMemo {
     near: u32,
 }
 
-impl NearDupScorer {
-    pub fn new() -> Self {
-        // D = 1024: large enough that bucket collisions stay rare for
-        // URL-token vocabularies.
-        let sketcher = Sketcher::new(2, Projector::new(10, 15, sb_ann::DEFAULT_PRIME));
-        NearDupScorer {
-            ring: SketchRing::new(sketcher.dim()),
-            sketcher,
-            ring_writes: 0,
-            memos: Vec::new(),
-        }
-    }
-}
-
 /// The lowercased ASCII-alphanumeric runs of `url`, borrowed unless a run
 /// holds an uppercase letter (the runs are ASCII, so ASCII lowercasing is
 /// full lowercasing).
@@ -371,20 +257,23 @@ fn url_tokens(url: &str) -> Vec<Cow<'_, str>> {
         .collect()
 }
 
-impl Default for NearDupScorer {
-    fn default() -> Self {
-        NearDupScorer::new()
+impl NearDupTerm {
+    fn new() -> Self {
+        // D = 1024: large enough that bucket collisions stay rare for
+        // URL-token vocabularies.
+        let sketcher = Sketcher::new(2, Projector::new(10, 15, sb_ann::DEFAULT_PRIME));
+        NearDupTerm {
+            ring: SketchRing::new(sketcher.dim()),
+            sketcher,
+            ring_writes: 0,
+            memos: Vec::new(),
+        }
     }
-}
 
-impl Scorer for NearDupScorer {
-    fn name(&self) -> &'static str {
-        "neardup"
-    }
-
-    fn admit(&mut self, cand: &Candidate) {
+    /// `url` enters the next free slot, and its bigrams the vocabulary.
+    fn admit(&mut self, url: &str) {
         self.memos.push(NearDupMemo {
-            sums: self.sketcher.admit(&url_tokens(&cand.url)),
+            sums: self.sketcher.admit(&url_tokens(url)),
             // Every bucket of a non-empty sketch has a hit, so the first
             // `score` projects and computes all bits (an empty one has none
             // to compute: its empty sketch is its projection).
@@ -395,7 +284,8 @@ impl Scorer for NearDupScorer {
         });
     }
 
-    fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
+    /// −1 if the candidate in `slot` is a near-dup of a ring slot, else 0.
+    fn score(&mut self, slot: usize) -> f64 {
         let memo = &mut self.memos[slot];
         let hits = self.sketcher.hits_under(&memo.sums);
         let behind = self.ring_writes.wrapping_sub(memo.ring_seen) as usize;
@@ -430,28 +320,17 @@ impl Scorer for NearDupScorer {
         }
     }
 
-    fn bounds(&self) -> Option<(f64, f64)> {
-        Some((-1.0, 0.0))
-    }
-
-    fn release(&mut self, slot: usize) {
-        self.memos.swap_remove(slot);
-    }
-
-    fn live_memos(&self) -> usize {
-        self.memos.len()
-    }
-
-    fn on_fetched(&mut self, url: &str, _class: UrlClass) {
+    /// A fetched URL's sketch overwrites the oldest ring slot.
+    fn on_fetched(&mut self, url: &str) {
         let sketch = self.sketcher.sketch_mut(&url_tokens(url));
         self.ring.write(self.ring_writes as usize % NEARDUP_RING, &sketch);
         self.ring_writes = self.ring_writes.wrapping_add(1);
     }
 }
 
-/// Per-directory reward statistics for [`BanditScorer`], and the arm's
-/// score while `total_pulls` equals `scored_at` (every pull of any arm
-/// advances `total_pulls`, so nothing the score reads can move under it).
+/// Per-directory reward statistics for [`BanditTerm`], and the arm's score
+/// while `total_pulls` equals `scored_at` (every pull of any arm advances
+/// `total_pulls`, so nothing the score reads can move under it).
 #[derive(Debug, Clone, Copy)]
 struct DirArm {
     pulls: u64,
@@ -475,7 +354,7 @@ const UNPULLED: DirArm = DirArm { pulls: 0, sum: 0.0, score: 0.0, scored_at: u64
 /// an arm's score is computed once per `total_pulls`, not once per
 /// candidate.
 #[derive(Debug, Default)]
-pub struct BanditScorer {
+struct BanditTerm {
     /// First path segment → its index in `arms`.
     arm_of_dir: HashMap<Box<str>, u32>,
     arms: Vec<DirArm>,
@@ -490,11 +369,7 @@ fn dir_of(url: &str) -> &str {
     path.split('/').next().unwrap_or("")
 }
 
-impl BanditScorer {
-    pub fn new() -> Self {
-        BanditScorer::default()
-    }
-
+impl BanditTerm {
     /// The arm of `url`'s directory, founded (unpulled) on first sight —
     /// the only time the directory name is copied.
     fn arm_of(&mut self, url: &str) -> u32 {
@@ -507,19 +382,14 @@ impl BanditScorer {
         self.arm_of_dir.insert(dir.into(), arm);
         arm
     }
-}
 
-impl Scorer for BanditScorer {
-    fn name(&self) -> &'static str {
-        "bandit"
-    }
-
-    fn admit(&mut self, cand: &Candidate) {
-        let arm = self.arm_of(&cand.url);
+    /// `url` enters the next free slot.
+    fn admit(&mut self, url: &str) {
+        let arm = self.arm_of(url);
         self.memos.push(arm);
     }
 
-    fn score(&mut self, slot: usize, _cand: &Candidate) -> f64 {
+    fn score(&mut self, slot: usize) -> f64 {
         let total_pulls = self.total_pulls;
         let arm = &mut self.arms[self.memos[slot] as usize];
         if arm.scored_at != total_pulls {
@@ -536,14 +406,9 @@ impl Scorer for BanditScorer {
         arm.score
     }
 
-    fn release(&mut self, slot: usize) {
-        self.memos.swap_remove(slot);
-    }
-
-    fn live_memos(&self) -> usize {
-        self.memos.len()
-    }
-
+    /// Terminal feedback for a selection of `url`: `1.0` when the
+    /// selection was a target, `0.0` for an error answer, the page reward
+    /// otherwise.
     fn observe(&mut self, url: &str, reward: f64) {
         let arm = self.arm_of(url);
         let arm = &mut self.arms[arm as usize];
@@ -558,41 +423,40 @@ impl Scorer for BanditScorer {
 // ----------------------------------------------------------------------
 
 /// Crawl4LLM-style value-driven frontier: every [`Strategy::select_batch`]
-/// call scores the whole frontier with the configured [`Scorer`] mix and
-/// returns the top `k` by weighted sum (ties on [`UrlId`] ascending — the
-/// ranking is deterministic and never consults the RNG). Links are always
-/// enqueued ([`LinkDecision::Enqueue`]): selection order, not routing, is
-/// where this strategy spends its intelligence.
+/// call scores the whole frontier with the four-term sum and returns the
+/// top `k` (ties on [`UrlId`] ascending — the ranking is deterministic and
+/// never consults the RNG). Links are always enqueued
+/// ([`LinkDecision::Enqueue`]): selection order, not routing, is where this
+/// strategy spends its intelligence.
 ///
 /// Each selection's token indexes a ledger holding the selected URL until
 /// its terminal feedback arrives (one per selection, the engine's
-/// invariant), so the feedback can be routed to every scorer with the URL
-/// it concerns.
+/// invariant), so the feedback can reach the bandit term with the URL it
+/// concerns.
 pub struct ValueStrategy {
-    scorers: Vec<(Box<dyn Scorer>, f64)>,
-    /// Per scorer, in mix order: its [`Scorer::bounds`] under its weight.
-    bounds: Vec<Option<Bound>>,
+    classifier: ClassifierTerm,
+    neardup: NearDupTerm,
+    bandit: BanditTerm,
     frontier: Vec<Candidate>,
-    /// `frontier[..admitted]` have been through [`Scorer::admit`]; the rest
-    /// were discovered since the last ranking pass.
+    /// `frontier[..admitted]` have been admitted to the memo columns; the
+    /// rest were discovered since the last ranking pass.
     admitted: usize,
     /// `Selection::token` indexes it: the selection's URL while its
     /// feedback is outstanding, `None` once settled.
     ledger: Vec<Option<Box<str>>>,
     /// Reused per-ranking scratch: one entry per candidate in the running.
     ranked: Vec<Ranked>,
-    /// Reused per-ranking scratch: every old candidate's weighted terms in
-    /// mix order, a bounded scorer's ceiling in its place (row `slot`, one
-    /// column per scorer).
-    terms: Vec<f64>,
-    /// Reused per-ranking scratch: the old candidates' exact top-k, worst
-    /// on top.
+    /// Reused per-ranking scratch, per old slot: the weighted depth and
+    /// classifier terms folded (the sum the near-dup term joins), and the
+    /// weighted bandit term.
+    terms: Vec<(f64, f64)>,
+    /// Reused per-ranking scratch: the old candidates' exact top-k.
     certified: Vec<Ranked>,
 }
 
 /// A frontier slot in a ranking pass: its combined value — or, for an old
-/// candidate whose bounded scorers have not run, an upper bound on it —
-/// with its id and slot. Ordered by rank, best first: value descending,
+/// candidate whose near-dup term has not run, an upper bound on it — with
+/// its id and slot. Ordered by rank, best first: value descending,
 /// [`UrlId`] ascending, then slot (what a stable sort of the slots would
 /// do with a repeated id).
 #[derive(Debug, Clone, Copy)]
@@ -627,50 +491,54 @@ impl PartialEq for Ranked {
 
 impl Eq for Ranked {}
 
-/// A scorer's declared [`Scorer::bounds`], with the largest term it can add
-/// to a total under its weight in the mix.
-#[derive(Debug, Clone, Copy)]
-struct Bound {
-    lo: f64,
-    hi: f64,
-    /// Weight × `hi`, or × `lo` under a negative weight.
-    ceiling: f64,
-}
-
-impl Bound {
-    /// `answer` from `scorer`; debug builds check it keeps the promise the
-    /// ceiling was folded on.
-    fn check(&self, scorer: &dyn Scorer, answer: f64) -> f64 {
-        debug_assert!(
-            self.lo <= answer && answer <= self.hi,
-            "{}: answer {answer} outside its declared bounds [{}, {}]",
-            scorer.name(),
-            self.lo,
-            self.hi
-        );
-        answer
+/// Replaces `ranked` — candidates each on an upper bound of its value — by
+/// their exact top `k`, computing an exact value with `exact` only where it
+/// can matter (`certified` is reused scratch). The `k` best bounds are
+/// scored exactly first; after that a candidate is scored only if its bound
+/// is at least the `k`-th best exact value found so far. A bound is never
+/// below its exact value, so a candidate skipped that way ranks below `k`
+/// others; `≥`, not `>`, keeps the ones that could still win a tie on
+/// [`UrlId`].
+fn certify_top(
+    k: usize,
+    ranked: &mut Vec<Ranked>,
+    certified: &mut Vec<Ranked>,
+    mut exact: impl FnMut(&Ranked) -> Ranked,
+) {
+    let take = k.min(ranked.len());
+    if take == 0 {
+        return;
     }
+    if take < ranked.len() {
+        ranked.select_nth_unstable(take - 1);
+    }
+    let mut heap = std::mem::take(certified);
+    heap.clear();
+    heap.extend(ranked[..take].iter().map(&mut exact));
+    // A max-heap under rank order: the worst of the exact top-k on top.
+    let mut top = BinaryHeap::from(heap);
+    for r in &ranked[take..] {
+        let mut kth = top.peek_mut().expect("take > 0");
+        if r.value >= kth.value {
+            let scored = exact(r);
+            if scored < *kth {
+                *kth = scored;
+            }
+        }
+    }
+    *certified = top.into_vec();
+    ranked.clear();
+    ranked.extend_from_slice(certified);
 }
 
 impl ValueStrategy {
-    /// Builds from an explicit scorer mix.
-    pub fn new(scorers: Vec<(Box<dyn Scorer>, f64)>) -> Self {
-        assert!(!scorers.is_empty(), "a value strategy needs at least one scorer");
-        let bounds = scorers
-            .iter()
-            .map(|(scorer, weight)| {
-                let (lo, hi) = scorer.bounds()?;
-                assert!(
-                    lo.is_finite() && hi.is_finite() && lo <= hi,
-                    "{}: bounds must be finite and ordered",
-                    scorer.name()
-                );
-                Some(Bound { lo, hi, ceiling: *weight * if *weight >= 0.0 { hi } else { lo } })
-            })
-            .collect();
+    /// The one mix: depth 1.0, classifier 2.0, neardup 0.5 and bandit 1.0,
+    /// summed in that order.
+    pub fn default_mix() -> Self {
         ValueStrategy {
-            scorers,
-            bounds,
+            classifier: ClassifierTerm::new(),
+            neardup: NearDupTerm::new(),
+            bandit: BanditTerm::default(),
             frontier: Vec::new(),
             admitted: 0,
             ledger: Vec::new(),
@@ -680,27 +548,11 @@ impl ValueStrategy {
         }
     }
 
-    /// The default mix: all four shipped scorers, classifier-weighted —
-    /// depth 1.0, classifier 2.0, neardup 0.5 and bandit 1.0, in that order.
-    pub fn default_mix() -> Self {
-        ValueStrategy::new(vec![
-            (Box::new(DepthPriorScorer), 1.0),
-            (Box::new(ClassifierScorer::paper_default()), 2.0),
-            (Box::new(NearDupScorer::new()), 0.5),
-            (Box::new(BanditScorer::new()), 1.0),
-        ])
-    }
-
     /// Adds a candidate to the frontier — what [`Strategy::decide`] does
     /// with every link, for callers that have no page to borrow one from.
     /// Owned-conversion boundary: the candidate outlives the page.
     pub fn enqueue(&mut self, id: UrlId, url: &str, depth: u32) {
         self.frontier.push(Candidate { id, url: url.into(), depth });
-    }
-
-    /// `(name, live memos)` per scorer, in mix order ([`Scorer::live_memos`]).
-    pub fn live_memos(&self) -> impl Iterator<Item = (&'static str, usize)> + '_ {
-        self.scorers.iter().map(|(s, _)| (s.name(), s.live_memos()))
     }
 
     /// One terminal observation for the selection behind `token`, which
@@ -710,78 +562,18 @@ impl ValueStrategy {
             debug_assert!(false, "feedback for a token this strategy never issued, or twice");
             return;
         };
-        for (scorer, _) in &mut self.scorers {
-            scorer.observe(&url, reward);
-        }
-    }
-
-    /// Replaces `ranked` — the old candidates, each on its bound (`terms`
-    /// holds the row it was folded from) — by their exact top `k`. The `k`
-    /// best bounds are scored exactly first; after that a candidate is
-    /// scored only if its bound is at least the `k`-th best exact total
-    /// found so far. A bound is never below its exact total, so a candidate
-    /// skipped that way ranks below `k` others; `≥`, not `>`, keeps the
-    /// ones that could still win a tie on [`UrlId`].
-    fn certify_old_top(&mut self, k: usize, ranked: &mut Vec<Ranked>, terms: &[f64]) {
-        let take = k.min(ranked.len());
-        if take == 0 {
-            return;
-        }
-        if take < ranked.len() {
-            ranked.select_nth_unstable(take - 1);
-        }
-        let columns = self.scorers.len();
-        let (scorers, bounds, frontier) = (&mut self.scorers, &self.bounds, &self.frontier);
-        // The same fold as the bound's, in mix order, with each bounded
-        // scorer's answer where its ceiling stood. Without a bounded scorer
-        // it re-adds the same terms: the exact total is the bound.
-        let mut exact = |r: &Ranked| {
-            let (cand, row) = (&frontier[r.slot], &terms[r.slot * columns..][..columns]);
-            let mut total = 0.0;
-            for (((scorer, weight), bound), &term) in scorers.iter_mut().zip(bounds).zip(row) {
-                total += match bound {
-                    Some(bound) => {
-                        let answer = scorer.score(r.slot, cand);
-                        *weight * finite_or_zero(bound.check(&**scorer, answer))
-                    }
-                    None => term,
-                };
-            }
-            debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
-            Ranked { value: total, ..*r }
-        };
-        let mut certified = std::mem::take(&mut self.certified);
-        certified.clear();
-        certified.extend(ranked[..take].iter().map(&mut exact));
-        // A max-heap under rank order: the worst of the exact top-k on top.
-        let mut top = BinaryHeap::from(certified);
-        for r in &ranked[take..] {
-            let mut kth = top.peek_mut().expect("take > 0");
-            if r.value >= kth.value {
-                let scored = exact(r);
-                if scored < *kth {
-                    *kth = scored;
-                }
-            }
-        }
-        let certified = top.into_vec();
-        ranked.clear();
-        ranked.extend_from_slice(&certified);
-        self.certified = certified;
+        self.bandit.observe(&url, reward);
     }
 }
 
 impl Strategy for ValueStrategy {
-    /// `VALUE[name:weight,…]` in mix order, e.g.
-    /// `VALUE[depth:1.0,classifier:2.0,neardup:0.5,bandit:1.0]`.
+    /// `VALUE[name:weight,…]` in fold order.
     fn name(&self) -> String {
-        let mix: Vec<String> =
-            self.scorers.iter().map(|(s, w)| format!("{}:{w:?}", s.name())).collect();
-        format!("VALUE[{}]", mix.join(","))
+        NAME.to_owned()
     }
 
     fn link_needs(&self) -> sb_html::LinkNeeds {
-        // Scorers read URL and depth only; no per-link text is consulted.
+        // The terms read URL and depth only; no per-link text is consulted.
         sb_html::LinkNeeds::HREF_ONLY
     }
 
@@ -794,42 +586,43 @@ impl Strategy for ValueStrategy {
             return Vec::new();
         }
         // Rank the whole frontier once (the Crawl4LLM iteration). The
-        // combined value is a weighted sum of clamped scores, so it is
-        // finite. Old candidates first, each on its bound — every bounded
-        // scorer's ceiling in place of its answer — and then exactly only
-        // where the bound reaches the old top-k.
+        // combined value is a weighted sum of clamped terms, so it is
+        // finite. Old candidates first, each on its bound — the near-dup
+        // term's ceiling in its place — and then exactly only where the
+        // bound reaches the old top-k.
         let mut ranked = std::mem::take(&mut self.ranked);
         ranked.clear();
         let mut terms = std::mem::take(&mut self.terms);
         terms.clear();
         for (slot, cand) in self.frontier[..self.admitted].iter().enumerate() {
-            let mut total = 0.0;
-            for ((scorer, weight), bound) in self.scorers.iter_mut().zip(&self.bounds) {
-                let term = match bound {
-                    Some(bound) => bound.ceiling,
-                    None => *weight * finite_or_zero(scorer.score(slot, cand)),
-                };
-                terms.push(term);
-                total += term;
-            }
-            debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
-            ranked.push(Ranked { value: total, id: cand.id, slot });
+            let mut partial = 0.0;
+            partial += DEPTH_WEIGHT * finite_or_zero(depth_prior(cand));
+            partial += CLASSIFIER_WEIGHT * finite_or_zero(self.classifier.score(slot));
+            let bandit = BANDIT_WEIGHT * finite_or_zero(self.bandit.score(slot));
+            terms.push((partial, bandit));
+            let bound = partial + NEARDUP_WEIGHT * 0.0 + bandit;
+            debug_assert!(bound.is_finite(), "clamped scores cannot combine to non-finite");
+            ranked.push(Ranked { value: bound, id: cand.id, slot });
         }
-        self.certify_old_top(k, &mut ranked, &terms);
+        let neardup = &mut self.neardup;
+        certify_top(k, &mut ranked, &mut self.certified, |r| {
+            let (partial, bandit) = terms[r.slot];
+            let value = partial + NEARDUP_WEIGHT * finite_or_zero(neardup.score(r.slot)) + bandit;
+            Ranked { value, ..*r }
+        });
         // Then every candidate discovered since the last pass, admitted
         // just before its first score — slot by slot, never all up front:
-        // a scorer's state may grow on admission, and slot `i` is scored
-        // under what slots `..= i` have grown, as it always was.
+        // the near-dup vocabulary grows on admission, and slot `i` is
+        // scored under what slots `..= i` have grown, as it always was.
         for (slot, cand) in self.frontier.iter().enumerate().skip(self.admitted) {
             let mut total = 0.0;
-            for ((scorer, weight), bound) in self.scorers.iter_mut().zip(&self.bounds) {
-                scorer.admit(cand);
-                let mut answer = scorer.score(slot, cand);
-                if let Some(bound) = bound {
-                    answer = bound.check(&**scorer, answer);
-                }
-                total += *weight * finite_or_zero(answer);
-            }
+            total += DEPTH_WEIGHT * finite_or_zero(depth_prior(cand));
+            self.classifier.admit(&cand.url);
+            total += CLASSIFIER_WEIGHT * finite_or_zero(self.classifier.score(slot));
+            self.neardup.admit(&cand.url);
+            total += NEARDUP_WEIGHT * finite_or_zero(self.neardup.score(slot));
+            self.bandit.admit(&cand.url);
+            total += BANDIT_WEIGHT * finite_or_zero(self.bandit.score(slot));
             debug_assert!(total.is_finite(), "clamped scores cannot combine to non-finite");
             ranked.push(Ranked { value: total, id: cand.id, slot });
         }
@@ -852,11 +645,17 @@ impl Strategy for ValueStrategy {
         picked.sort_unstable_by_key(|r| std::cmp::Reverse(r.slot));
         for &Ranked { slot, .. } in picked.iter() {
             self.frontier.swap_remove(slot);
-            for (scorer, _) in &mut self.scorers {
-                scorer.release(slot);
-            }
+            self.classifier.memos.swap_remove(slot);
+            self.neardup.memos.swap_remove(slot);
+            self.bandit.memos.swap_remove(slot);
         }
         self.admitted = self.frontier.len();
+        debug_assert!(
+            [self.classifier.memos.len(), self.neardup.memos.len(), self.bandit.memos.len()]
+                .iter()
+                .all(|&memos| memos == self.frontier.len()),
+            "a memo column must hold one memo per frontier candidate after a pass"
+        );
         self.ranked = ranked;
         self.terms = terms;
         out
@@ -885,9 +684,8 @@ impl Strategy for ValueStrategy {
     }
 
     fn on_fetched(&mut self, _id: UrlId, url: &str, class: UrlClass) {
-        for (scorer, _) in &mut self.scorers {
-            scorer.on_fetched(url, class);
-        }
+        self.classifier.on_fetched(url, class);
+        self.neardup.on_fetched(url);
     }
 
     fn frontier_len(&self) -> usize {
@@ -900,59 +698,26 @@ mod tests {
     use super::*;
     use crate::strategy::SelUrl;
     use rand::SeedableRng;
-    use std::sync::{Arc, Mutex};
 
-    fn cand(id: UrlId, url: &str, depth: u32) -> Candidate {
-        Candidate { id, url: url.into(), depth }
-    }
-
-    /// A scorer that always answers the same (possibly degenerate) value.
-    struct Fixed(&'static str, f64);
-
-    impl Scorer for Fixed {
-        fn name(&self) -> &'static str {
-            self.0
-        }
-
-        fn score(&mut self, _slot: usize, _cand: &Candidate) -> f64 {
-            self.1
-        }
-    }
-
-    /// An unbounded scorer that answers `f(id)`.
-    struct ById(fn(UrlId) -> f64);
-
-    impl Scorer for ById {
-        fn name(&self) -> &'static str {
-            "by-id"
-        }
-
-        fn score(&mut self, _slot: usize, cand: &Candidate) -> f64 {
-            (self.0)(cand.id)
-        }
-    }
-
-    /// A bounded scorer that answers `answer(id)` and records every
-    /// candidate it was asked about.
-    struct Counted {
-        bounds: (f64, f64),
-        answer: fn(UrlId) -> f64,
-        calls: Arc<Mutex<Vec<UrlId>>>,
-    }
-
-    impl Scorer for Counted {
-        fn name(&self) -> &'static str {
-            "counted"
-        }
-
-        fn score(&mut self, _slot: usize, cand: &Candidate) -> f64 {
-            self.calls.lock().unwrap().push(cand.id);
-            (self.answer)(cand.id)
-        }
-
-        fn bounds(&self) -> Option<(f64, f64)> {
-            Some(self.bounds)
-        }
+    /// Certifies `bounds` (`(id, bound)` per slot) to the top `k` under
+    /// `exact(slot)`: the exact top-k best first, and every slot scored.
+    fn certify(
+        k: usize,
+        bounds: &[(UrlId, f64)],
+        exact: impl Fn(usize) -> f64,
+    ) -> (Vec<UrlId>, Vec<usize>) {
+        let mut ranked: Vec<Ranked> = bounds
+            .iter()
+            .enumerate()
+            .map(|(slot, &(id, value))| Ranked { value, id, slot })
+            .collect();
+        let mut scored = Vec::new();
+        certify_top(k, &mut ranked, &mut Vec::new(), |r| {
+            scored.push(r.slot);
+            Ranked { value: exact(r.slot), ..*r }
+        });
+        ranked.sort_unstable();
+        (ranked.iter().map(|r| r.id).collect(), scored)
     }
 
     #[test]
@@ -964,30 +729,10 @@ mod tests {
         assert_eq!(finite_or_zero(0.0), 0.0);
     }
 
-    /// A NaN-scoring method cannot corrupt the ranking: it contributes 0
-    /// and the other scorers decide, with UrlId breaking exact ties.
-    #[test]
-    fn nan_scorer_is_neutralised_by_the_combinator() {
-        let mut s = ValueStrategy::new(vec![
-            (Box::new(Fixed("nan", f64::NAN)), 10.0),
-            (Box::new(DepthPriorScorer), 1.0),
-        ]);
-        s.enqueue(0, "https://s/deep/deep/deep/page", 5);
-        s.enqueue(1, "https://s/top", 1);
-        let mut rng = StdRng::seed_from_u64(1);
-        let batch = s.select_batch(2, &mut rng);
-        assert_eq!(batch.len(), 2);
-        // The shallow URL must rank first despite the loud NaN scorer.
-        assert_eq!(batch[0].url, crate::strategy::SelUrl::Id(1));
-    }
-
     #[test]
     fn select_batch_is_deterministic_and_ranked() {
         let build = || {
-            let mut s = ValueStrategy::new(vec![(
-                Box::new(DepthPriorScorer) as Box<dyn Scorer>,
-                1.0,
-            )]);
+            let mut s = ValueStrategy::default_mix();
             for k in 0..20u32 {
                 let url = format!("https://s/{}", "x".repeat((k % 7) as usize + 1));
                 s.enqueue(k, &url, k % 5);
@@ -999,67 +744,48 @@ mod tests {
         let b: Vec<_> = build().select_batch(8, &mut rng).into_iter().map(|s| s.url).collect();
         assert_eq!(a, b, "ranking never consults the RNG");
         assert_eq!(a.len(), 8);
+        // Cold start: every learned term is flat, so the depth prior
+        // decides — depth 0 first, the shortest URL first.
+        assert_eq!(a[..2], [SelUrl::Id(0), SelUrl::Id(15)]);
     }
 
     #[test]
     fn tokens_index_the_ledger_and_feedback_routes() {
-        let mut s = ValueStrategy::new(vec![(Box::new(BanditScorer::new()) as _, 1.0)]);
+        let mut s = ValueStrategy::default_mix();
         s.enqueue(0, "https://s/files/a.csv", 1);
         let mut rng = StdRng::seed_from_u64(1);
         let sel = s.next(&mut rng).expect("one candidate");
         assert_eq!(s.ledger[sel.token as usize].as_deref(), Some("https://s/files/a.csv"));
         s.feedback_target(sel.token);
         assert_eq!(s.ledger[sel.token as usize], None, "terminal feedback settles the entry");
-        // The /files directory arm must now dominate an unseen one with
-        // identical depth priors.
-        s.enqueue(1, "https://s/files/b.csv", 1);
-        s.enqueue(2, "https://s/about/c.csv", 1);
+        // The /files directory arm must now dominate an unseen one: the
+        // other terms tie (same depth, same URL length, an untrained
+        // classifier, an empty near-dup ring), and the tie would go to id 1.
+        s.enqueue(1, "https://s/about/b.csv", 1);
+        s.enqueue(2, "https://s/files/c.csv", 1);
         let next = s.next(&mut rng).expect("two candidates");
-        assert_eq!(next.url, crate::strategy::SelUrl::Id(1), "proven dir first");
+        assert_eq!(next.url, SelUrl::Id(2), "proven dir first");
     }
 
-    /// A steady-state pass asks a bounded scorer only about candidates
-    /// whose bound reaches the top-k: with two shallow winners over 498 deep
-    /// URLs, the pass that picks the second winner scores it alone.
+    /// With one bound far above the rest, certification scores it alone.
     #[test]
-    fn a_bounded_scorer_runs_only_where_its_bound_reaches_the_top_k() {
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let counted = Counted { bounds: (-1.0, 0.0), answer: |_| 0.0, calls: Arc::clone(&calls) };
-        let mut s =
-            ValueStrategy::new(vec![(Box::new(DepthPriorScorer), 1.0), (Box::new(counted), 0.5)]);
-        s.enqueue(0, "https://s/a", 0);
-        s.enqueue(1, "https://s/b", 0);
-        for id in 2..500 {
-            s.enqueue(id, &format!("https://s/deep/{id}/page"), 4);
-        }
-        let mut rng = StdRng::seed_from_u64(1);
-        // The first pass admits every candidate, and admission scores.
-        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(0));
-        assert_eq!(calls.lock().unwrap().len(), 500);
-        calls.lock().unwrap().clear();
-        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(1));
-        assert_eq!(*calls.lock().unwrap(), [1], "only the top-1's bound reaches the top-1");
+    fn certification_scores_only_bounds_that_reach_the_kth_total() {
+        let mut bounds = vec![(0, 1.0)];
+        bounds.extend((1..500).map(|id| (id, 0.5)));
+        let (top, scored) = certify(1, &bounds, |slot| if slot == 0 { 0.9 } else { 0.4 });
+        assert_eq!(top, [0]);
+        assert_eq!(scored, [0], "only the top-1's bound reaches the top-1");
     }
 
-    /// Every exact total equal and every bound equal to it: each old
-    /// candidate could still win its tie, so each is scored, and the
-    /// selection comes out in ascending `UrlId` as the eager pass's did.
+    /// Every exact total equal and every bound equal to it: each candidate
+    /// could still win its tie, so each is scored, and the top-k comes out
+    /// in ascending `UrlId`.
     #[test]
     fn equal_bounds_and_totals_still_rank_by_url_id() {
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let counted = Counted { bounds: (0.0, 0.0), answer: |_| 0.0, calls: Arc::clone(&calls) };
-        let mut s =
-            ValueStrategy::new(vec![(Box::new(counted), 1.0), (Box::new(Fixed("flat", 1.0)), 1.0)]);
-        for i in 0..50u32 {
-            let id = i * 37 % 50;
-            s.enqueue(id, &format!("https://s/{id}"), 1);
-        }
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(0));
-        calls.lock().unwrap().clear();
-        let ids: Vec<SelUrl> = s.select_batch(5, &mut rng).into_iter().map(|s| s.url).collect();
-        assert_eq!(ids, (1..=5).map(SelUrl::Id).collect::<Vec<_>>());
-        assert_eq!(calls.lock().unwrap().len(), 49, "a tied bound must be scored");
+        let bounds: Vec<(UrlId, f64)> = (0..49u32).map(|i| (1 + i * 37 % 49, 1.0)).collect();
+        let (top, scored) = certify(5, &bounds, |_| 1.0);
+        assert_eq!(top, [1, 2, 3, 4, 5]);
+        assert_eq!(scored.len(), 49, "a tied bound must be scored");
     }
 
     /// The tie that decides the top-1 hides behind a looser bound: id 2
@@ -1067,35 +793,34 @@ mod tests {
     /// to the best exact total must be scored, or id 2 would win.
     #[test]
     fn a_bound_equal_to_the_kth_total_is_scored_and_wins_its_tie() {
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let answer = |id| if id == 1 { 1.0 } else { 0.0 };
-        let counted = Counted { bounds: (0.0, 1.0), answer, calls: Arc::clone(&calls) };
-        let mut s = ValueStrategy::new(vec![
-            (Box::new(ById(|id| [9.0, 0.0, 1.0][id as usize])), 1.0),
-            (Box::new(counted), 1.0),
-        ]);
-        for id in 0..3 {
-            s.enqueue(id, &format!("https://s/{id}"), 1);
+        let (top, scored) = certify(1, &[(2, 2.0), (1, 1.0)], |_| 1.0);
+        assert_eq!(top, [1]);
+        assert_eq!(scored, [0, 1]);
+    }
+
+    /// A steady-state pass asks the near-dup term only about candidates
+    /// whose bound reaches the top-k: with one shallow winner over 499 deep
+    /// URLs, the pass after a fetch scores the winner alone — and the
+    /// winner's memo leaves with it, so no memo has seen the new write.
+    #[test]
+    fn a_steady_pass_runs_the_near_dup_term_only_where_its_bound_reaches_the_top_k() {
+        let mut s = ValueStrategy::default_mix();
+        s.enqueue(0, "https://s/x/a", 0);
+        s.enqueue(1, "https://s/x/b", 0);
+        for id in 2..500 {
+            s.enqueue(id, &format!("https://s/x/deep/{id}/page"), 4);
         }
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(0));
+        // A dead page: the ring moves, the classifier does not train.
+        s.on_fetched(0, "https://s/x/a", UrlClass::Neither);
         assert_eq!(s.select_batch(1, &mut rng)[0].url, SelUrl::Id(1));
+        let writes = s.neardup.ring_writes;
+        let stale = s.neardup.memos.iter().filter(|m| m.ring_seen != writes).count();
+        assert_eq!(stale, 498, "a candidate below the top-1 must not be scored");
     }
 
-    /// A bounded scorer that answers outside its declared bounds would make
-    /// the ceiling a non-bound; debug builds catch it at its first answer.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside its declared bounds")]
-    fn an_answer_outside_the_declared_bounds_panics_in_debug_builds() {
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let counted = Counted { bounds: (-1.0, 0.0), answer: |_| 0.5, calls };
-        let mut s = ValueStrategy::new(vec![(Box::new(counted), 1.0)]);
-        s.enqueue(0, "https://s/0", 1);
-        s.select_batch(1, &mut StdRng::seed_from_u64(1));
-    }
-
-    /// The default mix, in order, with its weights.
+    /// The name, with each term and its weight in fold order.
     #[test]
     fn default_mix_names_its_scorers_and_weights() {
         assert_eq!(
@@ -1106,16 +831,16 @@ mod tests {
 
     #[test]
     fn neardup_penalises_repeating_url_shapes() {
-        let mut nd = NearDupScorer::new();
+        let mut nd = NearDupTerm::new();
         for day in 1..=9 {
-            nd.on_fetched(&format!("https://s/calendar/2021/01/0{day}"), UrlClass::Html);
+            nd.on_fetched(&format!("https://s/calendar/2021/01/0{day}"));
         }
-        let mut score = |slot, cand: Candidate| {
-            nd.admit(&cand);
-            nd.score(slot, &cand)
+        let mut score = |slot, url| {
+            nd.admit(url);
+            nd.score(slot)
         };
-        let trap = score(0, cand(0, "https://s/calendar/2021/01/27", 3));
-        let fresh = score(1, cand(1, "https://s/papers/edbt-2026-accepted-list", 3));
+        let trap = score(0, "https://s/calendar/2021/01/27");
+        let fresh = score(1, "https://s/papers/edbt-2026-accepted-list");
         assert!(trap < fresh, "trap-shaped URL must score below a fresh shape");
         assert_eq!(trap, -1.0);
     }
@@ -1125,17 +850,16 @@ mod tests {
     /// is overwritten by an unrelated URL.
     #[test]
     fn overwriting_a_ring_slot_forgets_its_old_sketch() {
-        let mut nd = NearDupScorer::new();
-        nd.on_fetched("https://s/calendar/2021/01/26", UrlClass::Html);
-        let trap = cand(0, "https://s/calendar/2021/01/27", 3);
-        nd.admit(&trap);
-        assert_eq!(nd.score(0, &trap), -1.0);
+        let mut nd = NearDupTerm::new();
+        nd.on_fetched("https://s/calendar/2021/01/26");
+        nd.admit("https://s/calendar/2021/01/27");
+        assert_eq!(nd.score(0), -1.0);
         for _ in 1..NEARDUP_RING {
-            nd.on_fetched("ftp://zone/alpha/beta", UrlClass::Html);
-            assert_eq!(nd.score(0, &trap), -1.0, "slot 0 still holds the near-dup");
+            nd.on_fetched("ftp://zone/alpha/beta");
+            assert_eq!(nd.score(0), -1.0, "slot 0 still holds the near-dup");
         }
-        nd.on_fetched("gopher://quiet/river/stone", UrlClass::Html);
-        assert_eq!(nd.score(0, &trap), 0.0, "slot 0's old coordinates must be gone");
+        nd.on_fetched("gopher://quiet/river/stone");
+        assert_eq!(nd.score(0), 0.0, "slot 0's old coordinates must be gone");
     }
 
     /// Tokens are the lowercased alphanumeric runs, copied only when a run

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use sb_ann::{cosine_sparse, Projector, Sketcher, SparseVec};
-use sb_crawler::strategies::{finite_or_zero, ValueStrategy};
+use sb_crawler::strategies::finite_or_zero;
 use sb_crawler::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
 use sb_ml::{Class2, FeatureInput, UrlClassifier};
 use sb_webgraph::{UrlClass, UrlId};
@@ -252,27 +252,6 @@ fn build_scorers(methods: &[(&str, f64)]) -> Vec<(Box<dyn Scorer>, f64)> {
             (scorer, w)
         })
         .collect()
-}
-
-/// The production `ValueStrategy` over the mix [`build_scorers`] reads:
-/// the same scorers, in the same order, with the same weights — the
-/// memoised side of every comparison against this file.
-pub fn memoised_value_strategy(methods: &[(&str, f64)]) -> ValueStrategy {
-    use sb_crawler::strategies as production;
-    let scorers = methods
-        .iter()
-        .map(|&(name, w)| {
-            let scorer: Box<dyn production::Scorer> = match name {
-                "depth" => Box::new(production::DepthPriorScorer),
-                "classifier" => Box::new(production::ClassifierScorer::paper_default()),
-                "neardup" => Box::new(production::NearDupScorer::new()),
-                "bandit" => Box::new(production::BanditScorer::new()),
-                other => panic!("unknown scorer {other:?}"),
-            };
-            (scorer, w)
-        })
-        .collect();
-    ValueStrategy::new(scorers)
 }
 
 /// `ValueStrategy` before PR 22: rank everything, every pass.

@@ -1,7 +1,7 @@
 //! Memoised ranking ≡ re-score-everything.
 //!
-//! `ValueStrategy` pays the per-URL work of its scorers once per candidate
-//! and per pass only for what a scorer's state change invalidated (PR 22),
+//! `ValueStrategy` pays the per-URL work of its terms once per candidate
+//! and per pass only for what a term's state change invalidated,
 //! and claims every selection is the one the re-score-everything loop would
 //! have made. This file holds it to that, against the frozen pre-PR-22
 //! strategy in `oracle/`: over arbitrary interleavings of the five calls a
@@ -15,31 +15,20 @@
 //! candidates already admitted, and the classifier has something to learn.
 //! Every case runs long enough to overwrite each slot of the 32-slot
 //! near-dup ring twice and to train the classifier at least three times.
+//! Debug builds of `select_batch` also check after every pass that each
+//! memo column holds one memo per frontier candidate.
 
 mod oracle;
 
-use oracle::{memoised_value_strategy, OracleValueStrategy};
+use oracle::OracleValueStrategy;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sb_crawler::strategy::{SelUrl, Selection, Strategy};
+use sb_crawler::ValueStrategy;
 use sb_webgraph::{UrlClass, UrlId};
 use std::collections::HashSet;
-
-/// The default mix, each scorer alone, and two mixes that pin the near-dup
-/// bound: a negative weight (its `lo` bounds the total) with the bounded
-/// scorer first in the fold, and the bounded scorer between two unbounded
-/// ones at a weight above 1.
-const MIXES: [&[(&str, f64)]; 7] = [
-    &[("depth", 1.0), ("classifier", 2.0), ("neardup", 0.5), ("bandit", 1.0)],
-    &[("depth", 1.0)],
-    &[("classifier", 1.0)],
-    &[("neardup", 1.0)],
-    &[("bandit", 1.0)],
-    &[("neardup", -0.5), ("depth", 1.0)],
-    &[("bandit", 1.0), ("neardup", 2.0), ("classifier", 1.0)],
-];
 
 /// One URL out of three families that share bigrams with their siblings.
 fn family_url(a: u32, b: u32) -> String {
@@ -75,9 +64,9 @@ fn arb_ops() -> impl PropStrategy<Value = Vec<(u8, u32, u32)>> {
     proptest::collection::vec((0u8..12, 0u32..100_000, 0u32..100_000), 320..480)
 }
 
-fn run(mix: &[(&str, f64)], ops: &[(u8, u32, u32)]) -> Result<(), TestCaseError> {
-    let mut memoised = memoised_value_strategy(mix);
-    let mut oracle = OracleValueStrategy::new(mix);
+fn run(ops: &[(u8, u32, u32)]) -> Result<(), TestCaseError> {
+    let mut memoised = ValueStrategy::default_mix();
+    let mut oracle = OracleValueStrategy::default_mix();
     let mut rng = StdRng::seed_from_u64(0);
 
     // Every URL enqueued so far, by id (ids are dense in enqueue order, as
@@ -108,18 +97,7 @@ fn run(mix: &[(&str, f64)], ops: &[(u8, u32, u32)]) -> Result<(), TestCaseError>
                 let k = (a % 17) as usize;
                 let got: Vec<Selection> = memoised.select_batch(k, &mut rng);
                 let want: Vec<Selection> = oracle.select_batch(k, &mut rng);
-                prop_assert_eq!(&got, &want, "{:?}: step {} select_batch({})", mix, step, k);
-                if k > 0 {
-                    for (name, memos) in memoised.live_memos() {
-                        prop_assert!(
-                            memos == memoised.frontier_len() || (memos == 0 && name == "depth"),
-                            "{}: {} memos for {} candidates after a pass",
-                            name,
-                            memos,
-                            memoised.frontier_len()
-                        );
-                    }
-                }
+                prop_assert_eq!(&got, &want, "step {} select_batch({})", step, k);
                 for sel in got {
                     owed.push(sel.token);
                     match sel.url {
@@ -169,8 +147,7 @@ fn run(mix: &[(&str, f64)], ops: &[(u8, u32, u32)]) -> Result<(), TestCaseError>
         prop_assert_eq!(
             memoised.frontier_len(),
             oracle.frontier_len(),
-            "{:?}: frontier length after step {}",
-            mix,
+            "frontier length after step {}",
             step
         );
     }
@@ -183,12 +160,10 @@ fn run(mix: &[(&str, f64)], ops: &[(u8, u32, u32)]) -> Result<(), TestCaseError>
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
     fn memoised_ranking_replays_the_rescoring_oracle(ops in arb_ops()) {
-        for mix in MIXES {
-            run(mix, &ops)?;
-        }
+        run(&ops)?;
     }
 }

@@ -5,7 +5,8 @@
 //! distributions) plus structural knobs chosen so that a generated site's
 //! census reproduces the row. `n_pages` is the full-scale "#Available"
 //! column; experiments scale it down with [`SiteSpec::scaled`] — the harness
-//! default is 1:50.
+//! default is 1:100 (`--scale 0.01`), the paper-fidelity run 1:50
+//! (`--scale 0.02`).
 
 // Table 1 constants are copied digit-for-digit from the paper; one of them
 // (`oe` depth 6.28) happens to look like a truncated τ to clippy.

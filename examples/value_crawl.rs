@@ -1,21 +1,20 @@
 //! The value-driven batch frontier (PR 10): Crawl4LLM-style top-k
-//! selection with composable scorers.
+//! selection over one fixed weighted sum.
 //!
 //! Queue strategies pop one URL at a time in insertion order; the
-//! `ValueStrategy` instead *ranks its whole frontier* with a weighted mix
-//! of scorers — a depth/link-length prior, the online URL classifier's
+//! `ValueStrategy` instead *ranks its whole frontier* with a weighted sum
+//! of four terms — a depth/link-length prior, the online URL classifier's
 //! confidence, a near-duplicate URL-shape penalty and a per-directory
 //! bandit — and hands the session the top-k in one pass. With
 //! `max_in_flight > 1` the session asks for exactly enough selections to
 //! fill the in-flight window, so one ranking pass feeds one window-fill.
 //!
 //! This example pits BFS against the value frontier under a request
-//! budget far too small to exhaust the site (ordering is the whole game),
-//! then builds a custom scorer mix.
+//! budget far too small to exhaust the site (ordering is the whole game).
 //!
 //! Run with: `cargo run --release --example value_crawl`
 
-use sb_crawler::strategies::{ClassifierScorer, QueueStrategy, ValueStrategy};
+use sb_crawler::strategies::{QueueStrategy, ValueStrategy};
 use sb_crawler::strategy::Strategy;
 use sb_crawler::{Budget, CrawlConfig, CrawlSession};
 use sb_httpsim::SiteServer;
@@ -62,17 +61,4 @@ fn main() {
             quality / bfs_quality.max(1e-12),
         );
     }
-
-    // A mix is a list of weighted scorers. Here: classifier only, no
-    // exploration terms — a pure exploitation frontier.
-    println!("\n== Custom scorer mix: classifier-only ==");
-    let mut value = ValueStrategy::new(vec![(Box::new(ClassifierScorer::paper_default()), 1.0)]);
-    println!("  strategy name: {}", value.name());
-    let out = run(&mut value, 8);
-    println!(
-        "  {} targets in {} GETs ({:.4}/GET)",
-        out.targets_found(),
-        out.traffic.requests(),
-        out.targets_found() as f64 / out.traffic.requests().max(1) as f64,
-    );
 }

@@ -35,29 +35,33 @@ cargo test -q --offline -p sb-crawler --test proptest_action
 cargo test -q --offline -p sb-crawler --test proptest_action memoised_assign_replays_the_dense_transcription_over_repeating_paths
 cargo test -q --offline -p sb-crawler --test proptest_action the_memo_empties_mid_sequence_without_changing_an_answer
 cargo test -q --offline -p sb-crawler --test alloc_guard_action
-# The value frontier scores once and re-scores what changed, and
-# defers a scorer with declared bounds (the near-dup penalty): an old
-# candidate is ranked on the bound folded in place of its answer, and scored
-# exactly only if that bound still reaches the k-th best exact total. What
+# The value frontier is one fixed weighted sum (depth, classifier,
+# near-dup, bandit, folded in that order); its three learning terms score
+# once per candidate and re-score what changed, and the near-dup term
+# (0 or −1) runs only where it can change the top-k: an old candidate is
+# ranked on its ceiling folded in place of the answer, and scored exactly
+# only if that bound still reaches the k-th best exact total. What
 # licenses the per-candidate memos and the deferral is the frozen
 # re-score-everything strategy under crates/core/tests/oracle/: the proptest
-# replays arbitrary decide/select/fetch/feedback interleavings against it
-# (every selection and token equal, through two laps of the near-dup ring
-# and three classifier trainings; two of its mixes pin the bound — a
-# negative weight, and the bounded scorer between unbounded ones), and the
+# replays arbitrary decide/select/fetch/feedback interleavings of the
+# default mix against it (every selection and token equal, through two laps
+# of the near-dup ring and three classifier trainings), and the
 # counting-allocator guard pins a steady-state pass to a constant number of
-# allocations whatever the frontier's size, with memos released at
-# selection. The unit tests pin the deferral itself: a steady-state pass
-# asks a call-counting bounded scorer about the top-1 alone, and a bound
-# equal to the k-th total is scored, so ties still break on UrlId; debug
-# builds check every bounded answer against the scorer's declared bounds.
+# allocations whatever the frontier's size; debug builds of every pass
+# assert each memo column holds one memo per frontier candidate. The unit
+# tests pin the certification on synthetic bounds — a bound far above the
+# rest is scored alone, and a bound equal to the k-th total is scored, so
+# ties still break on UrlId — and a steady-state pass of the strategy
+# scores the near-dup term for its top-1 alone; the ring-slot test pins
+# that an overwritten slot's bit is recomputed.
 # Underneath, `sb_ml::featurize` counts bigrams by sort and run length; its
 # proptest holds every item's bits to the map-counting kernel it replaced.
 cargo test -q --offline -p sb-crawler --test proptest_value
-cargo test -q --offline -p sb-crawler --lib strategies::value::tests::a_bounded_scorer_runs_only_where_its_bound_reaches_the_top_k
+cargo test -q --offline -p sb-crawler --lib strategies::value::tests::certification_scores_only_bounds_that_reach_the_kth_total
 cargo test -q --offline -p sb-crawler --lib strategies::value::tests::equal_bounds_and_totals_still_rank_by_url_id
 cargo test -q --offline -p sb-crawler --lib strategies::value::tests::a_bound_equal_to_the_kth_total_is_scored_and_wins_its_tie
-cargo test -q --offline -p sb-crawler --lib strategies::value::tests::an_answer_outside_the_declared_bounds_panics_in_debug_builds
+cargo test -q --offline -p sb-crawler --lib strategies::value::tests::a_steady_pass_runs_the_near_dup_term_only_where_its_bound_reaches_the_top_k
+cargo test -q --offline -p sb-crawler --lib strategies::value::tests::overwriting_a_ring_slot_forgets_its_old_sketch
 cargo test -q --offline -p sb-crawler --test alloc_guard_value
 cargo test -q --offline -p sb-ml --test proptest_ml featurize_matches_the_map_counting_reference
 # The near-dup check is a gather: the ring of fetched sketches is stored
@@ -296,13 +300,15 @@ fi
 # cosine the sparse kernels are pinned against live in `sb_bench::dense`,
 # tag paths are built by hand from rendered tokens (`TagPath::from_tokens`),
 # the batching adapter lives under `crates/core/tests/batched/`, and the
-# value frontier's default mix is code, not a parsed `rating_methods` string.
+# value frontier's mix is code — not a parsed `rating_methods` string, not a
+# plug-in `Scorer` host with a bounds protocol and a `new(mix)` constructor.
 if grep -rn "Reference only" crates/*/src | grep -v "^crates/bench/"; then
     echo "verify: a reference implementation is back in a library crate" >&2; exit 1
 fi
 if grep -rn -e "struct PathSegment" -e "struct Batched" -e "struct ValueSpec" -e "pub fn project(" \
-        crates/*/src | grep -v "^crates/bench/"; then
-    echo "verify: a test adapter or reference kernel is back in a library crate" >&2; exit 1
+        -e "trait Scorer" -e "dyn Scorer" -e "fn bounds(" -e "ValueStrategy::new(" \
+        crates/*/src examples/ | grep -v "^crates/bench/"; then
+    echo "verify: a test adapter, reference kernel or scorer host is back in a library crate" >&2; exit 1
 fi
 # `ReadReport::wall_secs` in sb_serve stays (`serve_refresh` reads its qps).
 if grep -rn "wall_secs" crates/core/src crates/eval/src; then
