@@ -26,7 +26,9 @@ pub struct CrawlConfig {
     /// RNG seed shared by the engine and the strategy's frontier draws.
     pub seed: u64,
     pub early_stop: Option<EarlyStopConfig>,
-    /// Keep the bodies of retrieved targets (Table 7 needs them).
+    /// Keep the bodies of retrieved targets (Table 7 needs them). A kept
+    /// body from a `SiteServer` is generated by its first read and holds
+    /// the site it came from alive until it is dropped.
     pub keep_target_bodies: bool,
     /// Requests the session may keep in flight at once (PR 4). `1` (the
     /// default) is the exact sequential engine; wider windows overlap

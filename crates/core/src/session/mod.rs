@@ -119,7 +119,9 @@ pub struct RetrievedTarget {
     pub url: String,
     pub mime: String,
     /// Present only when [`CrawlConfig::keep_target_bodies`] is set.
-    /// Shared bytes — cloning an outcome does not copy target payloads.
+    /// Shared bytes — cloning an outcome does not copy target payloads. A
+    /// `SiteServer` body is generated by its first read and pins its site
+    /// (see `sb_httpsim::response`).
     pub body: Option<sb_httpsim::Body>,
 }
 

@@ -9,7 +9,7 @@ use sb_webgraph::interner::UrlId;
 /// One page delivered to the serving layer (PR 9): an explicit refresh
 /// fetch, or — with [`super::CrawlConfig::serve_feed`] on — any
 /// successfully fetched HTML page or target. The body is shared
-/// ([`sb_httpsim::Body`] is an `Arc<[u8]>`), so buffering and committing
+/// ([`sb_httpsim::Body`] is `Arc`-backed), so buffering and committing
 /// into a snapshot store never copies page bytes.
 #[derive(Debug, Clone)]
 pub struct RefreshedPage {

@@ -56,7 +56,8 @@ pub struct Fetched {
     /// Redirect target, if any.
     pub location: Option<String>,
     /// The body; empty if the download was interrupted. Shared bytes —
-    /// cloning a `Fetched` does not copy the buffer.
+    /// cloning a `Fetched` does not copy the buffer. A target's body may
+    /// be deferred: nothing here reads it (see [`crate::response`]).
     pub body: Body,
     /// True when the transfer was aborted because of a block-listed MIME.
     pub interrupted: bool,

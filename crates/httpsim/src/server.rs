@@ -2,6 +2,13 @@
 //! transport, exactly as the paper's crawlers would see it — HTML pages with
 //! links, target files with their MIME types and sizes, 4xx/5xx dead URLs,
 //! and 3xx redirects with `Location` headers.
+//!
+//! HTML bodies are served ready: every crawl parses them. A target GET
+//! answers with its headers and a deferred [`Body`] (see
+//! [`crate::response`]) that generates the payload through the site's body
+//! cache when first read, so a crawl that only records a target's URL,
+//! MIME type and declared size never generates one. The body holds the
+//! site: a kept target body pins the site it came from.
 
 use crate::response::{error_response, Body, HeadResponse, Headers, Response};
 use sb_webgraph::gen::{PageKind, SiteSource, Website};
@@ -54,7 +61,8 @@ impl SiteServer {
     /// Id-keyed fast path. Bodies and sizes come from the source's shared
     /// body cache (eager: unbounded HTML; streaming: bounded), so a page is
     /// rendered by its first HEAD or GET and a HEAD of a page already sized
-    /// serves its length without touching a body.
+    /// serves its length without touching a body. A target's payload is
+    /// generated by the first read of its deferred body, not here.
     fn respond_id(&self, id: PageId, with_body: bool) -> Response {
         // Dispatch on the concrete source, so a cache miss renders through
         // its own accessors rather than through the `Arc`'s forwarding ones.
@@ -81,10 +89,11 @@ impl SiteServer {
             }
             PageKind::Target { mime, declared_size, .. } => {
                 let body = if with_body {
-                    // Deterministic payloads come from the source's shared
-                    // (budget-bounded) cache: generated once, served as an
-                    // `Arc` clone afterwards.
-                    Body::from(source.target_payload(id))
+                    // Deferred: no crawl decision reads a target's bytes,
+                    // so the payload is generated (through the source's
+                    // budget-bounded cache) only if the body is read.
+                    let site = Arc::clone(&self.source);
+                    Body::deferred(move || (*site).target_payload(id))
                 } else {
                     Body::empty()
                 };

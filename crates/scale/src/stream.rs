@@ -33,6 +33,7 @@ use sb_webgraph::gen::{build_with_store, BodyCache, PageStore, SiteSource, SiteS
 use sb_webgraph::interner::FxHashMap;
 use sb_webgraph::{fnv64, Csr, PageId, PageKind};
 use sb_webgraph::gen::{OutLink, SectionStyle, Slot};
+use std::collections::hash_map::Entry;
 
 /// Default render-body cache budget for streaming sites: 16 MiB — a few
 /// thousand typical pages, far below `O(site)`.
@@ -82,10 +83,11 @@ struct UrlIndex {
 
 impl UrlIndex {
     fn insert(&mut self, fp: u64, id: PageId) {
-        if self.map.contains_key(&fp) {
-            self.collided.push((fp, id));
-        } else {
-            self.map.insert(fp, id);
+        match self.map.entry(fp) {
+            Entry::Occupied(_) => self.collided.push((fp, id)),
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
         }
     }
 

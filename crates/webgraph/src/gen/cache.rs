@@ -10,6 +10,13 @@
 //! both body and size, so the GET that usually follows is an `Arc` clone and
 //! a later HEAD never renders again. Renders and payloads are deterministic
 //! per (seed, id), so a cached body is indistinguishable from a fresh one.
+//!
+//! The target side fills only when something reads a payload: the origin
+//! server answers a target GET with a deferred body that calls
+//! [`SiteSource::target_payload`] on its first read, and a crawl that only
+//! records a target's URL, MIME type and declared size reads none. Readers
+//! that do (structure detection, a serving store and its truth oracle, kept
+//! target bodies) generate a payload once and hit this cache after.
 
 use super::source::SiteSource;
 use super::{render, PageId, PageKind};

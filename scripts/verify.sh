@@ -120,6 +120,21 @@ cargo test -q --offline -p sb-scale --test alloc_guard_stream
 # evicted streaming page answers HEAD without rendering; a `Website`
 # mutated after serving serves fresh bytes for the page and its linkers.
 cargo test -q --offline -p sb-scale --test body_cache
+# Target payloads are generated when read, not when served: a target GET
+# answers with a deferred body. The allocation guard holds a GET of a
+# 30 kB+ target plus `declared_len`, `wire_size` and `settle_get` to under
+# 1 kB on both stores, its first read to one generation and later reads to
+# none, and a BFS crawl that keeps no bodies to an empty target cache. The
+# proptest holds every served target body of arbitrary sites (both stores,
+# every data-palette format plus doc, every cache budget) to
+# `target_payload` and the frozen generator, across racing readers.
+cargo test -q --offline -p sb-crawler --test alloc_guard_deferred
+cargo test -q --offline -p sb-crawler --test proptest_deferred_body
+# A declared Content-Length must not read the body: `unwrap_or` evaluates
+# its argument, which would generate every deferred target on the wire path.
+if grep -n "unwrap_or(self.body.len()" crates/httpsim/src/response.rs; then
+    echo "verify: declared_len reads the body eagerly" >&2; exit 1
+fi
 # A tag path is one string, built only for the links that survive (PR 24).
 # The html guard named at the top now also pins `TagPath::of` to two
 # allocations whatever the path's depth (a `to_owned()` per class fails it)
