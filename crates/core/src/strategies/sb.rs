@@ -368,19 +368,6 @@ mod tests {
         assert!(s.next(&mut rng).is_none());
     }
 
-    /// An origin no decision past the bootstrap may reach.
-    struct NoOrigin;
-
-    impl sb_httpsim::HttpServer for NoOrigin {
-        fn head(&self, url: &str) -> sb_httpsim::HeadResponse {
-            panic!("HEAD {url} past the bootstrap")
-        }
-
-        fn get(&self, url: &str) -> sb_httpsim::Response {
-            panic!("GET {url} from decide")
-        }
-    }
-
     /// URL_CONT past its bootstrap: every link routed to a fetch — a
     /// predicted target fetched now as well as a pooled HTML link — keeps
     /// the context it was predicted from until `on_fetched` trains on it
@@ -404,7 +391,7 @@ mod tests {
         let mut s = SbStrategy::with_classifier(SbConfig::default(), clf);
         let policy = sb_webgraph::mime::MimePolicy::default();
         let mut transport = sb_httpsim::PipelinedTransport::new(
-            &NoOrigin,
+            &super::super::NoOrigin,
             policy.clone(),
             sb_httpsim::Politeness::default(),
         );

@@ -50,8 +50,6 @@ pub struct TresStrategy {
     /// Cumulative simulated scoring work: frontier size at each selection.
     /// The harness converts this into the paper's per-request slowdown.
     pub rescore_work: u64,
-    /// Keyword weights ("pre-trained" — advantage ii).
-    keyword_weight: f64,
 }
 
 impl Default for TresStrategy {
@@ -62,19 +60,21 @@ impl Default for TresStrategy {
 
 impl TresStrategy {
     pub fn new() -> Self {
-        TresStrategy { frontier: Vec::new(), rescore_work: 0, keyword_weight: 1.0 }
+        TresStrategy { frontier: Vec::new(), rescore_work: 0 }
     }
 
-    fn relevance(&self, url: &str, anchor: &str) -> f64 {
+    /// Keyword relevance with calibrated ("pre-trained" — advantage ii)
+    /// weights: 2 per keyword in the anchor text, 1 per keyword in the URL.
+    fn relevance(url: &str, anchor: &str) -> f64 {
         let url_l = url.to_ascii_lowercase();
         let anchor_l = anchor.to_ascii_lowercase();
         let mut score = 0.0;
         for kw in TRES_KEYWORDS {
             if anchor_l.contains(kw) {
-                score += 2.0 * self.keyword_weight;
+                score += 2.0;
             }
             if url_l.contains(kw) {
-                score += self.keyword_weight;
+                score += 1.0;
             }
         }
         score
@@ -101,7 +101,7 @@ impl Strategy for TresStrategy {
         let mut best = 0usize;
         let mut best_score = f64::NEG_INFINITY;
         for (i, node) in self.frontier.iter().enumerate() {
-            let s = self.relevance(&node.url, &node.anchor) + 0.5 * node.parent_relevance;
+            let s = Self::relevance(&node.url, &node.anchor) + 0.5 * node.parent_relevance;
             if s > best_score {
                 best_score = s;
                 best = i;
@@ -118,7 +118,7 @@ impl Strategy for TresStrategy {
             UrlClass::Target => LinkDecision::FetchNow,
             UrlClass::Neither => LinkDecision::Skip,
             UrlClass::Html => {
-                let parent_relevance = self.relevance(link.url_str, &link.html.anchor_text);
+                let parent_relevance = Self::relevance(link.url_str, &link.html.anchor_text);
                 self.frontier.push(FrontierNode {
                     id: link.id,
                     url: link.url_str.to_owned(),
@@ -147,9 +147,8 @@ mod tests {
 
     #[test]
     fn relevance_prefers_download_anchors() {
-        let s = TresStrategy::new();
-        let hot = s.relevance("https://a.com/files/report.pdf", "Download PDF");
-        let cold = s.relevance("https://a.com/about-us", "Our team");
+        let hot = TresStrategy::relevance("https://a.com/files/report.pdf", "Download PDF");
+        let cold = TresStrategy::relevance("https://a.com/about-us", "Our team");
         assert!(hot > cold);
     }
 

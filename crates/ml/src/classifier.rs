@@ -1,11 +1,13 @@
-//! The online URL classifier of Algorithm 2.
+//! The online URL classifier of Algorithm 2: a feature set plus one
+//! [`Model`].
 //!
 //! Life cycle, exactly as the paper describes:
 //!
-//! 1. **Initial training phase** — the crawler labels the first `b` URLs via
-//!    HTTP HEAD requests ([`UrlClassifier::in_initial_phase`] tells the
-//!    caller to do so) and feeds them in with [`UrlClassifier::observe`].
-//! 2. Once a full batch is collected, the model trains incrementally and the
+//! 1. **Initial training phase** — until the model's first training, the
+//!    crawler labels URLs via HTTP HEAD requests
+//!    ([`UrlClassifier::in_initial_phase`] tells the caller to do so) and
+//!    feeds them in with [`UrlClassifier::observe`].
+//! 2. Once `b` labels are collected, the model trains incrementally and the
 //!    initial phase ends: classes are now inferred for free.
 //! 3. **Online training** — every later HTTP GET yields an annotated
 //!    (URL, class) pair, observed the same way; each full batch triggers
@@ -17,7 +19,7 @@
 //! crawl (Sec 3.3), while misclassifying a dead URL only wastes one request.
 
 use crate::features::{featurize, FeatureInput, FeatureSet, SparseVec};
-use crate::models::{ModelKind, OnlineBinaryModel};
+use crate::models::{Model, ModelKind};
 
 /// The two predictable classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,15 +28,10 @@ pub enum Class2 {
     Target,
 }
 
-/// Algorithm 2's classifier `C` with its batch buffer `(X, y)`.
+/// Algorithm 2's classifier `C` over one feature set.
 pub struct UrlClassifier {
-    model: Box<dyn OnlineBinaryModel>,
     feature_set: FeatureSet,
-    batch: Vec<(SparseVec, bool)>,
-    batch_size: usize,
-    initial_phase: bool,
-    observed: u64,
-    trainings: u64,
+    model: Model,
 }
 
 impl UrlClassifier {
@@ -44,35 +41,27 @@ impl UrlClassifier {
     }
 
     pub fn new(kind: ModelKind, feature_set: FeatureSet, batch_size: usize) -> Self {
-        assert!(batch_size >= 1, "batch size b must be positive");
-        UrlClassifier {
-            model: kind.build(feature_set.dim()),
-            feature_set,
-            batch: Vec::with_capacity(batch_size),
-            batch_size,
-            initial_phase: true,
-            observed: 0,
-            trainings: 0,
-        }
+        UrlClassifier { feature_set, model: Model::new(kind, feature_set.dim(), batch_size) }
     }
 
     pub fn feature_set(&self) -> FeatureSet {
         self.feature_set
     }
 
-    /// While true, the caller must obtain labels via HTTP HEAD (paying the
-    /// cost `c(u)`) instead of calling [`UrlClassifier::predict`].
+    /// True until the model's first training. While true, the caller must
+    /// obtain labels via HTTP HEAD (paying the cost `c(u)`) instead of
+    /// calling [`UrlClassifier::predict`].
     pub fn in_initial_phase(&self) -> bool {
-        self.initial_phase
+        self.model.trainings() == 0
     }
 
     /// Number of completed incremental trainings.
     pub fn trainings(&self) -> u64 {
-        self.trainings
+        self.model.trainings()
     }
 
     pub fn observed(&self) -> u64 {
-        self.observed
+        self.model.observed()
     }
 
     /// Adds an annotated (URL, class) pair to `(X, y)`; trains when the
@@ -80,23 +69,14 @@ impl UrlClassifier {
     /// phase and from GET responses afterwards — either way at the caller's
     /// initiative, so this method is cost-free.
     pub fn observe(&mut self, input: &FeatureInput<'_>, class: Class2) {
-        let x = featurize(self.feature_set, input);
-        self.batch.push((x, class == Class2::Target));
-        self.observed += 1;
-        if self.batch.len() >= self.batch_size {
-            self.model.train_batch(&self.batch);
-            self.batch.clear();
-            self.trainings += 1;
-            self.initial_phase = false;
-        }
+        self.model.observe(featurize(self.feature_set, input), class == Class2::Target);
     }
 
     /// Infers the class of a URL. Valid once the initial phase is over; if
     /// called before, it answers from the untrained model (callers in this
     /// repo always bootstrap first, as Algorithm 2 requires).
     pub fn predict(&self, input: &FeatureInput<'_>) -> Class2 {
-        let x = featurize(self.feature_set, input);
-        if self.model.predict_target(&x) {
+        if self.predict_score(input) > 0.0 {
             Class2::Target
         } else {
             Class2::Html
@@ -105,7 +85,7 @@ impl UrlClassifier {
 
     /// The model's raw decision value for a URL (positive ⇒ Target);
     /// [`UrlClassifier::predict`] is `predict_score > 0`. Ranking
-    /// strategies (PR 10's value-driven frontier) use this to order
+    /// strategies (the value-driven frontier) use this to order
     /// candidates by confidence rather than by hard class.
     pub fn predict_score(&self, input: &FeatureInput<'_>) -> f32 {
         self.score_features(&self.featurize(input))
@@ -122,7 +102,7 @@ impl UrlClassifier {
     /// [`UrlClassifier::featurize`]: one sparse dot product. The answer
     /// changes only when [`UrlClassifier::trainings`] advances.
     pub fn score_features(&self, x: &SparseVec) -> f32 {
-        self.model.predict_score(x)
+        self.model.score(x)
     }
 }
 

@@ -1,32 +1,29 @@
-//! Online binary classifiers (Sec 4.6): logistic regression (the default),
-//! linear SVM, multinomial naive Bayes, and passive-aggressive — all
-//! lightweight, batch-incremental models; "deep approaches whose cost would
-//! shift the bottleneck from network latency to local CPU/GPU time" are
-//! deliberately out of scope, as in the paper.
+//! The online binary classifier of Algorithm 2 (Sec 4.6): one learner that
+//! buffers labelled feature vectors and trains on every full mini-batch of
+//! `b`. Its four kinds — logistic regression (the default), linear SVM,
+//! multinomial naive Bayes and passive-aggressive — differ only in the
+//! update rule a batch runs and, for naive Bayes, in the per-class counts
+//! it scores from. All are lightweight and batch-incremental; "deep
+//! approaches whose cost would shift the bottleneck from network latency
+//! to local CPU/GPU time" are deliberately out of scope, as in the paper.
 //!
 //! Convention: the positive class is **Target**, the negative class is
-//! **HTML**. `predict_score > 0` ⇒ Target.
+//! **HTML**. [`Model::score`] `> 0` ⇒ Target.
 
 use crate::features::SparseVec;
 
-/// A binary classifier trainable on mini-batches (Algorithm 2's `C`).
-pub trait OnlineBinaryModel: Send {
-    /// Decision value; positive ⇒ Target.
-    fn predict_score(&self, x: &SparseVec) -> f32;
+/// SGD step size of LR and SVM.
+const LEARNING_RATE: f32 = 0.5;
+/// L2 penalty of LR and SVM.
+const L2: f32 = 1e-6;
+/// Passes LR and SVM make over each batch.
+const EPOCHS: usize = 2;
+/// PA-I's aggressiveness cap on the step `τ`.
+const PA_C: f32 = 1.0;
+/// NB's Laplace smoothing.
+const NB_ALPHA: f64 = 0.1;
 
-    /// One incremental training step on a labelled batch
-    /// (`true` = Target).
-    fn train_batch(&mut self, batch: &[(SparseVec, bool)]);
-
-    /// Has at least one batch been seen?
-    fn trained(&self) -> bool;
-
-    fn predict_target(&self, x: &SparseVec) -> bool {
-        self.predict_score(x) > 0.0
-    }
-}
-
-/// Which model to instantiate (Table 5 variants).
+/// Which update rule a [`Model`] runs (Table 5 variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     LogisticRegression,
@@ -51,221 +48,163 @@ impl ModelKind {
             ModelKind::PassiveAggressive => "PA",
         }
     }
-
-    /// Builds a model for feature dimension `dim`.
-    pub fn build(self, dim: usize) -> Box<dyn OnlineBinaryModel> {
-        match self {
-            ModelKind::LogisticRegression => Box::new(LogReg::new(dim)),
-            ModelKind::LinearSvm => Box::new(LinearSvm::new(dim)),
-            ModelKind::NaiveBayes => Box::new(NaiveBayes::new(dim)),
-            ModelKind::PassiveAggressive => Box::new(PassiveAggressive::new(dim)),
-        }
-    }
 }
 
-// ----------------------------------------------------------------------
-// Logistic regression (SGD) — Algorithm 2's default classifier
-// ----------------------------------------------------------------------
-
-/// Binary logistic regression trained by mini-batch SGD [8, 32].
-pub struct LogReg {
+/// Algorithm 2's classifier `C` with its batch buffer `(X, y)`: labels
+/// accumulate until `b` of them are buffered, then one incremental
+/// training step runs over the batch and the buffer empties.
+pub struct Model {
+    kind: ModelKind,
+    /// LR, SVM and PA: the weights and bias of one linear decision function
+    /// (empty under NB).
     w: Vec<f32>,
     bias: f32,
-    lr: f32,
-    l2: f32,
-    epochs: usize,
-    batches: u64,
-}
-
-impl LogReg {
-    pub fn new(dim: usize) -> Self {
-        LogReg { w: vec![0.0; dim], bias: 0.0, lr: 0.5, l2: 1e-6, epochs: 2, batches: 0 }
-    }
+    /// NB: per-class feature mass, its total and the class's label count
+    /// (empty under the other kinds).
+    counts: [Vec<f64>; 2],
+    totals: [f64; 2],
+    docs: [f64; 2],
+    batch: Vec<(SparseVec, bool)>,
+    batch_size: usize,
+    trainings: u64,
 }
 
 fn sigmoid(z: f32) -> f32 {
     1.0 / (1.0 + (-z).exp())
 }
 
-impl OnlineBinaryModel for LogReg {
-    fn predict_score(&self, x: &SparseVec) -> f32 {
-        x.dot_dense(&self.w) + self.bias
-    }
-
-    fn train_batch(&mut self, batch: &[(SparseVec, bool)]) {
-        for _ in 0..self.epochs {
-            for (x, y) in batch {
-                let p = sigmoid(x.dot_dense(&self.w) + self.bias);
-                let g = p - if *y { 1.0 } else { 0.0 };
-                for &(i, v) in &x.items {
-                    let wi = &mut self.w[i as usize];
-                    *wi -= self.lr * (g * v + self.l2 * *wi);
-                }
-                self.bias -= self.lr * g;
-            }
-        }
-        self.batches += 1;
-    }
-
-    fn trained(&self) -> bool {
-        self.batches > 0
-    }
-}
-
-// ----------------------------------------------------------------------
-// Linear SVM (hinge loss, SGD)
-// ----------------------------------------------------------------------
-
-/// Linear SVM trained with sub-gradient steps on the hinge loss.
-pub struct LinearSvm {
-    w: Vec<f32>,
-    bias: f32,
-    lr: f32,
-    l2: f32,
-    epochs: usize,
-    batches: u64,
-}
-
-impl LinearSvm {
-    pub fn new(dim: usize) -> Self {
-        LinearSvm { w: vec![0.0; dim], bias: 0.0, lr: 0.5, l2: 1e-6, epochs: 2, batches: 0 }
-    }
-}
-
-impl OnlineBinaryModel for LinearSvm {
-    fn predict_score(&self, x: &SparseVec) -> f32 {
-        x.dot_dense(&self.w) + self.bias
-    }
-
-    fn train_batch(&mut self, batch: &[(SparseVec, bool)]) {
-        for _ in 0..self.epochs {
-            for (x, y) in batch {
-                let yy = if *y { 1.0f32 } else { -1.0 };
-                let z = x.dot_dense(&self.w) + self.bias;
-                if yy * z < 1.0 {
-                    for &(i, v) in &x.items {
-                        let wi = &mut self.w[i as usize];
-                        *wi += self.lr * (yy * v - self.l2 * *wi);
-                    }
-                    self.bias += self.lr * yy;
-                } else {
-                    for &(i, _) in &x.items {
-                        let wi = &mut self.w[i as usize];
-                        *wi -= self.lr * self.l2 * *wi;
-                    }
-                }
-            }
-        }
-        self.batches += 1;
-    }
-
-    fn trained(&self) -> bool {
-        self.batches > 0
-    }
-}
-
-// ----------------------------------------------------------------------
-// Multinomial naive Bayes
-// ----------------------------------------------------------------------
-
-/// Multinomial NB with Laplace smoothing; incremental by construction.
-pub struct NaiveBayes {
-    /// Per-class feature mass.
-    counts: [Vec<f64>; 2],
-    totals: [f64; 2],
-    docs: [f64; 2],
-    alpha: f64,
-    batches: u64,
-}
-
-impl NaiveBayes {
-    pub fn new(dim: usize) -> Self {
-        NaiveBayes {
-            counts: [vec![0.0; dim], vec![0.0; dim]],
+impl Model {
+    /// An untrained `kind` model over feature dimension `dim` that trains
+    /// once per `batch_size` labels.
+    pub fn new(kind: ModelKind, dim: usize, batch_size: usize) -> Self {
+        assert!(batch_size >= 1, "batch size b must be positive");
+        let (w, counts) = match kind {
+            ModelKind::NaiveBayes => (Vec::new(), [vec![0.0; dim], vec![0.0; dim]]),
+            _ => (vec![0.0; dim], [Vec::new(), Vec::new()]),
+        };
+        Model {
+            kind,
+            w,
+            bias: 0.0,
+            counts,
             totals: [0.0; 2],
             docs: [0.0; 2],
-            alpha: 0.1,
-            batches: 0,
+            batch: Vec::with_capacity(batch_size),
+            batch_size,
+            trainings: 0,
+        }
+    }
+
+    /// Number of completed incremental trainings.
+    pub fn trainings(&self) -> u64 {
+        self.trainings
+    }
+
+    /// Labels observed so far: the trained batches plus the pending one.
+    pub(crate) fn observed(&self) -> u64 {
+        self.trainings * self.batch_size as u64 + self.batch.len() as u64
+    }
+
+    /// Decision value; positive ⇒ Target. An untrained linear model scores
+    /// every vector `0.0`.
+    pub fn score(&self, x: &SparseVec) -> f32 {
+        match self.kind {
+            ModelKind::NaiveBayes => (self.log_likelihood(x, 1) - self.log_likelihood(x, 0)) as f32,
+            _ => x.dot_dense(&self.w) + self.bias,
         }
     }
 
     fn log_likelihood(&self, x: &SparseVec, class: usize) -> f64 {
         let dim = self.counts[class].len() as f64;
-        let denom = (self.totals[class] + self.alpha * dim).ln();
+        let denom = (self.totals[class] + NB_ALPHA * dim).ln();
         let prior = ((self.docs[class] + 1.0) / (self.docs[0] + self.docs[1] + 2.0)).ln();
         let mut ll = prior;
         for &(i, v) in &x.items {
-            let p = (self.counts[class][i as usize] + self.alpha).ln() - denom;
+            let p = (self.counts[class][i as usize] + NB_ALPHA).ln() - denom;
             ll += f64::from(v) * p;
         }
         ll
     }
-}
 
-impl OnlineBinaryModel for NaiveBayes {
-    fn predict_score(&self, x: &SparseVec) -> f32 {
-        (self.log_likelihood(x, 1) - self.log_likelihood(x, 0)) as f32
-    }
-
-    fn train_batch(&mut self, batch: &[(SparseVec, bool)]) {
-        for (x, y) in batch {
-            let c = usize::from(*y);
-            self.docs[c] += 1.0;
-            for &(i, v) in &x.items {
-                self.counts[c][i as usize] += f64::from(v);
-                self.totals[c] += f64::from(v);
-            }
+    /// Adds one labelled vector (`target` = Target) to `(X, y)` and trains
+    /// when the batch is full.
+    pub fn observe(&mut self, x: SparseVec, target: bool) {
+        self.batch.push((x, target));
+        if self.batch.len() >= self.batch_size {
+            self.train_batch();
+            self.batch.clear();
+            self.trainings += 1;
         }
-        self.batches += 1;
     }
 
-    fn trained(&self) -> bool {
-        self.batches > 0
-    }
-}
-
-// ----------------------------------------------------------------------
-// Passive-aggressive (PA-I) [49]
-// ----------------------------------------------------------------------
-
-/// Online passive-aggressive classifier, PA-I variant.
-pub struct PassiveAggressive {
-    w: Vec<f32>,
-    bias: f32,
-    c: f32,
-    batches: u64,
-}
-
-impl PassiveAggressive {
-    pub fn new(dim: usize) -> Self {
-        PassiveAggressive { w: vec![0.0; dim], bias: 0.0, c: 1.0, batches: 0 }
-    }
-}
-
-impl OnlineBinaryModel for PassiveAggressive {
-    fn predict_score(&self, x: &SparseVec) -> f32 {
-        x.dot_dense(&self.w) + self.bias
-    }
-
-    fn train_batch(&mut self, batch: &[(SparseVec, bool)]) {
-        for (x, y) in batch {
-            let yy = if *y { 1.0f32 } else { -1.0 };
-            let z = x.dot_dense(&self.w) + self.bias;
-            let loss = (1.0 - yy * z).max(0.0);
-            if loss > 0.0 {
-                let norm = x.norm_sq() + 1.0; // +1 for the bias feature
-                let tau = (loss / norm).min(self.c);
-                for &(i, v) in &x.items {
-                    self.w[i as usize] += tau * yy * v;
+    /// One incremental training step on the buffered batch.
+    fn train_batch(&mut self) {
+        let Model { kind, w, bias, counts, totals, docs, batch, .. } = self;
+        match kind {
+            // Mini-batch SGD on the log loss [8, 32].
+            ModelKind::LogisticRegression => {
+                for _ in 0..EPOCHS {
+                    for (x, y) in batch.iter() {
+                        let p = sigmoid(x.dot_dense(w) + *bias);
+                        let g = p - if *y { 1.0 } else { 0.0 };
+                        for &(i, v) in &x.items {
+                            let wi = &mut w[i as usize];
+                            *wi -= LEARNING_RATE * (g * v + L2 * *wi);
+                        }
+                        *bias -= LEARNING_RATE * g;
+                    }
                 }
-                self.bias += tau * yy;
+            }
+            // Sub-gradient steps on the hinge loss.
+            ModelKind::LinearSvm => {
+                for _ in 0..EPOCHS {
+                    for (x, y) in batch.iter() {
+                        let yy = if *y { 1.0f32 } else { -1.0 };
+                        let z = x.dot_dense(w) + *bias;
+                        if yy * z < 1.0 {
+                            for &(i, v) in &x.items {
+                                let wi = &mut w[i as usize];
+                                *wi += LEARNING_RATE * (yy * v - L2 * *wi);
+                            }
+                            *bias += LEARNING_RATE * yy;
+                        } else {
+                            for &(i, _) in &x.items {
+                                let wi = &mut w[i as usize];
+                                *wi -= LEARNING_RATE * L2 * *wi;
+                            }
+                        }
+                    }
+                }
+            }
+            // Multinomial counts with Laplace smoothing; incremental by
+            // construction.
+            ModelKind::NaiveBayes => {
+                for (x, y) in batch.iter() {
+                    let c = usize::from(*y);
+                    docs[c] += 1.0;
+                    for &(i, v) in &x.items {
+                        counts[c][i as usize] += f64::from(v);
+                        totals[c] += f64::from(v);
+                    }
+                }
+            }
+            // Passive-aggressive, PA-I variant [49].
+            ModelKind::PassiveAggressive => {
+                for (x, y) in batch.iter() {
+                    let yy = if *y { 1.0f32 } else { -1.0 };
+                    let z = x.dot_dense(w) + *bias;
+                    let loss = (1.0 - yy * z).max(0.0);
+                    if loss > 0.0 {
+                        let norm = x.norm_sq() + 1.0; // +1 for the bias feature
+                        let tau = (loss / norm).min(PA_C);
+                        for &(i, v) in &x.items {
+                            w[i as usize] += tau * yy * v;
+                        }
+                        *bias += tau * yy;
+                    }
+                }
             }
         }
-        self.batches += 1;
-    }
-
-    fn trained(&self) -> bool {
-        self.batches > 0
     }
 }
 
@@ -291,12 +230,24 @@ mod tests {
         batch
     }
 
-    fn accuracy(model: &dyn OnlineBinaryModel) -> f64 {
+    /// Observes every label of `batch`: one training when `model`'s batch
+    /// size is `batch.len()`.
+    fn train(model: &mut Model, batch: &[(SparseVec, bool)]) {
+        for (x, y) in batch {
+            model.observe(x.clone(), *y);
+        }
+    }
+
+    fn predict_target(model: &Model, x: &SparseVec) -> bool {
+        model.score(x) > 0.0
+    }
+
+    fn accuracy(model: &Model) -> f64 {
         let mut right = 0;
         let mut total = 0;
         for i in 100..140 {
-            let t = model.predict_target(&vec_of(&format!("https://a.com/files/extra-{i}.csv")));
-            let h = model.predict_target(&vec_of(&format!("https://a.com/pages/extra-{i}.html")));
+            let t = predict_target(model, &vec_of(&format!("https://a.com/files/extra-{i}.csv")));
+            let h = predict_target(model, &vec_of(&format!("https://a.com/pages/extra-{i}.html")));
             right += usize::from(t) + usize::from(!h);
             total += 2;
         }
@@ -306,13 +257,14 @@ mod tests {
     #[test]
     fn all_models_learn_separable_urls() {
         for kind in ModelKind::ALL {
-            let mut model = kind.build(FeatureSet::UrlOnly.dim());
-            assert!(!model.trained());
+            let batch = separable_batch(10);
+            let mut model = Model::new(kind, FeatureSet::UrlOnly.dim(), batch.len());
+            assert!(model.trainings() == 0);
             for _ in 0..4 {
-                model.train_batch(&separable_batch(10));
+                train(&mut model, &batch);
             }
-            assert!(model.trained());
-            let acc = accuracy(model.as_ref());
+            assert!(model.trainings() > 0);
+            let acc = accuracy(&model);
             assert!(acc >= 0.9, "{} accuracy {acc}", kind.short_name());
         }
     }
@@ -320,19 +272,21 @@ mod tests {
     #[test]
     fn untrained_models_do_not_crash() {
         for kind in ModelKind::ALL {
-            let model = kind.build(FeatureSet::UrlOnly.dim());
-            let _ = model.predict_target(&vec_of("https://a.com/x.csv"));
+            let model = Model::new(kind, FeatureSet::UrlOnly.dim(), 10);
+            let _ = predict_target(&model, &vec_of("https://a.com/x.csv"));
         }
     }
 
     #[test]
     fn logreg_score_is_margin_like() {
-        let mut m = LogReg::new(FeatureSet::UrlOnly.dim());
+        let batch = separable_batch(10);
+        let mut m =
+            Model::new(ModelKind::LogisticRegression, FeatureSet::UrlOnly.dim(), batch.len());
         for _ in 0..4 {
-            m.train_batch(&separable_batch(10));
+            train(&mut m, &batch);
         }
-        let st = m.predict_score(&vec_of("https://a.com/files/x.csv"));
-        let sh = m.predict_score(&vec_of("https://a.com/pages/x.html"));
+        let st = m.score(&vec_of("https://a.com/files/x.csv"));
+        let sh = m.score(&vec_of("https://a.com/pages/x.html"));
         assert!(st > sh);
     }
 
@@ -341,27 +295,29 @@ mod tests {
         // Training NB on two half-batches equals one full batch.
         let full = separable_batch(6);
         let (a, b) = full.split_at(12);
-        let mut m1 = NaiveBayes::new(FeatureSet::UrlOnly.dim());
-        m1.train_batch(&full);
-        let mut m2 = NaiveBayes::new(FeatureSet::UrlOnly.dim());
-        m2.train_batch(a);
-        m2.train_batch(b);
+        let mut m1 = Model::new(ModelKind::NaiveBayes, FeatureSet::UrlOnly.dim(), full.len());
+        train(&mut m1, &full);
+        let mut m2 = Model::new(ModelKind::NaiveBayes, FeatureSet::UrlOnly.dim(), a.len());
+        train(&mut m2, a);
+        train(&mut m2, b);
+        assert_eq!((m1.trainings(), m2.trainings()), (1, 2));
         let x = vec_of("https://a.com/files/probe.csv");
-        assert!((m1.predict_score(&x) - m2.predict_score(&x)).abs() < 1e-4);
+        assert!((m1.score(&x) - m2.score(&x)).abs() < 1e-4);
     }
 
     #[test]
     fn pa_only_updates_on_margin_violation() {
-        let mut m = PassiveAggressive::new(FeatureSet::UrlOnly.dim());
         let batch = separable_batch(10);
+        let mut m =
+            Model::new(ModelKind::PassiveAggressive, FeatureSet::UrlOnly.dim(), batch.len());
         for _ in 0..6 {
-            m.train_batch(&batch);
+            train(&mut m, &batch);
         }
         // After convergence, the same batch produces (almost) no change.
         let x = vec_of("https://a.com/files/probe.csv");
-        let before = m.predict_score(&x);
-        m.train_batch(&batch);
-        let after = m.predict_score(&x);
+        let before = m.score(&x);
+        train(&mut m, &batch);
+        let after = m.score(&x);
         assert!((before - after).abs() < 0.35, "before {before}, after {after}");
     }
 }

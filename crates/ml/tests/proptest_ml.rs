@@ -1,5 +1,7 @@
 //! Property tests for the feature pipeline and the online models.
 
+mod oracle;
+
 use proptest::prelude::*;
 use sb_ml::features::{featurize, FeatureInput, FeatureSet};
 use sb_ml::metrics::{Class3, Confusion};
@@ -43,7 +45,60 @@ fn arb_text() -> impl Strategy<Value = String> {
     "|[a-c/.]|[a-c/.?=01]{0,60}|(ab|日本|é|/|[0-9]){0,24}|.{0,80}"
 }
 
+/// URLs from a few target-like and HTML-like families over a small
+/// alphabet, so bigrams recur across links and every update rule sees
+/// both margins, plus arbitrary text.
+fn arb_url() -> impl Strategy<Value = String> {
+    "https://a\\.com/(files|pages|dl)/[a-c0-9/.?=-]{0,30}(\\.csv|\\.html|/|)|.{0,40}"
+}
+
 proptest! {
+    /// `Model` replays the frozen model structs and the classifier that
+    /// drove them: after every label, on every kind, both feature sets and
+    /// batch sizes 1–40, each link of the sequence scores the same bits,
+    /// and trainings, the initial phase and the observation count agree.
+    #[test]
+    fn classifier_replays_the_frozen_model_structs(
+        kind_idx in 0usize..4,
+        url_content in any::<bool>(),
+        batch_size in 1usize..=40,
+        links in proptest::collection::vec(
+            (arb_url(), arb_text(), arb_text(), arb_text(), any::<bool>()),
+            0..160,
+        ),
+    ) {
+        let kind = ModelKind::ALL[kind_idx];
+        let set = if url_content { FeatureSet::UrlContent } else { FeatureSet::UrlOnly };
+        let mut clf = UrlClassifier::new(kind, set, batch_size);
+        let mut frozen = oracle::UrlClassifier::new(kind, set, batch_size);
+        let inputs: Vec<FeatureInput<'_>> = links
+            .iter()
+            .map(|(url, anchor, dom_path, surrounding, _)| FeatureInput {
+                url,
+                anchor,
+                dom_path,
+                surrounding,
+            })
+            .collect();
+        let features: Vec<_> = inputs.iter().map(|input| clf.featurize(input)).collect();
+        for (step, (input, link)) in inputs.iter().zip(&links).enumerate() {
+            let class = if link.4 { Class2::Target } else { Class2::Html };
+            clf.observe(input, class);
+            frozen.observe(input, class);
+            prop_assert_eq!(clf.trainings(), frozen.trainings(), "step {}", step);
+            prop_assert_eq!(clf.in_initial_phase(), frozen.in_initial_phase(), "step {}", step);
+            prop_assert_eq!(clf.observed(), frozen.observed(), "step {}", step);
+            for (i, x) in features.iter().enumerate() {
+                prop_assert_eq!(
+                    clf.score_features(x).to_bits(),
+                    frozen.score_features(x).to_bits(),
+                    "step {}, link {}", step, i
+                );
+            }
+        }
+        prop_assert_eq!(clf.observed(), links.len() as u64);
+    }
+
     /// The sort-and-count kernel is the map-counting one, item for item and
     /// bit for bit, on both feature sets and all four `UrlContent` blocks.
     #[test]

@@ -64,6 +64,16 @@ cargo test -q --offline -p sb-crawler --lib strategies::value::tests::a_steady_p
 cargo test -q --offline -p sb-crawler --lib strategies::value::tests::overwriting_a_ring_slot_forgets_its_old_sketch
 cargo test -q --offline -p sb-crawler --test alloc_guard_value
 cargo test -q --offline -p sb-ml --test proptest_ml featurize_matches_the_map_counting_reference
+# The online classifiers are one learner: `sb_ml::Model` picks its update
+# rule by `ModelKind` and owns the batch buffer and the one trainings
+# counter that the URL classifier's initial phase and observation count
+# derive from; FOCUSED holds one too. What licenses it is the frozen
+# `OnlineBinaryModel` trait, its four model structs and the classifier that
+# drove them under crates/ml/tests/oracle/: the differential holds every
+# score bit for bit, and trainings, initial phase and observation count,
+# after every label of arbitrary labelled sequences (every kind, both
+# feature sets, b = 1–40).
+cargo test -q --offline -p sb-ml --test proptest_ml classifier_replays_the_frozen_model_structs
 # The near-dup check is a gather: the ring of fetched sketches is stored
 # bucket-major (`sb_ann::SketchRing`) and each candidate keeps its
 # projection. A write clears only the rows its slot's old vector held. The
@@ -90,6 +100,10 @@ if grep -rn -e "trait Policy" -e "struct ArmView" -e "BanditChoice" -e "AnyPolic
         -e "struct Auer" -e "struct Ucb1" -e "struct EpsilonGreedy" -e "struct ThompsonSampling" \
         crates/*/src; then
     echo "verify: a second way to pick an arm reappeared" >&2; exit 1
+fi
+if grep -rn -e "trait OnlineBinaryModel" -e "dyn OnlineBinaryModel" -e "struct LogReg" crates/*/src \
+    | grep -v "^crates/bench/"; then
+    echo "verify: a second online learner reappeared" >&2; exit 1
 fi
 # Link admission resolves once and hashes once (PR 19). The webgraph
 # proptest licenses the session's scratch `Url`: `join_into`/`parse_into`
