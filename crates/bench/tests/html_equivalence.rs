@@ -375,3 +375,138 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Scan exits: pages built so that every scan of the tokenizer stops at each
+// of its boundaries, and every flag it raises sits on a run's first or last
+// byte.
+// ---------------------------------------------------------------------------
+
+/// What a run may start and end with: the entities and the bare `&` that
+/// raise the decode flag, multi-byte characters, an uppercase letter, or
+/// nothing.
+const EDGES: [&str; 7] = ["&amp;", "&#x41;", "&", "é", "日", "X", ""];
+/// What a run may hold between its edges.
+const MIDDLES: [&str; 4] = ["", "q", "a b", "本&lt;"];
+/// Tag names, some ending in an uppercase byte.
+const TAG_NAMES: [&str; 5] = ["a", "diV", "LI", "p", "spaN"];
+/// Attribute names, some ending in an uppercase byte.
+const ATTR_NAMES: [&str; 5] = ["href", "hreF", "CLASS", "data-X", "tïtle"];
+const QUOTES: [&str; 3] = ["\"", "'", ""];
+/// How a start tag ends: closed, self-closed, after a space, or never.
+const TAG_ENDS: [&str; 4] = [">", "/>", " >", ""];
+const RAW_OPENS: [&str; 3] = ["<script>", "<STYLE>", "<Script type=x>"];
+/// Raw-text bodies holding a `<`, a close-tag prefix, or a close tag with
+/// no `>` before more text.
+const RAW_BODIES: [&str; 5] = ["<", "</scr", "</SCRIPT ", "a < b", "é<"];
+/// Raw-text closes; the empty one leaves the element open, up to a later
+/// close or the end of the page.
+const RAW_CLOSES: [&str; 4] = ["</script>", "</STYLE >", "</SCRIPT ", ""];
+/// Multi-byte characters against `<`, `&` and quotes.
+const MULTIBYTE: [&str; 8] = ["é<", "<é", "&é", "é&", "\"é", "é'", "<日", "'日\""];
+
+/// One page item per tuple: a text run, a start tag with a valued or a bare
+/// attribute, an end tag, a raw-text element or a multi-byte pair. The
+/// other five numbers pick its pieces.
+fn scan_edge_page(items: &[(u8, u8, u8, u8, u8, u8)]) -> String {
+    fn pick(list: &[&'static str], i: u8) -> &'static str {
+        list[usize::from(i) % list.len()]
+    }
+    let mut page = String::new();
+    for &(kind, a, b, c, d, e) in items {
+        let run = [pick(&EDGES, a), pick(&MIDDLES, b), pick(&EDGES, c)].concat();
+        let piece = match kind % 6 {
+            0 => run,
+            1 => {
+                let (name, attr) = (pick(&TAG_NAMES, e), pick(&ATTR_NAMES, b));
+                let (q, end) = (pick(&QUOTES, d), pick(&TAG_ENDS, a));
+                format!("<{name} {attr}={q}{run}{q}{end}")
+            }
+            2 => {
+                let (name, attr) = (pick(&TAG_NAMES, a), pick(&ATTR_NAMES, b));
+                format!("<{name} {attr}{}", pick(&TAG_ENDS, c))
+            }
+            3 => format!("</{}>", pick(&TAG_NAMES, a)),
+            4 => {
+                let (open, close) = (pick(&RAW_OPENS, a), pick(&RAW_CLOSES, d));
+                [open, pick(&RAW_BODIES, b), pick(&RAW_BODIES, c), close].concat()
+            }
+            _ => pick(&MULTIBYTE, a).to_owned(),
+        };
+        page.push_str(&piece);
+    }
+    page
+}
+
+/// `body_str` is the lossy decoding, borrowed exactly when that is.
+fn assert_body_str_is_lossy(bytes: &[u8]) -> String {
+    let (fast, lossy) = (sb_html::body_str(bytes), String::from_utf8_lossy(bytes));
+    assert_eq!(fast, lossy, "body_str differs on {bytes:?}");
+    assert_eq!(
+        matches!(fast, std::borrow::Cow::Borrowed(_)),
+        matches!(lossy, std::borrow::Cow::Borrowed(_)),
+        "body_str borrows differently on {bytes:?}"
+    );
+    fast.into_owned()
+}
+
+#[test]
+fn scan_edge_vocabulary_reaches_every_boundary() {
+    // Pinned: each named boundary appears in a page this vocabulary builds,
+    // and the two pipelines agree on it.
+    for page in [
+        scan_edge_page(&[(1, 0, 0, 0, 0, 0), (0, 2, 0, 1, 0, 0)]),
+        scan_edge_page(&[(1, 2, 1, 2, 1, 1), (3, 1, 0, 0, 0, 0)]),
+        scan_edge_page(&[(1, 1, 0, 1, 2, 2), (2, 1, 3, 0, 0, 0)]),
+        scan_edge_page(&[(4, 0, 0, 2, 3, 0)]),
+        scan_edge_page(&[(4, 0, 1, 0, 3, 0)]),
+        scan_edge_page(&[(4, 1, 1, 4, 1, 0), (5, 0, 0, 0, 0, 0)]),
+    ] {
+        assert_pipeline_eq(&page);
+    }
+    assert_eq!(
+        scan_edge_page(&[(1, 0, 0, 0, 0, 0), (0, 2, 0, 1, 0, 0)]),
+        "<a href=\"&amp;&amp;\">&&#x41;"
+    );
+    assert_eq!(
+        scan_edge_page(&[(1, 1, 0, 1, 2, 2), (2, 1, 3, 0, 0, 0)]),
+        "<LI href=&#x41;&#x41;/><diV data-X>"
+    );
+    assert_eq!(scan_edge_page(&[(4, 0, 0, 2, 3, 0)]), "<script><</SCRIPT ");
+    assert_eq!(scan_edge_page(&[(4, 0, 1, 0, 3, 0)]), "<script></scr<");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every scan exit of the tokenizer, against the seed: tokens, DOMs
+    /// and links are equal.
+    #[test]
+    fn scan_exits_match_the_seed(
+        items in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            0..24,
+        )
+    ) {
+        assert_pipeline_eq(&scan_edge_page(&items));
+    }
+
+    /// The same pages as bytes, valid or broken by one stray byte: the
+    /// decoded body is the lossy decoding in value and in borrowed-ness,
+    /// and both pipelines agree on it.
+    #[test]
+    fn body_str_matches_lossy_decoding_on_scan_edge_pages(
+        items in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            0..16,
+        ),
+        stray in (any::<bool>(), any::<u8>(), 0usize..4096),
+    ) {
+        let mut bytes = scan_edge_page(&items).into_bytes();
+        let (corrupt, byte, at) = stray;
+        if corrupt {
+            bytes.insert(at % (bytes.len() + 1), byte);
+        }
+        assert_pipeline_eq(&assert_body_str_is_lossy(&bytes));
+    }
+}

@@ -382,3 +382,47 @@ fn redirect_location_carrying_a_url_is_followed() {
     );
     assert_eq!(outcome.abandoned.redirect, 0);
 }
+
+// ---------------------------------------------------------------------
+// Default ports
+// ---------------------------------------------------------------------
+
+/// `https://p.example/` links `/only` solely as `https://P.example:443/only`,
+/// and `/only` links both pages back through the same port; every GET is
+/// recorded.
+#[derive(Default)]
+struct DefaultPortServer {
+    fetched: std::sync::Mutex<Vec<String>>,
+}
+
+impl sb_httpsim::HttpServer for DefaultPortServer {
+    fn head(&self, url: &str) -> sb_httpsim::HeadResponse {
+        self.get(url).head()
+    }
+
+    fn get(&self, url: &str) -> sb_httpsim::Response {
+        self.fetched.lock().expect("no panic holds the log").push(url.to_owned());
+        match url.strip_prefix("https://p.example").unwrap_or("<off>") {
+            "/" => html_page(
+                "<html><body><a href=\"https://P.example:443/only\">only</a></body></html>",
+            ),
+            "/only" => html_page(
+                "<html><body><a href=\"https://p.example:443/\">home</a>\
+                 <a href=\"https://p.example:443/only\">self</a></body></html>",
+            ),
+            _ => sb_httpsim::response::error_response(404),
+        }
+    }
+}
+
+/// A link that spells out the scheme's default port names the same page as
+/// one without it: it stays on the site, and the page is fetched once.
+#[test]
+fn page_linked_only_through_its_default_port_is_fetched_once() {
+    let server = DefaultPortServer::default();
+    let mut bfs = QueueStrategy::bfs();
+    let outcome = crawl(&server, None, "https://p.example/", &mut bfs, &CrawlConfig::default());
+    let fetched = server.fetched.into_inner().expect("no panic holds the log");
+    assert_eq!(fetched, ["https://p.example/", "https://p.example/only"]);
+    assert_eq!(outcome.finish_reason, FinishReason::FrontierExhausted);
+}

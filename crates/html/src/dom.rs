@@ -11,8 +11,10 @@
 //! the input, all attributes live in **one arena** (`Document::attrs`, each
 //! element holding a range into it), and child lists are intrusive
 //! first-child/next-sibling links instead of a per-node `Vec<NodeId>`.
-//! Parsing an entity-free page costs a handful of vector growths, not one
-//! allocation per token/node — `tests/alloc_guard.rs` pins this.
+//! `parse` reserves both arenas once, from a count of the input's `<` and
+//! `=` bytes that bounds the nodes and the valued attributes. Parsing an entity-free page costs a
+//! handful of allocations and bytes in proportion to its markup, not to
+//! its text — `tests/alloc_guard.rs` pins both.
 
 use crate::token::{Event, Tokenizer};
 use std::borrow::Cow;
@@ -118,7 +120,12 @@ fn implies_close(incoming: &str, open: &str) -> bool {
 /// tokenizer, so per-tag attributes flow straight from the tokenizer's
 /// reused buffer into the document's arena.
 pub fn parse(input: &str) -> Document<'_> {
-    let mut doc = Document { nodes: Vec::new(), attrs: Vec::new(), roots: Vec::new() };
+    let (lt, eq) = count_lt_eq(input.as_bytes());
+    let mut doc = Document {
+        nodes: Vec::with_capacity(2 * lt + 1),
+        attrs: Vec::with_capacity(eq),
+        roots: Vec::new(),
+    };
     // Stack of currently-open element ids.
     let mut open: Vec<NodeId> = Vec::new();
     let mut tk = Tokenizer::new(input);
@@ -172,6 +179,28 @@ pub fn parse(input: &str) -> Document<'_> {
         }
     }
     doc
+}
+
+/// The number of `<` and of `=` bytes in `bytes`, from which `parse`
+/// reserves its arenas once. Each element and each stray `<` consumes a `<`
+/// of its own, and each other text node runs up to one or to the end of
+/// input, so a page has at most `2·lt + 1` nodes and the node arena never
+/// regrows. Each valued attribute consumes an `=` of its own, so the
+/// attribute arena regrows only for attributes without a value. Tallying
+/// each 64-byte chunk in `u8`s lets the compiler vectorise the count; one
+/// `usize` fold per byte costs ~8× as much.
+fn count_lt_eq(bytes: &[u8]) -> (usize, usize) {
+    let (mut lt, mut eq) = (0, 0);
+    for chunk in bytes.chunks(64) {
+        let (mut chunk_lt, mut chunk_eq) = (0u8, 0u8);
+        for &b in chunk {
+            chunk_lt += u8::from(b == b'<');
+            chunk_eq += u8::from(b == b'=');
+        }
+        lt += usize::from(chunk_lt);
+        eq += usize::from(chunk_eq);
+    }
+    (lt, eq)
 }
 
 impl<'a> Document<'a> {

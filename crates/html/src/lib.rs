@@ -48,8 +48,16 @@ use std::borrow::Cow;
 /// only when lossy replacement is actually required. This is the intended
 /// entry point of the zero-copy parse path — `parse(&body_str(&response.body))`
 /// touches the heap only for the arenas.
+///
+/// The result equals `String::from_utf8_lossy`, borrowed-ness included. It
+/// checks with `str::from_utf8` first, whose ASCII fast path validates a
+/// page several times faster than the lossy decoder walks it, and falls
+/// back to the lossy decoder only when that check fails.
 pub fn body_str(bytes: &[u8]) -> Cow<'_, str> {
-    String::from_utf8_lossy(bytes)
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,16 @@
 //! output vector itself. The DOM builder bypasses even that: it drives the
 //! crate-internal streaming `Tokenizer`, whose start-tag attributes land
 //! in one reused buffer instead of a fresh `Vec` per tag.
+//!
+//! Each byte is examined once. Every run (a text run, a tag or attribute
+//! name, a quoted or unquoted value, whitespace) is one scan over a local
+//! byte slice that looks each byte up in one 256-entry class table, and
+//! the tokenizer's position is written once, at the scan's end. The scan
+//! also notes whether the run held a `&` or an ASCII uppercase byte, so
+//! entity decoding and the lowercase fold run only on runs that hold one.
+//! Text runs and quoted values, the long runs, first pass over whole
+//! 8-byte words that hold neither their end byte nor a `&`. Raw text
+//! (`script`, `style`) is searched for its close tag from `<` to `<`.
 
 use crate::escape::unescape;
 use std::borrow::Cow;
@@ -85,11 +95,126 @@ enum RawText {
 }
 
 impl RawText {
-    fn close_tag(self) -> &'static str {
+    fn close_tag(self) -> &'static [u8] {
         match self {
-            RawText::Script => "</script",
-            RawText::Style => "</style",
+            RawText::Script => b"</script",
+            RawText::Style => b"</style",
         }
+    }
+}
+
+// Byte classes. Every scan stops at the first byte whose class meets its
+// stop set and ORs together the classes of the bytes it passed, so one walk
+// both finds the end of a run and tells whether the run needs `unescape`
+// (it passed an `AMP`) or the lowercase fold (it passed an `UPPER`).
+
+/// ASCII whitespace, as [`u8::is_ascii_whitespace`].
+const WS: u16 = 1;
+/// Ends a tag name: anything but an ASCII alphanumeric, `-`, `_` or `:`.
+const NOT_NAME: u16 = 1 << 1;
+const UPPER: u16 = 1 << 2;
+const AMP: u16 = 1 << 3;
+const LT: u16 = 1 << 4;
+const GT: u16 = 1 << 5;
+/// `=` or `/`: with `>` and whitespace, the end of an attribute name.
+const EQ_SLASH: u16 = 1 << 6;
+const DQUOTE: u16 = 1 << 7;
+const SQUOTE: u16 = 1 << 8;
+
+const CLASS: [u16; 256] = {
+    let mut table = [0; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        let mut class = match b {
+            b'&' => AMP,
+            b'<' => LT,
+            b'>' => GT,
+            b'=' | b'/' => EQ_SLASH,
+            b'"' => DQUOTE,
+            b'\'' => SQUOTE,
+            _ => 0,
+        };
+        if b.is_ascii_whitespace() {
+            class |= WS;
+        }
+        if !(b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b':')) {
+            class |= NOT_NAME;
+        }
+        if b.is_ascii_uppercase() {
+            class |= UPPER;
+        }
+        table[i] = class;
+        i += 1;
+    }
+    table
+};
+
+/// The first index at or after `from` whose byte's class meets `stop` (or
+/// `bytes.len()`), and the union of the classes of the bytes before it.
+#[inline(always)]
+fn scan(bytes: &[u8], from: usize, stop: u16) -> (usize, u16) {
+    let mut seen = 0;
+    for (i, &b) in bytes[from..].iter().enumerate() {
+        let class = CLASS[usize::from(b)];
+        if class & stop != 0 {
+            return (from + i, seen);
+        }
+        seen |= class;
+    }
+    (bytes.len(), seen)
+}
+
+/// The first index at or after `from` where `bytes` has no whole 8-byte
+/// word left, or one holding `stop` or a `&`. A text run or quoted value
+/// skips its plain words this way, then scans the rest byte by byte from
+/// there: what it skipped held no `&`, which is the only flag it reads.
+#[inline(always)]
+fn skip_plain_words(bytes: &[u8], from: usize, stop: u8) -> usize {
+    const fn splat(b: u8) -> u64 {
+        u64::from_ne_bytes([b; 8])
+    }
+    // Nonzero exactly when some byte of the word equals `b`.
+    let holds = |word: u64, b: u8| {
+        let x = word ^ splat(b);
+        x.wrapping_sub(splat(1)) & !x & splat(0x80)
+    };
+    let mut i = from;
+    while let Some(Ok(word)) = bytes.get(i..i + 8).map(<[u8; 8]>::try_from) {
+        let word = u64::from_ne_bytes(word);
+        if holds(word, stop) | holds(word, b'&') != 0 {
+            break;
+        }
+        i += 8;
+    }
+    i
+}
+
+/// The first index at or after `from` that is not ASCII whitespace.
+#[inline(always)]
+fn skip_ws(bytes: &[u8], from: usize) -> usize {
+    let off = bytes[from..].iter().position(|&b| CLASS[usize::from(b)] & WS == 0);
+    off.map_or(bytes.len(), |off| from + off)
+}
+
+/// A name, ASCII-lowercased when its scan passed an uppercase byte and
+/// borrowed otherwise.
+fn fold(s: &str, seen: u16) -> Cow<'_, str> {
+    if seen & UPPER != 0 {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// A text run or attribute value, entity-decoded when its scan passed a
+/// `&`. [`unescape`] itself borrows when no reference resolves, so the
+/// result is the same `Cow` as calling it unconditionally.
+fn decode(s: &str, seen: u16) -> Cow<'_, str> {
+    if seen & AMP != 0 {
+        unescape(s)
+    } else {
+        Cow::Borrowed(s)
     }
 }
 
@@ -117,38 +242,36 @@ impl<'a> Tokenizer<'a> {
                 return Some(ev);
             }
         }
-        while self.pos < self.bytes.len() {
-            if self.bytes[self.pos] == b'<' {
-                match self.bytes.get(self.pos + 1) {
-                    Some(b'!') => return Some(self.lex_markup_decl()),
-                    Some(b'/') => {
-                        // An empty end-tag name (`</>`) yields nothing;
-                        // keep scanning.
-                        if let Some(ev) = self.lex_end_tag() {
-                            return Some(ev);
-                        }
-                    }
-                    Some(c) if c.is_ascii_alphabetic() => return Some(self.lex_start_tag()),
-                    _ => {
-                        // A stray '<': emit as text and move on.
-                        let s = &self.input[self.pos..self.pos + 1];
-                        self.pos += 1;
-                        return Some(Event::Text(Cow::Borrowed(s)));
-                    }
-                }
-            } else {
+        loop {
+            if *self.bytes.get(self.pos)? != b'<' {
                 return Some(self.lex_text());
             }
+            match self.bytes.get(self.pos + 1) {
+                Some(b'!') => return Some(self.lex_markup_decl()),
+                Some(b'/') => {
+                    // An empty end-tag name (`</>`) yields nothing; keep
+                    // scanning.
+                    if let Some(ev) = self.lex_end_tag() {
+                        return Some(ev);
+                    }
+                }
+                Some(c) if c.is_ascii_alphabetic() => return Some(self.lex_start_tag()),
+                _ => {
+                    // A stray '<': emit as text and move on.
+                    let s = &self.input[self.pos..self.pos + 1];
+                    self.pos += 1;
+                    return Some(Event::Text(Cow::Borrowed(s)));
+                }
+            }
         }
-        None
     }
 
     fn lex_text(&mut self) -> Event<'a> {
         let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
-            self.pos += 1;
-        }
-        Event::Text(unescape(&self.input[start..self.pos]))
+        let plain = skip_plain_words(self.bytes, start, b'<');
+        let (end, seen) = scan(self.bytes, plain, LT);
+        self.pos = end;
+        Event::Text(decode(&self.input[start..end], seen))
     }
 
     fn lex_markup_decl(&mut self) -> Event<'a> {
@@ -182,15 +305,10 @@ impl<'a> Tokenizer<'a> {
 
     fn lex_end_tag(&mut self) -> Option<Event<'a>> {
         // self.pos at '<', next is '/'.
-        self.pos += 2;
-        let name = self.lex_name();
-        // Skip anything until '>'.
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'>' {
-            self.pos += 1;
-        }
-        if self.pos < self.bytes.len() {
-            self.pos += 1; // consume '>'
-        }
+        let (name, end) = self.lex_name(self.pos + 2);
+        // Skip anything up to and including the next '>'.
+        let gt = self.bytes[end..].iter().position(|&b| b == b'>');
+        self.pos = gt.map_or(self.bytes.len(), |off| end + off + 1);
         if name.is_empty() {
             None
         } else {
@@ -199,36 +317,38 @@ impl<'a> Tokenizer<'a> {
     }
 
     fn lex_start_tag(&mut self) -> Event<'a> {
-        self.pos += 1; // consume '<'
-        let name = self.lex_name();
+        // self.pos at '<', next is an ASCII letter.
+        let bytes = self.bytes;
+        let (name, mut pos) = self.lex_name(self.pos + 1);
         self.attrs.clear();
         let mut self_closing = false;
         loop {
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
+            pos = skip_ws(bytes, pos);
+            match bytes.get(pos) {
                 None => break,
                 Some(b'>') => {
-                    self.pos += 1;
+                    pos += 1;
                     break;
                 }
                 Some(b'/') => {
-                    self.pos += 1;
-                    if self.bytes.get(self.pos) == Some(&b'>') {
-                        self.pos += 1;
+                    pos += 1;
+                    if bytes.get(pos) == Some(&b'>') {
+                        pos += 1;
                         self_closing = true;
                         break;
                     }
                 }
+                // An attribute name cannot start with '=': skip the junk
+                // byte to guarantee progress.
+                Some(b'=') => pos += 1,
                 Some(_) => {
-                    if let Some(attr) = self.lex_attr() {
-                        self.attrs.push(attr);
-                    } else {
-                        // Unparseable junk: skip one byte to guarantee progress.
-                        self.pos += 1;
-                    }
+                    let (attr, end) = self.lex_attr(pos);
+                    self.attrs.push(attr);
+                    pos = end;
                 }
             }
         }
+        self.pos = pos;
         // Raw-text elements swallow everything until their close tag.
         if !self_closing {
             match name.as_ref() {
@@ -245,7 +365,7 @@ impl<'a> Tokenizer<'a> {
     /// seed (which lowercased the entire remaining input to search), this
     /// scans case-insensitively in place.
     fn skip_raw_text(&mut self, raw: RawText) -> Option<Event<'a>> {
-        match find_ascii_ci(&self.bytes[self.pos..], raw.close_tag()) {
+        match find_close_tag(&self.bytes[self.pos..], raw.close_tag()) {
             Some(off) => {
                 self.pos += off;
                 self.lex_end_tag()
@@ -257,93 +377,54 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    /// Tag/attribute name, ASCII-lowercased — borrowed when it already is.
-    fn lex_name(&mut self) -> Cow<'a, str> {
-        let start = self.pos;
-        while self.pos < self.bytes.len() {
-            let b = self.bytes[self.pos];
-            if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b':' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        lowercased(&self.input[start..self.pos])
+    /// The tag name starting at `from`, ASCII-lowercased (borrowed when it
+    /// already is), and the index just past it.
+    fn lex_name(&self, from: usize) -> (Cow<'a, str>, usize) {
+        let (end, seen) = scan(self.bytes, from, NOT_NAME);
+        (fold(&self.input[from..end], seen), end)
     }
 
-    fn lex_attr(&mut self) -> Option<Attr<'a>> {
-        let name_start = self.pos;
-        while self.pos < self.bytes.len() {
-            let b = self.bytes[self.pos];
-            if b == b'=' || b == b'>' || b == b'/' || b.is_ascii_whitespace() {
-                break;
-            }
-            self.pos += 1;
+    /// The attribute whose name starts at `start` (a byte that is not
+    /// whitespace, `=`, `>` or `/`), and the index just past it.
+    fn lex_attr(&self, start: usize) -> (Attr<'a>, usize) {
+        let bytes = self.bytes;
+        let (name_end, seen) = scan(bytes, start, EQ_SLASH | GT | WS);
+        let name = fold(&self.input[start..name_end], seen);
+        let pos = skip_ws(bytes, name_end);
+        if bytes.get(pos) != Some(&b'=') {
+            return (Attr { name, value: Cow::Borrowed("") }, pos);
         }
-        if self.pos == name_start {
-            return None;
-        }
-        let name = lowercased(&self.input[name_start..self.pos]);
-        self.skip_ws();
-        if self.bytes.get(self.pos) != Some(&b'=') {
-            return Some(Attr { name, value: Cow::Borrowed("") });
-        }
-        self.pos += 1; // consume '='
-        self.skip_ws();
-        let value = match self.bytes.get(self.pos) {
-            Some(&q @ (b'"' | b'\'')) => {
-                self.pos += 1;
-                let vstart = self.pos;
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != q {
-                    self.pos += 1;
-                }
-                let v = &self.input[vstart..self.pos];
-                if self.pos < self.bytes.len() {
-                    self.pos += 1; // closing quote
-                }
-                unescape(v)
-            }
-            _ => {
-                let vstart = self.pos;
-                while self.pos < self.bytes.len() {
-                    let b = self.bytes[self.pos];
-                    if b == b'>' || b.is_ascii_whitespace() {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                unescape(&self.input[vstart..self.pos])
-            }
+        let pos = skip_ws(bytes, pos + 1);
+        let (value_start, plain, stop) = match bytes.get(pos) {
+            Some(b'"') => (pos + 1, skip_plain_words(bytes, pos + 1, b'"'), DQUOTE),
+            Some(b'\'') => (pos + 1, skip_plain_words(bytes, pos + 1, b'\''), SQUOTE),
+            _ => (pos, pos, GT | WS),
         };
-        Some(Attr { name, value })
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
+        let (value_end, seen) = scan(bytes, plain, stop);
+        let value = decode(&self.input[value_start..value_end], seen);
+        // A quoted value consumes its closing quote, when there is one.
+        let end = if stop == GT | WS { value_end } else { (value_end + 1).min(bytes.len()) };
+        (Attr { name, value }, end)
     }
 }
 
-/// Borrow `s` when it is already ASCII-lowercase, else fold a copy.
-fn lowercased(s: &str) -> Cow<'_, str> {
-    if s.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(s.to_ascii_lowercase())
-    } else {
-        Cow::Borrowed(s)
-    }
-}
-
-/// First case-insensitive occurrence of ASCII `needle` in `hay`, without
-/// copying `hay` (the seed lowercased the whole remaining input per
-/// `<script>` tag). Case folding is ASCII-only on both sides, exactly like
+/// First case-insensitive occurrence of the ASCII close tag `needle` in
+/// `hay`, without copying `hay` (the seed lowercased the whole remaining
+/// input per `<script>` tag). `needle` opens with `<`, which has no case
+/// variant, so the search jumps from `<` to `<` and compares only there.
+/// Case folding is ASCII-only on both sides, exactly like
 /// `to_ascii_lowercase`, so offsets agree with the seed byte for byte.
-fn find_ascii_ci(hay: &[u8], needle: &str) -> Option<usize> {
-    let needle = needle.as_bytes();
-    if hay.len() < needle.len() {
-        return None;
+fn find_close_tag(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(off) = hay[from..].iter().position(|&b| b == b'<') {
+        let at = from + off;
+        // Every later `<` leaves even fewer bytes than this one.
+        if hay.get(at..at + needle.len())?.eq_ignore_ascii_case(needle) {
+            return Some(at);
+        }
+        from = at + 1;
     }
-    (0..=hay.len() - needle.len()).find(|&i| hay[i..i + needle.len()].eq_ignore_ascii_case(needle))
+    None
 }
 
 #[cfg(test)]
@@ -457,9 +538,7 @@ mod tests {
     #[test]
     fn clean_markup_borrows_everything() {
         let toks = tokenize(r#"<div id="m"><a href="/x.csv">data</a> more</div>"#);
-        fn borrowed(c: &Cow<'_, str>) -> bool {
-            matches!(c, Cow::Borrowed(_))
-        }
+        let borrowed = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
         for t in &toks {
             match t {
                 Token::Start { name, attrs, .. } => {

@@ -12,7 +12,9 @@
 //! page's link sites allocates nothing, and a tag path costs two
 //! allocations whatever its depth. The last block bounds the byte-hostile
 //! inputs `crates/bench/tests/html_equivalence.rs` holds to the seed: a
-//! megabyte attribute and 10 000 levels of nesting.
+//! megabyte attribute and 10 000 levels of nesting. The final block bounds
+//! what `parse` allocates in bytes: its arenas are sized by the page's
+//! markup, once, whatever the length of its text.
 //!
 //! The counting allocator is process-global, so this file holds exactly one
 //! `#[test]` — a second concurrent test would corrupt the counts.
@@ -210,5 +212,28 @@ fn parse_of_entity_free_page_is_allocation_bounded() {
             std::mem::forget((doc, links));
         });
         assert!(allocs <= budget, "{name}: {allocs} allocations (budget {budget})");
+    }
+
+    // Parse memory in bytes, not only in calls: `parse` reserves its node
+    // and attribute arenas once, from the input's count of `<` and `=`, so
+    // what it allocates follows the markup, not the text. Doubling arenas
+    // allocated 61 184 B (17 calls) on the page above, 448 B (3) on 100 kB
+    // of prose in one `<p>` and 3 538 688 B (28) on a 3 000-item link
+    // list; each budget but the prose page's is that figure. A reservation
+    // from the input's length alone (one node per 16 bytes) costs the prose
+    // page hundreds of kilobytes, which its 4 KB budget refuses.
+    let prose = format!("<html><body><p>{}</p></body></html>", "plain prose words. ".repeat(5_263));
+    let mut list = String::from("<html><body><ul>");
+    for item in 0..3_000 {
+        list.push_str(&format!("<li><a href=\"/d/{item}.csv\">dataset {item}</a></li>"));
+    }
+    list.push_str("</ul></body></html>");
+    for (name, input, budget) in [
+        ("the entity-free page", page, 61_184),
+        ("100 kB of prose", prose, 4 * 1024),
+        ("a 3 000-item link list", list, 3_538_688),
+    ] {
+        let bytes = count_alloc_bytes(|| std::mem::forget(sb_html::parse(&input)));
+        assert!(bytes <= budget, "parsing {name} allocated {bytes} B (budget {budget} B)");
     }
 }

@@ -16,7 +16,8 @@ use std::fmt;
 pub struct Url {
     /// `http` or `https`.
     pub scheme: String,
-    /// Hostname, lowercase, no port handling beyond keeping it verbatim.
+    /// Hostname, lowercase. A port other than the scheme's default stays
+    /// on it verbatim (`a.com:8080`); an empty or default one is dropped.
     pub host: String,
     /// Path, always starting with `/`.
     pub path: String,
@@ -222,6 +223,7 @@ fn write_absolute(scheme: &str, rest: &str, out: &mut Url) -> Result<(), UrlErro
     };
     // Strip userinfo if any.
     let host = authority.rsplit('@').next().unwrap_or(authority);
+    let host = without_default_port(scheme, host);
     if host.is_empty() {
         return Err(UrlError::NoHost);
     }
@@ -234,6 +236,26 @@ fn write_absolute(scheme: &str, rest: &str, out: &mut Url) -> Result<(), UrlErro
     normalize_path(path, &mut out.path);
     set(&mut out.query, query);
     Ok(())
+}
+
+/// `host` without its port when the port is empty or the scheme's default
+/// (`:80` for http, `:443` for https; RFC 3986 §6.2.3), so `https://a.com:443/x`
+/// and `https://a.com/x` are one URL. Any other port stays verbatim. A colon
+/// followed by anything but digits is no port (the `[::1]` of an IPv6
+/// literal).
+fn without_default_port<'h>(scheme: &str, host: &'h str) -> &'h str {
+    let Some((name, port)) = host.rsplit_once(':') else {
+        return host;
+    };
+    if !port.bytes().all(|b| b.is_ascii_digit()) {
+        return host;
+    }
+    let default = if scheme.eq_ignore_ascii_case("https") { 443 } else { 80 };
+    if port.is_empty() || port.parse::<u32>() == Ok(default) {
+        name
+    } else {
+        host
+    }
 }
 
 /// Collapses `.` and `..` segments and duplicate slashes.
@@ -402,6 +424,36 @@ mod tests {
     fn normalize_collapses_dots_and_slashes() {
         assert_eq!(u("https://a.com//x///y/./z/../w").path, "/x/y/w");
         assert_eq!(u("https://a.com/a/b/").path, "/a/b/");
+    }
+
+    /// An empty or default port is dropped, so both spellings of a URL
+    /// intern as one, fingerprint as one and stay on their site; any other
+    /// port stays.
+    #[test]
+    fn default_ports_are_dropped() {
+        use crate::interner::{fnv64, fp_of_url, url_eq_canonical};
+        let base = u("https://a.com/dir/page.html");
+        for (url, canonical) in [
+            (u("https://a.com:443/x"), "https://a.com/x"),
+            (u("http://a.com:80/x?q=1"), "http://a.com/x?q=1"),
+            (u("http://a.com:/x"), "http://a.com/x"),
+            (u("HTTPS://A.com:443"), "https://a.com/"),
+            (u("https://user:pw@a.com:0443/x"), "https://a.com/x"),
+            (u("https://[::1]:443/x"), "https://[::1]/x"),
+            (base.join("//a.com:443/y").unwrap(), "https://a.com/y"),
+            (base.join("http://a.com:80").unwrap(), "http://a.com/"),
+            (u("https://a.com:80/x"), "https://a.com:80/x"),
+            (u("http://a.com:443/x"), "http://a.com:443/x"),
+            (u("http://a.com:8080/x"), "http://a.com:8080/x"),
+            (u("https://[::1]/x"), "https://[::1]/x"),
+        ] {
+            assert_eq!(url.as_string(), canonical);
+            assert_eq!(url, u(canonical), "{canonical}");
+            assert_eq!(fp_of_url(&url), fnv64(canonical.as_bytes()), "{canonical}");
+            assert!(url_eq_canonical(&url, canonical), "{canonical}");
+        }
+        assert!(u("https://a.com:443/x").same_site_as(&u("https://www.a.com/")));
+        assert_eq!(Url::parse("https://:443/x"), Err(UrlError::NoHost));
     }
 
     #[test]

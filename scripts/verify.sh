@@ -13,6 +13,10 @@ cargo test -q --offline --workspace
 # page to a handful of arena allocations. The workspace run above already
 # executes it; this names the guard so a regression fails loudly on its
 # own line (and keeps failing even if the test is ever filtered there).
+# It also bounds `parse` in bytes: the arenas, reserved once from the
+# page's count of `<` and `=`, cost 100 kB of prose in one `<p>` under
+# 4 KB, and that page and a 3 000-item link list no more than the doubling
+# arenas did.
 cargo test -q --offline -p sb-html --test alloc_guard
 # The sparse sketch kernel (PR 14) is only allowed to be the dense pipeline
 # minus its exact-zero terms: the differential proptests compare cosine,
@@ -193,6 +197,22 @@ cargo test -q --offline -p sb-crawler --test session_api a_fetch_that_is_neither
 # open at EOF, megabyte attribute values, 10 000 nested elements and
 # invalid UTF-8 (the html alloc guard above bounds the same inputs).
 cargo test -q --offline -p sb-bench --test html_equivalence
+# A fetched page is scanned once: each tokenizer scan walks its run through
+# one byte-class table and notes whether it passed a `&` or an uppercase
+# byte, so `unescape` and the lowercase fold run only on runs that hold
+# one, and the raw-text search jumps from `<` to `<`; `body_str` validates
+# with `str::from_utf8` before it falls back to the lossy decoder. What
+# licenses the scans is the frozen seed parser: the scan-exit proptest
+# builds pages whose text runs, quoted and unquoted values, tag and
+# attribute names and `script`/`style` bodies start or end on an entity, a
+# bare `&`, an uppercase or a multi-byte character, or stop at EOF, and
+# holds tokens, DOMs and links equal to the seed's; its byte twin holds
+# `body_str` to `String::from_utf8_lossy` in value and borrowed-ness, with
+# and without a stray invalid byte. Clippy keeps sb-html warning-free
+# (`--no-deps` leaves out the vendored crates' own warnings).
+cargo test -q --offline -p sb-bench --test html_equivalence scan_exits_match_the_seed
+cargo test -q --offline -p sb-bench --test html_equivalence body_str_matches_lossy_decoding_on_scan_edge_pages
+cargo clippy --offline -p sb-html --all-targets --no-deps -- -D warnings
 # End-to-end harness smoke: one tiny experiment through site generation,
 # crawling, metrics and report rendering.
 cargo run --release --offline -p sb-eval --bin xp -- \
