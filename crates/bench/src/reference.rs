@@ -19,7 +19,7 @@ use crate::client::Client;
 use sb_httpsim::{HeadResponse, Headers, HttpServer, Response};
 use sb_webgraph::content::target_body;
 use sb_webgraph::gen::render::render_page;
-use sb_webgraph::gen::{PageKind, Website};
+use sb_webgraph::gen::{PageKind, SiteSource, Website};
 use sb_webgraph::url::Url;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,7 +50,7 @@ impl UncachedSiteServer {
         match &page.kind {
             PageKind::Html(_) => {
                 // Seed behaviour: render unconditionally (HEAD included).
-                let body = render_page(&self.site, id).into_bytes();
+                let body = render_page(&*self.site, id).into_bytes();
                 Response {
                     status: 200,
                     headers: Headers {

@@ -12,10 +12,10 @@
 //! ablation of both.
 
 use crate::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
+use super::Entry;
 use rand::rngs::StdRng;
 use sb_ml::{featurize, FeatureInput, FeatureSet, Model, ModelKind, SparseVec};
 use sb_webgraph::{FxHashMap, UrlClass, UrlId};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// One-hot depth features live past the bigram blocks.
@@ -37,36 +37,6 @@ fn features(url: &str, anchor: &str, depth: u32) -> SparseVec {
     let bucket = (depth as usize).min(DEPTH_BUCKETS - 1);
     x.items.push(((FeatureSet::UrlContent.dim() + bucket) as u32, 1.0));
     x
-}
-
-#[derive(Debug)]
-struct Entry {
-    score: f32,
-    /// Tie-break: FIFO among equal scores.
-    seq: u64,
-    id: UrlId,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// The FOCUSED baseline.
@@ -114,7 +84,7 @@ impl Strategy for FocusedStrategy {
         let score = self.model.score(&x);
         self.pending.insert(link.id, x);
         self.seq += 1;
-        self.heap.push(Entry { score, seq: self.seq, id: link.id });
+        self.heap.push(Entry { score: f64::from(score), seq: self.seq, id: link.id });
         LinkDecision::Enqueue
     }
 
@@ -210,7 +180,7 @@ mod tests {
             decide(&mut s, id, &url);
             let score = s.heap.iter().find(|e| e.id == id).unwrap().score;
             if labels < 32 {
-                assert_eq!(score.to_bits(), 0.0f32.to_bits(), "link {id} after {labels} labels");
+                assert_eq!(score.to_bits(), 0.0f64.to_bits(), "link {id} after {labels} labels");
             } else {
                 assert_ne!(score, 0.0, "link {id} after {labels} labels");
             }

@@ -21,8 +21,10 @@ pub enum Discipline {
 /// BFS / DFS / RANDOM, depending on [`Discipline`]. The frontier holds
 /// interned ids — `Copy` keys, no per-link string storage — in a
 /// [`SpillQueue`]: unbounded by default (pure `VecDeque` behaviour, the
-/// path every frozen replay pins), memory-bounded with the `*_spilling`
+/// path every frozen replay pins), bounded with the `*_spilling`
 /// constructors (PR 7) whose spill arena preserves the exact pop order.
+/// Only a [`SpillBacking::Disk`] arena bounds the process's memory; a
+/// `Memory` one holds the spilled ids on the heap at 4 B each.
 pub struct QueueStrategy {
     discipline: Discipline,
     frontier: SpillQueue,

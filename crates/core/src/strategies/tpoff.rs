@@ -15,37 +15,10 @@
 
 use crate::action::{ActionSpace, ActionSpaceConfig};
 use crate::strategy::{LinkDecision, NewLink, Selection, Services, Strategy};
+use super::Entry;
 use rand::rngs::StdRng;
 use sb_webgraph::{FxHashMap, UrlClass, UrlId};
-use std::cmp::Ordering;
 use std::collections::VecDeque;
-
-#[derive(Debug)]
-struct Entry {
-    benefit: f64,
-    seq: u64,
-    id: UrlId,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.benefit.total_cmp(&other.benefit).then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// The TP-OFF baseline.
 pub struct TpOffStrategy {
@@ -97,7 +70,7 @@ impl TpOffStrategy {
         while let Some(id) = self.bfs.pop_front() {
             let benefit = self.link_group.get(&id).map_or(0.0, |&g| self.avg_benefit(g));
             self.seq += 1;
-            self.heap.push(Entry { benefit, seq: self.seq, id });
+            self.heap.push(Entry { score: benefit, seq: self.seq, id });
         }
     }
 }
@@ -155,7 +128,7 @@ impl Strategy for TpOffStrategy {
                 None => 0.0,
             };
             self.seq += 1;
-            self.heap.push(Entry { benefit, seq: self.seq, id: link.id });
+            self.heap.push(Entry { score: benefit, seq: self.seq, id: link.id });
             LinkDecision::Enqueue
         }
     }
@@ -209,9 +182,9 @@ mod tests {
         use crate::strategy::SelUrl;
         let mut s = TpOffStrategy::new(0); // straight to phase 2
         s.drained = true;
-        s.heap.push(Entry { benefit: 0.0, seq: 0, id: 0 });
-        s.heap.push(Entry { benefit: 9.0, seq: 1, id: 9 });
-        s.heap.push(Entry { benefit: 4.0, seq: 2, id: 4 });
+        s.heap.push(Entry { score: 0.0, seq: 0, id: 0 });
+        s.heap.push(Entry { score: 9.0, seq: 1, id: 9 });
+        s.heap.push(Entry { score: 4.0, seq: 2, id: 4 });
         let mut rng = StdRng::seed_from_u64(0);
         let order: Vec<SelUrl> =
             std::iter::from_fn(|| s.next(&mut rng)).map(|sel| sel.url).collect();

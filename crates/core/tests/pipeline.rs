@@ -13,7 +13,7 @@ use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, S
 use sb_crawler::EventLog;
 use sb_httpsim::transport::{PipelinedTransport, Transport};
 use sb_httpsim::{FlakyServer, Politeness, RetryPolicy, SiteServer};
-use sb_webgraph::gen::{build_site, SiteSpec};
+use sb_webgraph::gen::{build_site, SiteSource, SiteSpec};
 use sb_webgraph::{UrlId, Website};
 use rand::rngs::StdRng;
 use std::collections::{BTreeSet, VecDeque};

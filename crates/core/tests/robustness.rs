@@ -10,7 +10,7 @@ use sb_crawler::{crawl, Budget, CrawlConfig, FinishReason};
 use sb_crawler::strategies::{QueueStrategy, SbStrategy};
 use sb_httpsim::{EnforcedRobots, FlakyServer, RobotsTxt, SiteServer, TrapServer, WithRobots};
 use sb_webgraph::url::Url;
-use sb_webgraph::{build_site, SiteSpec};
+use sb_webgraph::{build_site, SiteSource, SiteSpec};
 
 // ---------------------------------------------------------------------
 // Robot trap: infinite URL space

@@ -35,6 +35,7 @@ use sb_crawler::fleet::{Fleet, FleetJob, FleetMode, SharedServer};
 use sb_crawler::strategies::SbStrategy;
 use sb_crawler::{CrawlConfig, FinishReason};
 use sb_httpsim::SiteServer;
+use sb_webgraph::gen::SiteSource;
 use std::sync::Arc;
 
 /// Global shared-pool windows swept by `--shared-pool`.
@@ -46,8 +47,8 @@ pub fn run(cfg: &EvalConfig) -> String {
         let mut fleet = Fleet::new(cfg.jobs).mode(mode);
         for p in &profiles {
             let site = build_site_for(cfg, p.code);
-            let root = site.page(site.root()).url.clone();
-            let server: SharedServer = Arc::new(SiteServer::shared(Arc::clone(&site)));
+            let root = site.url(site.root()).to_owned();
+            let server: SharedServer = Arc::new(SiteServer::from_source(site));
             let crawl_cfg = CrawlConfig {
                 early_stop: Some(scaled_early_stop(cfg.scale)),
                 seed: cfg.site_seed(p.code),

@@ -13,7 +13,8 @@ use crate::tables::{markdown, write_csv, write_text};
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{CrawlConfig, CrawlSession};
 use sb_httpsim::{Politeness, SiteServer};
-use sb_webgraph::gen::{build_site, SiteSpec};
+use sb_scale::stream_site;
+use sb_webgraph::gen::{SiteSource, SiteSpec};
 use std::sync::Arc;
 
 /// In-flight windows compared (the bench suite uses the same ladder).
@@ -30,8 +31,8 @@ pub fn run(cfg: &EvalConfig) -> String {
     // `--scale 0.01` (the default) crawls a 4 000-page site, matching the
     // bench suite; the verify smoke run shrinks it via `--scale`.
     let n_pages = ((cfg.scale * 400_000.0) as usize).clamp(200, 40_000);
-    let site = Arc::new(build_site(&SiteSpec::demo(n_pages), 42));
-    let root = site.page(site.root()).url.clone();
+    let site = Arc::new(stream_site(&SiteSpec::demo(n_pages), 42));
+    let root = site.url(site.root()).to_owned();
 
     struct Row {
         window: usize,
@@ -40,7 +41,7 @@ pub fn run(cfg: &EvalConfig) -> String {
         makespan_secs: f64,
     }
     let rows: Vec<Row> = crate::runner::par_map(&WINDOWS, cfg.jobs, |&window| {
-        let server = SiteServer::shared(Arc::clone(&site));
+        let server = SiteServer::from_source(site.clone());
         let mut bfs = QueueStrategy::bfs();
         let crawl_cfg = CrawlConfig {
             politeness: latency_politeness(),

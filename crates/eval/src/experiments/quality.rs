@@ -16,7 +16,8 @@ use crate::tables::{markdown, write_csv, write_text};
 use sb_crawler::strategies::ValueStrategy;
 use sb_crawler::strategy::Strategy;
 use sb_crawler::Budget;
-use sb_webgraph::gen::{build_site, SiteSpec};
+use sb_scale::stream_site;
+use sb_webgraph::gen::{SiteSource, SiteSpec};
 use std::sync::Arc;
 
 pub fn run(cfg: &EvalConfig) -> String {
@@ -24,7 +25,7 @@ pub fn run(cfg: &EvalConfig) -> String {
     // shape (extensions, directories), which is what the classifier and
     // bandit scorers exploit.
     let n_pages = ((cfg.scale * 400_000.0) as usize).clamp(200, 40_000);
-    let site = Arc::new(build_site(&SiteSpec::demo(n_pages), 42));
+    let site = Arc::new(stream_site(&SiteSpec::demo(n_pages), 42));
     let census_targets = site.census().targets;
 
     // A budget deep enough to learn from, far too shallow to exhaust:

@@ -14,7 +14,7 @@
 //! What is left here is policy plumbing: pick → refresh → [`Observation`],
 //! the per-epoch request allowance and the oracle-side freshness check.
 
-use crate::setup::{build_site_for, EvalConfig};
+use crate::setup::EvalConfig;
 use crate::tables::{markdown, write_csv, write_text};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,6 +27,7 @@ use sb_revisit::{
     fnv64, ChangeModel, EvolvingServer, EvolvingSite, Observation, ProportionalRevisit,
     RevisitPolicy, RoundRobinRevisit, SleepingBanditRevisit, ThompsonGroupsRevisit,
 };
+use sb_webgraph::build_site;
 use sb_webgraph::mime::MimePolicy;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -293,7 +294,7 @@ pub struct RevisitRun {
 
 /// Evolves `code`'s site and runs all four policies under the same budget.
 pub fn run_site(cfg: &EvalConfig, code: &str) -> Vec<RevisitRun> {
-    let base = (*build_site_for(cfg, code)).clone();
+    let base = build_site(&cfg.site_spec(code), cfg.site_seed(code));
     let model = ChangeModel {
         epochs: 6,
         new_targets_per_epoch: 10.0,

@@ -1,12 +1,13 @@
 //! Scale — the memory-bounded crawl ladder (PR 7): BFS to exhaustion over
 //! 10k / 100k page streaming sites, with every
 //! unbounded structure swapped for its `sb_scale` counterpart — streaming
-//! site behind the server, spill-backed frontier, fingerprint-compacted
-//! visited set. Records the session's own memory gauges at their peaks,
-//! proving the in-memory footprint stays bounded while coverage stays
-//! *byte-identical* to the all-unbounded engine (checked outright on the
-//! 10k rung). Every column is a function of the rung alone; wall-clock and
-//! peak RSS are `benchmark/`'s (`scale_stream`).
+//! site behind the server, frontier spilling to a temp file,
+//! fingerprint-compacted visited set. Records the session's own memory
+//! gauges at their peaks, proving the in-memory footprint stays bounded
+//! while coverage stays *byte-identical* to the unbounded frontier and
+//! visited set (checked outright on the 10k rung; the two site stores are
+//! held equal by `sb-scale`'s tests). Every column is a function of the
+//! rung alone; wall-clock and peak RSS are `benchmark/`'s (`scale_stream`).
 //!
 //! Rungs: `[10k]` under `--scale < 0.01` (the verify smoke), `[10k, 100k]`
 //! otherwise.
@@ -17,7 +18,7 @@ use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{CrawlConfig, CrawlSession, MemGauges};
 use sb_httpsim::SiteServer;
 use sb_scale::{stream_site, SpillBacking};
-use sb_webgraph::gen::{build_site, SiteSource, SiteSpec};
+use sb_webgraph::gen::{SiteSource, SiteSpec};
 use std::sync::Arc;
 
 /// In-memory frontier cap: ids beyond this spill to the arena. Sized well
@@ -41,8 +42,8 @@ fn crawl_rung(pages: usize) -> Rung {
     let site = Arc::new(stream_site(&spec, 42));
     let site_static_kb = site.static_bytes() / 1024;
     let root = site.url(site.root()).to_owned();
-    let server = SiteServer::from_source(Arc::clone(&site) as Arc<dyn SiteSource>);
-    let mut bfs = QueueStrategy::bfs_spilling(FRONTIER_CAP, SpillBacking::Memory);
+    let server = SiteServer::from_source(site);
+    let mut bfs = QueueStrategy::bfs_spilling(FRONTIER_CAP, SpillBacking::Disk);
     let cfg = CrawlConfig {
         compact_visited_threshold: VISITED_THRESHOLD,
         ..Default::default()
@@ -73,24 +74,22 @@ fn crawl_rung(pages: usize) -> Rung {
     }
 }
 
-/// Byte-identity pin for the smallest rung: the bounded engine (streaming
-/// site + spilling frontier + compact visited) must produce exactly the
-/// trace, targets and traffic of the all-unbounded engine.
+/// Byte-identity pin for the smallest rung: the bounded engine (spilling
+/// frontier + compact visited) must produce exactly the trace, targets and
+/// traffic of the unbounded one over the same site.
 fn verify_identical(pages: usize) -> String {
-    let spec = SiteSpec::demo(pages);
-    let eager = build_site(&spec, 42);
-    let root = eager.page(eager.root()).url.clone();
+    let site = Arc::new(stream_site(&SiteSpec::demo(pages), 42));
+    let root = site.url(site.root()).to_owned();
 
-    let server = SiteServer::new(eager);
+    let server = SiteServer::from_source(site.clone());
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig::default();
     let reference = CrawlSession::new(&server, None, &root, &mut bfs, &cfg)
         .expect("valid root")
         .run();
 
-    let site = Arc::new(stream_site(&spec, 42));
-    let lazy_server = SiteServer::from_source(Arc::clone(&site) as Arc<dyn SiteSource>);
-    let mut bounded_bfs = QueueStrategy::bfs_spilling(FRONTIER_CAP, SpillBacking::Memory);
+    let lazy_server = SiteServer::from_source(site);
+    let mut bounded_bfs = QueueStrategy::bfs_spilling(FRONTIER_CAP, SpillBacking::Disk);
     let bounded_cfg = CrawlConfig {
         compact_visited_threshold: VISITED_THRESHOLD,
         ..Default::default()

@@ -7,7 +7,8 @@ use crate::setup::{build_site_for, EvalConfig};
 use crate::tables::{markdown, write_csv, write_text};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sb_webgraph::{PageKind, Website};
+use sb_webgraph::gen::SiteSource;
+use sb_webgraph::{PageId, PageKind};
 
 /// A simulated search engine's coverage profile.
 pub struct SimEngine {
@@ -29,14 +30,14 @@ pub fn engines() -> Vec<SimEngine> {
 }
 
 /// Counts what `site:X filetype:ext` returns under an engine's limits.
-pub fn query_filetype(site: &Website, engine: &SimEngine, ext: &str, seed: u64) -> usize {
+pub fn query_filetype(site: &dyn SiteSource, engine: &SimEngine, ext: &str, seed: u64) -> usize {
     if engine.blind_filetypes.contains(&ext) {
         return 0;
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5e);
     let mut hits = 0usize;
-    for p in site.pages() {
-        if let PageKind::Target { ext: e, .. } = &p.kind {
+    for id in 0..site.n_pages() as PageId {
+        if let PageKind::Target { ext: e, .. } = site.kind(id) {
             if *e == ext && rng.gen_bool(engine.index_fraction) {
                 hits += 1;
             }
@@ -62,10 +63,8 @@ pub fn run(cfg: &EvalConfig) -> String {
         // Ground truth row.
         let mut truth = vec!["crawler (all)".to_owned()];
         for ext in exts {
-            let n = site
-                .pages()
-                .iter()
-                .filter(|pg| matches!(&pg.kind, PageKind::Target { ext: e, .. } if *e == ext))
+            let n = (0..site.n_pages() as PageId)
+                .filter(|&id| matches!(site.kind(id), PageKind::Target { ext: e, .. } if *e == ext))
                 .count();
             truth.push(n.to_string());
             csv_rows.push(vec![p.code.into(), "crawler".into(), ext.into(), n.to_string()]);
@@ -74,7 +73,7 @@ pub fn run(cfg: &EvalConfig) -> String {
         for engine in engines() {
             let mut row = vec![engine.name.to_owned()];
             for ext in exts {
-                let n = query_filetype(&site, &engine, ext, cfg.site_seed(p.code));
+                let n = query_filetype(&*site, &engine, ext, cfg.site_seed(p.code));
                 row.push(n.to_string());
                 csv_rows.push(vec![p.code.into(), engine.name.into(), ext.into(), n.to_string()]);
             }

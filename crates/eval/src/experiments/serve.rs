@@ -14,11 +14,12 @@
 //! epochs and the p99 within the epoch horizon — the store never serves
 //! mostly-rotten data while readers are on it.
 
-use crate::setup::{build_site_for, EvalConfig};
+use crate::setup::EvalConfig;
 use crate::tables::{markdown, write_csv, write_text};
 use sb_crawler::Budget;
 use sb_revisit::{ChangeModel, EvolvingSite, ThompsonGroupsRevisit};
 use sb_serve::{serve_site, ReadLoadConfig, ServeConfig, ServeOutcome};
+use sb_webgraph::build_site;
 
 /// Profile used: the small data portal (fully crawled in Table 1).
 pub const SERVE_SITE: &str = "cl";
@@ -62,7 +63,7 @@ pub fn run(cfg: &EvalConfig) -> String {
     {
         return format!("## Crawl-and-serve\n\nskipped: site {SERVE_SITE} filtered out\n");
     }
-    let base = (*build_site_for(cfg, SERVE_SITE)).clone();
+    let base = build_site(&cfg.site_spec(SERVE_SITE), cfg.site_seed(SERVE_SITE));
     let model = ChangeModel {
         epochs: EPOCHS,
         ..ChangeModel::default()

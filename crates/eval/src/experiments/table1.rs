@@ -4,6 +4,7 @@
 
 use crate::setup::{build_site_for, EvalConfig};
 use crate::tables::{fmt_pm, markdown, write_csv};
+use sb_webgraph::gen::SiteSource;
 
 pub fn run(cfg: &EvalConfig) -> String {
     let profiles = cfg.selected_profiles();

@@ -10,6 +10,7 @@ use crate::tables::{markdown, write_csv, write_text};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 use sb_sdetect::detect_tables;
+use sb_webgraph::gen::SiteSource;
 use sb_webgraph::PageKind;
 
 /// The seven sites sampled in the paper's Table 7.
@@ -64,7 +65,7 @@ pub fn run(cfg: &EvalConfig) -> String {
             // Ground truth: the planted table count of this target page.
             let planted = site
                 .lookup(&t.url)
-                .and_then(|id| match site.page(id).kind {
+                .and_then(|id| match *site.kind(id) {
                     PageKind::Target { planted_tables, .. } => Some(planted_tables),
                     _ => None,
                 })

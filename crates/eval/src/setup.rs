@@ -12,8 +12,9 @@ use sb_crawler::strategy::Strategy;
 use sb_crawler::ActionSpaceConfig;
 use sb_httpsim::SiteServer;
 use sb_ml::{FeatureSet, ModelKind, UrlClassifier};
-use sb_webgraph::gen::profiles;
-use sb_webgraph::{SiteSpec, Website};
+use sb_scale::{stream_site, StreamingSite};
+use sb_webgraph::gen::{profiles, SiteSource};
+use sb_webgraph::SiteSpec;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -66,6 +67,12 @@ impl EvalConfig {
                 None => true,
             })
             .collect()
+    }
+
+    /// The scaled spec of a profile code: what every harness site of that
+    /// code is generated from.
+    pub fn site_spec(&self, code: &str) -> SiteSpec {
+        profiles::profile(code).unwrap_or_else(|| panic!("unknown site code {code}")).scaled(self.scale)
     }
 
     /// The generation seed for a site (fixed: all crawlers see the same
@@ -179,10 +186,12 @@ impl SbTuning {
 
 type SiteKey = (String, u64 /* scale in ppm */);
 
-static SITE_CACHE: Mutex<Option<HashMap<SiteKey, Arc<Website>>>> = Mutex::new(None);
+static SITE_CACHE: Mutex<Option<HashMap<SiteKey, Arc<StreamingSite>>>> = Mutex::new(None);
 
-/// Builds (or fetches from cache) the scaled site for a profile code.
-pub fn build_site_for(cfg: &EvalConfig, code: &str) -> Arc<Website> {
+/// Builds (or fetches from cache) the scaled site for a profile code, on
+/// the packed store: the same graph and bytes as `build_site`'s, read
+/// through `SiteSource`.
+pub fn build_site_for(cfg: &EvalConfig, code: &str) -> Arc<StreamingSite> {
     let key = (code.to_owned(), (cfg.scale * 1e6) as u64);
     {
         let cache = SITE_CACHE.lock();
@@ -192,10 +201,7 @@ pub fn build_site_for(cfg: &EvalConfig, code: &str) -> Arc<Website> {
             }
         }
     }
-    let spec = profiles::profile(code)
-        .unwrap_or_else(|| panic!("unknown site code {code}"))
-        .scaled(cfg.scale);
-    let site = Arc::new(sb_webgraph::build_site(&spec, cfg.site_seed(code)));
+    let site = Arc::new(stream_site(&cfg.site_spec(code), cfg.site_seed(code)));
     let mut cache = SITE_CACHE.lock();
     cache.get_or_insert_with(HashMap::new).insert(key, site.clone());
     site
@@ -250,7 +256,7 @@ pub use crate::runner::RunOpts;
 
 /// Builds a strategy. `scale` sizes TP-OFF's offline phase (3 000 pages at
 /// paper scale).
-pub fn build_strategy(kind: CrawlerKind, site: &Website, scale: f64, sb: &SbTuning) -> Box<dyn Strategy> {
+pub fn build_strategy(kind: CrawlerKind, site: &StreamingSite, scale: f64, sb: &SbTuning) -> Box<dyn Strategy> {
     match kind {
         CrawlerKind::Bfs => Box::new(QueueStrategy::bfs()),
         CrawlerKind::Dfs => Box::new(QueueStrategy::dfs()),
@@ -261,12 +267,7 @@ pub fn build_strategy(kind: CrawlerKind, site: &Website, scale: f64, sb: &SbTuni
             let phase1 = ((3000.0 * scale).round() as usize).max(30);
             Box::new(TpOffStrategy::new(phase1))
         }
-        CrawlerKind::Omniscient => {
-            // Trait-based enumeration: the same list a streaming source
-            // would hand out, in the same (id) order.
-            use sb_webgraph::gen::SiteSource;
-            Box::new(OmniscientStrategy::new(SiteSource::target_urls(site)))
-        }
+        CrawlerKind::Omniscient => Box::new(OmniscientStrategy::new(site.target_urls())),
         CrawlerKind::SbOracle => Box::new(SbStrategy::oracle(sb.sb_config())),
         CrawlerKind::SbClassifier => Box::new(SbStrategy::with_classifier(
             sb.sb_config(),
@@ -276,7 +277,7 @@ pub fn build_strategy(kind: CrawlerKind, site: &Website, scale: f64, sb: &SbTuni
 }
 
 /// Runs one crawler once on a site.
-pub fn run_crawler(site: &Arc<Website>, kind: CrawlerKind, seed: u64, opts: &RunOpts) -> CrawlOutcome {
+pub fn run_crawler(site: &Arc<StreamingSite>, kind: CrawlerKind, seed: u64, opts: &RunOpts) -> CrawlOutcome {
     let mut strategy = build_strategy(kind, site, opts.scale, &opts.sb);
     run_with_strategy(site, strategy.as_mut(), kind.needs_oracle(), seed, opts)
 }
@@ -285,14 +286,14 @@ pub fn run_crawler(site: &Arc<Website>, kind: CrawlerKind, seed: u64, opts: &Run
 /// concrete access to the strategy afterwards) through the validated
 /// session API.
 pub fn run_with_strategy(
-    site: &Arc<Website>,
+    site: &Arc<StreamingSite>,
     strategy: &mut dyn Strategy,
     needs_oracle: bool,
     seed: u64,
     opts: &RunOpts,
 ) -> CrawlOutcome {
-    let server = SiteServer::shared(site.clone());
-    let root = site.page(site.root()).url.clone();
+    let server = SiteServer::from_source(site.clone());
+    let root = site.url(site.root()).to_owned();
     let cfg = CrawlConfig {
         budget: opts.budget,
         seed,

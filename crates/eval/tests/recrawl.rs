@@ -18,7 +18,7 @@ use sb_revisit::{
     ChangeModel, EvolvingSite, Observation, ProportionalRevisit, RevisitPolicy, RoundRobinRevisit,
     SleepingBanditRevisit, ThompsonGroupsRevisit,
 };
-use sb_webgraph::gen::PageKind;
+use sb_webgraph::gen::{PageKind, SiteSource};
 use sb_webgraph::{build_site, SiteSpec};
 use std::collections::HashSet;
 

@@ -64,8 +64,8 @@ impl SiteServer {
     /// serves its length without touching a body. A target's payload is
     /// generated by the first read of its deferred body, not here.
     fn respond_id(&self, id: PageId, with_body: bool) -> Response {
-        // Dispatch on the concrete source, so a cache miss renders through
-        // its own accessors rather than through the `Arc`'s forwarding ones.
+        // An `Arc` is not a `SiteSource`: every accessor below reads the
+        // store it holds, through one vtable.
         let source: &dyn SiteSource = &*self.source;
         match source.kind(id) {
             PageKind::Html(_) => {

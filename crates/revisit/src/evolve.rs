@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sb_httpsim::{HeadResponse, HttpServer, Response, SiteServer};
 use sb_webgraph::gen::build::{lognormal_params, poisson_ish, sample_lognormal};
-use sb_webgraph::gen::{HtmlRole, OutLink, PageId, PageKind, SitePage, Slot, Website};
+use sb_webgraph::gen::{HtmlRole, OutLink, PageId, PageKind, SitePage, SiteSource, Slot, Website};
 use sb_webgraph::mime::mime_for_extension;
 use sb_webgraph::url::Url;
 use std::collections::HashSet;
@@ -401,8 +401,8 @@ mod tests {
                 let id_prev = prev.lookup(url).expect("changed page pre-exists");
                 let id_cur = cur.lookup(url).expect("changed page persists");
                 assert_ne!(
-                    render_page(prev, id_prev),
-                    render_page(cur, id_cur),
+                    render_page(&**prev, id_prev),
+                    render_page(&**cur, id_cur),
                     "{url} is recorded as changed but renders identically"
                 );
             }

@@ -165,7 +165,7 @@ fn evolved_snapshots_render_as_the_tree_renderer_did() {
         let mut pages = 0;
         for id in 0..snap.len() as u32 {
             if matches!(snap.page(id).kind, PageKind::Html(_)) {
-                let want = oracle::page::render_page(snap, id);
+                let want = oracle::page::render_page(&**snap, id);
                 assert_eq!(&snap.rendered(id)[..], want.as_bytes(), "epoch {e}, page {id}");
                 pages += 1;
             }

@@ -21,11 +21,12 @@
 //! every operation degenerates to a plain `VecDeque` op on the front
 //! buffer — bit-identical behaviour, no arena, no chunking.
 //!
-//! The arena is in-memory chunk storage by default ([`SpillBacking::Memory`]
-//! still bounds *frontier* memory: chunks are dense boxed slices, 4 bytes
-//! per id, no deque headroom) or an unlinked temp file
-//! ([`SpillBacking::Disk`]) whose slots are recycled as chunks are read
-//! back.
+//! The arena is an unlinked temp file ([`SpillBacking::Disk`]) whose slots
+//! are recycled as chunks are read back: the backing that bounds the
+//! process's memory. [`SpillBacking::Memory`] keeps the chunks on the heap
+//! as dense boxed slices, 4 bytes per id — what the unbounded `VecDeque`
+//! costs, minus its headroom — so it bounds the two deque windows and not
+//! the process; it exercises the chunking without a file.
 
 use sb_webgraph::UrlId;
 use std::collections::VecDeque;
@@ -39,7 +40,8 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Where spilled chunks live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillBacking {
-    /// Boxed in-memory chunks (dense, 4 bytes/id).
+    /// Boxed heap chunks (dense, 4 bytes/id): bounds the deque windows,
+    /// not the process's memory.
     Memory,
     /// An anonymous temp file (created in `std::env::temp_dir()` and
     /// immediately unlinked); slots are recycled after reads.

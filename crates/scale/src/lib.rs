@@ -21,7 +21,8 @@
 //!   byte-identity is pinned by proptest.
 //! * [`frontier`] — [`SpillQueue`]: BUbiNG-style frontier virtualization.
 //!   A bounded in-memory deque whose middle spills to an overflow arena
-//!   (in-memory chunks or an unlinked temp file) in fixed-size chunks,
+//!   (an unlinked temp file, or heap chunks that bound the deque windows
+//!   but not the process) in fixed-size chunks,
 //!   preserving the *exact* FIFO/LIFO pop order of the unbounded deque.
 //! * [`visited`] — [`VisitedSet`]: one 64-bit FNV fingerprint probe over
 //!   every URL's canonical text; the parsed form is kept beside it up to a

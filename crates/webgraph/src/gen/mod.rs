@@ -181,14 +181,6 @@ pub struct Website {
 pub(crate) const TARGET_CACHE_BUDGET: u64 = 256 << 20;
 
 impl Website {
-    pub fn spec(&self) -> &SiteSpec {
-        &self.spec
-    }
-
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     pub fn root(&self) -> PageId {
         self.root
     }
@@ -197,26 +189,12 @@ impl Website {
         self.pages.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
     pub fn page(&self, id: PageId) -> &SitePage {
         &self.pages[id as usize]
     }
 
     pub fn pages(&self) -> &[SitePage] {
         &self.pages
-    }
-
-    pub fn section_style(&self, section: u16) -> &SectionStyle {
-        &self.section_styles[section as usize % self.section_styles.len()]
-    }
-
-    /// Resolves a URL string to a page id, if it belongs to the site.
-    /// Single FxHash lookup — this is the server's per-request hot path.
-    pub fn lookup(&self, url: &str) -> Option<PageId> {
-        self.url_index.get(url).copied()
     }
 
     /// Replaces the target-payload cache budget (builder knob; set before
@@ -268,53 +246,6 @@ impl Website {
     pub fn set_kind(&mut self, id: PageId, kind: PageKind) {
         self.pages[id as usize].kind = kind;
         self.cache.clear(self.pages.len());
-    }
-
-    /// The Table 1 census of this site; see [`Census`].
-    pub fn census(&self) -> Census {
-        let depths = self.source_depths();
-        let mut available = 0usize;
-        let mut targets = 0usize;
-        let mut html = 0usize;
-        let mut linkers = 0usize;
-        let mut sizes_mb: Vec<f64> = Vec::new();
-        let mut target_depths: Vec<f64> = Vec::new();
-        for (i, p) in self.pages.iter().enumerate() {
-            let reachable = depths[i].is_some();
-            if !reachable {
-                continue;
-            }
-            match &p.kind {
-                PageKind::Html(_) => {
-                    available += 1;
-                    html += 1;
-                    if p.out.iter().any(|l| {
-                        matches!(
-                            self.pages[l.to as usize].kind,
-                            PageKind::Target { .. }
-                        ) || matches!(&self.pages[l.to as usize].kind,
-                            PageKind::Redirect { to } if matches!(self.pages[*to as usize].kind, PageKind::Target { .. }))
-                    }) {
-                        linkers += 1;
-                    }
-                }
-                PageKind::Target { declared_size, .. } => {
-                    available += 1;
-                    targets += 1;
-                    sizes_mb.push(*declared_size as f64 / 1_048_576.0);
-                    target_depths.push(f64::from(depths[i].unwrap_or(0)));
-                }
-                PageKind::Error { .. } | PageKind::Redirect { .. } => {}
-            }
-        }
-        Census {
-            available,
-            targets,
-            html,
-            html_to_target_pct: if html > 0 { 100.0 * linkers as f64 / html as f64 } else { 0.0 },
-            target_size_mb: mean_std(&sizes_mb),
-            target_depth: mean_std(&target_depths),
-        }
     }
 }
 

@@ -12,12 +12,14 @@
 //! is written once, here, over that cache. Rendering byte-identity between
 //! the two implementations is pinned by proptest in `sb-scale`.
 
-use super::{BodyCache, OutLink, PageId, PageKind, SectionStyle, SiteSpec, Website};
+use super::{mean_std, BodyCache, Census, OutLink, PageId, PageKind, SectionStyle, SiteSpec, Website};
 use crate::mime::UrlClass;
 use std::sync::Arc;
 
-/// Read-only view of a generated website: the exact data surface needed by
-/// [`super::render::render_page`] and the origin server, nothing more.
+/// Read-only view of a generated website, and the only way anything reads
+/// one: the data surface needed by [`super::render::render_page`] and the
+/// origin server, plus the omniscient views (classes, targets, depths, the
+/// census) written once over it.
 ///
 /// All methods take `&self` and must be callable concurrently — servers
 /// share one site instance across every in-flight request.
@@ -145,23 +147,66 @@ pub trait SiteSource: Send + Sync {
         }
         depth
     }
+
+    /// The Table 1 census of this site; see [`Census`]. An HTML page links
+    /// to a target if one of its links is a target or a redirect to one.
+    fn census(&self) -> Census {
+        let mut available = 0usize;
+        let mut targets = 0usize;
+        let mut html = 0usize;
+        let mut linkers = 0usize;
+        let mut sizes_mb: Vec<f64> = Vec::new();
+        let mut target_depths: Vec<f64> = Vec::new();
+        for (id, depth) in self.source_depths().into_iter().enumerate() {
+            let Some(depth) = depth else { continue };
+            let id = id as PageId;
+            match self.kind(id) {
+                PageKind::Html(_) => {
+                    available += 1;
+                    html += 1;
+                    if self.out_links(id).iter().any(|l| match *self.kind(l.to) {
+                        PageKind::Target { .. } => true,
+                        PageKind::Redirect { to } => matches!(self.kind(to), PageKind::Target { .. }),
+                        _ => false,
+                    }) {
+                        linkers += 1;
+                    }
+                }
+                PageKind::Target { declared_size, .. } => {
+                    available += 1;
+                    targets += 1;
+                    sizes_mb.push(*declared_size as f64 / 1_048_576.0);
+                    target_depths.push(f64::from(depth));
+                }
+                PageKind::Error { .. } | PageKind::Redirect { .. } => {}
+            }
+        }
+        Census {
+            available,
+            targets,
+            html,
+            html_to_target_pct: if html > 0 { 100.0 * linkers as f64 / html as f64 } else { 0.0 },
+            target_size_mb: mean_std(&sizes_mb),
+            target_depth: mean_std(&target_depths),
+        }
+    }
 }
 
 impl SiteSource for Website {
     fn spec(&self) -> &SiteSpec {
-        Website::spec(self)
+        &self.spec
     }
 
     fn seed(&self) -> u64 {
-        Website::seed(self)
+        self.seed
     }
 
     fn root(&self) -> PageId {
-        Website::root(self)
+        self.root
     }
 
     fn n_pages(&self) -> usize {
-        Website::len(self)
+        self.pages.len()
     }
 
     fn kind(&self, id: PageId) -> &PageKind {
@@ -181,64 +226,16 @@ impl SiteSource for Website {
     }
 
     fn section_style(&self, section: u16) -> &SectionStyle {
-        Website::section_style(self, section)
+        &self.section_styles[section as usize % self.section_styles.len()]
     }
 
+    /// Single FxHash lookup — this is the server's per-request hot path.
     fn lookup(&self, url: &str) -> Option<PageId> {
-        Website::lookup(self, url)
+        self.url_index.get(url).copied()
     }
 
     fn body_cache(&self) -> &BodyCache {
         &self.cache
-    }
-}
-
-/// Shared handles are sources too: `render_page(&arc_site, id)` keeps
-/// working for `Arc<Website>` (and any other shared source) exactly as it
-/// did when the renderer took `&Website` and auto-deref applied.
-impl<S: SiteSource + ?Sized> SiteSource for Arc<S> {
-    fn spec(&self) -> &SiteSpec {
-        (**self).spec()
-    }
-
-    fn seed(&self) -> u64 {
-        (**self).seed()
-    }
-
-    fn root(&self) -> PageId {
-        (**self).root()
-    }
-
-    fn n_pages(&self) -> usize {
-        (**self).n_pages()
-    }
-
-    fn kind(&self, id: PageId) -> &PageKind {
-        (**self).kind(id)
-    }
-
-    fn url(&self, id: PageId) -> &str {
-        (**self).url(id)
-    }
-
-    fn title(&self, id: PageId) -> &str {
-        (**self).title(id)
-    }
-
-    fn out_links(&self, id: PageId) -> &[OutLink] {
-        (**self).out_links(id)
-    }
-
-    fn section_style(&self, section: u16) -> &SectionStyle {
-        (**self).section_style(section)
-    }
-
-    fn lookup(&self, url: &str) -> Option<PageId> {
-        (**self).lookup(url)
-    }
-
-    fn body_cache(&self) -> &BodyCache {
-        (**self).body_cache()
     }
 }
 

@@ -15,7 +15,7 @@
 use sbcrawl::crawler::Budget;
 use sbcrawl::revisit::{ChangeModel, EvolvingSite, ThompsonGroupsRevisit};
 use sbcrawl::serve::{serve_site, ReadLoadConfig, ServeConfig};
-use sbcrawl::webgraph::{build_site, SiteSpec};
+use sbcrawl::webgraph::{build_site, SiteSource, SiteSpec};
 
 fn main() {
     let base = build_site(&SiteSpec::demo(900), 1848);

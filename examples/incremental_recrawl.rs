@@ -24,7 +24,7 @@ use sbcrawl::revisit::{
     SleepingBanditRevisit, ThompsonGroupsRevisit,
 };
 use sbcrawl::serve::{serve_site, ServeConfig};
-use sbcrawl::webgraph::{build_site, SiteSpec};
+use sbcrawl::webgraph::{build_site, SiteSource, SiteSpec};
 
 fn main() {
     // A ~1 500-page ministry-style site...

@@ -12,8 +12,8 @@
 //!   proptest), but packed into dense arenas + CSR adjacency, rendering
 //!   bodies on demand through a bounded FIFO cache;
 //! * the BFS frontier is a spill-backed [`SpillQueue`]: at most ~4096 ids
-//!   in memory, the middle of the queue parked in an arena, pop order
-//!   *exactly* FIFO;
+//!   in memory, the middle of the queue parked in an unlinked temp file,
+//!   pop order *exactly* FIFO;
 //! * the visited set keeps full interner entries for the first 8192 URLs
 //!   and 64-bit fingerprints past that, with collision accounting.
 //!
@@ -53,10 +53,11 @@ fn main() {
     let root = site.url(site.root()).to_owned();
     let server = SiteServer::from_source(Arc::clone(&site) as Arc<dyn SiteSource>);
 
-    // BFS whose frontier spills to an in-memory arena past FRONTIER_CAP
-    // ids (SpillBacking::Disk writes fixed-size chunks to an unlinked
-    // temp file instead — same pop order either way).
-    let mut bfs = QueueStrategy::bfs_spilling(FRONTIER_CAP, SpillBacking::Memory);
+    // BFS whose frontier writes fixed-size chunks to an unlinked temp file
+    // past FRONTIER_CAP ids, so the process holds only the two ends of the
+    // queue (SpillBacking::Memory keeps the chunks on the heap: the same
+    // pop order, and no memory bound).
+    let mut bfs = QueueStrategy::bfs_spilling(FRONTIER_CAP, SpillBacking::Disk);
     let cfg = CrawlConfig {
         compact_visited_threshold: VISITED_THRESHOLD,
         ..Default::default()

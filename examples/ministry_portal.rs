@@ -10,7 +10,7 @@ use sbcrawl::crawler::{crawl, CrawlConfig};
 use sbcrawl::crawler::strategies::{QueueStrategy, SbStrategy};
 use sbcrawl::crawler::EarlyStopConfig;
 use sbcrawl::httpsim::SiteServer;
-use sbcrawl::webgraph::{build_site, profile};
+use sbcrawl::webgraph::{build_site, profile, SiteSource};
 
 fn main() {
     // The real `ju` profile (French Ministry of Justice), scaled 1:50.

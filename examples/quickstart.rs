@@ -8,7 +8,7 @@
 use sbcrawl::crawler::{crawl, Budget, CrawlConfig};
 use sbcrawl::crawler::strategies::SbStrategy;
 use sbcrawl::httpsim::SiteServer;
-use sbcrawl::webgraph::{build_site, SiteSpec};
+use sbcrawl::webgraph::{build_site, SiteSource, SiteSpec};
 
 fn main() {
     // A ~1 000-page synthetic site: hubs, catalogs, articles, dead links,

@@ -11,7 +11,7 @@ use sbcrawl::crawler::{crawl, CrawlConfig};
 use sbcrawl::crawler::strategies::SbStrategy;
 use sbcrawl::httpsim::SiteServer;
 use sbcrawl::sdetect::detect_tables;
-use sbcrawl::webgraph::{build_site, profile};
+use sbcrawl::webgraph::{build_site, profile, SiteSource};
 use std::collections::BTreeMap;
 
 fn main() {

@@ -36,8 +36,10 @@
 #   --seed S         benchmark --seed (default 1)
 #   --seconds T      benchmark --seconds per run (default 3)
 #   --dir DIR        keep the exports, builds and every run's JSON result in
-#                    DIR and reuse them on the next call (default: a fresh
-#                    temporary directory, removed on exit)
+#                    DIR and reuse the builds on the next call (default: a
+#                    fresh temporary directory, removed on exit). Results
+#                    are kept per seed, in DIR/results/seed-S: a call
+#                    replaces only the runs of its own --seed.
 #
 # Example:
 #   scripts/pair.sh HEAD~1 HEAD --workloads serve_refresh --pairs 10
@@ -130,7 +132,7 @@ case ",$workloads," in
 esac
 IFS=, read -r -a wl <<< "$workloads"
 
-results="$work/results"
+results="$work/results/seed-$seed"
 rm -rf "$results"
 mkdir -p "$results"
 

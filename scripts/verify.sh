@@ -138,6 +138,15 @@ cargo test -q --offline -p sb-scale --test alloc_guard_stream
 # evicted streaming page answers HEAD without rendering; a `Website`
 # mutated after serving serves fresh bytes for the page and its linkers.
 cargo test -q --offline -p sb-scale --test body_cache
+# One read API for both stores: `SiteSource` is the only way anything reads
+# a site, and the experiment harness reads its read-only sites off the
+# packed store. What licenses that is store identity: the proptest holds
+# the packed store to the eager one on arbitrary `SiteSpec::demo` knobs,
+# and the profile test does so on every Table 1 profile — every accessor,
+# body, size and payload, the URL index, `target_urls`, `source_depths`
+# and `census`.
+cargo test -q --offline -p sb-scale --test proptest_scale streaming_site_is_byte_identical
+cargo test -q --offline -p sb-scale --test profile_identity
 # Target payloads are generated when read, not when served: a target GET
 # answers with a deferred body. The allocation guard holds a GET of a
 # 30 kB+ target plus `declared_len`, `wire_size` and `settle_get` to under
@@ -330,7 +339,8 @@ fi
 # the one place that times the crawl (PR 29): no benchmark shim, fleet
 # throughput getter or peak-RSS reader beside it.
 # A centroid moves through one kernel, `moved_toward_into`: no allocating
-# `moved_toward` beside it.
+# `moved_toward` beside it. A site is read through `SiteSource` alone: no
+# forwarding impl for `Arc` beside it (callers deref).
 if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fetch_sitemap_urls" -e "robots_filter" -e "RobotsTxt::fetch" \
         -e "HtmlBuilder" -e "fn grams(" -e "pub segments" \
@@ -341,7 +351,7 @@ if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fn merge(&mut self, other: &MemGauges)" \
         -e "RenderSlot" -e "in_links_extra" -e "fn try_charge" -e "fn finish_build" \
         -e "target_cache_remaining" -e "criterion" -e "fn requests_per_sec" -e "VmHWM" \
-        -e "fn moved_toward(" \
+        -e "fn moved_toward(" -e "SiteSource for Arc<" \
         crates/*/src Cargo.toml crates/*/Cargo.toml; then
     echo "verify: a deleted duplicate reappeared" >&2; exit 1
 fi

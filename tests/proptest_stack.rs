@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sbcrawl::crawler::{crawl, Budget, CrawlConfig};
 use sbcrawl::crawler::strategies::{QueueStrategy, SbStrategy};
 use sbcrawl::httpsim::SiteServer;
-use sbcrawl::webgraph::{build_site, SiteSpec};
+use sbcrawl::webgraph::{build_site, SiteSource, SiteSpec};
 
 fn arb_spec() -> impl Strategy<Value = SiteSpec> {
     (

@@ -8,7 +8,7 @@ use sbcrawl::webgraph::complexity::{
     crawl_budget_for_cover_budget, min_crawl_cost, min_set_cover, reduce_set_cover,
     SetCoverInstance,
 };
-use sbcrawl::webgraph::{build_site, SiteSpec};
+use sbcrawl::webgraph::{build_site, SiteSource, SiteSpec};
 
 /// A PDF-only policy retrieves exactly the PDFs (custom target MIME lists,
 /// Sec 2.2).

@@ -5,7 +5,7 @@ use sbcrawl::crawler::{crawl, Budget, CrawlConfig, Oracle};
 use sbcrawl::crawler::strategies::{QueueStrategy, SbConfig, SbStrategy};
 use sbcrawl::crawler::strategy::Strategy;
 use sbcrawl::httpsim::SiteServer;
-use sbcrawl::webgraph::{build_site, profile, Website};
+use sbcrawl::webgraph::{build_site, profile, SiteSource, Website};
 
 fn scaled(code: &str, scale: f64, seed: u64) -> Website {
     build_site(&profile(code).expect("paper profile").scaled(scale), seed)
