@@ -185,10 +185,6 @@ impl ActionSpace {
         }
     }
 
-    pub fn config(&self) -> &ActionSpaceConfig {
-        &self.cfg
-    }
-
     /// Number of actions created so far.
     pub fn len(&self) -> usize {
         self.metas.len()

@@ -4,28 +4,30 @@
 //! `σ = (y_t − y_{t−ν}) / ν` of the target-discovery curve and folds it into
 //! an exponential moving average `μ ← γ·σ + (1 − γ)·μ`. If μ stays below a
 //! threshold ε for κ consecutive slopes (κ·ν iterations), the crawl stops.
-//! Paper defaults: ν = 1000, ε = 0.2, γ = 0.05, κ = 15.
+//! Paper defaults: ν = 1000, ε = 0.2, γ = 0.05, κ = 15. ε and γ are the
+//! paper's constants; ν and κ are settable (ν scales with the site).
 
 /// Early-stopping parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarlyStopConfig {
     /// Slope sampling period ν, in crawl iterations.
     pub nu: u64,
-    /// Slope threshold ε.
-    pub epsilon: f64,
-    /// EMA decay γ.
-    pub gamma: f64,
     /// Consecutive low-μ slopes required, κ.
     pub kappa: u32,
 }
 
 impl Default for EarlyStopConfig {
     fn default() -> Self {
-        EarlyStopConfig { nu: 1000, epsilon: 0.2, gamma: 0.05, kappa: 15 }
+        EarlyStopConfig { nu: 1000, kappa: 15 }
     }
 }
 
 impl EarlyStopConfig {
+    /// Slope threshold ε.
+    pub const EPSILON: f64 = 0.2;
+    /// EMA decay γ.
+    pub const GAMMA: f64 = 0.05;
+
     /// Scales ν to a reduced-size site so the κ·ν stopping horizon keeps the
     /// same proportion of the site as at paper scale.
     pub fn scaled(mut self, factor: f64) -> Self {
@@ -54,7 +56,7 @@ impl EarlyStop {
         // μ starts at ε so a crawl cannot stop before the first real slopes
         // arrive (the paper's mechanism needs κ·ν iterations minimum).
         EarlyStop {
-            mu: cfg.epsilon,
+            mu: EarlyStopConfig::EPSILON,
             cfg,
             last_y: 0.0,
             low_streak: 0,
@@ -76,9 +78,9 @@ impl EarlyStop {
         self.last_t = Some(t);
         let sigma = (y - self.last_y) / self.cfg.nu as f64;
         self.last_y = y;
-        self.mu = self.cfg.gamma * sigma + (1.0 - self.cfg.gamma) * self.mu;
+        self.mu = EarlyStopConfig::GAMMA * sigma + (1.0 - EarlyStopConfig::GAMMA) * self.mu;
         self.checks += 1;
-        if self.mu < self.cfg.epsilon {
+        if self.mu < EarlyStopConfig::EPSILON {
             self.low_streak += 1;
         } else {
             self.low_streak = 0;
@@ -101,7 +103,7 @@ mod tests {
     use super::*;
 
     fn cfg(nu: u64, kappa: u32) -> EarlyStopConfig {
-        EarlyStopConfig { nu, epsilon: 0.2, gamma: 0.05, kappa }
+        EarlyStopConfig { nu, kappa }
     }
 
     #[test]

@@ -72,7 +72,7 @@
 //! [`SharedTransportPool`]: sb_httpsim::SharedTransportPool
 
 use crate::events::{AbandonCounts, FinishReason};
-use crate::session::{ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, Oracle};
+use crate::session::{ConfigError, CrawlConfig, CrawlOutcome, CrawlSession};
 use crate::strategy::Strategy;
 use parking_lot::Mutex;
 use sb_httpsim::{HttpServer, SharedTransportPool, Traffic};
@@ -81,9 +81,6 @@ use std::sync::Arc;
 
 /// Shareable server handle: fleets move jobs across threads.
 pub type SharedServer = Arc<dyn HttpServer + Send + Sync>;
-
-/// Shareable ground-truth oracle for oracle strategies.
-pub type SharedOracle = Arc<dyn Oracle + Send + Sync>;
 
 /// Builds the strategy on the worker thread that will drive the session —
 /// strategies themselves never cross threads.
@@ -95,7 +92,6 @@ pub struct FleetJob {
     pub name: String,
     pub root: String,
     server: SharedServer,
-    oracle: Option<SharedOracle>,
     strategy: StrategyFactory,
     cfg: CrawlConfig,
 }
@@ -111,7 +107,6 @@ impl FleetJob {
             name: name.into(),
             root: root.into(),
             server,
-            oracle: None,
             strategy: Box::new(strategy),
             cfg: CrawlConfig::default(),
         }
@@ -121,12 +116,6 @@ impl FleetJob {
     /// validated when the site's session is built.
     pub fn config(mut self, cfg: CrawlConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Ground truth for oracle strategies on this site.
-    pub fn oracle(mut self, oracle: SharedOracle) -> Self {
-        self.oracle = Some(oracle);
         self
     }
 }
@@ -343,14 +332,13 @@ impl Fleet {
     }
 }
 
-/// Everything a session borrows (server, oracle, strategy, config, root),
+/// Everything a session borrows (server, strategy, config, root),
 /// materialised so sessions can borrow from the driver's frame.
 struct Prepared {
     index: usize,
     name: String,
     root: String,
     server: SharedServer,
-    oracle: Option<SharedOracle>,
     strategy: Box<dyn Strategy>,
     cfg: CrawlConfig,
 }
@@ -373,7 +361,7 @@ fn pool_sessions<'a>(
             let handle = pool.handle(p.server.as_ref(), p.cfg.policy.clone(), p.cfg.politeness);
             CrawlSession::with_transport(
                 Box::new(handle),
-                p.oracle.as_ref().map(|o| o.as_ref() as &dyn Oracle),
+                None,
                 &p.root,
                 p.strategy.as_mut(),
                 &p.cfg,
@@ -514,7 +502,6 @@ fn drive_shard(
                 name: job.name,
                 root: job.root,
                 server: job.server,
-                oracle: job.oracle,
                 strategy: (job.strategy)(),
                 cfg: job.cfg,
             })

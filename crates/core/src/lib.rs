@@ -83,10 +83,10 @@ pub use events::{
     MemGauges, OwnedEvent, RefreshStats, TraceObserver,
 };
 pub use fleet::{
-    Fleet, FleetJob, FleetMode, FleetOutcome, ShardReport, SharedOracle, SharedServer, SiteReport,
+    Fleet, FleetJob, FleetMode, FleetOutcome, ShardReport, SharedServer, SiteReport,
 };
 pub use session::{
-    crawl, Budget, ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, Oracle, RefreshedPage,
+    crawl, Budget, ConfigError, CrawlConfig, CrawlOutcome, CrawlSession, RefreshedPage,
     RetrievedTarget, StepReport,
 };
 pub use strategies::ValueStrategy;

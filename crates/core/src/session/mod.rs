@@ -92,26 +92,12 @@ use rand::SeedableRng;
 use sb_httpsim::transport::{PipelinedTransport, RequestId, Transport};
 use sb_httpsim::{Fetched, HttpServer};
 use sb_scale::VisitedSet;
+use sb_webgraph::gen::SiteSource;
 use sb_webgraph::interner::UrlId;
 use sb_webgraph::url::Url;
 #[cfg(debug_assertions)]
 use std::collections::HashMap;
 use std::collections::VecDeque;
-
-/// Ground-truth URL classes, for oracle strategies (Sec 4.3's `SB-ORACLE`,
-/// `TP-OFF`'s first phase and `TRES`'s URL oracle).
-pub trait Oracle: Sync {
-    fn class_of(&self, url: &str) -> sb_webgraph::UrlClass;
-}
-
-impl<S: sb_webgraph::gen::SiteSource + ?Sized> Oracle for S {
-    fn class_of(&self, url: &str) -> sb_webgraph::UrlClass {
-        match self.lookup(url) {
-            Some(id) => self.true_class(id),
-            None => sb_webgraph::UrlClass::Neither,
-        }
-    }
-}
 
 /// A target retrieved during the crawl.
 #[derive(Debug, Clone)]
@@ -235,7 +221,9 @@ impl ObserverHub<'_> {
 /// A paused, resumable crawl of one site. See the module docs.
 pub struct CrawlSession<'a> {
     transport: Box<dyn Transport + 'a>,
-    oracle: Option<&'a dyn Oracle>,
+    /// The served site as ground truth, for oracle strategies (Sec 4.3's
+    /// `SB-ORACLE`, `TP-OFF`'s first phase and `TRES`'s URL oracle).
+    oracle: Option<&'a dyn SiteSource>,
     cfg: &'a CrawlConfig,
     strategy: &'a mut dyn Strategy,
     hub: ObserverHub<'a>,
@@ -305,7 +293,7 @@ impl<'a> CrawlSession<'a> {
     /// spent until the first [`CrawlSession::step`].
     pub fn new(
         server: &'a dyn HttpServer,
-        oracle: Option<&'a dyn Oracle>,
+        oracle: Option<&'a dyn SiteSource>,
         root_url: &str,
         strategy: &'a mut dyn Strategy,
         cfg: &'a CrawlConfig,
@@ -325,7 +313,7 @@ impl<'a> CrawlSession<'a> {
     /// (which is validated all the same).
     pub fn with_transport(
         transport: Box<dyn Transport + 'a>,
-        oracle: Option<&'a dyn Oracle>,
+        oracle: Option<&'a dyn SiteSource>,
         root_url: &str,
         strategy: &'a mut dyn Strategy,
         cfg: &'a CrawlConfig,
@@ -530,7 +518,7 @@ impl<'a> CrawlSession<'a> {
 /// [`ConfigError`] instead use [`CrawlSession::new`].
 pub fn crawl(
     server: &dyn HttpServer,
-    oracle: Option<&dyn Oracle>,
+    oracle: Option<&dyn SiteSource>,
     root_url: &str,
     strategy: &mut dyn Strategy,
     cfg: &CrawlConfig,

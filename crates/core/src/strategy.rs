@@ -5,9 +5,9 @@
 //! *per-link routing* ([`Strategy::decide`] — enqueue, fetch immediately as
 //! a predicted target, or drop), and *learning* (the feedback hooks).
 
-use crate::session::Oracle;
 use rand::rngs::StdRng;
 use sb_httpsim::Transport;
+use sb_webgraph::gen::SiteSource;
 use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::url::Url;
 use sb_webgraph::{UrlClass, UrlId};
@@ -90,7 +90,7 @@ pub struct NewLink<'a> {
 /// bookkeeping, so only the probe surface is exposed.
 pub struct Services<'c, 'a> {
     pub(crate) transport: &'c mut (dyn Transport + 'a),
-    pub oracle: Option<&'a dyn Oracle>,
+    pub oracle: Option<&'a dyn SiteSource>,
     pub policy: &'c MimePolicy,
 }
 
@@ -136,10 +136,15 @@ impl Services<'_, '_> {
         UrlClass::Neither
     }
 
-    /// Ground truth from the oracle. Panics if the strategy was run without
-    /// one — oracle strategies must be wired with `Some(oracle)`.
+    /// Ground truth from the oracle site: a URL off the site is
+    /// [`UrlClass::Neither`]. Panics if the strategy was run without one —
+    /// oracle strategies must be wired with `Some(site)`.
     pub(crate) fn oracle_class(&self, url: &str) -> UrlClass {
-        self.oracle.expect("this strategy requires a ground-truth oracle").class_of(url)
+        let site = self.oracle.expect("this strategy requires a ground-truth oracle");
+        match site.lookup(url) {
+            Some(id) => site.true_class(id),
+            None => UrlClass::Neither,
+        }
     }
 }
 

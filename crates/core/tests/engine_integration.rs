@@ -174,7 +174,7 @@ fn early_stopping_fires_on_exhausted_site() {
     // (there are always dead/article links left); early stopping must cut it.
     let mut sb = SbStrategy::oracle(SbConfig::default());
     let cfg = CrawlConfig {
-        early_stop: Some(EarlyStopConfig { nu: 20, epsilon: 0.2, gamma: 0.05, kappa: 5 }),
+        early_stop: Some(EarlyStopConfig { nu: 20, kappa: 5 }),
         ..Default::default()
     };
     let out = run(&site, &mut sb, &cfg);

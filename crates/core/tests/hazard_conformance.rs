@@ -29,7 +29,7 @@
 //! near-duplicate clusters are detectable with the `sb-ann` n-gram
 //! sketches.
 
-use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession, Oracle};
+use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession};
 use sb_crawler::strategies::{QueueStrategy, SbConfig, SbStrategy, TresStrategy};
 use sb_crawler::{EventLog, OwnedEvent, Strategy};
 use sb_httpsim::transport::Transport;
@@ -38,7 +38,7 @@ use sb_httpsim::{
     SharedTransportPool, SiteServer, TailLatency,
 };
 use sb_webgraph::gen::hazard::{apply_hazards, HazardReport, HazardSpec};
-use sb_webgraph::gen::{build_site, SiteSpec};
+use sb_webgraph::gen::{build_site, SiteSource, SiteSpec};
 use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::Website;
 use std::collections::BTreeSet;
@@ -225,7 +225,7 @@ fn run(
     let host = root.split('/').nth(2).unwrap_or_default().to_owned();
     let transport = build(server, politeness(), window, h.retry_policy(), h.hazard_policy(&host));
     let (mut strategy, needs_oracle) = s.build();
-    let oracle = needs_oracle.then_some(site.as_ref() as &dyn Oracle);
+    let oracle = needs_oracle.then_some(site.as_ref() as &dyn SiteSource);
     let cfg = CrawlConfig { budget, max_in_flight: window, ..Default::default() };
     let mut log = EventLog::new();
     let session =

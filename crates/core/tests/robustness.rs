@@ -45,12 +45,7 @@ fn early_stopping_escapes_the_trap() {
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig {
         budget: Budget::Requests(100_000),
-        early_stop: Some(sb_crawler::EarlyStopConfig {
-            nu: 50,
-            epsilon: 0.2,
-            gamma: 0.05,
-            kappa: 4,
-        }),
+        early_stop: Some(sb_crawler::EarlyStopConfig { nu: 50, kappa: 4 }),
         ..Default::default()
     };
     let outcome = crawl(&trap, None, &root, &mut bfs, &cfg);

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use sb_crawler::{crawl, CrawlConfig, CrawlOutcome};
-use sb_crawler::strategies::QueueStrategy;
+use sb_crawler::strategies::{
+    OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy, TresStrategy,
+};
 use sb_crawler::strategy::Strategy;
 use sb_httpsim::SiteServer;
 use sb_scale::{stream_site, SpillBacking};
@@ -21,18 +23,20 @@ fn spec_with(n: usize, tf: f64, err: f64, ext: f64) -> SiteSpec {
     spec
 }
 
+// Both runners pass the served site as the crawl's oracle: strategies
+// that read no ground truth never touch it.
 fn run_eager(spec: &SiteSpec, seed: u64, strategy: &mut dyn Strategy, cfg: &CrawlConfig) -> CrawlOutcome {
-    let site = build_site(spec, seed);
+    let site = Arc::new(build_site(spec, seed));
     let root = site.page(site.root()).url.clone();
-    let server = SiteServer::new(site);
-    crawl(&server, None, &root, strategy, cfg)
+    let server = SiteServer::shared(site.clone());
+    crawl(&server, Some(&*site), &root, strategy, cfg)
 }
 
 fn run_streaming(spec: &SiteSpec, seed: u64, strategy: &mut dyn Strategy, cfg: &CrawlConfig) -> CrawlOutcome {
     let site = Arc::new(stream_site(spec, seed).with_render_cache_budget(64 << 10));
     let root = site.url(site.root()).to_owned();
-    let server = SiteServer::from_source(site);
-    crawl(&server, None, &root, strategy, cfg)
+    let server = SiteServer::from_source(site.clone());
+    crawl(&server, Some(&*site), &root, strategy, cfg)
 }
 
 fn assert_same_crawl(a: &CrawlOutcome, b: &CrawlOutcome, label: &str) {
@@ -43,8 +47,9 @@ fn assert_same_crawl(a: &CrawlOutcome, b: &CrawlOutcome, label: &str) {
     assert_eq!(a.traffic, b.traffic, "{label}: traffic diverged");
 }
 
-/// A BFS crawl served from the streaming site is indistinguishable from
-/// one served from the eager site.
+/// A crawl served from the streaming site is indistinguishable from one
+/// served from the eager site: BFS, and the oracle strategies reading the
+/// served store as their ground truth.
 #[test]
 fn streaming_server_crawl_is_identical() {
     let spec = spec_with(500, 0.25, 0.08, 0.3);
@@ -53,6 +58,20 @@ fn streaming_server_crawl_is_identical() {
     let lazy = run_streaming(&spec, 11, &mut QueueStrategy::bfs(), &cfg);
     assert_same_crawl(&eager, &lazy, "streaming server");
     assert!(eager.targets_found() > 0, "vacuous site");
+
+    let targets = build_site(&spec, 11).target_urls();
+    let oracle_strategies: [(&str, &dyn Fn() -> Box<dyn Strategy>); 4] = [
+        ("SB-ORACLE", &|| Box::new(SbStrategy::oracle(SbConfig::default()))),
+        ("TP-OFF", &|| Box::new(TpOffStrategy::new(30))),
+        ("TRES", &|| Box::new(TresStrategy::new())),
+        ("OMNISCIENT", &|| Box::new(OmniscientStrategy::new(targets.clone()))),
+    ];
+    for (label, make) in oracle_strategies {
+        let eager = run_eager(&spec, 11, make().as_mut(), &cfg);
+        let lazy = run_streaming(&spec, 11, make().as_mut(), &cfg);
+        assert_same_crawl(&eager, &lazy, label);
+        assert!(eager.targets_found() > 0, "{label}: vacuous crawl");
+    }
 }
 
 /// A spill-backed BFS/DFS frontier (memory and disk arenas) replays the

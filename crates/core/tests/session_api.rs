@@ -1143,7 +1143,7 @@ fn each_crawl_statistic_agrees_with_the_event_stream() {
     let trap = TrapServer::new("https://trap.example.org");
     let cfg = CrawlConfig {
         budget: Budget::Requests(100_000),
-        early_stop: Some(EarlyStopConfig { nu: 50, epsilon: 0.2, gamma: 0.05, kappa: 4 }),
+        early_stop: Some(EarlyStopConfig { nu: 50, kappa: 4 }),
         ..Default::default()
     };
     let mut bfs = QueueStrategy::bfs();

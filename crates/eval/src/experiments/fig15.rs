@@ -4,6 +4,7 @@
 use super::{campaign, scaled_early_stop};
 use crate::setup::EvalConfig;
 use crate::tables::{write_csv, write_text};
+use sb_crawler::EarlyStopConfig;
 
 pub const FIG15_CODES: [&str; 2] = ["in", "ju"];
 
@@ -13,7 +14,7 @@ pub fn run(cfg: &EvalConfig) -> String {
     let es_cfg = scaled_early_stop(cfg.scale);
     md.push_str(&format!(
         "Parameters: ν={}, ε={}, γ={}, κ={}\n\n",
-        es_cfg.nu, es_cfg.epsilon, es_cfg.gamma, es_cfg.kappa
+        es_cfg.nu, EarlyStopConfig::EPSILON, EarlyStopConfig::GAMMA, es_cfg.kappa
     ));
     for code in FIG15_CODES {
         if let Some(sel) = &cfg.sites {

@@ -101,18 +101,15 @@ pub fn run(cfg: &EvalConfig) -> String {
     // 4 000-page bench site, verify smokes shrink it via `--scale`.
     let n_pages = ((cfg.scale * 400_000.0) as usize).clamp(200, 40_000);
     let mut hazy = build_site(&SiteSpec::demo(n_pages), 42);
+    let clean_site = Arc::new(hazy.clone());
     let report = apply_hazards(&mut hazy, &HazardSpec::scaled(n_pages), 7);
     let site = Arc::new(hazy);
 
     // Hazard-free coverage baseline: an exhaustive crawl of the same site
     // with no outage and no trap bait ever followed (clean URLs only).
-    let clean_total = {
-        let mut clean_site = build_site(&SiteSpec::demo(n_pages), 42);
-        let _ = apply_hazards(&mut clean_site, &HazardSpec::none(), 7);
-        let clean_site = Arc::new(clean_site);
-        let r = crawl_hostile(&clean_site, &report, 16, Budget::Unlimited, 0.0, false);
-        r.clean_urls.max(1)
-    };
+    let clean_total =
+        crawl_hostile(&clean_site, &report, 16, Budget::Unlimited, 0.0, false).clean_urls.max(1);
+    drop(clean_site);
 
     struct Row {
         window: usize,

@@ -24,7 +24,9 @@ pub mod time;
 
 use crate::metrics::{req90_pct, vol90_pct};
 use crate::runner::{par_map, RunOpts};
-use crate::setup::{build_site_for, reference, run_crawler, CrawlerKind, EvalConfig, SiteRef};
+use crate::setup::{
+    build_site_for, memoized, reference, run_crawler, CrawlerKind, EvalConfig, Memo, SiteRef,
+};
 use parking_lot::Mutex;
 use sb_crawler::strategy::ArmReport;
 use sb_crawler::{EarlyStopConfig, FinishReason, TracePoint};
@@ -76,7 +78,7 @@ impl Campaign {
     }
 }
 
-static CAMPAIGN_CACHE: Mutex<Option<HashMap<String, Arc<Campaign>>>> = Mutex::new(None);
+static CAMPAIGN_CACHE: Memo<String, Arc<Campaign>> = Mutex::new(None);
 
 fn campaign_key(cfg: &EvalConfig) -> String {
     format!(
@@ -101,18 +103,7 @@ pub fn scaled_early_stop(scale: f64) -> EarlyStopConfig {
 
 /// Runs (or fetches) the shared campaign.
 pub fn campaign(cfg: &EvalConfig) -> Arc<Campaign> {
-    let key = campaign_key(cfg);
-    {
-        let cache = CAMPAIGN_CACHE.lock();
-        if let Some(map) = cache.as_ref() {
-            if let Some(c) = map.get(&key) {
-                return c.clone();
-            }
-        }
-    }
-    let c = Arc::new(run_campaign(cfg));
-    CAMPAIGN_CACHE.lock().get_or_insert_with(HashMap::new).insert(key, c.clone());
-    c
+    memoized(&CAMPAIGN_CACHE, campaign_key(cfg), || Arc::new(run_campaign(cfg)))
 }
 
 /// One crawl's [`RunSummary`]: the campaign's summariser, also used by

@@ -16,6 +16,7 @@ use sb_scale::{stream_site, StreamingSite};
 use sb_webgraph::gen::{profiles, SiteSource};
 use sb_webgraph::SiteSpec;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -184,27 +185,35 @@ impl SbTuning {
 // Site cache
 // ----------------------------------------------------------------------
 
+/// A process-wide memo: one value per key, built on first use.
+pub(crate) type Memo<K, V> = Mutex<Option<HashMap<K, V>>>;
+
+/// `memo[key]`, built by `build` on a miss. The build runs outside the
+/// lock, so two threads missing one key may both build it (the last
+/// insert wins) while other keys stay readable.
+pub(crate) fn memoized<K: Hash + Eq, V: Clone>(
+    memo: &Memo<K, V>,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> V {
+    if let Some(v) = memo.lock().as_ref().and_then(|map| map.get(&key)) {
+        return v.clone();
+    }
+    let v = build();
+    memo.lock().get_or_insert_with(HashMap::new).insert(key, v.clone());
+    v
+}
+
 type SiteKey = (String, u64 /* scale in ppm */);
 
-static SITE_CACHE: Mutex<Option<HashMap<SiteKey, Arc<StreamingSite>>>> = Mutex::new(None);
+static SITE_CACHE: Memo<SiteKey, Arc<StreamingSite>> = Mutex::new(None);
 
 /// Builds (or fetches from cache) the scaled site for a profile code, on
 /// the packed store: the same graph and bytes as `build_site`'s, read
 /// through `SiteSource`.
 pub fn build_site_for(cfg: &EvalConfig, code: &str) -> Arc<StreamingSite> {
     let key = (code.to_owned(), (cfg.scale * 1e6) as u64);
-    {
-        let cache = SITE_CACHE.lock();
-        if let Some(map) = cache.as_ref() {
-            if let Some(site) = map.get(&key) {
-                return site.clone();
-            }
-        }
-    }
-    let site = Arc::new(stream_site(&cfg.site_spec(code), cfg.site_seed(code)));
-    let mut cache = SITE_CACHE.lock();
-    cache.get_or_insert_with(HashMap::new).insert(key, site.clone());
-    site
+    memoized(&SITE_CACHE, key, || Arc::new(stream_site(&cfg.site_spec(code), cfg.site_seed(code))))
 }
 
 /// Reference statistics a site's metrics are normalised by (Sec 4.5):
@@ -220,32 +229,23 @@ pub struct SiteRef {
     pub full_non_target_bytes: u64,
 }
 
-static REF_CACHE: Mutex<Option<HashMap<SiteKey, SiteRef>>> = Mutex::new(None);
+static REF_CACHE: Memo<SiteKey, SiteRef> = Mutex::new(None);
 
 /// Computes (cached) the reference stats for a site.
 pub fn reference(cfg: &EvalConfig, code: &str) -> SiteRef {
     let key = (code.to_owned(), (cfg.scale * 1e6) as u64);
-    {
-        let cache = REF_CACHE.lock();
-        if let Some(map) = cache.as_ref() {
-            if let Some(r) = map.get(&key) {
-                return *r;
-            }
+    memoized(&REF_CACHE, key, || {
+        let site = build_site_for(cfg, code);
+        let census = site.census();
+        let out = run_crawler(&site, CrawlerKind::Bfs, 0, &RunOpts::default());
+        SiteRef {
+            available: census.available,
+            targets: out.targets_found(),
+            target_volume: out.traffic.target_bytes,
+            full_requests: out.traffic.requests(),
+            full_non_target_bytes: out.traffic.non_target_bytes,
         }
-    }
-    let site = build_site_for(cfg, code);
-    let census = site.census();
-    let out = run_crawler(&site, CrawlerKind::Bfs, 0, &RunOpts::default());
-    let r = SiteRef {
-        available: census.available,
-        targets: out.targets_found(),
-        target_volume: out.traffic.target_bytes,
-        full_requests: out.traffic.requests(),
-        full_non_target_bytes: out.traffic.non_target_bytes,
-    };
-    let mut cache = REF_CACHE.lock();
-    cache.get_or_insert_with(HashMap::new).insert(key, r);
-    r
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -302,7 +302,7 @@ pub fn run_with_strategy(
         early_stop: opts.early_stop,
         ..Default::default()
     };
-    let oracle: Option<&dyn sb_crawler::Oracle> = needs_oracle.then_some(site.as_ref() as _);
+    let oracle: Option<&dyn SiteSource> = needs_oracle.then_some(site.as_ref() as _);
     CrawlSession::new(&server, oracle, &root, strategy, &cfg)
         .expect("harness run options and generated site roots are valid")
         .run()

@@ -287,18 +287,12 @@ impl<'a> Document<'a> {
     /// Concatenated text content beneath `id` (including `id` itself if text).
     pub fn text_content(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.text_content_into(id, &mut out);
-        out
-    }
-
-    /// As [`Document::text_content`], appending into a caller-supplied
-    /// buffer (hot callers reuse one scratch allocation across nodes).
-    pub(crate) fn text_content_into(&self, id: NodeId, out: &mut String) {
         for n in std::iter::once(id).chain(self.descendants(id)) {
             if let Node::Text { content, .. } = &self.nodes[n] {
                 out.push_str(content);
             }
         }
+        out
     }
 
     /// Ids of all elements with the given name, in document order.

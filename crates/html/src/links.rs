@@ -141,7 +141,7 @@ impl<'a> LinkSite<'a> {
     pub fn into_link(self, doc: &Document<'a>, needs: LinkNeeds, scratch: &mut String) -> Link<'a> {
         let LinkSite { node, kind, href } = self;
         let anchor_text = if needs.anchor_text || needs.surrounding_text {
-            element_text(doc, node, scratch)
+            element_text_capped(doc, node, scratch, usize::MAX)
         } else {
             Cow::Borrowed("")
         };
@@ -185,24 +185,6 @@ fn is_non_http_scheme(href: &str) -> bool {
         return false;
     }
     !scheme.eq_ignore_ascii_case("http") && !scheme.eq_ignore_ascii_case("https")
-}
-
-/// Whitespace-normalised text content of `id`, borrowing the input when the
-/// element holds exactly one already-normalised borrowed text node (the
-/// overwhelmingly common case for anchors on generated markup).
-fn element_text<'a>(doc: &Document<'a>, id: NodeId, scratch: &mut String) -> Cow<'a, str> {
-    let mut single: Option<&Cow<'a, str>> = None;
-    if collect_single_text(doc, id, &mut single) {
-        return match single {
-            None => Cow::Borrowed(""),
-            Some(Cow::Borrowed(s)) if is_ws_normalized(s) => Cow::Borrowed(s),
-            Some(c) => Cow::Owned(normalize_ws(c)),
-        };
-    }
-    // More than one text node: concatenate through the scratch buffer.
-    scratch.clear();
-    doc.text_content_into(id, scratch);
-    Cow::Owned(normalize_ws(scratch))
 }
 
 /// Walks the subtree under `id` looking for text nodes. Returns `false` as
@@ -300,11 +282,12 @@ fn surrounding_text<'a>(
     Cow::Borrowed("")
 }
 
-/// As [`element_text`], but emitting at most `cap_chars` chars of
-/// normalised text: the subtree walk and the normalisation both stop at
-/// the cap, so a huge block costs O(cap), not O(block). The single
-/// borrowed-text-node fast path is unchanged (borrowing is free at any
-/// length).
+/// The first `cap_chars` chars of the whitespace-normalised text content
+/// of `id` (anchor text passes `usize::MAX`): the subtree walk and the
+/// normalisation both stop at the cap, so a huge block costs O(cap), not
+/// O(block). The input is borrowed, at any length, when the element holds
+/// exactly one already-normalised borrowed text node (the overwhelmingly
+/// common case for anchors on generated markup).
 fn element_text_capped<'a>(
     doc: &Document<'a>,
     id: NodeId,
@@ -390,11 +373,11 @@ fn feed_subtree(doc: &Document<'_>, id: NodeId, norm: &mut CappedNormalizer<'_>)
 }
 
 fn normalize_ws(s: &str) -> String {
-    // Single pass, no intermediate Vec — this runs (at most) twice per
-    // extracted link (anchor + surrounding block). Defined on the capped
-    // normalizer so the anchor text and the (capped) block text can never
-    // disagree on whitespace semantics: `surrounding_text`'s
-    // `find(anchor_text)` cut depends on the two being byte-identical.
+    // Single pass, no intermediate Vec — this re-normalises a surrounding
+    // block after the anchor text is cut out of it. Defined on the capped
+    // normalizer so it can never disagree with the text walk on whitespace
+    // semantics: `surrounding_text`'s `find(anchor_text)` cut depends on
+    // the anchor and block texts being normalised byte-identically.
     let mut out = String::with_capacity(s.len());
     let mut norm = CappedNormalizer { out: &mut out, left: usize::MAX, pending: false };
     norm.feed(s);

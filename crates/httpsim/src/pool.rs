@@ -292,11 +292,6 @@ impl<'a> PoolHandle<'a> {
         self.state.hazard_state.quarantined_hosts()
     }
 
-    /// The pool site index this handle was registered as.
-    pub fn site(&self) -> usize {
-        self.site
-    }
-
     /// The pool's simulated clock (arrival of the last delivered
     /// completion of any tenant).
     pub fn clock_secs(&self) -> f64 {

@@ -10,10 +10,10 @@
 //!   behind a reader-writer lock. A reader waits at most for one pointer
 //!   swap and never observes a torn value.
 //! * [`store::SnapshotStore`] — versioned page store. Per-URL
-//!   generations are monotonic, replaced versions are retained under a
-//!   bounded budget, and a read is two read-lock acquisitions plus a
-//!   relaxed popularity bump — it never waits for a fetch, a body copy
-//!   or a shelf clone.
+//!   generations are monotonic, commits to one URL serialise on its
+//!   bounded version history, and a read is two read-lock acquisitions
+//!   plus a relaxed popularity bump — it never waits for a fetch, a body
+//!   copy or a shelf clone.
 //! * [`sched`] — the freshness-SLA planner: per origin epoch it ranks
 //!   refresh candidates by *estimated change* ([`sb_revisit`] policies)
 //!   × *read popularity* (store counters) and feeds the winners back

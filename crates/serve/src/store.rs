@@ -19,9 +19,10 @@
 //! generations are assigned and version pointers published in the same
 //! order — two successive reads of one URL can never observe generations
 //! going backwards. Commits to different URLs do not serialise.
-//! Replaced versions are retained in a bounded per-slot history (the
-//! retained-version budget), so a version a reader still holds stays
-//! cheap — dropping history only drops `Arc`s.
+//! The per-slot history is that commit lock plus a bounded count of
+//! replaced versions (the retained-version budget); nothing reads the
+//! versions back. It does not keep a version a reader holds alive — the
+//! reader's own `Arc` does that — so truncating it only drops `Arc`s.
 
 use crate::cell::ArcCell;
 use parking_lot::{Mutex, RwLock};
@@ -50,8 +51,10 @@ struct VersionCell {
     current: ArcCell<PageVersion>,
     /// Reads served from this slot — the popularity signal.
     reads: AtomicU64,
-    /// Replaced versions, newest first, capped at the retain budget.
-    /// Its lock also serialises commits to this slot.
+    /// The slot's commit lock, guarding the replaced versions, newest
+    /// first, capped at the retain budget. Only [`SnapshotStore::retained`]
+    /// reads them, and only their count; a reader's own `Arc` keeps the
+    /// version it holds alive.
     history: Mutex<VecDeque<Arc<PageVersion>>>,
 }
 

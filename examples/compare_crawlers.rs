@@ -5,7 +5,7 @@
 //! cargo run --release --example compare_crawlers
 //! ```
 
-use sbcrawl::crawler::{crawl, Budget, CrawlConfig, Oracle};
+use sbcrawl::crawler::{crawl, Budget, CrawlConfig};
 use sbcrawl::crawler::strategies::{
     FocusedStrategy, OmniscientStrategy, QueueStrategy, SbConfig, SbStrategy, TpOffStrategy,
 };
@@ -17,7 +17,7 @@ use sbcrawl::webgraph::{build_site, SiteSpec, Website};
 fn run_one(site: &Website, name: &str, strategy: &mut dyn Strategy, budget: u64) -> (String, u64, u64) {
     let root = site.page(site.root()).url.clone();
     let server = SiteServer::new(site.clone());
-    let oracle: Option<&dyn Oracle> = Some(site);
+    let oracle: Option<&dyn SiteSource> = Some(site);
     let cfg = CrawlConfig { budget: Budget::Requests(budget), seed: 3, ..Default::default() };
     let out = crawl(&server, oracle, &root, strategy, &cfg);
     (name.to_owned(), out.targets_found(), out.traffic.requests())

@@ -206,6 +206,10 @@ cargo test -q --offline -p sb-crawler --test session_api a_fetch_that_is_neither
 # open at EOF, megabyte attribute values, 10 000 nested elements and
 # invalid UTF-8 (the html alloc guard above bounds the same inputs).
 cargo test -q --offline -p sb-bench --test html_equivalence
+# Anchor text is the capped text walk with no cap: padded, multi-node,
+# empty and non-ASCII-whitespace anchors normalise as the seed's
+# concatenate-then-normalise did, and so do the blocks they are cut from.
+cargo test -q --offline -p sb-bench --test html_equivalence whitespace_and_multinode_anchors
 # A fetched page is scanned once: each tokenizer scan walks its run through
 # one byte-class table and notes whether it passed a `&` or an uppercase
 # byte, so `unescape` and the lowercase fold run only on runs that hold
@@ -354,6 +358,25 @@ if grep -rn -e "Hnsw" -e "UrlInterner" -e "ReplayStore" -e "ArchiveWriter" \
         -e "fn moved_toward(" -e "SiteSource for Arc<" \
         crates/*/src Cargo.toml crates/*/Cargo.toml; then
     echo "verify: a deleted duplicate reappeared" >&2; exit 1
+fi
+# The site is the oracle: oracle strategies read the served `SiteSource`,
+# with no one-impl trait or fleet-job handle beside it; anchor text has no
+# uncapped walk beside the capped one; early stopping's ε and γ are the
+# paper's constants, not fields. Each check fails on its own line.
+if grep -rn "pub trait Oracle" crates/*/src; then
+    echo "verify: the Oracle trait reappeared" >&2; exit 1
+fi
+if grep -rn "SharedOracle" crates/*/src examples/; then
+    echo "verify: a fleet oracle handle reappeared" >&2; exit 1
+fi
+if grep -rn "fn element_text(" crates/*/src; then
+    echo "verify: a second anchor-text walk reappeared" >&2; exit 1
+fi
+if grep -n "pub epsilon:" crates/core/src/early_stop.rs; then
+    echo "verify: early stopping's epsilon is a field again" >&2; exit 1
+fi
+if grep -n "pub gamma:" crates/core/src/early_stop.rs; then
+    echo "verify: early stopping's gamma is a field again" >&2; exit 1
 fi
 # Library crates hold only what a crawl runs: the dense projection and
 # cosine the sparse kernels are pinned against live in `sb_bench::dense`,

@@ -1,7 +1,7 @@
 //! Cross-crate reproduction tests: the paper's headline qualitative claims
 //! must hold on the synthetic profiles at test scale.
 
-use sbcrawl::crawler::{crawl, Budget, CrawlConfig, Oracle};
+use sbcrawl::crawler::{crawl, Budget, CrawlConfig};
 use sbcrawl::crawler::strategies::{QueueStrategy, SbConfig, SbStrategy};
 use sbcrawl::crawler::strategy::Strategy;
 use sbcrawl::httpsim::SiteServer;
@@ -14,7 +14,7 @@ fn scaled(code: &str, scale: f64, seed: u64) -> Website {
 fn run(site: &Website, strategy: &mut dyn Strategy, budget: Budget, seed: u64) -> (u64, u64) {
     let root = site.page(site.root()).url.clone();
     let server = SiteServer::new(site.clone());
-    let oracle: Option<&dyn Oracle> = Some(site);
+    let oracle: Option<&dyn SiteSource> = Some(site);
     let cfg = CrawlConfig { budget, seed, ..Default::default() };
     let out = crawl(&server, oracle, &root, strategy, &cfg);
     (out.targets_found(), out.traffic.requests())
