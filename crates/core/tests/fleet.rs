@@ -568,7 +568,7 @@ fn shared_pool_shutdown_drains_in_flight_selections_across_sites() {
 
 /// PR 6 extension of the shutdown-drain contract: the same mid-flight
 /// kill, but with every handle running a retry policy with real backoff
-/// over a fully flaky origin — so at shutdown the outstanding selections
+/// under a full transient outage — so at shutdown the outstanding selections
 /// are not idle transfers but requests *mid-retry*, their re-dispatches
 /// scheduled seconds into the simulated future. The drain must still
 /// deliver exactly one `feedback_error` per selection, one
@@ -577,16 +577,15 @@ fn shared_pool_shutdown_drains_in_flight_selections_across_sites() {
 /// (failures included) charged.
 #[test]
 fn shared_pool_shutdown_drains_selections_mid_retry_backoff() {
-    use sb_httpsim::{FlakyServer, RetryPolicy};
+    use sb_httpsim::{HazardPolicy, Outage, RetryPolicy};
 
     let sites = pool_sites(78);
-    // Every URL 503s on first contact and recovers on retry: each
+    // Every URL 503s on its first attempt and recovers on retry: each
     // submission is guaranteed to spend at least two attempts, with the
     // second gated behind a long exponential backoff.
-    let servers: Vec<FlakyServer<SiteServer>> = sites
-        .iter()
-        .map(|s| FlakyServer::new(SiteServer::shared(Arc::clone(s)), 1.0, 5).recoverable())
-        .collect();
+    let servers: Vec<SiteServer> =
+        sites.iter().map(|s| SiteServer::shared(Arc::clone(s))).collect();
+    let outage = Outage { share: 1.0, seed: 5, transient: true, exempt: None };
     let roots: Vec<String> = sites.iter().map(|s| root_of(s)).collect();
     let cfgs: Vec<CrawlConfig> = (0..sites.len())
         .map(|i| CrawlConfig { seed: i as u64, ..CrawlConfig::default() })
@@ -604,14 +603,15 @@ fn shared_pool_shutdown_drains_selections_mid_retry_backoff() {
         .map(|(i, (((server, rec), log), cfg))| {
             let handle = pool
                 .handle(server, cfg.policy.clone(), cfg.politeness)
-                .with_retry_policy(RetryPolicy::retries(2).with_backoff(5.0, 40.0).with_jitter(0.2, i as u64));
+                .with_retry_policy(RetryPolicy::retries(2).with_backoff(5.0, 40.0).with_jitter(0.2, i as u64))
+                .with_hazards(HazardPolicy::default().with_outage(outage.clone()));
             CrawlSession::with_transport(Box::new(handle), None, &roots[i], rec, cfg)
                 .expect("generated roots are valid")
                 .observe(log)
         })
         .collect();
 
-    // Seed each frontier through the flaky root (two attempts each).
+    // Seed each frontier through the failing root (two attempts each).
     for _ in 0..2 {
         for s in &mut sessions {
             s.refill_one();
@@ -660,7 +660,7 @@ fn shared_pool_shutdown_drains_selections_mid_retry_backoff() {
             "site{i}: the per-reason counter must agree with the event stream"
         );
         // The drain delivers the final answers of outstanding work: with
-        // 100% first-contact failure every delivered request spent ≥ 2
+        // 100% first-attempt failure every delivered request spent ≥ 2
         // attempts, and all of them are charged.
         assert!(
             outcomes[i].traffic.get_requests >= before_gets[i] + 2 * in_flight[i] as u64,
@@ -857,6 +857,10 @@ fn stealing_shards_keep_results_identical() {
     assert_eq!(out.stolen_sites(), out.shards[0].stolen + out.shards[1].stolen);
 }
 
+/// Per site of one shard: tokens selected, tokens observed, selections in
+/// flight at the kill, and `Abandoned(SessionClosed)` events.
+type ShardShutdown = (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<usize>, Vec<usize>);
+
 /// Multi-shard shutdown: two threads each drive their own pool (the
 /// PR 8 `Send` backend), seed a few sites, fill both windows with
 /// selections and kill every session mid-flight. Each in-flight selection
@@ -873,7 +877,7 @@ fn multi_shard_shutdown_drains_in_flight_selections_per_shard() {
     let shards: Vec<Vec<Arc<Website>>> =
         vec![site_refs[..split].to_vec(), site_refs[split..].to_vec()];
 
-    let results: Vec<(Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<usize>, Vec<usize>)> =
+    let results: Vec<ShardShutdown> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .into_iter()

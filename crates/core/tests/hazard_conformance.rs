@@ -34,7 +34,7 @@ use sb_crawler::strategies::{QueueStrategy, SbConfig, SbStrategy, TresStrategy};
 use sb_crawler::{EventLog, OwnedEvent, Strategy};
 use sb_httpsim::transport::Transport;
 use sb_httpsim::{
-    FlakyServer, HazardPolicy, HttpServer, PipelinedTransport, Politeness, RetryPolicy,
+    HazardPolicy, HttpServer, Outage, PipelinedTransport, Politeness, RetryPolicy,
     SharedTransportPool, SiteServer, TailLatency,
 };
 use sb_webgraph::gen::hazard::{apply_hazards, HazardReport, HazardSpec};
@@ -73,7 +73,7 @@ enum Hazard {
     Redirects,
     /// 200-status error bodies at former 404/500 URLs.
     Soft404,
-    /// Transport-level transient 503 bursts, recovered by retries.
+    /// Transport-level transient 503 outage, recovered by retries.
     Flaky,
     /// Transport-level heavy-tailed latency + bandwidth cap + timeout.
     SlowHost,
@@ -110,8 +110,14 @@ impl Hazard {
         }
     }
 
-    fn hazard_policy(self, host: &str) -> HazardPolicy {
+    fn hazard_policy(self, root: &str, host: &str) -> HazardPolicy {
         match self {
+            Hazard::Flaky => HazardPolicy::default().with_outage(Outage {
+                share: 0.25,
+                seed: 13,
+                transient: true,
+                exempt: Some(root.to_owned()),
+            }),
             Hazard::SlowHost => HazardPolicy::seeded(7)
                 .with_tail(TailLatency { prob: 0.3, scale_secs: 2.0, alpha: 1.5 })
                 .cap_host_bandwidth(host, 64_000.0)
@@ -211,19 +217,10 @@ fn run(
     window: usize,
 ) -> RunResult {
     let origin = SiteServer::shared(site.clone());
-    let flaky;
-    let server: &dyn HttpServer = if h == Hazard::Flaky {
-        let root = site.page(site.root()).url.clone();
-        flaky = FlakyServer::new(SiteServer::shared(site.clone()), 0.25, 13)
-            .recoverable()
-            .protecting(&root);
-        &flaky
-    } else {
-        &origin
-    };
     let root = site.page(site.root()).url.clone();
     let host = root.split('/').nth(2).unwrap_or_default().to_owned();
-    let transport = build(server, politeness(), window, h.retry_policy(), h.hazard_policy(&host));
+    let hazards = h.hazard_policy(&root, &host);
+    let transport = build(&origin, politeness(), window, h.retry_policy(), hazards);
     let (mut strategy, needs_oracle) = s.build();
     let oracle = needs_oracle.then_some(site.as_ref() as &dyn SiteSource);
     let cfg = CrawlConfig { budget, max_in_flight: window, ..Default::default() };
@@ -361,16 +358,15 @@ scenario_tests! {
 fn check_backoff_respects_gate(build: Build) {
     let site = clean_site();
     let root = site.page(site.root()).url.clone();
-    let flaky = FlakyServer::new(SiteServer::shared(site.clone()), 0.4, 21)
-        .recoverable()
-        .protecting(&root);
+    let origin = SiteServer::shared(site.clone());
+    let outage = Outage { share: 0.4, seed: 21, transient: true, exempt: Some(root.clone()) };
     let politeness = Politeness { delay_secs: 1.0, bytes_per_sec: 4_000_000.0 };
     let transport = build(
-        &flaky,
+        &origin,
         politeness,
         WINDOW,
         RetryPolicy::retries(2).with_backoff(0.05, 0.4).with_jitter(0.2, 3),
-        HazardPolicy::default(),
+        HazardPolicy::default().with_outage(outage),
     );
     let mut bfs = QueueStrategy::bfs();
     let cfg =
@@ -409,13 +405,14 @@ fn exhausted_retries_are_counted_as_retries_exhausted() {
     // and lands as RetriesExhausted, never plain HttpError(503).
     let site = clean_site();
     let root = site.page(site.root()).url.clone();
-    let flaky = FlakyServer::new(SiteServer::shared(site.clone()), 1.0, 17).protecting(&root);
+    let origin = SiteServer::shared(site.clone());
+    let outage = Outage { share: 1.0, seed: 17, transient: false, exempt: Some(root.clone()) };
     let transport = build_pipelined(
-        &flaky,
+        &origin,
         politeness(),
         1,
         RetryPolicy::retries(2).with_backoff(0.1, 1.0),
-        HazardPolicy::default(),
+        HazardPolicy::default().with_outage(outage),
     );
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig { budget: Budget::Requests(60), ..Default::default() };
@@ -436,13 +433,14 @@ fn circuit_breaker_quarantines_and_is_counted() {
     // origin, and the session tallies HostQuarantined abandonments.
     let site = clean_site();
     let root = site.page(site.root()).url.clone();
-    let flaky = FlakyServer::new(SiteServer::shared(site.clone()), 1.0, 17).protecting(&root);
+    let origin = SiteServer::shared(site.clone());
+    let outage = Outage { share: 1.0, seed: 17, transient: false, exempt: Some(root.clone()) };
     let transport = build_pipelined(
-        &flaky,
+        &origin,
         politeness(),
         1,
         RetryPolicy::retries(1).with_quarantine_after(3),
-        HazardPolicy::default(),
+        HazardPolicy::default().with_outage(outage),
     );
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig { budget: Budget::Requests(80), ..Default::default() };

@@ -12,7 +12,7 @@ use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::strategy::{LinkDecision, NewLink, SelUrl, Selection, Services, Strategy};
 use sb_crawler::EventLog;
 use sb_httpsim::transport::{PipelinedTransport, Transport};
-use sb_httpsim::{FlakyServer, Politeness, RetryPolicy, SiteServer};
+use sb_httpsim::{HazardPolicy, Outage, Politeness, RetryPolicy, SiteServer};
 use sb_webgraph::gen::{build_site, SiteSource, SiteSpec};
 use sb_webgraph::{UrlId, Website};
 use rand::rngs::StdRng;
@@ -185,12 +185,13 @@ fn flaky_retry_through_the_pipeline_recovers_targets() {
     let cfg = CrawlConfig { max_in_flight: 6, ..CrawlConfig::default() };
 
     let run = |retries: u32| {
-        let flaky =
-            FlakyServer::new(SiteServer::new(site.clone()), 0.3, 5).recoverable().protecting(&root);
+        let origin = SiteServer::new(site.clone());
+        let outage = Outage { share: 0.3, seed: 5, transient: true, exempt: Some(root.clone()) };
         let transport: Box<dyn Transport + '_> = Box::new(
-            PipelinedTransport::new(&flaky, cfg.policy.clone(), cfg.politeness)
+            PipelinedTransport::new(&origin, cfg.policy.clone(), cfg.politeness)
                 .with_window(cfg.max_in_flight)
-                .with_retry_policy(RetryPolicy::retries(retries)),
+                .with_retry_policy(RetryPolicy::retries(retries))
+                .with_hazards(HazardPolicy::default().with_outage(outage)),
         );
         let mut bfs = QueueStrategy::bfs();
         let out = CrawlSession::with_transport(transport, None, &root, &mut bfs, &cfg)

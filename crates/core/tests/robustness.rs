@@ -3,18 +3,49 @@
 //! A production crawler must terminate on infinite URL spaces (robot
 //! traps), degrade gracefully under transient 5xx bursts, and honour
 //! robots.txt without spending a single request on an excluded URL. These
-//! tests drive the shared engine (Algorithms 3–4) through the
-//! `sb-httpsim` failure-injection servers.
+//! tests drive the shared engine (Algorithms 3–4) through the hostile
+//! origins of `origins/` and the transport's 503 outage.
 
-use sb_crawler::{crawl, Budget, CrawlConfig, FinishReason};
+mod origins;
+
+use origins::{EnforcedRobots, TrapServer};
+use sb_crawler::{crawl, Budget, CrawlConfig, CrawlOutcome, CrawlSession, FinishReason, Strategy};
 use sb_crawler::strategies::{QueueStrategy, SbStrategy};
-use sb_httpsim::{EnforcedRobots, FlakyServer, RobotsTxt, SiteServer, TrapServer, WithRobots};
+use sb_httpsim::{
+    HazardPolicy, HttpServer, Outage, PipelinedTransport, RobotsTxt, SiteServer, WithRobots,
+};
 use sb_webgraph::url::Url;
 use sb_webgraph::{build_site, SiteSource, SiteSpec};
 
 // ---------------------------------------------------------------------
 // Robot trap: infinite URL space
 // ---------------------------------------------------------------------
+
+#[test]
+fn trap_pages_always_link_deeper() {
+    let trap = TrapServer::new("https://trap.example.org");
+    let r = trap.get("https://trap.example.org/trap/41");
+    assert_eq!(r.status, 200);
+    let body = String::from_utf8(r.body.to_vec()).unwrap();
+    assert!(body.contains("/trap/42"));
+    assert!(body.contains("/trap/85"));
+}
+
+#[test]
+fn trap_root_offers_one_target() {
+    let trap = TrapServer::new("https://trap.example.org/");
+    let r = trap.get(&trap.root_url());
+    assert_eq!(r.status, 200);
+    let csv = trap.get("https://trap.example.org/report.csv");
+    assert_eq!(csv.headers.content_type.as_deref(), Some("text/csv"));
+}
+
+#[test]
+fn trap_foreign_urls_404() {
+    let trap = TrapServer::new("https://trap.example.org");
+    assert_eq!(trap.get("https://elsewhere.example/x").status, 404);
+    assert_eq!(trap.get("https://trap.example.org/unknown").status, 404);
+}
 
 #[test]
 fn dfs_in_a_trap_burns_its_whole_budget() {
@@ -75,18 +106,37 @@ fn engine_never_fetches_a_trap_url_twice() {
 }
 
 // ---------------------------------------------------------------------
-// Flaky origin: transient and hard 5xx
+// 503 outage: transient and hard 5xx
 // ---------------------------------------------------------------------
+
+/// `crawl` over `origin` with `outage` in the transport's hazard policy:
+/// the transport `CrawlSession::new` builds, plus the policy.
+fn crawl_under_outage(
+    origin: &dyn HttpServer,
+    outage: Outage,
+    root: &str,
+    strategy: &mut dyn Strategy,
+    cfg: &CrawlConfig,
+) -> CrawlOutcome {
+    let transport = PipelinedTransport::new(origin, cfg.policy.clone(), cfg.politeness)
+        .with_window(cfg.max_in_flight)
+        .with_hazards(HazardPolicy::default().with_outage(outage));
+    CrawlSession::with_transport(Box::new(transport), None, root, strategy, cfg)
+        .expect("valid config and root")
+        .run()
+}
 
 #[test]
 fn crawl_survives_a_hard_5xx_outage_on_a_third_of_urls() {
     let site = build_site(&SiteSpec::demo(400), 11);
     let root = site.page(site.root()).url.clone();
     let total_targets = site.census().targets as u64;
-    let flaky = FlakyServer::new(SiteServer::new(site), 0.33, 5).protecting(&root);
+    let outage = Outage { share: 0.33, seed: 5, transient: false, exempt: Some(root.clone()) };
     let mut bfs = QueueStrategy::bfs();
-    let outcome = crawl(&flaky, None, &root, &mut bfs, &CrawlConfig::default());
-    assert!(flaky.injected() > 0, "failures were actually injected");
+    let origin = SiteServer::new(site);
+    let outcome =
+        crawl_under_outage(&origin, outage, &root, &mut bfs, &CrawlConfig::default());
+    assert!(outcome.abandoned.http_error > 0, "failures were actually injected");
     assert!(outcome.targets_found() > 0, "the crawl still makes progress");
     assert!(
         outcome.targets_found() < total_targets,
@@ -98,10 +148,10 @@ fn crawl_survives_a_hard_5xx_outage_on_a_third_of_urls() {
 fn sb_classifier_survives_failure_injection() {
     let site = build_site(&SiteSpec::demo(400), 11);
     let root = site.page(site.root()).url.clone();
-    let flaky = FlakyServer::new(SiteServer::new(site), 0.2, 9).recoverable();
+    let outage = Outage { share: 0.2, seed: 9, transient: true, exempt: None };
     let mut sb = SbStrategy::classifier_default();
     let cfg = CrawlConfig { budget: Budget::Requests(500), ..Default::default() };
-    let outcome = crawl(&flaky, None, &root, &mut sb, &cfg);
+    let outcome = crawl_under_outage(&SiteServer::new(site), outage, &root, &mut sb, &cfg);
     assert!(outcome.targets_found() > 0);
     assert!(!outcome.aborted_oom);
 }
@@ -111,9 +161,10 @@ fn deterministic_under_identical_failure_seeds() {
     let run = || {
         let site = build_site(&SiteSpec::demo(300), 11);
         let root = site.page(site.root()).url.clone();
-        let flaky = FlakyServer::new(SiteServer::new(site), 0.25, 5);
+        let outage = Outage { share: 0.25, seed: 5, transient: false, exempt: None };
         let mut bfs = QueueStrategy::bfs();
-        let outcome = crawl(&flaky, None, &root, &mut bfs, &CrawlConfig::default());
+        let cfg = CrawlConfig::default();
+        let outcome = crawl_under_outage(&SiteServer::new(site), outage, &root, &mut bfs, &cfg);
         (outcome.pages_crawled, outcome.targets_found(), outcome.traffic.requests())
     };
     assert_eq!(run(), run());
@@ -122,6 +173,25 @@ fn deterministic_under_identical_failure_seeds() {
 // ---------------------------------------------------------------------
 // robots.txt compliance
 // ---------------------------------------------------------------------
+
+#[test]
+fn enforced_robots_blocks_with_403() {
+    let site = build_site(&SiteSpec::demo(80), 3);
+    let root = site.page(site.root()).url.clone();
+    let some_page = site
+        .pages()
+        .iter()
+        .find(|p| p.url != root && matches!(p.kind, sb_webgraph::PageKind::Html(_)))
+        .expect("site has a second page")
+        .url
+        .clone();
+    let path = Url::parse(&some_page).unwrap().path;
+    let body = format!("User-agent: *\nDisallow: {path}");
+    let server = EnforcedRobots::new(SiteServer::new(site), &root, body, "sbcrawl");
+    assert_eq!(server.get(&some_page).status, 403);
+    assert_eq!(server.get(&root).status, 200);
+    assert_eq!(server.head(&some_page).status, 403);
+}
 
 /// PR 6: setting `robots_agent` makes the session fetch `/robots.txt` on
 /// its own, route every admission decision through the parsed rules, and

@@ -15,6 +15,9 @@ use sb_scale::{stream_site, SpillBacking};
 use sb_webgraph::gen::{build_site, SiteSource, SiteSpec};
 use std::sync::Arc;
 
+/// Builds a fresh strategy for each run.
+type MakeStrategy<'a> = &'a dyn Fn() -> Box<dyn Strategy>;
+
 fn spec_with(n: usize, tf: f64, err: f64, ext: f64) -> SiteSpec {
     let mut spec = SiteSpec::demo(n);
     spec.target_frac = tf;
@@ -60,7 +63,7 @@ fn streaming_server_crawl_is_identical() {
     assert!(eager.targets_found() > 0, "vacuous site");
 
     let targets = build_site(&spec, 11).target_urls();
-    let oracle_strategies: [(&str, &dyn Fn() -> Box<dyn Strategy>); 4] = [
+    let oracle_strategies: [(&str, MakeStrategy<'_>); 4] = [
         ("SB-ORACLE", &|| Box::new(SbStrategy::oracle(SbConfig::default()))),
         ("TP-OFF", &|| Box::new(TpOffStrategy::new(30))),
         ("TRES", &|| Box::new(TresStrategy::new())),

@@ -9,6 +9,7 @@
 //! holds each crawl statistic to the event stream it summarises.
 
 mod batched;
+mod origins;
 
 use batched::Batched;
 use sb_crawler::{
@@ -403,14 +404,15 @@ fn every_abandonment_source_is_counted_once_beside_its_event() {
 /// retries cannot push the GET count past what the window could owe.
 #[test]
 fn a_429_storm_closed_mid_batch_settles_every_selection_once() {
-    use sb_httpsim::{FlakyServer, HazardPolicy, RateLimit, RetryPolicy};
+    use sb_httpsim::{HazardPolicy, Outage, RateLimit, RetryPolicy};
 
     let (window, retries, budget) = (16usize, 2u32, 120u64);
     let site = Arc::new(build_site(&SiteSpec::demo(400), 31));
     let root = site_root(&site);
     // Hard 503s on a share of the pages; every second attempt on the host
     // is a 429 besides, so a failing page fails every retry.
-    let origin = FlakyServer::new(SiteServer::shared(site), 0.3, 5).protecting(&root);
+    let origin = SiteServer::shared(site);
+    let outage = Outage { share: 0.3, seed: 5, transient: false, exempt: Some(root.clone()) };
     let cfg = CrawlConfig {
         budget: Budget::Requests(budget),
         max_in_flight: window,
@@ -419,7 +421,7 @@ fn a_429_storm_closed_mid_batch_settles_every_selection_once() {
     let rate_limit = RateLimit { period: 2, retry_after_secs: 0.5 };
     let transport = PipelinedTransport::new(&origin, cfg.policy.clone(), cfg.politeness)
         .with_window(window)
-        .with_hazards(HazardPolicy::seeded(3).with_rate_limit(rate_limit))
+        .with_hazards(HazardPolicy::seeded(3).with_rate_limit(rate_limit).with_outage(outage))
         .with_retry_policy(RetryPolicy::retries(retries).with_quarantine_after(3));
     let mut batched = Batched(Recorder::default());
     let mut log = EventLog::new();
@@ -1135,7 +1137,8 @@ fn count(events: &[OwnedEvent], pick: impl Fn(&OwnedEvent) -> bool) -> u64 {
 #[test]
 fn each_crawl_statistic_agrees_with_the_event_stream() {
     use sb_crawler::EarlyStopConfig;
-    use sb_httpsim::{FlakyServer, RetryPolicy, TrapServer, WithRobots};
+    use origins::TrapServer;
+    use sb_httpsim::{HazardPolicy, Outage, RetryPolicy, WithRobots};
     use sb_webgraph::gen::hazard::{apply_hazards, HazardSpec};
 
     // An early stop is a finish reason, announced once, at the crawl step
@@ -1168,16 +1171,16 @@ fn each_crawl_statistic_agrees_with_the_event_stream() {
     let fetched = count(&events[..at], |e| matches!(e, OwnedEvent::Fetched { .. }));
     assert_eq!(step, fetched, "the step is the number of pages fetched before it");
 
-    // A wide window over a hazard-laced, flaky origin with retries and a
-    // robots.txt: per-step deliveries add up to every GET charged
+    // A wide window over a hazard-laced origin with a transient outage,
+    // retries and a robots.txt: per-step deliveries add up to every GET charged
     // (retries and the robots fetch included), `pages_crawled` counts the
     // `Fetched` events, and the root `SessionStarted` names is the URL the
     // first `Submitted` fetches.
     let mut site = build_site(&SiteSpec::demo(300), 23);
     apply_hazards(&mut site, &HazardSpec::scaled(300), 99);
     let root = site_root(&site);
-    let robots = WithRobots::new(SiteServer::new(site), &root, "User-agent: *\nCrawl-delay: 2\n");
-    let origin = FlakyServer::new(robots, 0.1, 5).recoverable().protecting(&root);
+    let origin = WithRobots::new(SiteServer::new(site), &root, "User-agent: *\nCrawl-delay: 2\n");
+    let outage = Outage { share: 0.1, seed: 5, transient: true, exempt: Some(root.clone()) };
     let cfg = CrawlConfig {
         max_in_flight: 16,
         robots_agent: Some("sbcrawl".to_owned()),
@@ -1185,7 +1188,8 @@ fn each_crawl_statistic_agrees_with_the_event_stream() {
     };
     let transport = PipelinedTransport::new(&origin, cfg.policy.clone(), cfg.politeness)
         .with_window(16)
-        .with_retry_policy(RetryPolicy::retries(2));
+        .with_retry_policy(RetryPolicy::retries(2))
+        .with_hazards(HazardPolicy::default().with_outage(outage));
     let mut bfs = QueueStrategy::bfs();
     let mut log = EventLog::new();
     let mut session =
@@ -1197,9 +1201,12 @@ fn each_crawl_statistic_agrees_with_the_event_stream() {
         fetched += session.step().fetched;
     }
     let out = session.finish();
-    assert!(origin.injected() > 0, "503s were retried");
     assert_eq!(fetched, out.traffic.get_requests, "Σ StepReport.fetched");
     let events = log.events();
+    // One GET per `Submitted` dispatch and one for robots.txt; the rest
+    // are retried 503s.
+    let submitted = count(events, |e| matches!(e, OwnedEvent::Submitted { .. }));
+    assert!(out.traffic.get_requests > submitted + 1, "503s were retried");
     assert_eq!(out.pages_crawled, count(events, |e| matches!(e, OwnedEvent::Fetched { .. })));
     assert!(out.traffic.get_requests > out.pages_crawled, "retries are GETs, not pages");
     let started = events.iter().find_map(|e| match e {

@@ -111,10 +111,10 @@ pub fn run(cfg: &EvalConfig) -> String {
     );
 
     if cfg.shared_pool {
-        report.push_str(&shared_pool_arm(cfg, &out, &build_fleet));
+        report.push_str(&shared_pool_arm(cfg, &out, build_fleet));
     }
     if !cfg.shards.is_empty() {
-        report.push_str(&sharded_arm(cfg, &build_fleet));
+        report.push_str(&sharded_arm(cfg, build_fleet));
     }
 
     let _ = write_text(&cfg.out_dir.join("fleet.md"), &report);

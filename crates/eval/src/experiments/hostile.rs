@@ -11,8 +11,8 @@
 //! **clean-subset coverage** (distinct clean URLs fetched, relative to an
 //! exhaustive hazard-free crawl of the same site), the per-reason abandon
 //! counters (`timeout`, `retries_exhausted`) and the simulated makespan.
-//! A separate blackout drill crawls the same site behind a 100 %-failure
-//! origin to exercise the per-host circuit breaker and report how many
+//! A separate blackout drill crawls the same site under a 100 % hard
+//! outage to exercise the per-host circuit breaker and report how many
 //! frontier URLs the quarantine abandoned at zero simulated cost.
 
 use crate::experiments::pipeline::{latency_politeness, WINDOWS};
@@ -20,10 +20,7 @@ use crate::setup::EvalConfig;
 use crate::tables::{markdown, write_csv, write_text};
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{Budget, CrawlConfig, CrawlOutcome, CrawlSession, EventLog, OwnedEvent};
-use sb_httpsim::{
-    FlakyServer, HazardPolicy, HttpServer, PipelinedTransport, RetryPolicy, SiteServer,
-    TailLatency,
-};
+use sb_httpsim::{HazardPolicy, Outage, PipelinedTransport, RetryPolicy, SiteServer, TailLatency};
 use sb_webgraph::gen::hazard::{apply_hazards, HazardReport, HazardSpec};
 use sb_webgraph::gen::{build_site, SiteSpec};
 use sb_webgraph::mime::MimePolicy;
@@ -67,13 +64,13 @@ fn crawl_hostile(
     tail: bool,
 ) -> HostileRun {
     let root = site.page(site.root()).url.clone();
-    let flaky = FlakyServer::new(SiteServer::shared(Arc::clone(site)), outage, 29)
-        .protecting(&root);
-    let server: &dyn HttpServer = &flaky;
-    let transport = PipelinedTransport::new(server, MimePolicy::default(), latency_politeness())
+    let origin = SiteServer::shared(Arc::clone(site));
+    let hazards = if tail { tail_hazard() } else { HazardPolicy::default() };
+    let outage = Outage { share: outage, seed: 29, transient: false, exempt: Some(root.clone()) };
+    let transport = PipelinedTransport::new(&origin, MimePolicy::default(), latency_politeness())
         .with_window(window)
         .with_retry_policy(retry_policy(window as u64))
-        .with_hazards(if tail { tail_hazard() } else { HazardPolicy::default() });
+        .with_hazards(hazards.with_outage(outage));
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig { budget, max_in_flight: window, seed: 7, ..Default::default() };
     let mut log = EventLog::new();
@@ -135,17 +132,17 @@ pub fn run(cfg: &EvalConfig) -> String {
         }
     });
 
-    // Blackout drill: every first contact fails hard; the circuit breaker
-    // must quarantine the host and drain the frontier at zero cost.
+    // Blackout drill: every URL but the root fails hard; the circuit
+    // breaker must quarantine the host and drain the frontier at zero cost.
     let drill = {
         let root = site.page(site.root()).url.clone();
-        let flaky = FlakyServer::new(SiteServer::shared(Arc::clone(&site)), 1.0, 3)
-            .protecting(&root);
-        let server: &dyn HttpServer = &flaky;
+        let origin = SiteServer::shared(Arc::clone(&site));
+        let blackout = Outage { share: 1.0, seed: 3, transient: false, exempt: Some(root.clone()) };
         let transport =
-            PipelinedTransport::new(server, MimePolicy::default(), latency_politeness())
+            PipelinedTransport::new(&origin, MimePolicy::default(), latency_politeness())
                 .with_window(4)
-                .with_retry_policy(RetryPolicy::retries(1).with_quarantine_after(3));
+                .with_retry_policy(RetryPolicy::retries(1).with_quarantine_after(3))
+                .with_hazards(HazardPolicy::default().with_outage(blackout));
         let mut bfs = QueueStrategy::bfs();
         let dcfg = CrawlConfig { budget, max_in_flight: 4, seed: 7, ..Default::default() };
         CrawlSession::with_transport(Box::new(transport), None, &root, &mut bfs, &dcfg)

@@ -44,7 +44,7 @@ fn serve_once(site: &EvolvingSite, readers: usize, seed: u64) -> ServeOutcome {
         refresh_per_epoch: ((corpus as f64) * 0.12).round().max(8.0) as usize,
         retain: 1,
         budget: Budget::Unlimited,
-        read: (readers > 0).then(|| ReadLoadConfig {
+        read: (readers > 0).then_some(ReadLoadConfig {
             readers,
             reads_per_reader: 5_000,
             zipf_s: 1.1,

@@ -1,9 +1,9 @@
 //! Transport-level hazards and recovery (PR 6): a composable
 //! [`HazardPolicy`] (timeouts, heavy-tailed latency, per-host bandwidth
-//! caps, synthetic 429 rate limiting with `Retry-After`), a [`RetryPolicy`]
-//! with capped exponential backoff and seed-deterministic jitter, and a
-//! per-host circuit breaker that quarantines hosts after K consecutive
-//! hard failures.
+//! caps, synthetic 429 rate limiting with `Retry-After`, a seeded 503
+//! [`Outage`] of a share of URLs), a [`RetryPolicy`] with capped
+//! exponential backoff and seed-deterministic jitter, and a per-host
+//! circuit breaker that quarantines hosts after K consecutive hard failures.
 //!
 //! [`crate::PoolHandle`] executes every GET through the
 //! [`dispatch_hazard_get`] loop in this module: hazard semantics,
@@ -26,6 +26,16 @@
 //! * **rate limiting** turns every `period`-th attempt on a host into a
 //!   synthetic 429 whose `Retry-After` the retry policy honours as a
 //!   backoff floor;
+//! * an **outage** answers an unlucky URL's attempt with the origin's
+//!   `503 Service Unavailable` instead of contacting the origin, gated,
+//!   tail-delayed, timed out and retried like any 503 (the 429 check comes
+//!   first). The rule is per attempt: a *hard* outage fails every attempt
+//!   of an unlucky URL, a *transient* one fails attempt 1 of each
+//!   dispatched GET and passes every retry. Like every hazard here it
+//!   applies to dispatched GETs only: the synchronous
+//!   [`Transport::head`](crate::Transport::head) and
+//!   [`Transport::fetch_now`](crate::Transport::fetch_now) (the classifier's
+//!   HEAD probe, the robots.txt fetch) never meet it;
 //! * a **retry** re-enters the politeness gate no earlier than
 //!   `arrival + backoff` — backoff can therefore only *add* spacing on
 //!   top of the gate, never bypass it;
@@ -41,7 +51,7 @@
 
 use crate::client::{settle_get, Fetched, Politeness};
 use crate::pool::SiteState;
-use crate::response::Body;
+use crate::response::{error_response, Body};
 use crate::transport::{host_entry, host_key, host_of};
 use sb_webgraph::{fnv1a, FxHashMap, FNV1A_BASIS};
 
@@ -97,6 +107,35 @@ pub struct HazardPolicy {
     /// Per-host bandwidth caps (bytes/sec), case-folded host keys; the
     /// effective rate is `min(politeness.bytes_per_sec, cap)`.
     caps: FxHashMap<String, f64>,
+    /// A 503 outage of a share of URLs, share clamped to [0, 1].
+    outage: Option<Outage>,
+}
+
+/// A seeded 503 outage: the URLs whose draw falls below `share` answer
+/// `503 Service Unavailable` (see the module docs for the per-attempt
+/// rule).
+#[derive(Debug, Clone)]
+pub struct Outage {
+    /// Share of URLs that are unlucky, in [0, 1].
+    pub share: f64,
+    /// Seed of the per-URL draw, independent of [`HazardPolicy::seed`].
+    pub seed: u64,
+    /// Fail only attempt 1 of each GET (a transient blip) instead of every
+    /// attempt (a hard outage of the URL).
+    pub transient: bool,
+    /// One URL that never fails (typically the crawl root — entry points
+    /// are monitored and fixed fast in practice).
+    pub exempt: Option<String>,
+}
+
+impl Outage {
+    /// Does attempt `attempt` (1-based) of `url` fail? The draw is uniform
+    /// in [0, 1] and stable per (seed, URL).
+    fn fails(&self, url: &str, attempt: u64) -> bool {
+        !(self.transient && attempt > 1)
+            && self.exempt.as_deref() != Some(url)
+            && (mix(self.seed, url) as f64 / u64::MAX as f64) < self.share
+    }
 }
 
 impl HazardPolicy {
@@ -120,6 +159,12 @@ impl HazardPolicy {
     /// Adds synthetic 429 rate limiting.
     pub fn with_rate_limit(mut self, limit: RateLimit) -> Self {
         self.rate_limit = Some(RateLimit { period: limit.period.max(2), ..limit });
+        self
+    }
+
+    /// Adds a 503 outage (share clamped to [0, 1]).
+    pub fn with_outage(mut self, outage: Outage) -> Self {
+        self.outage = Some(Outage { share: outage.share.clamp(0.0, 1.0), ..outage });
         self
     }
 
@@ -251,24 +296,26 @@ struct HostHealth {
     quarantined: bool,
 }
 
-/// Per-site mutable hazard state: rate-limit attempt counters and the
-/// circuit breaker. One per pool handle — quarantine is an origin
-/// property, sharded like the gates.
+/// Per-site mutable hazard state: rate-limit attempt counters, the
+/// circuit breaker and the count of injected 503s. One per pool handle —
+/// quarantine is an origin property, sharded like the gates.
 #[derive(Debug, Default)]
-pub struct HazardState {
+pub(crate) struct HazardState {
     /// Attempts per host (rate-limit counter), case-folded keys.
     attempts: FxHashMap<String, u64>,
     health: FxHashMap<String, HostHealth>,
+    /// Attempts answered 503 by the [`Outage`].
+    pub(crate) injected_503s: u64,
 }
 
 impl HazardState {
     /// Is `host` currently quarantined?
-    pub fn is_quarantined(&self, host: &str) -> bool {
+    fn is_quarantined(&self, host: &str) -> bool {
         self.health.get(host_key(host).as_ref()).is_some_and(|h| h.quarantined)
     }
 
     /// Number of quarantined hosts.
-    pub fn quarantined_hosts(&self) -> usize {
+    pub(crate) fn quarantined_hosts(&self) -> usize {
         self.health.values().filter(|h| h.quarantined).count()
     }
 
@@ -327,7 +374,7 @@ pub(crate) fn dispatch_hazard_get(
     let host = host_of(url);
     if site.hazard_state.is_quarantined(host) {
         return DispatchOutcome {
-            answer: synthetic(url, STATUS_QUARANTINED, 0),
+            answer: synthetic(STATUS_QUARANTINED, 0),
             gets: 0,
             wire: 0,
             arrival: ready_at,
@@ -340,7 +387,10 @@ pub(crate) fn dispatch_hazard_get(
         gets += 1;
         let rate_limited = site.hazard_state.rate_limited(site.hazards.rate_limit, host);
         let mut f = if rate_limited {
-            synthetic(url, 429, RATE_LIMIT_WIRE)
+            synthetic(429, RATE_LIMIT_WIRE)
+        } else if site.hazards.outage.as_ref().is_some_and(|o| o.fails(url, gets)) {
+            site.hazard_state.injected_503s += 1;
+            settle_get(error_response(503), &site.policy)
         } else {
             settle_get(site.server.get(url), &site.policy)
         };
@@ -356,7 +406,7 @@ pub(crate) fn dispatch_hazard_get(
             if service > to {
                 let got = ((to - tail).max(0.0) * eff.bytes_per_sec) as u64;
                 let got = got.min(f.wire_bytes);
-                f = synthetic(url, STATUS_TIMEOUT, got);
+                f = synthetic(STATUS_TIMEOUT, got);
                 arrival = start + eff.delay_secs + to;
             }
         }
@@ -379,7 +429,7 @@ pub(crate) fn dispatch_hazard_get(
 
 /// A transport-synthesised answer (429 / timeout / quarantine): no body,
 /// no MIME, `wire` bytes charged.
-fn synthetic(_url: &str, status: u16, wire: u64) -> Fetched {
+fn synthetic(status: u16, wire: u64) -> Fetched {
     Fetched {
         status,
         mime: None,
@@ -392,7 +442,7 @@ fn synthetic(_url: &str, status: u16, wire: u64) -> Fetched {
 }
 
 /// Seeded FNV-1a over `text`, finished with splitmix64.
-pub(crate) fn mix(seed: u64, text: &str) -> u64 {
+fn mix(seed: u64, text: &str) -> u64 {
     let h = fnv1a(FNV1A_BASIS ^ seed, text.as_bytes());
     let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -408,6 +458,134 @@ fn unit(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Traffic;
+    use crate::response::{HeadResponse, Response};
+    use crate::server::{HttpServer, SiteServer};
+    use crate::transport::{PipelinedTransport, Request, Transport};
+    use sb_webgraph::gen::{build_site, SiteSpec};
+    use sb_webgraph::mime::MimePolicy;
+
+    /// An origin that answers 200 to every URL (`error_response` is the
+    /// stock page of any status).
+    struct Ok200;
+
+    impl HttpServer for Ok200 {
+        fn head(&self, _url: &str) -> HeadResponse {
+            error_response(200).head()
+        }
+
+        fn get(&self, _url: &str) -> Response {
+            error_response(200)
+        }
+    }
+
+    /// `n` distinct URLs on one host.
+    fn urls(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("https://big.example.org/page/{i}")).collect()
+    }
+
+    /// GETs every URL through a window-4 transport with one retry under
+    /// `hazards`: the answers in URL order, the traffic charged and the
+    /// 503s the outage injected.
+    fn get_all(
+        origin: &dyn HttpServer,
+        urls: &[String],
+        hazards: HazardPolicy,
+    ) -> (Vec<Fetched>, Traffic, u64) {
+        let mut t = PipelinedTransport::new(origin, MimePolicy::default(), Politeness::default())
+            .with_window(4)
+            .with_retry_policy(RetryPolicy::retries(1))
+            .with_hazards(hazards);
+        let (mut answers, mut out) = (Vec::new(), Vec::new());
+        for chunk in urls.chunks(4) {
+            chunk.iter().for_each(|u| _ = t.submit(Request::get(u)));
+            while t.in_flight() > 0 {
+                t.poll_into(&mut out);
+                answers.append(&mut out);
+            }
+        }
+        answers.sort_by_key(|(id, _)| *id);
+        (answers.into_iter().map(|(_, f)| f).collect(), t.traffic(), t.injected_503s())
+    }
+
+    fn outage(share: f64, transient: bool, exempt: Option<&str>) -> HazardPolicy {
+        let exempt = exempt.map(str::to_owned);
+        HazardPolicy::default().with_outage(Outage { share, seed: 7, transient, exempt })
+    }
+
+    /// The attempt count is the transport's own, so a transient outage
+    /// keeps nothing per URL: every one of 5 000 distinct URLs fails
+    /// exactly its first attempt and passes its retry. (5 000 is past a
+    /// 4 096-slot table: a bounded per-URL record would evict URLs and
+    /// re-fail their retries.)
+    #[test]
+    fn transient_outage_fails_exactly_attempt_one_beyond_4096_urls() {
+        let urls = urls(5000);
+        let (answers, traffic, injected) = get_all(&Ok200, &urls, outage(1.0, true, None));
+        for (u, f) in urls.iter().zip(&answers) {
+            assert_eq!((f.status, f.attempts), (200, 2), "attempt 1 fails, attempt 2 passes: {u}");
+        }
+        assert_eq!(injected, 5000, "exactly one injection per URL");
+        assert_eq!(traffic.get_requests, 10_000);
+    }
+
+    /// A hard outage fails every attempt of an unlucky URL: its answer is
+    /// a 503 that spent every retry — what the session counts as
+    /// `RetriesExhausted` (`hazard_conformance.rs` pins that half). The
+    /// unlucky set is stable per (seed, URL), share 1 takes out every URL
+    /// and the exempt URL never fails.
+    #[test]
+    fn hard_outage_fails_every_attempt_of_a_stable_url_set() {
+        let urls = urls(50);
+        for share in [0.3, 1.0] {
+            let hazards = outage(share, false, Some(&urls[0]));
+            let (answers, traffic, injected) = get_all(&Ok200, &urls, hazards.clone());
+            let (again, _, _) = get_all(&Ok200, &urls, hazards);
+            let statuses: Vec<(u16, u32)> = answers.iter().map(|f| (f.status, f.attempts)).collect();
+            let replay: Vec<(u16, u32)> = again.iter().map(|f| (f.status, f.attempts)).collect();
+            assert_eq!(statuses, replay, "hard failures are stable per URL");
+            assert_eq!(statuses[0], (200, 1), "the exempt URL passes");
+            let failed = statuses.iter().filter(|&&s| s == (503, 2)).count() as u64;
+            let passed = statuses.iter().filter(|&&s| s == (200, 1)).count() as u64;
+            assert_eq!(failed + passed, urls.len() as u64, "no other answer: {statuses:?}");
+            assert_eq!(injected, 2 * failed, "every attempt of an unlucky URL fails");
+            assert_eq!(traffic.get_requests, passed + injected);
+            if share == 1.0 {
+                assert_eq!(passed, 1, "share 1 takes out every URL but the exempt one");
+            } else {
+                assert!(failed > 0 && passed > 1, "30 % of 50 URLs: {failed} failed");
+            }
+        }
+    }
+
+    /// An outage of share 0, hard or transient, answers a generated site
+    /// byte for byte as the default policy does.
+    #[test]
+    fn a_zero_share_outage_is_inert() {
+        let site = build_site(&SiteSpec::demo(300), 3);
+        let urls: Vec<String> = site.pages().iter().map(|p| p.url.clone()).take(40).collect();
+        let origin = SiteServer::new(site);
+        let (plain, plain_traffic, _) = get_all(&origin, &urls, HazardPolicy::default());
+        for transient in [false, true] {
+            let (answers, traffic, injected) = get_all(&origin, &urls, outage(0.0, transient, None));
+            assert_eq!(format!("{answers:?}"), format!("{plain:?}"));
+            assert_eq!(traffic, plain_traffic);
+            assert_eq!(injected, 0);
+        }
+    }
+
+    /// The outage is a dispatch hazard: the synchronous HEAD and
+    /// `fetch_now` reach the origin whatever the share.
+    #[test]
+    fn head_and_fetch_now_never_see_an_outage() {
+        let mut t = PipelinedTransport::new(&Ok200, MimePolicy::default(), Politeness::default())
+            .with_hazards(outage(1.0, false, None));
+        for u in &urls(10) {
+            assert_eq!(t.head(u).status, 200, "HEAD {u}");
+            assert_eq!(t.fetch_now(u).status, 200, "fetch_now {u}");
+        }
+        assert_eq!(t.injected_503s(), 0);
+    }
 
     #[test]
     fn default_policy_is_inert() {
@@ -440,7 +618,7 @@ mod tests {
         let a = r.backoff("https://a.example/x", 2, None);
         let b = r.backoff("https://a.example/x", 2, None);
         assert_eq!(a, b, "jitter must replay");
-        assert!(a >= 2.0 && a <= 6.0, "jittered 4 s step within ±50 %: {a}");
+        assert!((2.0..=6.0).contains(&a), "jittered 4 s step within ±50 %: {a}");
         let other = r.backoff("https://a.example/y", 2, None);
         assert_ne!(a, other, "distinct URLs draw distinct jitter");
     }

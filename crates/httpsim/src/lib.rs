@@ -17,18 +17,18 @@
 //! transport's window-1 behaviour is pinned against lives in
 //! `sb_bench::client`, beside the frozen `sb_bench::reference` engine it
 //! drives: nothing in this crate fetches without the transport. Around the
-//! transport: [`robots`] (RFC 9309 parsing and matching, plus the
-//! origin-side overlays that publish or enforce a robots.txt — fetching it
-//! is the session's job, through the transport), [`flaky`]
-//! (failure-injection and robot-trap origins) and [`hazard`] (PR 6:
-//! composable transport-level hazards — timeouts, heavy-tailed latency,
-//! bandwidth caps, 429 rate limiting — plus the retry/backoff policy and
-//! per-host circuit breaker every GET is dispatched through).
+//! transport: [`robots`] (RFC 9309 parsing and matching, plus
+//! [`WithRobots`], the origin overlay that publishes a robots.txt —
+//! fetching it is the session's job, through the transport) and [`hazard`]
+//! (composable transport-level hazards — timeouts, heavy-tailed latency,
+//! bandwidth caps, 429 rate limiting, a 503 outage — plus the
+//! retry/backoff policy and per-host circuit breaker every GET is
+//! dispatched through: failure is injected there and nowhere else in this
+//! crate).
 
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod flaky;
 pub mod hazard;
 pub mod pool;
 pub mod response;
@@ -37,12 +37,11 @@ pub mod server;
 pub mod transport;
 
 pub use client::{Fetched, Politeness, Traffic};
-pub use flaky::{FlakyServer, TrapServer};
 pub use hazard::{
-    HazardPolicy, RateLimit, RetryPolicy, TailLatency, STATUS_QUARANTINED, STATUS_TIMEOUT,
+    HazardPolicy, Outage, RateLimit, RetryPolicy, TailLatency, STATUS_QUARANTINED, STATUS_TIMEOUT,
 };
 pub use pool::{PoolHandle, SharedTransportPool};
 pub use response::{Body, HeadResponse, Headers, Response};
-pub use robots::{EnforcedRobots, RobotsTxt, WithRobots};
+pub use robots::{RobotsTxt, WithRobots};
 pub use server::{HttpServer, SiteServer};
 pub use transport::{PipelinedTransport, Request, RequestId, Transport};

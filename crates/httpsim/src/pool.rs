@@ -281,7 +281,7 @@ impl<'a> PoolHandle<'a> {
     }
 
     /// Installs a [`HazardPolicy`] (timeouts, tail latency, bandwidth
-    /// caps, 429 rate limiting) on this handle's GET path.
+    /// caps, 429 rate limiting, a 503 outage) on this handle's GET path.
     pub fn with_hazards(mut self, hazards: HazardPolicy) -> Self {
         self.state.hazards = hazards;
         self
@@ -290,6 +290,12 @@ impl<'a> PoolHandle<'a> {
     /// Hosts of this handle quarantined by the circuit breaker so far.
     pub fn quarantined_hosts(&self) -> usize {
         self.state.hazard_state.quarantined_hosts()
+    }
+
+    /// GET attempts of this handle answered 503 by the policy's
+    /// [`Outage`](crate::hazard::Outage) so far, delivered or in flight.
+    pub fn injected_503s(&self) -> u64 {
+        self.state.hazard_state.injected_503s
     }
 
     /// The pool's simulated clock (arrival of the last delivered

@@ -11,7 +11,7 @@
 //! [`WithRobots`] wraps any [`HttpServer`] so generated sites can publish a
 //! `/robots.txt` without touching the site generator.
 
-use crate::response::{error_response, HeadResponse, Headers, Response};
+use crate::response::{HeadResponse, Headers, Response};
 use crate::server::HttpServer;
 use sb_webgraph::url::Url;
 
@@ -147,11 +147,6 @@ impl RobotsTxt {
     pub fn crawl_delay(&self, agent: &str) -> Option<f64> {
         self.group_for(agent).and_then(|g| g.crawl_delay)
     }
-
-    /// Number of parsed groups (diagnostics).
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
 }
 
 /// REP path matching: the pattern is anchored at the start of the path,
@@ -248,56 +243,6 @@ impl<S: HttpServer> HttpServer for WithRobots<S> {
     }
 }
 
-/// A server enforcing its own robots.txt: disallowed paths answer
-/// 403 Forbidden instead of content. Useful to *test* that a crawler never
-/// even tries (with enforcement off, a compliant crawler's traffic must be
-/// identical).
-pub struct EnforcedRobots<S> {
-    inner: WithRobots<S>,
-    robots: RobotsTxt,
-    agent: String,
-}
-
-impl<S: HttpServer> EnforcedRobots<S> {
-    pub fn new(inner: S, root_url: &str, body: impl Into<String>, agent: &str) -> Self {
-        let body = body.into();
-        let robots = RobotsTxt::parse(&body);
-        EnforcedRobots {
-            inner: WithRobots::new(inner, root_url, body),
-            robots,
-            agent: agent.to_owned(),
-        }
-    }
-
-    fn blocked(&self, url: &str) -> bool {
-        match Url::parse(url) {
-            Ok(u) if u.path == "/robots.txt" => false,
-            // Rules match the path *and* query (`Disallow: /*?month=`).
-            Ok(u) if u.query.is_empty() => !self.robots.allows(&self.agent, &u.path),
-            Ok(u) => !self.robots.allows(&self.agent, &format!("{}?{}", u.path, u.query)),
-            Err(_) => false,
-        }
-    }
-}
-
-impl<S: HttpServer> HttpServer for EnforcedRobots<S> {
-    fn head(&self, url: &str) -> HeadResponse {
-        if self.blocked(url) {
-            error_response(403).head()
-        } else {
-            self.inner.head(url)
-        }
-    }
-
-    fn get(&self, url: &str) -> Response {
-        if self.blocked(url) {
-            error_response(403)
-        } else {
-            self.inner.get(url)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +266,7 @@ Disallow: /
     #[test]
     fn groups_and_delay_parse() {
         let r = RobotsTxt::parse(SAMPLE);
-        assert_eq!(r.n_groups(), 3);
+        assert_eq!(r.groups.len(), 3);
         assert_eq!(r.crawl_delay("anybot"), Some(2.0));
         assert_eq!(r.crawl_delay("sbcrawl"), None);
     }
@@ -401,26 +346,5 @@ Disallow: /
         assert!(pattern_matches("/a*b$", "/axbyb"), "the * must stretch to the final b");
         assert!(!pattern_matches("/ab$", "/abxab/ab "), "single-piece anchor is exact");
         assert!(pattern_matches("/ab$", "/ab"));
-    }
-
-    #[test]
-    fn enforced_robots_blocks_with_403() {
-        use crate::server::SiteServer;
-        use sb_webgraph::gen::{build_site, SiteSpec};
-        let site = build_site(&SiteSpec::demo(80), 3);
-        let root = site.page(site.root()).url.clone();
-        let some_page = site
-            .pages()
-            .iter()
-            .find(|p| p.url != root && matches!(p.kind, sb_webgraph::PageKind::Html(_)))
-            .expect("site has a second page")
-            .url
-            .clone();
-        let path = Url::parse(&some_page).unwrap().path;
-        let body = format!("User-agent: *\nDisallow: {path}");
-        let server = EnforcedRobots::new(SiteServer::new(site), &root, body, "sbcrawl");
-        assert_eq!(server.get(&some_page).status, 403);
-        assert_eq!(server.get(&root).status, 200);
-        assert_eq!(server.head(&some_page).status, 403);
     }
 }

@@ -48,12 +48,12 @@
 //! ## Retries
 //!
 //! [`PoolHandle::with_retry_policy`] with [`crate::hazard::RetryPolicy::retries`]`(n)`
-//! re-dispatches 5xx answers through the gate up to `n` extra attempts
-//! before delivering the final answer;
+//! re-dispatches 5xx, 429 and timed-out answers through the gate up to `n`
+//! extra attempts before delivering the final answer;
 //! every attempt is charged (requests and wire bytes). Off by default so
-//! the window-1 replay stays byte-identical; with a recoverable
-//! [`crate::FlakyServer`] upstream, one retry turns transient 503 bursts
-//! into ordinary (slower) successes.
+//! the window-1 replay stays byte-identical; under a transient
+//! [`crate::hazard::Outage`], one retry turns its 503 bursts into ordinary
+//! (slower) successes.
 //!
 //! The full hazard-aware dispatch loop — capped exponential backoff with
 //! seeded jitter ([`crate::hazard::RetryPolicy`]), timeouts, heavy-tailed
@@ -350,18 +350,20 @@ mod tests {
 
     #[test]
     fn retries_recover_transient_503s_and_charge_every_attempt() {
-        use crate::flaky::FlakyServer;
+        use crate::hazard::{HazardPolicy, Outage, RetryPolicy};
         let site = build_site(&SiteSpec::demo(300), 5);
         let urls: Vec<String> = site.pages().iter().map(|p| p.url.clone()).take(40).collect();
-        let flaky = FlakyServer::new(SiteServer::new(site), 0.4, 7).recoverable();
+        let origin = SiteServer::new(site);
+        let outage = Outage { share: 0.4, seed: 7, transient: true, exempt: None };
 
         let mut t = PipelinedTransport::new(
-            &flaky,
+            &origin,
             MimePolicy::default(),
             Politeness { delay_secs: 0.1, bytes_per_sec: 1e6 },
         )
         .with_window(4)
-        .with_retry_policy(crate::hazard::RetryPolicy::retries(1));
+        .with_retry_policy(RetryPolicy::retries(1))
+        .with_hazards(HazardPolicy::default().with_outage(outage));
         let mut out = Vec::new();
         let mut failures = 0;
         let mut delivered = 0u64;
@@ -376,10 +378,10 @@ mod tests {
             }
         }
         assert_eq!(failures, 0, "one retry recovers every transient 503");
-        assert!(flaky.injected() > 0, "failures were really injected");
+        assert!(t.injected_503s() > 0, "failures were really injected");
         assert_eq!(
             t.traffic().get_requests,
-            delivered + flaky.injected(),
+            delivered + t.injected_503s(),
             "every retried attempt must be charged"
         );
     }

@@ -6,8 +6,8 @@
 //!   down at `poll_into`) instead of scanning the shared window under the
 //!   pool lock, so the tally must never drift from the pool — over any
 //!   interleaving of `submit`/`poll_into`/`head`/`fetch_now` across three
-//!   handles of one pool, one of them retrying over a flaky origin so that
-//!   a request's wire bytes span several attempts.
+//!   handles of one pool, one of them retrying under a transient outage so
+//!   that a request's wire bytes span several attempts.
 //! * `with_window` resizes the whole pool, so it refuses (in debug builds)
 //!   a handle that is not its pool's only tenant.
 //! * A `RateLimit::period` of 0 installed through the public field — past
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use sb_bench::client::Client;
 use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{
-    FlakyServer, HazardPolicy, HttpServer, PipelinedTransport, Politeness, PoolHandle, RateLimit,
+    HazardPolicy, Outage, PipelinedTransport, Politeness, PoolHandle, RateLimit,
     RetryPolicy, SharedTransportPool, SiteServer,
 };
 use sb_webgraph::gen::{build_site, SiteSpec};
@@ -45,15 +45,21 @@ proptest! {
         ops in proptest::collection::vec((0usize..3, 0u8..4, 0usize..1000), 0..120)
     ) {
         let sites = sites();
-        let (a, b) = (SiteServer::shared(sites[0].clone()), SiteServer::shared(sites[1].clone()));
-        let flaky = FlakyServer::new(SiteServer::shared(sites[2].clone()), 0.4, 7).recoverable();
-        let origins: [&dyn HttpServer; 3] = [&a, &b, &flaky];
+        let origins = sites.clone().map(SiteServer::shared);
+        let flaky = Outage { share: 0.4, seed: 7, transient: true, exempt: None };
         let pool = SharedTransportPool::new(WINDOW);
         let mut handles: Vec<PoolHandle<'_>> = origins
             .iter()
-            .map(|s| {
-                pool.handle(*s, MimePolicy::default(), Politeness::default())
+            .enumerate()
+            .map(|(i, s)| {
+                let hazards = if i == 2 {
+                    HazardPolicy::default().with_outage(flaky.clone())
+                } else {
+                    HazardPolicy::default()
+                };
+                pool.handle(s, MimePolicy::default(), Politeness::default())
                     .with_retry_policy(RetryPolicy::retries(1))
+                    .with_hazards(hazards)
             })
             .collect();
         let mut out = Vec::new();

@@ -39,21 +39,22 @@
 use sb_bench::client::Client;
 use sb_httpsim::transport::{Request, RequestId, Transport};
 use sb_httpsim::{
-    Fetched, FlakyServer, HttpServer, PipelinedTransport, Politeness, RetryPolicy,
-    SharedTransportPool, SiteServer,
+    Fetched, HazardPolicy, HttpServer, Outage, PipelinedTransport, Politeness, PoolHandle,
+    RetryPolicy, SharedTransportPool, SiteServer,
 };
 use sb_webgraph::gen::{build_site, SiteSpec};
 use sb_webgraph::mime::MimePolicy;
 
 /// Builds the transport under test over `server`: window + retry policy
-/// applied, everything else default.
+/// applied, everything else default. Every way of building one yields the
+/// one backend, a [`PoolHandle`].
 type Build = for<'a> fn(
     &'a (dyn HttpServer + 'a),
     MimePolicy,
     Politeness,
     usize,
     u32,
-) -> Box<dyn Transport + 'a>;
+) -> PoolHandle<'a>;
 
 fn build_pipelined<'a>(
     server: &'a (dyn HttpServer + 'a),
@@ -61,12 +62,10 @@ fn build_pipelined<'a>(
     politeness: Politeness,
     window: usize,
     retries: u32,
-) -> Box<dyn Transport + 'a> {
-    Box::new(
-        PipelinedTransport::new(server, policy, politeness)
-            .with_window(window)
-            .with_retry_policy(RetryPolicy::retries(retries)),
-    )
+) -> PoolHandle<'a> {
+    PipelinedTransport::new(server, policy, politeness)
+        .with_window(window)
+        .with_retry_policy(RetryPolicy::retries(retries))
 }
 
 fn build_pool_handle<'a>(
@@ -75,11 +74,9 @@ fn build_pool_handle<'a>(
     politeness: Politeness,
     window: usize,
     retries: u32,
-) -> Box<dyn Transport + 'a> {
+) -> PoolHandle<'a> {
     let pool = SharedTransportPool::new(window);
-    Box::new(
-        pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries)),
-    )
+    pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries))
 }
 
 /// A registered second site that never submits anything: the handle under
@@ -104,12 +101,10 @@ fn build_pool_handle_contended<'a>(
     politeness: Politeness,
     window: usize,
     retries: u32,
-) -> Box<dyn Transport + 'a> {
+) -> PoolHandle<'a> {
     let pool = SharedTransportPool::new(window);
     let _idle_sibling = pool.handle(&DECOY, MimePolicy::default(), Politeness::default());
-    Box::new(
-        pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries)),
-    )
+    pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries))
 }
 
 /// Proves the `Send` bound the sharded fleet (PR 8) relies on by
@@ -126,11 +121,11 @@ fn build_threaded_pool_handle<'a>(
     politeness: Politeness,
     window: usize,
     retries: u32,
-) -> Box<dyn Transport + 'a> {
+) -> PoolHandle<'a> {
     let pool = SharedTransportPool::new(window);
     let handle =
         pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries));
-    Box::new(roundtrip_through_thread(handle))
+    roundtrip_through_thread(handle)
 }
 
 fn build_threaded_pool_handle_contended<'a>(
@@ -139,12 +134,12 @@ fn build_threaded_pool_handle_contended<'a>(
     politeness: Politeness,
     window: usize,
     retries: u32,
-) -> Box<dyn Transport + 'a> {
+) -> PoolHandle<'a> {
     let pool = SharedTransportPool::new(window);
     let _idle_sibling = pool.handle(&DECOY, MimePolicy::default(), Politeness::default());
     let handle =
         pool.handle(server, policy, politeness).with_retry_policy(RetryPolicy::retries(retries));
-    Box::new(roundtrip_through_thread(handle))
+    roundtrip_through_thread(handle)
 }
 
 // ----------------------------------------------------------------------
@@ -214,7 +209,7 @@ fn check_gate_spacing(build: Build) {
     for u in &urls {
         wide.submit(Request::get(u));
     }
-    let delivered = drain(wide.as_mut(), &mut out).len();
+    let delivered = drain(&mut wide, &mut out).len();
     assert_eq!(delivered, urls.len());
     let wide_makespan = wide.traffic().elapsed_secs;
 
@@ -239,7 +234,7 @@ fn check_completion_order(build: Build) {
         let mut t = build(&s, MimePolicy::default(), pol, urls.len(), 0);
         let ids: Vec<RequestId> = urls.iter().map(|u| t.submit(Request::get(u))).collect();
         let mut out = Vec::new();
-        let order = drain(t.as_mut(), &mut out);
+        let order = drain(&mut t, &mut out);
         (ids, order)
     };
     let (ids_a, order_a) = run();
@@ -256,10 +251,12 @@ fn check_completion_order(build: Build) {
 fn check_retry_accounting(build: Build) {
     let site = build_site(&SiteSpec::demo(300), 5);
     let urls: Vec<String> = site.pages().iter().map(|p| p.url.clone()).take(40).collect();
-    let flaky = FlakyServer::new(SiteServer::new(site), 0.4, 7).recoverable();
+    let origin = SiteServer::new(site);
     let pol = Politeness { delay_secs: 0.1, bytes_per_sec: 1e6 };
+    let outage = Outage { share: 0.4, seed: 7, transient: true, exempt: None };
 
-    let mut t = build(&flaky, MimePolicy::default(), pol, 4, 1);
+    let mut t = build(&origin, MimePolicy::default(), pol, 4, 1)
+        .with_hazards(HazardPolicy::default().with_outage(outage));
     let mut out = Vec::new();
     let mut failures = 0usize;
     let mut delivered = 0u64;
@@ -274,10 +271,10 @@ fn check_retry_accounting(build: Build) {
         }
     }
     assert_eq!(failures, 0, "one retry recovers every transient 503");
-    assert!(flaky.injected() > 0, "failures were really injected");
+    assert!(t.injected_503s() > 0, "failures were really injected");
     assert_eq!(
         t.traffic().get_requests,
-        delivered + flaky.injected(),
+        delivered + t.injected_503s(),
         "every retried attempt must be charged"
     );
 }
@@ -294,7 +291,7 @@ fn check_in_flight_bytes(build: Build) {
     assert!(pending > 0, "submitted wire volume must be visible before delivery");
     assert_eq!(t.traffic().total_bytes(), 0, "nothing is charged before delivery");
     let mut out = Vec::new();
-    drain(t.as_mut(), &mut out);
+    drain(&mut t, &mut out);
     assert_eq!(t.in_flight_bytes(), 0);
     assert_eq!(
         t.traffic().total_bytes(),
@@ -324,7 +321,7 @@ fn check_crawl_delay(build: Build) {
             t.submit(Request::get(u));
         }
         let mut out = Vec::new();
-        drain(t.as_mut(), &mut out);
+        drain(&mut t, &mut out);
         t.traffic().elapsed_secs
     };
 
@@ -351,7 +348,7 @@ fn check_window_bookkeeping(build: Build) {
     assert_eq!(t.in_flight(), 3);
     assert!(!t.has_capacity(), "a full window reports no capacity");
     let mut out = Vec::new();
-    drain(t.as_mut(), &mut out);
+    drain(&mut t, &mut out);
     assert_eq!(t.in_flight(), 0);
     assert!(t.has_capacity());
 

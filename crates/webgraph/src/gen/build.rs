@@ -34,6 +34,8 @@ use rand::{Rng, SeedableRng};
 /// determinism of the generated graph rests on the builder owning the only
 /// RNG. Read-backs (`url`, `kind`) are required because later construction
 /// stages read earlier pages (pagination URLs, section inheritance).
+// No `is_empty`: nothing asks; the trait goes with the eager store (ROADMAP 21(c)).
+#[allow(clippy::len_without_is_empty)]
 pub trait PageStore {
     /// Number of pages recorded so far.
     fn len(&self) -> usize;
@@ -793,7 +795,7 @@ mod tests {
         assert_eq!(root, site.root());
         assert!(!styles.is_empty());
         assert_eq!(store.inserts, site.len());
-        assert_eq!(store.links as usize, site.pages().iter().map(|p| p.out.len()).sum::<usize>());
+        assert_eq!(store.links, site.pages().iter().map(|p| p.out.len()).sum::<usize>());
         for (id, p) in site.pages().iter().enumerate() {
             assert_eq!(store.inner.url(id as PageId), p.url);
             assert_eq!(store.inner.kind(id as PageId), &p.kind);

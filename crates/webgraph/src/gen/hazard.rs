@@ -16,9 +16,10 @@
 //!
 //! * **Calendar trap** — a deep `/calendar/{year}-{month}` pagination
 //!   space entered through a redirect. Every trap page links the next
-//!   month plus a "skip ahead" jump (the same doubling shape as
-//!   `sb_httpsim::TrapServer`), all at the `Pagination` slot — the
-//!   target-rich tag path, so learned strategies are genuinely tempted.
+//!   month plus a "skip ahead" jump (the same doubling shape as the
+//!   calendar-trap test origin in `crates/core/tests/origins/`), all at
+//!   the `Pagination` slot — the target-rich tag path, so learned
+//!   strategies are genuinely tempted.
 //!   The space is finite (`trap_pages`) but far deeper than any clean
 //!   chain, and its tail wraps back on itself.
 //! * **Redirect farm + loops** — an entrance becomes a directory page

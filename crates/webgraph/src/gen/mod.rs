@@ -185,6 +185,8 @@ impl Website {
         self.root
     }
 
+    // No `is_empty` (a site holds its root); goes with the eager store (ROADMAP 21(c)).
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.pages.len()
     }

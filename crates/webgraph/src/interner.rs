@@ -152,13 +152,9 @@ mod tests {
 
     #[test]
     fn fx_hash_distinguishes_and_is_stable() {
-        use std::hash::{BuildHasher, Hash};
+        use std::hash::BuildHasher;
         let bh = FxBuildHasher::default();
-        let h = |s: &str| {
-            let mut hasher = bh.build_hasher();
-            s.hash(&mut hasher);
-            hasher.finish()
-        };
+        let h = |s: &str| bh.hash_one(s);
         assert_eq!(h("https://a.com/x"), h("https://a.com/x"));
         assert_ne!(h("https://a.com/x"), h("https://a.com/y"));
         assert_ne!(h("abc"), h("abcd"));

@@ -75,7 +75,7 @@ fn main() {
         .into_iter()
         .map(|u| (out.store.reads(&u), out.store.generation(&u), u))
         .collect();
-    by_reads.sort_by(|a, b| b.0.cmp(&a.0));
+    by_reads.sort_by_key(|r| std::cmp::Reverse(r.0));
     println!("\nhottest pages (reads → served generation):");
     for (reads, generation, url) in by_reads.iter().take(5) {
         println!("  {reads:>7} reads  gen {generation:>2}  {url}");

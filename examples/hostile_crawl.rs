@@ -11,10 +11,10 @@
 //!    already-dead URLs, so the clean subspace is untouched;
 //! 2. a budgeted BFS crawl shows the waste those hazards extract, measured
 //!    against the `HazardReport` ground truth;
-//! 3. a flaky origin behind `RetryPolicy` (capped exponential backoff,
-//!    seeded jitter) shows transient failures recovered and hard failures
-//!    classified into the per-reason abandon counters;
-//! 4. a blackout origin trips the per-host circuit breaker: the host is
+//! 3. a transient 503 outage behind `RetryPolicy` (capped exponential
+//!    backoff, seeded jitter) shows transient failures recovered and hard
+//!    failures classified into the per-reason abandon counters;
+//! 4. a blackout outage trips the per-host circuit breaker: the host is
 //!    quarantined and the rest of the frontier drains at zero cost;
 //! 5. `CrawlConfig::robots_agent` makes the session fetch robots.txt on
 //!    its own and route `Crawl-delay` into the transport gate.
@@ -24,8 +24,8 @@
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{Budget, CrawlConfig, CrawlSession, EventLog, OwnedEvent};
 use sb_httpsim::{
-    FlakyServer, HazardPolicy, HttpServer, PipelinedTransport, Politeness, RetryPolicy,
-    SiteServer, TailLatency, WithRobots,
+    HazardPolicy, Outage, PipelinedTransport, Politeness, RetryPolicy, SiteServer, TailLatency,
+    WithRobots,
 };
 use sb_webgraph::gen::hazard::{apply_hazards, HazardSpec};
 use sb_webgraph::mime::MimePolicy;
@@ -74,36 +74,33 @@ fn main() {
         100.0 * wasted as f64 / out.traffic.requests() as f64,
     );
 
-    // -- 3. Retries over a flaky origin, abandon reasons counted. --------
-    // 30 % of URLs fail on first contact but recover on the retry; the
-    // heavy latency tail occasionally blows the 10 s timeout three times
-    // in a row and is abandoned as a timeout.
-    let flaky = FlakyServer::new(SiteServer::shared(Arc::clone(&site)), 0.3, 11)
-        .recoverable()
-        .protecting(&root);
+    // -- 3. Retries under a transient outage, abandon reasons counted. ---
+    // The outage is decided per attempt: the first attempt of every GET of
+    // 30 % of URLs answers 503 and every retry passes (HEADs and the
+    // robots.txt fetch never meet it). The heavy latency tail occasionally
+    // blows the 10 s timeout three times in a row and is abandoned as a
+    // timeout.
+    let origin = SiteServer::shared(Arc::clone(&site));
     let retry = RetryPolicy::retries(2).with_backoff(0.5, 8.0).with_jitter(0.2, 9);
     let hazards = HazardPolicy::seeded(17)
         .with_tail(TailLatency { prob: 0.2, scale_secs: 4.0, alpha: 1.3 })
-        .with_timeout(10.0);
-    let transport = PipelinedTransport::new(
-        &flaky as &dyn HttpServer,
-        MimePolicy::default(),
-        politeness(),
-    )
-    .with_window(8)
-    .with_retry_policy(retry)
-    .with_hazards(hazards);
+        .with_timeout(10.0)
+        .with_outage(Outage { share: 0.3, seed: 11, transient: true, exempt: Some(root.clone()) });
+    let transport = PipelinedTransport::new(&origin, MimePolicy::default(), politeness())
+        .with_window(8)
+        .with_retry_policy(retry)
+        .with_hazards(hazards);
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig { budget: Budget::Requests(500), max_in_flight: 8, ..Default::default() };
     let out = CrawlSession::with_transport(Box::new(transport), None, &root, &mut bfs, &cfg)
         .expect("valid root")
         .run();
-    println!("\n== Flaky origin + heavy tail, 2 retries with jittered backoff ==");
+    println!("\n== Transient outage + heavy tail, 2 retries with jittered backoff ==");
     println!(
-        "  {} requests (retries included), {} targets, {} transient failures injected",
+        "  {} requests (retries included) for {} pages crawled, {} targets",
         out.traffic.requests(),
+        out.pages_crawled,
         out.targets_found(),
-        flaky.injected(),
     );
     println!(
         "  abandons by reason: {} http, {} timeout, {} retries-exhausted ({} total)",
@@ -114,14 +111,11 @@ fn main() {
     );
 
     // -- 4. The circuit breaker against a blackout host. -----------------
-    let blackout = FlakyServer::new(SiteServer::shared(Arc::clone(&site)), 1.0, 3).protecting(&root);
-    let transport = PipelinedTransport::new(
-        &blackout as &dyn HttpServer,
-        MimePolicy::default(),
-        politeness(),
-    )
-    .with_window(4)
-    .with_retry_policy(RetryPolicy::retries(1).with_quarantine_after(3));
+    let blackout = Outage { share: 1.0, seed: 3, transient: false, exempt: Some(root.clone()) };
+    let transport = PipelinedTransport::new(&origin, MimePolicy::default(), politeness())
+        .with_window(4)
+        .with_retry_policy(RetryPolicy::retries(1).with_quarantine_after(3))
+        .with_hazards(HazardPolicy::default().with_outage(blackout));
     let mut bfs = QueueStrategy::bfs();
     let cfg = CrawlConfig { budget: Budget::Requests(500), max_in_flight: 4, ..Default::default() };
     let out = CrawlSession::with_transport(Box::new(transport), None, &root, &mut bfs, &cfg)

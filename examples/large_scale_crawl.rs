@@ -77,7 +77,7 @@ fn main() {
         peak_spilled = peak_spilled.max(m.frontier_spilled);
         peak_visited_mb = peak_visited_mb.max(m.visited_bytes as f64 / (1024.0 * 1024.0));
         steps += 1;
-        if steps % 20_000 == 0 {
+        if steps.is_multiple_of(20_000) {
             println!(
                 "   step {:>7}: {:>6} targets, frontier {:>6} ({} spilled), visited {:>7} URLs ≈{:.1} MB",
                 steps,

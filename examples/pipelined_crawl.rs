@@ -10,14 +10,14 @@
 //! window 1, 4, 16) and prints the simulated makespan of each run —
 //! identical coverage, shrinking clock. It then shows the transport used
 //! directly: submit/poll, a robots `Crawl-delay` raising the gate, and
-//! retry-through-the-pipeline over a flaky origin.
+//! retry-through-the-pipeline under a transient 503 outage.
 //!
 //! Run with: `cargo run --release --example pipelined_crawl`
 
 use sb_crawler::strategies::QueueStrategy;
 use sb_crawler::{CrawlConfig, CrawlSession};
 use sb_httpsim::transport::{PipelinedTransport, Request, Transport};
-use sb_httpsim::{FlakyServer, Politeness, RetryPolicy, SiteServer};
+use sb_httpsim::{HazardPolicy, Outage, Politeness, RetryPolicy, SiteServer};
 use sb_webgraph::mime::MimePolicy;
 use sb_webgraph::{build_site, SiteSpec};
 use std::sync::Arc;
@@ -71,12 +71,14 @@ fn main() {
     }
 
     // A robots Crawl-delay raises the per-host gate above the global
-    // politeness delay; retries ride the same pipeline over flaky origins.
-    println!("\n== Retry-through-pipeline over a flaky origin ==");
-    let flaky = FlakyServer::new(SiteServer::shared(Arc::clone(&site)), 0.3, 7).recoverable();
-    let mut t = PipelinedTransport::new(&flaky, MimePolicy::default(), politeness)
+    // politeness delay; retries ride the same pipeline through a transient
+    // 503 outage.
+    println!("\n== Retry-through-pipeline under a transient outage ==");
+    let outage = Outage { share: 0.3, seed: 7, transient: true, exempt: None };
+    let mut t = PipelinedTransport::new(&server, MimePolicy::default(), politeness)
         .with_window(4)
-        .with_retry_policy(RetryPolicy::retries(1));
+        .with_retry_policy(RetryPolicy::retries(1))
+        .with_hazards(HazardPolicy::default().with_outage(outage));
     let robots = sb_httpsim::RobotsTxt::parse("User-agent: *\nCrawl-delay: 2");
     t.apply_crawl_delay(&robots, "sbcrawl", "www.stats.example.org");
     let mut ok = 0;

@@ -28,7 +28,7 @@ fn arb_spec() -> impl Strategy<Value = SiteSpec> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// BFS on any generated site retrieves exactly the census targets, never
     /// fetches a URL twice, and its trace is monotone.
